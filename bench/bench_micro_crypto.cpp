@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -128,6 +129,63 @@ void BM_FastSignerVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FastSignerVerify);
+
+// A header's parent set at committee size n: 2f+1 FastSigner certificates of
+// one round, each carrying 2f+1 votes — what every receiver verifies per
+// header.
+struct ParentSetFixture {
+  Committee committee;
+  std::vector<std::unique_ptr<Signer>> signers;
+  std::vector<Certificate> parents;
+
+  explicit ParentSetFixture(uint32_t n) {
+    std::vector<ValidatorInfo> infos;
+    for (uint32_t v = 0; v < n; ++v) {
+      signers.push_back(MakeSigner(SignerKind::kFast, DeriveSeed(4242, v)));
+      infos.push_back(ValidatorInfo{signers.back()->public_key(), 0});
+    }
+    committee = Committee(std::move(infos));
+    for (ValidatorId author = 0; author < committee.quorum_threshold(); ++author) {
+      Certificate cert;
+      cert.header_digest = Sha256::Hash("bench-parent-" + std::to_string(author));
+      cert.round = 7;
+      cert.author = author;
+      Bytes preimage = Certificate::VotePreimage(cert.header_digest, cert.round, author);
+      for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
+        cert.votes.emplace_back(v, signers[v]->Sign(preimage));
+      }
+      parents.push_back(std::move(cert));
+    }
+  }
+};
+
+// Certificate::VerifyAll over a parent set no cache has seen: every vote
+// signature is verified. items/s counts certificates.
+void BM_CertVerifyAllCold(benchmark::State& state) {
+  ParentSetFixture fixture(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    VerifiedCertCache cache;
+    benchmark::DoNotOptimize(
+        Certificate::VerifyAll(fixture.parents, fixture.committee, *fixture.signers[0], &cache));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(fixture.parents.size()));
+}
+BENCHMARK(BM_CertVerifyAllCold)->Arg(10)->Arg(20)->Arg(50);
+
+// The same parent set re-presented to a cache that already verified it: the
+// per-delivery cost once a certificate is known (a cache probe and a
+// vote-set compare per certificate, no hashing).
+void BM_CertVerifyAllWarm(benchmark::State& state) {
+  ParentSetFixture fixture(static_cast<uint32_t>(state.range(0)));
+  VerifiedCertCache cache;
+  Certificate::VerifyAll(fixture.parents, fixture.committee, *fixture.signers[0], &cache);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Certificate::VerifyAll(fixture.parents, fixture.committee, *fixture.signers[0], &cache));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(fixture.parents.size()));
+}
+BENCHMARK(BM_CertVerifyAllWarm)->Arg(10)->Arg(20)->Arg(50);
 
 void BM_CommonCoin(benchmark::State& state) {
   CommonCoin coin(7);

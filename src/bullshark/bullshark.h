@@ -166,7 +166,7 @@ class Bullshark {
 
   Store* store_ = nullptr;
   uint64_t last_committed_wave_ = 0;
-  std::set<Digest> committed_;
+  std::set<Digest, DigestLess> committed_;
   std::map<Round, std::vector<Digest>> committed_by_round_;
   uint64_t committed_count_ = 0;
   uint64_t skipped_anchors_ = 0;

@@ -39,7 +39,7 @@ bool SupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& leader,
 TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& coin,
                       Round gc_depth) {
   TuskReplay out;
-  std::set<Digest> committed;
+  std::set<Digest, DigestLess> committed;
   std::map<Round, std::vector<Digest>> committed_by_round;
   uint64_t last_committed_wave = 0;
 
@@ -138,7 +138,7 @@ bool AnchorSupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& an
 BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_depth,
                                 BullsharkConfig config) {
   BullsharkReplay out;
-  std::set<Digest> committed;
+  std::set<Digest, DigestLess> committed;
   std::map<Round, std::vector<Digest>> committed_by_round;
   AnchorSchedule schedule(committee.size(), config);
   uint64_t last_committed_wave = 0;

@@ -178,6 +178,9 @@ inline void StoreBe64(uint8_t* p, uint64_t v) {
 
 constexpr char kHexDigitsLower[] = "0123456789abcdef";
 
+// Per thread, so concurrent hashing never races on it.
+thread_local uint64_t sha256_blocks = 0;
+
 }  // namespace
 
 std::string DigestHex(const Digest& d) { return ToHex(d.data(), d.size()); }
@@ -200,7 +203,10 @@ Sha256::Sha256() {
   }
 }
 
+uint64_t Sha256::blocks_processed() { return sha256_blocks; }
+
 void Sha256::ProcessBlock(const uint8_t* block) {
+  ++sha256_blocks;
   const ShaConstants& c = Constants();
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
@@ -261,17 +267,17 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 Digest Sha256::Finalize() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  const uint64_t bit_len = total_len_ * 8;
+  // 0x80, zeros up to byte 56, then the 64-bit length. When the 0x80 leaves
+  // no room for the length, the zeros fill this block and one more follows.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_.data());
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
-  StoreBe64(len_be, bit_len);
-  // Bypass Update's length accounting for the final length field.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  StoreBe64(buffer_.data() + 56, bit_len);
   ProcessBlock(buffer_.data());
   buffer_len_ = 0;
 
@@ -358,15 +364,16 @@ void Sha512::Update(const uint8_t* data, size_t len) {
 }
 
 Sha512::Output Sha512::Finalize() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 112) {
-    Update(&zero, 1);
+  const uint64_t bit_len = total_len_ * 8;
+  // As SHA-256, with 128-byte blocks and a 128-bit length field whose high
+  // 64 bits are zero for all inputs we hash.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    ProcessBlock(buffer_.data());
+    buffer_len_ = 0;
   }
-  // 128-bit length field: high 64 bits are zero for all inputs we hash.
-  std::memset(buffer_.data() + 112, 0, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   StoreBe64(buffer_.data() + 120, bit_len);
   ProcessBlock(buffer_.data());
   buffer_len_ = 0;

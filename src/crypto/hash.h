@@ -9,7 +9,9 @@
 #define SRC_CRYPTO_HASH_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -20,6 +22,31 @@ namespace nt {
 // A 32-byte content digest (SHA-256 output). Used as the identifier of
 // batches, headers, and certificates throughout the protocol stack.
 using Digest = std::array<uint8_t, 32>;
+
+// Lexicographic digest order, compared as four big-endian 64-bit words: the
+// same order as std::less<Digest> (so iteration order, and everything derived
+// from it, is unchanged), in at most four word compares instead of a byte-wise
+// memcmp. For the Digest-keyed maps and sets on the hot paths.
+struct DigestLess {
+  static uint64_t Word(const Digest& d, size_t i) {
+    uint64_t w;
+    std::memcpy(&w, d.data() + 8 * i, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      w = __builtin_bswap64(w);
+    }
+    return w;
+  }
+  bool operator()(const Digest& a, const Digest& b) const {
+    for (size_t i = 0; i < 4; ++i) {
+      const uint64_t wa = Word(a, i);
+      const uint64_t wb = Word(b, i);
+      if (wa != wb) {
+        return wa < wb;
+      }
+    }
+    return false;
+  }
+};
 
 std::string DigestHex(const Digest& d);
 // First 8 hex chars — for logs.
@@ -39,6 +66,11 @@ class Sha256 {
   static Digest Hash(std::string_view s) {
     return Hash(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
+
+  // Compression-function calls made on the calling thread so far. A
+  // deterministic work counter: tests assert hashing budgets with it (a
+  // warm-cache certificate check must compress nothing).
+  static uint64_t blocks_processed();
 
  private:
   void ProcessBlock(const uint8_t* block);

@@ -79,7 +79,7 @@ class FastKeyRegistry {
  private:
   // ntlint:allow(nondet): guards a write-once key registry; lookups are pure reads of deterministic content
   mutable std::mutex mu_;
-  std::map<PublicKey, std::array<uint8_t, 32>> keys_;
+  std::map<PublicKey, std::array<uint8_t, 32>, DigestLess> keys_;
 };
 
 Signature FastMac(const std::array<uint8_t, 32>& secret, const uint8_t* msg, size_t len) {

@@ -228,7 +228,7 @@ class NarwhalProvider : public PayloadProvider {
   Round gc_depth_;
   Store* store_ = nullptr;
 
-  std::set<Digest> committed_;
+  std::set<Digest, DigestLess> committed_;
   std::deque<Digest> pending_anchors_;  // Committed by consensus, awaiting sync.
   uint64_t committed_count_ = 0;
   std::vector<HeaderCommitHook> on_header_commit_hooks_;

@@ -1,49 +1,32 @@
 #include "src/hotstuff/types.h"
 
-#include <set>
-
 #include "src/types/cert_cache.h"
 
 namespace nt {
 namespace {
 
 // Shared verification core for the two HotStuff certificate kinds: quorum +
-// distinct-voter structure, then a cache probe, then one batched flush of
-// the vote signatures over a common preimage. `domain` separates QC and TC
-// cache keys; `view` is the GC dimension. `cache_override` selects the
-// per-node cache; nullptr falls back to the process-wide default.
-bool VerifyVoteSet(std::string_view domain, const Bytes& preimage, View view,
+// distinct-voter structure, then a cache probe keyed by (kind, subject,
+// view) and bound to the exact vote set, then one batched flush of the vote
+// signatures over the common preimage (built only on a miss). `view` is the
+// GC dimension. `cache_override` selects the per-node cache; nullptr falls
+// back to the process-wide default.
+bool VerifyVoteSet(VerifiedCertCache::Kind kind, const Digest& subject, View view,
                    const std::vector<std::pair<ValidatorId, Signature>>& votes,
                    const Committee& committee, const Signer& verifier,
                    VerifiedCertCache* cache_override) {
-  if (votes.size() < committee.quorum_threshold()) {
+  if (votes.size() < committee.quorum_threshold() || !committee.DistinctMembers(votes)) {
     return false;
   }
-  std::set<ValidatorId> seen;
-  for (const auto& [voter, sig] : votes) {
-    (void)sig;
-    if (!committee.Contains(voter) || !seen.insert(voter).second) {
-      return false;
-    }
-  }
-  Sha256 key_hash;
-  key_hash.Update(domain);
-  key_hash.Update(committee.fingerprint().data(), committee.fingerprint().size());
-  key_hash.Update(preimage);
-  for (const auto& [voter, sig] : votes) {
-    uint8_t voter_bytes[4];
-    for (int b = 0; b < 4; ++b) {
-      voter_bytes[b] = static_cast<uint8_t>(voter >> (8 * b));
-    }
-    key_hash.Update(voter_bytes, 4);
-    key_hash.Update(sig.data(), sig.size());
-  }
-  Digest key = key_hash.Finalize();
   VerifiedCertCache& cache =
       cache_override != nullptr ? *cache_override : VerifiedCertCache::HotStuff();
-  if (cache.Lookup(key)) {
+  const VerifiedCertCache::Claim claim{kind, subject, view, 0, committee.fingerprint(), votes};
+  if (cache.Lookup(claim)) {
     return true;
   }
+  const Bytes preimage = kind == VerifiedCertCache::Kind::kQuorumCert
+                             ? QuorumCert::VotePreimage(subject, view)
+                             : TimeoutCert::VotePreimage(view);
   BatchVerifier batch(verifier);
   for (const auto& [voter, sig] : votes) {
     batch.Queue(committee.key_of(voter), preimage, sig);
@@ -51,7 +34,7 @@ bool VerifyVoteSet(std::string_view domain, const Bytes& preimage, View view,
   if (!batch.FlushAllValid()) {
     return false;
   }
-  cache.Insert(key, view);
+  cache.Insert(claim);
   return true;
 }
 
@@ -112,7 +95,7 @@ bool QuorumCert::Verify(const Committee& committee, const Signer& verifier,
   if (IsGenesis()) {
     return true;
   }
-  return VerifyVoteSet("nt-qc-cache", VotePreimage(block_digest, view), view, votes, committee,
+  return VerifyVoteSet(VerifiedCertCache::Kind::kQuorumCert, block_digest, view, votes, committee,
                        verifier, cache);
 }
 
@@ -127,8 +110,8 @@ Bytes TimeoutCert::VotePreimage(View view) {
 
 bool TimeoutCert::Verify(const Committee& committee, const Signer& verifier,
                          VerifiedCertCache* cache) const {
-  return VerifyVoteSet("nt-tc-cache", VotePreimage(view), view, votes, committee, verifier,
-                       cache);
+  return VerifyVoteSet(VerifiedCertCache::Kind::kTimeoutCert, Digest{}, view, votes, committee,
+                       verifier, cache);
 }
 
 // ------------------------------------------------------------------- HsBlock

@@ -41,10 +41,11 @@ struct HsPayload {
 
 // 2f+1 votes over (block digest, view).
 //
-// Verify memoizes positive results: each HotStuff node passes its own
-// per-validator cache (every node re-verifies independently, like a real
-// deployment); nullptr falls back to the process-wide default instance
-// (VerifiedCertCache::HotStuff()) for tools and tests.
+// Verify memoizes positive results, keyed by (block digest, view) and bound
+// to the exact vote set (see src/types/cert_cache.h): each HotStuff node
+// passes its own per-validator cache (every node re-verifies independently,
+// like a real deployment); nullptr falls back to the process-wide default
+// instance (VerifiedCertCache::HotStuff()) for tools and tests.
 struct QuorumCert {
   Digest block_digest{};
   View view = 0;
@@ -59,7 +60,7 @@ struct QuorumCert {
 };
 
 // 2f+1 signed timeouts for a view; justifies entering view+1 without a QC.
-// `cache` as in QuorumCert::Verify.
+// `cache` as in QuorumCert::Verify; the key is the view alone.
 struct TimeoutCert {
   View view = 0;
   std::vector<std::pair<ValidatorId, Signature>> votes;

@@ -98,7 +98,7 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
   const Round target_round = target->second.first;
 
   std::deque<Digest> frontier{from};
-  std::set<Digest> visited{from};
+  std::set<Digest, DigestLess> visited{from};
   while (!frontier.empty()) {
     Digest current = frontier.front();
     frontier.pop_front();
@@ -122,7 +122,7 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
 }
 
 Dag::History Dag::CollectCausalHistory(const Digest& anchor,
-                                       const std::set<Digest>& committed) const {
+                                       const std::set<Digest, DigestLess>& committed) const {
   History result;
   if (committed.count(anchor) != 0) {
     return result;
@@ -136,7 +136,7 @@ Dag::History Dag::CollectCausalHistory(const Digest& anchor,
   };
   std::vector<Entry> gathered;
   std::deque<Digest> frontier{anchor};
-  std::set<Digest> visited{anchor};
+  std::set<Digest, DigestLess> visited{anchor};
   while (!frontier.empty()) {
     Digest current = frontier.front();
     frontier.pop_front();

@@ -72,21 +72,24 @@ class Dag {
   // Collects the anchor's causal history down to the GC round, excluding
   // digests in `committed`. If any header on the way is missing, `missing`
   // is non-empty and `ordered` must not be committed yet.
-  History CollectCausalHistory(const Digest& anchor, const std::set<Digest>& committed) const;
+  History CollectCausalHistory(const Digest& anchor,
+                               const std::set<Digest, DigestLess>& committed) const;
 
   size_t TotalCertificates() const { return by_digest_.size(); }
   size_t TotalHeaders() const { return headers_.size(); }
 
   // Read-only view of all stored headers (mempool facade, metrics).
-  const std::map<Digest, std::shared_ptr<const BlockHeader>>& headers() const { return headers_; }
+  const std::map<Digest, std::shared_ptr<const BlockHeader>, DigestLess>& headers() const {
+    return headers_;
+  }
 
  private:
   Round gc_round_ = 0;
   // round -> author -> certificate.
   std::map<Round, std::map<ValidatorId, Certificate>> by_round_;
   // header digest -> (round, author), for digest lookups.
-  std::map<Digest, std::pair<Round, ValidatorId>> by_digest_;
-  std::map<Digest, std::shared_ptr<const BlockHeader>> headers_;
+  std::map<Digest, std::pair<Round, ValidatorId>, DigestLess> by_digest_;
+  std::map<Digest, std::shared_ptr<const BlockHeader>, DigestLess> headers_;
 };
 
 }  // namespace nt

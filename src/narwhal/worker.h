@@ -151,7 +151,7 @@ class Worker : public NetNode {
   std::map<Digest, InFlight> in_flight_;
 
   // Batch contents kept in memory for serving pull requests.
-  std::map<Digest, std::shared_ptr<const Batch>> batches_;
+  std::map<Digest, std::shared_ptr<const Batch>, DigestLess> batches_;
 
   // Outstanding pull requests issued on behalf of the primary.
   std::set<Digest> fetching_;

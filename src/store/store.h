@@ -74,7 +74,7 @@ class MemStore : public Store {
  private:
   // Ordered so that any future iteration (dumps, state sync, WAL compaction)
   // is deterministic by construction rather than hash-seed dependent.
-  std::map<Digest, Bytes> map_;
+  std::map<Digest, Bytes, DigestLess> map_;
 };
 
 // Append-only WAL-backed store. Every mutation is written as a

@@ -54,7 +54,7 @@ class DagRider {
   const ThresholdCoin* coin_;
 
   uint64_t last_committed_wave_ = 0;
-  std::set<Digest> committed_;
+  std::set<Digest, DigestLess> committed_;
   uint64_t committed_count_ = 0;
   std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
 };

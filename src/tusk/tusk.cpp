@@ -203,7 +203,7 @@ bool Tusk::CommitChain(uint64_t wave, const Certificate& leader) {
 
   // First pass: ensure every history is locally complete; request any gaps
   // and defer (the paper's "conservative synchronization").
-  std::set<Digest> virtual_committed = committed_;
+  std::set<Digest, DigestLess> virtual_committed = committed_;
   std::vector<std::pair<const Certificate*, Dag::History>> histories;
   for (const Certificate* lead : chain) {
     Dag::History history = dag.CollectCausalHistory(lead->header_digest, virtual_committed);

@@ -1,38 +1,53 @@
 #include "src/types/cert_cache.h"
 
+#include <iterator>
+
 namespace nt {
 
 VerifiedCertCache::VerifiedCertCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-bool VerifiedCertCache::Lookup(const Digest& key) {
+VerifiedCertCache::LruList::iterator VerifiedCertCache::Find(const Claim& claim) {
+  auto [it, end] = index_.equal_range(Key{claim.kind, claim.round, claim.subject});
+  for (; it != end; ++it) {
+    if (it->second->Binds(claim)) {
+      return it->second;
+    }
+  }
+  return lru_.end();
+}
+
+void VerifiedCertCache::Erase(LruList::iterator entry) {
+  index_.erase(entry->slot);
+  lru_.erase(entry);
+}
+
+bool VerifiedCertCache::Lookup(const Claim& claim) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  auto entry = Find(claim);
+  if (entry == lru_.end()) {
     ++stats_.misses;
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  lru_.splice(lru_.begin(), lru_, entry);
   ++stats_.hits;
   return true;
 }
 
-void VerifiedCertCache::Insert(const Digest& key, uint64_t round) {
+void VerifiedCertCache::Insert(const Claim& claim) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (round < gc_round_) {
+  if (claim.round < gc_round_) {
     return;  // Below the horizon: would be evicted immediately.
   }
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->round = round;
+  auto entry = Find(claim);
+  if (entry != lru_.end()) {
+    lru_.splice(lru_.begin(), lru_, entry);
     return;
   }
-  lru_.push_front(Entry{key, round});
-  index_[key] = lru_.begin();
+  lru_.push_front(Entry{{}, claim.author, claim.committee, claim.votes});
+  lru_.front().slot = index_.emplace(Key{claim.kind, claim.round, claim.subject}, lru_.begin());
   ++stats_.insertions;
   while (index_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
+    Erase(std::prev(lru_.end()));
     ++stats_.lru_evictions;
   }
 }
@@ -44,13 +59,12 @@ void VerifiedCertCache::OnGcRound(uint64_t gc_round) {
   }
   gc_round_ = gc_round;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->round < gc_round_) {
-      index_.erase(it->key);
-      it = lru_.erase(it);
+    auto next = std::next(it);
+    if (it->slot->first.round < gc_round_) {
+      Erase(it);
       ++stats_.gc_evictions;
-    } else {
-      ++it;
     }
+    it = next;
   }
 }
 

@@ -2,20 +2,29 @@
 // verified. Quorum certificates are re-delivered constantly — the same
 // Narwhal certificate arrives via its own broadcast, as a parent inside the
 // next round's headers, and again inside HotStuff proposals — and each
-// delivery used to re-verify 2f+1 signatures. Caching by content digest
-// makes every route after the first free.
+// delivery used to re-verify 2f+1 signatures. Caching the verdict makes
+// every route after the first free.
 //
 // Each protocol node (Primary, HotStuff, LightClient) owns its own instance:
 // the simulator runs every validator in one process, and a shared cache
 // would let validator i skip verification because validator j already did it
-// — work no real deployment could share. The static Narwhal()/HotStuff()
-// instances are process-wide *defaults* for tools and tests that verify
-// certificates outside any node.
+// — work no real deployment could share. For the same reason nothing derived
+// from verification (a digest, a verdict) is memoized on the certificate
+// objects themselves, which the simulated validators share. The static
+// Narwhal()/HotStuff() instances are process-wide *defaults* for tools and
+// tests that verify certificates outside any node.
 //
-// Only *positive* results are cached (a certificate that failed to verify is
-// simply re-checked), and the key covers the committee fingerprint plus the
-// full certificate encoding including its vote set, so an entry can never
-// vouch for different signatures or a different committee.
+// Key and binding. An entry is found by what the certificate certifies —
+// its kind, subject digest and round (a Narwhal certificate: header digest
+// and round; a HotStuff QC: block digest and view; a TC: its view) — so a
+// lookup costs one ordered-map probe and no hashing. The entry then binds
+// exactly how that subject was certified: the committee fingerprint, the
+// header author and the full (voter, signature) list, compared byte for byte
+// against the presented certificate. A forged or different vote set under a
+// cached subject therefore misses and goes back through signature
+// verification, and two valid vote sets for the same subject are two
+// entries. Only *positive* results are cached (a certificate that failed to
+// verify is simply re-checked).
 //
 // The cache is bounded (LRU) and garbage-collection aware: once the DAG's GC
 // horizon passes a round, certificates below it can no longer be presented
@@ -27,8 +36,11 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "src/crypto/hash.h"
+#include "src/types/committee.h"
 
 namespace nt {
 
@@ -42,18 +54,34 @@ class VerifiedCertCache {
     uint64_t gc_evictions = 0;
   };
 
+  // Separates the key spaces of the certificate kinds sharing a cache.
+  enum class Kind : uint8_t { kNarwhal, kQuorumCert, kTimeoutCert };
+
+  using Votes = std::vector<std::pair<ValidatorId, Signature>>;
+
+  // A certificate as presented for verification: (kind, subject, round) is
+  // the key, (author, committee, votes) the binding. Borrows its fields.
+  struct Claim {
+    Kind kind;
+    const Digest& subject;    // Header digest, QC block digest, zero for a TC.
+    uint64_t round;           // Narwhal round or HotStuff view; the GC dimension.
+    ValidatorId author;       // Narwhal header author; 0 for QCs and TCs.
+    const Digest& committee;  // Committee::fingerprint().
+    const Votes& votes;
+  };
+
   static constexpr size_t kDefaultCapacity = 8192;
 
   explicit VerifiedCertCache(size_t capacity = kDefaultCapacity);
 
-  // True iff `key` was inserted earlier and has not been evicted. Counts a
-  // hit or a miss and refreshes the entry's LRU position on hit.
-  bool Lookup(const Digest& key);
+  // True iff a certificate with this key *and* binding was inserted earlier
+  // and has not been evicted. Counts a hit or a miss and refreshes the
+  // entry's LRU position on hit.
+  bool Lookup(const Claim& claim);
 
-  // Records a verified certificate. `round` is the GC dimension (Narwhal
-  // round or HotStuff view); entries below the observed GC horizon are not
-  // admitted.
-  void Insert(const Digest& key, uint64_t round);
+  // Records a verified certificate (a copy of its binding). Entries below
+  // the observed GC horizon are not admitted.
+  void Insert(const Claim& claim);
 
   // Advances the GC horizon (monotone) and evicts entries below it.
   void OnGcRound(uint64_t gc_round);
@@ -73,18 +101,49 @@ class VerifiedCertCache {
   static Stats Combined();
 
  private:
-  struct Entry {
-    Digest key{};
-    uint64_t round = 0;
+  struct Key {
+    Kind kind;
+    uint64_t round;
+    Digest subject;
   };
+  struct KeyLess {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.kind != b.kind) {
+        return a.kind < b.kind;
+      }
+      if (a.round != b.round) {
+        return a.round < b.round;
+      }
+      return DigestLess{}(a.subject, b.subject);
+    }
+  };
+  struct Entry;
+  using LruList = std::list<Entry>;
+  // A key holds one entry per distinct binding.
+  using Index = std::multimap<Key, LruList::iterator, KeyLess>;
+  struct Entry {
+    Index::iterator slot;  // This entry's index node (holds its key).
+    ValidatorId author;
+    Digest committee;
+    Votes votes;
+
+    bool Binds(const Claim& claim) const {
+      return author == claim.author && committee == claim.committee && votes == claim.votes;
+    }
+  };
+
+  // The entry for `claim`, or lru_.end().
+  LruList::iterator Find(const Claim& claim);
+  void Erase(LruList::iterator entry);
+
   // ntlint:allow(nondet): guards tool/test access to the static default instances; protocol nodes own per-instance caches and never contend
   mutable std::mutex mu_;
   size_t capacity_;
   uint64_t gc_round_ = 0;
-  std::list<Entry> lru_;  // Front = most recently used.
-  // Ordered so GC sweeps (which iterate) visit entries in digest order, a
-  // deterministic order regardless of insertion history or hash seeding.
-  std::map<Digest, std::list<Entry>::iterator> index_;
+  LruList lru_;  // Front = most recently used.
+  // Ordered (not hashed) so the container's behaviour is deterministic
+  // regardless of insertion history or hash seeding.
+  Index index_;
   Stats stats_;
 };
 

@@ -3,8 +3,10 @@
 #ifndef SRC_TYPES_COMMITTEE_H_
 #define SRC_TYPES_COMMITTEE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/signer.h"
@@ -70,9 +72,35 @@ class Committee {
 
   bool Contains(ValidatorId id) const { return id < size(); }
 
-  // Stable digest of the membership (all public keys, in id order). Part of
-  // the verified-certificate cache key, so a cached verification can never
-  // leak between committees that happen to share certificate bytes.
+  // True iff every voter is a committee member and none appears twice — the
+  // voter check of every certificate kind. A committee-sized bitmap, kept on
+  // the stack for committees of up to 256 validators.
+  bool DistinctMembers(const std::vector<std::pair<ValidatorId, Signature>>& votes) const {
+    constexpr size_t kInlineWords = 4;
+    std::array<uint64_t, kInlineWords> inline_words{};
+    std::vector<uint64_t> heap_words;
+    uint64_t* seen = inline_words.data();
+    if (size() > 64 * kInlineWords) {
+      heap_words.assign((size() + 63) / 64, 0);
+      seen = heap_words.data();
+    }
+    for (const auto& vote : votes) {
+      const ValidatorId voter = vote.first;
+      if (!Contains(voter)) {
+        return false;
+      }
+      const uint64_t bit = uint64_t{1} << (voter % 64);
+      if ((seen[voter / 64] & bit) != 0) {
+        return false;
+      }
+      seen[voter / 64] |= bit;
+    }
+    return true;
+  }
+
+  // Stable digest of the membership (all public keys, in id order). Bound
+  // into every verified-certificate cache entry, so a cached verification can
+  // never leak between committees that happen to share certificate bytes.
   // Computed eagerly at construction: fingerprint() must stay a pure read so
   // concurrent readers (the cache is mutex-guarded, the committee is not)
   // never see a torn digest.

@@ -1,7 +1,6 @@
 #include "src/types/types.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/common/seeded_bugs.h"
 #include "src/types/cert_cache.h"
@@ -13,17 +12,6 @@ namespace {
 constexpr size_t kSigSize = 64;
 constexpr size_t kDigestSize = 32;
 
-// Cache key: committee fingerprint + the full certificate encoding (vote set
-// included), so distinct vote assemblies for the same header are distinct
-// entries.
-Digest CertCacheKey(const Committee& committee, const Certificate& cert) {
-  Writer w;
-  w.PutString("nt-cert-cache");
-  w.PutRaw(committee.fingerprint());
-  cert.Encode(w);
-  return Sha256::Hash(w.bytes());
-}
-
 // Quorum size, distinct known voters — everything except signatures.
 bool CertStructureOk(const Committee& committee, const Certificate& cert) {
   // Honest threshold is 2f+1; the seeded accept_2f_certs mutation accepts 2f
@@ -31,17 +19,14 @@ bool CertStructureOk(const Committee& committee, const Certificate& cert) {
   // ntlint:allow(quorum-arith): deliberate seeded mutation — 2f (not 2f+1) breaks quorum intersection to mutation-test the DST harness
   uint32_t threshold = seeded_bugs::accept_2f_certs ? std::max(1u, 2 * committee.f())
                                                     : committee.quorum_threshold();
-  if (cert.votes.size() < threshold) {
-    return false;
-  }
-  std::set<ValidatorId> seen;
-  for (const auto& [voter, sig] : cert.votes) {
-    (void)sig;
-    if (!committee.Contains(voter) || !seen.insert(voter).second) {
-      return false;  // Unknown or duplicate voter.
-    }
-  }
-  return true;
+  return cert.votes.size() >= threshold && committee.DistinctMembers(cert.votes);
+}
+
+// The certificate as a cache claim: keyed by the header it certifies, bound
+// to its round, author, committee and exact vote set.
+VerifiedCertCache::Claim CacheClaim(const Committee& committee, const Certificate& cert) {
+  return {VerifiedCertCache::Kind::kNarwhal, cert.header_digest, cert.round, cert.author,
+          committee.fingerprint(), cert.votes};
 }
 
 }  // namespace
@@ -170,8 +155,7 @@ bool Certificate::Verify(const Committee& committee, const Signer& verifier,
   }
   VerifiedCertCache& cache =
       cache_override != nullptr ? *cache_override : VerifiedCertCache::Narwhal();
-  Digest key = CertCacheKey(committee, *this);
-  if (cache.Lookup(key)) {
+  if (cache.Lookup(CacheClaim(committee, *this))) {
     return true;
   }
   BatchVerifier batch(verifier);
@@ -182,7 +166,7 @@ bool Certificate::Verify(const Committee& committee, const Signer& verifier,
   if (!batch.FlushAllValid()) {
     return false;
   }
-  cache.Insert(key, round);
+  cache.Insert(CacheClaim(committee, *this));
   return true;
 }
 
@@ -197,7 +181,6 @@ bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committ
   BatchVerifier batch(verifier);
   struct PendingCert {
     const Certificate* cert;
-    Digest key;
     size_t first_vote;
     size_t num_votes;
   };
@@ -207,11 +190,10 @@ bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committ
       all_valid = false;
       continue;
     }
-    Digest key = CertCacheKey(committee, cert);
-    if (cache.Lookup(key)) {
+    if (cache.Lookup(CacheClaim(committee, cert))) {
       continue;
     }
-    PendingCert p{&cert, key, batch.pending(), cert.votes.size()};
+    PendingCert p{&cert, batch.pending(), cert.votes.size()};
     Bytes preimage = VotePreimage(cert.header_digest, cert.round, cert.author);
     for (const auto& [voter, sig] : cert.votes) {
       batch.Queue(committee.key_of(voter), preimage, sig);
@@ -228,7 +210,7 @@ bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committ
       }
     }
     if (cert_ok) {
-      cache.Insert(p.key, p.cert->round);
+      cache.Insert(CacheClaim(committee, *p.cert));
     } else {
       all_valid = false;
     }

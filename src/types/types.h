@@ -90,10 +90,14 @@ struct Certificate {
   // signatures verify. `verifier` supplies the scheme. Signatures are checked
   // through the signer's batch kernel, and a positive result is memoized in
   // `cache`, so re-deliveries of the same certificate (broadcast, header
-  // parent, consensus payload) verify once. Protocol nodes pass their own
-  // per-validator cache — every simulated validator must do its own crypto
-  // work, as a real deployment would; nullptr falls back to the process-wide
-  // default instance (VerifiedCertCache::Narwhal()) for tools and tests.
+  // parent, consensus payload) verify once. The cache finds the entry by
+  // header digest and round, then compares author, committee fingerprint and
+  // the exact (voter, signature) list — a re-delivery costs no encoding and
+  // no hashing, and a different vote set under a known digest is verified
+  // afresh. Protocol nodes pass their own per-validator cache — every
+  // simulated validator must do its own crypto work, as a real deployment
+  // would; nullptr falls back to the process-wide default instance
+  // (VerifiedCertCache::Narwhal()) for tools and tests.
   bool Verify(const Committee& committee, const Signer& verifier,
               VerifiedCertCache* cache = nullptr) const;
 

@@ -5,21 +5,44 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/hotstuff/types.h"
 #include "src/runtime/metrics.h"
 #include "src/types/types.h"
 
 namespace nt {
 namespace {
 
-Digest Key(int i) { return Sha256::Hash("key" + std::to_string(i)); }
+using Kind = VerifiedCertCache::Kind;
+
+const Digest kCommittee{};
+const VerifiedCertCache::Votes kNoVotes;
+
+// Stable storage for the subject digests the claims below borrow.
+const Digest& Subject(int i) {
+  static std::map<int, Digest> subjects;
+  auto [it, inserted] = subjects.try_emplace(i);
+  if (inserted) {
+    it->second = Sha256::Hash("key" + std::to_string(i));
+  }
+  return it->second;
+}
+
+// A Narwhal certificate claim over subject i at `round`, with a fixed
+// committee and an empty vote set (the unit tests exercise LRU and GC only).
+VerifiedCertCache::Claim Key(int i, uint64_t round) {
+  return {Kind::kNarwhal, Subject(i), round, 0, kCommittee, kNoVotes};
+}
 
 TEST(VerifiedCertCacheTest, LookupMissThenHit) {
   VerifiedCertCache cache(4);
-  EXPECT_FALSE(cache.Lookup(Key(1)));
-  cache.Insert(Key(1), 10);
-  EXPECT_TRUE(cache.Lookup(Key(1)));
+  EXPECT_FALSE(cache.Lookup(Key(1, 10)));
+  cache.Insert(Key(1, 10));
+  EXPECT_TRUE(cache.Lookup(Key(1, 10)));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
@@ -28,74 +51,82 @@ TEST(VerifiedCertCacheTest, LookupMissThenHit) {
 
 TEST(VerifiedCertCacheTest, LruEvictsOldestWhenFull) {
   VerifiedCertCache cache(3);
-  cache.Insert(Key(1), 1);
-  cache.Insert(Key(2), 1);
-  cache.Insert(Key(3), 1);
+  cache.Insert(Key(1, 1));
+  cache.Insert(Key(2, 1));
+  cache.Insert(Key(3, 1));
   // Touch 1 so 2 becomes least-recently-used.
-  EXPECT_TRUE(cache.Lookup(Key(1)));
-  cache.Insert(Key(4), 1);
+  EXPECT_TRUE(cache.Lookup(Key(1, 1)));
+  cache.Insert(Key(4, 1));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.stats().lru_evictions, 1u);
-  EXPECT_TRUE(cache.Lookup(Key(1)));
-  EXPECT_FALSE(cache.Lookup(Key(2)));  // Evicted.
-  EXPECT_TRUE(cache.Lookup(Key(3)));
-  EXPECT_TRUE(cache.Lookup(Key(4)));
+  EXPECT_TRUE(cache.Lookup(Key(1, 1)));
+  EXPECT_FALSE(cache.Lookup(Key(2, 1)));  // Evicted.
+  EXPECT_TRUE(cache.Lookup(Key(3, 1)));
+  EXPECT_TRUE(cache.Lookup(Key(4, 1)));
 }
 
 TEST(VerifiedCertCacheTest, DuplicateInsertDoesNotGrow) {
   VerifiedCertCache cache(4);
-  cache.Insert(Key(1), 5);
-  cache.Insert(Key(1), 5);
+  cache.Insert(Key(1, 5));
+  cache.Insert(Key(1, 5));
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(VerifiedCertCacheTest, KeyCoversKindSubjectAndRound) {
+  VerifiedCertCache cache(8);
+  cache.Insert(Key(1, 5));
+  EXPECT_FALSE(cache.Lookup(Key(1, 6)));  // Other round.
+  EXPECT_FALSE(cache.Lookup(Key(2, 5)));  // Other subject.
+  EXPECT_FALSE(cache.Lookup({Kind::kQuorumCert, Subject(1), 5, 0, kCommittee, kNoVotes}));
+  EXPECT_FALSE(cache.Lookup({Kind::kNarwhal, Subject(1), 5, 3, kCommittee, kNoVotes}));  // Author.
+  EXPECT_TRUE(cache.Lookup(Key(1, 5)));
 }
 
 TEST(VerifiedCertCacheTest, GcEvictsBelowHorizonAndRejectsLateInserts) {
   VerifiedCertCache cache(16);
-  cache.Insert(Key(1), 3);
-  cache.Insert(Key(2), 7);
-  cache.Insert(Key(3), 12);
+  cache.Insert(Key(1, 3));
+  cache.Insert(Key(2, 7));
+  cache.Insert(Key(3, 12));
   cache.OnGcRound(8);
   EXPECT_EQ(cache.stats().gc_evictions, 2u);
-  EXPECT_FALSE(cache.Lookup(Key(1)));
-  EXPECT_FALSE(cache.Lookup(Key(2)));
-  EXPECT_TRUE(cache.Lookup(Key(3)));
+  EXPECT_FALSE(cache.Lookup(Key(1, 3)));
+  EXPECT_FALSE(cache.Lookup(Key(2, 7)));
+  EXPECT_TRUE(cache.Lookup(Key(3, 12)));
   // Entries below the horizon can no longer be presented; don't admit them.
-  cache.Insert(Key(4), 5);
-  EXPECT_FALSE(cache.Lookup(Key(4)));
+  cache.Insert(Key(4, 5));
+  EXPECT_FALSE(cache.Lookup(Key(4, 5)));
   // The horizon is monotone: a stale smaller value must not re-open it.
   cache.OnGcRound(2);
-  cache.Insert(Key(5), 5);
-  EXPECT_FALSE(cache.Lookup(Key(5)));
+  cache.Insert(Key(5, 5));
+  EXPECT_FALSE(cache.Lookup(Key(5, 5)));
 }
 
 TEST(VerifiedCertCacheTest, ClearResetsEverything) {
   VerifiedCertCache cache(4);
-  cache.Insert(Key(1), 3);
+  cache.Insert(Key(1, 3));
   cache.OnGcRound(2);
-  cache.Lookup(Key(1));
+  cache.Lookup(Key(1, 3));
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
-  cache.Insert(Key(2), 1);  // Horizon reset: round 1 admissible again.
-  EXPECT_TRUE(cache.Lookup(Key(2)));
+  cache.Insert(Key(2, 1));  // Horizon reset: round 1 admissible again.
+  EXPECT_TRUE(cache.Lookup(Key(2, 1)));
 }
 
 // ---------------------------------------------------------------------------
 // Integration with Certificate verification.
 // ---------------------------------------------------------------------------
 
-struct CertCacheIntegrationTest : ::testing::Test {
-  static constexpr uint32_t kN = 4;
-
-  CertCacheIntegrationTest() {
+// A committee of FastSigner validators that can certify headers.
+struct TestCommittee {
+  explicit TestCommittee(uint32_t n) {
     std::vector<ValidatorInfo> infos;
-    for (uint32_t v = 0; v < kN; ++v) {
+    for (uint32_t v = 0; v < n; ++v) {
       signers.push_back(MakeSigner(SignerKind::kFast, DeriveSeed(137, v)));
       infos.push_back(ValidatorInfo{signers.back()->public_key(), 0});
     }
     committee = Committee(std::move(infos));
-    VerifiedCertCache::Narwhal().Clear();
   }
 
   Certificate Certify(const Digest& digest, Round round, ValidatorId author) const {
@@ -110,8 +141,24 @@ struct CertCacheIntegrationTest : ::testing::Test {
     return cert;
   }
 
+  // A vote set over `preimage` from `voters`.
+  VerifiedCertCache::Votes SignAll(const Bytes& preimage,
+                                   const std::vector<ValidatorId>& voters) const {
+    VerifiedCertCache::Votes votes;
+    for (ValidatorId v : voters) {
+      votes.emplace_back(v, signers[v]->Sign(preimage));
+    }
+    return votes;
+  }
+
   std::vector<std::unique_ptr<Signer>> signers;
   Committee committee;
+};
+
+struct CertCacheIntegrationTest : ::testing::Test, TestCommittee {
+  static constexpr uint32_t kN = 4;
+
+  CertCacheIntegrationTest() : TestCommittee(kN) { VerifiedCertCache::Narwhal().Clear(); }
 };
 
 TEST_F(CertCacheIntegrationTest, SecondVerifyIsACacheHit) {
@@ -173,6 +220,149 @@ TEST_F(CertCacheIntegrationTest, VoteSetVariantIsADistinctEntry) {
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.insertions, 2u);
+}
+
+TEST_F(CertCacheIntegrationTest, ForgedVoteSetUnderCachedDigestMisses) {
+  // The cache key is the header digest, but an entry vouches only for the
+  // exact vote set that was verified: a forged set presented under a cached
+  // digest must miss, fail signature verification, and stay out.
+  Certificate cert = Certify(Sha256::Hash("cached-header"), 4, 1);
+  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  Certificate forged = cert;
+  forged.votes[1].second[0] ^= 1;
+  EXPECT_FALSE(forged.Verify(committee, *signers[0]));
+  EXPECT_FALSE(Certificate::VerifyAll({cert, forged}, committee, *signers[0]));
+  // A valid signature moved to another voter is forged too.
+  Certificate swapped = cert;
+  swapped.votes[2].first = 3;
+  EXPECT_FALSE(swapped.Verify(committee, *signers[0]));
+
+  auto s = VerifiedCertCache::Narwhal().stats();
+  EXPECT_EQ(s.hits, 1u);        // `cert` inside VerifyAll.
+  EXPECT_EQ(s.misses, 4u);      // `cert` once, `forged` twice, `swapped` once.
+  EXPECT_EQ(s.insertions, 1u);  // Only the genuine vote set.
+  EXPECT_EQ(VerifiedCertCache::Narwhal().size(), 1u);
+  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().hits, 2u);
+}
+
+TEST_F(CertCacheIntegrationTest, CommitteeFingerprintMismatchMisses) {
+  // Same certificate, a committee differing only in a non-voting member's
+  // key: still valid, but it must be verified again under that committee.
+  std::vector<ValidatorInfo> infos;
+  for (uint32_t v = 0; v < kN; ++v) {
+    infos.push_back(committee.validator(v));
+  }
+  infos[3].key = MakeSigner(SignerKind::kFast, DeriveSeed(999, 3))->public_key();
+  Committee other(std::move(infos));
+  ASSERT_NE(other.fingerprint(), committee.fingerprint());
+
+  Certificate cert = Certify(Sha256::Hash("two-committees"), 2, 0);
+  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  EXPECT_TRUE(cert.Verify(other, *signers[0]));
+  auto s = VerifiedCertCache::Narwhal().stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.insertions, 2u);
+  EXPECT_TRUE(cert.Verify(other, *signers[0]));
+  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().hits, 1u);
+}
+
+TEST_F(CertCacheIntegrationTest, QuorumCertVoteSetVariantsBehaveLikeNarwhal) {
+  VerifiedCertCache cache;
+  const Digest block = Sha256::Hash("hs-block");
+  const Bytes preimage = QuorumCert::VotePreimage(block, 9);
+  QuorumCert a{block, 9, SignAll(preimage, {0, 1, 2})};
+  QuorumCert b{block, 9, SignAll(preimage, {1, 2, 3})};
+  QuorumCert forged = a;
+  forged.votes[0].second[5] ^= 1;
+
+  EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));  // Distinct entry.
+  EXPECT_FALSE(forged.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().insertions, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  // Another view of the same block is another key.
+  QuorumCert later{block, 10, SignAll(QuorumCert::VotePreimage(block, 10), {0, 1, 2})};
+  EXPECT_TRUE(later.Verify(committee, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
+  VerifiedCertCache cache;
+  const Bytes preimage = TimeoutCert::VotePreimage(7);
+  TimeoutCert a{7, SignAll(preimage, {0, 1, 2})};
+  TimeoutCert b{7, SignAll(preimage, {0, 2, 3})};
+  TimeoutCert forged = b;
+  forged.votes[2].second[63] ^= 1;
+
+  EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(forged.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().insertions, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // A QC and a TC never share an entry, even for the same view.
+  QuorumCert qc{Digest{}, 7, SignAll(QuorumCert::VotePreimage(Digest{}, 7), {0, 1, 2})};
+  EXPECT_TRUE(qc.Verify(committee, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST_F(CertCacheIntegrationTest, DuplicateAndUnknownVotersRejectedOnBothPaths) {
+  VerifiedCertCache cache;
+  // Narwhal: a duplicate voter (valid signatures) and an unknown voter.
+  Certificate dup = Certify(Sha256::Hash("dup"), 3, 0);
+  dup.votes[2] = dup.votes[1];
+  Certificate unknown = Certify(Sha256::Hash("unknown"), 3, 0);
+  unknown.votes[2].first = kN;
+  EXPECT_FALSE(dup.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(unknown.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(Certificate::VerifyAll({dup}, committee, *signers[0], &cache));
+  EXPECT_FALSE(Certificate::VerifyAll({unknown}, committee, *signers[0], &cache));
+
+  // HotStuff: the same two defects in a QC and a TC.
+  const Digest block = Sha256::Hash("hs-dup");
+  QuorumCert qc_dup{block, 4, SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 1})};
+  QuorumCert qc_unknown{block, 4, SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 2})};
+  qc_unknown.votes[2].first = 1000;
+  TimeoutCert tc_dup{4, SignAll(TimeoutCert::VotePreimage(4), {2, 2, 3})};
+  TimeoutCert tc_unknown{4, SignAll(TimeoutCert::VotePreimage(4), {0, 1, 2})};
+  tc_unknown.votes[0].first = kN;
+  EXPECT_FALSE(qc_dup.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(qc_unknown.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(tc_dup.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(tc_unknown.Verify(committee, *signers[0], &cache));
+
+  // Rejected on structure, before any cache probe.
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(CertCacheBudgetTest, WarmParentSetVerifiesWithoutHashing) {
+  // Complexity budget: once a 20-validator header's 2f+1 parents are cached,
+  // re-verifying them (VerifyAll, then each one) runs zero SHA-256
+  // compressions — certificate identity costs no hashing.
+  TestCommittee tc(20);
+  std::vector<Certificate> parents;
+  for (ValidatorId author = 0; author < tc.committee.quorum_threshold(); ++author) {
+    parents.push_back(tc.Certify(Sha256::Hash("parent" + std::to_string(author)), 11, author));
+  }
+  VerifiedCertCache cache;
+  uint64_t before = Sha256::blocks_processed();
+  ASSERT_TRUE(Certificate::VerifyAll(parents, tc.committee, *tc.signers[0], &cache));
+  EXPECT_GT(Sha256::blocks_processed(), before);  // Cold: FastMac verifies.
+
+  before = Sha256::blocks_processed();
+  ASSERT_TRUE(Certificate::VerifyAll(parents, tc.committee, *tc.signers[0], &cache));
+  for (const Certificate& parent : parents) {
+    ASSERT_TRUE(parent.Verify(tc.committee, *tc.signers[0], &cache));
+  }
+  EXPECT_EQ(Sha256::blocks_processed() - before, 0u);
+  EXPECT_EQ(cache.stats().hits, 2 * parents.size());
 }
 
 TEST_F(CertCacheIntegrationTest, MetricsSurfaceCacheDeltas) {

@@ -119,7 +119,7 @@ TEST(DagTest, CausalHistoryExcludesCommitted) {
   auto m = b.Add(dag, 1, 0, {a});
   auto top = b.Add(dag, 2, 0, {m});
 
-  std::set<Digest> committed = {a.digest, m.digest};
+  std::set<Digest, DigestLess> committed = {a.digest, m.digest};
   Dag::History history = dag.CollectCausalHistory(top.digest, committed);
   ASSERT_EQ(history.ordered.size(), 1u);
   EXPECT_EQ(history.ordered[0], top.digest);

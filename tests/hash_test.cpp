@@ -4,12 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/bytes.h"
 
 namespace nt {
 namespace {
+
+// Deterministic test message: byte i is (7i + 1) mod 256.
+Bytes PatternMessage(size_t len) {
+  Bytes msg(len);
+  for (size_t i = 0; i < len; ++i) {
+    msg[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  return msg;
+}
 
 TEST(Sha256Test, NistVectorEmpty) {
   EXPECT_EQ(DigestHex(Sha256::Hash("")),
@@ -64,6 +77,37 @@ TEST(Sha256Test, LengthBoundaryPadding) {
   }
 }
 
+TEST(Sha256Test, PaddingBoundaryKnownAnswers) {
+  // Lengths around the 56-byte length-field boundary and the block edge.
+  // Expected values computed independently (python3 hashlib.sha256).
+  const std::vector<std::pair<size_t, std::string>> vectors = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "16fa57a0a3423a715d594516339f36189d6b5f93754a9714fef202616a9fabfe"},
+      {56, "c37b44e5f1b18554b36966f4f8e08bfbf3164c4b6c10374d12d89850892073c5"},
+      {63, "bbba992d2c85af960fb2987a1fd05e0aa82a3db3c740dd8982a9e273b75e36a3"},
+      {64, "66bd4633ed6f71c4ecfa4763bf7ba1c8ec7612de9aa6c0578a7b675207c71e0b"},
+      {65, "9f7dc47107b750a1f3d35db5d9547f24ef40da5b731b9540d4f43710a154f6c9"},
+      {119, "a3ed307b730fa77c07531300c6e4a282330011d4d4caf6bb7b63ae05950f4b66"},
+      {120, "8e3b15d9fea7472655aa069620b7f8c2e55ee1499f763200a7515fe826e99d20"},
+  };
+  for (const auto& [len, hex] : vectors) {
+    EXPECT_EQ(DigestHex(Sha256::Hash(PatternMessage(len))), hex) << "len " << len;
+  }
+}
+
+TEST(Sha256Test, BlocksProcessedCountsCompressions) {
+  // Padding adds 9 bytes (0x80 + 64-bit length), so 55 bytes fit one block
+  // and 56 need two.
+  const std::vector<std::pair<size_t, uint64_t>> cases = {
+      {0, 1}, {55, 1}, {56, 2}, {64, 2}, {119, 2}, {120, 3}};
+  for (const auto& [len, blocks] : cases) {
+    Bytes msg = PatternMessage(len);
+    const uint64_t before = Sha256::blocks_processed();
+    Sha256::Hash(msg);
+    EXPECT_EQ(Sha256::blocks_processed() - before, blocks) << "len " << len;
+  }
+}
+
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::Hash("abc"), Sha256::Hash("abd"));
   EXPECT_NE(Sha256::Hash("abc"), Sha256::Hash(std::string_view("abc\0", 4)));
@@ -105,6 +149,56 @@ TEST(Sha512Test, StreamingMatchesOneShot) {
   h.Update(msg.data() + 100, 28);
   h.Update(msg.data() + 128, msg.size() - 128);
   EXPECT_EQ(h.Finalize(), expected);
+}
+
+TEST(Sha512Test, PaddingBoundaryKnownAnswers) {
+  // Lengths around the 112-byte length-field boundary and the block edge.
+  // Expected values computed independently (python3 hashlib.sha512).
+  const std::vector<std::pair<size_t, std::string>> vectors = {
+      {111,
+       "3dfde1184fd99f233f98be4250f4edb9b535157909b668334370742204d97e04"
+       "7f1fd6a74bb5ba447f337286f421d9af957811f7ef62a458771457da126cb65e"},
+      {112,
+       "acc96c509e6d01787330a4c6a241e2cda9dcc2529dbe4288dbbcc3812133233c"
+       "4698831127cf6ed0b333632b22715a5ce53a0a1002a684367b71c98aa6d1d900"},
+      {127,
+       "a315910cb7812a8e66d87c0c49a42d93dbe97bf0240ee995792292c529256d93"
+       "f40199a59b3f6266343f302651fea1589e2040a2f3756126d3fe4f421a72079d"},
+      {128,
+       "31f33a52b36dc2e70c83b604fa999a5cabf33bf70e4556fbed7bff10870c1b7b"
+       "241dd3f15d1ade24599f068fc58ab51e0028b0f0c98895c23358e8dee032ce06"},
+      {129,
+       "748fec3280c9165199f8c260e87eea61cbbe1b23ef1567c220df65b37e3fcced"
+       "15fa7f63c9a381fde38ddd4eb2b09b67f77d03c5e0a639b487e8c48343590c97"},
+  };
+  for (const auto& [len, hex] : vectors) {
+    auto out = Sha512::Hash(PatternMessage(len));
+    EXPECT_EQ(ToHex(out.data(), out.size()), hex) << "len " << len;
+  }
+}
+
+TEST(DigestLessTest, MatchesLexicographicOrder) {
+  // Digests that differ in each byte position, including ties in the
+  // leading 64-bit words and bytes >= 0x80 (a signed compare would misorder).
+  std::vector<Digest> digests;
+  for (size_t pos : {0u, 7u, 8u, 15u, 16u, 24u, 31u}) {
+    for (uint8_t v : {0x00, 0x01, 0x7f, 0x80, 0xff}) {
+      Digest d{};
+      d.fill(0x5a);
+      d[pos] = v;
+      digests.push_back(d);
+    }
+  }
+  digests.push_back(Sha256::Hash("a"));
+  digests.push_back(Sha256::Hash("b"));
+  for (const Digest& a : digests) {
+    for (const Digest& b : digests) {
+      EXPECT_EQ(DigestLess{}(a, b), a < b) << DigestHex(a) << " vs " << DigestHex(b);
+    }
+  }
+  std::set<Digest> by_bytes(digests.begin(), digests.end());
+  std::set<Digest, DigestLess> by_words(digests.begin(), digests.end());
+  EXPECT_TRUE(std::equal(by_bytes.begin(), by_bytes.end(), by_words.begin(), by_words.end()));
 }
 
 TEST(DigestTest, HexHelpers) {

@@ -64,6 +64,16 @@ TEST_F(TypesFixture, CommitteeThresholds) {
   EXPECT_EQ(Committee(std::vector<ValidatorInfo>(50)).f(), 16u);
 }
 
+TEST(CommitteeTest, DistinctMembersBeyondTheInlineBitmap) {
+  // 300 validators overflow the 256-bit on-stack bitmap.
+  Committee big(std::vector<ValidatorInfo>(300));
+  Signature sig{};
+  EXPECT_TRUE(big.DistinctMembers({{0, sig}, {255, sig}, {256, sig}, {299, sig}}));
+  EXPECT_FALSE(big.DistinctMembers({{0, sig}, {299, sig}, {299, sig}}));
+  EXPECT_FALSE(big.DistinctMembers({{0, sig}, {300, sig}}));
+  EXPECT_TRUE(big.DistinctMembers({}));
+}
+
 TEST_F(TypesFixture, BatchEncodeDecodeRoundTrip) {
   Batch b = MakeBatch();
   Writer w;
