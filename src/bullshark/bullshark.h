@@ -12,6 +12,8 @@
 // locally will order the anchor later through the backward anchor-chain
 // walk (identical to Tusk's Lemma 1 argument, one round earlier).
 //
+// The wave loop, anchor-chain walk, WAL records and recovery are
+// DagCommitter's; this class holds only the rule and the anchor schedule.
 // Compared to Tusk, the decision round for wave w is 2w (the support round)
 // instead of 2w+1 (the coin-reveal round), and anchors recur every 2 rounds
 // instead of every 3 — strictly lower commit latency in the fault-free case,
@@ -31,13 +33,10 @@
 #ifndef SRC_BULLSHARK_BULLSHARK_H_
 #define SRC_BULLSHARK_BULLSHARK_H_
 
-#include <functional>
 #include <map>
-#include <memory>
-#include <set>
 #include <vector>
 
-#include "src/narwhal/primary.h"
+#include "src/tusk/dag_committer.h"
 
 namespace nt {
 
@@ -89,90 +88,41 @@ class AnchorSchedule {
   std::map<ValidatorId, std::pair<uint64_t, bool>> last_outcome_;
 };
 
-class Bullshark {
+class Bullshark : public DagCommitter {
  public:
-  struct Committed {
-    Digest digest{};
-    std::shared_ptr<const BlockHeader> header;
-    // The wave whose anchor chain delivered this header, the anchor round
-    // (2w-1), and the round whose support votes decided the commit (2w).
-    uint64_t wave = 0;
-    Round anchor_round = 0;
-    Round decision_round = 0;
-  };
-
   Bullshark(Primary* primary, const Committee& committee, Round gc_depth,
             BullsharkConfig config = {});
 
-  // Registers a delivery callback: fired once per committed header, in total
-  // order. Multiple listeners may register (metrics, applications, tests).
-  void add_on_commit(std::function<void(const Committed&)> hook) {
-    on_commit_hooks_.push_back(std::move(hook));
-  }
-
-  // Attaches the durable consensus store (non-owning; null = ephemeral).
-  // Commit records are write-ahead persisted so a recovered validator never
-  // re-delivers a header it committed pre-crash.
-  void set_store(Store* store) { store_ = store; }
-
-  // Restores the committed set, wave cursor, and settled anchor outcomes
-  // from the store. Call after the primary's own Recover() (GC filtering
-  // reads its horizon) and before hooks fire; recovery itself delivers
-  // nothing. Re-notifies the primary of committed headers still in the DAG
-  // so batch re-injection bookkeeping survives the crash too.
-  void Recover();
-
-  // Re-evaluates the commit rule over the recovered DAG (post-rejoin
-  // counterpart of the certificate hooks, which only fire on new arrivals).
-  void Resume() { TryCommit(); }
-
-  // Wire these to the primary's hooks (done by Bullshark's constructor).
-  void OnCertificate(const Certificate& cert);
-  void OnHeaderStored(const Digest& digest);
-
-  // Attaches the cluster's tracer (counters only; per-header commit stamps
-  // come from Primary::NotifyCommitted).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
-  uint64_t last_committed_wave() const { return last_committed_wave_; }
-  uint64_t committed_headers() const { return committed_count_; }
-  uint64_t skipped_anchors() const { return skipped_anchors_; }
+  // Anchors whose author was scheduled but lacked support (the Bullshark
+  // name for DagCommitter::skipped_leaders).
+  uint64_t skipped_anchors() const { return skipped_leaders(); }
   const BullsharkConfig& config() const { return config_; }
 
   // Rounds of wave w (w >= 1): anchor round and support (decision) round.
   static Round WaveAnchorRound(uint64_t wave) { return 2 * wave - 1; }
   static Round WaveSupportRound(uint64_t wave) { return 2 * wave; }
 
- private:
-  const Certificate* AnchorCert(uint64_t wave) const;
-  bool CommitRuleSatisfied(uint64_t wave, const Certificate& anchor) const;
-  // Commits the anchor chain ending at wave `wave`. Returns false if the
-  // commit had to be deferred on missing headers (sync requested).
-  bool CommitChain(uint64_t wave, const Certificate& anchor);
-  void TryCommit();
-  void PruneCommitted(Round gc_round);
-  void PersistCommit(const Digest& digest, Round round);
-  void PersistMeta();
-  // Settles outcomes for waves (from, through] after a commit event, feeding
-  // the reputation schedule and the WAL outcome log.
-  void SettleOutcomes(uint64_t from, uint64_t through);
+  Round LeaderRound(uint64_t wave) const override { return WaveAnchorRound(wave); }
+  Round DecisionRound(uint64_t wave) const override { return WaveSupportRound(wave); }
 
-  Primary* primary_;
-  const Committee& committee_;
-  Round gc_depth_;
+ protected:
+  ValidatorId LeaderOf(uint64_t wave) const override { return schedule_.AuthorOf(wave); }
+  // Unlike Tusk there is no decision-round quorum gate: f+1 support votes
+  // guarantee every later-round certificate reaches the anchor by path, so
+  // a later wave orders a skipped one if anyone committed it.
+  bool Supported(uint64_t wave, const Certificate& anchor) const override;
+  // Settles outcomes for waves (from, through] after a commit event, feeding
+  // the reputation schedule (and through EncodeMeta, the WAL).
+  void SettleWaves(uint64_t from, uint64_t through) override;
+  // The schedule state rides in the meta record: it is bounded (one latest
+  // outcome per author) and must survive restarts even with reputation off,
+  // so flipping the flag on a recovered store stays well-defined.
+  void EncodeMeta(Writer& w) const override;
+  void DecodeMeta(Reader& r) override;
+
+ private:
   BullsharkConfig config_;
   AnchorSchedule schedule_;
-  Tracer* tracer_ = nullptr;
-
-  Store* store_ = nullptr;
-  uint64_t last_committed_wave_ = 0;
-  std::set<Digest, DigestLess> committed_;
-  std::map<Round, std::vector<Digest>> committed_by_round_;
-  uint64_t committed_count_ = 0;
-  uint64_t skipped_anchors_ = 0;
-  uint64_t last_skip_counted_ = 0;
-
-  std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
 };
 
 }  // namespace nt

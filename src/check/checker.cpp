@@ -260,12 +260,8 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
       executors[v]->OnCommittedHeader(header);
       executors[v]->RetryPending();
     };
-    if (schedule.system == SystemKind::kTusk) {
-      cluster.tusk(v)->add_on_commit([on_committed](const Tusk::Committed& c) {
-        on_committed(c.digest, c.header);
-      });
-    } else if (schedule.system == SystemKind::kBullshark) {
-      cluster.bullshark(v)->add_on_commit([on_committed](const Bullshark::Committed& c) {
+    if (DagCommitter* committer = cluster.committer(v)) {
+      committer->add_on_commit([on_committed](const DagCommitter::Committed& c) {
         on_committed(c.digest, c.header);
       });
     } else {
@@ -446,10 +442,9 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
         continue;
       }
       std::string at_round = " (mempool round " + std::to_string(cluster.primary(v)->round());
-      if (cluster.bullshark(v) != nullptr) {
-        at_round += ", bullshark wave " +
-                    std::to_string(cluster.bullshark(v)->last_committed_wave()) +
-                    ", skipped anchors " + std::to_string(cluster.bullshark(v)->skipped_anchors());
+      if (const DagCommitter* committer = cluster.committer(v)) {
+        at_round += ", committed wave " + std::to_string(committer->last_committed_wave()) +
+                    ", skipped leaders " + std::to_string(committer->skipped_leaders());
       }
       if (cluster.hotstuff(v) != nullptr) {
         at_round += ", hs view " + std::to_string(cluster.hotstuff(v)->current_view()) +

@@ -13,7 +13,8 @@ namespace {
 const Digest kGenesisDigest{};  // All zeros.
 
 // Consensus-store keys. Tags are globally unique within the store shared by
-// consensus interpreters ('T'/'U' belong to Tusk, 'N' to NarwhalProvider).
+// consensus interpreters ('T'/'U' belong to the DAG committers, 'N' to
+// NarwhalProvider).
 Digest HsCommitKey(const Digest& digest) {
   Writer w;
   w.PutU8('K');

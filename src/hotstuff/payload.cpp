@@ -235,7 +235,7 @@ void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 namespace {
 // Consensus-store key for a delivered-header record. The 'N' tag is globally
 // unique within the store shared with the HotStuff core ('W'/'L'/'E'/'F'/
-// 'Q'/'K') and Tusk ('T'/'U').
+// 'Q'/'K') and the DAG committers ('T'/'U').
 Digest ProviderCommitKey(const Digest& digest) {
   Writer w;
   w.PutU8('N');

@@ -236,12 +236,11 @@ std::string FormatSummary(const Summary& summary, bool verbose) {
   std::ostringstream out;
   for (const FileReport& file : summary.files) {
     for (const Finding& f : file.findings) {
-      if ((f.suppressed || f.baselined) && !verbose) {
+      if (f.suppressed && !verbose) {
         continue;
       }
       out << f.path << ":" << f.line << ": [" << f.rule << "] "
-          << (f.suppressed ? "(suppressed) " : (f.baselined ? "(baselined) " : ""))
-          << f.message << "\n";
+          << (f.suppressed ? "(suppressed) " : "") << f.message << "\n";
     }
   }
   // The suppression budget is always visible: every allow annotation in
@@ -275,11 +274,7 @@ std::string FormatSummary(const Summary& summary, bool verbose) {
     out << "\n";
   }
   out << "\nntlint: " << summary.total << " finding(s), " << summary.suppressed
-      << " suppressed, ";
-  if (summary.baselined > 0) {
-    out << summary.baselined << " baselined, ";
-  }
-  out << summary.unsuppressed() << " unsuppressed\n";
+      << " suppressed, " << summary.unsuppressed() << " unsuppressed\n";
   return out.str();
 }
 
@@ -308,7 +303,7 @@ std::string FormatSarif(const Summary& summary) {
       first = false;
       out << "        {\n";
       out << "          \"ruleId\": \"" << JsonEscape(f.rule) << "\",\n";
-      out << "          \"level\": \"" << (f.suppressed || f.baselined ? "note" : "error")
+      out << "          \"level\": \"" << (f.suppressed ? "note" : "error")
           << "\",\n";
       out << "          \"message\": {\"text\": \"" << JsonEscape(f.message) << "\"},\n";
       out << "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
@@ -318,8 +313,6 @@ std::string FormatSarif(const Summary& summary) {
         out << ",\n          \"suppressions\": [{\"kind\": \"inSource\", \"justification\": \""
             << JsonEscape(f.allow_reason.empty() ? "(no reason given)" : f.allow_reason)
             << "\"}]";
-      } else if (f.baselined) {
-        out << ",\n          \"suppressions\": [{\"kind\": \"external\"}]";
       }
       out << "\n        }";
     }
@@ -327,58 +320,6 @@ std::string FormatSarif(const Summary& summary) {
   out << (first ? "]\n" : "\n      ]\n");
   out << "    }\n  ]\n}\n";
   return out.str();
-}
-
-std::string WriteBaseline(const Summary& summary) {
-  std::vector<std::string> lines;
-  for (const FileReport& file : summary.files) {
-    for (const Finding& f : file.findings) {
-      if (f.suppressed) {
-        continue;  // Inline-annotated findings need no grandfathering.
-      }
-      lines.push_back(f.rule + "\t" + RepoRelPath(f.path) + "\t" + f.message);
-    }
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out =
-      "# ntlint baseline: one \"rule<TAB>path<TAB>message\" per grandfathered finding.\n"
-      "# Lines match on content, not line number, so edits elsewhere do not churn it.\n";
-  for (const std::string& l : lines) {
-    out += l + "\n";
-  }
-  return out;
-}
-
-std::multiset<std::string> ParseBaseline(const std::string& text) {
-  std::multiset<std::string> entries;
-  std::stringstream ss(text);
-  std::string line;
-  while (std::getline(ss, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    entries.insert(line);
-  }
-  return entries;
-}
-
-void MarkBaseline(Summary* summary, std::multiset<std::string> baseline) {
-  for (FileReport& file : summary->files) {
-    for (Finding& f : file.findings) {
-      if (f.suppressed) {
-        continue;
-      }
-      auto it = baseline.find(f.rule + "\t" + RepoRelPath(f.path) + "\t" + f.message);
-      if (it != baseline.end()) {
-        f.baselined = true;
-        ++summary->baselined;
-        baseline.erase(it);  // Each entry grandfathers at most one finding.
-      }
-    }
-  }
 }
 
 }  // namespace lint

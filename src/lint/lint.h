@@ -52,7 +52,6 @@
 #define SRC_LINT_LINT_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,7 +83,6 @@ struct Finding {
   std::string message;
   bool suppressed = false;
   std::string allow_reason;  // Set when suppressed.
-  bool baselined = false;    // Matched a --baseline entry (grandfathered).
 };
 
 // One `ntlint:allow(...)` annotation, parsed from a comment.
@@ -106,7 +104,6 @@ struct Summary {
   std::vector<FileReport> files;
   int total = 0;
   int suppressed = 0;
-  int baselined = 0;
   // Stale allow annotations bucketed per rule name they mention.
   std::map<std::string, int> stale_by_rule;
   int stale_allows() const {
@@ -116,9 +113,8 @@ struct Summary {
     }
     return n;
   }
+  // What gates the build.
   int unsuppressed() const { return total - suppressed; }
-  // What actually gates the build: neither suppressed nor grandfathered.
-  int actionable() const { return total - suppressed - baselined; }
 };
 
 // Extracts `ntlint:allow(rule[,rule...]): reason` annotations from comments.
@@ -163,28 +159,9 @@ Summary LintPaths(const std::vector<std::string>& paths);
 // Renders findings + the suppression report to a string (the CLI output).
 std::string FormatSummary(const Summary& summary, bool verbose);
 
-// Renders the summary as a SARIF 2.1.0 log (one run, rules R1–R9 declared in
-// tool.driver.rules; suppressed findings carry an inSource suppression,
-// baselined ones an external suppression).
+// Renders the summary as a SARIF 2.1.0 log: one run declaring rules R1–R9,
+// with suppressed findings carrying an inSource suppression.
 std::string FormatSarif(const Summary& summary);
-
-// ---- baseline support ------------------------------------------------------
-// A baseline grandfathers the findings present when a rule is introduced so
-// the rule can land without a flag day. Entries match on (rule, repo-relative
-// path, message) — deliberately not the line number, which churns on every
-// edit.
-
-// One line per finding: "rule\tpath\tmessage", sorted. Round-trips through
-// ParseBaseline.
-std::string WriteBaseline(const Summary& summary);
-
-// Parses WriteBaseline output (or a hand-edited file). Blank lines and lines
-// starting with '#' are skipped.
-std::multiset<std::string> ParseBaseline(const std::string& text);
-
-// Marks every unsuppressed finding with a matching baseline entry as
-// baselined (each entry is consumed at most once) and updates the counters.
-void MarkBaseline(Summary* summary, std::multiset<std::string> baseline);
 
 }  // namespace lint
 }  // namespace nt

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/common/logging.h"
+#include "src/tusk/dag_rider.h"
 
 namespace nt {
 
@@ -51,45 +52,21 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   committee_ = Committee(std::move(infos));
 
-  const bool narwhal_based = config_.system == SystemKind::kNarwhalHs ||
-                             config_.system == SystemKind::kTusk ||
-                             config_.system == SystemKind::kDagRider ||
-                             config_.system == SystemKind::kBullshark;
+  const bool narwhal_based =
+      config_.system != SystemKind::kBaselineHs && config_.system != SystemKind::kBatchedHs;
   if (narwhal_based) {
     BuildNarwhal();
   }
-  switch (config_.system) {
-    case SystemKind::kTusk:
-      consensus_stores_.resize(config_.num_validators);
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        tusks_.push_back(std::make_unique<Tusk>(primaries_[v].get(), committee_, &coin_,
-                                                config_.narwhal.gc_depth));
-        tusks_.back()->set_store(consensus_stores_[v].get());
-      }
-      WireTuskMetrics();
-      break;
-    case SystemKind::kBullshark:
-      consensus_stores_.resize(config_.num_validators);
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        bullsharks_.push_back(std::make_unique<Bullshark>(
-            primaries_[v].get(), committee_, config_.narwhal.gc_depth, config_.bullshark));
-        bullsharks_.back()->set_store(consensus_stores_[v].get());
-      }
-      WireTuskMetrics();
-      break;
-    case SystemKind::kDagRider:
-      for (uint32_t v = 0; v < config_.num_validators; ++v) {
-        riders_.push_back(std::make_unique<DagRider>(primaries_[v].get(), committee_, &coin_));
-      }
-      WireTuskMetrics();
-      break;
-    case SystemKind::kBaselineHs:
-    case SystemKind::kBatchedHs:
-    case SystemKind::kNarwhalHs:
-      BuildHotStuff();
-      break;
+  if (!narwhal_based || config_.system == SystemKind::kNarwhalHs) {
+    BuildHotStuff();
+  } else {
+    consensus_stores_.resize(config_.num_validators);
+    committers_.resize(config_.num_validators);
+    for (ValidatorId v = 0; v < config_.num_validators; ++v) {
+      consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
+      committers_[v] = MakeCommitter(v);
+      WireCommitMetricsFor(v);
+    }
   }
   if (config_.exec_lanes > 0 && narwhal_based) {
     executors_.resize(config_.num_validators);
@@ -122,28 +99,15 @@ void Cluster::WireExecutorFor(ValidatorId v) {
     executors_[v]->OnCommittedHeader(header);
     executors_[v]->RetryPending();
   };
-  switch (config_.system) {
-    case SystemKind::kTusk:
-      tusks_[v]->add_on_commit(
-          [on_committed](const Tusk::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kBullshark:
-      bullsharks_[v]->add_on_commit(
-          [on_committed](const Bullshark::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kDagRider:
-      riders_[v]->add_on_commit(
-          [on_committed](const DagRider::Committed& c) { on_committed(c.header); });
-      break;
-    case SystemKind::kNarwhalHs:
-      static_cast<NarwhalProvider*>(providers_[v].get())
-          ->add_on_header_commit(
-              [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
-                on_committed(header);
-              });
-      break;
-    default:
-      break;
+  if (!committers_.empty()) {
+    committers_[v]->add_on_commit(
+        [on_committed](const DagCommitter::Committed& c) { on_committed(c.header); });
+  } else {  // kNarwhalHs, the only other system with executable payloads.
+    static_cast<NarwhalProvider*>(providers_[v].get())
+        ->add_on_header_commit(
+            [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
+              on_committed(header);
+            });
   }
 }
 
@@ -158,11 +122,8 @@ void Cluster::AttachTracer() {
       worker->set_tracer(tracer_.get());
     }
   }
-  for (auto& tusk : tusks_) {
-    tusk->set_tracer(tracer_.get());
-  }
-  for (auto& bullshark : bullsharks_) {
-    bullshark->set_tracer(tracer_.get());
+  for (auto& committer : committers_) {
+    committer->set_tracer(tracer_.get());
   }
   for (auto& hs : hs_nodes_) {
     hs->set_tracer(tracer_.get());
@@ -259,6 +220,27 @@ bool Cluster::IsValidatorCrashed(ValidatorId v) const {
 }
 
 Cluster::~Cluster() = default;
+
+std::unique_ptr<DagCommitter> Cluster::MakeCommitter(ValidatorId v) {
+  Primary* primary = primaries_[v].get();
+  const Round gc_depth = config_.narwhal.gc_depth;
+  std::unique_ptr<DagCommitter> committer;
+  switch (config_.system) {
+    case SystemKind::kTusk:
+      committer = std::make_unique<Tusk>(primary, committee_, &coin_, gc_depth);
+      break;
+    case SystemKind::kBullshark:
+      committer = std::make_unique<Bullshark>(primary, committee_, gc_depth, config_.bullshark);
+      break;
+    case SystemKind::kDagRider:
+      committer = std::make_unique<DagRider>(primary, committee_, &coin_);
+      break;
+    default:
+      throw std::logic_error("no DAG committer for " + std::string(SystemName(config_.system)));
+  }
+  committer->set_store(consensus_stores_[v].get());
+  return committer;
+}
 
 std::unique_ptr<Store> Cluster::MakeStore(const std::string& name) {
   if (config_.persist_dir.empty()) {
@@ -400,13 +382,7 @@ void Cluster::WireHotStuffValidator(ValidatorId v) {
       });
 }
 
-void Cluster::WireTuskMetrics() {
-  for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-    WireTuskMetricsFor(v);
-  }
-}
-
-void Cluster::WireTuskMetricsFor(ValidatorId v) {
+void Cluster::WireCommitMetricsFor(ValidatorId v) {
   // Convert per-header commits into per-batch metrics via the directory.
   auto sink = [this, v](const std::shared_ptr<const BlockHeader>& header) {
     for (const BatchRef& ref : header->batches) {
@@ -417,16 +393,8 @@ void Cluster::WireTuskMetricsFor(ValidatorId v) {
                         info != nullptr ? info->samples : kNoSamples);
     }
   };
-  if (!tusks_.empty()) {
-    tusks_[v]->add_on_commit(
-        [sink](const Tusk::Committed& committed) { sink(committed.header); });
-  } else if (!bullsharks_.empty()) {
-    bullsharks_[v]->add_on_commit(
-        [sink](const Bullshark::Committed& committed) { sink(committed.header); });
-  } else {
-    riders_[v]->add_on_commit(
-        [sink](const DagRider::Committed& committed) { sink(committed.header); });
-  }
+  committers_[v]->add_on_commit(
+      [sink](const DagCommitter::Committed& committed) { sink(committed.header); });
 }
 
 void Cluster::Start() { network_->Start(); }
@@ -434,12 +402,6 @@ void Cluster::Start() { network_->Start(); }
 void Cluster::SubmitTx(ValidatorId v, WorkerId w, uint64_t size_bytes,
                        std::optional<TxSample> sample) {
   switch (config_.system) {
-    case SystemKind::kTusk:
-    case SystemKind::kDagRider:
-    case SystemKind::kNarwhalHs:
-    case SystemKind::kBullshark:
-      workers_[v][w % config_.workers_per_validator]->SubmitTransaction(size_bytes, sample);
-      break;
     case SystemKind::kBaselineHs: {
       auto* provider = static_cast<BaselineProvider*>(providers_[v].get());
       std::vector<TxSample> samples;
@@ -458,6 +420,9 @@ void Cluster::SubmitTx(ValidatorId v, WorkerId w, uint64_t size_bytes,
       provider->Submit(1, size_bytes, std::move(samples));
       break;
     }
+    default:  // Narwhal-based: the transaction enters through a worker.
+      workers_[v][w % config_.workers_per_validator]->SubmitTransaction(size_bytes, sample);
+      break;
   }
 }
 
@@ -514,11 +479,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
   // Tear down top-down: the consensus layer references the primary. The
   // destructors flip each object's alive flag, so timers the dead objects
   // left in the scheduler fire as no-ops.
-  if (!tusks_.empty()) {
-    tusks_[v].reset();
-  }
-  if (!bullsharks_.empty()) {
-    bullsharks_[v].reset();
+  if (!committers_.empty()) {
+    committers_[v].reset();
   }
   if (!hs_nodes_.empty()) {
     hs_nodes_[v].reset();
@@ -550,18 +512,10 @@ void Cluster::RebuildValidator(ValidatorId v) {
     network_->ReplaceNode(topology_.worker_of[v][wi], workers_[v][wi].get());
   }
 
-  if (config_.system == SystemKind::kTusk) {
-    tusks_[v] = std::make_unique<Tusk>(primaries_[v].get(), committee_, &coin_,
-                                       config_.narwhal.gc_depth);
-    tusks_[v]->set_store(consensus_stores_[v].get());
-    tusks_[v]->Recover();
-    WireTuskMetricsFor(v);
-  } else if (config_.system == SystemKind::kBullshark) {
-    bullsharks_[v] = std::make_unique<Bullshark>(primaries_[v].get(), committee_,
-                                                 config_.narwhal.gc_depth, config_.bullshark);
-    bullsharks_[v]->set_store(consensus_stores_[v].get());
-    bullsharks_[v]->Recover();
-    WireTuskMetricsFor(v);
+  if (!committers_.empty()) {
+    committers_[v] = MakeCommitter(v);
+    committers_[v]->Recover();
+    WireCommitMetricsFor(v);
   } else {  // kNarwhalHs (the only other SupportsRestart() system).
     auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
                                                       &directory_, config_.narwhal.gc_depth);
@@ -593,11 +547,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
     for (WorkerId wi = 0; wi < w; ++wi) {
       workers_[v][wi]->set_tracer(tracer_.get());
     }
-    if (!tusks_.empty()) {
-      tusks_[v]->set_tracer(tracer_.get());
-    }
-    if (!bullsharks_.empty()) {
-      bullsharks_[v]->set_tracer(tracer_.get());
+    if (!committers_.empty()) {
+      committers_[v]->set_tracer(tracer_.get());
     }
     if (!hs_nodes_.empty()) {
       hs_nodes_[v]->set_tracer(tracer_.get());
@@ -623,11 +574,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
   for (WorkerId wi = 0; wi < w; ++wi) {
     workers_[v][wi]->OnStart();
   }
-  if (!tusks_.empty()) {
-    tusks_[v]->Resume();
-  }
-  if (!bullsharks_.empty()) {
-    bullsharks_[v]->Resume();
+  if (!committers_.empty()) {
+    committers_[v]->Resume();
   }
   if (!hs_nodes_.empty()) {
     hs_nodes_[v]->OnStart();

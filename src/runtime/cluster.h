@@ -19,7 +19,6 @@
 #include "src/net/network.h"
 #include "src/runtime/metrics.h"
 #include "src/shard/sharded_executor.h"
-#include "src/tusk/dag_rider.h"
 #include "src/tusk/tusk.h"
 
 namespace nt {
@@ -123,10 +122,9 @@ class Cluster {
   // header synchronizer. Only supported for SupportsRestart() systems;
   // otherwise logs an error and degrades to a permanent crash.
   void RestartValidator(ValidatorId v, TimePoint crash_at, TimePoint recover_at);
-  bool SupportsRestart() const {
-    return config_.system == SystemKind::kTusk || config_.system == SystemKind::kNarwhalHs ||
-           config_.system == SystemKind::kBullshark;
-  }
+  // Every Narwhal-based system restarts: its state lives in the primary,
+  // worker and consensus stores.
+  bool SupportsRestart() const { return !primaries_.empty(); }
 
   // Fired after a validator's objects were rebuilt and recovered but before
   // their OnStart runs — the window where observers (DST checker, tests)
@@ -179,11 +177,14 @@ class Cluster {
   Worker* worker(ValidatorId v, WorkerId w) {
     return workers_.empty() ? nullptr : workers_[v][w].get();
   }
-  Tusk* tusk(ValidatorId v) { return tusks_.empty() ? nullptr : tusks_[v].get(); }
-  Bullshark* bullshark(ValidatorId v) {
-    return bullsharks_.empty() ? nullptr : bullsharks_[v].get();
+  // Validator `v`'s DAG committer (Tusk, Bullshark or DAG-Rider); nullptr
+  // for the HotStuff-ordered systems. tusk()/bullshark() are typed views of
+  // the same object, nullptr when the committer is of another kind.
+  DagCommitter* committer(ValidatorId v) {
+    return committers_.empty() ? nullptr : committers_[v].get();
   }
-  DagRider* dag_rider(ValidatorId v) { return riders_.empty() ? nullptr : riders_[v].get(); }
+  Tusk* tusk(ValidatorId v) { return dynamic_cast<Tusk*>(committer(v)); }
+  Bullshark* bullshark(ValidatorId v) { return dynamic_cast<Bullshark*>(committer(v)); }
   HotStuff* hotstuff(ValidatorId v) { return hs_nodes_.empty() ? nullptr : hs_nodes_[v].get(); }
   PayloadProvider* provider(ValidatorId v) {
     return providers_.empty() ? nullptr : providers_[v].get();
@@ -214,8 +215,11 @@ class Cluster {
  private:
   void BuildNarwhal();
   void BuildHotStuff();
-  void WireTuskMetrics();
-  void WireTuskMetricsFor(ValidatorId v);
+  // Builds validator `v`'s committer for config.system over its current
+  // primary and consensus store (the one place a committer kind is chosen).
+  std::unique_ptr<DagCommitter> MakeCommitter(ValidatorId v);
+  // Converts validator `v`'s committed headers into per-batch metrics.
+  void WireCommitMetricsFor(ValidatorId v);
   // Creates validator `v`'s ShardedExecutor on first call and (re-)registers
   // its commit-stream hook on the current consensus object — called at build
   // and again from RebuildValidator, where the old hook died with the old
@@ -257,9 +261,7 @@ class Cluster {
   std::vector<std::unique_ptr<Store>> consensus_stores_;
   std::vector<std::unique_ptr<Primary>> primaries_;
   std::vector<std::vector<std::unique_ptr<Worker>>> workers_;
-  std::vector<std::unique_ptr<Tusk>> tusks_;
-  std::vector<std::unique_ptr<Bullshark>> bullsharks_;
-  std::vector<std::unique_ptr<DagRider>> riders_;
+  std::vector<std::unique_ptr<DagCommitter>> committers_;
   std::vector<std::unique_ptr<PayloadProvider>> providers_;
   std::vector<std::unique_ptr<HotStuff>> hs_nodes_;
   // Execution lanes (empty unless config.exec_lanes > 0 on a Narwhal-based

@@ -1,0 +1,156 @@
+// DagCommitter: the one copy of what every DAG committer over Narwhal shares
+// (paper §8.2: a committer is a small rule over the same local DAG).
+//
+// Tusk, Bullshark and DAG-Rider all interpret the local DAG in waves: each
+// wave w has a leader block at LeaderRound(w) and a DecisionRound(w) whose
+// blocks decide whether the leader commits. Everything except that rule
+// lives here:
+//
+//   - the in-order wave loop (waves are interpreted strictly in order, up to
+//     the highest wave whose decision round exists locally);
+//   - the two-pass CommitChain: a committed leader first walks back through
+//     the skipped waves, ordering every earlier leader it reaches by DAG path
+//     (Lemma 1), and delivers only once every leader's causal history is
+//     locally complete ("conservative synchronization");
+//   - write-ahead commit and meta records in the consensus store, Recover
+//     and Resume for crash–restart, and pruning of the committed set below
+//     the garbage-collection horizon;
+//   - the skipped/committed counters and the tracer counters.
+//
+// A subclass supplies the wave arithmetic, the leader, the support test and
+// (optionally) extra meta state, a readiness gate, a no-GC rule, and a hook
+// that settles wave outcomes after each commit event.
+#ifndef SRC_TUSK_DAG_COMMITTER_H_
+#define SRC_TUSK_DAG_COMMITTER_H_
+
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/common/codec.h"
+#include "src/narwhal/primary.h"
+
+namespace nt {
+
+class DagCommitter {
+ public:
+  struct Committed {
+    Digest digest{};
+    std::shared_ptr<const BlockHeader> header;
+    // The wave whose leader chain delivered this header, the round of the
+    // chain leader that anchored it, and the round whose blocks decided the
+    // wave's commit.
+    uint64_t wave = 0;
+    Round leader_round = 0;
+    Round decision_round = 0;
+  };
+
+  virtual ~DagCommitter() = default;
+
+  DagCommitter(const DagCommitter&) = delete;
+  DagCommitter& operator=(const DagCommitter&) = delete;
+
+  // Registers a delivery callback: fired once per committed header, in total
+  // order. Multiple listeners may register (metrics, applications, tests).
+  void add_on_commit(std::function<void(const Committed&)> hook) {
+    on_commit_hooks_.push_back(std::move(hook));
+  }
+
+  // Attaches the durable consensus store (non-owning; null = ephemeral).
+  // Commit records are write-ahead persisted so a recovered validator never
+  // re-delivers a header it committed pre-crash.
+  void set_store(Store* store) { store_ = store; }
+
+  // Restores the committed set, wave cursor and the rule's meta state from
+  // the store. Call after the primary's own Recover() (GC filtering reads
+  // its horizon) and before hooks fire; recovery itself delivers nothing.
+  // Re-notifies the primary of committed headers still in the DAG so batch
+  // re-injection bookkeeping survives the crash too.
+  void Recover();
+
+  // Re-evaluates the commit rule over the recovered DAG (post-rejoin
+  // counterpart of the certificate hooks, which only fire on new arrivals).
+  void Resume() { TryCommit(); }
+
+  // Wired to the primary's hooks by the constructor.
+  void OnCertificate(const Certificate& cert);
+  void OnHeaderStored(const Digest& digest);
+
+  // Attaches the cluster's tracer (counters only; per-header commit stamps
+  // come from Primary::NotifyCommitted).
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+
+  uint64_t last_committed_wave() const { return last_committed_wave_; }
+  uint64_t committed_headers() const { return committed_count_; }
+  // Waves whose leader was present but lacked support (each counted once).
+  uint64_t skipped_leaders() const { return skipped_leaders_; }
+
+  // The rule's wave arithmetic (w >= 1).
+  virtual Round LeaderRound(uint64_t wave) const = 0;
+  virtual Round DecisionRound(uint64_t wave) const = 0;
+
+ protected:
+  // `skipped_counter` and `waves_counter` name the tracer counters bumped on
+  // a skipped leader and on a committed wave.
+  DagCommitter(Primary* primary, const Committee& committee, Round gc_depth,
+               std::string skipped_counter, std::string waves_counter);
+
+  // The validator whose LeaderRound(wave) block leads wave `wave`.
+  virtual ValidatorId LeaderOf(uint64_t wave) const = 0;
+  // True if `leader` has enough support in the local DAG to commit now.
+  virtual bool Supported(uint64_t wave, const Certificate& leader) const = 0;
+  // False while wave `wave` cannot be interpreted yet; the loop stops there.
+  virtual bool WaveReady(uint64_t /*wave*/) const { return true; }
+  // False for rules that must retain all history (DAG-Rider's weak links).
+  virtual bool CollectsGarbage() const { return true; }
+  // Called after a commit event delivered waves (from, through], before the
+  // cursor advances and the meta record is written.
+  virtual void SettleWaves(uint64_t /*from*/, uint64_t /*through*/) {}
+  // Rule-specific state riding in the meta record after the wave cursor.
+  virtual void EncodeMeta(Writer& /*w*/) const {}
+  virtual void DecodeMeta(Reader& /*r*/) {}
+
+  const Dag& dag() const { return primary_->dag(); }
+  const Committee& committee() const { return committee_; }
+  bool IsCommitted(const Digest& digest) const { return committed_.count(digest) != 0; }
+  // The leader block of `wave` in the local view, or null.
+  const Certificate* LeaderCert(uint64_t wave) const;
+  // Certified blocks at `round` that reference `leader` as a direct parent.
+  uint32_t DirectSupport(Round round, const Certificate& leader) const;
+  // True once `round` holds a quorum (2f+1) of certificates locally: the
+  // point at which a coin-elected rule can reveal the wave's leader.
+  bool HasQuorumAt(Round round) const;
+
+ private:
+  void TryCommit();
+  // Commits the leader chain ending at wave `wave`. Returns false if the
+  // commit had to be deferred on missing headers (sync requested).
+  bool CommitChain(uint64_t wave, const Certificate& leader);
+  void PruneCommitted(Round gc_round);
+  void PersistCommit(const Digest& digest, Round round);
+  void PersistMeta();
+
+  Primary* primary_;
+  const Committee& committee_;
+  Round gc_depth_;
+  std::string skipped_counter_;
+  std::string waves_counter_;
+  Tracer* tracer_ = nullptr;
+
+  Store* store_ = nullptr;
+  uint64_t last_committed_wave_ = 0;
+  std::set<Digest, DigestLess> committed_;
+  std::map<Round, std::vector<Digest>> committed_by_round_;
+  uint64_t committed_count_ = 0;
+  uint64_t skipped_leaders_ = 0;
+  uint64_t last_skip_counted_ = 0;
+
+  std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
+};
+
+}  // namespace nt
+
+#endif  // SRC_TUSK_DAG_COMMITTER_H_

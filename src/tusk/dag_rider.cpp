@@ -1,92 +1,24 @@
 #include "src/tusk/dag_rider.h"
 
-#include <algorithm>
-
 namespace nt {
 
 DagRider::DagRider(Primary* primary, const Committee& committee, const ThresholdCoin* coin)
-    : primary_(primary), committee_(committee), coin_(coin) {
-  primary_->add_on_certificate([this](const Certificate&) { TryCommit(); });
-  primary_->add_on_header_stored([this](const Digest&) { TryCommit(); });
+    : DagCommitter(primary, committee, /*gc_depth=*/0, "dag_rider/skipped_leaders",
+                   "dag_rider/committed_waves"),
+      coin_(coin) {}
+
+ValidatorId DagRider::LeaderOf(uint64_t wave) const {
+  return coin_->LeaderOf(wave, committee().size());
 }
 
-const Certificate* DagRider::LeaderCert(uint64_t wave) const {
-  ValidatorId leader = coin_->LeaderOf(wave, committee_.size());
-  return primary_->dag().GetCert(WaveFirstRound(wave), leader);
-}
-
-bool DagRider::CommitRuleSatisfied(uint64_t wave, const Certificate& leader) const {
-  const Dag& dag = primary_->dag();
+bool DagRider::Supported(uint64_t wave, const Certificate& leader) const {
   uint32_t votes = 0;
-  for (const auto& [author, cert] : dag.CertsAt(WaveLastRound(wave))) {
-    if (dag.HasPath(cert.header_digest, leader.header_digest)) {
+  for (const auto& [author, cert] : dag().CertsAt(WaveLastRound(wave))) {
+    if (dag().HasPath(cert.header_digest, leader.header_digest)) {
       ++votes;
     }
   }
-  return votes >= committee_.quorum_threshold();
-}
-
-void DagRider::TryCommit() {
-  const Dag& dag = primary_->dag();
-  Round top = dag.HighestRound();
-  uint64_t max_wave = top / 4;
-  for (uint64_t wave = last_committed_wave_ + 1; wave <= max_wave; ++wave) {
-    if (dag.CertCountAt(WaveLastRound(wave)) < committee_.quorum_threshold()) {
-      break;
-    }
-    const Certificate* leader = LeaderCert(wave);
-    if (leader == nullptr || committed_.count(leader->header_digest) != 0) {
-      continue;
-    }
-    if (!CommitRuleSatisfied(wave, *leader)) {
-      continue;
-    }
-    if (!CommitChain(wave, *leader)) {
-      break;
-    }
-  }
-}
-
-bool DagRider::CommitChain(uint64_t wave, const Certificate& leader) {
-  const Dag& dag = primary_->dag();
-  Dag::History full = dag.CollectCausalHistory(leader.header_digest, committed_);
-  if (!full.missing.empty()) {
-    for (const Digest& missing : full.missing) {
-      primary_->SyncHeader(missing);
-    }
-    return false;
-  }
-
-  std::vector<const Certificate*> chain{&leader};
-  const Certificate* candidate = &leader;
-  for (uint64_t i = wave - 1; i > last_committed_wave_ && i > 0; --i) {
-    const Certificate* li = LeaderCert(i);
-    if (li == nullptr || committed_.count(li->header_digest) != 0) {
-      continue;
-    }
-    if (dag.HasPath(candidate->header_digest, li->header_digest)) {
-      chain.push_back(li);
-      candidate = li;
-    }
-  }
-  std::reverse(chain.begin(), chain.end());
-
-  for (const Certificate* lead : chain) {
-    Dag::History history = dag.CollectCausalHistory(lead->header_digest, committed_);
-    for (const Digest& digest : history.ordered) {
-      auto header = dag.GetHeader(digest);
-      committed_.insert(digest);
-      ++committed_count_;
-      primary_->NotifyCommitted(*header);
-      for (const auto& hook : on_commit_hooks_) {
-        hook(Committed{digest, header, wave});
-      }
-    }
-  }
-  last_committed_wave_ = wave;
-  // Note: faithful DAG-Rider retains all history (weak links make GC
-  // impossible — paper §8.2); we deliberately do not advance the GC round.
-  return true;
+  return votes >= committee().quorum_threshold();
 }
 
 }  // namespace nt

@@ -1,6 +1,7 @@
 // DAG-Rider [28] implemented over the same Narwhal DAG API, substantiating
 // the paper's §8.2 remark that "it would take less than 200 LOC to implement
-// DAG-Rider over Narwhal".
+// DAG-Rider over Narwhal": the rule below is all DAG-Rider adds to the
+// shared DagCommitter.
 //
 // Differences from Tusk (paper §5): waves span 4 rounds with no
 // piggybacking; the wave leader lives in the wave's first round; the commit
@@ -11,52 +12,32 @@
 #ifndef SRC_TUSK_DAG_RIDER_H_
 #define SRC_TUSK_DAG_RIDER_H_
 
-#include <functional>
-#include <memory>
-#include <set>
-#include <vector>
-
 #include "src/crypto/coin.h"
-#include "src/narwhal/primary.h"
+#include "src/tusk/dag_committer.h"
 
 namespace nt {
 
-class DagRider {
+class DagRider : public DagCommitter {
  public:
-  struct Committed {
-    Digest digest{};
-    std::shared_ptr<const BlockHeader> header;
-    uint64_t wave = 0;
-  };
-
   DagRider(Primary* primary, const Committee& committee, const ThresholdCoin* coin);
-
-  // Registers a delivery callback; multiple listeners may register.
-  void add_on_commit(std::function<void(const Committed&)> hook) {
-    on_commit_hooks_.push_back(std::move(hook));
-  }
-
-  uint64_t last_committed_wave() const { return last_committed_wave_; }
-  uint64_t committed_headers() const { return committed_count_; }
 
   // Wave w (w >= 1) occupies rounds 4w-3 .. 4w.
   static Round WaveFirstRound(uint64_t wave) { return 4 * wave - 3; }
   static Round WaveLastRound(uint64_t wave) { return 4 * wave; }
 
+  Round LeaderRound(uint64_t wave) const override { return WaveFirstRound(wave); }
+  Round DecisionRound(uint64_t wave) const override { return WaveLastRound(wave); }
+
+ protected:
+  ValidatorId LeaderOf(uint64_t wave) const override;
+  bool Supported(uint64_t wave, const Certificate& leader) const override;
+  bool WaveReady(uint64_t wave) const override { return HasQuorumAt(DecisionRound(wave)); }
+  // Faithful DAG-Rider retains all history (weak links make GC impossible —
+  // paper §8.2), so the GC round never advances.
+  bool CollectsGarbage() const override { return false; }
+
  private:
-  const Certificate* LeaderCert(uint64_t wave) const;
-  bool CommitRuleSatisfied(uint64_t wave, const Certificate& leader) const;
-  bool CommitChain(uint64_t wave, const Certificate& leader);
-  void TryCommit();
-
-  Primary* primary_;
-  const Committee& committee_;
   const ThresholdCoin* coin_;
-
-  uint64_t last_committed_wave_ = 0;
-  std::set<Digest, DigestLess> committed_;
-  uint64_t committed_count_ = 0;
-  std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
 };
 
 }  // namespace nt

@@ -105,5 +105,36 @@ TEST(EventHashGolden, FullStackSchedules) {
   }
 }
 
+TEST(EventHashGolden, BullsharkRestartSchedules) {
+  struct Golden {
+    uint64_t seed;
+    uint64_t hash;
+    uint64_t fired;
+    uint64_t commits;
+  };
+  // Bullshark-pinned DST schedules whose fault scripts include a
+  // crash-restart (seed 5: n=4 with a partition and two asynchrony windows;
+  // seed 18: n=7 with a permanent crash and two partitions), so the
+  // committer's WAL, Recover and rejoin paths are frozen too.
+  const Golden kGolden[] = {
+      {5, 0x0c312227a32b490aull, 2468, 159},
+      {18, 0x471ea3b55a5f7670ull, 5940, 241},
+  };
+  for (const Golden& g : kGolden) {
+    FaultSchedule schedule = GenerateSchedule(g.seed, SystemKind::kBullshark);
+    bool restarts = false;
+    for (const FaultSchedule::Crash& c : schedule.crashes) {
+      restarts = restarts || c.recovers();
+    }
+    ASSERT_TRUE(restarts) << "seed " << g.seed << " no longer draws a crash-restart";
+    CheckResult result = RunSchedule(schedule);
+    EXPECT_TRUE(result.ok()) << "seed " << g.seed;
+    EXPECT_EQ(result.event_hash, g.hash)
+        << "seed " << g.seed << " hash 0x" << std::hex << result.event_hash;
+    EXPECT_EQ(result.events_fired, g.fired) << "seed " << g.seed << " fired " << result.events_fired;
+    EXPECT_EQ(result.commits, g.commits) << "seed " << g.seed << " commits " << result.commits;
+  }
+}
+
 }  // namespace
 }  // namespace nt

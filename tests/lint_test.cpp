@@ -11,7 +11,6 @@
 #include "src/lint/lint.h"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -961,42 +960,7 @@ TEST(RegistryExhaustiveRule, SubsetWithoutDispatchSiteStaysSilent) {
   EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 0);
 }
 
-// ----------------------------------------- facts round-trip (--jobs pipeline)
-
-TEST(FactsRoundTrip, SerializeParseSerializeIsIdentity) {
-  const std::string content = R"(
-void Node::OnTimeout(uint64_t view) {
-  Signature sig = signer_->Sign(Preimage(view));
-  // ntlint:allow(wal-before-send): reason with	tab and \ backslash
-  Broadcast(MakeTimeout(view, sig));
-}
-void Node::PersistRound() {
-  Writer w;
-  w.PutU8('R');
-  w.PutU64(round_);
-  store_->Put(RoundKey(), w.Take());
-}
-uint32_t q = 2 * f + 1;
-)";
-  FileFacts f = ExtractFacts("src/narwhal/node.cpp", content, nullptr);
-  const std::string text = SerializeFacts(f);
-  std::vector<FileFacts> parsed;
-  ASSERT_TRUE(ParseFacts(text, &parsed));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(SerializeFacts(parsed[0]), text);
-  EXPECT_EQ(parsed[0].path, f.path);
-  EXPECT_EQ(parsed[0].functions.size(), f.functions.size());
-  EXPECT_EQ(parsed[0].persists.size(), f.persists.size());
-  EXPECT_EQ(parsed[0].allows.size(), f.allows.size());
-}
-
-TEST(FactsRoundTrip, MalformedInputIsRejected) {
-  std::vector<FileFacts> parsed;
-  EXPECT_FALSE(ParseFacts("X\tgarbage\n", &parsed));
-  EXPECT_FALSE(ParseFacts("F\ttoo\tfew\n", &parsed));
-}
-
-// ------------------------------------------------------------- SARIF + baseline
+// ------------------------------------------------------------------- SARIF
 
 TEST(SarifOutput, DeclaresRulesAndMarksSuppressions) {
   Summary s = LintRepoUnits({{"src/narwhal/node.cpp", R"(
@@ -1022,55 +986,6 @@ uint32_t q = 2 * f + 1;
   EXPECT_NE(sarif.find("\"kind\": \"inSource\""), std::string::npos);
   EXPECT_NE(sarif.find("fixture exception"), std::string::npos);
   EXPECT_NE(sarif.find("\"uri\": \"src/narwhal/node.cpp\""), std::string::npos);
-}
-
-TEST(Baseline, RoundTripGrandfathersExistingFindings) {
-  const SourceUnit unit{"src/narwhal/node.cpp", R"(
-void Node::OnTimeout(uint64_t view) {
-  Signature sig = signer_->Sign(Preimage(view));
-  Broadcast(MakeTimeout(view, sig));
-}
-)"};
-  Summary s = LintRepoUnits({unit}, nullptr);
-  ASSERT_EQ(s.actionable(), 1);
-  const std::string baseline = WriteBaseline(s);
-
-  Summary again = LintRepoUnits({unit}, nullptr);
-  MarkBaseline(&again, ParseBaseline(baseline));
-  EXPECT_EQ(again.actionable(), 0);
-  EXPECT_EQ(again.baselined, 1);
-  // Baselined-but-present findings stay visible in the verbose report.
-  EXPECT_NE(FormatSummary(again, /*verbose=*/true).find("(baselined)"), std::string::npos);
-}
-
-TEST(Baseline, EntryIsConsumedAtMostOnce) {
-  // Two sends off one signature: identical rule, path and message (the
-  // message embeds the signature line), differing only in line number.
-  const SourceUnit unit{"src/narwhal/node.cpp", R"(
-void Node::Flood(const Digest& d) {
-  Signature sig = signer_->Sign(d);
-  network_->Send(net_id_, a_, Make(sig));
-  network_->Send(net_id_, b_, Make(sig));
-}
-)"};
-  Summary s = LintRepoUnits({unit}, nullptr);
-  ASSERT_EQ(s.actionable(), 2);
-  // A baseline holding only one of the two identical-message findings must
-  // leave the other actionable. Skip WriteBaseline's '#' header lines and
-  // keep the first entry.
-  std::string baseline;
-  std::istringstream lines(WriteBaseline(s));
-  for (std::string line; std::getline(lines, line);) {
-    if (!line.empty() && line[0] != '#') {
-      baseline = line + "\n";
-      break;
-    }
-  }
-  ASSERT_FALSE(baseline.empty());
-  Summary again = LintRepoUnits({unit}, nullptr);
-  MarkBaseline(&again, ParseBaseline(baseline));
-  EXPECT_EQ(again.baselined, 1);
-  EXPECT_EQ(again.actionable(), 1);
 }
 
 TEST(StaleAllows, CountedPerRuleInSummary) {

@@ -47,21 +47,20 @@ RecoveryRun RunWithRestart(SystemKind system, uint64_t seed) {
   // Hook wiring is re-callable: a rebuilt validator's objects are new, so
   // the cluster re-invokes this through set_on_validator_rebuilt.
   auto wire = [&run, &cluster](ValidatorId v) {
-    cluster.primary(v)->add_on_header_stored([&run, &cluster, v](const Digest& digest) {
-      if (auto header = cluster.primary(v)->dag().GetHeader(digest)) {
-        run.authored[{header->round, header->author}].insert(digest);
-      }
-    });
+    if (cluster.primary(v) != nullptr) {
+      cluster.primary(v)->add_on_header_stored([&run, &cluster, v](const Digest& digest) {
+        if (auto header = cluster.primary(v)->dag().GetHeader(digest)) {
+          run.authored[{header->round, header->author}].insert(digest);
+        }
+      });
+    }
     auto on_commit = [&run, &cluster, v](const Digest& digest) {
       run.commits[v].push_back(digest);
       run.last_commit[v] = cluster.scheduler().now();
     };
-    if (cluster.tusk(v) != nullptr) {
-      cluster.tusk(v)->add_on_commit(
-          [on_commit](const Tusk::Committed& c) { on_commit(c.digest); });
-    } else if (cluster.bullshark(v) != nullptr) {
-      cluster.bullshark(v)->add_on_commit(
-          [on_commit](const Bullshark::Committed& c) { on_commit(c.digest); });
+    if (DagCommitter* committer = cluster.committer(v)) {
+      committer->add_on_commit(
+          [on_commit](const DagCommitter::Committed& c) { on_commit(c.digest); });
     } else if (auto* np = dynamic_cast<NarwhalProvider*>(cluster.provider(v))) {
       np->add_on_header_commit(
           [on_commit](const Digest& d, const std::shared_ptr<const BlockHeader>&) {
@@ -140,7 +139,7 @@ TEST(RecoveryTest, TuskValidatorRestartsAndRejoins) {
 
 TEST(RecoveryTest, BullsharkValidatorRestartsAndRejoins) {
   // The victim goes down mid-anchor-chain; recovery must restore the
-  // committed-wave cursor from the 'S' meta record so resumed delivery
+  // committed-wave cursor from the 'U' meta record so resumed delivery
   // extends — never re-plays or skips — the pre-crash anchor chain.
   RecoveryRun run = RunWithRestart(SystemKind::kBullshark, 7);
   ExpectCleanRejoin(run);
@@ -160,16 +159,28 @@ TEST(RecoveryTest, RestartIsDeterministic) {
   EXPECT_EQ(a.commits[kVictim], b.commits[kVictim]);
 }
 
-TEST(RecoveryTest, UnsupportedSystemDegradesToPermanentCrash) {
+TEST(RecoveryTest, DagRiderValidatorRestartsAndRejoins) {
+  // DAG-Rider shares Tusk's committer machinery (DagCommitter), WAL and
+  // Recover path included, so it restarts like the other Narwhal systems —
+  // without ever advancing the GC round (its rule retains all history).
   RecoveryRun run = RunWithRestart(SystemKind::kDagRider, 9);
-  // DagRider has no rebuild path: the restart degrades to a permanent crash
-  // (logged), the validator never comes back, and nothing is rebuilt.
+  ExpectCleanRejoin(run);
+  EXPECT_GT(run.commits[0].size(), 10u);
+  EXPECT_EQ(run.cluster->primary(kVictim)->dag().gc_round(), 0u);
+}
+
+TEST(RecoveryTest, UnsupportedSystemDegradesToPermanentCrash) {
+  RecoveryRun run = RunWithRestart(SystemKind::kBatchedHs, 9);
+  // Batched-HS keeps no durable state to rebuild from: the restart degrades
+  // to a permanent crash (logged), the validator never comes back, and
+  // nothing is rebuilt.
+  EXPECT_FALSE(run.cluster->SupportsRestart());
   EXPECT_EQ(run.rebuilt_calls, 0u);
   EXPECT_TRUE(run.cluster->recovery_stats().empty());
   EXPECT_TRUE(run.cluster->IsValidatorCrashed(kVictim));
-  // The remaining 3-of-4 committee stays live (the harness only hooks
-  // Tusk/NarwhalHs commits, so assert on DAG progress instead).
-  EXPECT_GT(run.cluster->primary(0)->round(), 20u);
+  // The remaining 3-of-4 committee stays live (the harness hooks only
+  // DAG-committer and Narwhal-HS commits, so assert on HotStuff progress).
+  EXPECT_GT(run.cluster->hotstuff(0)->committed_blocks(), 10u);
 }
 
 }  // namespace

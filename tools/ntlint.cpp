@@ -3,30 +3,23 @@
 //   ntlint [options] <path>...      paths are files or directories
 //
 // Options:
-//   --verbose            also print suppressed/baselined findings inline
+//   --verbose            also print suppressed findings inline
 //   --rules              list the rule set and exit
 //   --format=sarif       emit a SARIF 2.1.0 log instead of the text summary
-//   --jobs N             fork N workers for pass 1 (byte-identical output)
 //   --strict-allows      stale ntlint:allow annotations fail the run (CI mode)
-//   --baseline FILE      grandfather findings listed in FILE (they don't gate)
-//   --write-baseline F   write the current unsuppressed findings to F and exit
 //   --fuzz-corpus FILE   override the fuzz_decode_test.cpp location for R9
 //
 // Exit status: 0 when every finding is suppressed by an explicit
-// `// ntlint:allow(<rule>): <reason>` annotation or grandfathered by the
-// baseline (and, under --strict-allows, no annotation is stale), 1 otherwise.
-// CI treats a nonzero exit as a red build.
-#include <algorithm>
+// `// ntlint:allow(<rule>): <reason>` annotation (and, under
+// --strict-allows, no annotation is stale), 1 otherwise. CI treats a nonzero
+// exit as a red build.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/lint/lint.h"
 #include "src/lint/model.h"
-#include "tools/job_runner.h"
 
 namespace {
 
@@ -57,57 +50,8 @@ void PrintRules() {
 }
 
 constexpr const char* kUsage =
-    "usage: ntlint [--verbose] [--rules] [--format=sarif] [--jobs N] [--strict-allows]\n"
-    "              [--baseline FILE] [--write-baseline FILE] [--fuzz-corpus FILE] <path>...\n";
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-// Pass 1 over `files`, forked across `jobs` workers. Every worker serializes
-// its shard's FileFacts to stdout; the parent re-parses them in file order,
-// so pass 2 sees exactly the merged model a sequential run builds and the
-// output is byte-identical by construction.
-bool ExtractFactsParallel(const std::vector<std::string>& files, int jobs,
-                          std::vector<nt::lint::FileFacts>* facts) {
-  if (jobs > static_cast<int>(files.size())) {
-    jobs = static_cast<int>(files.size());
-  }
-  // Interleaved assignment (file i -> worker i mod N) balances big and small
-  // files across workers; the parent restores file order by sorting the
-  // merged facts on path, which is all pass 2 depends on.
-  const size_t shards = static_cast<size_t>(jobs);
-  bool ok = true;
-  nt::RunJobsForked(
-      shards, jobs,
-      [&](uint64_t shard) {
-        for (size_t i = shard; i < files.size(); i += shards) {
-          std::fputs(nt::lint::SerializeFacts(nt::lint::ExtractFactsFromDisk(files[i])).c_str(),
-                     stdout);
-        }
-        return 0;
-      },
-      [&](uint64_t, const nt::JobOutput& out) {
-        if (out.exit_code != 0 || !nt::lint::ParseFacts(out.text, facts)) {
-          ok = false;
-        }
-      });
-  if (!ok) {
-    return false;
-  }
-  std::sort(facts->begin(), facts->end(),
-            [](const nt::lint::FileFacts& a, const nt::lint::FileFacts& b) {
-              return a.path < b.path;
-            });
-  return true;
-}
+    "usage: ntlint [--verbose] [--rules] [--format=sarif] [--strict-allows]\n"
+    "              [--fuzz-corpus FILE] <path>...\n";
 
 }  // namespace
 
@@ -115,9 +59,6 @@ int main(int argc, char** argv) {
   bool verbose = false;
   bool strict_allows = false;
   bool sarif = false;
-  int jobs = 1;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string corpus_path;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
@@ -140,18 +81,6 @@ int main(int argc, char** argv) {
       sarif = true;
     } else if (arg == "--format=text") {
       sarif = false;
-    } else if (arg == "--jobs") {
-      jobs = std::atoi(value("--jobs"));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg == "--baseline") {
-      baseline_path = value("--baseline");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg == "--write-baseline") {
-      write_baseline_path = value("--write-baseline");
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
     } else if (arg == "--fuzz-corpus") {
       corpus_path = value("--fuzz-corpus");
     } else if (arg.rfind("--fuzz-corpus=", 0) == 0) {
@@ -171,55 +100,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  nt::lint::Summary summary;
-  if (jobs > 1) {
-    std::vector<std::string> files;
-    for (const std::string& p : paths) {
-      std::vector<std::string> collected = nt::lint::CollectSourceFiles(p);
-      files.insert(files.end(), collected.begin(), collected.end());
-    }
-    std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
-    std::string corpus = corpus_path.empty() ? nt::lint::LocateFuzzCorpus(paths) : corpus_path;
-    std::string corpus_content;
-    const bool have_corpus = !corpus.empty() && ReadFile(corpus, &corpus_content);
-    std::vector<nt::lint::FileFacts> facts;
-    if (!ExtractFactsParallel(files, jobs, &facts)) {
-      std::fprintf(stderr, "ntlint: a forked lint worker failed\n");
-      return 2;
-    }
-    summary = nt::lint::AssembleSummary(std::move(facts),
-                                        have_corpus ? &corpus_content : nullptr);
-  } else {
-    summary = nt::lint::LintPathsWithCorpus(paths, corpus_path);
-  }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "ntlint: cannot write baseline '%s'\n", write_baseline_path.c_str());
-      return 2;
-    }
-    out << nt::lint::WriteBaseline(summary);
-    std::printf("ntlint: baseline with %d finding(s) written to %s\n", summary.unsuppressed(),
-                write_baseline_path.c_str());
-    return 0;
-  }
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!ReadFile(baseline_path, &text)) {
-      std::fprintf(stderr, "ntlint: cannot read baseline '%s'\n", baseline_path.c_str());
-      return 2;
-    }
-    nt::lint::MarkBaseline(&summary, nt::lint::ParseBaseline(text));
-  }
-
+  const nt::lint::Summary summary = nt::lint::LintPathsWithCorpus(paths, corpus_path);
   if (sarif) {
     std::fputs(nt::lint::FormatSarif(summary).c_str(), stdout);
   } else {
     std::fputs(nt::lint::FormatSummary(summary, verbose).c_str(), stdout);
   }
-  if (summary.actionable() != 0) {
+  if (summary.unsuppressed() != 0) {
     return 1;
   }
   if (strict_allows && summary.stale_allows() != 0) {

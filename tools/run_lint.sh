@@ -4,7 +4,6 @@
 #   tools/run_lint.sh                  # lint src/, summary only
 #   tools/run_lint.sh --verbose        # also echo suppressed findings
 #   tools/run_lint.sh --strict-allows  # stale allow annotations fail (CI mode)
-#   tools/run_lint.sh --jobs 4         # forked pass 1, byte-identical output
 #   tools/run_lint.sh src/narwhal      # lint one subtree
 set -eu
 
