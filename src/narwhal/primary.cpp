@@ -96,9 +96,23 @@ void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
   if (store_->Contains(key)) {
     return;
   }
+  // Parents are named by digest, in header order (the header digest covers
+  // the order): every parent certificate is already durable as its own 'C'
+  // record, so Recover() rebuilds the full header from those. This keeps the
+  // record O(n) bytes where the full encoding is O(n^2).
   Writer w;
   w.PutU8('H');
-  header.Encode(w);
+  w.PutU32(header.author);
+  w.PutU64(header.round);
+  w.PutU32(static_cast<uint32_t>(header.batches.size()));
+  for (const BatchRef& ref : header.batches) {
+    ref.Encode(w);
+  }
+  w.PutU32(static_cast<uint32_t>(header.parents.size()));
+  for (const Certificate& parent : header.parents) {
+    w.PutRaw(parent.header_digest);
+  }
+  w.PutRaw(header.author_sig);
   store_->Put(key, w.Take());
 }
 
@@ -151,7 +165,13 @@ void Primary::Recover() {
   recovered_ = true;
 
   Round gc_round = 0;
-  std::vector<std::pair<Digest, std::shared_ptr<const BlockHeader>>> headers;
+  // A header record names its parents by digest; they are resolved against
+  // the 'C' records once the whole store has been read.
+  struct HeaderRec {
+    BlockHeader header;  // `parents` still empty.
+    std::vector<Digest> parents;
+  };
+  std::vector<HeaderRec> headers;
   std::vector<Certificate> certs;
   struct VoteRec {
     Round round = 0;
@@ -172,10 +192,20 @@ void Primary::Recover() {
         gc_round = static_cast<Round>(r.GetU64());
         break;
       case 'H': {
-        std::optional<BlockHeader> h = BlockHeader::Decode(r);
-        if (h.has_value()) {
-          auto ptr = std::make_shared<const BlockHeader>(std::move(*h));
-          headers.emplace_back(ptr->ComputeDigest(), std::move(ptr));
+        HeaderRec h;
+        h.header.author = r.GetU32();
+        h.header.round = static_cast<Round>(r.GetU64());
+        uint32_t n_batches = r.GetU32();
+        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
+          h.header.batches.push_back(BatchRef::Decode(r));
+        }
+        uint32_t n_parents = r.GetU32();
+        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
+          h.parents.push_back(r.GetArray<32>());
+        }
+        h.header.author_sig = r.GetArray<64>();
+        if (r.ok()) {
+          headers.push_back(std::move(h));
         }
         break;
       }
@@ -214,17 +244,44 @@ void Primary::Recover() {
   // the same way live traffic would be.
   dag_.GarbageCollect(gc_round);
   store_gc_round_ = gc_round;
-  for (auto& [digest, header] : headers) {
-    if (header->round >= gc_round && !dag_.HasHeader(digest)) {
-      dag_.AddHeader(header, digest);  // Direct insert: recovery fires no hooks.
-    }
-  }
   std::sort(certs.begin(), certs.end(), [](const Certificate& a, const Certificate& b) {
     return a.round != b.round ? a.round < b.round : a.author < b.author;
   });
+  std::map<Digest, const Certificate*, DigestLess> cert_index;
+  for (const Certificate& cert : certs) {
+    cert_index.emplace(cert.header_digest, &cert);
+  }
+  for (HeaderRec& rec : headers) {
+    BlockHeader& header = rec.header;
+    if (header.round < gc_round) {
+      continue;
+    }
+    for (const Digest& parent : rec.parents) {
+      auto it = cert_index.find(parent);
+      if (it == cert_index.end() || it->second->round + 1 != header.round) {
+        break;
+      }
+      header.parents.push_back(*it->second);
+    }
+    if (header.parents.size() != rec.parents.size()) {
+      // A parent record is missing (a parent accepted below the horizon is
+      // never persisted). Leave the header out: if its certificate is known,
+      // OnStart pulls it from peers like any other missing header.
+      continue;
+    }
+    auto ptr = std::make_shared<const BlockHeader>(std::move(header));
+    Digest digest = ptr->ComputeDigest();
+    if (!dag_.HasHeader(digest)) {
+      dag_.AddHeader(std::move(ptr), digest);  // Direct insert: recovery fires no hooks.
+    }
+  }
   for (const Certificate& cert : certs) {
     if (cert.round >= gc_round) {
       dag_.AddCertificate(cert);
+    } else {
+      // Kept for the parents of headers at the horizon; erased at the next
+      // advance like the ones SetGcRound retains.
+      retained_cert_records_.push_back(cert.header_digest);
     }
   }
   for (const VoteRec& v : votes) {
@@ -757,9 +814,19 @@ void Primary::SetGcRound(Round gc_round) {
     w.PutU8('M');
     w.PutU64(gc_round);
     store_->Put(MetaKey(), w.Take());
+    for (const Digest& digest : retained_cert_records_) {
+      store_->Erase(CertKey(digest));
+    }
+    retained_cert_records_.clear();
     for (const Dag::Collected& record : collected) {
       store_->Erase(HeaderKey(record.digest));
-      store_->Erase(CertKey(record.digest));
+      // Header records name their parents by digest, so a header at the new
+      // horizon still needs the certificates one round below it.
+      if (record.cert.round + 1 == gc_round) {
+        retained_cert_records_.push_back(record.digest);
+      } else {
+        store_->Erase(CertKey(record.digest));
+      }
     }
     for (auto it = voted_.begin(); it != voted_.end() && it->first < gc_round; ++it) {
       for (const auto& [author, digest] : it->second) {

@@ -226,6 +226,9 @@ class Primary : public NetNode {
   // alive across simulated restarts of this object.
   Store* store_ = nullptr;
   Round store_gc_round_ = 0;  // Horizon below which store records are erased.
+  // 'C' records of round store_gc_round_ - 1: the parents of headers at the
+  // horizon, which Recover() rebuilds from them. Erased at the next advance.
+  std::vector<Digest> retained_cert_records_;
   bool recovered_ = false;
   Digest recovered_proposal_{};
   std::vector<Digest> recovered_missing_headers_;

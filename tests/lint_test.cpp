@@ -747,6 +747,92 @@ void Node::Recover(const Bytes& value) {
   EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 0);
 }
 
+// The primary's header record: batch refs through a sub-codec, then a
+// counted list of parent digests, then the author signature. Loops add no
+// ops of their own, so the flat op sequence is what must line up.
+constexpr const char* kDigestListPersist = R"(
+void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
+  Writer w;
+  w.PutU8('H');
+  w.PutU32(header.author);
+  w.PutU64(header.round);
+  w.PutU32(static_cast<uint32_t>(header.batches.size()));
+  for (const BatchRef& ref : header.batches) {
+    ref.Encode(w);
+  }
+  w.PutU32(static_cast<uint32_t>(header.parents.size()));
+  for (const Certificate& parent : header.parents) {
+    w.PutRaw(parent.header_digest);
+  }
+  w.PutRaw(header.author_sig);
+  store_->Put(HeaderKey(digest), w.Take());
+}
+)";
+
+TEST(RecoverParityRule, DigestListRecordIsSilent) {
+  Summary s = LintRepoUnits({{"src/narwhal/persist.cpp", kDigestListPersist},
+                             {"src/narwhal/recover.cpp", R"(
+void Primary::Recover() {
+  store_->ForEach([&](const Digest&, const Bytes& value) {
+    Reader r(value.data() + 1, value.size() - 1);
+    switch (value[0]) {
+      case 'H': {
+        HeaderRec h;
+        h.header.author = r.GetU32();
+        h.header.round = r.GetU64();
+        uint32_t n_batches = r.GetU32();
+        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
+          h.header.batches.push_back(BatchRef::Decode(r));
+        }
+        uint32_t n_parents = r.GetU32();
+        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
+          h.parents.push_back(r.GetArray<32>());
+        }
+        h.header.author_sig = r.GetArray<64>();
+        break;
+      }
+    }
+  });
+}
+)"}},
+                            nullptr);
+  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 0);
+}
+
+TEST(RecoverParityRule, DigestListRecordMissingSignatureReadFires) {
+  // The arm stops after the parent digests: the author signature persisted
+  // last never comes back, so a recovered header fails verification.
+  Summary s = LintRepoUnits({{"src/narwhal/persist.cpp", kDigestListPersist},
+                             {"src/narwhal/recover.cpp", R"(
+void Primary::Recover() {
+  store_->ForEach([&](const Digest&, const Bytes& value) {
+    Reader r(value.data() + 1, value.size() - 1);
+    switch (value[0]) {
+      case 'H': {
+        HeaderRec h;
+        h.header.author = r.GetU32();
+        h.header.round = r.GetU64();
+        uint32_t n_batches = r.GetU32();
+        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
+          h.header.batches.push_back(BatchRef::Decode(r));
+        }
+        uint32_t n_parents = r.GetU32();
+        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
+          h.parents.push_back(r.GetArray<32>());
+        }
+        break;
+      }
+    }
+  });
+}
+)"}},
+                            nullptr);
+  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
+  const Finding* f = FirstRuleIn(s, kRuleRecoverParity);
+  ASSERT_NE(f, nullptr);
+  EXPECT_NE(f->path.find("recover.cpp"), std::string::npos);
+}
+
 // -------------------------------------------------------- R8 deferred-capture
 
 TEST(DeferredCaptureRule, NamedReferenceCaptureFires) {
