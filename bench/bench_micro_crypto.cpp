@@ -60,14 +60,26 @@ struct BatchFixture {
   }
 };
 
-void BM_Sha256(benchmark::State& state) {
+// The portable reference kernel against the one Sha256() dispatches to (SHA-NI
+// where CPUID reports it), on the same inputs. The label names the kernel run.
+void BM_Sha256(benchmark::State& state, Sha256::Kernel kernel) {
   Bytes data(state.range(0), 0xab);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Hash(data));
+    Sha256 h(kernel);
+    h.Update(data);
+    benchmark::DoNotOptimize(h.Finalize());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(kernel == Sha256::Kernel::kShaNi ? "sha-ni" : "portable");
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(64 * 1024)->Arg(512 * 1024);
+BENCHMARK_CAPTURE(BM_Sha256, portable, Sha256::Kernel::kPortable)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(64 * 1024);
+BENCHMARK_CAPTURE(BM_Sha256, dispatched, Sha256::dispatched_kernel())
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(64 * 1024);
 
 void BM_Sha512(benchmark::State& state) {
   Bytes data(state.range(0), 0xcd);

@@ -14,9 +14,9 @@
 //                 churn — engine events/sec on a paper-shaped topology.
 //   send_enqueue  tight Network::Send loop — cost of one send before any
 //                 delivery work.
-//   fullstack     RunSchedule over a fixed DST schedule — end-to-end
-//                 events/sec with protocol + crypto + invariant work (the
-//                 honest, diluted number).
+//
+// End-to-end host cost (protocol, crypto, store and execution on top of this
+// engine) is perfbench's host_s_per_sim_s, per workload and per layer.
 //
 // Every scenario reports events- (or sends-) per-second and heap
 // allocations per event via a counting global operator new. The *_before
@@ -33,8 +33,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/check/checker.h"
-#include "src/check/schedule.h"
 #include "src/net/latency.h"
 #include "src/net/network.h"
 #include "src/sim/scheduler.h"
@@ -288,23 +286,6 @@ EnqueueResult SendEnqueue(uint64_t sends) {
   return r;
 }
 
-// ---------------------------------------------------------------- fullstack
-
-struct FullResult {
-  double events_per_sec;
-  double RatePerSec() const { return events_per_sec; }
-};
-
-FullResult FullStack() {
-  FaultSchedule schedule = GenerateSchedule(7);
-  uint64_t events = 0;
-  Measure m = Timed([&] {
-    CheckResult result = RunSchedule(schedule);
-    events = result.events_fired;
-  });
-  return FullResult{static_cast<double>(events) / m.seconds};
-}
-
 }  // namespace
 }  // namespace nt
 
@@ -331,8 +312,6 @@ int main(int argc, char** argv) {
       rate = MidsizeMesh(2'000'000 / scale).events_per_sec;
     } else if (only == "send_enqueue") {
       rate = SendEnqueue(1'000'000 / scale).sends_per_sec;
-    } else if (only == "fullstack") {
-      rate = FullStack().events_per_sec;
     } else {
       std::fprintf(stderr, "unknown scenario: %s\n", only.c_str());
       return 1;
@@ -355,7 +334,6 @@ int main(int argc, char** argv) {
   constexpr double kBeforeMidsizeAllocsPerEvent = 2.12;
   constexpr double kBeforeSendEnqueuePerSec = 5676064;
   constexpr double kBeforeSendEnqueueAllocsPerSend = 2.00;
-  constexpr double kBeforeFullstackEps = 118060;
 
   PrintBanner("simulator-engine microbenchmark");
 
@@ -374,8 +352,6 @@ int main(int argc, char** argv) {
   std::printf("send_enqueue  %12.0f sends/s    %6.2f allocs/send\n", enq.sends_per_sec,
               enq.allocs_per_send);
 
-  FullResult full = BestOf<FullResult>([&] { return FullStack(); });
-  std::printf("fullstack     %12.0f events/s\n", full.events_per_sec);
 
   BenchJson json("sim_engine");
   json.Set("timer_ring_events_per_sec", ring.events_per_sec);
@@ -386,7 +362,6 @@ int main(int argc, char** argv) {
   json.Set("midsize_allocs_per_event", mesh.allocs_per_event);
   json.Set("send_enqueue_per_sec", enq.sends_per_sec);
   json.Set("send_enqueue_allocs_per_send", enq.allocs_per_send);
-  json.Set("fullstack_events_per_sec", full.events_per_sec);
   json.Set("before_timer_ring_events_per_sec", kBeforeTimerRingEps);
   json.Set("before_timer_ring_allocs_per_event", kBeforeTimerRingAllocsPerEvent);
   json.Set("before_cancel_churn_events_per_sec", kBeforeCancelChurnEps);
@@ -395,7 +370,6 @@ int main(int argc, char** argv) {
   json.Set("before_midsize_allocs_per_event", kBeforeMidsizeAllocsPerEvent);
   json.Set("before_send_enqueue_per_sec", kBeforeSendEnqueuePerSec);
   json.Set("before_send_enqueue_allocs_per_send", kBeforeSendEnqueueAllocsPerSend);
-  json.Set("before_fullstack_events_per_sec", kBeforeFullstackEps);
   std::string path = json.Write();
   std::printf("%s\n", path.empty() ? "FAILED to write BENCH_sim_engine.json" : path.c_str());
   return 0;

@@ -1,6 +1,13 @@
 #include "src/crypto/hash.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define NT_SHA256_SHANI 1
+#include <immintrin.h>
+#endif
 
 namespace nt {
 namespace {
@@ -176,6 +183,100 @@ inline void StoreBe64(uint8_t* p, uint64_t v) {
   }
 }
 
+// The portable compression function: the reference every other kernel must
+// match bit for bit.
+void ProcessBlock(uint32_t* state, const uint32_t* k, const uint8_t* block) {
+  uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = LoadBe32(block + 4 * i);
+  }
+  for (int i = 16; i < 64; ++i) {
+    uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    uint32_t s1 = Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  uint32_t a = state[0], b = state[1], cc = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int i = 0; i < 64; ++i) {
+    uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
+    uint32_t ch = (e & f) ^ (~e & g);
+    uint32_t t1 = h + s1 + ch + k[i] + w[i];
+    uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
+    uint32_t maj = (a & b) ^ (a & cc) ^ (b & cc);
+    uint32_t t2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + t1;
+    d = cc;
+    cc = b;
+    b = a;
+    a = t1 + t2;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += cc;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#ifdef NT_SHA256_SHANI
+// The same compression on the x86 SHA extensions, for `n` consecutive blocks.
+// The state lives in the ABEF/CDGH register pair that sha256rnds2 works on.
+// Group g runs rounds 4g..4g+3 on message words W[4g..4g+3], held in
+// m[g % 4], plus the derived constants k[4g..4g+3]; meanwhile sha256msg1 and
+// sha256msg2 extend the schedule up to three groups ahead.
+__attribute__((target("sha,sse4.1"))) void ProcessBlocksShaNi(uint32_t* state, const uint32_t* k,
+                                                              const uint8_t* data, size_t n) {
+  // Byte-swaps each 32-bit lane: message words are big-endian.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n > 0; --n, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    __m128i m[4] = {_mm_shuffle_epi8(_mm_loadu_si128(in), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap)};
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i wk =
+          _mm_add_epi32(m[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(k + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g < 15) {
+        // Finish W[4g+4..4g+7]: add W[4g-3..4g], then sha256msg2.
+        __m128i& next = m[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(m[g % 4], m[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, m[g % 4]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (g >= 1 && g < 13) {
+        // Start W[4g+12..4g+15] from W[4g-4..4g+3].
+        m[(g + 3) % 4] = _mm_sha256msg1_epu32(m[(g + 3) % 4], m[g % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif  // NT_SHA256_SHANI
+
 constexpr char kHexDigitsLower[] = "0123456789abcdef";
 
 // Per thread, so concurrent hashing never races on it.
@@ -196,7 +297,15 @@ std::string DigestShort(const Digest& d) {
 
 // ----------------------------------------------------------------- SHA-256
 
-Sha256::Sha256() {
+Sha256::Sha256() : Sha256(dispatched_kernel()) {}
+
+Sha256::Sha256(Kernel k) : kernel_(k) {
+  // The dispatched kernel is supported by construction; only ask CPUID for
+  // an explicitly named other one.
+  if (k != dispatched_kernel() && !Supported(k)) {
+    std::fprintf(stderr, "Sha256: kernel %d is not supported on this CPU\n", static_cast<int>(k));
+    std::abort();
+  }
   const ShaConstants& c = Constants();
   for (int i = 0; i < 8; ++i) {
     state_[i] = c.h256[i];
@@ -205,64 +314,66 @@ Sha256::Sha256() {
 
 uint64_t Sha256::blocks_processed() { return sha256_blocks; }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  ++sha256_blocks;
-  const ShaConstants& c = Constants();
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBe32(block + 4 * i);
+bool Sha256::Supported(Kernel k) {
+  if (k == Kernel::kPortable) {
+    return true;
   }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+#ifdef NT_SHA256_SHANI
+  // May run before main (from a static initializer hashing), so initialize
+  // the CPU model first; it is idempotent.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+Sha256::Kernel Sha256::dispatched_kernel() {
+  static const Kernel kernel = Supported(Kernel::kShaNi) ? Kernel::kShaNi : Kernel::kPortable;
+  return kernel;
+}
+
+void Sha256::Compress(const uint8_t* blocks, size_t n) {
+  sha256_blocks += n;
+  const uint32_t* k = Constants().k256;
+#ifdef NT_SHA256_SHANI
+  if (kernel_ == Kernel::kShaNi) {
+    ProcessBlocksShaNi(state_.data(), k, blocks, n);
+    return;
   }
-  uint32_t a = state_[0], b = state_[1], cc = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + c.k256[i] + w[i];
-    uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
-    uint32_t maj = (a & b) ^ (a & cc) ^ (b & cc);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = cc;
-    cc = b;
-    b = a;
-    a = t1 + t2;
+#endif
+  for (size_t i = 0; i < n; ++i) {
+    ProcessBlock(state_.data(), k, blocks + 64 * i);
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += cc;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(data);
-      data += 64;
-      len -= 64;
-      continue;
-    }
-    size_t take = std::min(len, 64 - buffer_len_);
+  if (buffer_len_ > 0) {
+    const size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    if (buffer_len_ < 64) {
+      return;
     }
+    Compress(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  // Every whole block goes to the kernel in one call; the tail is buffered.
+  const size_t whole = len / 64;
+  if (whole > 0) {
+    Compress(data, whole);
+    data += 64 * whole;
+    len -= 64 * whole;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
@@ -273,12 +384,12 @@ Digest Sha256::Finalize() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
-    ProcessBlock(buffer_.data());
+    Compress(buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   StoreBe64(buffer_.data() + 56, bit_len);
-  ProcessBlock(buffer_.data());
+  Compress(buffer_.data(), 1);
   buffer_len_ = 0;
 
   Digest out;

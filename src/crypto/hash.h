@@ -5,6 +5,13 @@
 // first primes — using exact multi-word integer arithmetic, rather than being
 // transcribed as literal tables. Known-answer tests pin the results to the
 // NIST vectors.
+//
+// SHA-256 has two compression kernels over those same derived constants: a
+// portable scalar one (the reference, and the fallback everywhere) and one on
+// the x86 SHA extensions (SHA-NI). The process picks the SHA-NI kernel once,
+// exactly when CPUID reports the SHA and SSE4.1 extensions; nothing else
+// selects it. Both produce bit-identical digests, which a differential test
+// checks against the portable reference.
 #ifndef SRC_CRYPTO_HASH_H_
 #define SRC_CRYPTO_HASH_H_
 
@@ -55,7 +62,16 @@ std::string DigestShort(const Digest& d);
 // Streaming SHA-256.
 class Sha256 {
  public:
+  enum class Kernel : uint8_t {
+    kPortable = 0,  // Scalar C++; runs on every CPU.
+    kShaNi = 1,     // x86-64 SHA extensions; needs CPUID `sha` and `sse4.1`.
+  };
+
+  // Hashes with the process's dispatched kernel.
   Sha256();
+  // Hashes with kernel `k`, which must be supported on this CPU (aborts
+  // otherwise). For the differential test and the micro-benchmark only.
+  explicit Sha256(Kernel k);
   void Update(const uint8_t* data, size_t len);
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
   void Update(std::string_view s) { Update(reinterpret_cast<const uint8_t*>(s.data()), s.size()); }
@@ -72,13 +88,21 @@ class Sha256 {
   // warm-cache certificate check must compress nothing).
   static uint64_t blocks_processed();
 
+  // Whether this CPU can run kernel `k`.
+  static bool Supported(Kernel k);
+  // The kernel Sha256() uses: kShaNi when Supported, else kPortable. Decided
+  // once per process.
+  static Kernel dispatched_kernel();
+
  private:
-  void ProcessBlock(const uint8_t* block);
+  // Compresses `n` whole 64-byte blocks into state_ with kernel_.
+  void Compress(const uint8_t* blocks, size_t n);
 
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, 64> buffer_;
   uint64_t total_len_ = 0;
   size_t buffer_len_ = 0;
+  Kernel kernel_;
 };
 
 // Streaming SHA-512.

@@ -79,34 +79,38 @@ ExecTx ExecTx::Noop(size_t padding) {
 
 ExecStatus KvStateMachine::Apply(const Bytes& wire_tx) {
   std::optional<ExecTx> tx = ExecTx::Decode(wire_tx);
-  ExecStatus status = ExecStatus::kApplied;
   if (!tx.has_value()) {
-    status = ExecStatus::kRejectedMalformed;
-  } else {
-    switch (tx->op) {
-      case ExecTx::Op::kPut:
-        kv_[tx->key] = tx->value;
-        break;
-      case ExecTx::Op::kDelete:
-        kv_.erase(tx->key);
-        break;
-      case ExecTx::Op::kMint:
-        balances_[tx->key] += tx->amount;
-        minted_ += tx->amount;
-        break;
-      case ExecTx::Op::kTransfer: {
-        auto from = balances_.find(tx->key);
-        if (from == balances_.end() || from->second < tx->amount) {
-          status = ExecStatus::kRejectedInsufficient;
-        } else {
-          from->second -= tx->amount;
-          balances_[tx->key2] += tx->amount;
-        }
-        break;
+    Advance(wire_tx, ExecStatus::kRejectedMalformed, ExecPhase::kWhole);
+    return ExecStatus::kRejectedMalformed;
+  }
+  return Apply(wire_tx, *tx);
+}
+
+ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx& tx) {
+  ExecStatus status = ExecStatus::kApplied;
+  switch (tx.op) {
+    case ExecTx::Op::kPut:
+      kv_[tx.key] = tx.value;
+      break;
+    case ExecTx::Op::kDelete:
+      kv_.erase(tx.key);
+      break;
+    case ExecTx::Op::kMint:
+      balances_[tx.key] += tx.amount;
+      minted_ += tx.amount;
+      break;
+    case ExecTx::Op::kTransfer: {
+      auto from = balances_.find(tx.key);
+      if (from == balances_.end() || from->second < tx.amount) {
+        status = ExecStatus::kRejectedInsufficient;
+      } else {
+        from->second -= tx.amount;
+        balances_[tx.key2] += tx.amount;
       }
-      case ExecTx::Op::kNoop:
-        break;
+      break;
     }
+    case ExecTx::Op::kNoop:
+      break;
   }
   Advance(wire_tx, status, ExecPhase::kWhole);
   return status;

@@ -67,6 +67,9 @@ enum class ExecPhase : uint8_t {
 class KvStateMachine {
  public:
   ExecStatus Apply(const Bytes& wire_tx);
+  // As Apply(wire_tx) for a caller that has already decoded it: `tx` must be
+  // the decoded form of `wire_tx`. The digest chain is the same either way.
+  ExecStatus Apply(const Bytes& wire_tx, const ExecTx& tx);
 
   // Two-phase cross-shard transfer, driven by the sharded executor with this
   // machine acting as one lane. `tx` must be the decoded form of `wire_tx`.

@@ -104,12 +104,12 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
           cross.emplace_back(&wire, std::move(*tx));
           continue;
         }
-        lanes_[src].Apply(wire);
+        lanes_[src].Apply(wire, *tx);
         continue;
       }
       // kPut/kDelete/kMint route by their key; kNoop has an empty key and
       // deterministically lands wherever "" routes.
-      lanes_[router_.Of(tx->key)].Apply(wire);
+      lanes_[router_.Of(tx->key)].Apply(wire, *tx);
     }
   }
   // Pass 2 — commit boundary: deterministic two-phase apply of the deferred

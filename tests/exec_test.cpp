@@ -98,6 +98,24 @@ TEST(StateMachineTest, ReplicasAgreeOnIdenticalSequences) {
   EXPECT_EQ(a.applied(), b.applied());
 }
 
+TEST(StateMachineTest, ApplyingADecodedTransactionMatchesApplyingItsWireBytes) {
+  KvStateMachine from_wire, from_decoded;
+  for (int i = 0; i < 100; ++i) {
+    const Bytes tx = (i % 5 == 0)   ? ExecTx::Mint("acct" + std::to_string(i % 3), i).Encode()
+                     : (i % 5 == 1) ? ExecTx::Put("key" + std::to_string(i % 4), {1}).Encode()
+                     : (i % 5 == 2) ? ExecTx::Delete("key" + std::to_string(i % 4)).Encode()
+                     : (i % 5 == 3) ? ExecTx::Transfer("acct0", "acct2", 7).Encode()
+                                    : ExecTx::Noop(i).Encode();
+    const ExecStatus status = from_wire.Apply(tx);
+    EXPECT_EQ(from_decoded.Apply(tx, *ExecTx::Decode(tx)), status) << "tx " << i;
+    EXPECT_EQ(from_decoded.state_digest(), from_wire.state_digest()) << "tx " << i;
+  }
+  EXPECT_GT(from_wire.rejected(), 0u);
+  EXPECT_EQ(from_decoded.applied(), from_wire.applied());
+  EXPECT_EQ(from_decoded.rejected(), from_wire.rejected());
+  EXPECT_EQ(from_decoded.ComputeSnapshotDigest(), from_wire.ComputeSnapshotDigest());
+}
+
 // ----------------------------------------------------------------- Executor
 
 TEST(ExecutorTest, ExecutesHeadersInOrder) {

@@ -1,5 +1,6 @@
 // Known-answer and property tests for SHA-256 / SHA-512, including the
-// runtime-derived FIPS 180-4 constants (pinned by the NIST vectors).
+// runtime-derived FIPS 180-4 constants (pinned by the NIST vectors), and a
+// differential test of the SHA-NI SHA-256 kernel against the portable one.
 #include "src/crypto/hash.h"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,121 @@ TEST(Sha256Test, BlocksProcessedCountsCompressions) {
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::Hash("abc"), Sha256::Hash("abd"));
   EXPECT_NE(Sha256::Hash("abc"), Sha256::Hash(std::string_view("abc\0", 4)));
+}
+
+// ------------------------------------------- SHA-256 kernels, differential
+
+using Kernel = Sha256::Kernel;
+
+// Hashes `msg` with kernel `k`, feeding Update `chunk` bytes at a time (all
+// at once when chunk is 0).
+Digest HashWith(Kernel k, const Bytes& msg, size_t chunk = 0) {
+  Sha256 h(k);
+  if (chunk == 0) {
+    h.Update(msg);
+  } else {
+    for (size_t at = 0; at < msg.size(); at += chunk) {
+      h.Update(msg.data() + at, std::min(chunk, msg.size() - at));
+    }
+  }
+  return h.Finalize();
+}
+
+#define SKIP_WITHOUT_SHA_NI()                                                          \
+  if (!Sha256::Supported(Kernel::kShaNi)) {                                            \
+    GTEST_SKIP() << "this CPU lacks the SHA-NI kernel (CPUID sha + sse4.1, x86-64 only)"; \
+  }
+
+TEST(Sha256KernelTest, DispatcherPicksShaNiExactlyWhenCpuidReportsIt) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool cpuid = __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool cpuid = false;
+#endif
+  EXPECT_EQ(Sha256::Supported(Kernel::kShaNi), cpuid);
+  EXPECT_EQ(Sha256::dispatched_kernel(), cpuid ? Kernel::kShaNi : Kernel::kPortable);
+  EXPECT_TRUE(Sha256::Supported(Kernel::kPortable));
+}
+
+TEST(Sha256KernelTest, NistVectorsOnEveryKernelWithEqualBlockCounts) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  std::vector<Kernel> kernels = {Kernel::kPortable};
+  if (Sha256::Supported(Kernel::kShaNi)) {
+    kernels.push_back(Kernel::kShaNi);
+  }
+  for (const auto& [msg, hex] : vectors) {
+    const Bytes bytes(msg.begin(), msg.end());
+    std::vector<uint64_t> blocks;
+    for (Kernel k : kernels) {
+      const uint64_t before = Sha256::blocks_processed();
+      EXPECT_EQ(DigestHex(HashWith(k, bytes)), hex)
+          << "kernel " << static_cast<int>(k) << ", len " << msg.size();
+      blocks.push_back(Sha256::blocks_processed() - before);
+    }
+    // Padding adds 9 bytes, rounded up to whole blocks.
+    for (uint64_t b : blocks) {
+      EXPECT_EQ(b, (msg.size() + 9 + 63) / 64) << "len " << msg.size();
+    }
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableAtEveryLengthUpTo1100) {
+  SKIP_WITHOUT_SHA_NI();
+  const Bytes msg = PatternMessage(1100);
+  for (size_t len = 0; len <= msg.size(); ++len) {
+    const Bytes prefix(msg.begin(), msg.begin() + len);
+    ASSERT_EQ(HashWith(Kernel::kShaNi, prefix), HashWith(Kernel::kPortable, prefix)) << "len " << len;
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableWhenStreamedInChunks) {
+  SKIP_WITHOUT_SHA_NI();
+  for (size_t len : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 1000u, 1100u}) {
+    const Bytes msg = PatternMessage(len);
+    const Digest reference = HashWith(Kernel::kPortable, msg);
+    for (size_t chunk : {1u, 3u, 63u, 64u, 65u}) {
+      EXPECT_EQ(HashWith(Kernel::kShaNi, msg, chunk), reference)
+          << "len " << len << ", chunk " << chunk;
+      EXPECT_EQ(HashWith(Kernel::kPortable, msg, chunk), reference)
+          << "len " << len << ", chunk " << chunk;
+    }
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableOnMultiBlockInputs) {
+  SKIP_WITHOUT_SHA_NI();
+  // Pseudo-random bytes (xorshift), so every message word and carry path is
+  // exercised, at sizes that hand the kernel long runs of whole blocks.
+  Bytes msg(256 * 1024 + 37);
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (uint8_t& b : msg) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x >> 32);
+  }
+  for (size_t len : {128u, 4096u, 65536u, 65536u + 55u, 256u * 1024u + 37u}) {
+    const Bytes prefix(msg.begin(), msg.begin() + len);
+    const uint64_t before_hw = Sha256::blocks_processed();
+    const Digest hw = HashWith(Kernel::kShaNi, prefix);
+    const uint64_t hw_blocks = Sha256::blocks_processed() - before_hw;
+    const uint64_t before_sw = Sha256::blocks_processed();
+    const Digest sw = HashWith(Kernel::kPortable, prefix);
+    EXPECT_EQ(hw, sw) << "len " << len;
+    EXPECT_EQ(hw_blocks, Sha256::blocks_processed() - before_sw) << "len " << len;
+    // Unaligned start: the kernel loads with no alignment assumption.
+    const Bytes shifted(msg.begin() + 1, msg.begin() + 1 + (len - 1));
+    EXPECT_EQ(HashWith(Kernel::kShaNi, shifted, 65), HashWith(Kernel::kPortable, shifted))
+        << "len " << len - 1 << " from offset 1";
+  }
 }
 
 TEST(Sha512Test, NistVectorEmpty) {
