@@ -136,5 +136,36 @@ TEST(EventHashGolden, BullsharkRestartSchedules) {
   }
 }
 
+TEST(EventHashGolden, NarwhalHsRestartSchedules) {
+  struct Golden {
+    uint64_t seed;
+    uint64_t hash;
+    uint64_t fired;
+    uint64_t commits;
+  };
+  // Drawn schedules that land on Narwhal-HS with a crash-restart (seed 13:
+  // n=4, one restart; seed 16: n=10, two restarts), so the HotStuff-ordered
+  // commit log's WAL, Recover and rejoin paths are frozen too.
+  const Golden kGolden[] = {
+      {13, 0x78e64413bece64ccull, 7067, 381},
+      {16, 0xdbb056d64795e124ull, 14599, 272},
+  };
+  for (const Golden& g : kGolden) {
+    FaultSchedule schedule = GenerateSchedule(g.seed);
+    ASSERT_EQ(schedule.system, SystemKind::kNarwhalHs) << "seed " << g.seed;
+    bool restarts = false;
+    for (const FaultSchedule::Crash& c : schedule.crashes) {
+      restarts = restarts || c.recovers();
+    }
+    ASSERT_TRUE(restarts) << "seed " << g.seed << " no longer draws a crash-restart";
+    CheckResult result = RunSchedule(schedule);
+    EXPECT_TRUE(result.ok()) << "seed " << g.seed;
+    EXPECT_EQ(result.event_hash, g.hash)
+        << "seed " << g.seed << " hash 0x" << std::hex << result.event_hash;
+    EXPECT_EQ(result.events_fired, g.fired) << "seed " << g.seed << " fired " << result.events_fired;
+    EXPECT_EQ(result.commits, g.commits) << "seed " << g.seed << " commits " << result.commits;
+  }
+}
+
 }  // namespace
 }  // namespace nt
