@@ -40,7 +40,7 @@ struct Stream {
   std::vector<std::shared_ptr<const BlockHeader>> headers;
   uint64_t total_txs = 0;
 
-  Executor::BatchSource Source() const {
+  ShardedExecutor::BatchSource Source() const {
     return [this](const BatchRef& ref) {
       auto it = store.find(ref.digest);
       return it == store.end() ? nullptr : it->second;

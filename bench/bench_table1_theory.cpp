@@ -80,9 +80,7 @@ int main() {
   // --- Row 3: latency under sustained (benign) asynchrony --------------------
   auto slow_params = [](SystemKind system) {
     ExperimentParams params = LightLoadParams(system, 4);
-    params.async_start = 0;
-    params.async_end = kNever;
-    params.async_factor = 8.0;  // RTT inflated to 0.8s >> view timers.
+    params.async_windows.push_back({0, kNever, 8.0});  // RTT inflated to 0.8s >> view timers.
     params.duration = Seconds(120);
     params.warmup = Seconds(30);
     return params;

@@ -6,7 +6,6 @@
 //   $ ./examples/replicated_kv
 #include <cstdio>
 
-#include "src/exec/executor.h"
 #include "src/runtime/cluster.h"
 
 using namespace nt;
@@ -16,22 +15,11 @@ int main() {
   config.system = SystemKind::kTusk;
   config.num_validators = 4;
   config.seed = 1234;
+  // One execution lane (a single state machine) per validator, fed by its
+  // Tusk output and reading batch data from its own worker (the §8.4
+  // data-location path).
+  config.exec_lanes = 1;
   Cluster cluster(config);
-
-  // One state machine + executor per validator, fed by its Tusk output and
-  // reading batch data from its own worker (the §8.4 data-location path).
-  std::vector<KvStateMachine> replicas(4);
-  std::vector<std::unique_ptr<Executor>> executors;
-  for (ValidatorId v = 0; v < 4; ++v) {
-    Worker* worker = cluster.worker(v, 0);
-    executors.push_back(std::make_unique<Executor>(
-        &replicas[v], [worker](const BatchRef& ref) { return worker->GetBatch(ref.digest); }));
-    Executor* executor = executors.back().get();
-    cluster.tusk(v)->add_on_commit([executor](const Tusk::Committed& committed) {
-      executor->OnCommittedHeader(committed.header);
-      executor->RetryPending();
-    });
-  }
   cluster.Start();
 
   std::printf("Minting: alice <- 1000, bob <- 250 (submitted at different validators)\n");
@@ -50,24 +38,28 @@ int main() {
   }
   cluster.scheduler().RunUntil(Seconds(20));
 
+  std::vector<const KvStateMachine*> replicas;
+  for (ValidatorId v = 0; v < 4; ++v) {
+    replicas.push_back(&cluster.sharded_executor(v)->lane(0));
+  }
   std::printf("\nPer-replica view after convergence:\n");
   std::printf("  %-9s %10s %10s %8s %10s  %s\n", "replica", "alice", "bob", "applied",
               "rejected", "state digest");
   for (ValidatorId v = 0; v < 4; ++v) {
     std::printf("  validator%u %9llu %10llu %8llu %10llu  %s\n", v,
-                static_cast<unsigned long long>(replicas[v].BalanceOf("alice")),
-                static_cast<unsigned long long>(replicas[v].BalanceOf("bob")),
-                static_cast<unsigned long long>(replicas[v].applied()),
-                static_cast<unsigned long long>(replicas[v].rejected()),
-                DigestHex(replicas[v].state_digest()).substr(0, 16).c_str());
+                static_cast<unsigned long long>(replicas[v]->BalanceOf("alice")),
+                static_cast<unsigned long long>(replicas[v]->BalanceOf("bob")),
+                static_cast<unsigned long long>(replicas[v]->applied()),
+                static_cast<unsigned long long>(replicas[v]->rejected()),
+                DigestHex(replicas[v]->state_digest()).substr(0, 16).c_str());
   }
   bool agree = true;
   for (ValidatorId v = 1; v < 4; ++v) {
-    agree = agree && replicas[v].state_digest() == replicas[0].state_digest();
+    agree = agree && replicas[v]->state_digest() == replicas[0]->state_digest();
   }
   std::printf("\nState digests %s. Total supply: %llu (minted 1250).\n",
               agree ? "AGREE across all replicas" : "DISAGREE (bug!)",
-              static_cast<unsigned long long>(replicas[0].BalanceOf("alice") +
-                                              replicas[0].BalanceOf("bob")));
+              static_cast<unsigned long long>(replicas[0]->BalanceOf("alice") +
+                                              replicas[0]->BalanceOf("bob")));
   return agree ? 0 : 1;
 }

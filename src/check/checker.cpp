@@ -215,7 +215,7 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
       }
     });
 
-    // Per-commit evaluation shared by both systems.
+    // Per-commit evaluation, the same for every system.
     auto on_committed = [&, v](const Digest& digest,
                                const std::shared_ptr<const BlockHeader>& header) {
       // (7) re-delivery: the committed sets recovered from the store must
@@ -260,14 +260,8 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
       executors[v]->OnCommittedHeader(header);
       executors[v]->RetryPending();
     };
-    if (DagCommitter* committer = cluster.committer(v)) {
-      committer->add_on_commit([on_committed](const DagCommitter::Committed& c) {
-        on_committed(c.digest, c.header);
-      });
-    } else {
-      auto* provider = dynamic_cast<NarwhalProvider*>(cluster.provider(v));
-      provider->add_on_header_commit(on_committed);
-    }
+    cluster.commit_log(v)->add_on_commit(
+        [on_committed](const CommitLog::Committed& c) { on_committed(c.digest, c.header); });
   };
   for (ValidatorId v = 0; v < n; ++v) {
     wire_validator(v);

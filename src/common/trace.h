@@ -19,9 +19,7 @@
 // Cost model: one Tracer per Cluster, enabled only on demand. Every emit
 // point goes through the NT_TRACE macro below, which tests a raw pointer that
 // is nullptr when tracing is off (one predictable branch, arguments not
-// evaluated); defining NT_TRACE_DISABLED at compile time removes the emit
-// points entirely (the no-op sink inlines away), so Tier-1 benchmark numbers
-// are unaffected.
+// evaluated), so Tier-1 benchmark numbers are unaffected.
 #ifndef SRC_COMMON_TRACE_H_
 #define SRC_COMMON_TRACE_H_
 
@@ -44,20 +42,13 @@ struct BatchRef;
 class Tracer;
 
 // Emit-point guard. Arguments (including any now() call) are evaluated only
-// when a tracer is attached; with NT_TRACE_DISABLED the whole statement is
-// compiled out.
-#ifdef NT_TRACE_DISABLED
-#define NT_TRACE(tracer, call) \
-  do {                         \
-  } while (0)
-#else
+// when a tracer is attached.
 #define NT_TRACE(tracer, call)  \
   do {                          \
     if ((tracer) != nullptr) {  \
       (tracer)->call;           \
     }                           \
   } while (0)
-#endif
 
 // Telescoping per-stage latency split over sampled transactions: every stage
 // measures from the previous recorded stage, so per transaction

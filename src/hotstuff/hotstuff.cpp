@@ -13,8 +13,8 @@ namespace {
 const Digest kGenesisDigest{};  // All zeros.
 
 // Consensus-store keys. Tags are globally unique within the store shared by
-// consensus interpreters ('T'/'U' belong to the DAG committers, 'N' to
-// NarwhalProvider).
+// consensus interpreters ('T' belongs to the commit log, 'U' to the DAG
+// committers).
 Digest HsCommitKey(const Digest& digest) {
   Writer w;
   w.PutU8('K');
@@ -219,7 +219,7 @@ void HotStuff::Recover() {
   // Restore the committed set; block bodies are gone but the set terminates
   // ancestor walks, so catch-up stops at the recovered commit frontier and
   // post-recovery commits extend the pre-crash prefix. Delivery bookkeeping
-  // (payload re-injection) is the provider's own recovered state.
+  // (payload re-injection) is the commit log's own recovered state.
   for (const Digest& d : commits) {
     committed_.insert(d);
   }

@@ -1,8 +1,5 @@
 #include "src/hotstuff/payload.h"
 
-#include <algorithm>
-
-#include "src/common/codec.h"
 #include "src/common/logging.h"
 
 namespace nt {
@@ -232,50 +229,9 @@ void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 
 // ---------------------------------------------------------- NarwhalProvider
 
-namespace {
-// Consensus-store key for a delivered-header record. The 'N' tag is globally
-// unique within the store shared with the HotStuff core ('W'/'L'/'E'/'F'/
-// 'Q'/'K') and the DAG committers ('T'/'U').
-Digest ProviderCommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('N');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-}  // namespace
-
-NarwhalProvider::NarwhalProvider(ValidatorId id, const Committee& committee, Primary* primary,
-                                 BatchDirectory* directory, Round gc_depth)
-    : id_(id), committee_(committee), primary_(primary), directory_(directory),
-      gc_depth_(gc_depth) {
+NarwhalProvider::NarwhalProvider(Primary* primary, Round gc_depth)
+    : primary_(primary), commit_log_(primary, gc_depth) {
   primary_->add_on_header_stored([this](const Digest&) { DrainPending(); });
-}
-
-void NarwhalProvider::Recover() {
-  if (store_ == nullptr) {
-    return;
-  }
-  store_->ForEach([this](const Digest&, const Bytes& value) {
-    if (value.empty() || value[0] != 'N') {
-      return;
-    }
-    Reader r(value.data() + 1, value.size() - 1);
-    Digest digest = r.GetArray<32>();
-    if (!r.ok()) {
-      return;
-    }
-    if (committed_.insert(digest).second) {
-      ++committed_count_;
-    }
-  });
-  // Refresh the primary's commit bookkeeping for delivered headers the
-  // recovered DAG still holds, so committed batches are not re-injected.
-  for (const Digest& digest : committed_) {
-    auto header = primary_->dag().GetHeader(digest);
-    if (header != nullptr) {
-      primary_->NotifyCommitted(*header);
-    }
-  }
 }
 
 HsPayload NarwhalProvider::GetPayload(View) {
@@ -287,7 +243,7 @@ HsPayload NarwhalProvider::GetPayload(View) {
   const Dag& dag = primary_->dag();
   for (Round r = dag.HighestRound();; --r) {
     for (const auto& [author, cert] : dag.CertsAt(r)) {
-      if (committed_.count(cert.header_digest) == 0) {
+      if (!commit_log_.IsCommitted(cert.header_digest)) {
         payload.certs.push_back(cert);
         return payload;
       }
@@ -313,63 +269,29 @@ bool NarwhalProvider::CheckPayload(const HsPayload& payload, uint32_t, std::func
 
 void NarwhalProvider::OnCommit(const HsPayload& payload, ValidatorId) {
   for (const Certificate& cert : payload.certs) {
-    pending_anchors_.push_back(cert.header_digest);
+    pending_anchors_.push_back(cert);
     primary_->IngestCertificate(cert);
   }
   DrainPending();
 }
 
 void NarwhalProvider::DrainPending() {
-  const Dag& dag = primary_->dag();
   while (!pending_anchors_.empty()) {
-    Digest anchor = pending_anchors_.front();
-    if (committed_.count(anchor) != 0) {
-      pending_anchors_.pop_front();
+    Certificate anchor = std::move(pending_anchors_.front());
+    pending_anchors_.pop_front();
+    // An anchor below the GC horizon was delivered before (HotStuff may
+    // commit a certificate twice) and its record is pruned, or its history
+    // is gone for good. The horizon follows the delivered prefix, so every
+    // correct validator drops the same anchors.
+    if (commit_log_.IsCommitted(anchor.header_digest) ||
+        anchor.round < primary_->dag().gc_round()) {
       continue;
     }
-    Dag::History history = dag.CollectCausalHistory(anchor, committed_);
-    if (!history.missing.empty()) {
-      for (const Digest& missing : history.missing) {
-        primary_->SyncHeader(missing);
-      }
+    if (!commit_log_.Deliver({&anchor}, /*wave=*/0, /*decision_round=*/0)) {
+      pending_anchors_.push_front(std::move(anchor));
       return;  // Strictly in-order delivery: wait for sync.
     }
-    pending_anchors_.pop_front();
-    DeliverHistory(history);
-  }
-}
-
-void NarwhalProvider::DeliverHistory(const Dag::History& history) {
-  const Dag& dag = primary_->dag();
-  Round max_round = 0;
-  for (const Digest& digest : history.ordered) {
-    auto header = dag.GetHeader(digest);
-    if (store_ != nullptr) {
-      // Write-ahead: durable before any hook or sink observes the delivery.
-      Writer w;
-      w.PutU8('N');
-      w.PutRaw(digest);
-      store_->Put(ProviderCommitKey(digest), w.Take());
-    }
-    committed_.insert(digest);
-    ++committed_count_;
-    max_round = std::max(max_round, header->round);
-    primary_->NotifyCommitted(*header);
-    for (const auto& hook : on_header_commit_hooks_) {
-      hook(digest, header);
-    }
-    if (sink_ != nullptr) {
-      for (const BatchRef& ref : header->batches) {
-        const BatchDirectory::Info* info = directory_->Find(ref.digest);
-        ValidatorId author = info != nullptr ? info->author : header->author;
-        const std::vector<TxSample>* samples = info != nullptr ? &info->samples : nullptr;
-        static const std::vector<TxSample> kNoSamples;
-        sink_(author, ref.num_txs, ref.payload_bytes, samples ? *samples : kNoSamples);
-      }
-    }
-  }
-  if (max_round > gc_depth_) {
-    primary_->SetGcRound(max_round - gc_depth_);
+    commit_log_.AdvanceGc(anchor.round);
   }
 }
 

@@ -9,11 +9,13 @@
 //    batches before voting — fragile under faults (§6).
 //  - NarwhalProvider   (Narwhal-HS): leaders propose Narwhal certificates of
 //    availability; committing one orders its entire uncommitted causal
-//    history (§3.2).
+//    history (§3.2) through the same CommitLog the DAG committers use.
 //
 // A provider plugs into the HotStuff core: it supplies payloads for
 // proposals, checks availability before votes, and turns committed blocks
-// into delivered transactions for metrics.
+// into delivered transactions. The two HotStuff-mempool baselines report
+// those to the CommitSink; Narwhal-HS delivers headers through its
+// CommitLog's hooks instead.
 #ifndef SRC_HOTSTUFF_PAYLOAD_H_
 #define SRC_HOTSTUFF_PAYLOAD_H_
 
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "src/hotstuff/messages.h"
+#include "src/narwhal/commit_log.h"
 #include "src/narwhal/primary.h"
 #include "src/narwhal/worker.h"
 #include "src/net/network.h"
@@ -183,55 +186,37 @@ class BatchedProvider : public PayloadProvider {
 
 class NarwhalProvider : public PayloadProvider {
  public:
-  NarwhalProvider(ValidatorId id, const Committee& committee, Primary* primary,
-                  BatchDirectory* directory, Round gc_depth);
+  NarwhalProvider(Primary* primary, Round gc_depth);
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,
                     std::function<void()> ready) override;
   void OnCommit(const HsPayload& payload, ValidatorId block_author) override;
 
-  // Attaches the durable consensus store (non-owning, shared with the
-  // HotStuff core; null = ephemeral). Delivered-header records ('N' tag) are
-  // write-ahead persisted so a recovered validator never re-delivers — and
-  // never re-injects the batches of — a header it delivered pre-crash.
-  void set_store(Store* store) { store_ = store; }
-
-  // Restores the delivered-header set from the store. Call after the
-  // primary's Recover() and before OnStart; delivers nothing itself but
-  // re-notifies the primary of delivered headers still in the DAG.
-  void Recover();
-
-  uint64_t committed_headers() const { return committed_count_; }
+  // The delivery path: each anchor HotStuff commits is delivered as a chain
+  // of one, with the committed set, commit records and hooks of any other
+  // Narwhal-based system.
+  CommitLog* commit_log() { return &commit_log_; }
   // Anchors committed by consensus whose causal history is still syncing.
   size_t pending_anchor_count() const { return pending_anchors_.size(); }
 
-  // Fired once per committed Narwhal header, in delivery order — the same
-  // total order every correct replica produces. Lets observers (DST checker,
-  // executors) consume the committed header stream without re-deriving the
-  // linearization. Multiple listeners run in registration order.
+  // Fired once per committed Narwhal header, in delivery order (a view of
+  // the commit log's hooks without the wave fields).
   using HeaderCommitHook =
       std::function<void(const Digest& digest, const std::shared_ptr<const BlockHeader>& header)>;
   void add_on_header_commit(HeaderCommitHook hook) {
-    on_header_commit_hooks_.push_back(std::move(hook));
+    commit_log_.add_on_commit(
+        [hook = std::move(hook)](const CommitLog::Committed& c) { hook(c.digest, c.header); });
   }
 
  private:
-  // Processes queued anchors whose causal histories are now complete.
+  // Delivers queued anchors, strictly in order, while their causal
+  // histories are complete.
   void DrainPending();
-  void DeliverHistory(const Dag::History& history);
 
-  ValidatorId id_;
-  const Committee& committee_;
   Primary* primary_;
-  BatchDirectory* directory_;
-  Round gc_depth_;
-  Store* store_ = nullptr;
-
-  std::set<Digest, DigestLess> committed_;
-  std::deque<Digest> pending_anchors_;  // Committed by consensus, awaiting sync.
-  uint64_t committed_count_ = 0;
-  std::vector<HeaderCommitHook> on_header_commit_hooks_;
+  CommitLog commit_log_;
+  std::deque<Certificate> pending_anchors_;  // Committed by consensus, awaiting sync.
 };
 
 }  // namespace nt

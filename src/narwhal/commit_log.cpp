@@ -1,0 +1,144 @@
+#include "src/narwhal/commit_log.h"
+
+#include "src/common/codec.h"
+
+namespace nt {
+
+namespace {
+// Consensus-store key of a 'T' commit record (one per delivered header). The
+// tag is Tusk's, kept so WALs written by earlier Tusk builds still recover.
+// The store is shared with the HotStuff core ('W'/'L'/'E'/'F'/'Q'/'K') and
+// DagCommitter's meta record ('U'), so tags stay globally unique.
+Digest CommitKey(const Digest& digest) {
+  Writer w;
+  w.PutU8('T');
+  w.PutRaw(digest);
+  return Sha256::Hash(w.bytes().data(), w.size());
+}
+}  // namespace
+
+void CommitLog::Persist(const Digest& digest, Round round) {
+  if (store_ == nullptr) {
+    return;
+  }
+  Writer w;
+  w.PutU8('T');
+  w.PutU64(round);
+  w.PutRaw(digest);
+  store_->Put(CommitKey(digest), w.Take());
+}
+
+void CommitLog::Recover() {
+  if (store_ == nullptr) {
+    return;
+  }
+  const Dag& dag = primary_->dag();
+  const Round gc_round = dag.gc_round();
+  store_->ForEach([&](const Digest&, const Bytes& value) {
+    if (value.empty() || value[0] != 'T') {
+      return;
+    }
+    Reader r(value.data() + 1, value.size() - 1);
+    Round round = static_cast<Round>(r.GetU64());
+    Digest digest = r.GetArray<32>();
+    if (!r.ok() || round < gc_round) {
+      return;
+    }
+    if (committed_.insert(digest).second) {
+      committed_by_round_[round].push_back(digest);
+      ++committed_count_;
+    }
+  });
+  // Refresh the primary's commit bookkeeping (committed batches, own-header
+  // re-injection) for committed headers the recovered DAG still holds; the
+  // crash-restart must not cause committed payload to be re-injected.
+  for (const Digest& digest : committed_) {
+    auto header = dag.GetHeader(digest);
+    if (header != nullptr) {
+      primary_->NotifyCommitted(*header);
+    }
+  }
+}
+
+bool CommitLog::RequestMissing(const Dag::History& history) {
+  for (const Digest& missing : history.missing) {
+    primary_->SyncHeader(missing);
+  }
+  return history.missing.empty();
+}
+
+bool CommitLog::HistoryComplete(const Digest& anchor) {
+  return RequestMissing(primary_->dag().CollectCausalHistory(anchor, committed_));
+}
+
+bool CommitLog::Deliver(const std::vector<const Certificate*>& anchors, uint64_t wave,
+                        Round decision_round) {
+  const Dag& dag = primary_->dag();
+
+  // First pass: every history must be locally complete; request any gaps and
+  // defer. A later anchor's walk treats the earlier anchors' histories as
+  // committed; that union is only materialized for chains of two or more.
+  std::set<Digest, DigestLess> chain_committed;
+  const std::set<Digest, DigestLess>* seen = &committed_;
+  std::vector<Dag::History> histories;
+  for (const Certificate* anchor : anchors) {
+    Dag::History history = dag.CollectCausalHistory(anchor->header_digest, *seen);
+    if (!RequestMissing(history)) {
+      return false;
+    }
+    if (anchors.size() > 1) {
+      if (seen == &committed_) {
+        chain_committed = committed_;
+        seen = &chain_committed;
+      }
+      chain_committed.insert(history.ordered.begin(), history.ordered.end());
+    }
+    histories.push_back(std::move(history));
+  }
+
+  // Second pass: deliver.
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    for (const Digest& digest : histories[i].ordered) {
+      auto header = dag.GetHeader(digest);
+      // Write-ahead: the commit record is durable before any hook (metrics,
+      // executor, checker) observes the delivery.
+      Persist(digest, header->round);
+      committed_.insert(digest);
+      committed_by_round_[header->round].push_back(digest);
+      ++committed_count_;
+      primary_->NotifyCommitted(*header);
+      if (!on_commit_hooks_.empty()) {
+        Committed out;
+        out.digest = digest;
+        out.header = header;
+        out.wave = wave;
+        out.leader_round = anchors[i]->round;
+        out.decision_round = decision_round;
+        for (const auto& hook : on_commit_hooks_) {
+          hook(out);
+        }
+      }
+    }
+  }
+  return true;
+}
+
+void CommitLog::AdvanceGc(Round anchor_round) {
+  if (anchor_round <= gc_depth_) {
+    return;
+  }
+  const Round gc_round = anchor_round - gc_depth_;
+  primary_->SetGcRound(gc_round);
+  for (auto it = committed_by_round_.begin();
+       it != committed_by_round_.end() && it->first < gc_round;) {
+    for (const Digest& digest : it->second) {
+      committed_.erase(digest);
+      if (store_ != nullptr) {
+        store_->Erase(CommitKey(digest));
+      }
+    }
+    it = committed_by_round_.erase(it);
+  }
+}
+
+}  // namespace nt

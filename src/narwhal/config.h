@@ -32,13 +32,6 @@ struct NarwhalConfig {
   Round gc_depth = 50;
   // One of every `tx_sample_rate` transactions carries a latency sample.
   uint64_t tx_sample_rate = 100;
-  // Sync-on-seal durability policy: when set, a worker issues a Store::Sync
-  // (a real fsync for WalStore) after persisting any batch, so the storage
-  // ack it sends — and the quorum formed from such acks — implies the batch
-  // is on disk, not just in the page cache. The paper's availability
-  // argument (§4.2) needs exactly this: a certificate of availability is
-  // only as strong as the weakest acked copy.
-  bool sync_on_batch_store = true;
   // Hash-based duplicate suppression for explicit-payload transactions
   // (paper §8.4: "Mir-BFT uses an interesting transaction de-duplication
   // technique based on hashing which we believe is directly applicable to

@@ -145,12 +145,13 @@ void Worker::StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest&
   Writer w;
   batch->Encode(w);
   store_->Put(digest, w.Take());
-  if (config_.sync_on_batch_store) {
-    // Sync-on-seal: every storage ack derived from this batch (and the
-    // availability certificate built from 2f+1 such acks) must mean "on
-    // disk", or a crash-recovery could lose a batch the DAG references.
-    store_->Sync();
-  }
+  // Sync-on-seal: every storage ack derived from this batch (and the
+  // availability certificate built from 2f+1 such acks) must mean "on disk",
+  // not just in the page cache, or a crash-recovery could lose a batch the
+  // DAG references. The paper's availability argument (§4.2) needs exactly
+  // this: a certificate of availability is only as strong as the weakest
+  // acked copy.
+  store_->Sync();
   batches_[digest] = batch;
 }
 

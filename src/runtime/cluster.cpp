@@ -7,6 +7,11 @@
 
 namespace nt {
 
+namespace {
+// Period of the tracer's gauge samples (StartGaugeSampling).
+constexpr TimeDelta kTraceGaugeInterval = Millis(100);
+}  // namespace
+
 const char* SystemName(SystemKind kind) {
   switch (kind) {
     case SystemKind::kBaselineHs:
@@ -65,7 +70,11 @@ Cluster::Cluster(const ClusterConfig& config)
     for (ValidatorId v = 0; v < config_.num_validators; ++v) {
       consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
       committers_[v] = MakeCommitter(v);
-      WireCommitMetricsFor(v);
+    }
+  }
+  if (narwhal_based) {
+    for (ValidatorId v = 0; v < config_.num_validators; ++v) {
+      WireCommitLogFor(v);
     }
   }
   if (config_.exec_lanes > 0 && narwhal_based) {
@@ -95,20 +104,10 @@ void Cluster::WireExecutorFor(ValidatorId v) {
                           executor->cross_shard_txs());
     });
   }
-  auto on_committed = [this, v](const std::shared_ptr<const BlockHeader>& header) {
-    executors_[v]->OnCommittedHeader(header);
+  commit_log(v)->add_on_commit([this, v](const CommitLog::Committed& c) {
+    executors_[v]->OnCommittedHeader(c.header);
     executors_[v]->RetryPending();
-  };
-  if (!committers_.empty()) {
-    committers_[v]->add_on_commit(
-        [on_committed](const DagCommitter::Committed& c) { on_committed(c.header); });
-  } else {  // kNarwhalHs, the only other system with executable payloads.
-    static_cast<NarwhalProvider*>(providers_[v].get())
-        ->add_on_header_commit(
-            [on_committed](const Digest&, const std::shared_ptr<const BlockHeader>& header) {
-              on_committed(header);
-            });
-  }
+  });
 }
 
 void Cluster::AttachTracer() {
@@ -181,10 +180,10 @@ void Cluster::RegisterTraceGauges() {
 }
 
 void Cluster::StartGaugeSampling(TimePoint until) {
-  if (tracer_ == nullptr || config_.trace_gauge_interval <= 0) {
+  if (tracer_ == nullptr) {
     return;
   }
-  scheduler_.ScheduleAfter(config_.trace_gauge_interval, [this, until] {
+  scheduler_.ScheduleAfter(kTraceGaugeInterval, [this, until] {
     TimePoint now = scheduler_.now();
     if (now >= until) {
       return;  // Bounded: no perpetual rescheduling past the horizon.
@@ -220,6 +219,14 @@ bool Cluster::IsValidatorCrashed(ValidatorId v) const {
 }
 
 Cluster::~Cluster() = default;
+
+CommitLog* Cluster::commit_log(ValidatorId v) {
+  if (DagCommitter* c = committer(v)) {
+    return c->commit_log();
+  }
+  auto* np = dynamic_cast<NarwhalProvider*>(provider(v));
+  return np != nullptr ? np->commit_log() : nullptr;
+}
 
 std::unique_ptr<DagCommitter> Cluster::MakeCommitter(ValidatorId v) {
   Primary* primary = primaries_[v].get();
@@ -336,14 +343,11 @@ void Cluster::BuildHotStuff() {
             v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
             config_.max_digests_per_block, &directory_);
         break;
-      case SystemKind::kNarwhalHs: {
+      case SystemKind::kNarwhalHs:
         consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
-                                                          &directory_, config_.narwhal.gc_depth);
-        provider->set_store(consensus_stores_[v].get());
-        providers_[v] = std::move(provider);
+        providers_[v] =
+            std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
         break;
-      }
       default:
         break;
     }
@@ -382,19 +386,19 @@ void Cluster::WireHotStuffValidator(ValidatorId v) {
       });
 }
 
-void Cluster::WireCommitMetricsFor(ValidatorId v) {
+void Cluster::WireCommitLogFor(ValidatorId v) {
+  CommitLog* log = commit_log(v);
+  log->set_store(consensus_stores_[v].get());
   // Convert per-header commits into per-batch metrics via the directory.
-  auto sink = [this, v](const std::shared_ptr<const BlockHeader>& header) {
-    for (const BatchRef& ref : header->batches) {
+  log->add_on_commit([this, v](const CommitLog::Committed& committed) {
+    for (const BatchRef& ref : committed.header->batches) {
       const BatchDirectory::Info* info = directory_.Find(ref.digest);
-      ValidatorId owner = info != nullptr ? info->author : header->author;
+      ValidatorId owner = info != nullptr ? info->author : committed.header->author;
       static const std::vector<TxSample> kNoSamples;
       metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
                         info != nullptr ? info->samples : kNoSamples);
     }
-  };
-  committers_[v]->add_on_commit(
-      [sink](const DagCommitter::Committed& committed) { sink(committed.header); });
+  });
 }
 
 void Cluster::Start() { network_->Start(); }
@@ -515,27 +519,25 @@ void Cluster::RebuildValidator(ValidatorId v) {
   if (!committers_.empty()) {
     committers_[v] = MakeCommitter(v);
     committers_[v]->Recover();
-    WireCommitMetricsFor(v);
   } else {  // kNarwhalHs (the only other SupportsRestart() system).
-    auto provider = std::make_unique<NarwhalProvider>(v, committee_, primaries_[v].get(),
-                                                      &directory_, config_.narwhal.gc_depth);
-    provider->set_store(consensus_stores_[v].get());
-    NarwhalProvider* np = provider.get();
-    providers_[v] = std::move(provider);
+    providers_[v] =
+        std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
     hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, config_.hotstuff, network_.get(),
                                               signers_[v].get(), providers_[v].get());
     hs_nodes_[v]->set_net_id(consensus_net_ids_[v]);
     hs_nodes_[v]->set_store(consensus_stores_[v].get());
     metrics_.RegisterCertCache(&hs_nodes_[v]->cert_cache());
     WireHotStuffValidator(v);
-    np->Recover();
     hs_nodes_[v]->Recover();
     network_->ReplaceNode(consensus_net_ids_[v], hs_nodes_[v].get());
   }
 
-  // The executor object survived the rebuild (it is the validator's
-  // application state; commits are not re-delivered across a recovery), but
-  // its commit hook died with the old consensus object — re-register it.
+  // The commit log, its metrics hook and the executor hook died with the
+  // old consensus object. The executor object survived the rebuild (it is
+  // the validator's application state; commits are not re-delivered across
+  // a recovery), so only its hook is re-registered.
+  WireCommitLogFor(v);
+  commit_log(v)->Recover();
   if (!executors_.empty()) {
     WireExecutorFor(v);
   }

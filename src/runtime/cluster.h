@@ -74,9 +74,8 @@ struct ClusterConfig {
 
   // Lifecycle tracing (src/common/trace.h): when set, the cluster owns a
   // Tracer, wires emit points through every node, and samples per-node
-  // gauges every trace_gauge_interval once StartGaugeSampling is called.
+  // gauges every 100 ms once StartGaugeSampling is called.
   bool trace = false;
-  TimeDelta trace_gauge_interval = Millis(100);
 
   // Baseline/batched parameters. Baseline proposals carry raw transactions
   // up to 500KB. Batched proposals follow the paper's 1KB consensus block:
@@ -162,9 +161,8 @@ class Cluster {
   // True if validator `v` is currently crashed (any of its nodes; a crash
   // takes the validator's machines down together).
   bool IsValidatorCrashed(ValidatorId v) const;
-  // Samples registered gauges every config.trace_gauge_interval until
-  // `until` (exclusive). No-op without a tracer. Bounded so RunUntilIdle
-  // style tests terminate.
+  // Samples registered gauges every 100 ms until `until` (exclusive). No-op
+  // without a tracer. Bounded so RunUntilIdle style tests terminate.
   void StartGaugeSampling(TimePoint until);
 
   // Periodically retries executors whose committed headers still wait for
@@ -184,6 +182,10 @@ class Cluster {
     return committers_.empty() ? nullptr : committers_[v].get();
   }
   Tusk* tusk(ValidatorId v) { return dynamic_cast<Tusk*>(committer(v)); }
+  // Validator `v`'s commit log: the committed header stream of every
+  // Narwhal-based system, whether a DAG committer or HotStuff (Narwhal-HS)
+  // orders its anchors. nullptr for the HotStuff-mempool baselines.
+  CommitLog* commit_log(ValidatorId v);
   Bullshark* bullshark(ValidatorId v) { return dynamic_cast<Bullshark*>(committer(v)); }
   HotStuff* hotstuff(ValidatorId v) { return hs_nodes_.empty() ? nullptr : hs_nodes_[v].get(); }
   PayloadProvider* provider(ValidatorId v) {
@@ -218,8 +220,10 @@ class Cluster {
   // Builds validator `v`'s committer for config.system over its current
   // primary and consensus store (the one place a committer kind is chosen).
   std::unique_ptr<DagCommitter> MakeCommitter(ValidatorId v);
-  // Converts validator `v`'s committed headers into per-batch metrics.
-  void WireCommitMetricsFor(ValidatorId v);
+  // Attaches validator `v`'s commit log to its consensus store and converts
+  // its committed headers into per-batch metrics (at build and again from
+  // RebuildValidator, where the old log died with the old consensus object).
+  void WireCommitLogFor(ValidatorId v);
   // Creates validator `v`'s ShardedExecutor on first call and (re-)registers
   // its commit-stream hook on the current consensus object — called at build
   // and again from RebuildValidator, where the old hook died with the old

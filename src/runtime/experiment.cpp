@@ -37,10 +37,6 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
   for (uint32_t i = 0; i < params.faults && i + 1 < params.nodes; ++i) {
     cluster.CrashValidator(params.nodes - 1 - i, 0);
   }
-  if (params.async_start != kNever) {
-    cluster.faults().AddAsynchronyWindow(params.async_start, params.async_end,
-                                         params.async_factor);
-  }
   for (const ExperimentParams::AsyncWindow& w : params.async_windows) {
     cluster.faults().AddAsynchronyWindow(w.start, w.end, w.factor);
   }

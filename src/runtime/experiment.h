@@ -25,13 +25,9 @@ struct ExperimentParams {
   TimeDelta warmup = Seconds(5);
   uint64_t seed = 1;
 
-  // Optional asynchrony window (latency multiplied by `async_factor`).
-  TimePoint async_start = kNever;
-  TimePoint async_end = kNever;
-  double async_factor = 20.0;
-
-  // Additional asynchrony windows (for alternating unstable-network
-  // schedules); applied on top of the single window above.
+  // Asynchrony windows: message latency is multiplied by `factor` during
+  // [start, end). Several windows give alternating unstable-network
+  // schedules.
   struct AsyncWindow {
     TimePoint start;
     TimePoint end;

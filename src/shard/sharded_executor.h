@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/common/trace.h"
-#include "src/exec/executor.h"
 #include "src/exec/state_machine.h"
 #include "src/shard/router.h"
 #include "src/sim/scheduler.h"
@@ -32,15 +31,16 @@ namespace nt {
 
 class ShardedExecutor {
  public:
-  // Same contract as Executor::BatchSource: nullptr while the batch data has
-  // not arrived at this validator yet.
-  using BatchSource = Executor::BatchSource;
+  // Resolves a batch reference to its content (e.g. the local worker's
+  // store); returns nullptr while the batch data has not arrived at this
+  // validator yet.
+  using BatchSource = std::function<std::shared_ptr<const Batch>(const BatchRef&)>;
 
   ShardedExecutor(uint32_t num_lanes, BatchSource source);
 
   // Feed committed headers in commit order. Headers whose batch data is
-  // missing queue until RetryPending(), exactly like the single-lane
-  // Executor: execution order never deviates from commit order.
+  // missing queue until RetryPending(): execution order never deviates from
+  // commit order.
   void OnCommittedHeader(std::shared_ptr<const BlockHeader> header);
   void RetryPending() { Drain(); }
 

@@ -1,6 +1,7 @@
 #include "src/tusk/dag_committer.h"
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
 
 #include "src/common/logging.h"
@@ -11,9 +12,9 @@ DagCommitter::DagCommitter(Primary* primary, const Committee& committee, Round g
                            std::string skipped_counter, std::string waves_counter)
     : primary_(primary),
       committee_(committee),
-      gc_depth_(gc_depth),
       skipped_counter_(std::move(skipped_counter)),
-      waves_counter_(std::move(waves_counter)) {
+      waves_counter_(std::move(waves_counter)),
+      commit_log_(primary, gc_depth) {
   primary_->add_on_certificate([this](const Certificate& cert) { OnCertificate(cert); });
   primary_->add_on_header_stored([this](const Digest& digest) { OnHeaderStored(digest); });
 }
@@ -25,30 +26,13 @@ void DagCommitter::OnHeaderStored(const Digest&) { TryCommit(); }
 // ---------------------------------------------------------------- persistence
 
 namespace {
-// Consensus-store records: 'T' commit entries (one per delivered header),
-// 'U' meta (wave cursor, then the rule's own state). The tags and the
-// "tusk/meta" key are Tusk's, kept so WALs written by earlier Tusk builds
-// still recover. The store is shared with other consensus interpreters
-// (HotStuff's ledger, NarwhalProvider's 'N'), so tags stay globally unique.
-Digest CommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('T');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
+// Consensus-store key of the 'U' meta record (wave cursor, then the rule's
+// own state). The "tusk/meta" key is Tusk's, kept so WALs written by earlier
+// Tusk builds still recover. The store is shared with the HotStuff core
+// ('W'/'L'/'E'/'F'/'Q'/'K') and the commit log ('T'), so tags stay globally
+// unique.
 Digest MetaKey() { return Sha256::Hash(std::string_view("tusk/meta")); }
 }  // namespace
-
-void DagCommitter::PersistCommit(const Digest& digest, Round round) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('T');
-  w.PutU64(round);
-  w.PutRaw(digest);
-  store_->Put(CommitKey(digest), w.Take());
-}
 
 void DagCommitter::PersistMeta() {
   if (store_ == nullptr) {
@@ -66,43 +50,14 @@ void DagCommitter::Recover() {
   if (store_ == nullptr) {
     return;
   }
-  const Round gc_round = dag().gc_round();
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty()) {
-      return;
-    }
-    Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'T': {
-        Round round = static_cast<Round>(r.GetU64());
-        Digest digest = r.GetArray<32>();
-        if (!r.ok() || round < gc_round) {
-          break;
-        }
-        if (committed_.insert(digest).second) {
-          committed_by_round_[round].push_back(digest);
-          ++committed_count_;
-        }
-        break;
-      }
-      case 'U':
-        last_committed_wave_ = r.GetU64();
-        DecodeMeta(r);
-        break;
-      default:
-        break;
-    }
-  });
-  last_skip_counted_ = last_committed_wave_;
-  // Refresh the primary's commit bookkeeping (committed batches, own-header
-  // re-injection) for committed headers the recovered DAG still holds; the
-  // crash-restart must not cause committed payload to be re-injected.
-  for (const Digest& digest : committed_) {
-    auto header = dag().GetHeader(digest);
-    if (header != nullptr) {
-      primary_->NotifyCommitted(*header);
-    }
+  std::optional<Bytes> value = store_->Get(MetaKey());
+  if (!value.has_value() || value->empty() || (*value)[0] != 'U') {
+    return;
   }
+  Reader r(value->data() + 1, value->size() - 1);
+  last_committed_wave_ = r.GetU64();
+  DecodeMeta(r);
+  last_skip_counted_ = last_committed_wave_;
 }
 
 // ---------------------------------------------------------------- rule helpers
@@ -164,20 +119,12 @@ void DagCommitter::TryCommit() {
 }
 
 bool DagCommitter::CommitChain(uint64_t wave, const Certificate& leader) {
-  const Dag& d = dag();
-
   // Ensure the leader's entire causal history is locally complete before
   // deciding anything: HasPath below must not mistake a missing header for a
   // missing path, or we could skip a leader another validator committed
   // (the paper's "conservative synchronization").
-  {
-    Dag::History full = d.CollectCausalHistory(leader.header_digest, committed_);
-    if (!full.missing.empty()) {
-      for (const Digest& missing : full.missing) {
-        primary_->SyncHeader(missing);
-      }
-      return false;
-    }
+  if (!commit_log_.HistoryComplete(leader.header_digest)) {
+    return false;
   }
 
   // Walk back through skipped waves: order any earlier leader that the
@@ -191,55 +138,15 @@ bool DagCommitter::CommitChain(uint64_t wave, const Certificate& leader) {
     if (li == nullptr || IsCommitted(li->header_digest)) {
       continue;
     }
-    if (d.HasPath(candidate->header_digest, li->header_digest)) {
+    if (dag().HasPath(candidate->header_digest, li->header_digest)) {
       chain.push_back(li);
       candidate = li;
     }
   }
   std::reverse(chain.begin(), chain.end());
 
-  // First pass: ensure every history is locally complete; request any gaps
-  // and defer.
-  std::set<Digest, DigestLess> virtual_committed = committed_;
-  std::vector<std::pair<const Certificate*, Dag::History>> histories;
-  for (const Certificate* lead : chain) {
-    Dag::History history = d.CollectCausalHistory(lead->header_digest, virtual_committed);
-    if (!history.missing.empty()) {
-      for (const Digest& missing : history.missing) {
-        primary_->SyncHeader(missing);
-      }
-      return false;
-    }
-    for (const Digest& digest : history.ordered) {
-      virtual_committed.insert(digest);
-    }
-    histories.emplace_back(lead, std::move(history));
-  }
-
-  // Second pass: deliver.
-  const Round decision_round = DecisionRound(wave);
-  for (auto& [lead, history] : histories) {
-    for (const Digest& digest : history.ordered) {
-      auto header = d.GetHeader(digest);
-      // Write-ahead: the commit record is durable before any hook (metrics,
-      // executor, checker) observes the delivery.
-      PersistCommit(digest, header->round);
-      committed_.insert(digest);
-      committed_by_round_[header->round].push_back(digest);
-      ++committed_count_;
-      primary_->NotifyCommitted(*header);
-      if (!on_commit_hooks_.empty()) {
-        Committed out;
-        out.digest = digest;
-        out.header = header;
-        out.wave = wave;
-        out.leader_round = lead->round;
-        out.decision_round = decision_round;
-        for (const auto& hook : on_commit_hooks_) {
-          hook(out);
-        }
-      }
-    }
+  if (!commit_log_.Deliver(chain, wave, DecisionRound(wave))) {
+    return false;  // A history has gaps; sync requested.
   }
   SettleWaves(last_committed_wave_, wave);
   last_committed_wave_ = wave;
@@ -248,26 +155,10 @@ bool DagCommitter::CommitChain(uint64_t wave, const Certificate& leader) {
 
   // Advance the garbage-collection horizon relative to the last committed
   // leader round (paper §3.3).
-  const Round leader_round = LeaderRound(wave);
-  if (CollectsGarbage() && leader_round > gc_depth_) {
-    Round gc_round = leader_round - gc_depth_;
-    primary_->SetGcRound(gc_round);
-    PruneCommitted(gc_round);
+  if (CollectsGarbage()) {
+    commit_log_.AdvanceGc(LeaderRound(wave));
   }
   return true;
-}
-
-void DagCommitter::PruneCommitted(Round gc_round) {
-  for (auto it = committed_by_round_.begin();
-       it != committed_by_round_.end() && it->first < gc_round;) {
-    for (const Digest& digest : it->second) {
-      committed_.erase(digest);
-      if (store_ != nullptr) {
-        store_->Erase(CommitKey(digest));
-      }
-    }
-    it = committed_by_round_.erase(it);
-  }
 }
 
 }  // namespace nt

@@ -8,13 +8,12 @@
 //
 //   - the in-order wave loop (waves are interpreted strictly in order, up to
 //     the highest wave whose decision round exists locally);
-//   - the two-pass CommitChain: a committed leader first walks back through
-//     the skipped waves, ordering every earlier leader it reaches by DAG path
-//     (Lemma 1), and delivers only once every leader's causal history is
-//     locally complete ("conservative synchronization");
-//   - write-ahead commit and meta records in the consensus store, Recover
-//     and Resume for crash–restart, and pruning of the committed set below
-//     the garbage-collection horizon;
+//   - the chain walk: a committed leader walks back through the skipped
+//     waves, ordering every earlier leader it reaches by DAG path (Lemma 1),
+//     and hands the chain to its CommitLog, which delivers the leaders'
+//     causal histories (src/narwhal/commit_log.h);
+//   - the 'U' meta record (wave cursor, then the rule's own state) with its
+//     durability barrier, and Resume for crash–restart;
 //   - the skipped/committed counters and the tracer counters.
 //
 // A subclass supplies the wave arithmetic, the leader, the support test and
@@ -24,51 +23,36 @@
 #define SRC_TUSK_DAG_COMMITTER_H_
 
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "src/common/codec.h"
+#include "src/narwhal/commit_log.h"
 #include "src/narwhal/primary.h"
 
 namespace nt {
 
 class DagCommitter {
  public:
-  struct Committed {
-    Digest digest{};
-    std::shared_ptr<const BlockHeader> header;
-    // The wave whose leader chain delivered this header, the round of the
-    // chain leader that anchored it, and the round whose blocks decided the
-    // wave's commit.
-    uint64_t wave = 0;
-    Round leader_round = 0;
-    Round decision_round = 0;
-  };
+  using Committed = CommitLog::Committed;
 
   virtual ~DagCommitter() = default;
 
   DagCommitter(const DagCommitter&) = delete;
   DagCommitter& operator=(const DagCommitter&) = delete;
 
-  // Registers a delivery callback: fired once per committed header, in total
-  // order. Multiple listeners may register (metrics, applications, tests).
+  // The committer's delivery path: committed set, commit records, hooks.
+  CommitLog* commit_log() { return &commit_log_; }
+  // Registers a delivery callback on the commit log (see CommitLog).
   void add_on_commit(std::function<void(const Committed&)> hook) {
-    on_commit_hooks_.push_back(std::move(hook));
+    commit_log_.add_on_commit(std::move(hook));
   }
 
-  // Attaches the durable consensus store (non-owning; null = ephemeral).
-  // Commit records are write-ahead persisted so a recovered validator never
-  // re-delivers a header it committed pre-crash.
+  // Attaches the durable consensus store (non-owning; null = ephemeral) for
+  // the 'U' meta record. The commit log takes the same store separately.
   void set_store(Store* store) { store_ = store; }
 
-  // Restores the committed set, wave cursor and the rule's meta state from
-  // the store. Call after the primary's own Recover() (GC filtering reads
-  // its horizon) and before hooks fire; recovery itself delivers nothing.
-  // Re-notifies the primary of committed headers still in the DAG so batch
-  // re-injection bookkeeping survives the crash too.
+  // Restores the wave cursor and the rule's meta state from the store; the
+  // commit log recovers its committed set on its own (CommitLog::Recover).
   void Recover();
 
   // Re-evaluates the commit rule over the recovered DAG (post-rejoin
@@ -84,7 +68,7 @@ class DagCommitter {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   uint64_t last_committed_wave() const { return last_committed_wave_; }
-  uint64_t committed_headers() const { return committed_count_; }
+  uint64_t committed_headers() const { return commit_log_.committed_headers(); }
   // Waves whose leader was present but lacked support (each counted once).
   uint64_t skipped_leaders() const { return skipped_leaders_; }
 
@@ -115,7 +99,7 @@ class DagCommitter {
 
   const Dag& dag() const { return primary_->dag(); }
   const Committee& committee() const { return committee_; }
-  bool IsCommitted(const Digest& digest) const { return committed_.count(digest) != 0; }
+  bool IsCommitted(const Digest& digest) const { return commit_log_.IsCommitted(digest); }
   // The leader block of `wave` in the local view, or null.
   const Certificate* LeaderCert(uint64_t wave) const;
   // Certified blocks at `round` that reference `leader` as a direct parent.
@@ -129,26 +113,19 @@ class DagCommitter {
   // Commits the leader chain ending at wave `wave`. Returns false if the
   // commit had to be deferred on missing headers (sync requested).
   bool CommitChain(uint64_t wave, const Certificate& leader);
-  void PruneCommitted(Round gc_round);
-  void PersistCommit(const Digest& digest, Round round);
   void PersistMeta();
 
   Primary* primary_;
   const Committee& committee_;
-  Round gc_depth_;
   std::string skipped_counter_;
   std::string waves_counter_;
   Tracer* tracer_ = nullptr;
+  CommitLog commit_log_;
 
   Store* store_ = nullptr;
   uint64_t last_committed_wave_ = 0;
-  std::set<Digest, DigestLess> committed_;
-  std::map<Round, std::vector<Digest>> committed_by_round_;
-  uint64_t committed_count_ = 0;
   uint64_t skipped_leaders_ = 0;
   uint64_t last_skip_counted_ = 0;
-
-  std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
 };
 
 }  // namespace nt

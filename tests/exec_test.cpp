@@ -2,12 +2,12 @@
 // determinism, executor ordering (including deferred batch data), and
 // end-to-end replicated execution over a live Tusk cluster with state-digest
 // agreement across replicas.
-#include "src/exec/executor.h"
 #include "src/exec/state_machine.h"
 
 #include <gtest/gtest.h>
 
 #include "src/runtime/cluster.h"
+#include "src/shard/sharded_executor.h"
 
 namespace nt {
 namespace {
@@ -116,15 +116,15 @@ TEST(StateMachineTest, ApplyingADecodedTransactionMatchesApplyingItsWireBytes) {
   EXPECT_EQ(from_decoded.ComputeSnapshotDigest(), from_wire.ComputeSnapshotDigest());
 }
 
-// ----------------------------------------------------------------- Executor
+// ----------------------------------------------- single-lane ShardedExecutor
 
 TEST(ExecutorTest, ExecutesHeadersInOrder) {
-  KvStateMachine sm;
   std::map<Digest, std::shared_ptr<const Batch>> store;
-  Executor executor(&sm, [&store](const BatchRef& ref) {
+  ShardedExecutor executor(1, [&store](const BatchRef& ref) {
     auto it = store.find(ref.digest);
     return it == store.end() ? nullptr : it->second;
   });
+  const KvStateMachine& sm = executor.lane(0);
 
   auto make_batch = [&store](std::vector<Bytes> txs) {
     auto batch = std::make_shared<Batch>();
@@ -153,12 +153,12 @@ TEST(ExecutorTest, ExecutesHeadersInOrder) {
 }
 
 TEST(ExecutorTest, DefersOnMissingBatchThenPreservesOrder) {
-  KvStateMachine sm;
   std::map<Digest, std::shared_ptr<const Batch>> store;
-  Executor executor(&sm, [&store](const BatchRef& ref) {
+  ShardedExecutor executor(1, [&store](const BatchRef& ref) {
     auto it = store.find(ref.digest);
     return it == store.end() ? nullptr : it->second;
   });
+  const KvStateMachine& sm = executor.lane(0);
 
   // Header 1 references a batch whose content arrives late; header 2's data
   // is ready. Execution must wait and then run 1 before 2.
@@ -195,12 +195,12 @@ TEST(ExecutorTest, DefersOnMissingBatchThenPreservesOrder) {
 }
 
 TEST(ExecutorTest, PendingQueueDrainsInCommitOrderAcrossRetries) {
-  KvStateMachine sm;
   std::map<Digest, std::shared_ptr<const Batch>> store;
-  Executor executor(&sm, [&store](const BatchRef& ref) {
+  ShardedExecutor executor(1, [&store](const BatchRef& ref) {
     auto it = store.find(ref.digest);
     return it == store.end() ? nullptr : it->second;
   });
+  const KvStateMachine& sm = executor.lane(0);
 
   // Three headers whose batch data arrives in reverse order. Each
   // RetryPending drains exactly the prefix of the commit order whose data is
@@ -242,9 +242,8 @@ TEST(ExecutorTest, PendingQueueDrainsInCommitOrderAcrossRetries) {
 }
 
 TEST(ExecutorTest, AppliedAndRejectedCountersAreSplit) {
-  KvStateMachine sm;
   std::map<Digest, std::shared_ptr<const Batch>> store;
-  Executor executor(&sm, [&store](const BatchRef& ref) {
+  ShardedExecutor executor(1, [&store](const BatchRef& ref) {
     auto it = store.find(ref.digest);
     return it == store.end() ? nullptr : it->second;
   });
@@ -277,14 +276,12 @@ TEST(ExecClusterTest, ReplicatedExecutionAgreesAcrossValidators) {
   config.seed = 99;
   Cluster cluster(config);
 
-  std::vector<KvStateMachine> machines(4);
-  std::vector<std::unique_ptr<Executor>> executors;
+  std::vector<std::unique_ptr<ShardedExecutor>> executors;
   for (ValidatorId v = 0; v < 4; ++v) {
     Worker* worker = cluster.worker(v, 0);
-    executors.push_back(std::make_unique<Executor>(
-        &machines[v],
-        [worker](const BatchRef& ref) { return worker->GetBatch(ref.digest); }));
-    Executor* executor = executors.back().get();
+    executors.push_back(std::make_unique<ShardedExecutor>(
+        1, [worker](const BatchRef& ref) { return worker->GetBatch(ref.digest); }));
+    ShardedExecutor* executor = executors.back().get();
     cluster.tusk(v)->add_on_commit([executor](const Tusk::Committed& committed) {
       executor->OnCommittedHeader(committed.header);
       executor->RetryPending();
@@ -305,13 +302,14 @@ TEST(ExecClusterTest, ReplicatedExecutionAgreesAcrossValidators) {
   cluster.scheduler().RunUntil(Seconds(25));
 
   // Every replica executed everything, with identical chained digests.
-  ASSERT_GT(machines[0].applied(), 10u);
+  const KvStateMachine& first = executors[0]->lane(0);
+  ASSERT_GT(first.applied(), 10u);
   for (ValidatorId v = 1; v < 4; ++v) {
-    EXPECT_EQ(machines[v].state_digest(), machines[0].state_digest()) << "replica " << v;
-    EXPECT_EQ(machines[v].applied(), machines[0].applied());
+    EXPECT_EQ(executors[v]->lane(0).state_digest(), first.state_digest()) << "replica " << v;
+    EXPECT_EQ(executors[v]->lane(0).applied(), first.applied());
   }
   // Conservation: total supply is what was minted.
-  EXPECT_EQ(machines[0].BalanceOf("alice") + machines[0].BalanceOf("bob"), 1500u);
+  EXPECT_EQ(first.BalanceOf("alice") + first.BalanceOf("bob"), 1500u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
 
@@ -132,6 +134,47 @@ TEST(NarwhalProviderClusterTest, ProposesNewestUncommittedCertificate) {
   // commits follow the DAG's growth.
   EXPECT_GT(cluster.hotstuff(0)->committed_blocks(), 3u);
   EXPECT_GT(cluster.primary(0)->dag().HighestRound(), 8u);
+}
+
+TEST(NarwhalProviderClusterTest, AnchorRecommittedBelowTheGcHorizonIsDropped) {
+  ClusterConfig config;
+  config.system = SystemKind::kNarwhalHs;
+  config.num_validators = 4;
+  config.seed = 5;
+  config.narwhal.gc_depth = 10;  // GC overtakes the first anchor within seconds.
+  Cluster cluster(config);
+  auto* provider = dynamic_cast<NarwhalProvider*>(cluster.provider(0));
+  ASSERT_NE(provider, nullptr);
+
+  // Keep the first anchor validator 0 delivers (the header at its chain's
+  // leader round), and count deliveries.
+  std::optional<Certificate> first_anchor;
+  uint64_t delivered = 0;
+  cluster.commit_log(0)->add_on_commit([&](const CommitLog::Committed& c) {
+    ++delivered;
+    if (!first_anchor.has_value() && c.header->round == c.leader_round) {
+      first_anchor = *cluster.primary(0)->dag().GetCert(c.header->round, c.header->author);
+    }
+  });
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(8));
+  ASSERT_TRUE(first_anchor.has_value());
+  ASSERT_LT(first_anchor->round, cluster.primary(0)->dag().gc_round());
+  EXPECT_FALSE(cluster.commit_log(0)->IsCommitted(first_anchor->header_digest))
+      << "the commit record should be pruned below the GC horizon";
+
+  // HotStuff commits the same certificate a second time: it is dropped, not
+  // synced forever (its header is gone), so it cannot block later anchors.
+  HsPayload payload;
+  payload.kind = HsPayload::Kind::kCertificates;
+  payload.certs.push_back(*first_anchor);
+  provider->OnCommit(payload, /*block_author=*/0);
+  EXPECT_EQ(provider->pending_anchor_count(), 0u);
+
+  const uint64_t before = delivered;
+  cluster.scheduler().RunUntil(Seconds(12));
+  EXPECT_GT(delivered, before) << "later anchors stopped delivering";
+  EXPECT_LE(provider->pending_anchor_count(), 1u);
 }
 
 TEST(MetricsTest, WindowAndOwnershipFiltering) {

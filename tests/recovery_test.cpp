@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "src/hotstuff/payload.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
 
@@ -54,18 +53,11 @@ RecoveryRun RunWithRestart(SystemKind system, uint64_t seed) {
         }
       });
     }
-    auto on_commit = [&run, &cluster, v](const Digest& digest) {
-      run.commits[v].push_back(digest);
-      run.last_commit[v] = cluster.scheduler().now();
-    };
-    if (DagCommitter* committer = cluster.committer(v)) {
-      committer->add_on_commit(
-          [on_commit](const DagCommitter::Committed& c) { on_commit(c.digest); });
-    } else if (auto* np = dynamic_cast<NarwhalProvider*>(cluster.provider(v))) {
-      np->add_on_header_commit(
-          [on_commit](const Digest& d, const std::shared_ptr<const BlockHeader>&) {
-            on_commit(d);
-          });
+    if (CommitLog* log = cluster.commit_log(v)) {
+      log->add_on_commit([&run, &cluster, v](const CommitLog::Committed& c) {
+        run.commits[v].push_back(c.digest);
+        run.last_commit[v] = cluster.scheduler().now();
+      });
     }
   };
   for (ValidatorId v = 0; v < 4; ++v) {
@@ -169,6 +161,50 @@ TEST(RecoveryTest, DagRiderValidatorRestartsAndRejoins) {
   EXPECT_EQ(run.cluster->primary(kVictim)->dag().gc_round(), 0u);
 }
 
+// The commit log prunes its 'T' records below the GC horizon, whichever
+// consensus orders the anchors, so the consensus WAL of a long run holds
+// only the live DAG window's commits. (Narwhal-HS kept every commit record
+// for the whole run before it shared Tusk's commit log.)
+size_t CommitRecordsAfterLongRun(SystemKind system, Round* round, Round* gc_round) {
+  constexpr uint32_t kNodes = 10;
+  ClusterConfig config;
+  config.system = system;
+  config.num_validators = kNodes;
+  config.seed = 1;
+  Cluster cluster(config);
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  LoadGenerator::Options options;
+  options.rate_tps = 5000;
+  for (ValidatorId v = 0; v < kNodes; ++v) {
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+    clients.back()->Start();
+  }
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(40));
+
+  size_t records = 0;
+  cluster.consensus_store(0)->ForEach([&records](const Digest&, const Bytes& value) {
+    records += !value.empty() && value[0] == 'T' ? 1 : 0;
+  });
+  *round = cluster.primary(0)->round();
+  *gc_round = cluster.primary(0)->dag().gc_round();
+  return records;
+}
+
+TEST(RecoveryTest, CommitRecordsStayWithinTheGcWindow) {
+  constexpr uint64_t kNodes = 10;
+  for (SystemKind system : {SystemKind::kNarwhalHs, SystemKind::kTusk}) {
+    Round round = 0;
+    Round gc_round = 0;
+    size_t records = CommitRecordsAfterLongRun(system, &round, &gc_round);
+    SCOPED_TRACE(SystemName(system));
+    ASSERT_GT(gc_round, 0u) << "GC never started";
+    EXPECT_GT(records, 0u);
+    EXPECT_LE(records, (round - gc_round + 2) * kNodes)
+        << "round " << round << ", gc round " << gc_round;
+  }
+}
+
 TEST(RecoveryTest, UnsupportedSystemDegradesToPermanentCrash) {
   RecoveryRun run = RunWithRestart(SystemKind::kBatchedHs, 9);
   // Batched-HS keeps no durable state to rebuild from: the restart degrades
@@ -179,7 +215,8 @@ TEST(RecoveryTest, UnsupportedSystemDegradesToPermanentCrash) {
   EXPECT_TRUE(run.cluster->recovery_stats().empty());
   EXPECT_TRUE(run.cluster->IsValidatorCrashed(kVictim));
   // The remaining 3-of-4 committee stays live (the harness hooks only
-  // DAG-committer and Narwhal-HS commits, so assert on HotStuff progress).
+  // commit logs, which Batched-HS has none of, so assert on HotStuff
+  // progress).
   EXPECT_GT(run.cluster->hotstuff(0)->committed_blocks(), 10u);
 }
 

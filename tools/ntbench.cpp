@@ -132,6 +132,10 @@ int main(int argc, char** argv) {
   int runs = 1;
   int jobs = 1;
   bool csv = false;
+  // --async-from/--async-to/--async-factor describe one asynchrony window.
+  TimePoint async_from = kNever;
+  TimePoint async_to = kNever;
+  double async_factor = 20.0;
 
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -181,11 +185,11 @@ int main(int argc, char** argv) {
     } else if (flag == "--real-crypto") {
       params.cluster.signer_kind = SignerKind::kEd25519;
     } else if (flag == "--async-from") {
-      params.async_start = Seconds(std::stoll(next()));
+      async_from = Seconds(std::stoll(next()));
     } else if (flag == "--async-to") {
-      params.async_end = Seconds(std::stoll(next()));
+      async_to = Seconds(std::stoll(next()));
     } else if (flag == "--async-factor") {
-      params.async_factor = std::stod(next());
+      async_factor = std::stod(next());
     } else if (flag == "--trace") {
       params.trace = true;
       params.trace_path = next();
@@ -196,6 +200,9 @@ int main(int argc, char** argv) {
     } else {
       Usage(("unknown flag " + flag).c_str());
     }
+  }
+  if (async_from != kNever) {
+    params.async_windows.push_back({async_from, async_to, async_factor});
   }
   if (params.nodes < 1 || params.faults >= params.nodes) {
     Usage("need nodes >= 1 and faults < nodes");
