@@ -66,8 +66,8 @@ Bullshark::Bullshark(Primary* primary, const Committee& committee, Round gc_dept
       config_(config),
       schedule_(committee.size(), config) {}
 
-bool Bullshark::Supported(uint64_t wave, const Certificate& anchor) const {
-  const uint32_t votes = DirectSupport(WaveSupportRound(wave), anchor);
+bool Bullshark::Supported(uint64_t /*wave*/, const Certificate& anchor) const {
+  const uint32_t votes = DirectSupport(anchor);
   if (seeded_bugs::skip_bullshark_support) {
     // Seeded mutation: commit on f support votes instead of the paper's f+1.
     // One vote short of the validity threshold voids quorum intersection —

@@ -1,7 +1,6 @@
 #include "src/check/oracle.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "src/exec/state_machine.h"
@@ -39,7 +38,7 @@ bool SupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& leader,
 TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& coin,
                       Round gc_depth) {
   TuskReplay out;
-  std::set<Digest, DigestLess> committed;
+  DigestSet committed;
   std::map<Round, std::vector<Digest>> committed_by_round;
   uint64_t last_committed_wave = 0;
 
@@ -54,7 +53,7 @@ TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& 
     }
     ValidatorId leader_id = coin.LeaderOf(wave, committee.size());
     const Certificate* leader = dag.GetCert(Tusk::WaveFirstRound(wave), leader_id);
-    if (leader == nullptr || committed.count(leader->header_digest) != 0) {
+    if (leader == nullptr || committed.contains(leader->header_digest)) {
       continue;
     }
     if (!SupportSatisfied(dag, wave, *leader, committee)) {
@@ -68,7 +67,7 @@ TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& 
     for (uint64_t i = wave - 1; i > last_committed_wave && i > 0; --i) {
       const Certificate* li = dag.GetCert(Tusk::WaveFirstRound(i),
                                           coin.LeaderOf(i, committee.size()));
-      if (li == nullptr || committed.count(li->header_digest) != 0) {
+      if (li == nullptr || committed.contains(li->header_digest)) {
         continue;
       }
       if (dag.HasPath(candidate->header_digest, li->header_digest)) {
@@ -138,7 +137,7 @@ bool AnchorSupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& an
 BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_depth,
                                 BullsharkConfig config) {
   BullsharkReplay out;
-  std::set<Digest, DigestLess> committed;
+  DigestSet committed;
   std::map<Round, std::vector<Digest>> committed_by_round;
   AnchorSchedule schedule(committee.size(), config);
   uint64_t last_committed_wave = 0;
@@ -151,7 +150,7 @@ BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_de
   for (uint64_t wave = last_committed_wave + 1; wave <= max_wave; ++wave) {
     const Certificate* anchor =
         dag.GetCert(Bullshark::WaveAnchorRound(wave), schedule.AuthorOf(wave));
-    if (anchor == nullptr || committed.count(anchor->header_digest) != 0) {
+    if (anchor == nullptr || committed.contains(anchor->header_digest)) {
       continue;
     }
     if (!AnchorSupportSatisfied(dag, wave, *anchor, committee)) {
@@ -166,7 +165,7 @@ BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_de
     for (uint64_t i = wave - 1; i > last_committed_wave && i > 0; --i) {
       const Certificate* ai =
           dag.GetCert(Bullshark::WaveAnchorRound(i), schedule.AuthorOf(i));
-      if (ai == nullptr || committed.count(ai->header_digest) != 0) {
+      if (ai == nullptr || committed.contains(ai->header_digest)) {
         continue;
       }
       if (dag.HasPath(candidate->header_digest, ai->header_digest)) {
@@ -199,7 +198,7 @@ BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_de
       for (uint64_t i = last_committed_wave + 1; i <= wave; ++i) {
         ValidatorId author = authors[static_cast<size_t>(i - last_committed_wave - 1)];
         const Certificate* cert = dag.GetCert(Bullshark::WaveAnchorRound(i), author);
-        bool ordered = cert != nullptr && committed.count(cert->header_digest) != 0;
+        bool ordered = cert != nullptr && committed.contains(cert->header_digest);
         schedule.RecordOutcome(i, author, ordered);
       }
     }

@@ -287,10 +287,13 @@ void NarwhalProvider::DrainPending() {
         anchor.round < primary_->dag().gc_round()) {
       continue;
     }
-    if (!commit_log_.Deliver({&anchor}, /*wave=*/0, /*decision_round=*/0)) {
+    std::optional<Dag::History> history = commit_log_.CompleteHistory(anchor.header_digest);
+    if (!history.has_value()) {
       pending_anchors_.push_front(std::move(anchor));
       return;  // Strictly in-order delivery: wait for sync.
     }
+    // A chain of one has no earlier anchor whose history could defer it.
+    commit_log_.Deliver({&anchor}, std::move(*history), /*wave=*/0, /*decision_round=*/0);
     commit_log_.AdvanceGc(anchor.round);
   }
 }

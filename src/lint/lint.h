@@ -10,7 +10,8 @@
 //
 //   R1 nondet          banned wall-clock / ambient-entropy / threading
 //                      identifiers outside src/sim/ and bench/.
-//   R2 unordered-iter  iteration over std::unordered_{map,set} whose loop
+//   R2 unordered-iter  iteration over std::unordered_{map,set} or the
+//                      repo's FlatTable (DigestMap, DigestSet) whose loop
 //                      body lets the (seed-dependent, implementation-defined)
 //                      bucket order escape into messages, hashes, encodings,
 //                      or accumulated state.

@@ -213,7 +213,8 @@ bool BodyEscapesOrder(const Toks& t, size_t first, size_t last) {
 }
 
 // Collects names of variables (and members) declared with an unordered
-// container type, plus `using` aliases of such types, into `unordered_vars`.
+// container type (the std ones and src/crypto/digest_table.h's FlatTable),
+// plus `using` aliases of such types, into `unordered_vars`.
 // Per-lane books — ordered sequences whose *elements* are unordered
 // containers (`std::vector<std::unordered_map<...>> lanes_`) — go into
 // `elem_unordered_vars`: the sequence itself iterates in index order, but a
@@ -222,7 +223,10 @@ bool BodyEscapesOrder(const Toks& t, size_t first, size_t last) {
 void CollectUnorderedDecls(const Toks& t, std::set<std::string>* unordered_vars,
                            std::set<std::string>* elem_unordered_vars) {
   static const std::set<std::string> kUnorderedTypes = {
-      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"};
+      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
+      "FlatTable",     "DigestMap"};
+  // Hashed tables spelled without template arguments.
+  static const std::set<std::string> kUnorderedPlainTypes = {"DigestSet"};
   static const std::set<std::string> kSequenceTypes = {"vector", "deque", "array"};
   std::set<std::string>& vars = *unordered_vars;
   // Pass 0: sequences of unordered containers.
@@ -265,11 +269,13 @@ void CollectUnorderedDecls(const Toks& t, std::set<std::string>* unordered_vars,
       vars.insert(t[i + 1].text);
       continue;
     }
-    if (kUnorderedTypes.count(t[i].text) == 0 || i + 1 >= t.size() || t[i + 1].text != "<") {
-      continue;
-    }
-    size_t close = MatchForward(t, i + 1, "<", ">");
-    if (close >= t.size()) {
+    size_t close = i;
+    if (kUnorderedTypes.count(t[i].text) > 0 && i + 1 < t.size() && t[i + 1].text == "<") {
+      close = MatchForward(t, i + 1, "<", ">");
+      if (close >= t.size()) {
+        continue;
+      }
+    } else if (kUnorderedPlainTypes.count(t[i].text) == 0) {
       continue;
     }
     // `using Alias = std::unordered_map<...>;`

@@ -44,7 +44,7 @@ void CommitLog::Recover() {
     if (!r.ok() || round < gc_round) {
       return;
     }
-    if (committed_.insert(digest).second) {
+    if (committed_.insert(digest)) {
       committed_by_round_[round].push_back(digest);
       ++committed_count_;
     }
@@ -52,12 +52,17 @@ void CommitLog::Recover() {
   // Refresh the primary's commit bookkeeping (committed batches, own-header
   // re-injection) for committed headers the recovered DAG still holds; the
   // crash-restart must not cause committed payload to be re-injected.
-  for (const Digest& digest : committed_) {
+  committed_.ForEachSorted(DigestLess{}, [&](const Digest& digest, Present) {
     auto header = dag.GetHeader(digest);
     if (header != nullptr) {
       primary_->NotifyCommitted(*header);
     }
-  }
+  });
+}
+
+Dag::History CommitLog::Walk(const Digest& anchor, const DigestSet& committed) {
+  ++history_walks_;
+  return primary_->dag().CollectCausalHistory(anchor, committed);
 }
 
 bool CommitLog::RequestMissing(const Dag::History& history) {
@@ -67,34 +72,43 @@ bool CommitLog::RequestMissing(const Dag::History& history) {
   return history.missing.empty();
 }
 
-bool CommitLog::HistoryComplete(const Digest& anchor) {
-  return RequestMissing(primary_->dag().CollectCausalHistory(anchor, committed_));
+std::optional<Dag::History> CommitLog::CompleteHistory(const Digest& anchor) {
+  Dag::History history = Walk(anchor, committed_);
+  if (!RequestMissing(history)) {
+    return std::nullopt;
+  }
+  return history;
 }
 
-bool CommitLog::Deliver(const std::vector<const Certificate*>& anchors, uint64_t wave,
-                        Round decision_round) {
+bool CommitLog::Deliver(const std::vector<const Certificate*>& anchors, Dag::History last,
+                        uint64_t wave, Round decision_round) {
   const Dag& dag = primary_->dag();
 
   // First pass: every history must be locally complete; request any gaps and
   // defer. A later anchor's walk treats the earlier anchors' histories as
   // committed; that union is only materialized for chains of two or more.
-  std::set<Digest, DigestLess> chain_committed;
-  const std::set<Digest, DigestLess>* seen = &committed_;
   std::vector<Dag::History> histories;
-  for (const Certificate* anchor : anchors) {
-    Dag::History history = dag.CollectCausalHistory(anchor->header_digest, *seen);
-    if (!RequestMissing(history)) {
-      return false;
-    }
-    if (anchors.size() > 1) {
-      if (seen == &committed_) {
-        chain_committed = committed_;
-        seen = &chain_committed;
+  if (anchors.size() > 1) {
+    DigestSet chain_committed = committed_;
+    for (size_t i = 0; i + 1 < anchors.size(); ++i) {
+      Dag::History history = Walk(anchors[i]->header_digest, chain_committed);
+      if (!RequestMissing(history)) {
+        return false;
       }
-      chain_committed.insert(history.ordered.begin(), history.ordered.end());
+      for (const Digest& digest : history.ordered) {
+        chain_committed.insert(digest);
+      }
+      histories.push_back(std::move(history));
     }
-    histories.push_back(std::move(history));
+    // The last anchor's walk saw only committed_. What it reached through
+    // an earlier anchor's history lies wholly inside that history (a
+    // history holds everything uncommitted below its vertices), so dropping
+    // the earlier histories' vertices leaves exactly the walk that treats
+    // them as committed, still in (round, author) order.
+    std::erase_if(last.ordered,
+                  [&](const Digest& digest) { return chain_committed.contains(digest); });
   }
+  histories.push_back(std::move(last));
 
   // Second pass: deliver.
   for (size_t i = 0; i < anchors.size(); ++i) {

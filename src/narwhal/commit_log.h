@@ -12,7 +12,9 @@
 //     pruning of both below the garbage-collection horizon;
 //   - the two-pass delivery of an anchor chain: nothing is delivered until
 //     every anchor's causal history is locally complete ("conservative
-//     synchronization"); gaps are requested from peers instead;
+//     synchronization"); gaps are requested from peers instead. Each
+//     anchor's history is walked once per commit event: the caller's
+//     completeness walk of the last anchor is the one delivered;
 //   - the GC advance relative to the anchor round (paper §3.3).
 #ifndef SRC_NARWHAL_COMMIT_LOG_H_
 #define SRC_NARWHAL_COMMIT_LOG_H_
@@ -20,7 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "src/narwhal/primary.h"
@@ -64,17 +66,21 @@ class CommitLog {
   // survives the crash too.
   void Recover();
 
-  bool IsCommitted(const Digest& digest) const { return committed_.count(digest) != 0; }
+  bool IsCommitted(const Digest& digest) const { return committed_.contains(digest); }
   uint64_t committed_headers() const { return committed_count_; }
+  // Causal-history walks taken so far (a deterministic work counter).
+  uint64_t history_walks() const { return history_walks_; }
 
-  // True if `anchor`'s uncommitted causal history is locally complete;
-  // otherwise asks peers for every missing header and returns false.
-  bool HistoryComplete(const Digest& anchor);
+  // `anchor`'s uncommitted causal history if it is locally complete;
+  // otherwise asks peers for every missing header and returns nullopt.
+  std::optional<Dag::History> CompleteHistory(const Digest& anchor);
 
   // Delivers the uncommitted causal histories of `anchors`, oldest first.
-  // All or nothing: if any history has a gap, the gaps are requested and
-  // false is returned with nothing delivered.
-  bool Deliver(const std::vector<const Certificate*>& anchors, uint64_t wave,
+  // `last` is CompleteHistory(anchors.back()), taken in this commit event
+  // with nothing delivered since. All or nothing: if any earlier anchor's
+  // history has a gap, the gaps are requested and false is returned with
+  // nothing delivered.
+  bool Deliver(const std::vector<const Certificate*>& anchors, Dag::History last, uint64_t wave,
                Round decision_round);
 
   // Moves the garbage-collection horizon to gc_depth rounds below
@@ -82,6 +88,8 @@ class CommitLog {
   void AdvanceGc(Round anchor_round);
 
  private:
+  // Walks `anchor`'s causal history, excluding `committed`.
+  Dag::History Walk(const Digest& anchor, const DigestSet& committed);
   // Requests every header in `history.missing`; true if there were none.
   bool RequestMissing(const Dag::History& history);
   void Persist(const Digest& digest, Round round);
@@ -90,9 +98,10 @@ class CommitLog {
   Round gc_depth_;
   Store* store_ = nullptr;
 
-  std::set<Digest, DigestLess> committed_;
+  DigestSet committed_;
   std::map<Round, std::vector<Digest>> committed_by_round_;
   uint64_t committed_count_ = 0;
+  uint64_t history_walks_ = 0;
 
   std::vector<std::function<void(const Committed&)>> on_commit_hooks_;
 };

@@ -23,8 +23,11 @@ bool Dag::AddCertificate(const Certificate& cert) {
     }
     return true;  // Duplicate.
   }
-  round_map.emplace(cert.author, cert);
-  by_digest_[cert.header_digest] = {cert.round, cert.author};
+  const Certificate& stored = round_map.emplace(cert.author, cert).first->second;
+  by_digest_.emplace(cert.header_digest, &stored);
+  if (const BlockHeader* header = FindHeader(cert.header_digest)) {
+    CountCitations(*header);
+  }
   return true;
 }
 
@@ -32,7 +35,38 @@ void Dag::AddHeader(std::shared_ptr<const BlockHeader> header, const Digest& dig
   if (header->round < gc_round_) {
     return;
   }
-  headers_.emplace(digest, std::move(header));
+  const BlockHeader& stored = *header;
+  if (headers_.emplace(digest, std::move(header)).second && by_digest_.contains(digest)) {
+    CountCitations(stored);
+  }
+}
+
+namespace {
+// Calls fn(digest) once per distinct parent of `header` one round below it:
+// the edges a leader's direct support counts.
+template <typename Fn>
+void ForEachCitedParent(const BlockHeader& header, Fn fn) {
+  const std::vector<Certificate>& parents = header.parents;
+  for (size_t i = 0; i < parents.size(); ++i) {
+    if (parents[i].round + 1 != header.round) {
+      continue;
+    }
+    bool repeated = false;
+    for (size_t j = 0; j < i && !repeated; ++j) {
+      repeated = parents[j].header_digest == parents[i].header_digest;
+    }
+    if (!repeated) {
+      fn(parents[i].header_digest);
+    }
+  }
+}
+}  // namespace
+
+void Dag::CountCitations(const BlockHeader& header) {
+  if (header.round <= gc_round_) {
+    return;  // Its parents are below the horizon: never a leader again.
+  }
+  ForEachCitedParent(header, [this](const Digest& parent) { ++citers_[parent]; });
 }
 
 const Certificate* Dag::GetCert(Round round, ValidatorId author) const {
@@ -42,19 +76,6 @@ const Certificate* Dag::GetCert(Round round, ValidatorId author) const {
   }
   auto ait = rit->second.find(author);
   return ait == rit->second.end() ? nullptr : &ait->second;
-}
-
-const Certificate* Dag::GetCertByDigest(const Digest& header_digest) const {
-  auto it = by_digest_.find(header_digest);
-  if (it == by_digest_.end()) {
-    return nullptr;
-  }
-  return GetCert(it->second.first, it->second.second);
-}
-
-std::shared_ptr<const BlockHeader> Dag::GetHeader(const Digest& header_digest) const {
-  auto it = headers_.find(header_digest);
-  return it == headers_.end() ? nullptr : it->second;
 }
 
 const std::map<ValidatorId, Certificate>& Dag::CertsAt(Round round) const {
@@ -74,12 +95,14 @@ std::vector<Dag::Collected> Dag::GarbageCollect(Round new_gc_round) {
       Collected record;
       record.digest = cert.header_digest;
       record.cert = cert;
-      auto header_it = headers_.find(cert.header_digest);
-      if (header_it != headers_.end()) {
-        record.header = std::move(header_it->second);
-        headers_.erase(header_it);
+      if (std::shared_ptr<const BlockHeader>* header = headers_.find(cert.header_digest)) {
+        record.header = std::move(*header);
+        headers_.erase(cert.header_digest);
+        ForEachCitedParent(*record.header,
+                           [this](const Digest& parent) { citers_.erase(parent); });
       }
       by_digest_.erase(cert.header_digest);
+      citers_.erase(cert.header_digest);
       collected.push_back(std::move(record));
     }
     it = by_round_.erase(it);
@@ -91,18 +114,18 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
   if (from == to) {
     return true;
   }
-  auto target = by_digest_.find(to);
-  if (target == by_digest_.end()) {
+  const Certificate* target = GetCertByDigest(to);
+  if (target == nullptr) {
     return false;
   }
-  const Round target_round = target->second.first;
+  const Round target_round = target->round;
 
   std::deque<Digest> frontier{from};
-  std::set<Digest, DigestLess> visited{from};
+  DigestSet visited;
+  visited.insert(from);
   while (!frontier.empty()) {
-    Digest current = frontier.front();
+    const BlockHeader* header = FindHeader(frontier.front());
     frontier.pop_front();
-    auto header = GetHeader(current);
     if (header == nullptr) {
       continue;  // Edge unknown without the header.
     }
@@ -113,7 +136,7 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
       if (parent.round <= target_round || parent.round < gc_round_) {
         continue;  // Can't reach `to` from at-or-below its round.
       }
-      if (visited.insert(parent.header_digest).second) {
+      if (visited.insert(parent.header_digest)) {
         frontier.push_back(parent.header_digest);
       }
     }
@@ -121,10 +144,9 @@ bool Dag::HasPath(const Digest& from, const Digest& to) const {
   return false;
 }
 
-Dag::History Dag::CollectCausalHistory(const Digest& anchor,
-                                       const std::set<Digest, DigestLess>& committed) const {
+Dag::History Dag::CollectCausalHistory(const Digest& anchor, const DigestSet& committed) const {
   History result;
-  if (committed.count(anchor) != 0) {
+  if (committed.contains(anchor)) {
     return result;
   }
   // BFS over parent edges; gather every uncommitted vertex above the GC
@@ -136,30 +158,28 @@ Dag::History Dag::CollectCausalHistory(const Digest& anchor,
   };
   std::vector<Entry> gathered;
   std::deque<Digest> frontier{anchor};
-  std::set<Digest, DigestLess> visited{anchor};
+  DigestSet visited;
+  visited.insert(anchor);
   while (!frontier.empty()) {
     Digest current = frontier.front();
     frontier.pop_front();
-    auto meta = by_digest_.find(current);
-    if (meta == by_digest_.end()) {
-      // Certificate itself unknown (can happen transiently for parents); the
-      // header sync will bring it in.
-      result.missing.push_back(current);
-      continue;
-    }
-    auto header = GetHeader(current);
+    const Certificate* cert = GetCertByDigest(current);
+    const BlockHeader* header = cert == nullptr ? nullptr : FindHeader(current);
     if (header == nullptr) {
+      // Certificate (transiently, for parents) or header unknown; the header
+      // sync will bring it in.
       result.missing.push_back(current);
       continue;
     }
-    gathered.push_back({meta->second.first, meta->second.second, current});
+    gathered.push_back({cert->round, cert->author, current});
     for (const Certificate& parent : header->parents) {
-      if (parent.round < gc_round_ || committed.count(parent.header_digest) != 0) {
+      // Most parents were reached already through a sibling: test the walk's
+      // own set before the (larger) committed set.
+      if (parent.round < gc_round_ || !visited.insert(parent.header_digest) ||
+          committed.contains(parent.header_digest)) {
         continue;
       }
-      if (visited.insert(parent.header_digest).second) {
-        frontier.push_back(parent.header_digest);
-      }
+      frontier.push_back(parent.header_digest);
     }
   }
   if (!result.missing.empty()) {

@@ -3,14 +3,24 @@
 // based garbage collection (§3.3) and the deterministic causal-history
 // linearization both Tusk and Narwhal-HotStuff use after agreeing on an
 // anchor certificate (§3.2, §5).
+//
+// Indexes. Certificates live in `by_round_`, ordered by (round, author): that
+// order is observable (proposal parents, commit order, GC eviction), so it
+// stays an ordered map. Every lookup by digest goes through a hashed
+// FlatTable with one probe: digest -> certificate, digest -> header, and
+// digest -> citers. The citer count is the commit rules' support test kept
+// incrementally: it is bumped once when a (certificate, header) pair at round
+// r+1 becomes complete, whichever of the two arrives second, for each
+// distinct round-r parent the header cites. Because the Dag itself keeps it,
+// direct inserts (recovery, replay tools) stay indexed with no hooks.
 #ifndef SRC_NARWHAL_DAG_H_
 #define SRC_NARWHAL_DAG_H_
 
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
+#include "src/crypto/digest_table.h"
 #include "src/types/types.h"
 
 namespace nt {
@@ -23,13 +33,29 @@ class Dag {
   bool AddCertificate(const Certificate& cert);
 
   // Stores the header for a certificate (carries the causal edges and batch
-  // references).
+  // references). Idempotent for a digest already stored.
   void AddHeader(std::shared_ptr<const BlockHeader> header, const Digest& digest);
 
   const Certificate* GetCert(Round round, ValidatorId author) const;
-  const Certificate* GetCertByDigest(const Digest& header_digest) const;
-  std::shared_ptr<const BlockHeader> GetHeader(const Digest& header_digest) const;
-  bool HasHeader(const Digest& header_digest) const { return headers_.count(header_digest) != 0; }
+  const Certificate* GetCertByDigest(const Digest& header_digest) const {
+    const Certificate* const* cert = by_digest_.find(header_digest);
+    return cert == nullptr ? nullptr : *cert;
+  }
+  std::shared_ptr<const BlockHeader> GetHeader(const Digest& header_digest) const {
+    const std::shared_ptr<const BlockHeader>* header = headers_.find(header_digest);
+    return header == nullptr ? nullptr : *header;
+  }
+  bool HasHeader(const Digest& header_digest) const { return headers_.contains(header_digest); }
+
+  // Certified blocks whose stored headers cite `header_digest` as a parent
+  // one round below them: the direct support of a wave leader (Tusk §5,
+  // Bullshark's anchor vote). Counts only complete (certificate, header)
+  // pairs in the local view, each once; exact for every certificate at or
+  // above the GC horizon.
+  uint32_t Citers(const Digest& header_digest) const {
+    const uint32_t* count = citers_.find(header_digest);
+    return count == nullptr ? 0 : *count;
+  }
 
   // Certificates stored for a round (empty map if none).
   const std::map<ValidatorId, Certificate>& CertsAt(Round round) const;
@@ -72,24 +98,28 @@ class Dag {
   // Collects the anchor's causal history down to the GC round, excluding
   // digests in `committed`. If any header on the way is missing, `missing`
   // is non-empty and `ordered` must not be committed yet.
-  History CollectCausalHistory(const Digest& anchor,
-                               const std::set<Digest, DigestLess>& committed) const;
+  History CollectCausalHistory(const Digest& anchor, const DigestSet& committed) const;
 
   size_t TotalCertificates() const { return by_digest_.size(); }
   size_t TotalHeaders() const { return headers_.size(); }
 
-  // Read-only view of all stored headers (mempool facade, metrics).
-  const std::map<Digest, std::shared_ptr<const BlockHeader>, DigestLess>& headers() const {
-    return headers_;
-  }
-
  private:
+  const BlockHeader* FindHeader(const Digest& header_digest) const {
+    const std::shared_ptr<const BlockHeader>* header = headers_.find(header_digest);
+    return header == nullptr ? nullptr : header->get();
+  }
+  // Adds `header`'s citations to citers_; called once, when its pair
+  // completes.
+  void CountCitations(const BlockHeader& header);
+
   Round gc_round_ = 0;
   // round -> author -> certificate.
   std::map<Round, std::map<ValidatorId, Certificate>> by_round_;
-  // header digest -> (round, author), for digest lookups.
-  std::map<Digest, std::pair<Round, ValidatorId>, DigestLess> by_digest_;
-  std::map<Digest, std::shared_ptr<const BlockHeader>, DigestLess> headers_;
+  // header digest -> its certificate in by_round_ (map nodes never move).
+  DigestMap<const Certificate*> by_digest_;
+  DigestMap<std::shared_ptr<const BlockHeader>> headers_;
+  // header digest -> Citers().
+  DigestMap<uint32_t> citers_;
 };
 
 }  // namespace nt

@@ -90,24 +90,26 @@ std::optional<Bytes> LightClient::VerifyInclusion(const InclusionProof& proof) c
 std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const Worker& worker,
                                                   const Bytes& tx) {
   const Dag& dag = primary.dag();
-  for (const auto& [header_digest, header] : dag.headers()) {
-    const Certificate* cert = dag.GetCertByDigest(header_digest);
-    if (cert == nullptr) {
-      continue;  // Not (yet) certified.
-    }
-    for (const BatchRef& ref : header->batches) {
-      std::shared_ptr<const Batch> batch = worker.GetBatch(ref.digest);
-      if (batch == nullptr) {
-        continue;  // Data lives on another worker (§8.4).
+  for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
+    for (const auto& [author, cert] : dag.CertsAt(round)) {
+      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert.header_digest);
+      if (header == nullptr) {
+        continue;  // Certified, but the header is not (yet) stored.
       }
-      for (size_t i = 0; i < batch->txs.size(); ++i) {
-        if (batch->txs[i] == tx) {
-          InclusionProof proof;
-          proof.certificate = *cert;
-          proof.header = header;
-          proof.batch = batch;
-          proof.tx_index = static_cast<uint32_t>(i);
-          return proof;
+      for (const BatchRef& ref : header->batches) {
+        std::shared_ptr<const Batch> batch = worker.GetBatch(ref.digest);
+        if (batch == nullptr) {
+          continue;  // Data lives on another worker (§8.4).
+        }
+        for (size_t i = 0; i < batch->txs.size(); ++i) {
+          if (batch->txs[i] == tx) {
+            InclusionProof proof;
+            proof.certificate = cert;
+            proof.header = header;
+            proof.batch = batch;
+            proof.tx_index = static_cast<uint32_t>(i);
+            return proof;
+          }
         }
       }
     }

@@ -62,8 +62,9 @@ class LightClient {
 };
 
 // Full-node side: assembles a proof for an explicit transaction payload.
-// Scans the validator's DAG for a certified header referencing a batch that
-// contains `tx` (the §8.4 "locate transaction data across workers" step).
+// Scans the validator's DAG in (round, author) order for the first certified
+// header referencing a batch that contains `tx` (the §8.4 "locate
+// transaction data across workers" step).
 std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const Worker& worker,
                                                   const Bytes& tx);
 

@@ -6,12 +6,17 @@ Digest Mempool::Write(std::vector<Bytes> txs) { return worker_->SubmitBlock(std:
 
 std::optional<Certificate> Mempool::CertificateFor(const Digest& batch_digest) const {
   const Dag& dag = primary_->dag();
-  for (const auto& [header_digest, header] : dag.headers()) {
-    for (const BatchRef& ref : header->batches) {
-      if (ref.digest == batch_digest) {
-        const Certificate* cert = dag.GetCertByDigest(header_digest);
-        if (cert != nullptr) {
-          return *cert;
+  // In (round, author) order: a batch re-proposed after GC re-injection is
+  // covered by its earliest certificate.
+  for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
+    for (const auto& [author, cert] : dag.CertsAt(round)) {
+      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert.header_digest);
+      if (header == nullptr) {
+        continue;
+      }
+      for (const BatchRef& ref : header->batches) {
+        if (ref.digest == batch_digest) {
+          return cert;
         }
       }
     }

@@ -247,7 +247,7 @@ void Primary::Recover() {
   std::sort(certs.begin(), certs.end(), [](const Certificate& a, const Certificate& b) {
     return a.round != b.round ? a.round < b.round : a.author < b.author;
   });
-  std::map<Digest, const Certificate*, DigestLess> cert_index;
+  DigestMap<const Certificate*> cert_index;
   for (const Certificate& cert : certs) {
     cert_index.emplace(cert.header_digest, &cert);
   }
@@ -257,11 +257,11 @@ void Primary::Recover() {
       continue;
     }
     for (const Digest& parent : rec.parents) {
-      auto it = cert_index.find(parent);
-      if (it == cert_index.end() || it->second->round + 1 != header.round) {
+      const Certificate* const* cert = cert_index.find(parent);
+      if (cert == nullptr || (*cert)->round + 1 != header.round) {
         break;
       }
-      header.parents.push_back(*it->second);
+      header.parents.push_back(**cert);
     }
     if (header.parents.size() != rec.parents.size()) {
       // A parent record is missing (a parent accepted below the horizon is
@@ -271,9 +271,17 @@ void Primary::Recover() {
     }
     auto ptr = std::make_shared<const BlockHeader>(std::move(header));
     Digest digest = ptr->ComputeDigest();
-    if (!dag_.HasHeader(digest)) {
-      dag_.AddHeader(std::move(ptr), digest);  // Direct insert: recovery fires no hooks.
+    if (dag_.HasHeader(digest)) {
+      continue;
     }
+    if (ptr->author == id_) {
+      // Re-inject bookkeeping for own headers (fairness across the crash).
+      own_headers_[digest] = ptr->batches;
+      for (const BatchRef& ref : ptr->batches) {
+        included_batches_.insert(ref.digest);
+      }
+    }
+    dag_.AddHeader(std::move(ptr), digest);  // Direct insert: recovery fires no hooks.
   }
   for (const Certificate& cert : certs) {
     if (cert.round >= gc_round) {
@@ -296,17 +304,6 @@ void Primary::Recover() {
   round_ = gc_round;
   while (dag_.CertCountAt(round_) >= committee_.quorum_threshold()) {
     ++round_;
-  }
-
-  // Re-inject bookkeeping for own headers (fairness across the crash).
-  for (const auto& [digest, header] : dag_.headers()) {
-    if (header->author != id_) {
-      continue;
-    }
-    own_headers_[digest] = header->batches;
-    for (const BatchRef& ref : header->batches) {
-      included_batches_.insert(ref.digest);
-    }
   }
 
   // Double-propose guard: a marker for the current round means a header was
@@ -615,7 +612,7 @@ void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
   // Availability condition (paper §4.2): only sign if our own workers store
   // every referenced batch; otherwise instruct them to fetch and defer.
   for (const BatchRef& ref : header.batches) {
-    if (stored_batches_.count(ref.digest) == 0) {
+    if (!stored_batches_.contains(ref.digest)) {
       pending.missing_batches.insert(ref.digest);
     }
   }

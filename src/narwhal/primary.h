@@ -193,7 +193,7 @@ class Primary : public NetNode {
   // Digests already assigned to a header (avoid double inclusion).
   std::set<Digest> included_batches_;
   // Batches our own workers report stored (any author).
-  std::set<Digest, DigestLess> stored_batches_;
+  DigestSet stored_batches_;
 
   // Outstanding own proposals: header digest -> votes.
   std::map<Digest, Proposal> proposals_;

@@ -156,8 +156,8 @@ void Worker::StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest&
 }
 
 std::shared_ptr<const Batch> Worker::GetBatch(const Digest& digest) const {
-  auto it = batches_.find(digest);
-  return it == batches_.end() ? nullptr : it->second;
+  const std::shared_ptr<const Batch>* batch = batches_.find(digest);
+  return batch == nullptr ? nullptr : *batch;
 }
 
 void Worker::DisseminateBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest) {
@@ -262,10 +262,8 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
   }
 
   if (auto request = std::dynamic_pointer_cast<const MsgBatchRequest>(msg)) {
-    auto it = batches_.find(request->digest);
-    if (it != batches_.end()) {
-      network_->Send(net_id_, from,
-                     std::make_shared<MsgBatchResponse>(it->second, request->digest));
+    if (const std::shared_ptr<const Batch>* batch = batches_.find(request->digest)) {
+      network_->Send(net_id_, from, std::make_shared<MsgBatchResponse>(*batch, request->digest));
     }
     return;
   }

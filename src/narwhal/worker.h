@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/trace.h"
+#include "src/crypto/digest_table.h"
 #include "src/narwhal/config.h"
 #include "src/net/network.h"
 #include "src/store/store.h"
@@ -151,7 +152,7 @@ class Worker : public NetNode {
   std::map<Digest, InFlight> in_flight_;
 
   // Batch contents kept in memory for serving pull requests.
-  std::map<Digest, std::shared_ptr<const Batch>, DigestLess> batches_;
+  DigestMap<std::shared_ptr<const Batch>> batches_;
 
   // Outstanding pull requests issued on behalf of the primary.
   std::set<Digest> fetching_;

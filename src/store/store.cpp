@@ -49,21 +49,19 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 void MemStore::Put(const Digest& key, Bytes value) { map_[key] = std::move(value); }
 
 std::optional<Bytes> MemStore::Get(const Digest& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const Bytes* value = map_.find(key);
+  if (value == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *value;
 }
 
-bool MemStore::Contains(const Digest& key) const { return map_.count(key) != 0; }
+bool MemStore::Contains(const Digest& key) const { return map_.contains(key); }
 
-bool MemStore::Erase(const Digest& key) { return map_.erase(key) != 0; }
+bool MemStore::Erase(const Digest& key) { return map_.erase(key); }
 
 void MemStore::ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const {
-  for (const auto& [key, value] : map_) {
-    fn(key, value);
-  }
+  map_.ForEachSorted(DigestLess{}, fn);
 }
 
 // ------------------------------------------------------------------ WalStore

@@ -2,7 +2,7 @@
 // artifact (§6: "Data-structures are persisted using RocksDB").
 //
 // Two implementations:
-//  - MemStore: plain in-memory map (used by most simulations).
+//  - MemStore: plain in-memory hash index (used by most simulations).
 //  - WalStore: in-memory index backed by an append-only write-ahead log on
 //    disk with CRC-protected records and recovery, for durability tests and
 //    the storage micro-benchmarks.
@@ -19,13 +19,12 @@
 
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
-#include "src/crypto/hash.h"
+#include "src/crypto/digest_table.h"
 
 namespace nt {
 
@@ -47,8 +46,9 @@ class Store {
 
   virtual size_t size() const = 0;
 
-  // Visits every live record in key order (deterministic: both stores index
-  // with an ordered map). Recovery scans are built on this.
+  // Visits every live record in DigestLess key order, whatever the order of
+  // puts and erases (deterministic: both stores sort a snapshot of their
+  // hashed index). Recovery scans are built on this.
   virtual void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const = 0;
 
   // Durability barrier: after Sync() returns, every preceding Put/Erase
@@ -72,9 +72,8 @@ class MemStore : public Store {
   void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const override;
 
  private:
-  // Ordered so that any future iteration (dumps, state sync, WAL compaction)
-  // is deterministic by construction rather than hash-seed dependent.
-  std::map<Digest, Bytes, DigestLess> map_;
+  // Hashed for one-probe lookups; ForEach restores key order.
+  DigestMap<Bytes> map_;
 };
 
 // Append-only WAL-backed store. Every mutation is written as a

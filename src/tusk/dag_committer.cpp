@@ -66,24 +66,6 @@ const Certificate* DagCommitter::LeaderCert(uint64_t wave) const {
   return dag().GetCert(LeaderRound(wave), LeaderOf(wave));
 }
 
-uint32_t DagCommitter::DirectSupport(Round round, const Certificate& leader) const {
-  const Dag& d = dag();
-  uint32_t votes = 0;
-  for (const auto& [author, cert] : d.CertsAt(round)) {
-    auto header = d.GetHeader(cert.header_digest);
-    if (header == nullptr) {
-      continue;  // Unknown edges can only undercount; sync will re-trigger.
-    }
-    for (const Certificate& parent : header->parents) {
-      if (parent.header_digest == leader.header_digest) {
-        ++votes;
-        break;
-      }
-    }
-  }
-  return votes;
-}
-
 bool DagCommitter::HasQuorumAt(Round round) const {
   return dag().CertCountAt(round) >= committee_.quorum_threshold();
 }
@@ -122,8 +104,10 @@ bool DagCommitter::CommitChain(uint64_t wave, const Certificate& leader) {
   // Ensure the leader's entire causal history is locally complete before
   // deciding anything: HasPath below must not mistake a missing header for a
   // missing path, or we could skip a leader another validator committed
-  // (the paper's "conservative synchronization").
-  if (!commit_log_.HistoryComplete(leader.header_digest)) {
+  // (the paper's "conservative synchronization"). The walk is the one
+  // delivered below.
+  std::optional<Dag::History> history = commit_log_.CompleteHistory(leader.header_digest);
+  if (!history.has_value()) {
     return false;
   }
 
@@ -145,7 +129,7 @@ bool DagCommitter::CommitChain(uint64_t wave, const Certificate& leader) {
   }
   std::reverse(chain.begin(), chain.end());
 
-  if (!commit_log_.Deliver(chain, wave, DecisionRound(wave))) {
+  if (!commit_log_.Deliver(chain, std::move(*history), wave, DecisionRound(wave))) {
     return false;  // A history has gaps; sync requested.
   }
   SettleWaves(last_committed_wave_, wave);

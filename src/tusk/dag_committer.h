@@ -71,6 +71,9 @@ class DagCommitter {
   uint64_t committed_headers() const { return commit_log_.committed_headers(); }
   // Waves whose leader was present but lacked support (each counted once).
   uint64_t skipped_leaders() const { return skipped_leaders_; }
+  // Causal-history walks made by commit delivery: one per delivered leader,
+  // plus one per attempt deferred on missing headers.
+  uint64_t history_walks() const { return commit_log_.history_walks(); }
 
   // The rule's wave arithmetic (w >= 1).
   virtual Round LeaderRound(uint64_t wave) const = 0;
@@ -102,8 +105,11 @@ class DagCommitter {
   bool IsCommitted(const Digest& digest) const { return commit_log_.IsCommitted(digest); }
   // The leader block of `wave` in the local view, or null.
   const Certificate* LeaderCert(uint64_t wave) const;
-  // Certified blocks at `round` that reference `leader` as a direct parent.
-  uint32_t DirectSupport(Round round, const Certificate& leader) const;
+  // Certified blocks of the next round that reference `leader` as a direct
+  // parent: one probe of the DAG's citer index.
+  uint32_t DirectSupport(const Certificate& leader) const {
+    return dag().Citers(leader.header_digest);
+  }
   // True once `round` holds a quorum (2f+1) of certificates locally: the
   // point at which a coin-elected rule can reveal the wave's leader.
   bool HasQuorumAt(Round round) const;

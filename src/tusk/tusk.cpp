@@ -13,7 +13,7 @@ ValidatorId Tusk::LeaderOf(uint64_t wave) const {
   return coin_->LeaderOf(wave, committee().size());
 }
 
-bool Tusk::Supported(uint64_t wave, const Certificate& leader) const {
+bool Tusk::Supported(uint64_t /*wave*/, const Certificate& leader) const {
   // Seeded mutation: skip the paper's §5 f+1 second-round support check and
   // commit every elected leader present in the local view — validators with
   // different views then commit different leader chains (detected by the DST
@@ -21,7 +21,7 @@ bool Tusk::Supported(uint64_t wave, const Certificate& leader) const {
   if (seeded_bugs::skip_tusk_support) {
     return true;
   }
-  return DirectSupport(WaveSecondRound(wave), leader) >= committee().validity_threshold();
+  return DirectSupport(leader) >= committee().validity_threshold();
 }
 
 }  // namespace nt

@@ -7,17 +7,40 @@ namespace nt {
 VerifiedCertCache::VerifiedCertCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 VerifiedCertCache::LruList::iterator VerifiedCertCache::Find(const Claim& claim) {
-  auto [it, end] = index_.equal_range(Key{claim.kind, claim.round, claim.subject});
-  for (; it != end; ++it) {
-    if (it->second->Binds(claim)) {
-      return it->second;
+  const LruList::iterator* head = index_.find(Key{claim.kind, claim.round, claim.subject});
+  for (auto it = head == nullptr ? lru_.end() : *head; it != lru_.end(); it = it->next_binding) {
+    if (it->Binds(claim)) {
+      return it;
     }
   }
   return lru_.end();
 }
 
-void VerifiedCertCache::Erase(LruList::iterator entry) {
-  index_.erase(entry->slot);
+void VerifiedCertCache::Unindex(LruList::iterator entry) {
+  LruList::iterator* head = index_.find(entry->key);
+  if (*head == entry) {
+    if (entry->next_binding == lru_.end()) {
+      index_.erase(entry->key);
+    } else {
+      *head = entry->next_binding;
+    }
+    return;
+  }
+  auto prev = *head;
+  while (prev->next_binding != entry) {
+    prev = prev->next_binding;
+  }
+  prev->next_binding = entry->next_binding;
+}
+
+void VerifiedCertCache::EvictOldest() {
+  auto entry = std::prev(lru_.end());
+  Unindex(entry);
+  auto bucket = by_round_.find(entry->key.round);
+  std::erase(bucket->second, entry);
+  if (bucket->second.empty()) {
+    by_round_.erase(bucket);
+  }
   lru_.erase(entry);
 }
 
@@ -43,11 +66,17 @@ void VerifiedCertCache::Insert(const Claim& claim) {
     lru_.splice(lru_.begin(), lru_, entry);
     return;
   }
-  lru_.push_front(Entry{{}, claim.author, claim.committee, claim.votes});
-  lru_.front().slot = index_.emplace(Key{claim.kind, claim.round, claim.subject}, lru_.begin());
+  const Key key{claim.kind, claim.round, claim.subject};
+  lru_.push_front(Entry{key, lru_.end(), claim.author, claim.committee, claim.votes});
+  auto [head, inserted] = index_.emplace(key, lru_.begin());
+  if (!inserted) {
+    lru_.front().next_binding = *head;
+    *head = lru_.begin();
+  }
+  by_round_[claim.round].push_back(lru_.begin());
   ++stats_.insertions;
-  while (index_.size() > capacity_) {
-    Erase(std::prev(lru_.end()));
+  while (lru_.size() > capacity_) {
+    EvictOldest();
     ++stats_.lru_evictions;
   }
 }
@@ -58,19 +87,19 @@ void VerifiedCertCache::OnGcRound(uint64_t gc_round) {
     return;
   }
   gc_round_ = gc_round;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto next = std::next(it);
-    if (it->slot->first.round < gc_round_) {
-      Erase(it);
+  for (auto bucket = by_round_.begin(); bucket != by_round_.end() && bucket->first < gc_round_;
+       bucket = by_round_.erase(bucket)) {
+    for (LruList::iterator entry : bucket->second) {
+      Unindex(entry);
+      lru_.erase(entry);
       ++stats_.gc_evictions;
     }
-    it = next;
   }
 }
 
 size_t VerifiedCertCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
+  return lru_.size();
 }
 
 VerifiedCertCache::Stats VerifiedCertCache::stats() const {
@@ -87,6 +116,7 @@ void VerifiedCertCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
+  by_round_.clear();
   stats_ = Stats{};
   gc_round_ = 0;
 }

@@ -17,7 +17,8 @@
 // Key and binding. An entry is found by what the certificate certifies —
 // its kind, subject digest and round (a Narwhal certificate: header digest
 // and round; a HotStuff QC: block digest and view; a TC: its view) — so a
-// lookup costs one ordered-map probe and no hashing. The entry then binds
+// lookup costs one hashed-table probe (keyed on the subject digest's first
+// bytes, src/crypto/digest_table.h) and no SHA-256. The entry then binds
 // exactly how that subject was certified: the committee fingerprint, the
 // header author and the full (voter, signature) list, compared byte for byte
 // against the presented certificate. A forged or different vote set under a
@@ -28,7 +29,8 @@
 //
 // The cache is bounded (LRU) and garbage-collection aware: once the DAG's GC
 // horizon passes a round, certificates below it can no longer be presented
-// for verification, so their entries are dropped eagerly.
+// for verification, so their entries are dropped eagerly, a whole per-round
+// bucket at a time.
 #ifndef SRC_TYPES_CERT_CACHE_H_
 #define SRC_TYPES_CERT_CACHE_H_
 
@@ -39,7 +41,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/crypto/hash.h"
+#include "src/crypto/digest_table.h"
 #include "src/types/committee.h"
 
 namespace nt {
@@ -105,24 +107,21 @@ class VerifiedCertCache {
     Kind kind;
     uint64_t round;
     Digest subject;
+    bool operator==(const Key&) const = default;
   };
-  struct KeyLess {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.kind != b.kind) {
-        return a.kind < b.kind;
-      }
-      if (a.round != b.round) {
-        return a.round < b.round;
-      }
-      return DigestLess{}(a.subject, b.subject);
+  struct KeyHash {
+    uint64_t operator()(const Key& key) const {
+      // TC subjects are all zero: the round keeps their keys apart.
+      return DigestHash{}(key.subject) ^ (key.round << 2) ^ static_cast<uint64_t>(key.kind);
     }
   };
   struct Entry;
   using LruList = std::list<Entry>;
-  // A key holds one entry per distinct binding.
-  using Index = std::multimap<Key, LruList::iterator, KeyLess>;
   struct Entry {
-    Index::iterator slot;  // This entry's index node (holds its key).
+    Key key;
+    // The next entry under the same key (one per distinct binding), or
+    // lru_.end().
+    LruList::iterator next_binding;
     ValidatorId author;
     Digest committee;
     Votes votes;
@@ -134,16 +133,22 @@ class VerifiedCertCache {
 
   // The entry for `claim`, or lru_.end().
   LruList::iterator Find(const Claim& claim);
-  void Erase(LruList::iterator entry);
+  // Removes `entry` from the index (not from its round bucket or the LRU).
+  void Unindex(LruList::iterator entry);
+  // LRU eviction of the least recently used entry.
+  void EvictOldest();
 
   // ntlint:allow(nondet): guards tool/test access to the static default instances; protocol nodes own per-instance caches and never contend
   mutable std::mutex mu_;
   size_t capacity_;
   uint64_t gc_round_ = 0;
   LruList lru_;  // Front = most recently used.
-  // Ordered (not hashed) so the container's behaviour is deterministic
-  // regardless of insertion history or hash seeding.
-  Index index_;
+  // Key -> the most recently inserted entry under it; older bindings chain
+  // through Entry::next_binding. Hit/miss, eviction and LRU order never
+  // depend on the table's layout.
+  FlatTable<Key, LruList::iterator, KeyHash> index_;
+  // Round -> its entries, so a GC advance drops whole buckets.
+  std::map<uint64_t, std::vector<LruList::iterator>> by_round_;
   Stats stats_;
 };
 

@@ -101,6 +101,60 @@ TEST(VerifiedCertCacheTest, GcEvictsBelowHorizonAndRejectsLateInserts) {
   EXPECT_FALSE(cache.Lookup(Key(5, 5)));
 }
 
+// GC evicts whole per-round buckets, and the survivors keep their LRU
+// order: later capacity evictions take them least recently used first. An
+// entry evicted by LRU leaves its bucket, so the next GC counts only live
+// entries. (The same counts and order as a full LRU scan per GC advance.)
+TEST(VerifiedCertCacheTest, GcBucketsKeepCountsAndLruOrder) {
+  VerifiedCertCache cache(6);
+  const VerifiedCertCache::Votes other_votes{{1, Signature{}}};
+  cache.Insert(Key(1, 2));
+  cache.Insert(Key(2, 5));
+  cache.Insert({Kind::kNarwhal, Subject(1), 2, 0, kCommittee, other_votes});  // 2nd binding.
+  cache.Insert(Key(3, 6));
+  cache.Insert(Key(4, 4));
+  cache.Insert(Key(5, 7));
+  EXPECT_TRUE(cache.Lookup(Key(2, 5)));
+  // Most recent first: 2@5, 5@7, 4@4, 3@6, 1'@2, 1@2.
+  cache.OnGcRound(5);
+  EXPECT_EQ(cache.stats().gc_evictions, 3u);  // Both bindings at round 2, and 4@4.
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_FALSE(cache.Lookup({Kind::kNarwhal, Subject(1), 2, 0, kCommittee, other_votes}));
+
+  // Survivors, most recent first: 2@5, 5@7, 3@6.
+  cache.Insert(Key(6, 8));
+  cache.Insert(Key(7, 8));
+  cache.Insert(Key(8, 8));
+  cache.Insert(Key(9, 8));
+  EXPECT_EQ(cache.stats().lru_evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(Key(3, 6)));
+  EXPECT_TRUE(cache.Lookup(Key(5, 7)));
+  cache.Insert(Key(10, 8));
+  EXPECT_EQ(cache.stats().lru_evictions, 2u);
+  EXPECT_FALSE(cache.Lookup(Key(2, 5)));
+  EXPECT_TRUE(cache.Lookup(Key(5, 7)));
+
+  cache.OnGcRound(9);
+  EXPECT_EQ(cache.stats().gc_evictions, 3u + 6u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Timeout certificates all certify the zero digest; their keys differ only
+// by view, and each view stays a distinct entry.
+TEST(VerifiedCertCacheTest, ZeroSubjectKeysAreKeptApartByRound) {
+  VerifiedCertCache cache(64);
+  const Digest zero{};
+  for (uint64_t view = 1; view <= 40; ++view) {
+    cache.Insert({Kind::kTimeoutCert, zero, view, 0, kCommittee, kNoVotes});
+  }
+  EXPECT_EQ(cache.size(), 40u);
+  for (uint64_t view = 1; view <= 40; ++view) {
+    EXPECT_TRUE(cache.Lookup({Kind::kTimeoutCert, zero, view, 0, kCommittee, kNoVotes}));
+  }
+  EXPECT_FALSE(cache.Lookup({Kind::kTimeoutCert, zero, 41, 0, kCommittee, kNoVotes}));
+  EXPECT_FALSE(cache.Lookup({Kind::kQuorumCert, zero, 7, 0, kCommittee, kNoVotes}));
+}
+
 TEST(VerifiedCertCacheTest, ClearResetsEverything) {
   VerifiedCertCache cache(4);
   cache.Insert(Key(1, 3));

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "src/common/rng.h"
+
 namespace nt {
 namespace {
 
@@ -119,7 +124,9 @@ TEST(DagTest, CausalHistoryExcludesCommitted) {
   auto m = b.Add(dag, 1, 0, {a});
   auto top = b.Add(dag, 2, 0, {m});
 
-  std::set<Digest, DigestLess> committed = {a.digest, m.digest};
+  DigestSet committed;
+  committed.insert(a.digest);
+  committed.insert(m.digest);
   Dag::History history = dag.CollectCausalHistory(top.digest, committed);
   ASSERT_EQ(history.ordered.size(), 1u);
   EXPECT_EQ(history.ordered[0], top.digest);
@@ -198,6 +205,149 @@ TEST(DagTest, BoundedMemoryUnderContinuousGc) {
   }
   EXPECT_LE(dag.TotalCertificates(), (kDepth + 1) * 4u);
   EXPECT_LE(dag.TotalHeaders(), (kDepth + 1) * 4u);
+}
+
+// The support test done the slow way: certified blocks of the next round
+// whose stored headers cite `digest` (what DagCommitter::DirectSupport
+// scanned for before the Dag kept the count).
+uint32_t Recount(const Dag& dag, const Certificate& cert) {
+  uint32_t citers = 0;
+  for (const auto& [author, citer] : dag.CertsAt(cert.round + 1)) {
+    std::shared_ptr<const BlockHeader> header = dag.GetHeader(citer.header_digest);
+    if (header == nullptr) {
+      continue;
+    }
+    for (const Certificate& parent : header->parents) {
+      if (parent.header_digest == cert.header_digest) {
+        ++citers;
+        break;
+      }
+    }
+  }
+  return citers;
+}
+
+// Checks Citers() against the recount for every certificate in the DAG;
+// returns how many certificates had support.
+size_t ExpectSupportMatchesRecount(const Dag& dag) {
+  size_t supported = 0;
+  for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
+    for (const auto& [author, cert] : dag.CertsAt(round)) {
+      const uint32_t expected = Recount(dag, cert);
+      EXPECT_EQ(dag.Citers(cert.header_digest), expected)
+          << "round " << round << " author " << author;
+      supported += expected > 0 ? 1 : 0;
+    }
+  }
+  return supported;
+}
+
+TEST(DagTest, SupportIndexMatchesRecount) {
+  constexpr ValidatorId kN = 4;
+  constexpr Round kRounds = 12;
+  struct Block {
+    Certificate cert;
+    std::shared_ptr<BlockHeader> header;
+  };
+  // A DAG where each header cites a random subset of the previous round,
+  // sometimes a block two rounds back (never support), and sometimes the
+  // same parent twice (counted once). Round 5, author 2 equivocates: a
+  // second, conflicting certified block for the same slot.
+  auto build = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::vector<Block>> rounds;
+    std::vector<Block> blocks;
+    for (Round r = 0; r < kRounds; ++r) {
+      std::vector<Block> current;
+      const uint32_t copies_of_2 = r == 5 ? 2 : 1;
+      for (ValidatorId v = 0; v < kN; ++v) {
+        for (uint32_t copy = 0; copy < (v == 2 ? copies_of_2 : 1); ++copy) {
+          auto header = std::make_shared<BlockHeader>();
+          header->author = v;
+          header->round = r;
+          header->batches.push_back(BatchRef{Sha256::Hash(std::to_string(copy)), 0});
+          if (r > 0) {
+            for (const Block& p : rounds[r - 1]) {
+              if (rng.NextBelow(3) != 0) {
+                header->parents.push_back(p.cert);
+              }
+            }
+            if (!header->parents.empty() && rng.NextBelow(4) == 0) {
+              header->parents.push_back(header->parents.front());
+            }
+            if (r > 1 && rng.NextBelow(4) == 0) {
+              header->parents.push_back(rounds[r - 2][rng.NextBelow(rounds[r - 2].size())].cert);
+            }
+          }
+          Block b;
+          b.header = header;
+          b.cert.header_digest = header->ComputeDigest();
+          b.cert.round = r;
+          b.cert.author = v;
+          current.push_back(b);
+          blocks.push_back(b);
+        }
+      }
+      rounds.push_back(current);
+    }
+    return blocks;
+  };
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<Block> blocks = build(seed);
+    // Every certificate and header arrives once or twice, in a shuffled
+    // order: cert-before-header, header-before-cert and duplicates all
+    // occur, and which of the two conflicting certificates wins varies.
+    std::vector<std::function<void(Dag&)>> events;
+    for (const Block& b : blocks) {
+      for (int copy = 0; copy < 2; ++copy) {
+        events.push_back([b](Dag& dag) { dag.AddCertificate(b.cert); });
+        events.push_back([b](Dag& dag) { dag.AddHeader(b.header, b.cert.header_digest); });
+      }
+    }
+    Rng rng(seed);
+    for (size_t i = events.size(); i > 1; --i) {
+      std::swap(events[i - 1], events[rng.NextBelow(i)]);
+    }
+    Dag dag;
+    for (size_t i = 0; i < events.size(); ++i) {
+      events[i](dag);
+      if (i % 16 == 0) {
+        ExpectSupportMatchesRecount(dag);
+      }
+    }
+    EXPECT_GT(ExpectSupportMatchesRecount(dag), kRounds) << "seed " << seed;
+
+    // GC drops the counts below the horizon and keeps the rest exact; late
+    // arrivals below it change nothing.
+    std::vector<Digest> collected;
+    for (Round round = 0; round < 6; ++round) {
+      for (const auto& [author, cert] : dag.CertsAt(round)) {
+        collected.push_back(cert.header_digest);
+      }
+    }
+    dag.GarbageCollect(6);
+    for (const Digest& digest : collected) {
+      EXPECT_EQ(dag.Citers(digest), 0u);
+    }
+    for (const Block& b : blocks) {
+      dag.AddCertificate(b.cert);
+      dag.AddHeader(b.header, b.cert.header_digest);
+    }
+    ExpectSupportMatchesRecount(dag);
+
+    // Primary::Recover's direct insert: GC horizon first, then every header,
+    // then the certificates in (round, author) order, with no hooks.
+    Dag recovered;
+    recovered.GarbageCollect(3);
+    for (const Block& b : blocks) {
+      recovered.AddHeader(b.header, b.cert.header_digest);
+    }
+    for (const Block& b : blocks) {
+      recovered.AddCertificate(b.cert);
+    }
+    EXPECT_GT(ExpectSupportMatchesRecount(recovered), kRounds / 2) << "seed " << seed;
+  }
 }
 
 }  // namespace

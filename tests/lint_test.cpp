@@ -197,6 +197,34 @@ uint64_t Max() {
   EXPECT_EQ(CountRule(r, kRuleUnorderedIter), 0);
 }
 
+TEST(UnorderedIterRule, FlagsIterationOverTheDigestTables) {
+  // FlatTable slot order depends on insertion history, exactly like a
+  // std::unordered_map's buckets.
+  FileReport r = LintSource("src/narwhal/commit_log.cpp", R"(
+DigestSet committed_;
+DigestMap<Bytes> records_;
+void Emit(Writer& w) {
+  for (const auto& d : committed_) {
+    w.PutRaw(d);
+  }
+  for (auto it = records_.begin(); it != records_.end(); ++it) {
+    SendRecord(it->second);
+  }
+}
+)");
+  EXPECT_EQ(CountRule(r, kRuleUnorderedIter), 2);
+}
+
+TEST(UnorderedIterRule, SortedDigestTableVisitIsSilent) {
+  FileReport r = LintSource("src/narwhal/commit_log.cpp", R"(
+DigestSet committed_;
+void Emit(Writer& w) {
+  committed_.ForEachSorted(DigestLess{}, [&](const Digest& d, Present) { w.PutRaw(d); });
+}
+)");
+  EXPECT_EQ(CountRule(r, kRuleUnorderedIter), 0);
+}
+
 TEST(UnorderedIterRule, FlagsPerLaneUnorderedBalancesThatFeedADigest) {
   // The sharded-execution shape: per-lane balance books. Backing a lane with
   // an unordered_map and folding it into the lane digest serializes in hash

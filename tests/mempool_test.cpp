@@ -46,6 +46,47 @@ TEST(MempoolTest, WriteBecomesCertified) {
   EXPECT_FALSE(Mempool::Valid(cluster.committee(), *verifier, forged));
 }
 
+// A batch re-proposed after GC re-injection is referenced by two certified
+// headers. CertificateFor answers with the earlier one, whatever the
+// headers' digests: the DAG is searched in (round, author) order.
+TEST(MempoolTest, BatchInTwoHeadersMapsToTheLowerRoundCertificate) {
+  Cluster cluster(TuskConfig(3));
+  Dag& dag = cluster.primary(0)->mutable_dag();
+  const Digest batch = Sha256::Hash(std::string_view("re-proposed batch"));
+  auto make = [&](Round round, ValidatorId author, uint64_t salt) {
+    auto header = std::make_shared<BlockHeader>();
+    header->author = author;
+    header->round = round;
+    header->batches.push_back(BatchRef{batch, 0, salt, 0});
+    return std::shared_ptr<const BlockHeader>(header);
+  };
+  auto stage = [&](const std::shared_ptr<const BlockHeader>& header) {
+    Certificate cert;
+    cert.header_digest = header->ComputeDigest();
+    cert.round = header->round;
+    cert.author = header->author;
+    EXPECT_TRUE(dag.AddCertificate(cert));
+    dag.AddHeader(header, cert.header_digest);
+    return cert;
+  };
+  // Pick the later header so that its digest sorts first: a search in
+  // digest order would return it.
+  std::shared_ptr<const BlockHeader> early = make(3, 2, 0);
+  std::shared_ptr<const BlockHeader> late;
+  for (uint64_t salt = 0; late == nullptr; ++salt) {
+    std::shared_ptr<const BlockHeader> candidate = make(7, 1, salt);
+    if (DigestLess{}(candidate->ComputeDigest(), early->ComputeDigest())) {
+      late = candidate;
+    }
+  }
+  const Certificate early_cert = stage(early);
+  stage(late);
+  std::optional<Certificate> found = cluster.MempoolOf(0).CertificateFor(batch);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->header_digest, early_cert.header_digest);
+  EXPECT_EQ(found->round, 3u);
+}
+
 TEST(MempoolTest, ReadReturnsWrittenBlock) {
   Cluster cluster(TuskConfig(2));
   cluster.Start();
@@ -93,10 +134,12 @@ TEST(MempoolTest, ReadCausalContainment) {
   // Pick the newest header with a complete local history as b.
   Digest anchor{};
   Round best = 0;
-  for (const auto& [digest, header] : dag.headers()) {
-    if (header->round >= best && pool.ReadCausal(digest).size() > 3) {
-      best = header->round;
-      anchor = digest;
+  for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
+    for (const auto& [author, cert] : dag.CertsAt(round)) {
+      if (round >= best && pool.ReadCausal(cert.header_digest).size() > 3) {
+        best = round;
+        anchor = cert.header_digest;
+      }
     }
   }
   std::vector<Digest> outer = pool.ReadCausal(anchor);

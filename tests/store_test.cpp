@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+
+#include "src/common/rng.h"
 
 namespace nt {
 namespace {
@@ -52,6 +55,58 @@ TEST(MemStoreTest, EmptyValueIsStored) {
   store.Put(Key(5), {});
   EXPECT_TRUE(store.Contains(Key(5)));
   EXPECT_TRUE(store.Get(Key(5))->empty());
+}
+
+// Applies `ops` random puts and erases over a key space of 300 hashed keys
+// to `store` and to an ordered reference map.
+void RandomChurn(Store* store, std::map<Digest, Bytes, DigestLess>* reference, uint64_t seed,
+                 int ops) {
+  Rng rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t k = rng.NextBelow(300);
+    const Digest key = Sha256::Hash("store key " + std::to_string(k));
+    if (rng.NextBelow(3) == 0) {
+      EXPECT_EQ(store->Erase(key), reference->erase(key) != 0);
+    } else {
+      Bytes value = {static_cast<uint8_t>(i), static_cast<uint8_t>(k)};
+      store->Put(key, value);
+      (*reference)[key] = value;
+    }
+  }
+}
+
+// ForEach visits records in DigestLess key order, whatever the order of the
+// puts and erases that built the store: recovery scans rely on it.
+void ExpectForEachInKeyOrder(const Store& store,
+                             const std::map<Digest, Bytes, DigestLess>& reference) {
+  std::vector<std::pair<Digest, Bytes>> visited;
+  store.ForEach([&](const Digest& key, const Bytes& value) { visited.emplace_back(key, value); });
+  std::vector<std::pair<Digest, Bytes>> expected(reference.begin(), reference.end());
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(store.size(), reference.size());
+}
+
+TEST(MemStoreTest, ForEachIsInKeyOrderAfterRandomChurn) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    MemStore store;
+    std::map<Digest, Bytes, DigestLess> reference;
+    RandomChurn(&store, &reference, seed, 2000);
+    ExpectForEachInKeyOrder(store, reference);
+  }
+}
+
+TEST_F(WalStoreTest, ForEachIsInKeyOrderAfterRandomChurnAndReopen) {
+  std::map<Digest, Bytes, DigestLess> reference;
+  {
+    auto store = WalStore::Open(path_);
+    ASSERT_NE(store, nullptr);
+    RandomChurn(store.get(), &reference, 7, 1500);
+    ExpectForEachInKeyOrder(*store, reference);
+    store->Sync();
+  }
+  auto reopened = WalStore::Open(path_);
+  ASSERT_NE(reopened, nullptr);
+  ExpectForEachInKeyOrder(*reopened, reference);
 }
 
 TEST_F(WalStoreTest, PersistsAcrossReopen) {

@@ -222,6 +222,36 @@ TEST(TuskTest, Figure5ScenarioOrdersSkippedLeaderThroughPath) {
   }
 }
 
+// Delivery walks each anchor's causal history once per commit event: the
+// completeness walk of the committed leader is the one delivered, and each
+// leader ordered by path is walked once more. A direct commit used to cost
+// two walks.
+TEST(TuskTest, OneHistoryWalkPerDeliveredAnchor) {
+  // Wave 1's leader (3) is skipped and then ordered through wave 2's; waves
+  // 3 and 4 commit directly.
+  TuskHarness h({3, 0, 1, 2});
+  auto genesis = h.FullRound(0, {});
+  auto r1 = h.FullRound(1, genesis);
+  std::vector<TuskHarness::Node> r2;
+  r2.push_back(h.Add(2, 0, {r1[0], r1[1], r1[2]}));
+  r2.push_back(h.Add(2, 1, {r1[0], r1[1], r1[2], r1[3]}));
+  r2.push_back(h.Add(2, 2, {r1[0], r1[1], r1[2]}));
+  r2.push_back(h.Add(2, 3, {r1[0], r1[1], r1[2]}));
+  std::vector<TuskHarness::Node> prev = r2;
+  for (Round r = 3; r <= 9; ++r) {
+    prev = h.FullRound(r, prev);
+  }
+  ASSERT_EQ(h.tusk_->last_committed_wave(), 4u);
+
+  // An anchor is the one delivered header of its own leader round.
+  uint64_t anchors = 0;
+  for (const Tusk::Committed& c : h.commits_) {
+    anchors += c.header->round == c.leader_round ? 1 : 0;
+  }
+  EXPECT_EQ(anchors, 4u);
+  EXPECT_EQ(h.tusk_->history_walks(), anchors);
+}
+
 TEST(TuskTest, DefersCommitOnMissingHeaderThenRecovers) {
   TuskHarness h({0});
   // Validator 2's genesis header is withheld (certificate only); it is in
