@@ -309,14 +309,13 @@ double MeasureCertCacheHitRate(size_t num_certs, int deliveries) {
     certs.push_back(std::move(cert));
   }
 
-  VerifiedCertCache::Narwhal().Clear();
+  VerifiedCertCache cache;
   for (int d = 0; d < deliveries; ++d) {
     for (const Certificate& cert : certs) {
-      cert.Verify(committee, *signers[0]);
+      cert.Verify(committee, *signers[0], &cache);
     }
   }
-  VerifiedCertCache::Stats stats = VerifiedCertCache::Narwhal().stats();
-  VerifiedCertCache::Narwhal().Clear();
+  const VerifiedCertCache::Stats& stats = cache.stats();
   uint64_t total = stats.hits + stats.misses;
   return total == 0 ? 0.0 : static_cast<double>(stats.hits) / static_cast<double>(total);
 }

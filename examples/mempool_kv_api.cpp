@@ -33,15 +33,23 @@ int main() {
 
   // --- valid(d, c(d)) --------------------------------------------------------
   auto cert = pool.CertificateFor(d);
+  if (!cert.has_value()) {
+    std::fprintf(stderr, "write(d, b) was not certified\n");
+    return 1;
+  }
   auto verifier = MakeSigner(SignerKind::kFast, DeriveSeed(config.seed, 0));
   std::printf("\nvalid(d, c(d)): certificate has %zu signatures (2f+1 = %u needed)\n",
               cert->votes.size(), cluster.committee().quorum_threshold());
-  std::printf("  genuine certificate:  valid=%d\n",
-              Mempool::Valid(cluster.committee(), *verifier, *cert));
+  const bool genuine_valid = pool.Valid(cluster.committee(), *verifier, *cert);
+  std::printf("  genuine certificate:  valid=%d\n", genuine_valid);
   Certificate forged = *cert;
   forged.votes[0].second[0] ^= 0xff;
-  std::printf("  forged signature:     valid=%d\n",
-              Mempool::Valid(cluster.committee(), *verifier, forged));
+  const bool forged_valid = pool.Valid(cluster.committee(), *verifier, forged);
+  std::printf("  forged signature:     valid=%d\n", forged_valid);
+  if (!genuine_valid || forged_valid) {
+    std::fprintf(stderr, "valid(d, c(d)) gave the wrong verdict\n");
+    return 1;
+  }
 
   // --- read(d) ----------------------------------------------------------------
   std::printf("\nread(d): every validator can retrieve the block (Block-Availability):\n");

@@ -63,8 +63,9 @@ inline bool Ed25519Verify(const Ed25519PublicKey& pk, const Bytes& msg,
 
 // --- Batch verification ----------------------------------------------------
 
-// One signature to check in a batch. `msg` is borrowed: it must stay alive
-// until the Ed25519BatchVerify call returns.
+// One signature to check in a batch (also Signer::VerifyBatch's item type,
+// for both schemes). `msg` is borrowed: it must stay alive until the
+// Ed25519BatchVerify call returns.
 struct Ed25519BatchItem {
   Ed25519PublicKey pk{};
   const uint8_t* msg = nullptr;

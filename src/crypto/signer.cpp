@@ -12,7 +12,7 @@ namespace nt {
 std::vector<bool> Signer::VerifyBatch(const std::vector<BatchItem>& items) const {
   std::vector<bool> out(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = Verify(items[i].pk, items[i].msg.data(), items[i].msg.size(), items[i].sig);
+    out[i] = Verify(items[i].pk, items[i].msg, items[i].len, items[i].sig);
   }
   return out;
 }
@@ -36,14 +36,7 @@ class Ed25519Signer : public Signer {
   }
 
   std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const override {
-    std::vector<Ed25519BatchItem> batch(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      batch[i].pk = items[i].pk;
-      batch[i].msg = items[i].msg.data();
-      batch[i].len = items[i].msg.size();
-      batch[i].sig = items[i].sig;
-    }
-    return Ed25519BatchVerify(batch.data(), batch.size());
+    return Ed25519BatchVerify(items);
   }
 
  private:

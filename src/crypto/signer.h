@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/crypto/ed25519.h"
 #include "src/crypto/hash.h"
 
 namespace nt {
@@ -28,14 +29,12 @@ namespace nt {
 using PublicKey = std::array<uint8_t, 32>;
 using Signature = std::array<uint8_t, 64>;
 
-// One queued (public key, message, signature) triple awaiting batch
-// verification. Owns its message bytes so callers need not keep buffers
-// alive until the flush.
-struct BatchItem {
-  PublicKey pk{};
-  Bytes msg;
-  Signature sig{};
-};
+// One (public key, message, signature) triple to verify in a batch — the
+// Ed25519 kernel's item type, shared by both schemes so Ed25519Signer hands
+// the caller's items to the kernel unchanged. The message is borrowed: it
+// must outlive the VerifyBatch call, and many items may point at one buffer
+// (every vote of a certificate signs the same preimage).
+using BatchItem = Ed25519BatchItem;
 
 // A private signing key bound to one identity.
 class Signer {
@@ -66,56 +65,6 @@ class Signer {
   // adversarial components clear identically), leaving only the 2^-128
   // Fiat-Shamir collision as a theoretical divergence.
   virtual std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const;
-};
-
-// Accumulates signatures and verifies them in one flush through the signer's
-// batch kernel — the API the certificate paths use:
-//
-//   BatchVerifier batch(*signer);
-//   for (vote : cert.votes) batch.Queue(key_of(vote), preimage, vote.sig);
-//   std::vector<bool> ok = batch.Flush();
-class BatchVerifier {
- public:
-  explicit BatchVerifier(const Signer& signer) : signer_(&signer) {}
-
-  void Queue(const PublicKey& pk, const uint8_t* msg, size_t len, const Signature& sig) {
-    BatchItem item;
-    item.pk = pk;
-    item.msg.assign(msg, msg + len);
-    item.sig = sig;
-    items_.push_back(std::move(item));
-  }
-  void Queue(const PublicKey& pk, const Bytes& msg, const Signature& sig) {
-    Queue(pk, msg.data(), msg.size(), sig);
-  }
-  void Queue(const PublicKey& pk, const Digest& d, const Signature& sig) {
-    Queue(pk, d.data(), d.size(), sig);
-  }
-
-  size_t pending() const { return items_.size(); }
-
-  // Verifies everything queued since the last flush and clears the queue.
-  // Result i corresponds to the i-th Queue call.
-  std::vector<bool> Flush() {
-    std::vector<bool> out = signer_->VerifyBatch(items_);
-    items_.clear();
-    return out;
-  }
-
-  // Convenience: flush and require every queued signature to be valid.
-  bool FlushAllValid() {
-    std::vector<bool> out = Flush();
-    for (bool ok : out) {
-      if (!ok) {
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  const Signer* signer_;
-  std::vector<BatchItem> items_;
 };
 
 enum class SignerKind { kEd25519, kFast };

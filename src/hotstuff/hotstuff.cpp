@@ -61,7 +61,6 @@ HotStuff::HotStuff(ValidatorId id, const Committee& committee, const HotStuffCon
       signer_(signer),
       provider_(provider) {
   committed_.insert(kGenesisDigest);
-  last_committed_ = kGenesisDigest;
   high_qc_ = QuorumCert{};  // Genesis QC: zero digest, view 0.
 }
 
@@ -561,7 +560,6 @@ void HotStuff::CommitUpTo(const Digest& digest) {
     // Write-ahead: the commit record is durable before any hook observes it.
     PersistCommit(d);
     committed_.insert(d);
-    last_committed_ = d;
     ++committed_count_;
     NT_TRACE(tracer_, IncrCounter("hotstuff/committed_blocks"));
     provider_->OnCommit(b->payload, b->author);

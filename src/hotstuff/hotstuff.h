@@ -159,7 +159,6 @@ class HotStuff : public NetNode {
 
   std::map<Digest, std::shared_ptr<const HsBlock>> blocks_;
   std::set<Digest> committed_;
-  Digest last_committed_{};  // Genesis.
 
   // Votes collected by this node as leader: (view, digest) -> votes.
   std::map<std::pair<View, Digest>, VoteSet> vote_sets_;

@@ -1,5 +1,7 @@
 #include "src/hotstuff/types.h"
 
+#include <algorithm>
+
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -8,18 +10,14 @@ namespace {
 // Shared verification core for the two HotStuff certificate kinds: quorum +
 // distinct-voter structure, then a cache probe keyed by (kind, subject,
 // view) and bound to the exact vote set, then one batched flush of the vote
-// signatures over the common preimage (built only on a miss). `view` is the
-// GC dimension. `cache_override` selects the per-node cache; nullptr falls
-// back to the process-wide default.
+// signatures, every item borrowing the common preimage (built only on a
+// miss). `view` is the GC dimension.
 bool VerifyVoteSet(VerifiedCertCache::Kind kind, const Digest& subject, View view,
                    const std::vector<std::pair<ValidatorId, Signature>>& votes,
-                   const Committee& committee, const Signer& verifier,
-                   VerifiedCertCache* cache_override) {
+                   const Committee& committee, const Signer& verifier, VerifiedCertCache& cache) {
   if (votes.size() < committee.quorum_threshold() || !committee.DistinctMembers(votes)) {
     return false;
   }
-  VerifiedCertCache& cache =
-      cache_override != nullptr ? *cache_override : VerifiedCertCache::HotStuff();
   const VerifiedCertCache::Claim claim{kind, subject, view, 0, committee.fingerprint(), votes};
   if (cache.Lookup(claim)) {
     return true;
@@ -27,11 +25,13 @@ bool VerifyVoteSet(VerifiedCertCache::Kind kind, const Digest& subject, View vie
   const Bytes preimage = kind == VerifiedCertCache::Kind::kQuorumCert
                              ? QuorumCert::VotePreimage(subject, view)
                              : TimeoutCert::VotePreimage(view);
-  BatchVerifier batch(verifier);
+  std::vector<BatchItem> items;
+  items.reserve(votes.size());
   for (const auto& [voter, sig] : votes) {
-    batch.Queue(committee.key_of(voter), preimage, sig);
+    items.push_back({committee.key_of(voter), preimage.data(), preimage.size(), sig});
   }
-  if (!batch.FlushAllValid()) {
+  const std::vector<bool> ok = verifier.VerifyBatch(items);
+  if (std::find(ok.begin(), ok.end(), false) != ok.end()) {
     return false;
   }
   cache.Insert(claim);
@@ -96,7 +96,7 @@ bool QuorumCert::Verify(const Committee& committee, const Signer& verifier,
     return true;
   }
   return VerifyVoteSet(VerifiedCertCache::Kind::kQuorumCert, block_digest, view, votes, committee,
-                       verifier, cache);
+                       verifier, *cache);
 }
 
 // --------------------------------------------------------------- TimeoutCert
@@ -111,7 +111,7 @@ Bytes TimeoutCert::VotePreimage(View view) {
 bool TimeoutCert::Verify(const Committee& committee, const Signer& verifier,
                          VerifiedCertCache* cache) const {
   return VerifyVoteSet(VerifiedCertCache::Kind::kTimeoutCert, Digest{}, view, votes, committee,
-                       verifier, cache);
+                       verifier, *cache);
 }
 
 // ------------------------------------------------------------------- HsBlock

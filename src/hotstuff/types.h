@@ -42,18 +42,16 @@ struct HsPayload {
 // 2f+1 votes over (block digest, view).
 //
 // Verify memoizes positive results, keyed by (block digest, view) and bound
-// to the exact vote set (see src/types/cert_cache.h): each HotStuff node
-// passes its own per-validator cache (every node re-verifies independently,
-// like a real deployment); nullptr falls back to the process-wide default
-// instance (VerifiedCertCache::HotStuff()) for tools and tests.
+// to the exact vote set (see src/types/cert_cache.h), in `cache`: the
+// verifying node's own, never null (every node re-verifies independently,
+// like a real deployment).
 struct QuorumCert {
   Digest block_digest{};
   View view = 0;
   std::vector<std::pair<ValidatorId, Signature>> votes;
 
   static Bytes VotePreimage(const Digest& block_digest, View view);
-  bool Verify(const Committee& committee, const Signer& verifier,
-              VerifiedCertCache* cache = nullptr) const;
+  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
   // The genesis QC: zero digest, view 0, no votes. Exempt from Verify.
   bool IsGenesis() const { return view == 0 && votes.empty(); }
   size_t WireSize() const { return 32 + 8 + votes.size() * (4 + 64); }
@@ -66,8 +64,7 @@ struct TimeoutCert {
   std::vector<std::pair<ValidatorId, Signature>> votes;
 
   static Bytes VotePreimage(View view);
-  bool Verify(const Committee& committee, const Signer& verifier,
-              VerifiedCertCache* cache = nullptr) const;
+  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
   size_t WireSize() const { return 8 + votes.size() * (4 + 64); }
 };
 

@@ -37,20 +37,19 @@ class Mempool {
   // The certificate covering the batch (via the including header), if any.
   std::optional<Certificate> CertificateFor(const Digest& batch_digest) const;
 
-  // valid(d, c(d)): structural and cryptographic certificate check. Runs
-  // through the batched verification kernel and the process-wide default
-  // verified-certificate cache (VerifiedCertCache::Narwhal() — this facade
-  // is a tool-facing API, not a simulated validator), so repeated validity
-  // queries for the same certificate cost one cache probe after the first.
-  static bool Valid(const Committee& committee, const Signer& verifier, const Certificate& cert) {
-    return cert.Verify(committee, verifier);
+  // valid(d, c(d)): structural and cryptographic certificate check, run by
+  // the wrapped validator: through the batched verification kernel and its
+  // primary's own verified-certificate cache, so repeated validity queries
+  // for the same certificate cost one cache probe after the first.
+  bool Valid(const Committee& committee, const Signer& verifier, const Certificate& cert) const {
+    return cert.Verify(committee, verifier, &primary_->cert_cache());
   }
 
   // Bulk form: validates many certificates with one batched signature flush
   // (readers syncing a causal history validate whole parent sets at once).
-  static bool ValidAll(const Committee& committee, const Signer& verifier,
-                       const std::vector<Certificate>& certs) {
-    return Certificate::VerifyAll(certs, committee, verifier);
+  bool ValidAll(const Committee& committee, const Signer& verifier,
+                const std::vector<Certificate>& certs) const {
+    return Certificate::VerifyAll(certs, committee, verifier, &primary_->cert_cache());
   }
 
   // read(d): the batch content, if stored locally.

@@ -500,16 +500,15 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
   if (round_ > round) {
     return;
   }
-  // `attempt` is the authoritative backoff counter: unlike Proposal::retries,
-  // it survives FormCertificate erasing the proposal, so the certificate
-  // re-share branch backs off exponentially instead of re-flooding all peers
-  // every header_retry_delay for the whole stall.
+  // `attempt` is the backoff counter: it survives FormCertificate erasing
+  // the proposal, so the certificate re-share branch backs off
+  // exponentially instead of re-flooding all peers every header_retry_delay
+  // for the whole stall.
   uint32_t retries = attempt + 1;
   auto it = proposals_.find(digest);
   if (it != proposals_.end()) {
     // Still uncertified: resend the header to validators that have not voted.
-    Proposal& proposal = it->second;
-    proposal.retries = retries;
+    const Proposal& proposal = it->second;
     auto msg = std::make_shared<MsgHeader>(proposal.header, digest);
     uint64_t resent = 0;
     for (ValidatorId v = 0; v < committee_.size(); ++v) {
@@ -546,7 +545,7 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
 
 // ------------------------------------------------------------------- voting
 
-void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
+void Primary::HandleHeader(const MsgHeader& msg) {
   const BlockHeader& header = *msg.header;
   if (header.round < dag_.gc_round()) {
     return;  // Below GC horizon (paper §3.3).
@@ -598,7 +597,6 @@ void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
       PendingHeader again;
       again.header = msg.header;
       again.digest = msg.digest;
-      again.from = from;
       FinishVote(again);
     }
     return;
@@ -608,7 +606,6 @@ void Primary::HandleHeader(uint32_t from, const MsgHeader& msg) {
   PendingHeader pending;
   pending.header = msg.header;
   pending.digest = msg.digest;
-  pending.from = from;
   // Availability condition (paper §4.2): only sign if our own workers store
   // every referenced batch; otherwise instruct them to fetch and defer.
   for (const BatchRef& ref : header.batches) {
@@ -886,7 +883,7 @@ void Primary::NotifyCommitted(const BlockHeader& header) {
 
 void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
   if (auto header = std::dynamic_pointer_cast<const MsgHeader>(msg)) {
-    HandleHeader(from, *header);
+    HandleHeader(*header);
     return;
   }
   if (auto vote = std::dynamic_pointer_cast<const MsgVote>(msg)) {

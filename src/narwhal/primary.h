@@ -128,12 +128,10 @@ class Primary : public NetNode {
     std::shared_ptr<const BlockHeader> header;
     Digest digest{};
     std::map<ValidatorId, Signature> votes;
-    uint32_t retries = 0;
   };
   struct PendingHeader {
     std::shared_ptr<const BlockHeader> header;
     Digest digest{};
-    uint32_t from = 0;
     std::set<Digest> missing_batches;
   };
   struct HeaderSync {
@@ -151,7 +149,7 @@ class Primary : public NetNode {
   void RetryBroadcast(Digest digest, Round round, uint32_t attempt);
 
   // Header validation & voting.
-  void HandleHeader(uint32_t from, const MsgHeader& msg);
+  void HandleHeader(const MsgHeader& msg);
   void FinishVote(const PendingHeader& pending);
 
   // Votes -> certificates.

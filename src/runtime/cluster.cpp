@@ -141,15 +141,11 @@ void Cluster::RegisterTraceGauges() {
   t->RegisterGauge("cert_cache/hit_rate", 0,
                    [this](TimePoint) { return metrics_.CertCacheHitRate(); });
   for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-    uint32_t node_id;
-    if (!topology_.primary_of.empty()) {
-      node_id = topology_.primary_of[v];
-    } else if (!consensus_net_ids_.empty()) {
-      node_id = consensus_net_ids_[v];
-    } else {
+    const std::vector<uint32_t> node_ids = NodeIdsOf(v);
+    if (node_ids.empty()) {
       continue;
     }
-    const uint32_t machine = network_->machine_of(node_id);
+    const uint32_t machine = network_->machine_of(node_ids.front());
     const std::string tag = "v" + std::to_string(v);
     t->RegisterGauge(tag + "/egress_backlog_us", v + 1, [this, machine](TimePoint now) {
       return static_cast<double>(network_->EgressBacklog(machine, now));
@@ -208,14 +204,21 @@ void Cluster::StartExecutorPump(TimePoint until) {
   });
 }
 
-bool Cluster::IsValidatorCrashed(ValidatorId v) const {
+std::vector<uint32_t> Cluster::NodeIdsOf(ValidatorId v) const {
+  std::vector<uint32_t> ids;
   if (!topology_.primary_of.empty()) {
-    return network_->IsCrashed(topology_.primary_of[v]);
+    ids.push_back(topology_.primary_of[v]);
+    ids.insert(ids.end(), topology_.worker_of[v].begin(), topology_.worker_of[v].end());
   }
   if (!consensus_net_ids_.empty()) {
-    return network_->IsCrashed(consensus_net_ids_[v]);
+    ids.push_back(consensus_net_ids_[v]);
   }
-  return false;
+  return ids;
+}
+
+bool Cluster::IsValidatorCrashed(ValidatorId v) const {
+  const std::vector<uint32_t> ids = NodeIdsOf(v);
+  return !ids.empty() && network_->IsCrashed(ids.front());
 }
 
 Cluster::~Cluster() = default;
@@ -440,14 +443,8 @@ void Cluster::SubmitTxPayload(ValidatorId v, WorkerId w, Bytes payload,
 }
 
 void Cluster::CrashValidator(ValidatorId v, TimePoint when) {
-  if (!topology_.primary_of.empty()) {
-    faults_.CrashAt(topology_.primary_of[v], when);
-    for (uint32_t id : topology_.worker_of[v]) {
-      faults_.CrashAt(id, when);
-    }
-  }
-  if (!consensus_net_ids_.empty()) {
-    faults_.CrashAt(consensus_net_ids_[v], when);
+  for (uint32_t id : NodeIdsOf(v)) {
+    faults_.CrashAt(id, when);
   }
 }
 
@@ -458,14 +455,8 @@ void Cluster::RestartValidator(ValidatorId v, TimePoint crash_at, TimePoint reco
                 << v << " stays down";
     return;
   }
-  if (!topology_.primary_of.empty()) {
-    faults_.RecoverAt(topology_.primary_of[v], recover_at);
-    for (uint32_t id : topology_.worker_of[v]) {
-      faults_.RecoverAt(id, recover_at);
-    }
-  }
-  if (!consensus_net_ids_.empty()) {
-    faults_.RecoverAt(consensus_net_ids_[v], recover_at);
+  for (uint32_t id : NodeIdsOf(v)) {
+    faults_.RecoverAt(id, recover_at);
   }
   scheduler_.ScheduleAt(recover_at, [this, v] { RebuildValidator(v); });
 }
@@ -585,14 +576,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
 }
 
 void Cluster::IsolateValidator(ValidatorId v, TimePoint start, TimePoint end) {
-  if (!topology_.primary_of.empty()) {
-    faults_.Isolate(topology_.primary_of[v], start, end);
-    for (uint32_t id : topology_.worker_of[v]) {
-      faults_.Isolate(id, start, end);
-    }
-  }
-  if (!consensus_net_ids_.empty()) {
-    faults_.Isolate(consensus_net_ids_[v], start, end);
+  for (uint32_t id : NodeIdsOf(v)) {
+    faults_.Isolate(id, start, end);
   }
 }
 

@@ -232,6 +232,9 @@ class Cluster {
   void WireHotStuffValidator(ValidatorId v);
   void AttachTracer();
   void RegisterTraceGauges();
+  // Network ids of validator `v`'s nodes: its primary, its workers, then its
+  // consensus node — whichever of them this system runs.
+  std::vector<uint32_t> NodeIdsOf(ValidatorId v) const;
   // Opens the durable store `name` under config.persist_dir (failing loudly
   // on a corrupt/unopenable WAL), or an in-memory store when persist_dir is
   // empty — either way the cluster owns it for the lifetime of the run, so

@@ -1,46 +1,32 @@
 #include "src/runtime/metrics.h"
 
+#include <algorithm>
+
 namespace nt {
-namespace {
 
-// Counter delta that tolerates the counter moving backwards (a cache was
-// Clear()ed or ResetStats() mid-run): clamp to zero rather than wrap.
-uint64_t ClampedDelta(uint64_t current, uint64_t baseline) {
-  return current < baseline ? 0 : current - baseline;
-}
-
-}  // namespace
-
-void Metrics::RegisterCertCache(const VerifiedCertCache* cache) {
-  cert_caches_.push_back({cache, cache->stats()});
-}
+void Metrics::RegisterCertCache(const VerifiedCertCache* cache) { cert_caches_.push_back(cache); }
 
 void Metrics::UnregisterCertCache(const VerifiedCertCache* cache) {
-  for (auto it = cert_caches_.begin(); it != cert_caches_.end(); ++it) {
-    if (it->cache == cache) {
-      retired_cache_hits_ += ClampedDelta(cache->stats().hits, it->baseline.hits);
-      retired_cache_misses_ += ClampedDelta(cache->stats().misses, it->baseline.misses);
-      cert_caches_.erase(it);
-      return;
-    }
+  auto it = std::find(cert_caches_.begin(), cert_caches_.end(), cache);
+  if (it != cert_caches_.end()) {
+    retired_cache_hits_ += cache->stats().hits;
+    retired_cache_misses_ += cache->stats().misses;
+    cert_caches_.erase(it);
   }
 }
 
 uint64_t Metrics::cert_cache_hits() const {
-  uint64_t hits = retired_cache_hits_ +
-                  ClampedDelta(VerifiedCertCache::Combined().hits, cert_cache_baseline_.hits);
-  for (const RegisteredCache& rc : cert_caches_) {
-    hits += ClampedDelta(rc.cache->stats().hits, rc.baseline.hits);
+  uint64_t hits = retired_cache_hits_;
+  for (const VerifiedCertCache* cache : cert_caches_) {
+    hits += cache->stats().hits;
   }
   return hits;
 }
 
 uint64_t Metrics::cert_cache_misses() const {
-  uint64_t misses =
-      retired_cache_misses_ +
-      ClampedDelta(VerifiedCertCache::Combined().misses, cert_cache_baseline_.misses);
-  for (const RegisteredCache& rc : cert_caches_) {
-    misses += ClampedDelta(rc.cache->stats().misses, rc.baseline.misses);
+  uint64_t misses = retired_cache_misses_;
+  for (const VerifiedCertCache* cache : cert_caches_) {
+    misses += cache->stats().misses;
   }
   return misses;
 }

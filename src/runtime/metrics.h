@@ -20,8 +20,7 @@ namespace nt {
 
 class Metrics {
  public:
-  explicit Metrics(Scheduler* scheduler)
-      : scheduler_(scheduler), cert_cache_baseline_(VerifiedCertCache::Combined()) {}
+  explicit Metrics(Scheduler* scheduler) : scheduler_(scheduler) {}
 
   // Throughput counts commits observed at this validator only (each block is
   // committed by every honest validator; count it once).
@@ -85,8 +84,8 @@ class Metrics {
   }
 
   // Attributes a per-validator cache's activity to this run. Cluster calls
-  // this for every node it builds; the cache's counters are snapshotted at
-  // registration, so activity that predates the run is excluded. The pointer
+  // this for every node's cache when the cache is new (at build time and at
+  // each rebuild), so all of its counters belong to the run. The pointer
   // must outlive this Metrics instance (Cluster declares metrics_ before the
   // node containers, so nodes are destroyed first).
   void RegisterCertCache(const VerifiedCertCache* cache);
@@ -96,12 +95,8 @@ class Metrics {
   // so the run's numbers stay monotone while the pointer goes away.
   void UnregisterCertCache(const VerifiedCertCache* cache);
 
-  // Verified-certificate cache activity attributed to this run: the sum over
-  // registered per-validator caches, plus the process-wide default caches'
-  // movement since this Metrics instance was created (tools and tests that
-  // verify through the defaults). Every delta clamps to zero when a cache's
-  // counters moved backwards (Clear()/ResetStats() mid-run) instead of
-  // wrapping around.
+  // Verified-certificate cache activity of this run: the retired totals plus
+  // the sum over the registered per-validator caches.
   uint64_t cert_cache_hits() const;
   uint64_t cert_cache_misses() const;
   double CertCacheHitRate() const {
@@ -110,14 +105,8 @@ class Metrics {
   }
 
  private:
-  struct RegisteredCache {
-    const VerifiedCertCache* cache;
-    VerifiedCertCache::Stats baseline;
-  };
-
   Scheduler* scheduler_;
-  VerifiedCertCache::Stats cert_cache_baseline_;
-  std::vector<RegisteredCache> cert_caches_;
+  std::vector<const VerifiedCertCache*> cert_caches_;
   // Activity of caches unregistered mid-run (validators rebuilt on restart).
   uint64_t retired_cache_hits_ = 0;
   uint64_t retired_cache_misses_ = 0;

@@ -45,7 +45,6 @@ void VerifiedCertCache::EvictOldest() {
 }
 
 bool VerifiedCertCache::Lookup(const Claim& claim) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto entry = Find(claim);
   if (entry == lru_.end()) {
     ++stats_.misses;
@@ -57,7 +56,6 @@ bool VerifiedCertCache::Lookup(const Claim& claim) {
 }
 
 void VerifiedCertCache::Insert(const Claim& claim) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (claim.round < gc_round_) {
     return;  // Below the horizon: would be evicted immediately.
   }
@@ -82,7 +80,6 @@ void VerifiedCertCache::Insert(const Claim& claim) {
 }
 
 void VerifiedCertCache::OnGcRound(uint64_t gc_round) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (gc_round <= gc_round_) {
     return;
   }
@@ -95,52 +92,6 @@ void VerifiedCertCache::OnGcRound(uint64_t gc_round) {
       ++stats_.gc_evictions;
     }
   }
-}
-
-size_t VerifiedCertCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-VerifiedCertCache::Stats VerifiedCertCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void VerifiedCertCache::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = Stats{};
-}
-
-void VerifiedCertCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  by_round_.clear();
-  stats_ = Stats{};
-  gc_round_ = 0;
-}
-
-VerifiedCertCache& VerifiedCertCache::Narwhal() {
-  static VerifiedCertCache cache;
-  return cache;
-}
-
-VerifiedCertCache& VerifiedCertCache::HotStuff() {
-  static VerifiedCertCache cache;
-  return cache;
-}
-
-VerifiedCertCache::Stats VerifiedCertCache::Combined() {
-  Stats a = Narwhal().stats();
-  Stats b = HotStuff().stats();
-  Stats out;
-  out.hits = a.hits + b.hits;
-  out.misses = a.misses + b.misses;
-  out.insertions = a.insertions + b.insertions;
-  out.lru_evictions = a.lru_evictions + b.lru_evictions;
-  out.gc_evictions = a.gc_evictions + b.gc_evictions;
-  return out;
 }
 
 }  // namespace nt

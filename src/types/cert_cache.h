@@ -5,14 +5,15 @@
 // delivery used to re-verify 2f+1 signatures. Caching the verdict makes
 // every route after the first free.
 //
-// Each protocol node (Primary, HotStuff, LightClient) owns its own instance:
-// the simulator runs every validator in one process, and a shared cache
-// would let validator i skip verification because validator j already did it
-// — work no real deployment could share. For the same reason nothing derived
-// from verification (a digest, a verdict) is memoized on the certificate
-// objects themselves, which the simulated validators share. The static
-// Narwhal()/HotStuff() instances are process-wide *defaults* for tools and
-// tests that verify certificates outside any node.
+// Every verifier owns its instance: each protocol node (Primary, HotStuff,
+// LightClient), and each tool or test that verifies certificates outside a
+// node. There is no process-wide cache. The simulator runs every validator
+// in one process, and a shared cache would let validator i skip
+// verification because validator j already did it — work no real deployment
+// could share. For the same reason nothing derived from verification (a
+// digest, a verdict) is memoized on the certificate objects themselves,
+// which the simulated validators share. An instance takes no lock: the
+// simulator is single-threaded, and its parallel sweeps fork processes.
 //
 // Key and binding. An entry is found by what the certificate certifies —
 // its kind, subject digest and round (a Narwhal certificate: header digest
@@ -37,7 +38,6 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -88,19 +88,8 @@ class VerifiedCertCache {
   // Advances the GC horizon (monotone) and evicts entries below it.
   void OnGcRound(uint64_t gc_round);
 
-  size_t size() const;
-  Stats stats() const;
-  void ResetStats();
-  void Clear();  // Drops entries, stats, and the GC horizon (tests).
-
-  // Process-wide default instances for callers not tied to a simulated
-  // validator (tools, tests, the Mempool facade): one keyed by Narwhal
-  // rounds, one by HotStuff views (their GC horizons advance independently).
-  // Protocol nodes use their own per-instance caches instead.
-  static VerifiedCertCache& Narwhal();
-  static VerifiedCertCache& HotStuff();
-  // Aggregate stats across both default instances (metrics surfacing).
-  static Stats Combined();
+  size_t size() const { return lru_.size(); }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Key {
@@ -138,8 +127,6 @@ class VerifiedCertCache {
   // LRU eviction of the least recently used entry.
   void EvictOldest();
 
-  // ntlint:allow(nondet): guards tool/test access to the static default instances; protocol nodes own per-instance caches and never contend
-  mutable std::mutex mu_;
   size_t capacity_;
   uint64_t gc_round_ = 0;
   LruList lru_;  // Front = most recently used.

@@ -101,9 +101,8 @@ class Committee {
   // Stable digest of the membership (all public keys, in id order). Bound
   // into every verified-certificate cache entry, so a cached verification can
   // never leak between committees that happen to share certificate bytes.
-  // Computed eagerly at construction: fingerprint() must stay a pure read so
-  // concurrent readers (the cache is mutex-guarded, the committee is not)
-  // never see a torn digest.
+  // Computed once at construction, so a cache probe reads it without
+  // hashing.
   const Digest& fingerprint() const { return fingerprint_; }
 
  private:

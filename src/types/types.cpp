@@ -1,6 +1,7 @@
 #include "src/types/types.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/seeded_bugs.h"
 #include "src/types/cert_cache.h"
@@ -27,6 +28,50 @@ bool CertStructureOk(const Committee& committee, const Certificate& cert) {
 VerifiedCertCache::Claim CacheClaim(const Committee& committee, const Certificate& cert) {
   return {VerifiedCertCache::Kind::kNarwhal, cert.header_digest, cert.round, cert.author,
           committee.fingerprint(), cert.votes};
+}
+
+// Certificate::Verify and VerifyAll: structure check and cache probe per
+// certificate, then one batched flush over the uncached certificates' votes
+// (each vote item borrows its certificate's one preimage), then each
+// certificate's own verdict and, if valid, its cache entry.
+bool VerifyCertificates(std::span<const Certificate> certs, const Committee& committee,
+                        const Signer& verifier, VerifiedCertCache& cache) {
+  bool all_valid = true;
+  std::vector<const Certificate*> pending;
+  for (const Certificate& cert : certs) {
+    if (!CertStructureOk(committee, cert)) {
+      all_valid = false;
+    } else if (!cache.Lookup(CacheClaim(committee, cert))) {
+      pending.push_back(&cert);
+    }
+  }
+  if (pending.empty()) {
+    return all_valid;
+  }
+  std::vector<Bytes> preimages;
+  preimages.reserve(pending.size());  // Items point into these buffers.
+  std::vector<BatchItem> items;
+  for (const Certificate* cert : pending) {
+    const Bytes& preimage = preimages.emplace_back(
+        Certificate::VotePreimage(cert->header_digest, cert->round, cert->author));
+    for (const auto& [voter, sig] : cert->votes) {
+      items.push_back({committee.key_of(voter), preimage.data(), preimage.size(), sig});
+    }
+  }
+  const std::vector<bool> ok = verifier.VerifyBatch(items);
+  size_t next = 0;
+  for (const Certificate* cert : pending) {
+    bool cert_ok = true;
+    for (size_t i = 0; i < cert->votes.size(); ++i) {
+      cert_ok = ok[next++] && cert_ok;
+    }
+    if (cert_ok) {
+      cache.Insert(CacheClaim(committee, *cert));
+    } else {
+      all_valid = false;
+    }
+  }
+  return all_valid;
 }
 
 }  // namespace
@@ -149,73 +194,13 @@ std::optional<Certificate> Certificate::Decode(Reader& r) {
 }
 
 bool Certificate::Verify(const Committee& committee, const Signer& verifier,
-                         VerifiedCertCache* cache_override) const {
-  if (!CertStructureOk(committee, *this)) {
-    return false;
-  }
-  VerifiedCertCache& cache =
-      cache_override != nullptr ? *cache_override : VerifiedCertCache::Narwhal();
-  if (cache.Lookup(CacheClaim(committee, *this))) {
-    return true;
-  }
-  BatchVerifier batch(verifier);
-  Bytes preimage = VotePreimage(header_digest, round, author);
-  for (const auto& [voter, sig] : votes) {
-    batch.Queue(committee.key_of(voter), preimage, sig);
-  }
-  if (!batch.FlushAllValid()) {
-    return false;
-  }
-  cache.Insert(CacheClaim(committee, *this));
-  return true;
+                         VerifiedCertCache* cache) const {
+  return VerifyCertificates(std::span(this, 1), committee, verifier, *cache);
 }
 
 bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                            const Signer& verifier, VerifiedCertCache* cache_override) {
-  VerifiedCertCache& cache =
-      cache_override != nullptr ? *cache_override : VerifiedCertCache::Narwhal();
-  bool all_valid = true;
-  // One flush covers the uncached certificates' votes; vote counts per
-  // certificate let the results map back so each certificate gets an
-  // independent verdict (and cache entry).
-  BatchVerifier batch(verifier);
-  struct PendingCert {
-    const Certificate* cert;
-    size_t first_vote;
-    size_t num_votes;
-  };
-  std::vector<PendingCert> pending;
-  for (const Certificate& cert : certs) {
-    if (!CertStructureOk(committee, cert)) {
-      all_valid = false;
-      continue;
-    }
-    if (cache.Lookup(CacheClaim(committee, cert))) {
-      continue;
-    }
-    PendingCert p{&cert, batch.pending(), cert.votes.size()};
-    Bytes preimage = VotePreimage(cert.header_digest, cert.round, cert.author);
-    for (const auto& [voter, sig] : cert.votes) {
-      batch.Queue(committee.key_of(voter), preimage, sig);
-    }
-    pending.push_back(p);
-  }
-  std::vector<bool> ok = batch.Flush();
-  for (const PendingCert& p : pending) {
-    bool cert_ok = true;
-    for (size_t i = 0; i < p.num_votes; ++i) {
-      if (!ok[p.first_vote + i]) {
-        cert_ok = false;
-        break;
-      }
-    }
-    if (cert_ok) {
-      cache.Insert(CacheClaim(committee, *p.cert));
-    } else {
-      all_valid = false;
-    }
-  }
-  return all_valid;
+                            const Signer& verifier, VerifiedCertCache* cache) {
+  return VerifyCertificates(certs, committee, verifier, *cache);
 }
 
 size_t Certificate::WireSize() const {

@@ -94,12 +94,10 @@ struct Certificate {
   // header digest and round, then compares author, committee fingerprint and
   // the exact (voter, signature) list — a re-delivery costs no encoding and
   // no hashing, and a different vote set under a known digest is verified
-  // afresh. Protocol nodes pass their own per-validator cache — every
-  // simulated validator must do its own crypto work, as a real deployment
-  // would; nullptr falls back to the process-wide default instance
-  // (VerifiedCertCache::Narwhal()) for tools and tests.
-  bool Verify(const Committee& committee, const Signer& verifier,
-              VerifiedCertCache* cache = nullptr) const;
+  // afresh. `cache` is the verifying validator's own and must not be null:
+  // every simulated validator does its own crypto work, as a real deployment
+  // would.
+  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
 
   // Verifies many certificates with a single batched flush across all their
   // uncached vote signatures — the bulk entry point for header-parent sets
@@ -108,7 +106,7 @@ struct Certificate {
   // calls that follow are hits) even when some other certificate fails.
   // `cache` as in Verify.
   static bool VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                        const Signer& verifier, VerifiedCertCache* cache = nullptr);
+                        const Signer& verifier, VerifiedCertCache* cache);
 
   size_t WireSize() const;
 };

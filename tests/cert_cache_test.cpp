@@ -155,19 +155,6 @@ TEST(VerifiedCertCacheTest, ZeroSubjectKeysAreKeptApartByRound) {
   EXPECT_FALSE(cache.Lookup({Kind::kQuorumCert, zero, 7, 0, kCommittee, kNoVotes}));
 }
 
-TEST(VerifiedCertCacheTest, ClearResetsEverything) {
-  VerifiedCertCache cache(4);
-  cache.Insert(Key(1, 3));
-  cache.OnGcRound(2);
-  cache.Lookup(Key(1, 3));
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  cache.Insert(Key(2, 1));  // Horizon reset: round 1 admissible again.
-  EXPECT_TRUE(cache.Lookup(Key(2, 1)));
-}
-
 // ---------------------------------------------------------------------------
 // Integration with Certificate verification.
 // ---------------------------------------------------------------------------
@@ -212,19 +199,22 @@ struct TestCommittee {
 struct CertCacheIntegrationTest : ::testing::Test, TestCommittee {
   static constexpr uint32_t kN = 4;
 
-  CertCacheIntegrationTest() : TestCommittee(kN) { VerifiedCertCache::Narwhal().Clear(); }
+  CertCacheIntegrationTest() : TestCommittee(kN) {}
+
+  // The verifying validator's own cache, fresh for every test.
+  VerifiedCertCache cache;
 };
 
 TEST_F(CertCacheIntegrationTest, SecondVerifyIsACacheHit) {
   Certificate cert = Certify(Sha256::Hash("block"), 5, 1);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  auto s1 = VerifiedCertCache::Narwhal().stats();
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
+  auto s1 = cache.stats();
   EXPECT_EQ(s1.misses, 1u);
   EXPECT_EQ(s1.insertions, 1u);
   EXPECT_EQ(s1.hits, 0u);
 
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  auto s2 = VerifiedCertCache::Narwhal().stats();
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
+  auto s2 = cache.stats();
   EXPECT_EQ(s2.misses, 1u);  // No second signature verification pass.
   EXPECT_EQ(s2.insertions, 1u);
   EXPECT_EQ(s2.hits, 1u);
@@ -235,14 +225,14 @@ TEST_F(CertCacheIntegrationTest, TwoRoutesVerifyExactlyOnce) {
   // certificate inside a parent set validated through VerifyAll (header
   // processing). The vote signatures must be checked exactly once.
   Certificate cert = Certify(Sha256::Hash("parent"), 3, 2);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
 
   std::vector<Certificate> parents;
   parents.push_back(cert);
   parents.push_back(Certify(Sha256::Hash("other-parent"), 3, 0));
-  EXPECT_TRUE(Certificate::VerifyAll(parents, committee, *signers[0]));
+  EXPECT_TRUE(Certificate::VerifyAll(parents, committee, *signers[0], &cache));
 
-  auto s = VerifiedCertCache::Narwhal().stats();
+  auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);        // `cert` via route 2.
   EXPECT_EQ(s.misses, 2u);      // `cert` route 1 + the other parent.
   EXPECT_EQ(s.insertions, 2u);  // Each distinct certificate verified once.
@@ -251,9 +241,9 @@ TEST_F(CertCacheIntegrationTest, TwoRoutesVerifyExactlyOnce) {
 TEST_F(CertCacheIntegrationTest, ForgedCertificateIsNeverCached) {
   Certificate cert = Certify(Sha256::Hash("forged"), 4, 1);
   cert.votes[1].second[0] ^= 1;
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
-  auto s = VerifiedCertCache::Narwhal().stats();
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
+  auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);  // Re-checked every time.
   EXPECT_EQ(s.insertions, 0u);
@@ -268,9 +258,9 @@ TEST_F(CertCacheIntegrationTest, VoteSetVariantIsADistinctEntry) {
   Bytes preimage = Certificate::VotePreimage(d, 6, 1);
   b.votes.erase(b.votes.begin());
   b.votes.emplace_back(3, signers[3]->Sign(preimage));
-  EXPECT_TRUE(a.Verify(committee, *signers[0]));
-  EXPECT_TRUE(b.Verify(committee, *signers[0]));
-  auto s = VerifiedCertCache::Narwhal().stats();
+  EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
+  auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.insertions, 2u);
@@ -281,23 +271,23 @@ TEST_F(CertCacheIntegrationTest, ForgedVoteSetUnderCachedDigestMisses) {
   // exact vote set that was verified: a forged set presented under a cached
   // digest must miss, fail signature verification, and stay out.
   Certificate cert = Certify(Sha256::Hash("cached-header"), 4, 1);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
   Certificate forged = cert;
   forged.votes[1].second[0] ^= 1;
-  EXPECT_FALSE(forged.Verify(committee, *signers[0]));
-  EXPECT_FALSE(Certificate::VerifyAll({cert, forged}, committee, *signers[0]));
+  EXPECT_FALSE(forged.Verify(committee, *signers[0], &cache));
+  EXPECT_FALSE(Certificate::VerifyAll({cert, forged}, committee, *signers[0], &cache));
   // A valid signature moved to another voter is forged too.
   Certificate swapped = cert;
   swapped.votes[2].first = 3;
-  EXPECT_FALSE(swapped.Verify(committee, *signers[0]));
+  EXPECT_FALSE(swapped.Verify(committee, *signers[0], &cache));
 
-  auto s = VerifiedCertCache::Narwhal().stats();
+  auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);        // `cert` inside VerifyAll.
   EXPECT_EQ(s.misses, 4u);      // `cert` once, `forged` twice, `swapped` once.
   EXPECT_EQ(s.insertions, 1u);  // Only the genuine vote set.
-  EXPECT_EQ(VerifiedCertCache::Narwhal().size(), 1u);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().hits, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST_F(CertCacheIntegrationTest, CommitteeFingerprintMismatchMisses) {
@@ -312,18 +302,17 @@ TEST_F(CertCacheIntegrationTest, CommitteeFingerprintMismatchMisses) {
   ASSERT_NE(other.fingerprint(), committee.fingerprint());
 
   Certificate cert = Certify(Sha256::Hash("two-committees"), 2, 0);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  EXPECT_TRUE(cert.Verify(other, *signers[0]));
-  auto s = VerifiedCertCache::Narwhal().stats();
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
+  EXPECT_TRUE(cert.Verify(other, *signers[0], &cache));
+  auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.insertions, 2u);
-  EXPECT_TRUE(cert.Verify(other, *signers[0]));
-  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().hits, 1u);
+  EXPECT_TRUE(cert.Verify(other, *signers[0], &cache));
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST_F(CertCacheIntegrationTest, QuorumCertVoteSetVariantsBehaveLikeNarwhal) {
-  VerifiedCertCache cache;
   const Digest block = Sha256::Hash("hs-block");
   const Bytes preimage = QuorumCert::VotePreimage(block, 9);
   QuorumCert a{block, 9, SignAll(preimage, {0, 1, 2})};
@@ -346,7 +335,6 @@ TEST_F(CertCacheIntegrationTest, QuorumCertVoteSetVariantsBehaveLikeNarwhal) {
 }
 
 TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
-  VerifiedCertCache cache;
   const Bytes preimage = TimeoutCert::VotePreimage(7);
   TimeoutCert a{7, SignAll(preimage, {0, 1, 2})};
   TimeoutCert b{7, SignAll(preimage, {0, 2, 3})};
@@ -367,7 +355,6 @@ TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
 }
 
 TEST_F(CertCacheIntegrationTest, DuplicateAndUnknownVotersRejectedOnBothPaths) {
-  VerifiedCertCache cache;
   // Narwhal: a duplicate voter (valid signatures) and an unknown voter.
   Certificate dup = Certify(Sha256::Hash("dup"), 3, 0);
   dup.votes[2] = dup.votes[1];
@@ -419,26 +406,6 @@ TEST(CertCacheBudgetTest, WarmParentSetVerifiesWithoutHashing) {
   EXPECT_EQ(cache.stats().hits, 2 * parents.size());
 }
 
-TEST_F(CertCacheIntegrationTest, MetricsSurfaceCacheDeltas) {
-  // Metrics snapshots the process-wide counters at construction and reports
-  // per-run deltas.
-  Certificate warmup = Certify(Sha256::Hash("pre-existing"), 1, 0);
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));
-
-  Scheduler scheduler;
-  Metrics metrics(&scheduler);
-  EXPECT_EQ(metrics.cert_cache_hits(), 0u);
-  EXPECT_EQ(metrics.cert_cache_misses(), 0u);
-
-  Certificate cert = Certify(Sha256::Hash("during-run"), 2, 1);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));
-  EXPECT_EQ(metrics.cert_cache_misses(), 1u);
-  EXPECT_EQ(metrics.cert_cache_hits(), 2u);
-  EXPECT_DOUBLE_EQ(metrics.CertCacheHitRate(), 2.0 / 3.0);
-}
-
 TEST_F(CertCacheIntegrationTest, PerValidatorCachesVerifyIndependently) {
   // Two simulated validators each pass their own cache: the second validator
   // must NOT get a hit from the first one's verification — in a real
@@ -455,12 +422,9 @@ TEST_F(CertCacheIntegrationTest, PerValidatorCachesVerifyIndependently) {
   EXPECT_EQ(cache_a.stats().insertions, 1u);
   EXPECT_EQ(cache_b.stats().misses, 1u);  // Verified again, not shared.
   EXPECT_EQ(cache_b.stats().insertions, 1u);
-  // The default singleton saw none of this traffic.
-  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().misses, 0u);
-  EXPECT_EQ(VerifiedCertCache::Narwhal().stats().insertions, 0u);
 
-  // Re-delivery to the same validator is still a local hit, and VerifyAll
-  // honours the override too.
+  // Re-delivery to the same validator is still a local hit, through
+  // VerifyAll too.
   EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache_a));
   EXPECT_EQ(cache_a.stats().hits, 1u);
   EXPECT_TRUE(Certificate::VerifyAll({cert}, committee, *signers[1], &cache_b));
@@ -472,9 +436,6 @@ TEST_F(CertCacheIntegrationTest, MetricsAggregateRegisteredCaches) {
   Metrics metrics(&scheduler);
   VerifiedCertCache cache_a;
   VerifiedCertCache cache_b;
-  // Activity before registration is excluded from the run's deltas.
-  Certificate pre = Certify(Sha256::Hash("pre-registration"), 1, 0);
-  EXPECT_TRUE(pre.Verify(committee, *signers[0], &cache_a));
   metrics.RegisterCertCache(&cache_a);
   metrics.RegisterCertCache(&cache_b);
   EXPECT_EQ(metrics.cert_cache_hits(), 0u);
@@ -486,35 +447,33 @@ TEST_F(CertCacheIntegrationTest, MetricsAggregateRegisteredCaches) {
   EXPECT_TRUE(cert.Verify(committee, *signers[1], &cache_b));
   EXPECT_EQ(metrics.cert_cache_misses(), 2u);  // One per validator cache.
   EXPECT_EQ(metrics.cert_cache_hits(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.CertCacheHitRate(), 1.0 / 3.0);
 }
 
-TEST_F(CertCacheIntegrationTest, MetricsClampWhenCountersMoveBackwards) {
-  // Clear()/ResetStats() move a cache's counters below the metrics baseline;
-  // the deltas must clamp to zero, not wrap to ~2^64.
-  Certificate warmup = Certify(Sha256::Hash("will-be-cleared"), 1, 0);
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));  // Baseline: 1 hit, 1 miss.
-
+TEST_F(CertCacheIntegrationTest, MetricsKeepUnregisteredCacheActivity) {
+  // A validator rebuilt after a restart unregisters its old cache before
+  // destroying it: the old cache's activity stays in the run's totals, and
+  // the new cache's activity adds to it.
   Scheduler scheduler;
   Metrics metrics(&scheduler);
-  VerifiedCertCache cache_a;
-  Certificate cert = Certify(Sha256::Hash("clamped"), 2, 1);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache_a));
-  metrics.RegisterCertCache(&cache_a);
+  Certificate cert = Certify(Sha256::Hash("across-rebuild"), 2, 1);
+  {
+    VerifiedCertCache old_cache;
+    metrics.RegisterCertCache(&old_cache);
+    EXPECT_TRUE(cert.Verify(committee, *signers[0], &old_cache));
+    EXPECT_TRUE(cert.Verify(committee, *signers[0], &old_cache));
+    metrics.UnregisterCertCache(&old_cache);
+  }
+  EXPECT_EQ(metrics.cert_cache_misses(), 1u);
+  EXPECT_EQ(metrics.cert_cache_hits(), 1u);
 
-  VerifiedCertCache::Narwhal().Clear();  // Singleton counters fall below baseline.
-  cache_a.ResetStats();                  // Registered cache falls below its baseline.
-  EXPECT_EQ(metrics.cert_cache_hits(), 0u);
-  EXPECT_EQ(metrics.cert_cache_misses(), 0u);
-  EXPECT_DOUBLE_EQ(metrics.CertCacheHitRate(), 0.0);
-
-  // Counters that climb back past the baseline resume counting.
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));   // Miss (cache cleared).
-  EXPECT_TRUE(warmup.Verify(committee, *signers[0]));   // Hit.
-  EXPECT_EQ(metrics.cert_cache_misses(), 0u);  // 1 < baseline 1 clamps... still 0.
-  EXPECT_EQ(metrics.cert_cache_hits(), 0u);
-  EXPECT_TRUE(Certify(Sha256::Hash("fresh"), 3, 2).Verify(committee, *signers[0]));
-  EXPECT_EQ(metrics.cert_cache_misses(), 1u);  // 2 misses vs baseline 1.
+  VerifiedCertCache new_cache;
+  metrics.RegisterCertCache(&new_cache);
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &new_cache));  // Cold again.
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &new_cache));
+  EXPECT_EQ(metrics.cert_cache_misses(), 2u);
+  EXPECT_EQ(metrics.cert_cache_hits(), 2u);
+  EXPECT_DOUBLE_EQ(metrics.CertCacheHitRate(), 0.5);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ struct QcFixture : ::testing::Test {
 
   std::vector<std::unique_ptr<Signer>> signers;
   Committee committee;
+  VerifiedCertCache cache;  // The verifying validator's own.
 };
 
 TEST_F(QcFixture, QuorumCertVerifies) {
@@ -35,25 +36,25 @@ TEST_F(QcFixture, QuorumCertVerifies) {
   for (uint32_t v = 0; v < 3; ++v) {
     qc.votes.emplace_back(v, signers[v]->Sign(preimage));
   }
-  EXPECT_TRUE(qc.Verify(committee, *signers[0]));
+  EXPECT_TRUE(qc.Verify(committee, *signers[0], &cache));
 
   QuorumCert wrong_view = qc;
   wrong_view.view = 8;
-  EXPECT_FALSE(wrong_view.Verify(committee, *signers[0]));
+  EXPECT_FALSE(wrong_view.Verify(committee, *signers[0], &cache));
 
   QuorumCert short_qc = qc;
   short_qc.votes.pop_back();
-  EXPECT_FALSE(short_qc.Verify(committee, *signers[0]));
+  EXPECT_FALSE(short_qc.Verify(committee, *signers[0], &cache));
 
   QuorumCert dup = qc;
   dup.votes[2] = dup.votes[0];
-  EXPECT_FALSE(dup.Verify(committee, *signers[0]));
+  EXPECT_FALSE(dup.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(QcFixture, GenesisQcIsExempt) {
   QuorumCert genesis;
   EXPECT_TRUE(genesis.IsGenesis());
-  EXPECT_TRUE(genesis.Verify(committee, *signers[0]));
+  EXPECT_TRUE(genesis.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(QcFixture, TimeoutCertVerifies) {
@@ -63,9 +64,9 @@ TEST_F(QcFixture, TimeoutCertVerifies) {
   for (uint32_t v = 1; v < 4; ++v) {
     tc.votes.emplace_back(v, signers[v]->Sign(preimage));
   }
-  EXPECT_TRUE(tc.Verify(committee, *signers[0]));
+  EXPECT_TRUE(tc.Verify(committee, *signers[0], &cache));
   tc.view = 4;
-  EXPECT_FALSE(tc.Verify(committee, *signers[0]));
+  EXPECT_FALSE(tc.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(QcFixture, BlockDigestCoversPayloadAndChain) {

@@ -37,13 +37,17 @@ TEST(MempoolTest, WriteBecomesCertified) {
 
   auto cert = pool.CertificateFor(d);
   ASSERT_TRUE(cert.has_value());
-  // valid(d, c(d)) holds for the real certificate...
+  // valid(d, c(d)) holds for the real certificate, checked by validator 0
+  // through its own primary's cache...
   auto verifier = MakeSigner(SignerKind::kFast, DeriveSeed(1, 0));
-  EXPECT_TRUE(Mempool::Valid(cluster.committee(), *verifier, *cert));
+  const VerifiedCertCache& cache = cluster.primary(0)->cert_cache();
+  const uint64_t lookups = cache.stats().hits + cache.stats().misses;
+  EXPECT_TRUE(pool.Valid(cluster.committee(), *verifier, *cert));
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, lookups + 1);
   // ...and fails for a tampered one.
   Certificate forged = *cert;
   forged.votes[0].second[0] ^= 1;
-  EXPECT_FALSE(Mempool::Valid(cluster.committee(), *verifier, forged));
+  EXPECT_FALSE(pool.Valid(cluster.committee(), *verifier, forged));
 }
 
 // A batch re-proposed after GC re-injection is referenced by two certified

@@ -57,7 +57,7 @@ TEST_P(SignerContractTest, DigestSigningOverload) {
   EXPECT_FALSE(signer->Verify(signer->public_key(), other, sig));
 }
 
-TEST_P(SignerContractTest, BatchVerifierMatchesIndividualVerify) {
+TEST_P(SignerContractTest, VerifyBatchMatchesIndividualVerify) {
   // The batch kernel (true multi-scalar batching for Ed25519, a loop for
   // FastSigner) must agree bit-for-bit with per-item Verify.
   auto verifier = MakeSigner(GetParam(), DeriveSeed(11, 0));
@@ -66,10 +66,10 @@ TEST_P(SignerContractTest, BatchVerifierMatchesIndividualVerify) {
     signers.push_back(MakeSigner(GetParam(), DeriveSeed(11, i)));
   }
 
-  std::vector<PublicKey> pks;
+  // Items borrow their messages, so every buffer is built before the first
+  // item points into it.
   std::vector<Bytes> msgs;
   std::vector<Signature> sigs;
-  BatchVerifier batch(*verifier);
   for (size_t i = 0; i < 24; ++i) {
     const Signer& s = *signers[i % signers.size()];
     Bytes msg(i + 1, static_cast<uint8_t>(i));
@@ -80,40 +80,37 @@ TEST_P(SignerContractTest, BatchVerifierMatchesIndividualVerify) {
     if (i % 7 == 3) {
       msg.push_back(0);  // Sign/verify mismatch on others.
     }
-    pks.push_back(s.public_key());
     msgs.push_back(msg);
     sigs.push_back(sig);
-    batch.Queue(s.public_key(), msg, sig);
   }
-  EXPECT_EQ(batch.pending(), 24u);
+  // Then the certificate pattern: eight votes over one shared preimage, one
+  // of them with a corrupted signature.
+  const Bytes preimage = {9, 8, 7, 6};
+  for (size_t i = 0; i < signers.size(); ++i) {
+    Signature sig = signers[i]->Sign(preimage);
+    if (i == 5) {
+      sig[3] ^= 1;
+    }
+    sigs.push_back(sig);
+  }
 
-  std::vector<bool> ok = batch.Flush();
-  ASSERT_EQ(ok.size(), 24u);
-  EXPECT_EQ(batch.pending(), 0u);  // Flush clears the queue.
+  std::vector<BatchItem> items;
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    const Signer& s = *signers[i % signers.size()];
+    const Bytes& msg = i < msgs.size() ? msgs[i] : preimage;
+    items.push_back({s.public_key(), msg.data(), msg.size(), sigs[i]});
+  }
+  std::vector<bool> ok = verifier->VerifyBatch(items);
+  ASSERT_EQ(ok.size(), items.size());
   for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_EQ(ok[i], verifier->Verify(pks[i], msgs[i], sigs[i])) << "item " << i;
+    EXPECT_EQ(ok[i], verifier->Verify(items[i].pk, items[i].msg, items[i].len, items[i].sig))
+        << "item " << i;
   }
+  EXPECT_FALSE(ok[msgs.size() + 5]);  // The corrupted vote over the shared preimage...
+  EXPECT_TRUE(ok[msgs.size() + 4]);   // ...fails alone.
 
-  // An empty flush is an empty verdict, and FlushAllValid on it holds.
-  EXPECT_TRUE(batch.Flush().empty());
-  EXPECT_TRUE(batch.FlushAllValid());
-}
-
-TEST_P(SignerContractTest, FlushAllValidRequiresEveryItem) {
-  auto signer = MakeSigner(GetParam(), DeriveSeed(12, 0));
-  Bytes msg = {1, 2, 3};
-  Signature good = signer->Sign(msg);
-
-  BatchVerifier batch(*signer);
-  batch.Queue(signer->public_key(), msg, good);
-  batch.Queue(signer->public_key(), msg, good);
-  EXPECT_TRUE(batch.FlushAllValid());
-
-  Signature bad = good;
-  bad[10] ^= 1;
-  batch.Queue(signer->public_key(), msg, good);
-  batch.Queue(signer->public_key(), msg, bad);
-  EXPECT_FALSE(batch.FlushAllValid());
+  // An empty batch is an empty verdict.
+  EXPECT_TRUE(verifier->VerifyBatch({}).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SignerContractTest,

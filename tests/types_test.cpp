@@ -6,6 +6,8 @@
 
 #include <memory>
 
+#include "src/types/cert_cache.h"
+
 namespace nt {
 namespace {
 
@@ -49,6 +51,7 @@ struct TypesFixture : ::testing::Test {
 
   std::vector<std::unique_ptr<Signer>> signers;
   Committee committee;
+  VerifiedCertCache cache;  // The verifying validator's own.
 };
 
 TEST_F(TypesFixture, CommitteeThresholds) {
@@ -112,45 +115,45 @@ TEST_F(TypesFixture, BatchDecodeRejectsTruncation) {
 TEST_F(TypesFixture, CertificateVerifies) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
-  EXPECT_TRUE(cert.Verify(committee, *signers[0]));
+  EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsInsufficientVotes) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
   cert.votes.pop_back();  // 2 < 2f+1 = 3.
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsDuplicateVoter) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
   cert.votes[2] = cert.votes[0];  // Same voter twice.
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsForgedSignature) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
   cert.votes[1].second[0] ^= 1;
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsUnknownVoter) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
   cert.votes[1].first = 77;  // Not in the committee.
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateBindsRoundAndAuthor) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
   cert.round = 6;  // Signatures were over round 5.
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
   cert.round = 5;
   cert.author = 2;
-  EXPECT_FALSE(cert.Verify(committee, *signers[0]));
+  EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateEncodeDecodeRoundTrip) {
@@ -162,7 +165,7 @@ TEST_F(TypesFixture, CertificateEncodeDecodeRoundTrip) {
   auto decoded = Certificate::Decode(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_TRUE(decoded->Verify(committee, *signers[0]));
+  EXPECT_TRUE(decoded->Verify(committee, *signers[0], &cache));
   EXPECT_EQ(decoded->header_digest, cert.header_digest);
 }
 
