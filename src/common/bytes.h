@@ -1,5 +1,6 @@
 // Byte-buffer primitives shared by every module: the `Bytes` alias, hex
-// encoding/decoding, and constant-time comparison for secret material.
+// encoding/decoding, constant-time comparison for secret material, and the
+// FNV-1a string hash.
 #ifndef SRC_COMMON_BYTES_H_
 #define SRC_COMMON_BYTES_H_
 
@@ -25,6 +26,18 @@ std::optional<Bytes> FromHex(std::string_view hex);
 // true iff the buffers are byte-wise equal. Intended for MAC/signature
 // comparisons where early-exit timing would leak information.
 bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t len);
+
+// 64-bit FNV-1a over the bytes of `s`: stable across platforms and runs. It
+// derives Rng streams from labels, routes keys to execution lanes, and hashes
+// string keys in FlatTable.
+inline uint64_t Fnv1a(std::string_view s) {
+  uint64_t h = 14695981039346656037ull;
+  for (char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 }  // namespace nt
 

@@ -99,9 +99,17 @@ class Reader {
     pos_ += n;
     return out;
   }
-  std::string GetString() {
-    Bytes b = GetVar();
-    return std::string(b.begin(), b.end());
+  std::string GetString() { return std::string(GetStringView()); }
+  // As GetString, but borrows the bytes from the input instead of copying
+  // them: the view is valid as long as the input is.
+  std::string_view GetStringView() {
+    uint32_t n = GetU32();
+    if (!Ensure(n)) {
+      return {};
+    }
+    std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return out;
   }
 
   // True iff no getter has underflowed so far.

@@ -9,6 +9,8 @@
 #include <random>
 #include <string_view>
 
+#include "src/common/bytes.h"
+
 namespace nt {
 
 class Rng {
@@ -19,12 +21,7 @@ class Rng {
   // a label. Stable across runs for the same (seed, label).
   static Rng Derive(uint64_t root_seed, std::string_view label) {
     // FNV-1a over the label, mixed with the root seed.
-    uint64_t h = 14695981039346656037ull;
-    for (char c : label) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    return Rng(SplitMix(root_seed ^ h));
+    return Rng(SplitMix(root_seed ^ Fnv1a(label)));
   }
 
   uint64_t NextU64() { return engine_(); }

@@ -1,13 +1,17 @@
 // FlatTable: the one hash table behind every digest-keyed lookup index (the
 // DAG's certificate and header indexes, the stores, the committed sets, the
-// batch indexes, the verified-certificate cache).
+// batch indexes, the verified-certificate cache, the workers' duplicate
+// filters) and behind the execution lanes' string-keyed books.
 //
-// Keys are SHA-256 outputs, already uniform, so the hash is the digest's
-// first 8 bytes (DigestHash); a lookup compares the full key only on a slot
-// whose 7-bit tag matches. Open addressing with linear probing over one flat
-// slot array and a parallel control-byte array; erasure shifts the probe run
-// back (no tombstones), so a table that churns under garbage collection
-// never degrades. Capacity is a power of two grown at 7/8 load; nothing is
+// Digest keys are SHA-256 outputs, already uniform, so their hash is the
+// digest's first 8 bytes (DigestHash). String keys hash with FNV-1a
+// (StringHash), the function that also routes keys to execution lanes. Either
+// hash is then mixed by a multiplicative step before it picks a slot, and a
+// lookup compares the full key only on a slot whose 7-bit tag matches. Open
+// addressing with linear probing over one flat slot array and a parallel
+// control-byte array; erasure shifts the probe run back (no tombstones), so a
+// table that churns under garbage collection or a sliding window never
+// degrades. Capacity is a power of two grown at 7/8 load; nothing is
 // allocated until the first insert.
 //
 // There is no begin()/end(): slot order depends on insertion history, and
@@ -20,9 +24,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/crypto/hash.h"
 
 namespace nt {
@@ -34,6 +40,11 @@ struct DigestHash {
     std::memcpy(&h, d.data(), sizeof(h));
     return h;
   }
+};
+
+// The table hash of a string key.
+struct StringHash {
+  uint64_t operator()(const std::string& s) const { return Fnv1a(s); }
 };
 
 template <typename Key, typename Value, typename Hash = DigestHash>
@@ -135,7 +146,8 @@ class FlatTable {
   static constexpr size_t kNone = ~size_t{0};
 
   // Spreads the hash so keys that differ only in a few bits (hand-built
-  // test digests) still land apart; a no-op for uniform digests.
+  // test digests, FNV-1a of short names) still land apart; a no-op for
+  // uniform digests.
   uint64_t Mix(const Key& key) const { return Hash{}(key) * 0x9E3779B97F4A7C15ull; }
   size_t Home(uint64_t mixed) const { return static_cast<size_t>(mixed >> shift_); }
   // Nonzero control byte of an occupied slot: 0x80 plus 7 hash bits.

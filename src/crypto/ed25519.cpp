@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <unordered_map>
 
 #include "src/crypto/hash.h"
@@ -538,25 +537,19 @@ bool GeDecompressKey(Ge& out, const uint8_t in[32]) {
       return static_cast<size_t>(v);
     }
   };
-  // ntlint:allow(nondet): guards a process-wide memo of pure decompression results — contents never affect protocol output, only speed
-  static std::mutex mu;
   static std::unordered_map<std::array<uint8_t, 32>, Ge, KeyHash> cache;
   constexpr size_t kMaxEntries = 4096;
 
   std::array<uint8_t, 32> key;
   std::memcpy(key.data(), in, 32);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      out = it->second;
-      return true;
-    }
+  auto it = cache.find(key);
+  if (it != cache.end()) {
+    out = it->second;
+    return true;
   }
   if (!GeDecompress(out, in)) {
     return false;
   }
-  std::lock_guard<std::mutex> lock(mu);
   if (cache.size() >= kMaxEntries) {
     cache.clear();
   }

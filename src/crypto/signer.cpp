@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <map>
-#include <mutex>
 
 #include "src/common/codec.h"
 #include "src/crypto/ed25519.h"
@@ -55,12 +54,10 @@ class FastKeyRegistry {
   }
 
   void Register(const PublicKey& pk, const std::array<uint8_t, 32>& secret) {
-    std::lock_guard<std::mutex> lock(mu_);
     keys_[pk] = secret;
   }
 
   bool Lookup(const PublicKey& pk, std::array<uint8_t, 32>* secret) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = keys_.find(pk);
     if (it == keys_.end()) {
       return false;
@@ -70,8 +67,6 @@ class FastKeyRegistry {
   }
 
  private:
-  // ntlint:allow(nondet): guards a write-once key registry; lookups are pure reads of deterministic content
-  mutable std::mutex mu_;
   std::map<PublicKey, std::array<uint8_t, 32>, DigestLess> keys_;
 };
 

@@ -1,12 +1,26 @@
 #include "src/exec/state_machine.h"
 
+#include <functional>
+
 namespace nt {
 
 // --------------------------------------------------------------------- ExecTx
 
+namespace {
+
+constexpr std::string_view kExecTxTag = "exec-tx";
+
+// Encoded size of an ExecTx with these field lengths: the tag, the op byte,
+// three u32-prefixed fields and the u64 amount.
+size_t EncodedSize(size_t key_len, size_t key2_len, size_t value_len) {
+  return 4 + kExecTxTag.size() + 1 + 4 + key_len + 4 + key2_len + 4 + value_len + 8;
+}
+
+}  // namespace
+
 Bytes ExecTx::Encode() const {
-  Writer w;
-  w.PutString("exec-tx");
+  Writer w(EncodedSize(key.size(), key2.size(), value.size()));
+  w.PutString(kExecTxTag);
   w.PutU8(static_cast<uint8_t>(op));
   w.PutString(key);
   w.PutString(key2);
@@ -15,9 +29,22 @@ Bytes ExecTx::Encode() const {
   return w.Take();
 }
 
+Bytes ExecTx::EncodeTransfer(std::string_view from, std::string_view to, uint64_t amount,
+                             uint64_t nonce) {
+  Writer w(EncodedSize(from.size(), to.size(), sizeof(nonce)));
+  w.PutString(kExecTxTag);
+  w.PutU8(static_cast<uint8_t>(Op::kTransfer));
+  w.PutString(from);
+  w.PutString(to);
+  w.PutU32(sizeof(nonce));
+  w.PutU64(nonce);
+  w.PutU64(amount);
+  return w.Take();
+}
+
 std::optional<ExecTx> ExecTx::Decode(const Bytes& wire) {
   Reader r(wire);
-  if (r.GetString() != "exec-tx") {
+  if (r.GetStringView() != kExecTxTag) {
     return std::nullopt;
   }
   ExecTx tx;
@@ -100,11 +127,11 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx& tx) {
       minted_ += tx.amount;
       break;
     case ExecTx::Op::kTransfer: {
-      auto from = balances_.find(tx.key);
-      if (from == balances_.end() || from->second < tx.amount) {
+      uint64_t* from = balances_.find(tx.key);
+      if (from == nullptr || *from < tx.amount) {
         status = ExecStatus::kRejectedInsufficient;
       } else {
-        from->second -= tx.amount;
+        *from -= tx.amount;  // Before the credit, which may move the slot.
         balances_[tx.key2] += tx.amount;
       }
       break;
@@ -118,11 +145,11 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx& tx) {
 
 ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx& tx) {
   ExecStatus status = ExecStatus::kApplied;
-  auto from = balances_.find(tx.key);
-  if (from == balances_.end() || from->second < tx.amount) {
+  uint64_t* from = balances_.find(tx.key);
+  if (from == nullptr || *from < tx.amount) {
     status = ExecStatus::kRejectedInsufficient;
   } else {
-    from->second -= tx.amount;
+    *from -= tx.amount;
   }
   Advance(wire_tx, status, ExecPhase::kLock);
   return status;
@@ -161,39 +188,39 @@ void KvStateMachine::Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase 
 }
 
 std::optional<Bytes> KvStateMachine::Get(const std::string& key) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) {
+  const Bytes* value = kv_.find(key);
+  if (value == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *value;
 }
 
 uint64_t KvStateMachine::total_balance() const {
   uint64_t total = 0;
-  for (const auto& [account, balance] : balances_) {
-    total += balance;
-  }
+  balances_.ForEachSorted(std::less<std::string>{},
+                          [&total](const std::string&, uint64_t balance) { total += balance; });
   return total;
 }
 
 uint64_t KvStateMachine::BalanceOf(const std::string& account) const {
-  auto it = balances_.find(account);
-  return it == balances_.end() ? 0 : it->second;
+  const uint64_t* balance = balances_.find(account);
+  return balance == nullptr ? 0 : *balance;
 }
 
 Digest KvStateMachine::ComputeSnapshotDigest() const {
   Writer w;
   w.PutString("exec-snapshot");
   w.PutU64(kv_.size());
-  for (const auto& [key, value] : kv_) {
+  kv_.ForEachSorted(std::less<std::string>{}, [&w](const std::string& key, const Bytes& value) {
     w.PutString(key);
     w.PutVar(value);
-  }
+  });
   w.PutU64(balances_.size());
-  for (const auto& [account, balance] : balances_) {
-    w.PutString(account);
-    w.PutU64(balance);
-  }
+  balances_.ForEachSorted(std::less<std::string>{},
+                          [&w](const std::string& account, uint64_t balance) {
+                            w.PutString(account);
+                            w.PutU64(balance);
+                          });
   return Sha256::Hash(w.bytes());
 }
 

@@ -8,12 +8,13 @@
 #define SRC_EXEC_STATE_MACHINE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/common/bytes.h"
 #include "src/common/codec.h"
+#include "src/crypto/digest_table.h"
 #include "src/crypto/hash.h"
 
 namespace nt {
@@ -36,6 +37,11 @@ struct ExecTx {
 
   Bytes Encode() const;
   static std::optional<ExecTx> Decode(const Bytes& wire);
+  // The bytes of Transfer(from, to, amount) with `nonce` as its 8-byte
+  // little-endian value, Encode()d: written straight into one exact-size
+  // buffer, with no ExecTx in between (the load generator's hot path).
+  static Bytes EncodeTransfer(std::string_view from, std::string_view to, uint64_t amount,
+                              uint64_t nonce);
 
   static ExecTx Put(std::string key, Bytes value);
   static ExecTx Delete(std::string key);
@@ -102,15 +108,16 @@ class KvStateMachine {
   uint64_t minted() const { return minted_; }
   uint64_t total_balance() const;
 
-  // Full-state digest (order-independent recomputation over the maps);
-  // used by audits and snapshot tests.
+  // Full-state digest over both books in ascending key order, so it depends
+  // only on their contents, never on insertion history; used by audits and
+  // snapshot tests.
   Digest ComputeSnapshotDigest() const;
 
  private:
   void Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase phase);
 
-  std::map<std::string, Bytes> kv_;
-  std::map<std::string, uint64_t> balances_;
+  FlatTable<std::string, Bytes, StringHash> kv_;
+  FlatTable<std::string, uint64_t, StringHash> balances_;
   Digest state_digest_{};
   uint64_t applied_ = 0;
   uint64_t rejected_ = 0;

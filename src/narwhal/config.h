@@ -36,7 +36,9 @@ struct NarwhalConfig {
   // (paper §8.4: "Mir-BFT uses an interesting transaction de-duplication
   // technique based on hashing which we believe is directly applicable to
   // Narwhal"). A worker remembers the digests of the last `dedup_window`
-  // transactions and drops resubmissions. 0 disables.
+  // transactions in a hashed set (one probe per submission, one erase of the
+  // oldest digest once the window is full) and drops resubmissions.
+  // 0 disables.
   uint64_t dedup_window = 100000;
 };
 

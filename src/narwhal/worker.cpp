@@ -63,7 +63,7 @@ void Worker::SubmitTransaction(Bytes payload, std::optional<TxSample> sample) {
     // Mir-BFT-style hash de-duplication (paper §8.4): resubmitted payloads
     // within the window are dropped before they cost any bandwidth.
     Digest tx_digest = Sha256::Hash(payload);
-    if (!seen_txs_.insert(tx_digest).second) {
+    if (!seen_txs_.insert(tx_digest)) {
       ++duplicate_txs_dropped_;
       return;
     }

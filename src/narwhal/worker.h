@@ -157,8 +157,9 @@ class Worker : public NetNode {
   // Outstanding pull requests issued on behalf of the primary.
   std::set<Digest> fetching_;
 
-  // Sliding-window duplicate filter over explicit transaction payloads.
-  std::set<Digest> seen_txs_;
+  // Sliding-window duplicate filter over explicit transaction payloads:
+  // the set answers membership, the queue says which digest leaves next.
+  DigestSet seen_txs_;
   std::deque<Digest> seen_order_;
 
   uint64_t batches_sealed_ = 0;

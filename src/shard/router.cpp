@@ -1,17 +1,14 @@
 #include "src/shard/router.h"
 
+#include "src/common/bytes.h"
+
 namespace nt {
 
 ShardId ShardRouter::Route(std::string_view key, uint32_t num_shards) {
   if (num_shards <= 1) {
     return 0;
   }
-  uint64_t h = 14695981039346656037ull;
-  for (char c : key) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<ShardId>(h % num_shards);
+  return static_cast<ShardId>(Fnv1a(key) % num_shards);
 }
 
 std::string ShardRouter::MineAccount(const std::string& prefix, ShardId shard,

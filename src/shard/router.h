@@ -19,8 +19,8 @@ class ShardRouter {
 
   ShardId Of(std::string_view key) const { return Route(key, num_shards_); }
 
-  // Stable across platforms and runs: FNV-1a over the key bytes, reduced
-  // modulo the lane count.
+  // Stable across platforms and runs: FNV-1a over the key bytes (Fnv1a,
+  // also FlatTable's string hash), reduced modulo the lane count.
   static ShardId Route(std::string_view key, uint32_t num_shards);
 
   // Smallest-nonce account name "<prefix>.<nonce>" that routes to `shard` —

@@ -87,7 +87,13 @@ void ShardedExecutor::Drain() {
 void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batch>>& batches) {
   // Pass 1 — lane-local fast path, in encounter order. Cross-shard transfers
   // are deferred (still in encounter order) to the commit boundary below.
-  std::vector<std::pair<const Bytes*, ExecTx>> cross;
+  struct CrossTransfer {
+    const Bytes* wire;
+    ExecTx tx;
+    ShardId src;
+    ShardId dst;
+  };
+  std::vector<CrossTransfer> cross;
   for (const auto& batch : batches) {
     for (const Bytes& wire : batch->txs) {
       std::optional<ExecTx> tx = ExecTx::Decode(wire);
@@ -101,7 +107,7 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
         ShardId src = router_.Of(tx->key);
         ShardId dst = router_.Of(tx->key2);
         if (src != dst) {
-          cross.emplace_back(&wire, std::move(*tx));
+          cross.push_back({&wire, std::move(*tx), src, dst});
           continue;
         }
         lanes_[src].Apply(wire, *tx);
@@ -118,10 +124,8 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
   // successful lock credits the destination lane, so a transfer can spend
   // single-shard state from its own header but never a sibling cross-shard
   // credit from the same boundary.
-  for (const auto& [wire, tx] : cross) {
+  for (const auto& [wire, tx, src, dst] : cross) {
     ++cross_shard_txs_;
-    ShardId src = router_.Of(tx.key);
-    ShardId dst = router_.Of(tx.key2);
     bool locked;
     if (seeded_bugs::skip_cross_shard_lock) {
       // Seeded bug: the lock epoch (funds check + source debit) is skipped

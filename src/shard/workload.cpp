@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/codec.h"
-
 namespace nt {
 
 TransferWorkload::TransferWorkload(TransferWorkloadConfig config) : config_(config) {
@@ -72,11 +70,7 @@ Bytes TransferWorkload::NextTransfer(Rng& rng, uint64_t nonce) const {
     // shift to the next account in the lane.
     to = (to + 1) % config_.accounts_per_shard;
   }
-  ExecTx tx = ExecTx::Transfer(accounts_[src][from], accounts_[dst][to], config_.amount);
-  Writer w;
-  w.PutU64(nonce);
-  tx.value = w.Take();
-  return tx.Encode();
+  return ExecTx::EncodeTransfer(accounts_[src][from], accounts_[dst][to], config_.amount, nonce);
 }
 
 }  // namespace nt

@@ -50,7 +50,12 @@ bool VerifyCertificates(std::span<const Certificate> certs, const Committee& com
   }
   std::vector<Bytes> preimages;
   preimages.reserve(pending.size());  // Items point into these buffers.
+  size_t num_votes = 0;
+  for (const Certificate* cert : pending) {
+    num_votes += cert->votes.size();
+  }
   std::vector<BatchItem> items;
+  items.reserve(num_votes);
   for (const Certificate* cert : pending) {
     const Bytes& preimage = preimages.emplace_back(
         Certificate::VotePreimage(cert->header_digest, cert->round, cert->author));

@@ -125,6 +125,39 @@ TEST(DedupTest, WindowEviction) {
   EXPECT_EQ(worker->duplicate_txs_dropped(), 1u);
 }
 
+TEST(DedupTest, WindowChurnAcrossTableGrowth) {
+  // The window's set grows through several capacities while it churns: every
+  // submission past the first 1000 erases the oldest digest.
+  ClusterConfig config = TuskConfig(9);
+  config.narwhal.dedup_window = 1000;
+  Cluster cluster(config);
+  cluster.Start();
+  Worker* worker = cluster.worker(0, 0);
+  auto payload = [](uint32_t i) {
+    return Bytes{static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8), 0xde, 0xd0};
+  };
+  for (uint32_t i = 0; i < 5000; ++i) {
+    worker->SubmitTransaction(payload(i), std::nullopt);
+  }
+  EXPECT_EQ(worker->duplicate_txs_dropped(), 0u);
+  for (uint32_t i = 4000; i < 5000; ++i) {  // The latest 1000: all remembered.
+    worker->SubmitTransaction(payload(i), std::nullopt);
+  }
+  EXPECT_EQ(worker->duplicate_txs_dropped(), 1000u);
+  for (uint32_t i = 0; i < 1000; ++i) {  // Evicted long ago: all accepted...
+    worker->SubmitTransaction(payload(i), std::nullopt);
+  }
+  EXPECT_EQ(worker->duplicate_txs_dropped(), 1000u);
+  for (uint32_t i = 3000; i < 5000; ++i) {  // ...and they pushed 4000..4999 out.
+    worker->SubmitTransaction(payload(i), std::nullopt);
+  }
+  EXPECT_EQ(worker->duplicate_txs_dropped(), 1000u);
+  for (uint32_t i = 4000; i < 5000; ++i) {  // The window is now 4000..4999.
+    worker->SubmitTransaction(payload(i), std::nullopt);
+  }
+  EXPECT_EQ(worker->duplicate_txs_dropped(), 2000u);
+}
+
 TEST(DedupTest, CanBeDisabled) {
   ClusterConfig config = TuskConfig(8);
   config.narwhal.dedup_window = 0;

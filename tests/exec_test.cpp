@@ -12,6 +12,9 @@
 namespace nt {
 namespace {
 
+constexpr const char* kPinnedSnapshot =
+    "160b5973ef0bcea65b8d2a51495ce28510b942af69eb7917567c4569b13cfb18";
+
 TEST(ExecTxTest, EncodeDecodeRoundTrip) {
   ExecTx tx = ExecTx::Transfer("alice", "bob", 42);
   auto decoded = ExecTx::Decode(tx.Encode());
@@ -81,6 +84,40 @@ TEST(StateMachineTest, DigestReflectsSequence) {
   // even though the final snapshot is the same.
   EXPECT_NE(a.state_digest(), b.state_digest());
   EXPECT_EQ(a.ComputeSnapshotDigest(), b.ComputeSnapshotDigest());
+}
+
+// The snapshot covers both books in ascending key order, so it depends on
+// their contents only, never on the order the keys arrived in (the books are
+// hash tables whose slot order does depend on it).
+TEST(StateMachineTest, SnapshotAndTotalBalanceIgnoreInsertionOrder) {
+  std::vector<Bytes> txs;
+  for (int i = 0; i < 40; ++i) {
+    txs.push_back(ExecTx::Mint("acct" + std::to_string(i), 1000 + i).Encode());
+    txs.push_back(ExecTx::Put("key" + std::to_string(i),
+                              {static_cast<uint8_t>(i), static_cast<uint8_t>(7 * i)})
+                      .Encode());
+  }
+  KvStateMachine forward, backward;
+  for (const Bytes& tx : txs) {
+    forward.Apply(tx);
+  }
+  for (auto it = txs.rbegin(); it != txs.rend(); ++it) {
+    backward.Apply(*it);
+  }
+  for (KvStateMachine* sm : {&forward, &backward}) {
+    sm->Apply(ExecTx::Transfer("acct3", "fresh", 500).Encode());
+    sm->Apply(ExecTx::Delete("key7").Encode());
+  }
+  EXPECT_NE(forward.state_digest(), backward.state_digest());
+  EXPECT_EQ(forward.ComputeSnapshotDigest(), backward.ComputeSnapshotDigest());
+  EXPECT_EQ(forward.total_balance(), backward.total_balance());
+  EXPECT_EQ(forward.total_balance(), forward.minted());
+  EXPECT_EQ(forward.accounts(), 41u);
+  EXPECT_EQ(forward.keys(), 39u);
+  // The snapshot bytes are those of the ordered-map books this state machine
+  // had before its books were hashed.
+  const Digest snapshot = forward.ComputeSnapshotDigest();
+  EXPECT_EQ(ToHex(snapshot.data(), snapshot.size()), kPinnedSnapshot);
 }
 
 TEST(StateMachineTest, ReplicasAgreeOnIdenticalSequences) {

@@ -396,6 +396,44 @@ struct Preimage {
   EXPECT_EQ(CountRule(r, kRuleCodecMismatch), 0);
 }
 
+TEST(CodecMismatchRule, BorrowedStringViewCountsAsAString) {
+  FileReport ok = LintSource("src/exec/wire.cpp", R"(
+Bytes Tx::Encode() const {
+  Writer w;
+  w.PutString("tx");
+  w.PutU32(n);
+  return w.Take();
+}
+std::optional<Tx> Tx::Decode(const Bytes& wire) {
+  Reader r(wire);
+  if (r.GetStringView() != "tx") {
+    return std::nullopt;
+  }
+  Tx tx;
+  tx.n = r.GetU32();
+  return tx;
+}
+)");
+  EXPECT_EQ(CountRule(ok, kRuleCodecMismatch), 0);
+
+  FileReport drift = LintSource("src/exec/wire.cpp", R"(
+Bytes Tx::Encode() const {
+  Writer w;
+  w.PutString("tx");
+  w.PutU32(n);
+  return w.Take();
+}
+std::optional<Tx> Tx::Decode(const Bytes& wire) {
+  Reader r(wire);
+  Tx tx;
+  tx.n = r.GetU32();
+  std::string_view tag = r.GetStringView();
+  return tx;
+}
+)");
+  EXPECT_EQ(CountRule(drift, kRuleCodecMismatch), 1);
+}
+
 TEST(CodecMismatchRule, OutOfClassDefinitionsPairByQualifiedName) {
   FileReport r = LintSource("src/types/wire.cpp", R"(
 void Vote::Encode(Writer& w) const {

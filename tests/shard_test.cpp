@@ -225,6 +225,36 @@ TEST(ShardedExecutorTest, DefersOnMissingBatchThenDrainsInCommitOrder) {
   EXPECT_EQ(executor.rejected_txs(), 0u);
 }
 
+// Deterministic work budget of the execution path, in SHA-256 compressions:
+// a lane-local transfer is one digest-chain step (two compressions), a
+// cross-shard one is two steps (lock plus credit). Extra hashing per
+// transaction fails here rather than in a profile.
+TEST(ShardedExecutorTest, TransferCompressionBudget) {
+  for (const double cross_ratio : {0.0, 1.0}) {
+    TransferWorkloadConfig config;
+    config.num_shards = 4;
+    config.cross_ratio = cross_ratio;
+    TransferWorkload workload(config);
+    TestNet net;
+    ShardedExecutor executor(4, net.Source());
+    executor.OnCommittedHeader(TestNet::Header(1, {net.Add(workload.InitialMints())}));
+
+    Rng rng(5);
+    std::vector<Bytes> transfers;
+    for (uint64_t i = 0; i < 100; ++i) {
+      transfers.push_back(workload.NextTransfer(rng, i));
+    }
+    auto header = TestNet::Header(2, {net.Add(std::move(transfers))});
+    const uint64_t before = Sha256::blocks_processed();
+    executor.OnCommittedHeader(header);
+    const uint64_t blocks = Sha256::blocks_processed() - before;
+
+    EXPECT_EQ(executor.applied_txs(), 4u * config.accounts_per_shard + 100u);
+    EXPECT_EQ(executor.cross_shard_txs(), cross_ratio > 0 ? 100u : 0u);
+    EXPECT_EQ(blocks, cross_ratio > 0 ? 400u : 200u) << "cross_ratio " << cross_ratio;
+  }
+}
+
 TEST(ShardedExecutorTest, SkipCrossShardLockInflatesTheSupply) {
   const uint32_t kLanes = 2;
   std::string a = LaneAccount("a", 0, kLanes);
@@ -354,6 +384,29 @@ TEST(TransferWorkloadTest, NonceKeepsHotPairsDistinctThroughDedup) {
   std::set<Bytes> wires;
   for (uint64_t i = 0; i < 100; ++i) {
     EXPECT_TRUE(wires.insert(workload.NextTransfer(rng, i)).second) << "duplicate at " << i;
+  }
+}
+
+TEST(TransferWorkloadTest, NextTransferIsTheEncodedTransferInAnExactBuffer) {
+  TransferWorkloadConfig config;
+  config.num_shards = 4;
+  config.accounts_per_shard = 16;
+  config.cross_ratio = 0.5;
+  config.amount = 3;
+  TransferWorkload workload(config);
+
+  Rng rng(11);
+  for (uint64_t i = 0; i < 200; ++i) {
+    const uint64_t nonce = i * 0x0123456789abcdefull;
+    const Bytes wire = workload.NextTransfer(rng, nonce);
+    auto drawn = ExecTx::Decode(wire);
+    ASSERT_TRUE(drawn.has_value());
+    ExecTx expected = ExecTx::Transfer(drawn->key, drawn->key2, 3);
+    Writer value;
+    value.PutU64(nonce);
+    expected.value = value.Take();
+    EXPECT_EQ(wire, expected.Encode()) << "draw " << i;
+    EXPECT_EQ(wire.capacity(), wire.size()) << "draw " << i;
   }
 }
 
