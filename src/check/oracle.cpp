@@ -247,10 +247,10 @@ ShardReplay ReplayShards(
     // Single-shard fast path in encounter order, cross-shard transfers
     // deferred to the commit boundary — the honest semantics, re-stated
     // independently of ShardedExecutor (and of seeded_bugs).
-    std::vector<std::pair<const Bytes*, ExecTx>> cross;
+    std::vector<std::pair<const Bytes*, ExecTx::View>> cross;
     for (const auto& batch : batches) {
       for (const Bytes& wire : batch->txs) {
-        std::optional<ExecTx> tx = ExecTx::Decode(wire);
+        std::optional<ExecTx::View> tx = ExecTx::Decode(wire);
         if (!tx.has_value()) {
           lanes[0].Apply(wire);
           continue;
@@ -259,13 +259,13 @@ ShardReplay ReplayShards(
           ShardId src = router.Of(tx->key);
           ShardId dst = router.Of(tx->key2);
           if (src != dst) {
-            cross.emplace_back(&wire, std::move(*tx));
+            cross.emplace_back(&wire, *tx);
             continue;
           }
-          lanes[src].Apply(wire);
+          lanes[src].Apply(wire, *tx);
           continue;
         }
-        lanes[router.Of(tx->key)].Apply(wire);
+        lanes[router.Of(tx->key)].Apply(wire, *tx);
       }
     }
     for (const auto& [wire, tx] : cross) {

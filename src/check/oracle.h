@@ -52,7 +52,7 @@ BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_de
                                 BullsharkConfig config = {});
 
 struct ShardReplay {
-  // Per executed header, every lane's chained state digest after the header's
+  // Per executed header, every lane's state digest after the header's
   // commit boundary — the reference the live ShardedExecutor sequences are
   // compared against (prefix relation, like the commit oracles above).
   std::vector<std::vector<Digest>> lanes_after;

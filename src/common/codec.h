@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -91,25 +92,25 @@ class Reader {
     return out;
   }
   Bytes GetVar() {
+    std::span<const uint8_t> view = GetVarView();
+    return Bytes(view.begin(), view.end());
+  }
+  // As GetVar, but borrows the bytes from the input instead of copying them:
+  // the view is valid as long as the input is.
+  std::span<const uint8_t> GetVarView() {
     uint32_t n = GetU32();
     if (!Ensure(n)) {
       return {};
     }
-    Bytes out(data_ + pos_, data_ + pos_ + n);
+    std::span<const uint8_t> out(data_ + pos_, n);
     pos_ += n;
     return out;
   }
   std::string GetString() { return std::string(GetStringView()); }
-  // As GetString, but borrows the bytes from the input instead of copying
-  // them: the view is valid as long as the input is.
+  // As GetVarView, as characters.
   std::string_view GetStringView() {
-    uint32_t n = GetU32();
-    if (!Ensure(n)) {
-      return {};
-    }
-    std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return out;
+    std::span<const uint8_t> view = GetVarView();
+    return {reinterpret_cast<const char*>(view.data()), view.size()};
   }
 
   // True iff no getter has underflowed so far.

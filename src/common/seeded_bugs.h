@@ -36,7 +36,7 @@ extern bool skip_bullshark_support;
 // funds check + debit at the source lane) and goes straight to the credit —
 // the classic lost-lock bug in deterministic cross-shard commit. Every
 // cross-shard transfer then creates tokens out of thin air (violates
-// conservation-of-balance) and the lanes' digest chains diverge from the
+// conservation-of-balance) and the lanes' state digests diverge from the
 // honest ReplayShards oracle.
 extern bool skip_cross_shard_lock;
 

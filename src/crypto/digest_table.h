@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,29 +45,43 @@ struct DigestHash {
 
 // The table hash of a string key.
 struct StringHash {
-  uint64_t operator()(const std::string& s) const { return Fnv1a(s); }
+  uint64_t operator()(std::string_view s) const { return Fnv1a(s); }
+};
+
+// What a table's find, emplace and erase take: the key itself, except that a
+// string-keyed table is probed with a view, so a lookup builds no
+// std::string (only an insertion does).
+template <typename Key>
+struct LookupKey {
+  using type = const Key&;
+};
+template <>
+struct LookupKey<std::string> {
+  using type = std::string_view;
 };
 
 template <typename Key, typename Value, typename Hash = DigestHash>
 class FlatTable {
+  using KeyArg = typename LookupKey<Key>::type;
+
  public:
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  Value* find(const Key& key) {
+  Value* find(KeyArg key) {
     const size_t i = Locate(key);
     return i == kNone ? nullptr : &slots_[i].value;
   }
-  const Value* find(const Key& key) const {
+  const Value* find(KeyArg key) const {
     const size_t i = Locate(key);
     return i == kNone ? nullptr : &slots_[i].value;
   }
-  bool contains(const Key& key) const { return Locate(key) != kNone; }
+  bool contains(KeyArg key) const { return Locate(key) != kNone; }
 
   // Inserts (key, value) unless `key` is present. Returns the stored value
   // and whether it was inserted. Pointers into the table stay valid until
   // the next insertion or erasure.
-  std::pair<Value*, bool> emplace(const Key& key, Value value) {
+  std::pair<Value*, bool> emplace(KeyArg key, Value value) {
     if ((size_ + 1) * 8 > ctrl_.size() * 7) {
       Rehash(ctrl_.empty() ? 16 : ctrl_.size() * 2);
     }
@@ -75,7 +90,7 @@ class FlatTable {
     for (size_t i = Home(h);; i = (i + 1) & mask_) {
       if (ctrl_[i] == 0) {
         ctrl_[i] = tag;
-        slots_[i].key = key;
+        slots_[i].key = Key(key);
         slots_[i].value = std::move(value);
         ++size_;
         return {&slots_[i].value, true};
@@ -86,12 +101,12 @@ class FlatTable {
     }
   }
   // Set-style insert: true if `key` was absent.
-  bool insert(const Key& key) { return emplace(key, Value{}).second; }
+  bool insert(KeyArg key) { return emplace(key, Value{}).second; }
   // The value under `key`, default-inserted if absent.
-  Value& operator[](const Key& key) { return *emplace(key, Value{}).first; }
+  Value& operator[](KeyArg key) { return *emplace(key, Value{}).first; }
 
   // Removes `key`; true if it was present.
-  bool erase(const Key& key) {
+  bool erase(KeyArg key) {
     size_t hole = Locate(key);
     if (hole == kNone) {
       return false;
@@ -148,12 +163,12 @@ class FlatTable {
   // Spreads the hash so keys that differ only in a few bits (hand-built
   // test digests, FNV-1a of short names) still land apart; a no-op for
   // uniform digests.
-  uint64_t Mix(const Key& key) const { return Hash{}(key) * 0x9E3779B97F4A7C15ull; }
+  uint64_t Mix(KeyArg key) const { return Hash{}(key) * 0x9E3779B97F4A7C15ull; }
   size_t Home(uint64_t mixed) const { return static_cast<size_t>(mixed >> shift_); }
   // Nonzero control byte of an occupied slot: 0x80 plus 7 hash bits.
   static uint8_t Tag(uint64_t mixed) { return static_cast<uint8_t>(0x80 | (mixed & 0x7f)); }
 
-  size_t Locate(const Key& key) const {
+  size_t Locate(KeyArg key) const {
     if (size_ == 0) {
       return kNone;
     }

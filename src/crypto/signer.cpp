@@ -1,9 +1,9 @@
 #include "src/crypto/signer.h"
 
 #include <cstring>
-#include <map>
 
 #include "src/common/codec.h"
+#include "src/crypto/digest_table.h"
 #include "src/crypto/ed25519.h"
 
 namespace nt {
@@ -58,16 +58,16 @@ class FastKeyRegistry {
   }
 
   bool Lookup(const PublicKey& pk, std::array<uint8_t, 32>* secret) const {
-    auto it = keys_.find(pk);
-    if (it == keys_.end()) {
+    const std::array<uint8_t, 32>* found = keys_.find(pk);
+    if (found == nullptr) {
       return false;
     }
-    *secret = it->second;
+    *secret = *found;
     return true;
   }
 
  private:
-  std::map<PublicKey, std::array<uint8_t, 32>, DigestLess> keys_;
+  DigestMap<std::array<uint8_t, 32>> keys_;
 };
 
 Signature FastMac(const std::array<uint8_t, 32>& secret, const uint8_t* msg, size_t len) {

@@ -42,20 +42,20 @@ Bytes ExecTx::EncodeTransfer(std::string_view from, std::string_view to, uint64_
   return w.Take();
 }
 
-std::optional<ExecTx> ExecTx::Decode(const Bytes& wire) {
+std::optional<ExecTx::View> ExecTx::Decode(const Bytes& wire) {
   Reader r(wire);
   if (r.GetStringView() != kExecTxTag) {
     return std::nullopt;
   }
-  ExecTx tx;
+  View tx;
   uint8_t op = r.GetU8();
   if (op > static_cast<uint8_t>(Op::kNoop)) {
     return std::nullopt;
   }
   tx.op = static_cast<Op>(op);
-  tx.key = r.GetString();
-  tx.key2 = r.GetString();
-  tx.value = r.GetVar();
+  tx.key = r.GetStringView();
+  tx.key2 = r.GetStringView();
+  tx.value = r.GetVarView();
   tx.amount = r.GetU64();
   if (!r.AtEnd()) {
     return std::nullopt;
@@ -105,7 +105,7 @@ ExecTx ExecTx::Noop(size_t padding) {
 // ------------------------------------------------------------- KvStateMachine
 
 ExecStatus KvStateMachine::Apply(const Bytes& wire_tx) {
-  std::optional<ExecTx> tx = ExecTx::Decode(wire_tx);
+  std::optional<ExecTx::View> tx = ExecTx::Decode(wire_tx);
   if (!tx.has_value()) {
     Advance(wire_tx, ExecStatus::kRejectedMalformed, ExecPhase::kWhole);
     return ExecStatus::kRejectedMalformed;
@@ -113,11 +113,11 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx) {
   return Apply(wire_tx, *tx);
 }
 
-ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx& tx) {
+ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx::View& tx) {
   ExecStatus status = ExecStatus::kApplied;
   switch (tx.op) {
     case ExecTx::Op::kPut:
-      kv_[tx.key] = tx.value;
+      kv_[tx.key].assign(tx.value.begin(), tx.value.end());
       break;
     case ExecTx::Op::kDelete:
       kv_.erase(tx.key);
@@ -143,7 +143,7 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx& tx) {
   return status;
 }
 
-ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx& tx) {
+ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx::View& tx) {
   ExecStatus status = ExecStatus::kApplied;
   uint64_t* from = balances_.find(tx.key);
   if (from == nullptr || *from < tx.amount) {
@@ -155,16 +155,9 @@ ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx& tx) {
   return status;
 }
 
-void KvStateMachine::ApplyCredit(const Bytes& wire_tx, const ExecTx& tx) {
+void KvStateMachine::ApplyCredit(const Bytes& wire_tx, const ExecTx::View& tx) {
   balances_[tx.key2] += tx.amount;
-  Sha256 h;
-  h.Update(state_digest_.data(), state_digest_.size());
-  h.Update(wire_tx);
-  uint8_t status_byte = static_cast<uint8_t>(ExecStatus::kApplied);
-  h.Update(&status_byte, 1);
-  uint8_t phase_byte = static_cast<uint8_t>(ExecPhase::kCredit);
-  h.Update(&phase_byte, 1);
-  state_digest_ = h.Finalize();
+  AppendRecord(wire_tx, ExecStatus::kApplied, ExecPhase::kCredit);
 }
 
 void KvStateMachine::Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase phase) {
@@ -173,21 +166,25 @@ void KvStateMachine::Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase 
   } else {
     ++rejected_;
   }
-  Sha256 h;
-  h.Update(state_digest_.data(), state_digest_.size());
-  h.Update(wire_tx);
-  uint8_t status_byte = static_cast<uint8_t>(status);
-  h.Update(&status_byte, 1);
-  if (phase != ExecPhase::kWhole) {
-    // The phase byte is appended only for split applies, so single-lane
-    // digests stay byte-compatible with the pre-sharding chain.
-    uint8_t phase_byte = static_cast<uint8_t>(phase);
-    h.Update(&phase_byte, 1);
-  }
-  state_digest_ = h.Finalize();
+  AppendRecord(wire_tx, status, phase);
 }
 
-std::optional<Bytes> KvStateMachine::Get(const std::string& key) const {
+void KvStateMachine::AppendRecord(const Bytes& wire_tx, ExecStatus status, ExecPhase phase) {
+  const uint32_t len = static_cast<uint32_t>(wire_tx.size());
+  const uint8_t prefix[4] = {static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
+                             static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24)};
+  records_.Update(prefix, sizeof(prefix));
+  records_.Update(wire_tx);
+  const uint8_t trailer[2] = {static_cast<uint8_t>(status), static_cast<uint8_t>(phase)};
+  records_.Update(trailer, sizeof(trailer));
+}
+
+Digest KvStateMachine::state_digest() const {
+  Sha256 snapshot = records_;
+  return snapshot.Finalize();
+}
+
+std::optional<Bytes> KvStateMachine::Get(std::string_view key) const {
   const Bytes* value = kv_.find(key);
   if (value == nullptr) {
     return std::nullopt;
@@ -202,7 +199,7 @@ uint64_t KvStateMachine::total_balance() const {
   return total;
 }
 
-uint64_t KvStateMachine::BalanceOf(const std::string& account) const {
+uint64_t KvStateMachine::BalanceOf(std::string_view account) const {
   const uint64_t* balance = balances_.find(account);
   return balance == nullptr ? 0 : *balance;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -35,8 +36,22 @@ struct ExecTx {
   Bytes value;         // kPut payload.
   uint64_t amount = 0; // kMint/kTransfer.
 
+  // A decoded transaction: the fields of ExecTx, with `key`, `key2` and
+  // `value` borrowed from the wire bytes it was decoded from. Valid only as
+  // long as those bytes are.
+  struct View {
+    Op op = Op::kNoop;
+    std::string_view key;
+    std::string_view key2;
+    std::span<const uint8_t> value;
+    uint64_t amount = 0;
+  };
+
   Bytes Encode() const;
-  static std::optional<ExecTx> Decode(const Bytes& wire);
+  // The one decoder. It copies nothing, so a temporary `wire` would leave the
+  // view dangling: that overload is deleted.
+  static std::optional<View> Decode(const Bytes& wire);
+  static std::optional<View> Decode(Bytes&& wire) = delete;
   // The bytes of Transfer(from, to, amount) with `nonce` as its 8-byte
   // little-endian value, Encode()d: written straight into one exact-size
   // buffer, with no ExecTx in between (the load generator's hot path).
@@ -60,8 +75,9 @@ enum class ExecStatus : uint8_t {
 // How a transaction touched this state machine. Single-lane execution always
 // applies whole transactions; the sharded executor (src/shard/) splits a
 // cross-shard transfer into a lock (debit at the source lane) and a credit
-// (at the destination lane), and the phase is folded into the digest chain so
-// a lane that saw a lock can never agree with one that saw a whole apply.
+// (at the destination lane). Every record of the state digest ends with its
+// phase byte, so a lane that saw a lock can never agree with one that saw a
+// whole apply.
 enum class ExecPhase : uint8_t {
   kWhole = 0,
   kLock = 1,    // Cross-shard phase 1: funds check + debit of `key`.
@@ -74,27 +90,30 @@ class KvStateMachine {
  public:
   ExecStatus Apply(const Bytes& wire_tx);
   // As Apply(wire_tx) for a caller that has already decoded it: `tx` must be
-  // the decoded form of `wire_tx`. The digest chain is the same either way.
-  ExecStatus Apply(const Bytes& wire_tx, const ExecTx& tx);
+  // the decoded form of `wire_tx`. The state digest is the same either way.
+  ExecStatus Apply(const Bytes& wire_tx, const ExecTx::View& tx);
 
   // Two-phase cross-shard transfer, driven by the sharded executor with this
   // machine acting as one lane. `tx` must be the decoded form of `wire_tx`.
   //
   // Phase 1 at the source lane: checks funds and debits `tx.key`. Counts the
   // whole transaction (applied or rejected) at this lane.
-  ExecStatus LockDebit(const Bytes& wire_tx, const ExecTx& tx);
+  ExecStatus LockDebit(const Bytes& wire_tx, const ExecTx::View& tx);
   // Phase 2 at the destination lane: credits `tx.key2`. Only called after a
   // successful lock, so it cannot fail; counts nothing (the source lane
   // already accounted for the transaction).
-  void ApplyCredit(const Bytes& wire_tx, const ExecTx& tx);
+  void ApplyCredit(const Bytes& wire_tx, const ExecTx::View& tx);
 
-  // Chained digest over every applied transaction *and* its effect — two
-  // replicas agree on it iff they executed the same sequence with the same
-  // outcomes.
-  const Digest& state_digest() const { return state_digest_; }
+  // SHA-256 over the lane's whole record stream: one framed record per
+  // transaction, `u32 len || wire || status || phase`. Two replicas agree on
+  // it iff they executed the same sequence with the same outcomes and
+  // phases; the length prefix keeps the stream injective. The stream is
+  // hashed as it grows, so a transaction costs about one compression; a read
+  // finalizes a copy of the running context and never changes later digests.
+  Digest state_digest() const;
 
-  std::optional<Bytes> Get(const std::string& key) const;
-  uint64_t BalanceOf(const std::string& account) const;
+  std::optional<Bytes> Get(std::string_view key) const;
+  uint64_t BalanceOf(std::string_view account) const;
 
   uint64_t applied() const { return applied_; }
   uint64_t rejected() const { return rejected_; }
@@ -114,11 +133,13 @@ class KvStateMachine {
   Digest ComputeSnapshotDigest() const;
 
  private:
+  // Counts the outcome, then appends the record.
   void Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase phase);
+  void AppendRecord(const Bytes& wire_tx, ExecStatus status, ExecPhase phase);
 
   FlatTable<std::string, Bytes, StringHash> kv_;
   FlatTable<std::string, uint64_t, StringHash> balances_;
-  Digest state_digest_{};
+  Sha256 records_;  // Running hash of the record stream.
   uint64_t applied_ = 0;
   uint64_t rejected_ = 0;
   uint64_t minted_ = 0;

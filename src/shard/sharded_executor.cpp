@@ -89,17 +89,17 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
   // are deferred (still in encounter order) to the commit boundary below.
   struct CrossTransfer {
     const Bytes* wire;
-    ExecTx tx;
+    ExecTx::View tx;  // Borrows *wire, which `batches` keeps alive.
     ShardId src;
     ShardId dst;
   };
   std::vector<CrossTransfer> cross;
   for (const auto& batch : batches) {
     for (const Bytes& wire : batch->txs) {
-      std::optional<ExecTx> tx = ExecTx::Decode(wire);
+      std::optional<ExecTx::View> tx = ExecTx::Decode(wire);
       if (!tx.has_value()) {
         // Malformed bytes have no key to route by; lane 0 records the reject
-        // so the outcome still lands in exactly one digest chain.
+        // so the outcome still lands in exactly one lane digest.
         lanes_[0].Apply(wire);
         continue;
       }
@@ -107,7 +107,7 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
         ShardId src = router_.Of(tx->key);
         ShardId dst = router_.Of(tx->key2);
         if (src != dst) {
-          cross.push_back({&wire, std::move(*tx), src, dst});
+          cross.push_back({&wire, *tx, src, dst});
           continue;
         }
         lanes_[src].Apply(wire, *tx);

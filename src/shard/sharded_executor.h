@@ -6,8 +6,8 @@
 // to the commit boundary of their header and sequenced there by a
 // deterministic two-phase apply — lock (funds check + debit) at the source
 // lane, then credit at the destination lane — with both epochs derived purely
-// from commit order, so every validator computes identical per-lane digest
-// chains without any extra consensus.
+// from commit order, so every validator computes identical per-lane state
+// digests without any extra consensus.
 //
 // A cross-shard transfer spends only balances established before its commit
 // boundary: locks within one boundary see the lane state left by that
@@ -51,7 +51,7 @@ class ShardedExecutor {
   }
 
   // Fired after each header finishes executing (all lanes advanced, cross-
-  // shard boundary processed) with the header digest and every lane's chained
+  // shard boundary processed) with the header digest and every lane's
   // state digest — the DST harness compares these vectors across validators.
   void set_on_executed(
       std::function<void(const Digest& header_digest, const std::vector<Digest>& lane_digests)>

@@ -49,6 +49,20 @@ TEST(CodecTest, VarBytesRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(CodecTest, VarViewBorrowsTheInput) {
+  Writer w;
+  w.PutVar(Bytes{9, 8, 7});
+  w.PutU32(1000);  // A length prefix far beyond the bytes that follow.
+  const Bytes& in = w.bytes();
+
+  Reader r(in);
+  std::span<const uint8_t> view = r.GetVarView();
+  EXPECT_EQ(view.data(), in.data() + 4);  // Points into the input: no copy.
+  EXPECT_EQ(Bytes(view.begin(), view.end()), (Bytes{9, 8, 7}));
+  EXPECT_TRUE(r.GetVarView().empty());  // Underflow: an empty view, sticky failure.
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(CodecTest, RawAndArray) {
   std::array<uint8_t, 4> arr = {1, 2, 3, 4};
   Writer w;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -118,6 +119,24 @@ TEST(DigestTableTest, CopiesAreIndependentAndClearReleases) {
   EXPECT_TRUE(a.empty());
   EXPECT_FALSE(a.contains(MakeKey(5, false)));
   EXPECT_TRUE(a.insert(MakeKey(5, false)));  // Usable again after clear.
+}
+
+// A string-keyed table is probed with a std::string_view: slices of a larger
+// buffer find, update and erase the keys a std::string inserted.
+TEST(DigestTableTest, StringKeysAreProbedByView) {
+  FlatTable<std::string, uint64_t, StringHash> table;
+  table[std::string("alice")] = 1;
+  table[std::string("bob")] = 2;
+  const std::string_view wire = "alicebobcarol";
+  ASSERT_NE(table.find(wire.substr(0, 5)), nullptr);
+  EXPECT_EQ(*table.find(wire.substr(0, 5)), 1u);
+  EXPECT_TRUE(table.contains(wire.substr(5, 3)));
+  EXPECT_FALSE(table.contains(wire.substr(8)));
+  table[wire.substr(8)] += 3;  // Inserts an owned copy of the slice.
+  EXPECT_EQ(*table.find("carol"), 3u);
+  EXPECT_TRUE(table.erase(wire.substr(5, 3)));
+  EXPECT_FALSE(table.contains("bob"));
+  EXPECT_EQ(table.size(), 2u);
 }
 
 }  // namespace

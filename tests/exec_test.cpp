@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/runtime/cluster.h"
 #include "src/shard/sharded_executor.h"
 
@@ -15,19 +17,33 @@ namespace {
 constexpr const char* kPinnedSnapshot =
     "160b5973ef0bcea65b8d2a51495ce28510b942af69eb7917567c4569b13cfb18";
 
+// The decoded view copies nothing: its key, key2 and value are spans of the
+// wire buffer itself.
 TEST(ExecTxTest, EncodeDecodeRoundTrip) {
   ExecTx tx = ExecTx::Transfer("alice", "bob", 42);
-  auto decoded = ExecTx::Decode(tx.Encode());
+  tx.value = {0xde, 0xad};
+  const Bytes wire = tx.Encode();
+  auto decoded = ExecTx::Decode(wire);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->op, ExecTx::Op::kTransfer);
   EXPECT_EQ(decoded->key, "alice");
   EXPECT_EQ(decoded->key2, "bob");
+  EXPECT_EQ(Bytes(decoded->value.begin(), decoded->value.end()), tx.value);
   EXPECT_EQ(decoded->amount, 42u);
+  auto inside = [&wire](const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    return b >= wire.data() && b + n <= wire.data() + wire.size();
+  };
+  EXPECT_TRUE(inside(decoded->key.data(), decoded->key.size()));
+  EXPECT_TRUE(inside(decoded->key2.data(), decoded->key2.size()));
+  EXPECT_TRUE(inside(decoded->value.data(), decoded->value.size()));
 }
 
 TEST(ExecTxTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(ExecTx::Decode({1, 2, 3}).has_value());
-  EXPECT_FALSE(ExecTx::Decode({}).has_value());
+  const Bytes short_junk = {1, 2, 3};
+  EXPECT_FALSE(ExecTx::Decode(short_junk).has_value());
+  const Bytes empty;
+  EXPECT_FALSE(ExecTx::Decode(empty).has_value());
   Bytes wire = ExecTx::Put("k", {1}).Encode();
   wire.push_back(0);  // Trailing junk.
   EXPECT_FALSE(ExecTx::Decode(wire).has_value());
@@ -72,6 +88,39 @@ TEST(StateMachineTest, MalformedTransactionsAffectDigestDeterministically) {
   EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
+// The length prefix keeps the record stream injective. Unframed, `{9}`
+// rejected twice and `{9, 1, 0, 9}` rejected once would hash the same bytes,
+// `9 1 0 9 1 0` (wire, status kRejectedMalformed, phase kWhole).
+TEST(StateMachineTest, FramingSeparatesRecordStreamsThatWouldConcatenateAlike) {
+  KvStateMachine twice, once;
+  const Bytes nine = {9};
+  const Bytes nine_as_two_records = {9, static_cast<uint8_t>(ExecStatus::kRejectedMalformed),
+                                     static_cast<uint8_t>(ExecPhase::kWhole), 9};
+  EXPECT_EQ(twice.Apply(nine), ExecStatus::kRejectedMalformed);
+  EXPECT_EQ(twice.Apply(nine), ExecStatus::kRejectedMalformed);
+  EXPECT_EQ(once.Apply(nine_as_two_records), ExecStatus::kRejectedMalformed);
+  EXPECT_NE(twice.state_digest(), once.state_digest());
+}
+
+// A read finalizes a copy of the running hash: reading after every
+// transaction leaves the same final digest as reading once at the end.
+TEST(StateMachineTest, ReadingTheDigestNeverChangesLaterDigests) {
+  KvStateMachine reads_every_tx, reads_once;
+  const KvStateMachine empty;
+  std::vector<Digest> seen = {reads_every_tx.state_digest()};
+  for (int i = 0; i < 50; ++i) {
+    const Bytes tx = (i % 2 == 0) ? ExecTx::Mint("acct" + std::to_string(i % 3), i).Encode()
+                                  : ExecTx::Transfer("acct0", "acct1", 1).Encode();
+    reads_every_tx.Apply(tx);
+    reads_once.Apply(tx);
+    seen.push_back(reads_every_tx.state_digest());
+    EXPECT_EQ(reads_every_tx.state_digest(), seen.back()) << "tx " << i;
+  }
+  EXPECT_EQ(reads_every_tx.state_digest(), reads_once.state_digest());
+  EXPECT_EQ(seen.front(), empty.state_digest());
+  EXPECT_EQ(std::set<Digest>(seen.begin(), seen.end()).size(), seen.size());
+}
+
 TEST(StateMachineTest, DigestReflectsSequence) {
   KvStateMachine a, b;
   Bytes tx1 = ExecTx::Mint("x", 1).Encode();
@@ -80,7 +129,7 @@ TEST(StateMachineTest, DigestReflectsSequence) {
   a.Apply(tx2);
   b.Apply(tx2);
   b.Apply(tx1);
-  // Different order -> different chained digest (it certifies the sequence)
+  // Different order -> different state digest (it certifies the sequence)
   // even though the final snapshot is the same.
   EXPECT_NE(a.state_digest(), b.state_digest());
   EXPECT_EQ(a.ComputeSnapshotDigest(), b.ComputeSnapshotDigest());
@@ -338,7 +387,7 @@ TEST(ExecClusterTest, ReplicatedExecutionAgreesAcrossValidators) {
   }
   cluster.scheduler().RunUntil(Seconds(25));
 
-  // Every replica executed everything, with identical chained digests.
+  // Every replica executed everything, with identical state digests.
   const KvStateMachine& first = executors[0]->lane(0);
   ASSERT_GT(first.applied(), 10u);
   for (ValidatorId v = 1; v < 4; ++v) {

@@ -121,6 +121,46 @@ TEST(FuzzDecodeTest, HostileLengthPrefixesBounded) {
   EXPECT_FALSE(batch.has_value());
 }
 
+// The view decoder borrows from its input: whatever garbage, truncation or
+// corruption it accepts, every field it returns lies inside that input.
+TEST(FuzzDecodeTest, ExecTxViewsNeverLeaveTheInput) {
+  auto check = [](const Bytes& wire) {
+    auto view = ExecTx::Decode(wire);
+    if (!view.has_value()) {
+      return false;
+    }
+    const uint8_t* lo = wire.data();
+    const uint8_t* hi = wire.data() + wire.size();
+    auto inside = [lo, hi](const void* p, size_t n) {
+      const auto* b = static_cast<const uint8_t*>(p);
+      return n == 0 || (b >= lo && b + n <= hi);
+    };
+    EXPECT_TRUE(inside(view->key.data(), view->key.size()));
+    EXPECT_TRUE(inside(view->key2.data(), view->key2.size()));
+    EXPECT_TRUE(inside(view->value.data(), view->value.size()));
+    return true;
+  };
+  Rng rng(0xe7);
+  for (int i = 0; i < 2000; ++i) {
+    check(RandomBytes(rng, 128));
+  }
+  ExecTx put = ExecTx::Put("key", {1, 2, 3, 4});
+  put.key2 = "key2";
+  const Bytes valid = put.Encode();
+  int accepted = 0;
+  for (size_t len = 0; len <= valid.size(); ++len) {
+    accepted += check(Bytes(valid.begin(), valid.begin() + static_cast<ptrdiff_t>(len)));
+  }
+  EXPECT_EQ(accepted, 1);  // Only the whole encoding decodes.
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    for (uint8_t flip : {0x01, 0x80, 0xff}) {
+      Bytes corrupted = valid;
+      corrupted[pos] ^= flip;
+      check(corrupted);
+    }
+  }
+}
+
 TEST(FuzzDecodeTest, ExecTxGarbageAffectsNothing) {
   Rng rng(7);
   KvStateMachine sm;

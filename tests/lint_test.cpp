@@ -434,6 +434,42 @@ std::optional<Tx> Tx::Decode(const Bytes& wire) {
   EXPECT_EQ(CountRule(drift, kRuleCodecMismatch), 1);
 }
 
+TEST(CodecMismatchRule, BorrowedVarViewCountsAsAVar) {
+  FileReport ok = LintSource("src/exec/wire.cpp", R"(
+Bytes Tx::Encode() const {
+  Writer w;
+  w.PutVar(value);
+  w.PutU64(amount);
+  return w.Take();
+}
+std::optional<Tx::View> Tx::Decode(const Bytes& wire) {
+  Reader r(wire);
+  View tx;
+  tx.value = r.GetVarView();
+  tx.amount = r.GetU64();
+  return tx;
+}
+)");
+  EXPECT_EQ(CountRule(ok, kRuleCodecMismatch), 0);
+
+  FileReport drift = LintSource("src/exec/wire.cpp", R"(
+Bytes Tx::Encode() const {
+  Writer w;
+  w.PutVar(value);
+  w.PutU64(amount);
+  return w.Take();
+}
+std::optional<Tx::View> Tx::Decode(const Bytes& wire) {
+  Reader r(wire);
+  View tx;
+  tx.value = r.GetVarView();
+  tx.amount = r.GetU32();
+  return tx;
+}
+)");
+  EXPECT_EQ(CountRule(drift, kRuleCodecMismatch), 1);
+}
+
 TEST(CodecMismatchRule, OutOfClassDefinitionsPairByQualifiedName) {
   FileReport r = LintSource("src/types/wire.cpp", R"(
 void Vote::Encode(Writer& w) const {
@@ -736,6 +772,46 @@ void Node::Recover(const Bytes& value) {
 )"}},
                             nullptr);
   EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
+}
+
+TEST(RecoverParityRule, BorrowedVarViewRecoversAVar) {
+  const char* persist = R"(
+void Node::PersistBlob() {
+  Writer w;
+  w.PutU8('B');
+  w.PutVar(blob_);
+  store_->Put(BlobKey(), w.Take());
+}
+)";
+  Summary ok = LintRepoUnits({{"src/store/wal.cpp", std::string(persist) + R"(
+void Node::Recover(const Bytes& value) {
+  Reader r(value.data() + 1, value.size() - 1);
+  switch (value[0]) {
+    case 'B': {
+      std::span<const uint8_t> blob = r.GetVarView();
+      blob_.assign(blob.begin(), blob.end());
+      break;
+    }
+  }
+}
+)"}},
+                             nullptr);
+  EXPECT_EQ(CountRuleIn(ok, kRuleRecoverParity), 0);
+
+  Summary drift = LintRepoUnits({{"src/store/wal.cpp", std::string(persist) + R"(
+void Node::Recover(const Bytes& value) {
+  Reader r(value.data() + 1, value.size() - 1);
+  switch (value[0]) {
+    case 'B': {
+      std::string_view blob = r.GetStringView();
+      blob_.assign(blob.begin(), blob.end());
+      break;
+    }
+  }
+}
+)"}},
+                                nullptr);
+  EXPECT_EQ(CountRuleIn(drift, kRuleRecoverParity), 1);
 }
 
 TEST(RecoverParityRule, DeadRecoverArmFires) {
