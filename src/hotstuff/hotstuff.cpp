@@ -1,7 +1,6 @@
 #include "src/hotstuff/hotstuff.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
@@ -11,44 +10,6 @@ namespace nt {
 namespace {
 
 const Digest kGenesisDigest{};  // All zeros.
-
-// Consensus-store keys. Tags are globally unique within the store shared by
-// consensus interpreters ('T' belongs to the commit log, 'U' to the DAG
-// committers).
-Digest HsCommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('K');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-Digest HsVoteKey() { return Sha256::Hash(std::string_view("hs/vote")); }
-Digest HsLockKey() { return Sha256::Hash(std::string_view("hs/lock")); }
-Digest HsViewKey() { return Sha256::Hash(std::string_view("hs/view")); }
-Digest HsProposedKey() { return Sha256::Hash(std::string_view("hs/proposed")); }
-Digest HsHighQcKey() { return Sha256::Hash(std::string_view("hs/highqc")); }
-
-void EncodeQc(Writer& w, const QuorumCert& qc) {
-  w.PutRaw(qc.block_digest);
-  w.PutU64(qc.view);
-  w.PutU32(static_cast<uint32_t>(qc.votes.size()));
-  for (const auto& [voter, sig] : qc.votes) {
-    w.PutU32(voter);
-    w.PutRaw(sig);
-  }
-}
-
-QuorumCert DecodeQc(Reader& r) {
-  QuorumCert qc;
-  qc.block_digest = r.GetArray<32>();
-  qc.view = r.GetU64();
-  uint32_t count = r.GetU32();
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    ValidatorId voter = r.GetU32();
-    Signature sig = r.GetArray<64>();
-    qc.votes.emplace_back(voter, sig);
-  }
-  return qc;
-}
 
 }  // namespace
 
@@ -74,15 +35,34 @@ void HotStuff::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
+void HsHighQcRecord::Encode(Writer& w) const {
+  w.PutRaw(qc.block_digest);
+  w.PutU64(qc.view);
+  w.PutU32(static_cast<uint32_t>(qc.votes.size()));
+  for (const auto& [voter, sig] : qc.votes) {
+    w.PutU32(voter);
+    w.PutRaw(sig);
+  }
+}
+
+std::optional<HsHighQcRecord> HsHighQcRecord::Decode(Reader& r) {
+  HsHighQcRecord rec;
+  rec.qc.block_digest = r.GetArray<32>();
+  rec.qc.view = r.GetU64();
+  uint32_t count = r.GetU32();
+  for (uint32_t i = 0; i < count && r.ok(); ++i) {
+    ValidatorId voter = r.GetU32();
+    Signature sig = r.GetArray<64>();
+    rec.qc.votes.emplace_back(voter, sig);
+  }
+  return r.AtEnd() ? std::optional(std::move(rec)) : std::nullopt;
+}
+
 void HotStuff::PersistVote() {
   if (store_ == nullptr) {
     return;
   }
-  Writer w;
-  w.PutU8('W');
-  w.PutU64(last_voted_view_);
-  w.PutRaw(last_voted_digest_);
-  store_->Put(HsVoteKey(), w.Take());
+  PutRecord(*store_, HsVoteRecord{last_voted_view_, last_voted_digest_});
   // Durability barrier: the vote record must hit disk before the signature
   // leaves this node, or a crash-restart could sign a conflicting vote.
   store_->Sync();
@@ -92,137 +72,61 @@ void HotStuff::PersistLock() {
   if (store_ == nullptr) {
     return;
   }
-  Writer w;
-  w.PutU8('L');
-  w.PutU64(locked_view_);
-  w.PutRaw(locked_block_);
-  store_->Put(HsLockKey(), w.Take());
+  PutRecord(*store_, HsLockRecord{locked_view_, locked_block_});
   // The lock is part of the safety rule; losing it across a restart could
   // let the node vote for a branch conflicting with a commit in flight.
   store_->Sync();
-}
-
-void HotStuff::PersistView() {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('E');
-  w.PutU64(view_);
-  store_->Put(HsViewKey(), w.Take());
 }
 
 void HotStuff::PersistProposedMarker() {
   if (store_ == nullptr) {
     return;
   }
-  Writer w;
-  w.PutU8('F');
-  w.PutU64(view_);
-  store_->Put(HsProposedKey(), w.Take());
+  PutRecord(*store_, HsProposedRecord{view_});
   // Leader-equivocation guard: restart must not re-propose a different
   // block in a view this node already proposed in.
   store_->Sync();
-}
-
-void HotStuff::PersistHighQc() {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('Q');
-  EncodeQc(w, high_qc_);
-  store_->Put(HsHighQcKey(), w.Take());
-}
-
-void HotStuff::PersistCommit(const Digest& digest) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('K');
-  w.PutRaw(digest);
-  store_->Put(HsCommitKey(digest), w.Take());
 }
 
 void HotStuff::Recover() {
   if (store_ == nullptr) {
     return;
   }
-  View proposed_marker = 0;
-  bool have_marker = false;
-  std::vector<Digest> commits;
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty()) {
-      return;
-    }
-    Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'W': {
-        View view = r.GetU64();
-        Digest digest = r.GetArray<32>();
-        if (r.ok()) {
-          last_voted_view_ = view;
-          last_voted_digest_ = digest;
-        }
-        break;
-      }
-      case 'L': {
-        View view = r.GetU64();
-        Digest digest = r.GetArray<32>();
-        if (r.ok()) {
-          locked_view_ = view;
-          locked_block_ = digest;
-        }
-        break;
-      }
-      case 'E': {
-        View view = r.GetU64();
-        if (r.ok()) {
-          view_ = std::max(view_, view);
-        }
-        break;
-      }
-      case 'F': {
-        View view = r.GetU64();
-        if (r.ok()) {
-          proposed_marker = view;
-          have_marker = true;
-        }
-        break;
-      }
-      case 'Q': {
-        QuorumCert qc = DecodeQc(r);
-        if (r.ok() && qc.view > high_qc_.view) {
-          high_qc_ = qc;
-        }
-        break;
-      }
-      case 'K': {
-        Digest digest = r.GetArray<32>();
-        if (r.ok()) {
-          commits.push_back(digest);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  });
+  std::optional<View> proposed_marker;
+  HotStuffRecords::ForEach(
+      *store_, Overloaded{
+                   [&](const HsVoteRecord& rec) {
+                     last_voted_view_ = rec.view;
+                     last_voted_digest_ = rec.digest;
+                   },
+                   [&](const HsLockRecord& rec) {
+                     locked_view_ = rec.view;
+                     locked_block_ = rec.digest;
+                   },
+                   [&](const HsViewRecord& rec) { view_ = std::max(view_, rec.view); },
+                   [&](const HsProposedRecord& rec) { proposed_marker = rec.view; },
+                   [&](const HsHighQcRecord& rec) {
+                     if (rec.qc.view > high_qc_.view) {
+                       high_qc_ = rec.qc;
+                     }
+                   },
+                   [&](const HsCommitRecord& rec) {
+                     // Block bodies are gone, but the tip terminates ancestor
+                     // walks, so catch-up stops at the recovered frontier and
+                     // post-recovery commits extend the pre-crash prefix.
+                     // Delivery bookkeeping (payload re-injection) is the
+                     // commit log's own recovered state.
+                     committed_.insert(rec.tip);
+                     committed_view_ = rec.view;
+                     committed_count_ = rec.count;
+                   },
+               });
   // A crash between persisting the vote/QC and the view record must not
   // resurrect the node in an older view than it acted in.
   view_ = std::max(view_, std::max(last_voted_view_, high_qc_.view + 1));
-  if (have_marker && proposed_marker >= view_) {
+  if (proposed_marker.has_value() && *proposed_marker >= view_) {
     proposed_in_view_ = true;  // Never a second proposal for this view.
   }
-  // Restore the committed set; block bodies are gone but the set terminates
-  // ancestor walks, so catch-up stops at the recovered commit frontier and
-  // post-recovery commits extend the pre-crash prefix. Delivery bookkeeping
-  // (payload re-injection) is the commit log's own recovered state.
-  for (const Digest& d : commits) {
-    committed_.insert(d);
-  }
-  committed_count_ = commits.size();
 }
 
 void HotStuff::Broadcast(const MessagePtr& msg) {
@@ -247,7 +151,7 @@ void HotStuff::EnterView(View view) {
   view_ = view;
   proposed_in_view_ = false;
   consecutive_timeouts_ = 0;  // Progress: restart backoff from the base.
-  PersistView();
+  Persist(HsViewRecord{view_});
   StartTimer();
   MaybePropose();
 }
@@ -501,7 +405,7 @@ void HotStuff::HandleVote(const MsgHsVote& msg) {
 void HotStuff::AdoptQc(const QuorumCert& qc) {
   if (qc.view > high_qc_.view) {
     high_qc_ = qc;
-    PersistHighQc();
+    Persist(HsHighQcRecord{high_qc_});
   }
   if (qc.view + 1 > view_) {
     EnterView(qc.view + 1);
@@ -538,7 +442,12 @@ void HotStuff::UpdateChain(const HsBlock& block) {
 }
 
 void HotStuff::CommitUpTo(const Digest& digest) {
-  if (committed_.count(digest) != 0) {
+  const HsBlock* target = GetBlock(digest);
+  if (committed_.count(digest) != 0 || (target != nullptr && target->view <= committed_view_)) {
+    // At or below the commit frontier: committed already, or on a branch
+    // that can never commit. A recovered node holds only the frontier's tip
+    // in committed_, so the view check is what keeps an older committed
+    // block it re-fetches from being delivered again.
     return;
   }
   // Gather the uncommitted ancestor chain, oldest first.
@@ -558,8 +467,9 @@ void HotStuff::CommitUpTo(const Digest& digest) {
   for (const Digest& d : chain) {
     const HsBlock* b = GetBlock(d);
     // Write-ahead: the commit record is durable before any hook observes it.
-    PersistCommit(d);
+    Persist(HsCommitRecord{d, b->view, committed_count_ + 1});
     committed_.insert(d);
+    committed_view_ = b->view;
     ++committed_count_;
     NT_TRACE(tracer_, IncrCounter("hotstuff/committed_blocks"));
     provider_->OnCommit(b->payload, b->author);
@@ -622,7 +532,7 @@ void HotStuff::HandleTimeout(const MsgHsTimeout& msg) {
         view_ = msg.view;  // Jump without proposing; safety is unaffected.
         proposed_in_view_ = false;
         consecutive_timeouts_ = 0;
-        PersistView();
+        Persist(HsViewRecord{view_});
       }
       OnTimeout(view_);  // Sign + broadcast + rearm the backoff timer.
     }

@@ -19,12 +19,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "src/common/trace.h"
 #include "src/hotstuff/messages.h"
 #include "src/hotstuff/payload.h"
 #include "src/net/network.h"
+#include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/cert_cache.h"
 #include "src/types/committee.h"
@@ -47,6 +49,117 @@ struct HotStuffConfig {
   TimeDelta proposal_retry_delay = Millis(300);
 };
 
+// ---- the HotStuff core's consensus-store WAL records ---------------------
+//
+// The vote-safety ledger, one latest-only record each. Blocks themselves are
+// not persisted: a recovered node re-fetches chain bodies through ancestor
+// catch-up.
+
+// 'W': the last vote cast. Synced before the vote leaves, or a restart
+// could sign a conflicting vote.
+struct HsVoteRecord {
+  static constexpr uint8_t kTag = 'W';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  View view = 0;
+  Digest digest{};
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/vote")); }
+  void Encode(Writer& w) const {
+    w.PutU64(view);
+    w.PutRaw(digest);
+  }
+  static std::optional<HsVoteRecord> Decode(Reader& r) {
+    HsVoteRecord rec{r.GetU64(), r.GetArray<32>()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'L': the locked block. Part of the safety rule; losing it across a restart
+// could let the node vote for a branch conflicting with a commit in flight.
+struct HsLockRecord {
+  static constexpr uint8_t kTag = 'L';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  View view = 0;
+  Digest digest{};
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/lock")); }
+  void Encode(Writer& w) const {
+    w.PutU64(view);
+    w.PutRaw(digest);
+  }
+  static std::optional<HsLockRecord> Decode(Reader& r) {
+    HsLockRecord rec{r.GetU64(), r.GetArray<32>()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'E': the current view.
+struct HsViewRecord {
+  static constexpr uint8_t kTag = 'E';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  View view = 0;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/view")); }
+  void Encode(Writer& w) const { w.PutU64(view); }
+  static std::optional<HsViewRecord> Decode(Reader& r) {
+    HsViewRecord rec{r.GetU64()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'F': the last view this node proposed in. Synced before the proposal
+// leaves: a restart must not propose a different block in that view.
+struct HsProposedRecord {
+  static constexpr uint8_t kTag = 'F';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  View view = 0;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/proposed")); }
+  void Encode(Writer& w) const { w.PutU64(view); }
+  static std::optional<HsProposedRecord> Decode(Reader& r) {
+    HsProposedRecord rec{r.GetU64()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'Q': the highest QC seen.
+struct HsHighQcRecord {
+  static constexpr uint8_t kTag = 'Q';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  QuorumCert qc;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/highqc")); }
+  void Encode(Writer& w) const;
+  static std::optional<HsHighQcRecord> Decode(Reader& r);
+};
+
+// 'K': the commit frontier — the newest committed block, its view and the
+// number of blocks committed so far. Written before each commit is
+// delivered. The committed chain is linear, so the tip stands for every
+// block below it; see DESIGN "WAL records" for why a recovered node cannot
+// deliver a block twice.
+struct HsCommitRecord {
+  static constexpr uint8_t kTag = 'K';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  Digest tip{};
+  View view = 0;
+  uint64_t count = 0;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("hs/commit")); }
+  void Encode(Writer& w) const {
+    w.PutRaw(tip);
+    w.PutU64(view);
+    w.PutU64(count);
+  }
+  static std::optional<HsCommitRecord> Decode(Reader& r) {
+    HsCommitRecord rec{r.GetArray<32>(), r.GetU64(), r.GetU64()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+using HotStuffRecords = RecordList<HsVoteRecord, HsLockRecord, HsViewRecord, HsProposedRecord,
+                                   HsHighQcRecord, HsCommitRecord>;
+
 class HotStuff : public NetNode {
  public:
   HotStuff(ValidatorId id, const Committee& committee, const HotStuffConfig& config,
@@ -57,7 +170,7 @@ class HotStuff : public NetNode {
 
   // Attaches the durable consensus store (non-owning; null = ephemeral).
   // The vote-safety ledger (last vote, lock, view, proposal marker, high QC,
-  // committed digests) is write-ahead persisted; blocks themselves are not —
+  // commit frontier) is write-ahead persisted; blocks themselves are not —
   // a recovered node re-fetches chain bodies through the existing ancestor
   // catch-up path.
   void set_store(Store* store) { store_ = store; }
@@ -123,15 +236,16 @@ class HotStuff : public NetNode {
   const HsBlock* GetBlock(const Digest& digest) const;
   void Broadcast(const MessagePtr& msg);
 
-  // Persistence (no-ops without a store). Tags are globally unique within
-  // the shared consensus store: 'W' last vote, 'L' lock, 'E' view, 'F'
-  // proposed-view marker, 'Q' high QC, 'K' committed digest.
+  // WAL writes (no-ops without a store). The signing-boundary ones sync.
+  template <typename R>
+  void Persist(const R& record) {
+    if (store_ != nullptr) {
+      PutRecord(*store_, record);
+    }
+  }
   void PersistVote();
   void PersistLock();
-  void PersistView();
   void PersistProposedMarker();
-  void PersistHighQc();
-  void PersistCommit(const Digest& digest);
 
   ValidatorId id_;
   const Committee& committee_;
@@ -158,7 +272,12 @@ class HotStuff : public NetNode {
   View locked_view_ = 0;
 
   std::map<Digest, std::shared_ptr<const HsBlock>> blocks_;
+  // Committed blocks this process saw commit, plus the recovered frontier's
+  // tip: ancestor walks stop at any of them.
   std::set<Digest> committed_;
+  // The newest committed block's view. Every block at or below it is either
+  // committed or on a branch that can never commit.
+  View committed_view_ = 0;
 
   // Votes collected by this node as leader: (view, digest) -> votes.
   std::map<std::pair<View, Digest>, VoteSet> vote_sets_;

@@ -71,9 +71,6 @@ const char* RuleShortDescription(const std::string& rule) {
   if (rule == kRuleWalBeforeSend) {
     return "Signed message sent without a prior Store::Sync durability barrier";
   }
-  if (rule == kRuleRecoverParity) {
-    return "WAL Persist site and Recover arm field ops drift";
-  }
   if (rule == kRuleDeferredCapture) {
     return "Scheduler lambda captures by reference or reschedules with stale state";
   }
@@ -89,7 +86,7 @@ const std::vector<std::string>& AllRuleNames() {
   static const std::vector<std::string> names = {
       kRuleNondet,        kRuleUnorderedIter, kRuleQuorumArith,
       kRuleCodecMismatch, kRulePointerKey,    kRuleWalBeforeSend,
-      kRuleRecoverParity, kRuleDeferredCapture, kRuleRegistryExhaustive};
+      kRuleDeferredCapture, kRuleRegistryExhaustive};
   return names;
 }
 

@@ -29,9 +29,6 @@
 //                          Store::Sync() durability barrier earlier on the
 //                          path (checked through call-graph inlining) — the
 //                          double-vote-through-amnesia class.
-//   R7 recover-parity      the field ops a WAL-record Persist site writes
-//                          drift from what the matching Recover arm reads,
-//                          or a record tag has no Recover arm at all.
 //   R8 deferred-capture    a lambda handed to the Scheduler captures locals
 //                          by reference, or a retry's reschedule call fails
 //                          to carry mutated state by value (the
@@ -69,12 +66,11 @@ inline constexpr const char* kRuleQuorumArith = "quorum-arith";
 inline constexpr const char* kRuleCodecMismatch = "codec-mismatch";
 inline constexpr const char* kRulePointerKey = "pointer-key";
 inline constexpr const char* kRuleWalBeforeSend = "wal-before-send";
-inline constexpr const char* kRuleRecoverParity = "recover-parity";
 inline constexpr const char* kRuleDeferredCapture = "deferred-capture";
 inline constexpr const char* kRuleRegistryExhaustive = "registry-exhaustive";
 
-// Every rule id, in R1..R9 order (drives allow parsing, SARIF metadata and
-// the per-rule stale-allow accounting).
+// Every rule id, in R1..R9 order with R7 retired (drives allow parsing, SARIF
+// metadata and the per-rule stale-allow accounting).
 const std::vector<std::string>& AllRuleNames();
 
 struct Finding {
@@ -154,7 +150,7 @@ FileReport LintFile(const std::string& path);
 std::vector<std::string> CollectSourceFiles(const std::string& root);
 
 // Lints every path (files or directories) and aggregates, including the
-// whole-repo semantic-model rules R6–R9 (implemented in model.cpp).
+// whole-repo semantic-model rules R6 and R9 (implemented in model.cpp).
 Summary LintPaths(const std::vector<std::string>& paths);
 
 // Renders findings + the suppression report to a string (the CLI output).

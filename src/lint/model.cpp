@@ -334,148 +334,6 @@ void ExtractEffects(const Toks& t, const FnSpan& fn, std::vector<FactEffect>* ou
   }
 }
 
-// --------------------------------------------------------------- codec ops
-//
-// R4's op extractor plus free codec helpers (EncodeQc/DecodeQc style): WAL
-// records serialize through the same Writer/Reader vocabulary as the wire
-// codecs, so Persist/Recover parity reuses the R4 op alphabet.
-
-const std::map<std::string, std::string>& PutKinds() {
-  static const std::map<std::string, std::string> m = {
-      {"PutU8", "u8"},   {"PutU16", "u16"},   {"PutU32", "u32"}, {"PutU64", "u64"},
-      {"PutI64", "i64"}, {"PutBool", "bool"}, {"PutVar", "var"}, {"PutString", "str"},
-      {"PutRaw", "raw"}};
-  return m;
-}
-
-const std::map<std::string, std::string>& GetKinds() {
-  static const std::map<std::string, std::string> m = {
-      {"GetU8", "u8"},   {"GetU16", "u16"},   {"GetU32", "u32"}, {"GetU64", "u64"},
-      {"GetI64", "i64"}, {"GetBool", "bool"}, {"GetVar", "var"}, {"GetString", "str"},
-      {"GetVarView", "var"}, {"GetStringView", "str"}, {"GetRaw", "raw"}, {"GetArray", "raw"}};
-  return m;
-}
-
-std::vector<FactOp> ExtractModelOps(const Toks& t, size_t first, size_t last, bool encode_side) {
-  std::vector<FactOp> ops;
-  for (size_t i = first; i <= last && i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || i == 0) {
-      continue;
-    }
-    const std::string& prev = t[i - 1].text;
-    const bool called = i + 1 < t.size() &&
-                        (t[i + 1].text == "(" || (t[i].text == "GetArray" && t[i + 1].text == "<"));
-    if (!called) {
-      continue;
-    }
-    if (IsMemberAccess(t, i)) {
-      const auto& kinds = encode_side ? PutKinds() : GetKinds();
-      auto it = kinds.find(t[i].text);
-      if (it != kinds.end()) {
-        ops.push_back(FactOp{it->second, t[i].line});
-        continue;
-      }
-      if (encode_side && t[i].text == "Encode") {
-        ops.push_back(FactOp{"sub", t[i].line});
-      }
-    } else if (prev == "::" && !encode_side && t[i].text == "Decode") {
-      ops.push_back(FactOp{"sub", t[i].line});
-    } else if (prev != "::" && t[i].text.size() > 6 &&
-               (encode_side ? StartsWith(t[i].text, "Encode") : StartsWith(t[i].text, "Decode"))) {
-      ops.push_back(FactOp{"sub", t[i].line});  // EncodeQc(w, qc) / DecodeQc(r)
-    }
-  }
-  return ops;
-}
-
-// ----------------------------------------------------- WAL persist / recover
-
-// A Persist site is a function that writes a leading tag byte and hands the
-// buffer to the store. Key-derivation helpers (VoteKey, TuskCommitKey, ...)
-// also PutU8 a char into a digest preimage but never call Put(...)+Take(),
-// which is what excludes them.
-void ScanPersist(const Toks& t, const FnSpan& fn, std::vector<FactRecord>* out) {
-  if (fn.close >= t.size()) {
-    return;
-  }
-  bool has_put = false;
-  bool has_take = false;
-  size_t tag_idx = t.size();
-  for (size_t i = fn.open + 1; i < fn.close; ++i) {
-    if (t[i].kind != TokKind::kIdent || i + 1 >= t.size() || t[i + 1].text != "(") {
-      continue;
-    }
-    if (!IsMemberAccess(t, i)) {
-      continue;
-    }
-    if (t[i].text == "Put") {
-      has_put = true;
-    } else if (t[i].text == "Take") {
-      has_take = true;
-    } else if (t[i].text == "PutU8" && tag_idx == t.size() && i + 2 < t.size() &&
-               t[i + 2].kind == TokKind::kChar && t[i + 2].text.size() >= 3) {
-      tag_idx = i;
-    }
-  }
-  if (!has_put || !has_take || tag_idx == t.size()) {
-    return;
-  }
-  FactRecord rec;
-  rec.owner = fn.owner;
-  rec.tag = t[tag_idx + 2].text[1];
-  rec.line = t[tag_idx].line;
-  rec.ops = ExtractModelOps(t, tag_idx + 4, fn.close - 1, /*encode_side=*/true);
-  out->push_back(std::move(rec));
-}
-
-// Recover arms live in functions named exactly "Recover", either as
-// `case 'X':` switch arms or as a `value[0] == 'X'` / `!= 'X'` guard.
-void ScanRecovers(const Toks& t, const FnSpan& fn, std::vector<FactRecord>* out) {
-  if (fn.name != "Recover" || fn.close >= t.size()) {
-    return;
-  }
-  bool found_arm = false;
-  for (size_t i = fn.open + 1; i + 2 < fn.close; ++i) {
-    if (!IsIdent(t[i], "case") || t[i + 1].kind != TokKind::kChar ||
-        t[i + 1].text.size() < 3 || t[i + 2].text != ":") {
-      continue;
-    }
-    size_t arm_end = fn.close - 1;
-    for (size_t k = i + 3; k < fn.close; ++k) {
-      if (IsIdent(t[k], "case") || IsIdent(t[k], "default")) {
-        arm_end = k - 1;
-        break;
-      }
-    }
-    FactRecord rec;
-    rec.owner = fn.owner;
-    rec.tag = t[i + 1].text[1];
-    rec.line = t[i].line;
-    rec.ops = ExtractModelOps(t, i + 3, arm_end, /*encode_side=*/false);
-    out->push_back(std::move(rec));
-    found_arm = true;
-  }
-  if (found_arm) {
-    return;
-  }
-  // Guard form: a single-record store (`if (value[0] != 'T') continue;`).
-  for (size_t i = fn.open + 3; i < fn.close; ++i) {
-    if (t[i].kind != TokKind::kChar || t[i].text.size() < 3) {
-      continue;
-    }
-    if (t[i - 1].text != "=" || (t[i - 2].text != "=" && t[i - 2].text != "!")) {
-      continue;
-    }
-    FactRecord rec;
-    rec.owner = fn.owner;
-    rec.tag = t[i].text[1];
-    rec.line = t[i].line;
-    rec.ops = ExtractModelOps(t, i + 1, fn.close - 1, /*encode_side=*/false);
-    out->push_back(std::move(rec));
-    return;
-  }
-}
-
 // ------------------------------------------------------------ registry facts
 
 void ScanEnumerators(const Toks& t, std::vector<FactEnumerator>* out) {
@@ -829,8 +687,6 @@ FileFacts ExtractFacts(const std::string& path, const std::string& content,
     ff.line = fn.line;
     ExtractEffects(t, fn, &ff.effects);
     facts.functions.push_back(std::move(ff));
-    ScanPersist(t, fn, &facts.persists);
-    ScanRecovers(t, fn, &facts.recovers);
     if ((fn.name == "Encode" || fn.name == "Decode") && !fn.owner.empty()) {
       facts.codec_sides.push_back(FactCodecSide{fn.owner, fn.name == "Encode", fn.line});
     }
@@ -990,93 +846,6 @@ void RunWalBeforeSend(const std::vector<FileFacts>& files, std::vector<Finding>*
   }
 }
 
-std::string OpName(const FactOp& op) {
-  return op.kind == "sub" ? "nested codec" : op.kind;
-}
-
-void RunRecoverParity(const std::vector<FileFacts>& files, std::vector<Finding>* out) {
-  using Key = std::pair<std::string, char>;
-  struct RecRef {
-    const FactRecord* rec = nullptr;
-    size_t file = 0;
-  };
-  std::map<Key, RecRef> persists;
-  std::map<Key, RecRef> recovers;
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    for (const FactRecord& r : files[fi].persists) {
-      persists.emplace(Key{r.owner, r.tag}, RecRef{&r, fi});  // First def wins.
-    }
-    for (const FactRecord& r : files[fi].recovers) {
-      recovers.emplace(Key{r.owner, r.tag}, RecRef{&r, fi});
-    }
-  }
-  // Persist sites, in file order, against their Recover arm.
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    for (const FactRecord& p : files[fi].persists) {
-      auto it = recovers.find(Key{p.owner, p.tag});
-      if (it == recovers.end()) {
-        Finding f;
-        f.rule = kRuleRecoverParity;
-        f.path = files[fi].path;
-        f.line = p.line;
-        f.message = std::string("WAL record '") + p.tag + "' (" + p.owner +
-                    ") has no matching Recover arm: state persisted before a crash is silently "
-                    "dropped on restart (amnesia) — add a case '" +
-                    p.tag + "' to " + p.owner + "::Recover";
-        out->push_back(std::move(f));
-        continue;
-      }
-      if (persists.at(Key{p.owner, p.tag}).rec != &p) {
-        continue;  // Duplicate persist site; the first one was compared.
-      }
-      const FactRecord& r = *it->second.rec;
-      const std::string rpath = files[it->second.file].path;
-      if (p.ops.size() != r.ops.size()) {
-        Finding f;
-        f.rule = kRuleRecoverParity;
-        f.path = rpath;
-        f.line = r.line;
-        f.message = p.owner + " record '" + std::string(1, p.tag) + "': Persist writes " +
-                    std::to_string(p.ops.size()) + " field op(s) (line " +
-                    std::to_string(p.line) + ") but Recover reads " +
-                    std::to_string(r.ops.size()) +
-                    " — drifted field sets corrupt every later read of the record";
-        out->push_back(std::move(f));
-        continue;
-      }
-      for (size_t k = 0; k < p.ops.size(); ++k) {
-        if (p.ops[k].kind != r.ops[k].kind) {
-          Finding f;
-          f.rule = kRuleRecoverParity;
-          f.path = rpath;
-          f.line = r.ops[k].line;
-          f.message = p.owner + " record '" + std::string(1, p.tag) + "': field op #" +
-                      std::to_string(k + 1) + " drifts — Persist writes " + OpName(p.ops[k]) +
-                      " (line " + std::to_string(p.ops[k].line) + ") but Recover reads " +
-                      OpName(r.ops[k]);
-          out->push_back(std::move(f));
-          break;
-        }
-      }
-    }
-  }
-  // Recover arms with no Persist site: dead arm or mistagged write.
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    for (const FactRecord& r : files[fi].recovers) {
-      if (persists.count(Key{r.owner, r.tag}) > 0) {
-        continue;
-      }
-      Finding f;
-      f.rule = kRuleRecoverParity;
-      f.path = files[fi].path;
-      f.line = r.line;
-      f.message = std::string("Recover arm '") + r.tag + "' (" + r.owner +
-                  ") reads a record no Persist site writes — dead arm or mistagged Persist";
-      out->push_back(std::move(f));
-    }
-  }
-}
-
 // Names every corpus mention of a decodable type: `DecodeGarbage<T>` or
 // `T::Decode`.
 std::set<std::string> CorpusMentions(const std::string& content) {
@@ -1219,7 +988,6 @@ std::vector<Finding> RunModelRules(const std::vector<FileFacts>& files,
                                    const std::string* fuzz_corpus) {
   std::vector<Finding> findings;
   RunWalBeforeSend(files, &findings);
-  RunRecoverParity(files, &findings);
   RunRegistryExhaustive(files, fuzz_corpus, &findings);
   return findings;
 }

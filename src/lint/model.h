@@ -1,26 +1,24 @@
-// Whole-repo semantic model for ntlint v2 (rules R6–R9).
+// Whole-repo semantic model for ntlint v2 (rules R6, R8 and R9).
 //
 // The per-file rules in rules.cpp see one translation unit at a time, which
-// makes the three bug classes our own history shows are most expensive
-// invisible: WAL-sync-before-send ordering (the PR 6 double-vote guard),
-// Persist/Recover field drift (the crash–restart amnesia class), and the
-// message registry drifting out of sync with its codecs, handlers and fuzz
-// corpus. Those are *cross-file* properties, so linting them needs a model
-// of the repo, not a token stream of a file.
+// makes two expensive bug classes invisible: WAL-sync-before-send ordering
+// (the double-vote-through-amnesia guard) and the message registry drifting
+// out of sync with its codecs, handlers and fuzz corpus. Those are
+// *cross-file* properties, so linting them needs a model of the repo, not a
+// token stream of a file.
 //
 // Two-pass driver:
 //
-//   pass 1 (per file): lex, run the per-file rules, parse
-//     allow annotations, and extract a FileFacts record — function/method
+//   pass 1 (per file): lex, run the per-file rules, parse allow
+//     annotations, and extract a FileFacts record — function/method
 //     definitions with a token-level effect sequence (Sign / Store::Sync /
-//     Network::Send / bare intra-class calls), WAL record tags with their
-//     Persist-side and Recover-side field-op sequences, the MessageTypeId
-//     enum, TypeId() registrations, handler dispatch casts, Encode/Decode
+//     Network::Send / bare intra-class calls), the MessageTypeId enum,
+//     TypeId() registrations, handler dispatch casts, Encode/Decode
 //     definitions per codec owner, payload type references, and scheduler
 //     callback findings (R8, which only needs one function's tokens).
 //
 //   pass 2 (whole repo): merge the facts in sorted-file order into a Model,
-//     run R6/R7/R9 over it, distribute the model findings back onto their
+//     run R6/R9 over it, distribute the model findings back onto their
 //     files, apply allow annotations, and aggregate the Summary.
 //
 #ifndef SRC_LINT_MODEL_H_
@@ -52,24 +50,6 @@ struct FactFunction {
   std::string name;
   int line = 0;
   std::vector<FactEffect> effects;
-};
-
-// One codec field op inside a Persist or Recover site (kind as in R4:
-// u8/u16/u32/u64/i64/bool/var/str/raw/sub).
-struct FactOp {
-  std::string kind;
-  int line = 0;
-};
-
-// A WAL record: Persist side = a function that writes a leading tag byte
-// (`w.PutU8('X')`) and hands the buffer to the store (`Put(..., w.Take())`);
-// Recover side = a `case 'X':` arm (or `value[0] == 'X'` guard) inside a
-// Recover function.
-struct FactRecord {
-  std::string owner;
-  char tag = 0;
-  int line = 0;
-  std::vector<FactOp> ops;
 };
 
 struct FactEnumerator {
@@ -104,8 +84,6 @@ struct FileFacts {
   std::vector<Finding> findings;  // Per-file rules (R1–R5) + R8, unsuppressed.
   std::vector<AllowAnnotation> allows;
   std::vector<FactFunction> functions;
-  std::vector<FactRecord> persists;
-  std::vector<FactRecord> recovers;
   std::vector<FactEnumerator> enumerators;  // MessageTypeId only.
   std::vector<FactRegistration> registrations;
   std::vector<std::string> handler_casts;  // Struct names dispatched on.
@@ -134,7 +112,7 @@ std::vector<Finding> RunDeferredCapture(const std::string& rel_path, const Lexed
 // unreadable file yields a FileFacts whose findings carry the io-error.
 FileFacts ExtractFactsFromDisk(const std::string& path);
 
-// Pass 2: runs R6/R7/R9 over the merged facts. `fuzz_corpus` is the content
+// Pass 2: runs R6/R9 over the merged facts. `fuzz_corpus` is the content
 // of tests/fuzz_decode_test.cpp (null = corpus unknown, the corpus leg of R9
 // is skipped). Findings carry the path of the file they belong to.
 std::vector<Finding> RunModelRules(const std::vector<FileFacts>& files,

@@ -4,48 +4,15 @@
 
 namespace nt {
 
-namespace {
-// Consensus-store key of a 'T' commit record (one per delivered header). The
-// tag is Tusk's, kept so WALs written by earlier Tusk builds still recover.
-// The store is shared with the HotStuff core ('W'/'L'/'E'/'F'/'Q'/'K') and
-// DagCommitter's meta record ('U'), so tags stay globally unique.
-Digest CommitKey(const Digest& digest) {
-  Writer w;
-  w.PutU8('T');
-  w.PutRaw(digest);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-}  // namespace
-
-void CommitLog::Persist(const Digest& digest, Round round) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Writer w;
-  w.PutU8('T');
-  w.PutU64(round);
-  w.PutRaw(digest);
-  store_->Put(CommitKey(digest), w.Take());
-}
-
 void CommitLog::Recover() {
   if (store_ == nullptr) {
     return;
   }
   const Dag& dag = primary_->dag();
   const Round gc_round = dag.gc_round();
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty() || value[0] != 'T') {
-      return;
-    }
-    Reader r(value.data() + 1, value.size() - 1);
-    Round round = static_cast<Round>(r.GetU64());
-    Digest digest = r.GetArray<32>();
-    if (!r.ok() || round < gc_round) {
-      return;
-    }
-    if (committed_.insert(digest)) {
-      committed_by_round_[round].push_back(digest);
+  ForEachRecord<CommitRecord>(*store_, [&](const CommitRecord& rec) {
+    if (rec.round >= gc_round && committed_.insert(rec.digest)) {
+      committed_by_round_[rec.round].push_back(rec.digest);
       ++committed_count_;
     }
   });
@@ -116,7 +83,9 @@ bool CommitLog::Deliver(const std::vector<const Certificate*>& anchors, Dag::His
       auto header = dag.GetHeader(digest);
       // Write-ahead: the commit record is durable before any hook (metrics,
       // executor, checker) observes the delivery.
-      Persist(digest, header->round);
+      if (store_ != nullptr) {
+        PutRecord(*store_, CommitRecord{header->round, digest});
+      }
       committed_.insert(digest);
       committed_by_round_[header->round].push_back(digest);
       ++committed_count_;
@@ -148,7 +117,7 @@ void CommitLog::AdvanceGc(Round anchor_round) {
     for (const Digest& digest : it->second) {
       committed_.erase(digest);
       if (store_ != nullptr) {
-        store_->Erase(CommitKey(digest));
+        store_->Erase(CommitRecord::KeyOf(digest));
       }
     }
     it = committed_by_round_.erase(it);

@@ -8,8 +8,8 @@
 // lives here:
 //
 //   - the committed-header set, indexed by round, and the commit hooks;
-//   - a write-ahead 'T' record per delivered header, its Recover arm, and
-//     pruning of both below the garbage-collection horizon;
+//   - a write-ahead CommitRecord ('T') per delivered header, its recovery,
+//     and pruning of both below the garbage-collection horizon;
 //   - the two-pass delivery of an anchor chain: nothing is delivered until
 //     every anchor's causal history is locally complete ("conservative
 //     synchronization"); gaps are requested from peers instead. Each
@@ -28,6 +28,26 @@
 #include "src/narwhal/primary.h"
 
 namespace nt {
+
+// 'T': one delivered header. The tag and key are Tusk's, kept so WALs written
+// by earlier Tusk builds still recover.
+struct CommitRecord {
+  static constexpr uint8_t kTag = 'T';
+  static constexpr Prune kPrune = Prune::kGcHorizon;
+  Round round = 0;
+  Digest digest{};
+
+  static Digest KeyOf(const Digest& digest) { return TaggedKey(kTag, digest); }
+  Digest Key() const { return KeyOf(digest); }
+  void Encode(Writer& w) const {
+    w.PutU64(round);
+    w.PutRaw(digest);
+  }
+  static std::optional<CommitRecord> Decode(Reader& r) {
+    CommitRecord rec{r.GetU64(), r.GetArray<32>()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
 
 class CommitLog {
  public:
@@ -92,7 +112,6 @@ class CommitLog {
   Dag::History Walk(const Digest& anchor, const DigestSet& committed);
   // Requests every header in `history.missing`; true if there were none.
   bool RequestMissing(const Dag::History& history);
-  void Persist(const Digest& digest, Round round);
 
   Primary* primary_;
   Round gc_depth_;

@@ -1,8 +1,6 @@
 #include "src/narwhal/primary.h"
 
 #include <algorithm>
-#include <cstring>
-#include <string_view>
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
@@ -22,35 +20,6 @@ uint32_t CertVoteThreshold(const Committee& committee) {
                                       : committee.quorum_threshold();
 }
 
-// Store record keys. Values carry a one-byte tag ('H' header, 'C' cert,
-// 'V' vote-ledger entry, 'P' own-proposal marker, 'M' meta) so Recover()
-// can dispatch without keeping a key directory.
-Digest HeaderKey(const Digest& digest) {
-  uint8_t buf[33];
-  buf[0] = 'H';
-  std::memcpy(buf + 1, digest.data(), digest.size());
-  return Sha256::Hash(buf, sizeof(buf));
-}
-Digest CertKey(const Digest& header_digest) {
-  uint8_t buf[33];
-  buf[0] = 'C';
-  std::memcpy(buf + 1, header_digest.data(), header_digest.size());
-  return Sha256::Hash(buf, sizeof(buf));
-}
-Digest VoteKey(Round round, ValidatorId author) {
-  Writer w;
-  w.PutU8('V');
-  w.PutU64(round);
-  w.PutU32(author);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-Digest ProposalKey(Round round) {
-  Writer w;
-  w.PutU8('P');
-  w.PutU64(round);
-  return Sha256::Hash(w.bytes().data(), w.size());
-}
-Digest MetaKey() { return Sha256::Hash(std::string_view("primary/meta")); }
 }  // namespace
 
 Primary::Primary(ValidatorId id, const Committee& committee, const NarwhalConfig& config,
@@ -88,58 +57,79 @@ void Primary::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
-void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Digest key = HeaderKey(digest);
-  if (store_->Contains(key)) {
-    return;
-  }
-  // Parents are named by digest, in header order (the header digest covers
-  // the order): every parent certificate is already durable as its own 'C'
-  // record, so Recover() rebuilds the full header from those. This keeps the
-  // record O(n) bytes where the full encoding is O(n^2).
-  Writer w;
-  w.PutU8('H');
+void HeaderRecord::Encode(Writer& w) const {
   w.PutU32(header.author);
   w.PutU64(header.round);
   w.PutU32(static_cast<uint32_t>(header.batches.size()));
   for (const BatchRef& ref : header.batches) {
     ref.Encode(w);
   }
-  w.PutU32(static_cast<uint32_t>(header.parents.size()));
-  for (const Certificate& parent : header.parents) {
-    w.PutRaw(parent.header_digest);
+  w.PutU32(static_cast<uint32_t>(parents.size()));
+  for (const Digest& parent : parents) {
+    w.PutRaw(parent);
   }
   w.PutRaw(header.author_sig);
-  store_->Put(key, w.Take());
 }
 
-void Primary::PersistCertificate(const Certificate& cert) {
-  if (store_ == nullptr) {
+std::optional<HeaderRecord> HeaderRecord::Decode(Reader& r) {
+  HeaderRecord h;
+  h.header.author = r.GetU32();
+  h.header.round = static_cast<Round>(r.GetU64());
+  uint32_t n_batches = r.GetU32();
+  for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
+    h.header.batches.push_back(BatchRef::Decode(r));
+  }
+  uint32_t n_parents = r.GetU32();
+  for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
+    h.parents.push_back(r.GetArray<32>());
+  }
+  h.header.author_sig = r.GetArray<64>();
+  return r.AtEnd() ? std::optional(std::move(h)) : std::nullopt;
+}
+
+void CertRecord::Encode(Writer& w) const { cert.Encode(w); }
+
+std::optional<CertRecord> CertRecord::Decode(Reader& r) {
+  std::optional<Certificate> cert = Certificate::Decode(r);
+  if (!cert.has_value() || !r.AtEnd()) {
+    return std::nullopt;
+  }
+  return CertRecord{std::move(*cert)};
+}
+
+Digest VoteRecord::KeyOf(Round round, ValidatorId author) {
+  Writer w;
+  w.PutU8(kTag);
+  w.PutU64(round);
+  w.PutU32(author);
+  return Sha256::Hash(w.bytes());
+}
+
+Digest ProposalRecord::KeyOf(Round round) {
+  Writer w;
+  w.PutU8(kTag);
+  w.PutU64(round);
+  return Sha256::Hash(w.bytes());
+}
+
+void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
+  if (store_ == nullptr || store_->Contains(HeaderRecord::KeyOf(digest))) {
     return;
   }
-  Writer w;
-  w.PutU8('C');
-  cert.Encode(w);
-  store_->Put(CertKey(cert.header_digest), w.Take());
+  HeaderRecord record{
+      digest, {header.author, header.round, header.batches, {}, header.author_sig}, {}};
+  record.parents.reserve(header.parents.size());
+  for (const Certificate& parent : header.parents) {
+    record.parents.push_back(parent.header_digest);
+  }
+  PutRecord(*store_, record);
 }
 
 void Primary::PersistVote(Round round, ValidatorId author, const Digest& digest) {
-  if (store_ == nullptr) {
-    return;
-  }
-  Digest key = VoteKey(round, author);
-  if (store_->Contains(key)) {
+  if (store_ == nullptr || store_->Contains(VoteRecord::KeyOf(round, author))) {
     return;  // Re-sent vote: the ledger entry is already durable.
   }
-  Writer w;
-  w.PutU8('V');
-  w.PutU64(round);
-  w.PutU32(author);
-  w.PutRaw(digest);
-  store_->Put(key, w.Take());
+  PutRecord(*store_, VoteRecord{round, author, digest});
   // Durability barrier at the signing boundary: once the vote is on the
   // wire, the ledger entry it came from must survive a crash, or a
   // recovered validator could sign a conflicting header for this round.
@@ -150,11 +140,7 @@ void Primary::PersistProposalMarker(Round round, const Digest& digest) {
   if (store_ == nullptr) {
     return;
   }
-  Writer w;
-  w.PutU8('P');
-  w.PutU64(round);
-  w.PutRaw(digest);
-  store_->Put(ProposalKey(round), w.Take());
+  PutRecord(*store_, ProposalRecord{round, digest});
   store_->Sync();  // Same signing-boundary barrier as PersistVote.
 }
 
@@ -167,77 +153,18 @@ void Primary::Recover() {
   Round gc_round = 0;
   // A header record names its parents by digest; they are resolved against
   // the 'C' records once the whole store has been read.
-  struct HeaderRec {
-    BlockHeader header;  // `parents` still empty.
-    std::vector<Digest> parents;
-  };
-  std::vector<HeaderRec> headers;
+  std::vector<HeaderRecord> headers;
   std::vector<Certificate> certs;
-  struct VoteRec {
-    Round round = 0;
-    ValidatorId author = 0;
-    Digest digest{};
-  };
-  std::vector<VoteRec> votes;
+  std::vector<VoteRecord> votes;
   std::map<Round, Digest> markers;
-
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty()) {
-      return;
-    }
-    ++recovered_store_records_;
-    Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'M':
-        gc_round = static_cast<Round>(r.GetU64());
-        break;
-      case 'H': {
-        HeaderRec h;
-        h.header.author = r.GetU32();
-        h.header.round = static_cast<Round>(r.GetU64());
-        uint32_t n_batches = r.GetU32();
-        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-          h.header.batches.push_back(BatchRef::Decode(r));
-        }
-        uint32_t n_parents = r.GetU32();
-        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-          h.parents.push_back(r.GetArray<32>());
-        }
-        h.header.author_sig = r.GetArray<64>();
-        if (r.ok()) {
-          headers.push_back(std::move(h));
-        }
-        break;
-      }
-      case 'C': {
-        std::optional<Certificate> c = Certificate::Decode(r);
-        if (c.has_value()) {
-          certs.push_back(std::move(*c));
-        }
-        break;
-      }
-      case 'V': {
-        VoteRec v;
-        v.round = static_cast<Round>(r.GetU64());
-        v.author = r.GetU32();
-        v.digest = r.GetArray<32>();
-        if (r.ok()) {
-          votes.push_back(v);
-        }
-        break;
-      }
-      case 'P': {
-        Round round = static_cast<Round>(r.GetU64());
-        Digest digest = r.GetArray<32>();
-        if (r.ok()) {
-          markers[round] = digest;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  });
+  recovered_store_records_ += PrimaryStoreRecords::ForEach(
+      *store_, Overloaded{
+                   [&](const PrimaryMeta& m) { gc_round = m.gc_round; },
+                   [&](HeaderRecord&& h) { headers.push_back(std::move(h)); },
+                   [&](CertRecord&& c) { certs.push_back(std::move(c.cert)); },
+                   [&](const VoteRecord& v) { votes.push_back(v); },
+                   [&](const ProposalRecord& p) { markers[p.round] = p.digest; },
+               });
 
   // Set the GC horizon first so records from rounds that were already
   // collected pre-crash (written before the last meta update) are filtered
@@ -251,7 +178,7 @@ void Primary::Recover() {
   for (const Certificate& cert : certs) {
     cert_index.emplace(cert.header_digest, &cert);
   }
-  for (HeaderRec& rec : headers) {
+  for (HeaderRecord& rec : headers) {
     BlockHeader& header = rec.header;
     if (header.round < gc_round) {
       continue;
@@ -292,7 +219,7 @@ void Primary::Recover() {
       retained_cert_records_.push_back(cert.header_digest);
     }
   }
-  for (const VoteRec& v : votes) {
+  for (const VoteRecord& v : votes) {
     if (v.round >= gc_round) {
       voted_[v.round][v.author] = v.digest;
     }
@@ -719,7 +646,9 @@ bool Primary::AcceptCertificate(const Certificate& cert, bool request_header_if_
   }
   // Persist before the hooks run: anything consensus derives from this
   // certificate (commits, GC) must be re-derivable after a crash.
-  PersistCertificate(cert);
+  if (store_ != nullptr) {
+    PutRecord(*store_, CertRecord{cert});
+  }
   if (request_header_if_missing && !dag_.HasHeader(cert.header_digest)) {
     RequestHeader(cert.header_digest);
   }
@@ -804,31 +733,28 @@ void Primary::SetGcRound(Round gc_round) {
   // recovery filters stale records against it even if the erases below
   // never land.
   if (store_ != nullptr && gc_round > store_gc_round_) {
-    Writer w;
-    w.PutU8('M');
-    w.PutU64(gc_round);
-    store_->Put(MetaKey(), w.Take());
+    PutRecord(*store_, PrimaryMeta{gc_round});
     for (const Digest& digest : retained_cert_records_) {
-      store_->Erase(CertKey(digest));
+      store_->Erase(CertRecord::KeyOf(digest));
     }
     retained_cert_records_.clear();
     for (const Dag::Collected& record : collected) {
-      store_->Erase(HeaderKey(record.digest));
+      store_->Erase(HeaderRecord::KeyOf(record.digest));
       // Header records name their parents by digest, so a header at the new
       // horizon still needs the certificates one round below it.
       if (record.cert.round + 1 == gc_round) {
         retained_cert_records_.push_back(record.digest);
       } else {
-        store_->Erase(CertKey(record.digest));
+        store_->Erase(CertRecord::KeyOf(record.digest));
       }
     }
     for (auto it = voted_.begin(); it != voted_.end() && it->first < gc_round; ++it) {
       for (const auto& [author, digest] : it->second) {
-        store_->Erase(VoteKey(it->first, author));
+        store_->Erase(VoteRecord::KeyOf(it->first, author));
       }
     }
     for (Round r = store_gc_round_; r < gc_round; ++r) {
-      store_->Erase(ProposalKey(r));
+      store_->Erase(ProposalRecord::KeyOf(r));
     }
     store_gc_round_ = gc_round;
   }

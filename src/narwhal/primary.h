@@ -25,18 +25,115 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "src/narwhal/config.h"
 #include "src/narwhal/dag.h"
 #include "src/narwhal/worker.h"
 #include "src/net/network.h"
+#include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/cert_cache.h"
 #include "src/types/committee.h"
 #include "src/types/messages.h"
 
 namespace nt {
+
+// ---- the primary store's WAL records ------------------------------------
+//
+// Headers, certificates, the vote ledger and the own-proposal marker are
+// written ahead of use; everything below the GC horizon is erased when the
+// horizon advances, so the store stays the size of the live DAG window.
+
+// 'M': the durable GC horizon. Written before the erases below it, so
+// recovery filters stale records against it even if those erases never land.
+struct PrimaryMeta {
+  static constexpr uint8_t kTag = 'M';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  Round gc_round = 0;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("primary/meta")); }
+  void Encode(Writer& w) const { w.PutU64(gc_round); }
+  static std::optional<PrimaryMeta> Decode(Reader& r) {
+    PrimaryMeta rec{r.GetU64()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'H': a header the DAG stored. Parents are named by digest, in header order
+// (the header digest covers the order): every parent certificate is already
+// durable as its own 'C' record, so Recover() rebuilds the full header from
+// those. This keeps the record O(n) bytes where the full encoding is O(n^2).
+struct HeaderRecord {
+  static constexpr uint8_t kTag = 'H';
+  static constexpr Prune kPrune = Prune::kGcHorizon;
+  Digest digest{};              // The header's digest: the key, not encoded.
+  BlockHeader header;           // `parents` stays empty ...
+  std::vector<Digest> parents;  // ... they are named here.
+
+  static Digest KeyOf(const Digest& header_digest) { return TaggedKey(kTag, header_digest); }
+  Digest Key() const { return KeyOf(digest); }
+  void Encode(Writer& w) const;
+  static std::optional<HeaderRecord> Decode(Reader& r);
+};
+
+// 'C': a certificate the DAG accepted, keyed by its header digest.
+struct CertRecord {
+  static constexpr uint8_t kTag = 'C';
+  static constexpr Prune kPrune = Prune::kGcHorizon;
+  Certificate cert;
+
+  static Digest KeyOf(const Digest& header_digest) { return TaggedKey(kTag, header_digest); }
+  Digest Key() const { return KeyOf(cert.header_digest); }
+  void Encode(Writer& w) const;
+  static std::optional<CertRecord> Decode(Reader& r);
+};
+
+// 'V': a vote-ledger entry, the header this validator voted for at
+// (round, author). Synced before the vote leaves: the double-vote guard.
+struct VoteRecord {
+  static constexpr uint8_t kTag = 'V';
+  static constexpr Prune kPrune = Prune::kGcHorizon;
+  Round round = 0;
+  ValidatorId author = 0;
+  Digest digest{};
+
+  static Digest KeyOf(Round round, ValidatorId author);
+  Digest Key() const { return KeyOf(round, author); }
+  void Encode(Writer& w) const {
+    w.PutU64(round);
+    w.PutU32(author);
+    w.PutRaw(digest);
+  }
+  static std::optional<VoteRecord> Decode(Reader& r) {
+    VoteRecord rec{r.GetU64(), r.GetU32(), r.GetArray<32>()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+// 'P': the header this validator signed for `round`. Synced before the
+// header leaves: a recovered validator never signs a second one.
+struct ProposalRecord {
+  static constexpr uint8_t kTag = 'P';
+  static constexpr Prune kPrune = Prune::kGcHorizon;
+  Round round = 0;
+  Digest digest{};
+
+  static Digest KeyOf(Round round);
+  Digest Key() const { return KeyOf(round); }
+  void Encode(Writer& w) const {
+    w.PutU64(round);
+    w.PutRaw(digest);
+  }
+  static std::optional<ProposalRecord> Decode(Reader& r) {
+    ProposalRecord rec{r.GetU64(), r.GetArray<32>()};
+    return r.AtEnd() ? std::optional(rec) : std::nullopt;
+  }
+};
+
+using PrimaryStoreRecords =
+    RecordList<PrimaryMeta, HeaderRecord, CertRecord, VoteRecord, ProposalRecord>;
 
 class Primary : public NetNode {
  public:
@@ -167,7 +264,6 @@ class Primary : public NetNode {
 
   // Persistence helpers (no-ops when store_ is null).
   void PersistHeader(const BlockHeader& header, const Digest& digest);
-  void PersistCertificate(const Certificate& cert);
   void PersistVote(Round round, ValidatorId author, const Digest& digest);
   void PersistProposalMarker(Round round, const Digest& digest);
 

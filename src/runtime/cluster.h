@@ -88,6 +88,15 @@ struct ClusterConfig {
   uint64_t max_digests_per_block = 128;
 };
 
+// What a validator's consensus store holds: the commit log's records, the
+// DAG committer's meta record and the HotStuff core's ledger (a store is
+// shared by the commit log and one of the other two). The primary store
+// holds PrimaryStoreRecords; worker stores hold bare batches, keyed by
+// digest.
+using ConsensusStoreRecords =
+    RecordList<CommitRecord, CommitterMeta, HsVoteRecord, HsLockRecord, HsViewRecord,
+               HsProposedRecord, HsHighQcRecord, HsCommitRecord>;
+
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <string_view>
 
 #include "src/common/logging.h"
 
@@ -25,24 +24,31 @@ void DagCommitter::OnHeaderStored(const Digest&) { TryCommit(); }
 
 // ---------------------------------------------------------------- persistence
 
-namespace {
-// Consensus-store key of the 'U' meta record (wave cursor, then the rule's
-// own state). The "tusk/meta" key is Tusk's, kept so WALs written by earlier
-// Tusk builds still recover. The store is shared with the HotStuff core
-// ('W'/'L'/'E'/'F'/'Q'/'K') and the commit log ('T'), so tags stay globally
-// unique.
-Digest MetaKey() { return Sha256::Hash(std::string_view("tusk/meta")); }
-}  // namespace
+void CommitterMeta::Encode(Writer& w) const {
+  w.PutU64(wave);
+  w.PutRaw(rule_state);
+}
+
+std::optional<CommitterMeta> CommitterMeta::Decode(Reader& r) {
+  CommitterMeta meta;
+  meta.wave = r.GetU64();
+  if (!r.ok()) {
+    return std::nullopt;
+  }
+  meta.rule_state.resize(r.remaining());
+  if (!meta.rule_state.empty()) {  // An empty vector's data() may be null.
+    r.GetRaw(meta.rule_state.data(), meta.rule_state.size());
+  }
+  return meta;
+}
 
 void DagCommitter::PersistMeta() {
   if (store_ == nullptr) {
     return;
   }
-  Writer w;
-  w.PutU8('U');
-  w.PutU64(last_committed_wave_);
-  EncodeMeta(w);
-  store_->Put(MetaKey(), w.Take());
+  Writer rule_state;
+  EncodeMeta(rule_state);
+  PutRecord(*store_, CommitterMeta{last_committed_wave_, rule_state.Take()});
   store_->Sync();
 }
 
@@ -50,12 +56,12 @@ void DagCommitter::Recover() {
   if (store_ == nullptr) {
     return;
   }
-  std::optional<Bytes> value = store_->Get(MetaKey());
-  if (!value.has_value() || value->empty() || (*value)[0] != 'U') {
+  std::optional<CommitterMeta> meta = GetRecord<CommitterMeta>(*store_);
+  if (!meta.has_value()) {
     return;
   }
-  Reader r(value->data() + 1, value->size() - 1);
-  last_committed_wave_ = r.GetU64();
+  last_committed_wave_ = meta->wave;
+  Reader r(meta->rule_state);
   DecodeMeta(r);
   last_skip_counted_ = last_committed_wave_;
 }

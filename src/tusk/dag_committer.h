@@ -12,8 +12,8 @@
 //     waves, ordering every earlier leader it reaches by DAG path (Lemma 1),
 //     and hands the chain to its CommitLog, which delivers the leaders'
 //     causal histories (src/narwhal/commit_log.h);
-//   - the 'U' meta record (wave cursor, then the rule's own state) with its
-//     durability barrier, and Resume for crash–restart;
+//   - the CommitterMeta record (wave cursor, then the rule's own state) with
+//     its durability barrier, and Resume for crash–restart;
 //   - the skipped/committed counters and the tracer counters.
 //
 // A subclass supplies the wave arithmetic, the leader, the support test and
@@ -24,12 +24,27 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/common/codec.h"
 #include "src/narwhal/commit_log.h"
 #include "src/narwhal/primary.h"
 
 namespace nt {
+
+// 'U': the committer's wave cursor, then the rule's own state (EncodeMeta's
+// bytes, running to the end of the record). The "tusk/meta" key is Tusk's,
+// kept so WALs written by earlier Tusk builds still recover.
+struct CommitterMeta {
+  static constexpr uint8_t kTag = 'U';
+  static constexpr Prune kPrune = Prune::kLatestOnly;
+  uint64_t wave = 0;
+  Bytes rule_state;
+
+  Digest Key() const { return Sha256::Hash(std::string_view("tusk/meta")); }
+  void Encode(Writer& w) const;
+  static std::optional<CommitterMeta> Decode(Reader& r);
+};
 
 class DagCommitter {
  public:
@@ -48,7 +63,7 @@ class DagCommitter {
   }
 
   // Attaches the durable consensus store (non-owning; null = ephemeral) for
-  // the 'U' meta record. The commit log takes the same store separately.
+  // the CommitterMeta record. The commit log takes the same store separately.
   void set_store(Store* store) { store_ = store; }
 
   // Restores the wave cursor and the rule's meta state from the store; the

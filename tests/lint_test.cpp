@@ -1,13 +1,13 @@
-// ntlint fixture corpus: every rule R1–R9 is proven to fire on positive
-// snippets and stay silent on negatives, the allow-annotation machinery is
-// exercised end to end, and the real tree is linted so the suite fails the
-// moment a violation (or a stale suppression) lands in src/.
+// ntlint fixture corpus: every rule (R1–R6, R8, R9) is proven to fire on
+// positive snippets and stay silent on negatives, the allow-annotation
+// machinery is exercised end to end, and the real tree is linted so the
+// suite fails the moment a violation (or a stale suppression) lands in src/.
 //
-// R1–R5 and R8 are per-file (LintSource); R6/R7/R9 need the whole-repo
-// semantic model, so their fixtures are multi-unit repos fed through
-// LintRepoUnits. The positive shapes reproduce the bug classes this repo
-// has actually shipped: the PR 6 double-vote guard (R6), crash–restart
-// amnesia (R7), and the PR 2 RetryBroadcast stale-attempt storm (R8).
+// R1–R5 and R8 are per-file (LintSource); R6/R9 need the whole-repo semantic
+// model, so their fixtures are multi-unit repos fed through LintRepoUnits.
+// The positive shapes reproduce bug classes this repo has actually shipped:
+// a signed vote sent before its WAL barrier (R6) and a retry that
+// reschedules itself with a stale attempt count (R8).
 #include "src/lint/lint.h"
 
 #include <algorithm>
@@ -701,278 +701,6 @@ void Node::OnTimeout(uint64_t view) {
   EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 1);
   EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend, /*include_suppressed=*/false), 0);
   EXPECT_EQ(s.unsuppressed(), 0);
-}
-
-// --------------------------------------------------------- R7 recover-parity
-
-TEST(RecoverParityRule, CrossFileOpDriftFires) {
-  // Crash–restart amnesia: Persist writes view + digest, Recover reads only
-  // the view — the digest silently never comes back after a restart.
-  Summary s = LintRepoUnits(
-      {{"src/hotstuff/persist.cpp", R"(
-void Node::PersistVote() {
-  Writer w;
-  w.PutU8('W');
-  w.PutU64(last_voted_view_);
-  w.PutRaw(last_voted_digest_);
-  store_->Put(VoteKey(), w.Take());
-  store_->Sync();
-}
-)"},
-       {"src/hotstuff/recover.cpp", R"(
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'W': {
-      last_voted_view_ = r.GetU64();
-      break;
-    }
-  }
-}
-)"}},
-      nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRecoverParity);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->path.find("recover.cpp"), std::string::npos);
-}
-
-TEST(RecoverParityRule, PersistedTagWithNoRecoverArmFires) {
-  Summary s = LintRepoUnits({{"src/narwhal/persist.cpp", R"(
-void Node::PersistHeader(const Header& h) {
-  Writer w;
-  w.PutU8('H');
-  w.PutU64(h.round);
-  store_->Put(HeaderKey(h), w.Take());
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRecoverParity);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->path.find("persist.cpp"), std::string::npos);
-}
-
-TEST(RecoverParityRule, FieldKindDriftFires) {
-  Summary s = LintRepoUnits({{"src/tusk/wal.cpp", R"(
-void Node::PersistRound() {
-  Writer w;
-  w.PutU8('R');
-  w.PutU32(round_);
-  store_->Put(RoundKey(), w.Take());
-}
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'R':
-      round_ = r.GetU64();
-      break;
-  }
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
-}
-
-TEST(RecoverParityRule, BorrowedVarViewRecoversAVar) {
-  const char* persist = R"(
-void Node::PersistBlob() {
-  Writer w;
-  w.PutU8('B');
-  w.PutVar(blob_);
-  store_->Put(BlobKey(), w.Take());
-}
-)";
-  Summary ok = LintRepoUnits({{"src/store/wal.cpp", std::string(persist) + R"(
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'B': {
-      std::span<const uint8_t> blob = r.GetVarView();
-      blob_.assign(blob.begin(), blob.end());
-      break;
-    }
-  }
-}
-)"}},
-                             nullptr);
-  EXPECT_EQ(CountRuleIn(ok, kRuleRecoverParity), 0);
-
-  Summary drift = LintRepoUnits({{"src/store/wal.cpp", std::string(persist) + R"(
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'B': {
-      std::string_view blob = r.GetStringView();
-      blob_.assign(blob.begin(), blob.end());
-      break;
-    }
-  }
-}
-)"}},
-                                nullptr);
-  EXPECT_EQ(CountRuleIn(drift, kRuleRecoverParity), 1);
-}
-
-TEST(RecoverParityRule, DeadRecoverArmFires) {
-  Summary s = LintRepoUnits({{"src/tusk/wal.cpp", R"(
-void Node::PersistRound() {
-  Writer w;
-  w.PutU8('R');
-  w.PutU64(round_);
-  store_->Put(RoundKey(), w.Take());
-}
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'R':
-      round_ = r.GetU64();
-      break;
-    case 'Z':
-      legacy_ = r.GetU64();
-      break;
-  }
-}
-)"}},
-                            nullptr);
-  // 'R' matches; 'Z' recovers a record nothing ever persists.
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
-}
-
-TEST(RecoverParityRule, MatchingPairIsSilent) {
-  Summary s = LintRepoUnits(
-      {{"src/hotstuff/persist.cpp", R"(
-void Node::PersistVote() {
-  Writer w;
-  w.PutU8('W');
-  w.PutU64(last_voted_view_);
-  w.PutRaw(last_voted_digest_);
-  store_->Put(VoteKey(), w.Take());
-  store_->Sync();
-}
-)"},
-       {"src/hotstuff/recover.cpp", R"(
-void Node::Recover(const Bytes& value) {
-  Reader r(value.data() + 1, value.size() - 1);
-  switch (value[0]) {
-    case 'W': {
-      last_voted_view_ = r.GetU64();
-      last_voted_digest_ = r.GetArray<32>();
-      break;
-    }
-  }
-}
-)"}},
-      nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 0);
-}
-
-TEST(RecoverParityRule, GuardFormRecoverMatches) {
-  Summary s = LintRepoUnits({{"src/narwhal/wal.cpp", R"(
-void Node::PersistBatch(const Batch& b) {
-  Writer w;
-  w.PutU8('B');
-  w.PutU64(b.seq);
-  store_->Put(BatchKey(b), w.Take());
-}
-void Node::Recover(const Bytes& value) {
-  if (value.empty()) {
-    return;
-  }
-  if (value[0] == 'B') {
-    Reader r(value.data() + 1, value.size() - 1);
-    seq_ = r.GetU64();
-  }
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 0);
-}
-
-// The primary's header record: batch refs through a sub-codec, then a
-// counted list of parent digests, then the author signature. Loops add no
-// ops of their own, so the flat op sequence is what must line up.
-constexpr const char* kDigestListPersist = R"(
-void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
-  Writer w;
-  w.PutU8('H');
-  w.PutU32(header.author);
-  w.PutU64(header.round);
-  w.PutU32(static_cast<uint32_t>(header.batches.size()));
-  for (const BatchRef& ref : header.batches) {
-    ref.Encode(w);
-  }
-  w.PutU32(static_cast<uint32_t>(header.parents.size()));
-  for (const Certificate& parent : header.parents) {
-    w.PutRaw(parent.header_digest);
-  }
-  w.PutRaw(header.author_sig);
-  store_->Put(HeaderKey(digest), w.Take());
-}
-)";
-
-TEST(RecoverParityRule, DigestListRecordIsSilent) {
-  Summary s = LintRepoUnits({{"src/narwhal/persist.cpp", kDigestListPersist},
-                             {"src/narwhal/recover.cpp", R"(
-void Primary::Recover() {
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'H': {
-        HeaderRec h;
-        h.header.author = r.GetU32();
-        h.header.round = r.GetU64();
-        uint32_t n_batches = r.GetU32();
-        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-          h.header.batches.push_back(BatchRef::Decode(r));
-        }
-        uint32_t n_parents = r.GetU32();
-        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-          h.parents.push_back(r.GetArray<32>());
-        }
-        h.header.author_sig = r.GetArray<64>();
-        break;
-      }
-    }
-  });
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 0);
-}
-
-TEST(RecoverParityRule, DigestListRecordMissingSignatureReadFires) {
-  // The arm stops after the parent digests: the author signature persisted
-  // last never comes back, so a recovered header fails verification.
-  Summary s = LintRepoUnits({{"src/narwhal/persist.cpp", kDigestListPersist},
-                             {"src/narwhal/recover.cpp", R"(
-void Primary::Recover() {
-  store_->ForEach([&](const Digest&, const Bytes& value) {
-    Reader r(value.data() + 1, value.size() - 1);
-    switch (value[0]) {
-      case 'H': {
-        HeaderRec h;
-        h.header.author = r.GetU32();
-        h.header.round = r.GetU64();
-        uint32_t n_batches = r.GetU32();
-        for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-          h.header.batches.push_back(BatchRef::Decode(r));
-        }
-        uint32_t n_parents = r.GetU32();
-        for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-          h.parents.push_back(r.GetArray<32>());
-        }
-        break;
-      }
-    }
-  });
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRecoverParity), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRecoverParity);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->path.find("recover.cpp"), std::string::npos);
 }
 
 // -------------------------------------------------------- R8 deferred-capture

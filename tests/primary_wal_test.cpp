@@ -130,14 +130,9 @@ TEST(PrimaryWalTest, HeaderWithAMissingParentRecordIsResyncedFromPeers) {
     }
     Store* store = cluster.primary_store(kVictim);
     std::optional<Digest> key;
-    store->ForEach([&](const Digest& k, const Bytes& value) {
-      if (value.empty() || value[0] != 'C') {
-        return;
-      }
-      Reader r(value.data() + 1, value.size() - 1);
-      std::optional<Certificate> cert = Certificate::Decode(r);
-      if (cert.has_value() && cert->header_digest == erased_parent) {
-        key = k;
+    ForEachRecord<CertRecord>(*store, [&](const CertRecord& rec) {
+      if (rec.cert.header_digest == erased_parent) {
+        key = rec.Key();
       }
     });
     erased = key.has_value() && store->Erase(*key);
@@ -189,50 +184,36 @@ TEST(PrimaryWalTest, HeaderWithAMissingParentRecordIsResyncedFromPeers) {
   EXPECT_GT(commits_after_restart, 0u) << "the restarted validator did not commit";
 }
 
-// Walks validator `v`'s primary store: every 'H' record parses as the
-// digest-list format, stays within its O(n) byte budget, and holds none of
-// the vote signatures found in the store's 'C' records.
+// Walks validator `v`'s primary store: every 'H' record decodes as a
+// HeaderRecord, stays within its O(n) byte budget, and holds none of the vote
+// signatures found in the store's 'C' records.
 void ExpectLinearHeaderRecords(Cluster& cluster, ValidatorId v) {
   const uint32_t n = cluster.committee().size();
   std::set<Signature> vote_sigs;
   std::vector<Bytes> header_records;
   cluster.primary_store(v)->ForEach([&](const Digest&, const Bytes& value) {
-    if (value.empty()) {
-      return;
-    }
-    if (value[0] == 'H') {
+    if (!value.empty() && value[0] == HeaderRecord::kTag) {
       header_records.push_back(value);
-    } else if (value[0] == 'C') {
-      Reader r(value.data() + 1, value.size() - 1);
-      std::optional<Certificate> cert = Certificate::Decode(r);
-      ASSERT_TRUE(cert.has_value());
-      for (const auto& [voter, sig] : cert->votes) {
-        vote_sigs.insert(sig);
-      }
+    }
+  });
+  ForEachRecord<CertRecord>(*cluster.primary_store(v), [&](const CertRecord& rec) {
+    for (const auto& [voter, sig] : rec.cert.votes) {
+      vote_sigs.insert(sig);
     }
   });
   ASSERT_GT(header_records.size(), static_cast<size_t>(n));
   ASSERT_FALSE(vote_sigs.empty());
 
   for (const Bytes& record : header_records) {
-    Reader r(record.data() + 1, record.size() - 1);
-    r.GetU32();  // author
-    Round round = static_cast<Round>(r.GetU64());
-    uint32_t batches = r.GetU32();
-    for (uint32_t i = 0; i < batches && r.ok(); ++i) {
-      BatchRef::Decode(r);
-    }
-    uint32_t parents = r.GetU32();
-    for (uint32_t i = 0; i < parents && r.ok(); ++i) {
-      r.GetArray<32>();
-    }
-    r.GetArray<64>();  // author_sig
-    ASSERT_TRUE(r.AtEnd()) << "n=" << n << ": malformed header record";
+    std::optional<HeaderRecord> rec = DecodeRecord<HeaderRecord>(record);
+    ASSERT_TRUE(rec.has_value()) << "n=" << n << ": malformed header record";
+    const Round round = rec->header.round;
+    const size_t parents = rec->parents.size();
     EXPECT_LE(parents, n);
     if (round > 0) {
       EXPECT_GE(parents, cluster.committee().quorum_threshold());
     }
-    EXPECT_LE(record.size(), HeaderRecordBudget(batches, parents))
+    EXPECT_LE(record.size(), HeaderRecordBudget(rec->header.batches.size(), parents))
         << "n=" << n << ": header record of round " << round;
     for (size_t off = 0; off + sizeof(Signature) <= record.size(); ++off) {
       Signature window;

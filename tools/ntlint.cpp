@@ -41,8 +41,6 @@ void PrintRules() {
       "ntlint rules (whole-repo semantic model):\n"
       "  wal-before-send      R6: signed message sent with no Store::Sync() earlier on the\n"
       "                       path (checked through two levels of call inlining)\n"
-      "  recover-parity       R7: WAL-record Persist field ops drift from the Recover arm,\n"
-      "                       or a record tag has no Recover arm at all\n"
       "  registry-exhaustive  R9: MessageTypeId without codec/handler/fuzz-corpus legs\n"
       "\n"
       "suppress with:  // ntlint:allow(<rule>[,<rule>]): <reason>\n"
