@@ -96,6 +96,58 @@ TEST(LoadGeneratorTest, ResubmitsWithFailoverPastCrashedValidator) {
   EXPECT_GT(cluster.metrics().latency_seconds().Mean(), 4.0);
 }
 
+// One tracked transaction, submitted on the first tick (t = 10 ms) to a
+// validator crashed from t=0, with failover off: it can never commit.
+LoadGenerator::Options LoneSampleOptions(uint32_t max_resubmits) {
+  LoadGenerator::Options options;
+  options.rate_tps = 100;  // One transaction per tick...
+  options.sample_rate = 1000000;  // ...and only the first one is tracked.
+  options.stop_at = Seconds(5);
+  options.resubmit_timeout = Seconds(1);
+  options.failover = false;
+  options.max_resubmits = max_resubmits;
+  return options;
+}
+
+TEST(LoadGeneratorTest, AbandonsOnTheTickAfterTheLastResubmit) {
+  Cluster cluster(TuskConfig(10));
+  cluster.CrashValidator(1, 0);
+  LoadGenerator client(&cluster, /*validator=*/1, 0, LoneSampleOptions(2));
+  client.Start();
+  cluster.Start();
+  // Re-submitted at 1.01 s and 2.01 s, then given up on at the next tick.
+  cluster.scheduler().RunUntil(Millis(1010) - 1);
+  EXPECT_EQ(client.resubmitted_txs(), 0u);
+  cluster.scheduler().RunUntil(Millis(1010));
+  EXPECT_EQ(client.resubmitted_txs(), 1u);
+  cluster.scheduler().RunUntil(Millis(2020) - 1);
+  EXPECT_EQ(client.resubmitted_txs(), 2u);
+  EXPECT_EQ(client.abandoned_txs(), 0u);
+  cluster.scheduler().RunUntil(Millis(2020));
+  EXPECT_EQ(client.abandoned_txs(), 1u);
+  EXPECT_EQ(cluster.metrics().abandoned_txs(), 1u);
+  cluster.scheduler().RunUntil(Seconds(10));
+  EXPECT_EQ(client.resubmitted_txs(), 2u);
+  EXPECT_EQ(client.abandoned_txs(), 1u);
+}
+
+TEST(LoadGeneratorTest, ZeroResubmitsAbandonsOnTheSubmitTick) {
+  Cluster cluster(TuskConfig(11));
+  cluster.CrashValidator(1, 0);
+  LoadGenerator client(&cluster, /*validator=*/1, 0, LoneSampleOptions(0));
+  client.Start();
+  cluster.Start();
+  cluster.scheduler().RunUntil(Millis(10) - 1);
+  EXPECT_EQ(client.submitted_txs(), 0u);
+  cluster.scheduler().RunUntil(Millis(10));
+  EXPECT_EQ(client.submitted_txs(), 1u);
+  EXPECT_EQ(client.abandoned_txs(), 1u);
+  cluster.scheduler().RunUntil(Seconds(10));
+  EXPECT_EQ(client.resubmitted_txs(), 0u);
+  EXPECT_EQ(client.abandoned_txs(), 1u);
+  EXPECT_EQ(cluster.metrics().abandoned_txs(), 1u);
+}
+
 TEST(DedupTest, WorkerDropsDuplicatePayloads) {
   Cluster cluster(TuskConfig(6));
   cluster.Start();

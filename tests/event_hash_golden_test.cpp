@@ -10,17 +10,24 @@
 //     iff the engine itself reorders or renumbers events;
 //   - mid-size full-stack DST schedules — they fail on engine reordering
 //     AND on any protocol-behaviour change, in which case the constants
-//     must be consciously re-pinned in the same PR that changed behaviour.
+//     must be consciously re-pinned in the same PR that changed behaviour;
+//   - client re-submission runs (§8.4) past a crashed entry validator — they
+//     fail if the load generators change which transactions they resubmit
+//     or abandon, when, to whom, or in what order.
 //
 // If this test breaks and you did NOT intend to change event ordering or
 // protocol logic, you introduced nondeterminism or an accidental reorder.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/check/checker.h"
 #include "src/check/schedule.h"
 #include "src/common/rng.h"
+#include "src/runtime/client.h"
+#include "src/runtime/cluster.h"
+#include "src/shard/workload.h"
 #include "src/sim/scheduler.h"
 
 namespace nt {
@@ -164,6 +171,93 @@ TEST(EventHashGolden, NarwhalHsRestartSchedules) {
         << "seed " << g.seed << " hash 0x" << std::hex << result.event_hash;
     EXPECT_EQ(result.events_fired, g.fired) << "seed " << g.seed << " fired " << result.events_fired;
     EXPECT_EQ(result.commits, g.commits) << "seed " << g.seed << " commits " << result.commits;
+  }
+}
+
+struct ClientRun {
+  uint64_t hash = 0;
+  uint64_t fired = 0;
+  uint64_t resubmitted = 0;
+  uint64_t abandoned = 0;
+};
+
+// Tusk n=4 with validator 1 crashed from t=0 and one client per validator:
+// 1000 tx/s each for 10 s, every 5th transaction tracked, a 2 s re-submission
+// timeout with failover and at most 2 re-submissions. Two tracked
+// transactions enter each tick per client, so several fall due on the same
+// tick. Transfer mode submits encoded transfers over 2 execution lanes.
+ClientRun RunClientResubmits(uint64_t seed, bool transfer) {
+  ClusterConfig config;
+  config.system = SystemKind::kTusk;
+  config.num_validators = 4;
+  config.seed = seed;
+  TransferWorkloadConfig workload_config;
+  workload_config.num_shards = 2;
+  TransferWorkload workload(workload_config);
+  if (transfer) {
+    config.exec_lanes = workload_config.num_shards;
+  }
+  Cluster cluster(config);
+  cluster.CrashValidator(1, 0);
+  cluster.metrics().set_observer(0);
+
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  for (ValidatorId v = 0; v < config.num_validators; ++v) {
+    LoadGenerator::Options options;
+    options.rate_tps = 1000;
+    options.sample_rate = 5;
+    options.stop_at = Seconds(10);
+    options.resubmit_timeout = Seconds(2);
+    options.failover = true;
+    options.max_resubmits = 2;
+    options.transfer = transfer ? &workload : nullptr;
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+  }
+  if (transfer) {
+    std::vector<Bytes> mints = workload.InitialMints();
+    Cluster* c = &cluster;
+    cluster.scheduler().ScheduleAt(Millis(1), [c, mints] { c->worker(0, 0)->SubmitBlock(mints); });
+  }
+  cluster.Start();
+  for (auto& client : clients) {
+    client->Start();
+  }
+  cluster.StartExecutorPump(Seconds(15));
+  cluster.scheduler().RunUntil(Seconds(15));
+
+  ClientRun run;
+  run.hash = cluster.scheduler().event_hash();
+  run.fired = cluster.scheduler().events_fired();
+  for (const auto& client : clients) {
+    run.resubmitted += client->resubmitted_txs();
+    run.abandoned += client->abandoned_txs();
+  }
+  EXPECT_EQ(run.abandoned, cluster.metrics().abandoned_txs());
+  return run;
+}
+
+TEST(EventHashGolden, ClientResubmitSchedules) {
+  struct Golden {
+    uint64_t seed;
+    bool transfer;
+    uint64_t hash;
+    uint64_t fired;
+    uint64_t resubmitted;
+    uint64_t abandoned;
+  };
+  // Pinned from the load generator that walked every tracked transaction
+  // on every tick; the due-ordered queue must reproduce them bit-for-bit.
+  const Golden kGolden[] = {
+      {3, false, 0xbdc675f4081b8d53ull, 8010, 7112, 1132},
+      {4, true, 0x09b00a27489d3b21ull, 8046, 7508, 1352},
+  };
+  for (const Golden& g : kGolden) {
+    ClientRun run = RunClientResubmits(g.seed, g.transfer);
+    EXPECT_EQ(run.hash, g.hash) << "seed " << g.seed << " hash 0x" << std::hex << run.hash;
+    EXPECT_EQ(run.fired, g.fired) << "seed " << g.seed << " fired " << run.fired;
+    EXPECT_EQ(run.resubmitted, g.resubmitted)
+        << "seed " << g.seed << " resubmitted " << run.resubmitted;
+    EXPECT_EQ(run.abandoned, g.abandoned) << "seed " << g.seed << " abandoned " << run.abandoned;
   }
 }
 
