@@ -1,5 +1,8 @@
 #include "src/runtime/client.h"
 
+#include <algorithm>
+#include <tuple>
+
 namespace nt {
 
 LoadGenerator::LoadGenerator(Cluster* cluster, ValidatorId validator, WorkerId worker,
@@ -38,7 +41,10 @@ void LoadGenerator::Tick() {
       sample = TxSample{id, now};
       until_sample_ = options_.sample_rate;
       if (options_.resubmit_timeout > 0) {
-        pending_.push_back(PendingTx{id, now, now, 1, validator_, payload});
+        // With max_resubmits = 0 the sample is abandoned by this tick's
+        // CheckResubmits; otherwise it is first looked at after the timeout.
+        TimePoint due = options_.max_resubmits == 0 ? now : now + options_.resubmit_timeout;
+        Enqueue(PendingTx{id, due, now, 1, validator_, payload});
       }
       NT_TRACE(cluster_->tracer(), OnTxSubmit(id, validator_, now));
     }
@@ -56,55 +62,75 @@ void LoadGenerator::Tick() {
   cluster_->scheduler().ScheduleAfter(options_.tick, [this] { Tick(); });
 }
 
+bool LoadGenerator::DueLater(const PendingTx& a, const PendingTx& b) {
+  return std::tie(a.due, a.tx_id) > std::tie(b.due, b.tx_id);
+}
+
+void LoadGenerator::Enqueue(PendingTx tx) {
+  pending_.push_back(std::move(tx));
+  std::push_heap(pending_.begin(), pending_.end(), DueLater);
+}
+
 void LoadGenerator::CheckResubmits(TimePoint now) {
+  // Take the entries due on this tick and act on them in tx id order, the
+  // order they were first submitted in: SubmitTx order decides batch
+  // contents, and batch contents decide the rest of the run.
+  std::vector<PendingTx> due;
+  while (!pending_.empty() && pending_.front().due <= now) {
+    std::pop_heap(pending_.begin(), pending_.end(), DueLater);
+    due.push_back(std::move(pending_.back()));
+    pending_.pop_back();
+  }
+  std::sort(due.begin(), due.end(),
+            [](const PendingTx& a, const PendingTx& b) { return a.tx_id < b.tx_id; });
+
   const Metrics& metrics = cluster_->metrics();
   const uint32_t num_validators = cluster_->config().num_validators;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (metrics.IsSampleCommitted(it->tx_id)) {
-      it = pending_.erase(it);
+  for (PendingTx& tx : due) {
+    if (metrics.IsSampleCommitted(tx.tx_id)) {
       continue;
     }
-    if (it->attempts > options_.max_resubmits) {
+    if (tx.attempts > options_.max_resubmits) {
       // The client gives up on this transaction. It was counted as submitted
       // but will never commit; report it so loss accounting (Fig. 8) sees it
       // instead of it silently vanishing.
       ++abandoned_;
       cluster_->metrics().AddAbandonedTxs(1);
-      NT_TRACE(cluster_->tracer(), OnTxAbandoned(it->tx_id, now));
-      it = pending_.erase(it);
+      NT_TRACE(cluster_->tracer(), OnTxAbandoned(tx.tx_id, now));
       continue;
     }
-    if (now - it->last_attempt >= options_.resubmit_timeout) {
-      if (options_.failover) {
-        // Rotate to the next validator the network still reports alive —
-        // failing over onto a crashed entry point would burn a whole
-        // resubmit_timeout for nothing. If every other validator is down,
-        // stay where we are.
-        ValidatorId next = it->target;
-        for (uint32_t step = 1; step <= num_validators; ++step) {
-          ValidatorId candidate = (it->target + step) % num_validators;
-          if (!cluster_->IsValidatorCrashed(candidate)) {
-            next = candidate;
-            break;
-          }
+    if (options_.failover) {
+      // Rotate to the next validator the network still reports alive —
+      // failing over onto a crashed entry point would burn a whole
+      // resubmit_timeout for nothing. If every other validator is down,
+      // stay where we are.
+      ValidatorId next = tx.target;
+      for (uint32_t step = 1; step <= num_validators; ++step) {
+        ValidatorId candidate = (tx.target + step) % num_validators;
+        if (!cluster_->IsValidatorCrashed(candidate)) {
+          next = candidate;
+          break;
         }
-        it->target = next;
       }
-      // Keep the original submit time: latency is measured from the client's
-      // first attempt, as the paper's clients would experience it.
-      if (options_.transfer != nullptr) {
-        cluster_->SubmitTxPayload(it->target, worker_, it->payload,
-                                  TxSample{it->tx_id, it->submit_time});
-      } else {
-        cluster_->SubmitTx(it->target, worker_, options_.tx_size,
-                           TxSample{it->tx_id, it->submit_time});
-      }
-      it->last_attempt = now;
-      ++it->attempts;
-      ++resubmitted_;
-      NT_TRACE(cluster_->tracer(), OnTxResubmit(it->tx_id, it->target, it->attempts, now));
+      tx.target = next;
     }
-    ++it;
+    // Keep the original submit time: latency is measured from the client's
+    // first attempt, as the paper's clients would experience it.
+    if (options_.transfer != nullptr) {
+      cluster_->SubmitTxPayload(tx.target, worker_, tx.payload,
+                                TxSample{tx.tx_id, tx.submit_time});
+    } else {
+      cluster_->SubmitTx(tx.target, worker_, options_.tx_size,
+                         TxSample{tx.tx_id, tx.submit_time});
+    }
+    ++tx.attempts;
+    ++resubmitted_;
+    NT_TRACE(cluster_->tracer(), OnTxResubmit(tx.tx_id, tx.target, tx.attempts, now));
+    // Out of re-submissions: abandoned on the next tick unless committed by
+    // then.
+    tx.due = now + (tx.attempts > options_.max_resubmits ? options_.tick
+                                                          : options_.resubmit_timeout);
+    Enqueue(std::move(tx));
   }
 }
 

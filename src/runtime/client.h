@@ -6,6 +6,7 @@
 #define SRC_RUNTIME_CLIENT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/runtime/cluster.h"
@@ -52,8 +53,10 @@ class LoadGenerator {
  private:
   struct PendingTx {
     uint64_t tx_id = 0;
-    TimePoint submit_time = 0;    // Original submission (latency anchor).
-    TimePoint last_attempt = 0;
+    // The first tick at or after which CheckResubmits acts on this entry:
+    // resubmits it, abandons it, or drops it once committed.
+    TimePoint due = 0;
+    TimePoint submit_time = 0;  // Original submission (latency anchor).
     uint32_t attempts = 1;
     ValidatorId target = 0;
     // Transfer mode: the exact payload to resubmit (a retry must be the same
@@ -63,6 +66,10 @@ class LoadGenerator {
 
   void Tick();
   void CheckResubmits(TimePoint now);
+  // Heap order of pending_: the entry due first, then the lowest tx id, on
+  // top.
+  static bool DueLater(const PendingTx& a, const PendingTx& b);
+  void Enqueue(PendingTx tx);
 
   Cluster* cluster_;
   ValidatorId validator_;
@@ -74,7 +81,9 @@ class LoadGenerator {
   uint64_t resubmitted_ = 0;
   uint64_t abandoned_ = 0;
   uint64_t until_sample_ = 0;
-  std::vector<PendingTx> pending_;  // Tracked (sampled) not-yet-committed txs.
+  // Tracked (sampled) transactions not yet known to be committed: a min-heap
+  // on (due, tx_id), so a tick touches only the entries due on it.
+  std::vector<PendingTx> pending_;
 };
 
 }  // namespace nt

@@ -6,12 +6,12 @@
 #define SRC_RUNTIME_METRICS_H_
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/common/trace.h"
+#include "src/crypto/digest_table.h"
 #include "src/sim/scheduler.h"
 #include "src/types/cert_cache.h"
 #include "src/types/types.h"
@@ -76,7 +76,7 @@ class Metrics {
   // Commit feedback for clients (paper §8.4: "Narwhal relies on clients to
   // re-submit a transaction if it is not sequenced in time"): true once any
   // validator committed the sampled transaction.
-  bool IsSampleCommitted(uint64_t tx_id) const { return committed_samples_.count(tx_id) != 0; }
+  bool IsSampleCommitted(uint64_t tx_id) const { return committed_samples_.contains(tx_id); }
 
   double ThroughputTps() const {
     double window = ToSeconds(window_end_ - window_start_);
@@ -121,7 +121,11 @@ class Metrics {
   uint64_t exec_rejected_ = 0;
   uint64_t exec_cross_ = 0;
   SampleStats latency_;
-  std::set<uint64_t> committed_samples_;
+  // Tx ids come from a counter; FlatTable's multiplicative mix spreads them.
+  struct TxIdHash {
+    uint64_t operator()(uint64_t tx_id) const { return tx_id; }
+  };
+  FlatTable<uint64_t, Present, TxIdHash> committed_samples_;
   Tracer* tracer_ = nullptr;
 };
 
