@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "src/exec/state_machine.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -33,6 +34,49 @@ struct TypesFixture : ::testing::Test {
     b.samples = {{7, Millis(100)}, {9, Millis(200)}};
     b.txs = {{1, 2, 3}, {4, 5}};
     return b;
+  }
+
+  // The two batches whose bytes and digests are pinned below. The pins check
+  // the canonical encoding, so only these helpers and EncodingHex know how a
+  // batch is built and read.
+  //
+  // An execution batch: two samples, three transactions, the second empty.
+  std::shared_ptr<const Batch> PinnedExecBatch() const {
+    Batch b;
+    b.author = 2;
+    b.worker = 1;
+    b.seq = 7;
+    b.samples = {{41, Millis(1500)}, {42, Millis(1750)}};
+    b.txs = {ExecTx::Mint("alice", 100).Encode(), {},
+             ExecTx::EncodeTransfer("alice", "bob", 30, 9)};
+    b.num_txs = b.txs.size();
+    for (const Bytes& tx : b.txs) {
+      b.payload_bytes += tx.size();
+    }
+    return std::make_shared<const Batch>(std::move(b));
+  }
+
+  // A synthetic batch: counted load and samples, no transaction bytes.
+  std::shared_ptr<const Batch> PinnedSyntheticBatch() const {
+    Batch b;
+    b.author = 3;
+    b.worker = 0;
+    b.seq = 12;
+    b.num_txs = 100;
+    b.payload_bytes = 100 * 512;
+    b.samples = {{1000, Millis(20)}, {1001, Millis(25)}};
+    return std::make_shared<const Batch>(std::move(b));
+  }
+
+  static std::string EncodingHex(const Batch& b) {
+    Writer w;
+    b.Encode(w);
+    return ToHex(w.bytes());
+  }
+
+  static std::string DigestHex(const Batch& b) {
+    const Digest d = b.ComputeDigest();
+    return ToHex(d.data(), d.size());
   }
 
   // Builds a certificate for (digest, round, author) signed by the first
@@ -90,6 +134,39 @@ TEST_F(TypesFixture, BatchEncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->samples.size(), 2u);
   EXPECT_EQ(decoded->samples[1].tx_id, 9u);
   EXPECT_EQ(decoded->txs, b.txs);
+}
+
+// The canonical batch encoding and its digest, byte for byte: header
+// digests, signatures and every golden event hash rest on them.
+TEST_F(TypesFixture, BatchEncodingAndDigestArePinned) {
+  const auto exec = PinnedExecBatch();
+  EXPECT_EQ(EncodingHex(*exec),
+            "0200000001000000070000000000000003000000000000005500000000000000"
+            "02000000290000000000000060e31600000000002a00000000000000f0b31a00"
+            "00000000030000002500000007000000657865632d74780205000000616c6963"
+            "6500000000000000006400000000000000000000003000000007000000657865"
+            "632d74780305000000616c69636503000000626f620800000009000000000000"
+            "001e00000000000000");
+  EXPECT_EQ(DigestHex(*exec),
+            "986a5dc0f78137aedfc76b04e35a99e506e3fcd7f641e60d9105ecfe899704b7");
+
+  const auto synthetic = PinnedSyntheticBatch();
+  EXPECT_EQ(EncodingHex(*synthetic),
+            "03000000000000000c00000000000000640000000000000000c8000000000000"
+            "02000000e803000000000000204e000000000000e903000000000000a8610000"
+            "0000000000000000");
+  EXPECT_EQ(DigestHex(*synthetic),
+            "1cf8af4082ca38a6b374f2ae653b2debeb473fe358c5a719d9b47dc73e622386");
+
+  // The pinned bytes decode back to the same batch.
+  for (const auto& batch : {exec, synthetic}) {
+    const Bytes bytes = *FromHex(EncodingHex(*batch));
+    Reader r(bytes);
+    auto decoded = Batch::Decode(r);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(DigestHex(*decoded), DigestHex(*batch));
+  }
 }
 
 TEST_F(TypesFixture, BatchDigestSensitiveToContent) {
