@@ -59,14 +59,16 @@ Stream BuildStream(const TransferWorkloadConfig& config, uint64_t total_txs) {
   s.total_txs = total_txs;
   Round round = 1;
   auto push_header = [&s, &round](std::vector<Bytes> txs) {
-    auto batch = std::make_shared<Batch>();
-    batch->txs = std::move(txs);
-    batch->num_txs = batch->txs.size();
+    Batch::Builder builder(/*author=*/0, /*worker=*/0);
+    for (const Bytes& tx : txs) {
+      builder.AddTx(tx);
+    }
+    std::shared_ptr<const Batch> batch = builder.Seal(/*seq=*/0);
     Digest d = batch->ComputeDigest();
     s.store[d] = batch;
     BatchRef ref;
     ref.digest = d;
-    ref.num_txs = batch->num_txs;
+    ref.num_txs = batch->num_txs();
     auto header = std::make_shared<BlockHeader>();
     header->round = round++;
     header->batches = {ref};

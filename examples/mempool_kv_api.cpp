@@ -57,7 +57,7 @@ int main() {
     auto batch = cluster.MempoolOf(v).Read(d);
     std::printf("  validator %u: %s (%zu txs)\n", v,
                 batch != nullptr ? "found, digest matches" : "MISSING",
-                batch != nullptr ? batch->txs.size() : 0);
+                batch != nullptr ? batch->txs().size() : 0);
   }
 
   // --- read_causal(d) ---------------------------------------------------------

@@ -247,9 +247,9 @@ ShardReplay ReplayShards(
     // Single-shard fast path in encounter order, cross-shard transfers
     // deferred to the commit boundary — the honest semantics, re-stated
     // independently of ShardedExecutor (and of seeded_bugs).
-    std::vector<std::pair<const Bytes*, ExecTx::View>> cross;
+    std::vector<std::pair<Batch::TxView, ExecTx::View>> cross;
     for (const auto& batch : batches) {
-      for (const Bytes& wire : batch->txs) {
+      for (const Batch::TxView wire : batch->txs()) {
         std::optional<ExecTx::View> tx = ExecTx::Decode(wire);
         if (!tx.has_value()) {
           lanes[0].Apply(wire);
@@ -259,7 +259,7 @@ ShardReplay ReplayShards(
           ShardId src = router.Of(tx->key);
           ShardId dst = router.Of(tx->key2);
           if (src != dst) {
-            cross.emplace_back(&wire, *tx);
+            cross.emplace_back(wire, *tx);
             continue;
           }
           lanes[src].Apply(wire, *tx);
@@ -271,8 +271,8 @@ ShardReplay ReplayShards(
     for (const auto& [wire, tx] : cross) {
       ShardId src = router.Of(tx.key);
       ShardId dst = router.Of(tx.key2);
-      if (lanes[src].LockDebit(*wire, tx) == ExecStatus::kApplied) {
-        lanes[dst].ApplyCredit(*wire, tx);
+      if (lanes[src].LockDebit(wire, tx) == ExecStatus::kApplied) {
+        lanes[dst].ApplyCredit(wire, tx);
       }
     }
     std::vector<Digest> after;

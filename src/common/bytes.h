@@ -5,6 +5,7 @@
 #define SRC_COMMON_BYTES_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,6 +14,10 @@
 namespace nt {
 
 using Bytes = std::vector<uint8_t>;
+
+// An immutable buffer with shared ownership: written once, then read by
+// every holder without a copy.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 // Encodes `data` as lowercase hex.
 std::string ToHex(const uint8_t* data, size_t len);

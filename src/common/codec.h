@@ -91,14 +91,8 @@ class Reader {
     GetRaw(out.data(), N);
     return out;
   }
-  Bytes GetVar() {
-    std::span<const uint8_t> view = GetVarView();
-    return Bytes(view.begin(), view.end());
-  }
-  // As GetVar, but borrows the bytes from the input instead of copying them:
-  // the view is valid as long as the input is.
-  std::span<const uint8_t> GetVarView() {
-    uint32_t n = GetU32();
+  // The next `n` raw bytes, borrowed from the input (empty on underflow).
+  std::span<const uint8_t> GetRawView(size_t n) {
     if (!Ensure(n)) {
       return {};
     }
@@ -106,6 +100,13 @@ class Reader {
     pos_ += n;
     return out;
   }
+  Bytes GetVar() {
+    std::span<const uint8_t> view = GetVarView();
+    return Bytes(view.begin(), view.end());
+  }
+  // As GetVar, but borrows the bytes from the input instead of copying them:
+  // the view is valid as long as the input is.
+  std::span<const uint8_t> GetVarView() { return GetRawView(GetU32()); }
   std::string GetString() { return std::string(GetStringView()); }
   // As GetVarView, as characters.
   std::string_view GetStringView() {

@@ -42,8 +42,8 @@ Bytes ExecTx::EncodeTransfer(std::string_view from, std::string_view to, uint64_
   return w.Take();
 }
 
-std::optional<ExecTx::View> ExecTx::Decode(const Bytes& wire) {
-  Reader r(wire);
+std::optional<ExecTx::View> ExecTx::Decode(std::span<const uint8_t> wire) {
+  Reader r(wire.data(), wire.size());
   if (r.GetStringView() != kExecTxTag) {
     return std::nullopt;
   }
@@ -104,7 +104,7 @@ ExecTx ExecTx::Noop(size_t padding) {
 
 // ------------------------------------------------------------- KvStateMachine
 
-ExecStatus KvStateMachine::Apply(const Bytes& wire_tx) {
+ExecStatus KvStateMachine::Apply(std::span<const uint8_t> wire_tx) {
   std::optional<ExecTx::View> tx = ExecTx::Decode(wire_tx);
   if (!tx.has_value()) {
     Advance(wire_tx, ExecStatus::kRejectedMalformed, ExecPhase::kWhole);
@@ -113,7 +113,7 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx) {
   return Apply(wire_tx, *tx);
 }
 
-ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx::View& tx) {
+ExecStatus KvStateMachine::Apply(std::span<const uint8_t> wire_tx, const ExecTx::View& tx) {
   ExecStatus status = ExecStatus::kApplied;
   switch (tx.op) {
     case ExecTx::Op::kPut:
@@ -143,7 +143,7 @@ ExecStatus KvStateMachine::Apply(const Bytes& wire_tx, const ExecTx::View& tx) {
   return status;
 }
 
-ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx::View& tx) {
+ExecStatus KvStateMachine::LockDebit(std::span<const uint8_t> wire_tx, const ExecTx::View& tx) {
   ExecStatus status = ExecStatus::kApplied;
   uint64_t* from = balances_.find(tx.key);
   if (from == nullptr || *from < tx.amount) {
@@ -155,12 +155,13 @@ ExecStatus KvStateMachine::LockDebit(const Bytes& wire_tx, const ExecTx::View& t
   return status;
 }
 
-void KvStateMachine::ApplyCredit(const Bytes& wire_tx, const ExecTx::View& tx) {
+void KvStateMachine::ApplyCredit(std::span<const uint8_t> wire_tx, const ExecTx::View& tx) {
   balances_[tx.key2] += tx.amount;
   AppendRecord(wire_tx, ExecStatus::kApplied, ExecPhase::kCredit);
 }
 
-void KvStateMachine::Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase phase) {
+void KvStateMachine::Advance(std::span<const uint8_t> wire_tx, ExecStatus status,
+                             ExecPhase phase) {
   if (status == ExecStatus::kApplied) {
     ++applied_;
   } else {
@@ -169,12 +170,13 @@ void KvStateMachine::Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase 
   AppendRecord(wire_tx, status, phase);
 }
 
-void KvStateMachine::AppendRecord(const Bytes& wire_tx, ExecStatus status, ExecPhase phase) {
+void KvStateMachine::AppendRecord(std::span<const uint8_t> wire_tx, ExecStatus status,
+                                  ExecPhase phase) {
   const uint32_t len = static_cast<uint32_t>(wire_tx.size());
   const uint8_t prefix[4] = {static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
                              static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24)};
   records_.Update(prefix, sizeof(prefix));
-  records_.Update(wire_tx);
+  records_.Update(wire_tx.data(), wire_tx.size());
   const uint8_t trailer[2] = {static_cast<uint8_t>(status), static_cast<uint8_t>(phase)};
   records_.Update(trailer, sizeof(trailer));
 }

@@ -50,7 +50,7 @@ struct ExecTx {
   Bytes Encode() const;
   // The one decoder. It copies nothing, so a temporary `wire` would leave the
   // view dangling: that overload is deleted.
-  static std::optional<View> Decode(const Bytes& wire);
+  static std::optional<View> Decode(std::span<const uint8_t> wire);
   static std::optional<View> Decode(Bytes&& wire) = delete;
   // The bytes of Transfer(from, to, amount) with `nonce` as its 8-byte
   // little-endian value, Encode()d: written straight into one exact-size
@@ -88,21 +88,21 @@ enum class ExecPhase : uint8_t {
 // sequences yield identical state digests on every replica.
 class KvStateMachine {
  public:
-  ExecStatus Apply(const Bytes& wire_tx);
+  ExecStatus Apply(std::span<const uint8_t> wire_tx);
   // As Apply(wire_tx) for a caller that has already decoded it: `tx` must be
   // the decoded form of `wire_tx`. The state digest is the same either way.
-  ExecStatus Apply(const Bytes& wire_tx, const ExecTx::View& tx);
+  ExecStatus Apply(std::span<const uint8_t> wire_tx, const ExecTx::View& tx);
 
   // Two-phase cross-shard transfer, driven by the sharded executor with this
   // machine acting as one lane. `tx` must be the decoded form of `wire_tx`.
   //
   // Phase 1 at the source lane: checks funds and debits `tx.key`. Counts the
   // whole transaction (applied or rejected) at this lane.
-  ExecStatus LockDebit(const Bytes& wire_tx, const ExecTx::View& tx);
+  ExecStatus LockDebit(std::span<const uint8_t> wire_tx, const ExecTx::View& tx);
   // Phase 2 at the destination lane: credits `tx.key2`. Only called after a
   // successful lock, so it cannot fail; counts nothing (the source lane
   // already accounted for the transaction).
-  void ApplyCredit(const Bytes& wire_tx, const ExecTx::View& tx);
+  void ApplyCredit(std::span<const uint8_t> wire_tx, const ExecTx::View& tx);
 
   // SHA-256 over the lane's whole record stream: one framed record per
   // transaction, `u32 len || wire || status || phase`. Two replicas agree on
@@ -134,8 +134,8 @@ class KvStateMachine {
 
  private:
   // Counts the outcome, then appends the record.
-  void Advance(const Bytes& wire_tx, ExecStatus status, ExecPhase phase);
-  void AppendRecord(const Bytes& wire_tx, ExecStatus status, ExecPhase phase);
+  void Advance(std::span<const uint8_t> wire_tx, ExecStatus status, ExecPhase phase);
+  void AppendRecord(std::span<const uint8_t> wire_tx, ExecStatus status, ExecPhase phase);
 
   FlatTable<std::string, Bytes, StringHash> kv_;
   FlatTable<std::string, uint64_t, StringHash> balances_;

@@ -89,17 +89,14 @@ BatchedProvider::BatchedProvider(ValidatorId id, const Committee& committee,
       batch_size_bytes_(batch_size_bytes),
       max_batch_delay_(max_batch_delay),
       max_digests_per_block_(max_digests_per_block),
-      directory_(directory) {
-  pending_.author = id_;
-  pending_.worker = 0;
-}
+      directory_(directory),
+      pending_(id, /*worker=*/0) {}
 
 void BatchedProvider::Submit(uint64_t num_txs, uint64_t payload_bytes,
                              std::vector<TxSample> samples) {
-  pending_.num_txs += num_txs;
-  pending_.payload_bytes += payload_bytes;
-  for (TxSample& s : samples) {
-    pending_.samples.push_back(s);
+  pending_.AddLoad(num_txs, payload_bytes);
+  for (const TxSample& s : samples) {
+    pending_.AddSample(s);
   }
   if (batch_timer_ == Scheduler::kInvalidTimer) {
     batch_timer_ =
@@ -112,25 +109,21 @@ void BatchedProvider::MaybeSeal(bool force) {
   if (force) {
     batch_timer_ = Scheduler::kInvalidTimer;
   }
-  if (pending_.num_txs == 0 || (!force && pending_.payload_bytes < batch_size_bytes_)) {
+  if (pending_.num_txs() == 0 || (!force && pending_.payload_bytes() < batch_size_bytes_)) {
     return;
   }
   if (batch_timer_ != Scheduler::kInvalidTimer) {
     network_->scheduler()->Cancel(batch_timer_);
     batch_timer_ = Scheduler::kInvalidTimer;
   }
-  pending_.seq = next_seq_++;
-  auto batch = std::make_shared<const Batch>(std::move(pending_));
-  pending_ = Batch{};
-  pending_.author = id_;
-
+  std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
   Digest digest = batch->ComputeDigest();
   BatchDirectory::Info info;
   info.author = id_;
-  info.num_txs = batch->num_txs;
-  info.payload_bytes = batch->payload_bytes;
+  info.num_txs = batch->num_txs();
+  info.payload_bytes = batch->payload_bytes();
   info.sealed_at = network_->scheduler()->now();
-  info.samples = batch->samples;
+  info.samples = batch->samples();
   directory_->Register(digest, std::move(info));
 
   stored_[digest] = batch;

@@ -162,7 +162,7 @@ class BatchedProvider : public PayloadProvider {
   uint64_t max_digests_per_block_;
   BatchDirectory* directory_;
 
-  Batch pending_;
+  Batch::Builder pending_;
   uint64_t next_seq_ = 0;
   Scheduler::TimerId batch_timer_ = Scheduler::kInvalidTimer;
 

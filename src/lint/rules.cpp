@@ -476,7 +476,8 @@ const std::map<std::string, std::string>& GetKinds() {
   static const std::map<std::string, std::string> m = {
       {"GetU8", "u8"},   {"GetU16", "u16"},   {"GetU32", "u32"}, {"GetU64", "u64"},
       {"GetI64", "i64"}, {"GetBool", "bool"}, {"GetVar", "var"}, {"GetString", "str"},
-      {"GetVarView", "var"}, {"GetStringView", "str"}, {"GetRaw", "raw"}, {"GetArray", "raw"}};
+      {"GetVarView", "var"}, {"GetStringView", "str"}, {"GetRaw", "raw"}, {"GetRawView", "raw"},
+      {"GetArray", "raw"}};
   return m;
 }
 

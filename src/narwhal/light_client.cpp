@@ -1,5 +1,7 @@
 #include "src/narwhal/light_client.h"
 
+#include <algorithm>
+
 namespace nt {
 
 void InclusionProof::Encode(Writer& w) const {
@@ -80,11 +82,12 @@ std::optional<Bytes> LightClient::VerifyInclusion(const InclusionProof& proof) c
     return reject();
   }
   // 4. The transaction is inside the batch.
-  if (proof.tx_index >= proof.batch->txs.size()) {
+  if (proof.tx_index >= proof.batch->txs().size()) {
     return reject();
   }
   ++verified_;
-  return proof.batch->txs[proof.tx_index];
+  const Batch::TxView tx = proof.batch->txs()[proof.tx_index];
+  return Bytes(tx.begin(), tx.end());
 }
 
 std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const Worker& worker,
@@ -101,8 +104,8 @@ std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const 
         if (batch == nullptr) {
           continue;  // Data lives on another worker (§8.4).
         }
-        for (size_t i = 0; i < batch->txs.size(); ++i) {
-          if (batch->txs[i] == tx) {
+        for (size_t i = 0; i < batch->txs().size(); ++i) {
+          if (std::ranges::equal(batch->txs()[i], tx)) {
             InclusionProof proof;
             proof.certificate = cert;
             proof.header = header;

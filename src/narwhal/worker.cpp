@@ -16,36 +16,37 @@ Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& commi
       network_(network),
       topology_(topology),
       store_(store),
-      directory_(directory) {
-  pending_.author = validator_;
-  pending_.worker = worker_id_;
-}
+      directory_(directory),
+      pending_(validator, worker_id) {}
 
 Worker::~Worker() { *alive_ = false; }
 
 void Worker::OnStart() {}
 
 void Worker::Recover() {
-  store_->ForEach([this](const Digest& digest, const Bytes& value) {
-    Reader r(value);
-    std::optional<Batch> batch = Batch::Decode(r);
+  // The stored buffers are adopted as they are: recovery copies no bytes.
+  store_->ForEach([this](const Digest& digest, const SharedBytes& value) {
+    std::optional<Batch> batch = Batch::Decode(value);
     if (!batch.has_value()) {
       return;
     }
-    if (batch->author == validator_ && batch->worker == worker_id_) {
+    if (batch->author() == validator_ && batch->worker() == worker_id_) {
       // Never reuse a pre-crash sequence number: a fresh batch with a
       // recycled seq could collide digests with a batch peers already hold.
-      next_seq_ = std::max(next_seq_, batch->seq + 1);
+      next_seq_ = std::max(next_seq_, batch->seq() + 1);
     }
     batches_[digest] = std::make_shared<const Batch>(std::move(*batch));
   });
 }
 
 void Worker::SubmitTransaction(uint64_t size_bytes, std::optional<TxSample> sample) {
-  pending_.num_txs += 1;
-  pending_.payload_bytes += size_bytes;
+  pending_.AddLoad(1, size_bytes);
+  Admit(sample);
+}
+
+void Worker::Admit(const std::optional<TxSample>& sample) {
   if (sample.has_value()) {
-    pending_.samples.push_back(*sample);
+    pending_.AddSample(*sample);
   }
   if (batch_timer_ == Scheduler::kInvalidTimer) {
     batch_timer_ = network_->scheduler()->ScheduleAfter(
@@ -73,78 +74,67 @@ void Worker::SubmitTransaction(Bytes payload, std::optional<TxSample> sample) {
       seen_order_.pop_front();
     }
   }
-  uint64_t size = payload.size();
-  pending_.txs.push_back(std::move(payload));
-  SubmitTransaction(size, sample);
+  pending_.AddTx(payload);
+  Admit(sample);
 }
 
 Digest Worker::SubmitBlock(std::vector<Bytes> txs) {
   // Flush any unrelated pending payload first so the returned digest covers
   // exactly this block.
   MaybeSealBatch(/*force=*/true);
-  for (Bytes& tx : txs) {
-    uint64_t size = tx.size();
-    pending_.txs.push_back(std::move(tx));
-    pending_.num_txs += 1;
-    pending_.payload_bytes += size;
+  for (const Bytes& tx : txs) {
+    pending_.AddTx(tx);
   }
-  Batch preview = pending_;
-  preview.seq = next_seq_;
-  Digest digest = preview.ComputeDigest();
-  SealBatch();
-  return digest;
+  return SealBatch();
 }
 
 void Worker::MaybeSealBatch(bool force) {
   if (force) {
     batch_timer_ = Scheduler::kInvalidTimer;
   }
-  if (pending_.num_txs == 0) {
+  if (pending_.num_txs() == 0) {
     return;
   }
-  if (!force && pending_.payload_bytes < config_.batch_size_bytes) {
+  if (!force && pending_.payload_bytes() < config_.batch_size_bytes) {
     return;
   }
   SealBatch();
 }
 
-void Worker::SealBatch() {
+Digest Worker::SealBatch() {
   if (batch_timer_ != Scheduler::kInvalidTimer) {
     network_->scheduler()->Cancel(batch_timer_);
     batch_timer_ = Scheduler::kInvalidTimer;
   }
-  pending_.seq = next_seq_++;
-  auto batch = std::make_shared<const Batch>(std::move(pending_));
-  pending_ = Batch{};
-  pending_.author = validator_;
-  pending_.worker = worker_id_;
-
+  std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
   Digest digest = batch->ComputeDigest();
   ++batches_sealed_;
 
   BatchDirectory::Info info;
   info.author = validator_;
   info.worker = worker_id_;
-  info.num_txs = batch->num_txs;
-  info.payload_bytes = batch->payload_bytes;
+  info.num_txs = batch->num_txs();
+  info.payload_bytes = batch->payload_bytes();
   info.sealed_at = network_->scheduler()->now();
-  info.samples = batch->samples;
+  info.samples = batch->samples();
   directory_->Register(digest, std::move(info));
 
-  NT_TRACE(tracer_, OnBatchSealed(validator_, worker_id_, digest, batch->samples,
+  NT_TRACE(tracer_, OnBatchSealed(validator_, worker_id_, digest, batch->samples(),
                                   network_->scheduler()->now()));
 
   StoreBatch(batch, digest);
   DisseminateBatch(batch, digest);
+  return digest;
 }
 
 void Worker::StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest) {
   if (store_->Contains(digest)) {
     return;
   }
-  Writer w;
-  batch->Encode(w);
-  store_->Put(digest, w.Take());
+  // Every validator's store holds the sealing worker's buffer itself: the
+  // simulated disks share one copy of the batch, as the simulated network
+  // shares one Batch.
+  store_->Put(digest, batch->bytes());
   // Sync-on-seal: every storage ack derived from this batch (and the
   // availability certificate built from 2f+1 such acks) must mean "on disk",
   // not just in the page cache, or a crash-recovery could lose a batch the
@@ -243,8 +233,8 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
       BatchRef ref;
       ref.digest = ack->digest;
       ref.worker = worker_id_;
-      ref.num_txs = flight.batch->num_txs;
-      ref.payload_bytes = flight.batch->payload_bytes;
+      ref.num_txs = flight.batch->num_txs();
+      ref.payload_bytes = flight.batch->payload_bytes();
       in_flight_.erase(it);
       ++batches_acked_;
       NT_TRACE(tracer_, OnBatchQuorum(validator_, ack->digest, network_->scheduler()->now()));

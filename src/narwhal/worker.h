@@ -116,8 +116,12 @@ class Worker : public NetNode {
   std::shared_ptr<const Batch> GetBatch(const Digest& digest) const;
 
  private:
+  // Records `sample`, arms the batch timer and seals if the batch is full:
+  // the steps every submitted transaction shares.
+  void Admit(const std::optional<TxSample>& sample);
   void MaybeSealBatch(bool force);
-  void SealBatch();
+  // Seals the pending batch, stores and disseminates it; returns its digest.
+  Digest SealBatch();
   void DisseminateBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest);
   void RetryBatch(const Digest& digest);
   void StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest);
@@ -138,7 +142,7 @@ class Worker : public NetNode {
   Tracer* tracer_ = nullptr;
 
   // Pending (unsealed) payload.
-  Batch pending_;
+  Batch::Builder pending_;
   uint64_t next_seq_ = 0;
   Scheduler::TimerId batch_timer_ = Scheduler::kInvalidTimer;
 

@@ -74,11 +74,15 @@ void ShardedExecutor::Drain() {
     }
     ExecuteHeader(batches);
     ++executed_headers_;
-    if (tracer_ != nullptr && scheduler_ != nullptr) {
-      tracer_->OnExecuted(validator_, header->ComputeDigest(), scheduler_->now());
-    }
-    if (on_executed_) {
-      on_executed_(header->ComputeDigest(), LaneDigests());
+    const bool traced = tracer_ != nullptr && scheduler_ != nullptr;
+    if (traced || on_executed_) {
+      const Digest digest = header->ComputeDigest();
+      if (traced) {
+        tracer_->OnExecuted(validator_, digest, scheduler_->now());
+      }
+      if (on_executed_) {
+        on_executed_(digest, LaneDigests());
+      }
     }
     queue_.pop_front();
   }
@@ -88,14 +92,14 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
   // Pass 1 — lane-local fast path, in encounter order. Cross-shard transfers
   // are deferred (still in encounter order) to the commit boundary below.
   struct CrossTransfer {
-    const Bytes* wire;
-    ExecTx::View tx;  // Borrows *wire, which `batches` keeps alive.
+    Batch::TxView wire;  // Into a batch buffer, which `batches` keeps alive.
+    ExecTx::View tx;     // Borrows `wire`.
     ShardId src;
     ShardId dst;
   };
   std::vector<CrossTransfer> cross;
   for (const auto& batch : batches) {
-    for (const Bytes& wire : batch->txs) {
+    for (const Batch::TxView wire : batch->txs()) {
       std::optional<ExecTx::View> tx = ExecTx::Decode(wire);
       if (!tx.has_value()) {
         // Malformed bytes have no key to route by; lane 0 records the reject
@@ -107,7 +111,7 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
         ShardId src = router_.Of(tx->key);
         ShardId dst = router_.Of(tx->key2);
         if (src != dst) {
-          cross.push_back({&wire, *tx, src, dst});
+          cross.push_back({wire, *tx, src, dst});
           continue;
         }
         lanes_[src].Apply(wire, *tx);
@@ -132,10 +136,10 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
       // outright and the credit applies unconditionally — supply inflates.
       locked = true;
     } else {
-      locked = lanes_[src].LockDebit(*wire, tx) == ExecStatus::kApplied;
+      locked = lanes_[src].LockDebit(wire, tx) == ExecStatus::kApplied;
     }
     if (locked) {
-      lanes_[dst].ApplyCredit(*wire, tx);
+      lanes_[dst].ApplyCredit(wire, tx);
     }
   }
 }

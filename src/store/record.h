@@ -84,7 +84,8 @@ size_t ForEachRecord(const Store& store, Visitor&& visit) {
   static_assert((std::is_invocable_v<Visitor&, R&&> && ...),
                 "ForEachRecord: a listed record type has no handler");
   size_t seen = 0;
-  store.ForEach([&](const Digest&, const Bytes& value) {
+  store.ForEach([&](const Digest&, const SharedBytes& stored) {
+    const Bytes& value = *stored;
     auto try_one = [&]<typename One>() {
       if (value.empty() || value[0] != One::kTag) {
         return false;

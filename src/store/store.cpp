@@ -46,21 +46,21 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 
 // ------------------------------------------------------------------ MemStore
 
-void MemStore::Put(const Digest& key, Bytes value) { map_[key] = std::move(value); }
+void MemStore::Put(const Digest& key, SharedBytes value) { map_[key] = std::move(value); }
 
 std::optional<Bytes> MemStore::Get(const Digest& key) const {
-  const Bytes* value = map_.find(key);
+  const SharedBytes* value = map_.find(key);
   if (value == nullptr) {
     return std::nullopt;
   }
-  return *value;
+  return **value;
 }
 
 bool MemStore::Contains(const Digest& key) const { return map_.contains(key); }
 
 bool MemStore::Erase(const Digest& key) { return map_.erase(key); }
 
-void MemStore::ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const {
+void MemStore::ForEach(const std::function<void(const Digest&, const SharedBytes&)>& fn) const {
   map_.ForEachSorted(DigestLess{}, fn);
 }
 
@@ -178,8 +178,8 @@ void WalStore::AppendRecord(uint8_t op, const Digest& key, const Bytes& value) {
   std::fwrite(w.bytes().data(), 1, w.size(), file_);
 }
 
-void WalStore::Put(const Digest& key, Bytes value) {
-  AppendRecord(kOpPut, key, value);
+void WalStore::Put(const Digest& key, SharedBytes value) {
+  AppendRecord(kOpPut, key, *value);
   mem_.Put(key, std::move(value));
 }
 
@@ -195,7 +195,7 @@ bool WalStore::Erase(const Digest& key) {
   return mem_.Erase(key);
 }
 
-void WalStore::ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const {
+void WalStore::ForEach(const std::function<void(const Digest&, const SharedBytes&)>& fn) const {
   mem_.ForEach(fn);
 }
 

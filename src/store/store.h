@@ -28,13 +28,18 @@
 
 namespace nt {
 
-// Digest-keyed blob store.
+// Digest-keyed blob store. Values are immutable shared buffers: a store
+// keeps the pointer it is given, so a value written by one owner (a sealed
+// batch) costs no copy however many stores hold it.
 class Store {
  public:
   virtual ~Store() = default;
 
-  // Inserts or overwrites.
-  virtual void Put(const Digest& key, Bytes value) = 0;
+  // Inserts or overwrites. `value` must not be null.
+  virtual void Put(const Digest& key, SharedBytes value) = 0;
+  void Put(const Digest& key, Bytes value) {
+    Put(key, std::make_shared<const Bytes>(std::move(value)));
+  }
 
   // Returns the stored value, or nullopt.
   virtual std::optional<Bytes> Get(const Digest& key) const = 0;
@@ -49,7 +54,8 @@ class Store {
   // Visits every live record in DigestLess key order, whatever the order of
   // puts and erases (deterministic: both stores sort a snapshot of their
   // hashed index). Recovery scans are built on this.
-  virtual void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const = 0;
+  virtual void ForEach(
+      const std::function<void(const Digest&, const SharedBytes&)>& fn) const = 0;
 
   // Durability barrier: after Sync() returns, every preceding Put/Erase
   // survives a process crash. MemStore only counts the call (simulated disk
@@ -64,16 +70,17 @@ class Store {
 
 class MemStore : public Store {
  public:
-  void Put(const Digest& key, Bytes value) override;
+  using Store::Put;
+  void Put(const Digest& key, SharedBytes value) override;
   std::optional<Bytes> Get(const Digest& key) const override;
   bool Contains(const Digest& key) const override;
   bool Erase(const Digest& key) override;
   size_t size() const override { return map_.size(); }
-  void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const override;
+  void ForEach(const std::function<void(const Digest&, const SharedBytes&)>& fn) const override;
 
  private:
   // Hashed for one-probe lookups; ForEach restores key order.
-  DigestMap<Bytes> map_;
+  DigestMap<SharedBytes> map_;
 };
 
 // Append-only WAL-backed store. Every mutation is written as a
@@ -91,12 +98,14 @@ class WalStore : public Store {
 
   ~WalStore() override;
 
-  void Put(const Digest& key, Bytes value) override;
+  using Store::Put;
+  // Appends the bytes to the log; the index keeps the pointer.
+  void Put(const Digest& key, SharedBytes value) override;
   std::optional<Bytes> Get(const Digest& key) const override;
   bool Contains(const Digest& key) const override;
   bool Erase(const Digest& key) override;
   size_t size() const override { return mem_.size(); }
-  void ForEach(const std::function<void(const Digest&, const Bytes&)>& fn) const override;
+  void ForEach(const std::function<void(const Digest&, const SharedBytes&)>& fn) const override;
 
   // Flushes buffered records and fsyncs the file: a real durability
   // barrier, not just a libc-buffer flush.

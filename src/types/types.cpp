@@ -1,6 +1,7 @@
 #include "src/types/types.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <span>
 
 #include "src/common/seeded_bugs.h"
@@ -82,63 +83,122 @@ bool VerifyCertificates(std::span<const Certificate> certs, const Committee& com
 }  // namespace
 
 // -------------------------------------------------------------------- Batch
+//
+// Canonical layout, little-endian:
+//   u32 author | u32 worker | u64 seq | u64 num_txs | u64 payload_bytes
+//   u32 n_samples | n_samples x (u64 tx_id | i64 submit_time)
+//   u32 n_txs     | n_txs x (u32 len | len bytes)
 
-void Batch::Encode(Writer& w) const {
-  w.PutU32(author);
-  w.PutU32(worker);
+namespace {
+
+constexpr size_t kBatchFixedSize = 4 + 4 + 8 + 8 + 8;
+constexpr size_t kSampleSize = 8 + 8;
+
+}  // namespace
+
+bool Batch::Parse(Reader& r, Batch& b) {
+  b.author_ = r.GetU32();
+  b.worker_ = r.GetU32();
+  b.seq_ = r.GetU64();
+  b.num_txs_ = r.GetU64();
+  b.payload_bytes_ = r.GetU64();
+  const uint32_t n_samples = r.GetU32();
+  if (n_samples > r.remaining() / kSampleSize) {
+    return false;
+  }
+  b.samples_.resize(n_samples);
+  for (TxSample& s : b.samples_) {
+    s.tx_id = r.GetU64();
+    s.submit_time = r.GetI64();
+  }
+  const uint32_t n_txs = r.GetU32();
+  if (n_txs > r.remaining() / 4 || n_txs > b.num_txs_) {
+    return false;
+  }
+  b.txs_.resize(n_txs);
+  uint64_t explicit_bytes = 0;
+  for (TxView& tx : b.txs_) {
+    tx = r.GetVarView();
+    explicit_bytes += tx.size();
+  }
+  return r.ok() && explicit_bytes <= b.payload_bytes_;
+}
+
+void Batch::Builder::AddTx(TxView tx) {
+  txs_.PutU32(static_cast<uint32_t>(tx.size()));
+  txs_.PutRaw(tx.data(), tx.size());
+  ++explicit_txs_;
+  AddLoad(1, tx.size());
+}
+
+std::shared_ptr<const Batch> Batch::Builder::Seal(uint64_t seq) {
+  Writer w(kBatchFixedSize + 4 + samples_.size() * kSampleSize + 4 + txs_.size());
+  w.PutU32(author_);
+  w.PutU32(worker_);
   w.PutU64(seq);
-  w.PutU64(num_txs);
-  w.PutU64(payload_bytes);
-  w.PutU32(static_cast<uint32_t>(samples.size()));
-  for (const TxSample& s : samples) {
+  w.PutU64(num_txs_);
+  w.PutU64(payload_bytes_);
+  w.PutU32(static_cast<uint32_t>(samples_.size()));
+  for (const TxSample& s : samples_) {
     w.PutU64(s.tx_id);
     w.PutI64(s.submit_time);
   }
-  w.PutU32(static_cast<uint32_t>(txs.size()));
-  for (const Bytes& tx : txs) {
-    w.PutVar(tx);
+  w.PutU32(explicit_txs_);
+  w.PutRaw(txs_.bytes());
+  *this = Builder(author_, worker_);
+  // A sealed batch is read back exactly as a stored one is, so the two
+  // cannot disagree.
+  std::optional<Batch> batch = Decode(std::make_shared<const Bytes>(w.Take()));
+  if (!batch.has_value()) {
+    std::abort();  // Only a transaction of 4 GiB or more fails to read back.
   }
+  return std::make_shared<const Batch>(std::move(*batch));
 }
 
+void Batch::Encode(Writer& w) const { w.PutRaw(*bytes_); }
+
 std::optional<Batch> Batch::Decode(Reader& r) {
-  Batch b;
-  b.author = r.GetU32();
-  b.worker = r.GetU32();
-  b.seq = r.GetU64();
-  b.num_txs = r.GetU64();
-  b.payload_bytes = r.GetU64();
-  uint32_t n_samples = r.GetU32();
-  for (uint32_t i = 0; i < n_samples && r.ok(); ++i) {
-    TxSample s;
-    s.tx_id = r.GetU64();
-    s.submit_time = r.GetI64();
-    b.samples.push_back(s);
-  }
-  uint32_t n_txs = r.GetU32();
-  for (uint32_t i = 0; i < n_txs && r.ok(); ++i) {
-    b.txs.push_back(r.GetVar());
-  }
-  if (!r.ok()) {
+  // Find the encoding's extent on a copy of the cursor, then adopt a copy of
+  // exactly those bytes.
+  Reader probe = r;
+  Batch scratch;
+  if (!Parse(probe, scratch)) {
     return std::nullopt;
   }
+  const TxView encoding = r.GetRawView(r.remaining() - probe.remaining());
+  return Decode(std::make_shared<const Bytes>(encoding.begin(), encoding.end()));
+}
+
+std::optional<Batch> Batch::Decode(SharedBytes bytes) {
+  if (bytes == nullptr) {
+    return std::nullopt;
+  }
+  Batch b;
+  Reader r(*bytes);
+  if (!Parse(r, b) || !r.AtEnd()) {
+    return std::nullopt;
+  }
+  b.bytes_ = std::move(bytes);
   return b;
 }
 
 Digest Batch::ComputeDigest() const {
-  Writer w;
-  w.PutString("narwhal-batch");
-  Encode(w);
-  return Sha256::Hash(w.bytes());
+  // The prefix is PutString("narwhal-batch"): a u32 length, then the text.
+  static constexpr std::string_view kDomain = "narwhal-batch";
+  const uint8_t domain_len[4] = {static_cast<uint8_t>(kDomain.size()), 0, 0, 0};
+  Sha256 h;
+  h.Update(domain_len, sizeof(domain_len));
+  h.Update(kDomain);
+  h.Update(*bytes_);
+  return h.Finalize();
 }
 
 size_t Batch::WireSize() const {
-  // Aggregate payload bytes already include explicit tx bytes when callers
-  // keep the invariant; avoid double counting by taking the max.
-  size_t explicit_bytes = 0;
-  for (const Bytes& tx : txs) {
-    explicit_bytes += tx.size() + 4;
-  }
-  return 32 + samples.size() * 16 + std::max<size_t>(payload_bytes, explicit_bytes);
+  // Explicit transactions are framed (4 bytes each) in the encoding, and
+  // payload_bytes covers their contents; the larger of the two counts.
+  const size_t explicit_bytes =
+      bytes_->size() - kBatchFixedSize - 4 - samples_.size() * kSampleSize - 4;
+  return 32 + samples_.size() * kSampleSize + std::max<size_t>(payload_bytes_, explicit_bytes);
 }
 
 // ----------------------------------------------------------------- BatchRef

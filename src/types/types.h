@@ -5,7 +5,9 @@
 #define SRC_TYPES_TYPES_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,29 +32,98 @@ struct TxSample {
 
 // A worker batch: the unit of bulk transaction dissemination (paper §4.2).
 //
+// A sealed batch is its canonical encoding: one immutable buffer, written
+// once when the batch is sealed and then shared by everything that needs the
+// batch — its digest, the network message, every validator's simulated disk,
+// recovery and execution. Beside the buffer sit the decoded header fields;
+// each explicit transaction is a view into the buffer. A batch comes from one
+// of two places: a Builder seals it, or Decode adopts stored bytes.
+//
 // Transactions are carried in two forms that may be mixed:
-//  - `txs`: explicit transaction payloads (examples, integration tests);
+//  - explicit transaction payloads (executable workloads, examples, tests);
 //  - `num_txs`/`payload_bytes` aggregates: the benchmark workload counts
 //    transactions without materializing 512 bytes each, exactly like the
 //    paper's load generator accounts for submitted load. `num_txs` and
 //    `payload_bytes` always cover the explicit transactions too.
-struct Batch {
-  ValidatorId author = 0;
-  WorkerId worker = 0;
-  uint64_t seq = 0;  // Per-(author, worker) sequence number.
-  uint64_t num_txs = 0;
-  uint64_t payload_bytes = 0;
-  std::vector<TxSample> samples;
-  std::vector<Bytes> txs;
+class Batch {
+ public:
+  using TxView = std::span<const uint8_t>;
 
-  // Canonical encoding; the digest is SHA-256 over it.
-  void Encode(Writer& w) const;
+  // A batch being filled: what a worker accumulates between seals.
+  class Builder {
+   public:
+    Builder(ValidatorId author, WorkerId worker) : author_(author), worker_(worker) {}
+
+    // An explicit transaction, counted in num_txs and payload_bytes.
+    void AddTx(TxView tx);
+    // Transactions counted without bytes.
+    void AddLoad(uint64_t num_txs, uint64_t payload_bytes) {
+      num_txs_ += num_txs;
+      payload_bytes_ += payload_bytes;
+    }
+    void AddSample(const TxSample& sample) { samples_.push_back(sample); }
+
+    uint64_t num_txs() const { return num_txs_; }
+    uint64_t payload_bytes() const { return payload_bytes_; }
+
+    // Writes the canonical encoding once, as sequence number `seq`, and
+    // empties the builder for the next batch.
+    std::shared_ptr<const Batch> Seal(uint64_t seq);
+
+   private:
+    ValidatorId author_;
+    WorkerId worker_;
+    uint64_t num_txs_ = 0;
+    uint64_t payload_bytes_ = 0;
+    std::vector<TxSample> samples_;
+    uint32_t explicit_txs_ = 0;
+    Writer txs_;  // The explicit transactions, u32-length-prefixed, in order.
+  };
+
+  // Adopts `bytes` as the batch's buffer. Strict: nullopt unless `bytes` is
+  // exactly one well-formed encoding.
+  static std::optional<Batch> Decode(SharedBytes bytes);
+  // Reads one encoding from `r` (which may hold more) into a buffer of its
+  // own: the inverse of Encode, for a batch nested in another message.
   static std::optional<Batch> Decode(Reader& r);
+  // Appends the canonical encoding, as it is.
+  void Encode(Writer& w) const;
+
+  ValidatorId author() const { return author_; }
+  WorkerId worker() const { return worker_; }
+  uint64_t seq() const { return seq_; }  // Per-(author, worker) sequence number.
+  uint64_t num_txs() const { return num_txs_; }
+  uint64_t payload_bytes() const { return payload_bytes_; }
+  const std::vector<TxSample>& samples() const { return samples_; }
+  // The explicit transactions, as views into bytes(): valid while any copy
+  // of this batch (or of the buffer) is alive.
+  const std::vector<TxView>& txs() const { return txs_; }
+  // The canonical encoding.
+  const SharedBytes& bytes() const { return bytes_; }
+
+  // SHA-256 over the "narwhal-batch" prefix and the encoding.
   Digest ComputeDigest() const;
 
   // Bytes on the wire: the payload plus framing; sample metadata rides in
   // the batch (16 bytes each).
   size_t WireSize() const;
+
+ private:
+  Batch() = default;
+
+  // Reads one encoding from `r` into `b`, the transactions as views into the
+  // bytes `r` reads. False on a short read, a count the input cannot hold,
+  // or explicit transactions that num_txs/payload_bytes do not cover.
+  static bool Parse(Reader& r, Batch& b);
+
+  SharedBytes bytes_;
+  ValidatorId author_ = 0;
+  WorkerId worker_ = 0;
+  uint64_t seq_ = 0;
+  uint64_t num_txs_ = 0;
+  uint64_t payload_bytes_ = 0;
+  std::vector<TxSample> samples_;
+  std::vector<TxView> txs_;
 };
 
 // Reference to a batch inside a primary block header.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -162,7 +163,8 @@ TEST(PersistenceClusterTest, WorkerBatchesSurviveOnDisk) {
   auto batch = Batch::Decode(r);
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->ComputeDigest(), batch_digest);
-  EXPECT_EQ(batch->txs[0], (Bytes{0xaa, 0xbb}));
+  ASSERT_EQ(batch->txs().size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(batch->txs()[0], Bytes{0xaa, 0xbb}));
   std::filesystem::remove_all(dir);
 }
 

@@ -14,6 +14,15 @@
 namespace nt {
 namespace {
 
+// A batch of explicit transactions, sealed as a worker seals one.
+std::shared_ptr<const Batch> SealTxs(const std::vector<Bytes>& txs) {
+  Batch::Builder builder(/*author=*/0, /*worker=*/0);
+  for (const Bytes& tx : txs) {
+    builder.AddTx(tx);
+  }
+  return builder.Seal(/*seq=*/0);
+}
+
 constexpr const char* kPinnedSnapshot =
     "160b5973ef0bcea65b8d2a51495ce28510b942af69eb7917567c4569b13cfb18";
 
@@ -212,15 +221,13 @@ TEST(ExecutorTest, ExecutesHeadersInOrder) {
   });
   const KvStateMachine& sm = executor.lane(0);
 
-  auto make_batch = [&store](std::vector<Bytes> txs) {
-    auto batch = std::make_shared<Batch>();
-    batch->txs = std::move(txs);
-    batch->num_txs = batch->txs.size();
+  auto make_batch = [&store](const std::vector<Bytes>& txs) {
+    std::shared_ptr<const Batch> batch = SealTxs(txs);
     Digest d = batch->ComputeDigest();
     store[d] = batch;
     BatchRef ref;
     ref.digest = d;
-    ref.num_txs = batch->num_txs;
+    ref.num_txs = batch->num_txs();
     return ref;
   };
 
@@ -248,11 +255,9 @@ TEST(ExecutorTest, DefersOnMissingBatchThenPreservesOrder) {
 
   // Header 1 references a batch whose content arrives late; header 2's data
   // is ready. Execution must wait and then run 1 before 2.
-  auto batch1 = std::make_shared<Batch>();
-  batch1->txs = {ExecTx::Mint("a", 5).Encode()};
+  auto batch1 = SealTxs({ExecTx::Mint("a", 5).Encode()});
   Digest d1 = batch1->ComputeDigest();
-  auto batch2 = std::make_shared<Batch>();
-  batch2->txs = {ExecTx::Transfer("a", "b", 5).Encode()};
+  auto batch2 = SealTxs({ExecTx::Transfer("a", "b", 5).Encode()});
   Digest d2 = batch2->ComputeDigest();
   store[d2] = batch2;
 
@@ -291,13 +296,11 @@ TEST(ExecutorTest, PendingQueueDrainsInCommitOrderAcrossRetries) {
   // Three headers whose batch data arrives in reverse order. Each
   // RetryPending drains exactly the prefix of the commit order whose data is
   // available — never a later header ahead of an earlier one.
-  std::vector<std::shared_ptr<Batch>> batches;
+  std::vector<std::shared_ptr<const Batch>> batches;
   std::vector<std::shared_ptr<BlockHeader>> headers;
   for (int i = 0; i < 3; ++i) {
-    auto batch = std::make_shared<Batch>();
-    batch->txs = {ExecTx::Mint("acct", 10).Encode()};
-    batch->txs.push_back(ExecTx::Put("k" + std::to_string(i), {uint8_t(i)}).Encode());
-    batch->num_txs = batch->txs.size();
+    auto batch = SealTxs({ExecTx::Mint("acct", 10).Encode(),
+                          ExecTx::Put("k" + std::to_string(i), {uint8_t(i)}).Encode()});
     batches.push_back(batch);
     auto header = std::make_shared<BlockHeader>();
     header->round = static_cast<Round>(i + 1);
@@ -334,12 +337,10 @@ TEST(ExecutorTest, AppliedAndRejectedCountersAreSplit) {
     return it == store.end() ? nullptr : it->second;
   });
 
-  auto batch = std::make_shared<Batch>();
-  batch->txs = {ExecTx::Mint("a", 5).Encode(),           // Applied.
-                ExecTx::Transfer("a", "b", 3).Encode(),  // Applied.
-                ExecTx::Transfer("ghost", "b", 1).Encode(),  // Rejected: unfunded.
-                Bytes{9, 9, 9}};                             // Rejected: malformed.
-  batch->num_txs = batch->txs.size();
+  auto batch = SealTxs({ExecTx::Mint("a", 5).Encode(),               // Applied.
+                        ExecTx::Transfer("a", "b", 3).Encode(),      // Applied.
+                        ExecTx::Transfer("ghost", "b", 1).Encode(),  // Rejected: unfunded.
+                        Bytes{9, 9, 9}});                            // Rejected: malformed.
   store[batch->ComputeDigest()] = batch;
   auto header = std::make_shared<BlockHeader>();
   header->round = 1;

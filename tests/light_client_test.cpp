@@ -91,9 +91,11 @@ TEST_F(LightClientFixture, EveryTamperedLinkRejected) {
   }
   {  // Substituted batch (not referenced by the header).
     InclusionProof bad = *proof;
-    auto batch = std::make_shared<Batch>(*proof->batch);
-    batch->txs[bad.tx_index][0] ^= 1;
-    bad.batch = batch;
+    Bytes bytes = *proof->batch->bytes();
+    bytes[proof->batch->txs()[bad.tx_index].data() - proof->batch->bytes()->data()] ^= 1;
+    auto batch = Batch::Decode(std::make_shared<const Bytes>(std::move(bytes)));
+    ASSERT_TRUE(batch.has_value());
+    bad.batch = std::make_shared<const Batch>(std::move(*batch));
     EXPECT_FALSE(client.VerifyInclusion(bad).has_value());
   }
   {  // Out-of-range transaction index.

@@ -17,6 +17,15 @@ ClusterConfig TuskConfig(uint64_t seed) {
   return config;
 }
 
+// A batch's explicit transactions, copied out of its buffer.
+std::vector<Bytes> TxsOf(const Batch& batch) {
+  std::vector<Bytes> out;
+  for (const Batch::TxView tx : batch.txs()) {
+    out.emplace_back(tx.begin(), tx.end());
+  }
+  return out;
+}
+
 std::vector<Bytes> MakeBlock(int tag, size_t txs = 5) {
   std::vector<Bytes> block;
   for (size_t i = 0; i < txs; ++i) {
@@ -102,14 +111,14 @@ TEST(MempoolTest, ReadReturnsWrittenBlock) {
   // Integrity at the writer...
   auto batch = pool.Read(d);
   ASSERT_NE(batch, nullptr);
-  EXPECT_EQ(batch->txs, block);
+  EXPECT_EQ(TxsOf(*batch), block);
 
   // ...and Block-Availability: every other validator can read it too, and
   // reads agree (the dissemination layer replicated it).
   for (ValidatorId v = 1; v < 4; ++v) {
     auto replica = cluster.MempoolOf(v).Read(d);
     ASSERT_NE(replica, nullptr) << "validator " << v;
-    EXPECT_EQ(replica->txs, block);
+    EXPECT_EQ(TxsOf(*replica), block);
     EXPECT_EQ(replica->ComputeDigest(), d);
   }
 }

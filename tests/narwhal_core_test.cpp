@@ -3,8 +3,11 @@
 // gating on batch availability, re-injection after GC, and scale-out wiring.
 #include <gtest/gtest.h>
 
+#include "src/exec/state_machine.h"
+#include "src/net/latency.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/shard/sharded_executor.h"
 
 namespace nt {
 namespace {
@@ -84,6 +87,116 @@ TEST(NarwhalCoreTest, AllValidatorsStoreDisseminatedBatches) {
   cluster.scheduler().RunUntil(Seconds(2));
   for (ValidatorId v = 0; v < 4; ++v) {
     EXPECT_NE(cluster.worker(v, 0)->GetBatch(d), nullptr) << "validator " << v;
+  }
+}
+
+// The value `store` holds under `key`, as the shared buffer itself.
+SharedBytes StoredBuffer(const Store& store, const Digest& key) {
+  SharedBytes out;
+  store.ForEach([&](const Digest& k, const SharedBytes& value) {
+    if (k == key) {
+      out = value;
+    }
+  });
+  return out;
+}
+
+TEST(NarwhalCoreTest, EveryWorkerStoreSharesTheSealedBuffer) {
+  // The simulated disks share one copy of each batch: every validator's
+  // worker store holds the sealing worker's buffer, not bytes of its own.
+  Cluster cluster(BaseConfig(8));
+  std::vector<Digest> committed;
+  cluster.commit_log(0)->add_on_commit([&](const CommitLog::Committed& c) {
+    for (const BatchRef& ref : c.header->batches) {
+      committed.push_back(ref.digest);
+    }
+  });
+  cluster.Start();
+  for (ValidatorId v = 0; v < 4; ++v) {
+    cluster.worker(v, 0)->SubmitBlock({{static_cast<uint8_t>(v), 1}, {}});
+    for (int i = 0; i < 20; ++i) {
+      cluster.worker(v, 0)->SubmitTransaction(512, std::nullopt);
+    }
+  }
+  cluster.scheduler().RunUntil(Seconds(5));
+
+  ASSERT_GE(committed.size(), 8u);
+  for (const Digest& d : committed) {
+    const BatchDirectory::Info* info = cluster.directory().Find(d);
+    ASSERT_NE(info, nullptr);
+    std::shared_ptr<const Batch> sealed = cluster.worker(info->author, 0)->GetBatch(d);
+    ASSERT_NE(sealed, nullptr);
+    for (ValidatorId v = 0; v < 4; ++v) {
+      EXPECT_EQ(StoredBuffer(*cluster.worker_store(v, 0), d), sealed->bytes())
+          << "validator " << v;
+    }
+  }
+}
+
+// Executes one header per digest, in order, over batches served by `worker`,
+// and returns the lane digests.
+std::vector<Digest> ExecuteFrom(const Worker& worker, const std::vector<Digest>& digests) {
+  ShardedExecutor executor(/*num_lanes=*/2, [&worker](const BatchRef& ref) {
+    return worker.GetBatch(ref.digest);
+  });
+  Round round = 1;
+  for (const Digest& d : digests) {
+    auto header = std::make_shared<BlockHeader>();
+    header->round = round++;
+    BatchRef ref;
+    ref.digest = d;
+    header->batches.push_back(ref);
+    executor.OnCommittedHeader(header);
+  }
+  EXPECT_EQ(executor.executed_headers(), digests.size());
+  EXPECT_GT(executor.applied_txs(), 0u);
+  return executor.LaneDigests();
+}
+
+TEST(NarwhalCoreTest, RecoveredBatchesExecuteLikeTheSealedOnes) {
+  // A stored batch outlives every Batch object: seal and store some blocks,
+  // drop the worker and with it every reference but the store's, then a
+  // fresh worker recovers batches that execute to the same lane digests.
+  Scheduler scheduler;
+  FixedLatencyModel latency(Millis(1));
+  FaultController faults;
+  Network network(&scheduler, &latency, &faults, NetworkConfig{}, /*seed=*/1);
+  const Committee committee(std::vector<ValidatorInfo>(1));
+  Topology topology;
+  topology.primary_of = {0};
+  topology.worker_of = {{1}};
+  MemStore store;
+  BatchDirectory directory;
+  auto make_worker = [&] {
+    return std::make_unique<Worker>(0, 0, committee, NarwhalConfig{}, &network, &topology,
+                                    &store, &directory);
+  };
+
+  const std::vector<std::vector<Bytes>> blocks = {
+      {ExecTx::Mint("a", 100).Encode(), ExecTx::Mint("b", 50).Encode()},
+      {ExecTx::Transfer("a", "b", 30).Encode(), Bytes{}, ExecTx::Put("k", {7}).Encode()},
+      {ExecTx::Transfer("b", "c", 60).Encode(), Bytes{9, 9, 9},
+       ExecTx::Transfer("c", "a", 100).Encode()},
+  };
+  std::vector<Digest> digests;
+  std::vector<Digest> lanes;
+  {
+    std::unique_ptr<Worker> worker = make_worker();
+    for (const std::vector<Bytes>& block : blocks) {
+      digests.push_back(worker->SubmitBlock(block));
+    }
+    lanes = ExecuteFrom(*worker, digests);
+  }
+  ASSERT_EQ(store.size(), blocks.size());
+  store.ForEach([](const Digest&, const SharedBytes& value) {
+    EXPECT_EQ(value.use_count(), 1) << "the store holds the only reference";
+  });
+
+  std::unique_ptr<Worker> recovered = make_worker();
+  recovered->Recover();
+  EXPECT_EQ(ExecuteFrom(*recovered, digests), lanes);
+  for (const Digest& d : digests) {
+    EXPECT_EQ(recovered->GetBatch(d)->bytes(), StoredBuffer(store, d)) << "adopted, not copied";
   }
 }
 

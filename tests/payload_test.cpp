@@ -102,8 +102,9 @@ TEST_F(ProviderFixture, BatchedProviderFetchesMissingBeforeReady) {
   provider.BindNetwork(network.get(), self, {proposer_id});
 
   // A proposal references an unknown digest: not ready, fetch issued.
-  auto batch = std::make_shared<Batch>();
-  batch->num_txs = 3;
+  Batch::Builder builder(/*author=*/0, /*worker=*/0);
+  builder.AddLoad(3, 0);
+  std::shared_ptr<const Batch> batch = builder.Seal(/*seq=*/0);
   Digest missing = batch->ComputeDigest();
   HsPayload payload;
   payload.kind = HsPayload::Kind::kBatchDigests;

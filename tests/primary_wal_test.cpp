@@ -191,9 +191,9 @@ void ExpectLinearHeaderRecords(Cluster& cluster, ValidatorId v) {
   const uint32_t n = cluster.committee().size();
   std::set<Signature> vote_sigs;
   std::vector<Bytes> header_records;
-  cluster.primary_store(v)->ForEach([&](const Digest&, const Bytes& value) {
-    if (!value.empty() && value[0] == HeaderRecord::kTag) {
-      header_records.push_back(value);
+  cluster.primary_store(v)->ForEach([&](const Digest&, const SharedBytes& value) {
+    if (!value->empty() && (*value)[0] == HeaderRecord::kTag) {
+      header_records.push_back(*value);
     }
   });
   ForEachRecord<CertRecord>(*cluster.primary_store(v), [&](const CertRecord& rec) {

@@ -251,9 +251,9 @@ struct TagCounts {
 
 std::map<uint8_t, size_t> CountTags(const Store& store) {
   std::map<uint8_t, size_t> counts;
-  store.ForEach([&counts](const Digest&, const Bytes& value) {
-    ASSERT_FALSE(value.empty());
-    ++counts[value[0]];
+  store.ForEach([&counts](const Digest&, const SharedBytes& value) {
+    ASSERT_FALSE(value->empty());
+    ++counts[(*value)[0]];
   });
   return counts;
 }

@@ -91,18 +91,25 @@ TEST(TwoPhaseApplyTest, PhaseBytesKeepSplitAppliesOffTheWholeTxDigestChain) {
 
 // ------------------------------------------------------- sharded executor
 
+// A batch of explicit transactions, sealed as a worker seals one.
+std::shared_ptr<const Batch> SealTxs(const std::vector<Bytes>& txs) {
+  Batch::Builder builder(/*author=*/0, /*worker=*/0);
+  for (const Bytes& tx : txs) {
+    builder.AddTx(tx);
+  }
+  return builder.Seal(/*seq=*/0);
+}
+
 struct TestNet {
   std::map<Digest, std::shared_ptr<const Batch>> store;
 
-  BatchRef Add(std::vector<Bytes> txs) {
-    auto batch = std::make_shared<Batch>();
-    batch->txs = std::move(txs);
-    batch->num_txs = batch->txs.size();
+  BatchRef Add(const std::vector<Bytes>& txs) {
+    std::shared_ptr<const Batch> batch = SealTxs(txs);
     Digest d = batch->ComputeDigest();
     store[d] = batch;
     BatchRef ref;
     ref.digest = d;
-    ref.num_txs = batch->num_txs;
+    ref.num_txs = batch->num_txs();
     return ref;
   }
 
@@ -202,9 +209,7 @@ TEST(ShardedExecutorTest, DefersOnMissingBatchThenDrainsInCommitOrder) {
   // Header 1's batch is withheld; header 2 (which spends header 1's mint
   // cross-shard) is ready. Nothing may run until the data arrives, then both
   // run in commit order.
-  auto batch1 = std::make_shared<Batch>();
-  batch1->txs = {ExecTx::Mint(a, 7).Encode()};
-  batch1->num_txs = 1;
+  auto batch1 = SealTxs({ExecTx::Mint(a, 7).Encode()});
   BatchRef ref1;
   ref1.digest = batch1->ComputeDigest();
   ref1.num_txs = 1;

@@ -52,9 +52,22 @@ TEST(MemStoreTest, PutGetEraseContains) {
 
 TEST(MemStoreTest, EmptyValueIsStored) {
   MemStore store;
-  store.Put(Key(5), {});
+  store.Put(Key(5), Bytes{});
   EXPECT_TRUE(store.Contains(Key(5)));
   EXPECT_TRUE(store.Get(Key(5))->empty());
+}
+
+// A store keeps the buffer it is given: n stores holding one value share one
+// copy of its bytes.
+TEST(MemStoreTest, KeepsTheSharedBufferItIsGiven) {
+  const SharedBytes value = std::make_shared<const Bytes>(Bytes{4, 5, 6});
+  MemStore a;
+  MemStore b;
+  a.Put(Key(1), value);
+  b.Put(Key(1), value);
+  for (const MemStore* store : {&a, &b}) {
+    store->ForEach([&](const Digest&, const SharedBytes& held) { EXPECT_EQ(held, value); });
+  }
 }
 
 // Applies `ops` random puts and erases over a key space of 300 hashed keys
@@ -80,7 +93,8 @@ void RandomChurn(Store* store, std::map<Digest, Bytes, DigestLess>* reference, u
 void ExpectForEachInKeyOrder(const Store& store,
                              const std::map<Digest, Bytes, DigestLess>& reference) {
   std::vector<std::pair<Digest, Bytes>> visited;
-  store.ForEach([&](const Digest& key, const Bytes& value) { visited.emplace_back(key, value); });
+  store.ForEach(
+      [&](const Digest& key, const SharedBytes& value) { visited.emplace_back(key, *value); });
   std::vector<std::pair<Digest, Bytes>> expected(reference.begin(), reference.end());
   EXPECT_EQ(visited, expected);
   EXPECT_EQ(store.size(), reference.size());
@@ -124,6 +138,22 @@ TEST_F(WalStoreTest, PersistsAcrossReopen) {
   EXPECT_FALSE(reopened->Contains(Key(1)));
   EXPECT_EQ(*reopened->Get(Key(2)), (Bytes{2, 2}));
   EXPECT_EQ(reopened->size(), 1u);
+}
+
+// The WAL writes the bytes of a shared buffer to its log and indexes the
+// buffer itself.
+TEST_F(WalStoreTest, IndexesTheSharedBufferAndLogsItsBytes) {
+  const SharedBytes value = std::make_shared<const Bytes>(Bytes(40, 0x5a));
+  {
+    auto store = WalStore::Open(path_);
+    ASSERT_NE(store, nullptr);
+    store->Put(Key(3), value);
+    store->ForEach([&](const Digest&, const SharedBytes& held) { EXPECT_EQ(held, value); });
+    store->Sync();
+  }
+  auto reopened = WalStore::Open(path_);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(*reopened->Get(Key(3)), *value);
 }
 
 TEST_F(WalStoreTest, OverwriteKeepsLatestValue) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/exec/state_machine.h"
@@ -24,16 +25,15 @@ struct TypesFixture : ::testing::Test {
     committee = Committee(std::move(infos));
   }
 
-  Batch MakeBatch() const {
-    Batch b;
-    b.author = 1;
-    b.worker = 2;
-    b.seq = 3;
-    b.num_txs = 10;
-    b.payload_bytes = 5120;
-    b.samples = {{7, Millis(100)}, {9, Millis(200)}};
-    b.txs = {{1, 2, 3}, {4, 5}};
-    return b;
+  // Ten transactions, two of them explicit, 5120 payload bytes in all.
+  static std::shared_ptr<const Batch> MakeBatch(uint64_t seq = 3, Bytes first_tx = {1, 2, 3}) {
+    Batch::Builder b(/*author=*/1, /*worker=*/2);
+    b.AddLoad(8, 5120 - first_tx.size() - 2);
+    b.AddSample({7, Millis(100)});
+    b.AddSample({9, Millis(200)});
+    b.AddTx(first_tx);
+    b.AddTx(Bytes{4, 5});
+    return b.Seal(seq);
   }
 
   // The two batches whose bytes and digests are pinned below. The pins check
@@ -42,37 +42,25 @@ struct TypesFixture : ::testing::Test {
   //
   // An execution batch: two samples, three transactions, the second empty.
   std::shared_ptr<const Batch> PinnedExecBatch() const {
-    Batch b;
-    b.author = 2;
-    b.worker = 1;
-    b.seq = 7;
-    b.samples = {{41, Millis(1500)}, {42, Millis(1750)}};
-    b.txs = {ExecTx::Mint("alice", 100).Encode(), {},
-             ExecTx::EncodeTransfer("alice", "bob", 30, 9)};
-    b.num_txs = b.txs.size();
-    for (const Bytes& tx : b.txs) {
-      b.payload_bytes += tx.size();
-    }
-    return std::make_shared<const Batch>(std::move(b));
+    Batch::Builder b(/*author=*/2, /*worker=*/1);
+    b.AddSample({41, Millis(1500)});
+    b.AddSample({42, Millis(1750)});
+    b.AddTx(ExecTx::Mint("alice", 100).Encode());
+    b.AddTx(Bytes{});
+    b.AddTx(ExecTx::EncodeTransfer("alice", "bob", 30, 9));
+    return b.Seal(/*seq=*/7);
   }
 
   // A synthetic batch: counted load and samples, no transaction bytes.
   std::shared_ptr<const Batch> PinnedSyntheticBatch() const {
-    Batch b;
-    b.author = 3;
-    b.worker = 0;
-    b.seq = 12;
-    b.num_txs = 100;
-    b.payload_bytes = 100 * 512;
-    b.samples = {{1000, Millis(20)}, {1001, Millis(25)}};
-    return std::make_shared<const Batch>(std::move(b));
+    Batch::Builder b(/*author=*/3, /*worker=*/0);
+    b.AddLoad(100, 100 * 512);
+    b.AddSample({1000, Millis(20)});
+    b.AddSample({1001, Millis(25)});
+    return b.Seal(/*seq=*/12);
   }
 
-  static std::string EncodingHex(const Batch& b) {
-    Writer w;
-    b.Encode(w);
-    return ToHex(w.bytes());
-  }
+  static std::string EncodingHex(const Batch& b) { return ToHex(*b.bytes()); }
 
   static std::string DigestHex(const Batch& b) {
     const Digest d = b.ComputeDigest();
@@ -122,18 +110,80 @@ TEST(CommitteeTest, DistinctMembersBeyondTheInlineBitmap) {
 }
 
 TEST_F(TypesFixture, BatchEncodeDecodeRoundTrip) {
-  Batch b = MakeBatch();
-  Writer w;
-  b.Encode(w);
-  Reader r(w.bytes());
+  const auto b = MakeBatch();
+  EXPECT_EQ(b->num_txs(), 10u);
+  EXPECT_EQ(b->payload_bytes(), 5120u);
+  Reader r(*b->bytes());
   auto decoded = Batch::Decode(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded->ComputeDigest(), b.ComputeDigest());
-  EXPECT_EQ(decoded->num_txs, b.num_txs);
-  EXPECT_EQ(decoded->samples.size(), 2u);
-  EXPECT_EQ(decoded->samples[1].tx_id, 9u);
-  EXPECT_EQ(decoded->txs, b.txs);
+  EXPECT_EQ(decoded->ComputeDigest(), b->ComputeDigest());
+  EXPECT_EQ(decoded->author(), 1u);
+  EXPECT_EQ(decoded->worker(), 2u);
+  EXPECT_EQ(decoded->seq(), 3u);
+  EXPECT_EQ(decoded->num_txs(), b->num_txs());
+  EXPECT_EQ(decoded->payload_bytes(), b->payload_bytes());
+  EXPECT_EQ(decoded->samples().size(), 2u);
+  EXPECT_EQ(decoded->samples()[1].tx_id, 9u);
+  ASSERT_EQ(decoded->txs().size(), 2u);
+  EXPECT_TRUE(std::ranges::equal(decoded->txs()[0], Bytes{1, 2, 3}));
+  EXPECT_TRUE(std::ranges::equal(decoded->txs()[1], Bytes{4, 5}));
+}
+
+// A batch is one buffer: Decode adopts the buffer it is given, and every
+// transaction is a view into it, so a sealed batch allocates nothing per
+// transaction.
+TEST_F(TypesFixture, BatchTransactionsAreViewsIntoItsBuffer) {
+  const auto sealed = MakeBatch();
+  auto adopted = Batch::Decode(sealed->bytes());
+  ASSERT_TRUE(adopted.has_value());
+  EXPECT_EQ(adopted->bytes(), sealed->bytes());
+  for (const Batch* b : {sealed.get(), static_cast<const Batch*>(&*adopted)}) {
+    const uint8_t* begin = b->bytes()->data();
+    const uint8_t* end = begin + b->bytes()->size();
+    for (const Batch::TxView tx : b->txs()) {
+      EXPECT_GE(tx.data(), begin);
+      EXPECT_LE(tx.data() + tx.size(), end);
+    }
+  }
+  // A copy shares the buffer, so its views stay valid after the original is
+  // gone.
+  Batch copy = *adopted;
+  adopted.reset();
+  EXPECT_TRUE(std::ranges::equal(copy.txs()[1], Bytes{4, 5}));
+}
+
+// The digest streams the prefix and the buffer: the same bytes as hashing
+// PutString("narwhal-batch") followed by the encoding.
+TEST_F(TypesFixture, BatchDigestIsThePrefixedEncodingHash) {
+  const auto b = MakeBatch();
+  Writer w;
+  w.PutString("narwhal-batch");
+  w.PutRaw(*b->bytes());
+  EXPECT_EQ(b->ComputeDigest(), Sha256::Hash(w.bytes()));
+}
+
+// Adopting stored bytes is strict: exactly one well-formed encoding, whose
+// aggregates cover its explicit transactions.
+TEST_F(TypesFixture, BatchDecodeIsStrict) {
+  const Bytes good = *MakeBatch()->bytes();
+  EXPECT_TRUE(Batch::Decode(std::make_shared<const Bytes>(good)).has_value());
+  EXPECT_FALSE(Batch::Decode(SharedBytes()).has_value());
+
+  Bytes trailing = good;
+  trailing.push_back(0);
+  EXPECT_FALSE(Batch::Decode(std::make_shared<const Bytes>(trailing)).has_value());
+
+  // num_txs (offset 16) below the two explicit transactions.
+  Bytes few_txs = good;
+  few_txs[16] = 1;
+  EXPECT_FALSE(Batch::Decode(std::make_shared<const Bytes>(few_txs)).has_value());
+
+  // payload_bytes (offset 24) below the explicit transactions' 5 bytes.
+  Bytes few_bytes = good;
+  few_bytes[24] = 4;
+  few_bytes[25] = 0;
+  EXPECT_FALSE(Batch::Decode(std::make_shared<const Bytes>(few_bytes)).has_value());
 }
 
 // The canonical batch encoding and its digest, byte for byte: header
@@ -170,23 +220,18 @@ TEST_F(TypesFixture, BatchEncodingAndDigestArePinned) {
 }
 
 TEST_F(TypesFixture, BatchDigestSensitiveToContent) {
-  Batch a = MakeBatch();
-  Batch b = MakeBatch();
-  b.seq += 1;
-  EXPECT_NE(a.ComputeDigest(), b.ComputeDigest());
-  Batch c = MakeBatch();
-  c.txs[0][0] ^= 1;
-  EXPECT_NE(a.ComputeDigest(), c.ComputeDigest());
+  const auto a = MakeBatch();
+  EXPECT_EQ(a->ComputeDigest(), MakeBatch()->ComputeDigest());
+  EXPECT_NE(a->ComputeDigest(), MakeBatch(/*seq=*/4)->ComputeDigest());
+  EXPECT_NE(a->ComputeDigest(), MakeBatch(/*seq=*/3, /*first_tx=*/{0, 2, 3})->ComputeDigest());
 }
 
 TEST_F(TypesFixture, BatchDecodeRejectsTruncation) {
-  Batch b = MakeBatch();
-  Writer w;
-  b.Encode(w);
-  Bytes bytes = w.Take();
+  Bytes bytes = *MakeBatch()->bytes();
   bytes.resize(bytes.size() - 3);
   Reader r(bytes);
   EXPECT_FALSE(Batch::Decode(r).has_value());
+  EXPECT_FALSE(Batch::Decode(std::make_shared<const Bytes>(bytes)).has_value());
 }
 
 TEST_F(TypesFixture, CertificateVerifies) {

@@ -35,7 +35,7 @@ std::pair<Digest, Bytes> Stored(const R& record) {
   PutRecord(store, record);
   EXPECT_EQ(store.size(), 1u);
   std::pair<Digest, Bytes> out;
-  store.ForEach([&](const Digest& key, const Bytes& value) { out = {key, value}; });
+  store.ForEach([&](const Digest& key, const SharedBytes& value) { out = {key, *value}; });
   return out;
 }
 
