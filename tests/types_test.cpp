@@ -146,21 +146,14 @@ TEST_F(TypesFixture, BatchTransactionsAreViewsIntoItsBuffer) {
       EXPECT_LE(tx.data() + tx.size(), end);
     }
   }
-  // A copy shares the buffer, so its views stay valid after the original is
-  // gone.
-  Batch copy = *adopted;
-  adopted.reset();
+  // A copy shares the buffer, so its views stay valid after the original
+  // and every other holder of the buffer are gone.
+  auto original = Batch::Decode(std::make_shared<const Bytes>(*sealed->bytes()));
+  ASSERT_TRUE(original.has_value());
+  Batch copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.bytes().use_count(), 1);
   EXPECT_TRUE(std::ranges::equal(copy.txs()[1], Bytes{4, 5}));
-}
-
-// The digest streams the prefix and the buffer: the same bytes as hashing
-// PutString("narwhal-batch") followed by the encoding.
-TEST_F(TypesFixture, BatchDigestIsThePrefixedEncodingHash) {
-  const auto b = MakeBatch();
-  Writer w;
-  w.PutString("narwhal-batch");
-  w.PutRaw(*b->bytes());
-  EXPECT_EQ(b->ComputeDigest(), Sha256::Hash(w.bytes()));
 }
 
 // Adopting stored bytes is strict: exactly one well-formed encoding, whose
