@@ -19,7 +19,7 @@ bool SupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& leader,
                       const Committee& committee) {
   uint32_t votes = 0;
   for (const auto& [author, cert] : dag.CertsAt(Tusk::WaveSecondRound(wave))) {
-    auto header = dag.GetHeader(cert.header_digest);
+    auto header = dag.GetHeader(cert->header_digest);
     if (header == nullptr) {
       continue;
     }
@@ -118,7 +118,7 @@ bool AnchorSupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& an
                             const Committee& committee) {
   uint32_t votes = 0;
   for (const auto& [author, cert] : dag.CertsAt(Bullshark::WaveSupportRound(wave))) {
-    auto header = dag.GetHeader(cert.header_digest);
+    auto header = dag.GetHeader(cert->header_digest);
     if (header == nullptr) {
       continue;
     }

@@ -49,6 +49,8 @@ class Writer {
 
   const Bytes& bytes() const { return buf_; }
   Bytes Take() { return std::move(buf_); }
+  // Empties the buffer and keeps its capacity, for a Writer that is reused.
+  void Clear() { buf_.clear(); }
   size_t size() const { return buf_.size(); }
 
  private:

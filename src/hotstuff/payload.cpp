@@ -236,8 +236,8 @@ HsPayload NarwhalProvider::GetPayload(View) {
   const Dag& dag = primary_->dag();
   for (Round r = dag.HighestRound();; --r) {
     for (const auto& [author, cert] : dag.CertsAt(r)) {
-      if (!commit_log_.IsCommitted(cert.header_digest)) {
-        payload.certs.push_back(cert);
+      if (!commit_log_.IsCommitted(cert->header_digest)) {
+        payload.certs.push_back(*cert);
         return payload;
       }
     }

@@ -30,7 +30,7 @@ void Archive::Put(const Dag::Collected& record) {
     ++headers_archived_;
   }
   if (cold_store_ != nullptr) {
-    cold_store_->Put(record.digest, EncodeRecord(it->second.cert, it->second.header));
+    cold_store_->Put(record.digest, EncodeRecord(*it->second.cert, it->second.header));
   }
 }
 
@@ -41,7 +41,7 @@ std::shared_ptr<const BlockHeader> Archive::GetHeader(const Digest& digest) cons
 
 const Certificate* Archive::GetCertificate(const Digest& digest) const {
   auto it = records_.find(digest);
-  return it == records_.end() ? nullptr : &it->second.cert;
+  return it == records_.end() ? nullptr : it->second.cert.get();
 }
 
 size_t Archive::LoadFromColdStore() {

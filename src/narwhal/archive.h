@@ -40,7 +40,7 @@ class Archive {
 
  private:
   struct Record {
-    Certificate cert;
+    CertPtr cert;
     std::shared_ptr<const BlockHeader> header;
   };
 

@@ -7,25 +7,26 @@
 
 namespace nt {
 
-bool Dag::AddCertificate(const Certificate& cert) {
-  if (cert.round < gc_round_) {
+bool Dag::AddCertificate(CertPtr cert) {
+  if (cert->round < gc_round_) {
     return true;  // Below the GC horizon; ignore silently (paper §3.3).
   }
-  auto& round_map = by_round_[cert.round];
-  auto it = round_map.find(cert.author);
+  auto& round_map = by_round_[cert->round];
+  auto it = round_map.find(cert->author);
   if (it != round_map.end()) {
-    if (it->second.header_digest != cert.header_digest) {
+    if (it->second->header_digest != cert->header_digest) {
       // Two certificates for the same (round, author) require honest voters
       // to have double-signed — impossible under f < n/3.
-      LOG_ERROR() << "conflicting certificates for round " << cert.round << " author "
-                  << cert.author;
+      LOG_ERROR() << "conflicting certificates for round " << cert->round << " author "
+                  << cert->author;
       return false;
     }
     return true;  // Duplicate.
   }
-  const Certificate& stored = round_map.emplace(cert.author, cert).first->second;
-  by_digest_.emplace(cert.header_digest, &stored);
-  if (const BlockHeader* header = FindHeader(cert.header_digest)) {
+  const Certificate& stored = *cert;
+  by_digest_.emplace(stored.header_digest, cert);
+  round_map.emplace(stored.author, std::move(cert));
+  if (const BlockHeader* header = FindHeader(stored.header_digest)) {
     CountCitations(*header);
   }
   return true;
@@ -75,11 +76,11 @@ const Certificate* Dag::GetCert(Round round, ValidatorId author) const {
     return nullptr;
   }
   auto ait = rit->second.find(author);
-  return ait == rit->second.end() ? nullptr : &ait->second;
+  return ait == rit->second.end() ? nullptr : ait->second.get();
 }
 
-const std::map<ValidatorId, Certificate>& Dag::CertsAt(Round round) const {
-  static const std::map<ValidatorId, Certificate> kEmpty;
+const std::map<ValidatorId, CertPtr>& Dag::CertsAt(Round round) const {
+  static const std::map<ValidatorId, CertPtr> kEmpty;
   auto it = by_round_.find(round);
   return it == by_round_.end() ? kEmpty : it->second;
 }
@@ -91,18 +92,18 @@ std::vector<Dag::Collected> Dag::GarbageCollect(Round new_gc_round) {
   }
   gc_round_ = new_gc_round;
   for (auto it = by_round_.begin(); it != by_round_.end() && it->first < gc_round_;) {
-    for (const auto& [author, cert] : it->second) {
+    for (auto& [author, cert] : it->second) {
       Collected record;
-      record.digest = cert.header_digest;
-      record.cert = cert;
-      if (std::shared_ptr<const BlockHeader>* header = headers_.find(cert.header_digest)) {
+      record.digest = cert->header_digest;
+      if (std::shared_ptr<const BlockHeader>* header = headers_.find(record.digest)) {
         record.header = std::move(*header);
-        headers_.erase(cert.header_digest);
+        headers_.erase(record.digest);
         ForEachCitedParent(*record.header,
                            [this](const Digest& parent) { citers_.erase(parent); });
       }
-      by_digest_.erase(cert.header_digest);
-      citers_.erase(cert.header_digest);
+      by_digest_.erase(record.digest);
+      citers_.erase(record.digest);
+      record.cert = std::move(cert);
       collected.push_back(std::move(record));
     }
     it = by_round_.erase(it);

@@ -4,6 +4,11 @@
 // linearization both Tusk and Narwhal-HotStuff use after agreeing on an
 // anchor certificate (§3.2, §5).
 //
+// Ownership. The Dag holds each certificate as a CertPtr and never copies
+// it: the primary hands in a pointer that aliases the header or message the
+// certificate arrived in, so one certificate object serves every validator
+// that learned it from the same delivery.
+//
 // Indexes. Certificates live in `by_round_`, ordered by (round, author): that
 // order is observable (proposal parents, commit order, GC eviction), so it
 // stays an ordered map. Every lookup by digest goes through a hashed
@@ -27,10 +32,15 @@ namespace nt {
 
 class Dag {
  public:
-  // Adds a certificate. Returns false (and keeps the first) if a conflicting
-  // certificate for the same (round, author) already exists — impossible
-  // with an honest quorum, checked defensively. Idempotent for duplicates.
-  bool AddCertificate(const Certificate& cert);
+  // Adds a certificate, keeping the pointer it is given. Returns false (and
+  // keeps the first) if a conflicting certificate for the same (round,
+  // author) already exists — impossible with an honest quorum, checked
+  // defensively. Idempotent for duplicates.
+  bool AddCertificate(CertPtr cert);
+  // Adds a copy of `cert` (recovery, tests, replay tools).
+  bool AddCertificate(const Certificate& cert) {
+    return AddCertificate(std::make_shared<const Certificate>(cert));
+  }
 
   // Stores the header for a certificate (carries the causal edges and batch
   // references). Idempotent for a digest already stored.
@@ -38,7 +48,12 @@ class Dag {
 
   const Certificate* GetCert(Round round, ValidatorId author) const;
   const Certificate* GetCertByDigest(const Digest& header_digest) const {
-    const Certificate* const* cert = by_digest_.find(header_digest);
+    const CertPtr* cert = by_digest_.find(header_digest);
+    return cert == nullptr ? nullptr : cert->get();
+  }
+  // The held certificate itself, for a holder that outlives the DAG entry.
+  CertPtr GetSharedCert(const Digest& header_digest) const {
+    const CertPtr* cert = by_digest_.find(header_digest);
     return cert == nullptr ? nullptr : *cert;
   }
   std::shared_ptr<const BlockHeader> GetHeader(const Digest& header_digest) const {
@@ -58,7 +73,7 @@ class Dag {
   }
 
   // Certificates stored for a round (empty map if none).
-  const std::map<ValidatorId, Certificate>& CertsAt(Round round) const;
+  const std::map<ValidatorId, CertPtr>& CertsAt(Round round) const;
   size_t CertCountAt(Round round) const { return CertsAt(round).size(); }
 
   // Highest round with at least one certificate (0 if empty).
@@ -72,7 +87,7 @@ class Dag {
   // paper's §3.3 CDN offload) needs to keep serving the block.
   struct Collected {
     Digest digest{};
-    Certificate cert;
+    CertPtr cert;
     std::shared_ptr<const BlockHeader> header;  // May be null if never synced.
   };
 
@@ -114,9 +129,9 @@ class Dag {
 
   Round gc_round_ = 0;
   // round -> author -> certificate.
-  std::map<Round, std::map<ValidatorId, Certificate>> by_round_;
-  // header digest -> its certificate in by_round_ (map nodes never move).
-  DigestMap<const Certificate*> by_digest_;
+  std::map<Round, std::map<ValidatorId, CertPtr>> by_round_;
+  // header digest -> its certificate in by_round_.
+  DigestMap<CertPtr> by_digest_;
   DigestMap<std::shared_ptr<const BlockHeader>> headers_;
   // header digest -> Citers().
   DigestMap<uint32_t> citers_;

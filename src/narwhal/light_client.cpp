@@ -95,7 +95,7 @@ std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const 
   const Dag& dag = primary.dag();
   for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
     for (const auto& [author, cert] : dag.CertsAt(round)) {
-      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert.header_digest);
+      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest);
       if (header == nullptr) {
         continue;  // Certified, but the header is not (yet) stored.
       }
@@ -107,7 +107,7 @@ std::optional<InclusionProof> BuildInclusionProof(const Primary& primary, const 
         for (size_t i = 0; i < batch->txs().size(); ++i) {
           if (std::ranges::equal(batch->txs()[i], tx)) {
             InclusionProof proof;
-            proof.certificate = cert;
+            proof.certificate = *cert;
             proof.header = header;
             proof.batch = batch;
             proof.tx_index = static_cast<uint32_t>(i);

@@ -10,13 +10,13 @@ std::optional<Certificate> Mempool::CertificateFor(const Digest& batch_digest) c
   // covered by its earliest certificate.
   for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
     for (const auto& [author, cert] : dag.CertsAt(round)) {
-      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert.header_digest);
+      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest);
       if (header == nullptr) {
         continue;
       }
       for (const BatchRef& ref : header->batches) {
         if (ref.digest == batch_digest) {
-          return cert;
+          return *cert;
         }
       }
     }

@@ -258,8 +258,8 @@ void Primary::Recover() {
   // issues the requests once the node is live.
   for (Round r = gc_round; r <= dag_.HighestRound(); ++r) {
     for (const auto& [author, cert] : dag_.CertsAt(r)) {
-      if (!dag_.HasHeader(cert.header_digest)) {
-        recovered_missing_headers_.push_back(cert.header_digest);
+      if (!dag_.HasHeader(cert->header_digest)) {
+        recovered_missing_headers_.push_back(cert->header_digest);
       }
     }
   }
@@ -320,7 +320,7 @@ void Primary::ProposeNow() {
   header->round = round_;
   if (round_ > 0) {
     for (const auto& [author, cert] : dag_.CertsAt(round_ - 1)) {
-      header->parents.push_back(cert);
+      header->parents.push_back(*cert);
     }
     if (header->parents.size() < committee_.quorum_threshold()) {
       return;  // Cannot propose yet (caller guarantees this normally).
@@ -488,27 +488,44 @@ void Primary::HandleHeader(const MsgHeader& msg) {
 
   // Validate and ingest parents: >= 2f+1 distinct certificates of round-1.
   if (header.round > 0) {
-    std::set<ValidatorId> parent_authors;
+    MemberSet parent_authors(committee_.size());
     for (const Certificate& parent : header.parents) {
-      if (parent.round + 1 != header.round) {
-        return;  // Malformed: parents must be exactly one round back.
+      if (parent.round + 1 != header.round || !committee_.Contains(parent.author)) {
+        return;  // Malformed: parents must be committee blocks one round back.
       }
-      parent_authors.insert(parent.author);
+      parent_authors.Insert(parent.author);
     }
     if (parent_authors.size() < committee_.quorum_threshold()) {
       return;
     }
-    // Verify the whole parent set with one batched flush (every uncached
-    // parent's votes share a single multi-scalar multiplication); the
-    // per-parent AcceptCertificate calls below then hit the verified-
-    // certificate cache.
-    if (!Certificate::VerifyAll(header.parents, committee_, *signer_, &cert_cache_)) {
+    // A parent whose digest the DAG holds is matched, not re-checked: the
+    // header digest binds author, round, batches and parents, so the same
+    // digest with the same round and author is the same certified block,
+    // whose votes were verified when it was added. Its vote list here is
+    // not read. The same digest under another round or author cannot carry
+    // honest votes, and rejects the header.
+    std::vector<const Certificate*> unknown;
+    for (const Certificate& parent : header.parents) {
+      const Certificate* held = dag_.GetCertByDigest(parent.header_digest);
+      if (held == nullptr) {
+        unknown.push_back(&parent);
+      } else if (held->round != parent.round || held->author != parent.author) {
+        LOG_WARN() << "header with a mislabelled parent from validator " << header.author;
+        return;
+      }
+    }
+    // Unknown parents are verified with one batched flush (their votes share
+    // a single multi-scalar multiplication) and then stored as they are,
+    // aliasing this header, without a second check.
+    if (!unknown.empty() &&
+        !Certificate::VerifyAll(unknown, committee_, *signer_, /*cache=*/nullptr)) {
       LOG_WARN() << "header with invalid parent certificate from validator " << header.author;
       return;
     }
-    for (const Certificate& parent : header.parents) {
-      if (!AcceptCertificate(parent, /*request_header_if_missing=*/true)) {
-        return;  // Invalid parent certificate: reject the header.
+    for (const Certificate* parent : unknown) {
+      if (!AcceptCertificate(CertPtr(msg.header, parent), /*request_header_if_missing=*/true,
+                             /*verified=*/true)) {
+        return;  // Conflicting parent certificate: reject the header.
       }
     }
   }
@@ -617,9 +634,11 @@ void Primary::FormCertificate(Proposal& proposal) {
   NT_TRACE(tracer_, OnCertFormed(id_, digest, cert.round, network_->scheduler()->now()));
   proposals_.erase(digest);
 
-  AcceptCertificate(cert, /*request_header_if_missing=*/false);
-
-  auto msg = std::make_shared<MsgCertificate>(cert);
+  // The broadcast message is the certificate's one copy: the local DAG entry
+  // aliases it, as every recipient's does.
+  auto msg = std::make_shared<MsgCertificate>(std::move(cert));
+  AcceptCertificate(CertPtr(msg, &msg->cert), /*request_header_if_missing=*/false,
+                    /*verified=*/false);
   for (ValidatorId v = 0; v < committee_.size(); ++v) {
     if (v != id_) {
       network_->Send(net_id_, topology_->primary_of[v], msg);
@@ -629,19 +648,26 @@ void Primary::FormCertificate(Proposal& proposal) {
 
 // ----------------------------------------------------------- certificate intake
 
-bool Primary::AcceptCertificate(const Certificate& cert, bool request_header_if_missing) {
+bool Primary::IngestCertificate(const Certificate& cert) {
+  return AcceptCertificate(std::make_shared<const Certificate>(cert),
+                           /*request_header_if_missing=*/true, /*verified=*/false);
+}
+
+bool Primary::AcceptCertificate(CertPtr ptr, bool request_header_if_missing, bool verified) {
+  const Certificate& cert = *ptr;
   if (cert.round < dag_.gc_round()) {
     return true;  // Stale but not invalid.
   }
-  if (const Certificate* known = dag_.GetCertByDigest(cert.header_digest)) {
-    (void)known;
+  if (dag_.GetCertByDigest(cert.header_digest) != nullptr) {
     return true;  // Already verified and stored.
   }
-  if (!cert.Verify(committee_, *signer_, &cert_cache_)) {
+  // The DAG is this validator's memo of verified certificates, so the check
+  // runs once per certificate and caches nothing.
+  if (!verified && !cert.Verify(committee_, *signer_, /*cache=*/nullptr)) {
     LOG_WARN() << "invalid certificate for round " << cert.round;
     return false;
   }
-  if (!dag_.AddCertificate(cert)) {
+  if (!dag_.AddCertificate(ptr)) {
     return false;  // Equivocation (cannot happen with honest quorum).
   }
   // Persist before the hooks run: anything consensus derives from this
@@ -665,13 +691,11 @@ void Primary::RequestHeader(const Digest& digest) {
   if (header_sync_.count(digest) != 0 || dag_.HasHeader(digest)) {
     return;
   }
-  const Certificate* cert = dag_.GetCertByDigest(digest);
+  CertPtr cert = dag_.GetSharedCert(digest);
   if (cert == nullptr) {
     return;
   }
-  HeaderSync sync;
-  sync.cert = *cert;
-  header_sync_[digest] = std::move(sync);
+  header_sync_[digest] = HeaderSync{0, std::move(cert)};
   RetryHeaderSync(digest);
 }
 
@@ -683,7 +707,7 @@ void Primary::RetryHeaderSync(const Digest& digest) {
   HeaderSync& sync = it->second;
   // Ask the certificate's signers in turn: at least f+1 of them are honest
   // and store the header (paper §4.1), so O(1) probes suffice on average.
-  const auto& voters = sync.cert.votes;
+  const auto& voters = sync.cert->votes;
   ValidatorId target = voters[sync.attempts % voters.size()].first;
   if (target == id_) {
     target = voters[(sync.attempts + 1) % voters.size()].first;
@@ -742,7 +766,7 @@ void Primary::SetGcRound(Round gc_round) {
       store_->Erase(HeaderRecord::KeyOf(record.digest));
       // Header records name their parents by digest, so a header at the new
       // horizon still needs the certificates one round below it.
-      if (record.cert.round + 1 == gc_round) {
+      if (record.cert->round + 1 == gc_round) {
         retained_cert_records_.push_back(record.digest);
       } else {
         store_->Erase(CertRecord::KeyOf(record.digest));
@@ -787,7 +811,7 @@ void Primary::SetGcRound(Round gc_round) {
     }
   }
   for (auto it = header_sync_.begin(); it != header_sync_.end();) {
-    if (it->second.cert.round < gc_round) {
+    if (it->second.cert->round < gc_round) {
       it = header_sync_.erase(it);
     } else {
       ++it;
@@ -817,7 +841,8 @@ void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
     return;
   }
   if (auto cert = std::dynamic_pointer_cast<const MsgCertificate>(msg)) {
-    AcceptCertificate(cert->cert, /*request_header_if_missing=*/true);
+    AcceptCertificate(CertPtr(cert, &cert->cert), /*request_header_if_missing=*/true,
+                      /*verified=*/false);
     return;
   }
   if (auto ready = std::dynamic_pointer_cast<const MsgBatchReady>(msg)) {
@@ -871,7 +896,8 @@ void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
       LOG_WARN() << "cert response header/cert mismatch";
       return;
     }
-    if (AcceptCertificate(response->cert, /*request_header_if_missing=*/false)) {
+    if (AcceptCertificate(CertPtr(response, &response->cert),
+                          /*request_header_if_missing=*/false, /*verified=*/false)) {
       // Ingest the parent certificates too: unlike the voting path, a synced
       // header skips HandleHeader, and without its parents in the DAG a
       // causal-history walk can reach a header whose certificate nobody ever
@@ -879,7 +905,8 @@ void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
       // wedging commit delivery. Requesting missing parent headers here also
       // makes deep gaps heal recursively.
       for (const Certificate& parent : response->header->parents) {
-        AcceptCertificate(parent, /*request_header_if_missing=*/true);
+        AcceptCertificate(CertPtr(response->header, &parent), /*request_header_if_missing=*/true,
+                          /*verified=*/false);
       }
       StoreHeader(response->header, digest);
     }

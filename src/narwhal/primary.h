@@ -192,10 +192,8 @@ class Primary : public NetNode {
 
   // Validates and stores a certificate learned out-of-band (e.g. from a
   // HotStuff proposal), pulling its header if missing. Returns false only
-  // for invalid certificates.
-  bool IngestCertificate(const Certificate& cert) {
-    return AcceptCertificate(cert, /*request_header_if_missing=*/true);
-  }
+  // for invalid certificates. A new certificate is stored as a copy.
+  bool IngestCertificate(const Certificate& cert);
 
   // --- NetNode ------------------------------------------------------------------
   void OnStart() override;
@@ -214,7 +212,9 @@ class Primary : public NetNode {
   uint64_t votes_cast() const { return votes_cast_; }
   uint64_t reinjected_batches() const { return reinjected_batches_; }
   size_t pending_payload() const { return pending_batches_.size(); }
-  // This validator's verified-certificate cache. Per-instance so every
+  // This validator's verified-certificate cache, for certificates checked
+  // outside the DAG (Mempool::Valid). DAG intake does not use it: the Dag is
+  // the set of certificates this validator verified. Per-instance so every
   // simulated validator does its own verification work (no cross-validator
   // sharing through a process-wide singleton); Cluster aggregates the
   // per-validator stats into Metrics.
@@ -233,7 +233,7 @@ class Primary : public NetNode {
   };
   struct HeaderSync {
     uint32_t attempts = 0;
-    Certificate cert;
+    CertPtr cert;
   };
 
   // Round/proposal machinery.
@@ -253,8 +253,11 @@ class Primary : public NetNode {
   void HandleVote(const Vote& vote);
   void FormCertificate(Proposal& proposal);
 
-  // Certificate intake (returns true if the certificate is new and valid).
-  bool AcceptCertificate(const Certificate& cert, bool request_header_if_missing);
+  // Certificate intake: verifies the certificate unless the caller already
+  // did (`verified`), stores `ptr` in the DAG and fires the hooks. Returns
+  // false only for an invalid or conflicting certificate; a stale or already
+  // held one is accepted without a check.
+  bool AcceptCertificate(CertPtr ptr, bool request_header_if_missing, bool verified);
 
   // Pull synchronizer for missing headers.
   void RequestHeader(const Digest& digest);

@@ -48,13 +48,17 @@ inline Digest TaggedKey(uint8_t tag, const Digest& digest) {
   return Sha256::Hash(buf, sizeof(buf));
 }
 
-// Writes the tag and the fields into one buffer and moves it into the store.
+// Writes the tag and the fields into a reused per-thread buffer, then puts
+// an exact-size copy into the store. A store keeps its records for many
+// rounds, so none of them keeps a Writer's growth slack, and the reused
+// buffer grows once per thread instead of once per record.
 template <typename R>
 void PutRecord(Store& store, const R& record) {
-  Writer w;
-  w.PutU8(R::kTag);
-  record.Encode(w);
-  store.Put(record.Key(), w.Take());
+  thread_local Writer encoding;
+  encoding.Clear();
+  encoding.PutU8(R::kTag);
+  record.Encode(encoding);
+  store.Put(record.Key(), Bytes(encoding.bytes().begin(), encoding.bytes().end()));
 }
 
 // Decodes a stored value as R: nullopt if the tag differs or R::Decode fails.

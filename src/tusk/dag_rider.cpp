@@ -14,7 +14,7 @@ ValidatorId DagRider::LeaderOf(uint64_t wave) const {
 bool DagRider::Supported(uint64_t wave, const Certificate& leader) const {
   uint32_t votes = 0;
   for (const auto& [author, cert] : dag().CertsAt(WaveLastRound(wave))) {
-    if (dag().HasPath(cert.header_digest, leader.header_digest)) {
+    if (dag().HasPath(cert->header_digest, leader.header_digest)) {
       ++votes;
     }
   }

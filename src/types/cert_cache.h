@@ -1,9 +1,15 @@
 // Per-validator cache of certificates whose signature sets have already been
-// verified. Quorum certificates are re-delivered constantly — the same
-// Narwhal certificate arrives via its own broadcast, as a parent inside the
-// next round's headers, and again inside HotStuff proposals — and each
+// verified. Quorum certificates are re-delivered constantly, and each
 // delivery used to re-verify 2f+1 signatures. Caching the verdict makes
 // every route after the first free.
+//
+// Who uses it. HotStuff caches its QCs and TCs; the light client and
+// Mempool::Valid cache the certificates they are shown. The Narwhal
+// primary's DAG intake does not: the Dag is the set of certificates that
+// validator verified, each once on first sight, and a certificate that
+// arrives again (its broadcast, a header parent, a HotStuff payload) is
+// matched there by digest. Certificate::Verify and VerifyAll take a null
+// cache to mean "memoize nothing", which is what the primary passes.
 //
 // Every verifier owns its instance: each protocol node (Primary, HotStuff,
 // LightClient), and each tool or test that verifies certificates outside a

@@ -26,6 +26,40 @@ struct ValidatorInfo {
   uint32_t region = 0;
 };
 
+// A set of committee members: a committee-sized bitmap, kept on the stack
+// for committees of up to 256 validators. Members are ids below the
+// committee size; the caller checks Committee::Contains first.
+class MemberSet {
+ public:
+  explicit MemberSet(uint32_t committee_size) {
+    if (committee_size > 64 * kInlineWords) {
+      heap_words_.assign((committee_size + 63) / 64, 0);
+      words_ = heap_words_.data();
+    }
+  }
+  MemberSet(const MemberSet&) = delete;
+  MemberSet& operator=(const MemberSet&) = delete;
+
+  // Adds `id`; false if it was already in the set.
+  bool Insert(ValidatorId id) {
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    if ((words_[id / 64] & bit) != 0) {
+      return false;
+    }
+    words_[id / 64] |= bit;
+    ++size_;
+    return true;
+  }
+  uint32_t size() const { return size_; }
+
+ private:
+  static constexpr size_t kInlineWords = 4;
+  std::array<uint64_t, kInlineWords> inline_words_{};
+  std::vector<uint64_t> heap_words_;
+  uint64_t* words_ = inline_words_.data();
+  uint32_t size_ = 0;
+};
+
 class Committee {
  public:
   Committee() { ComputeFingerprint(); }
@@ -73,27 +107,13 @@ class Committee {
   bool Contains(ValidatorId id) const { return id < size(); }
 
   // True iff every voter is a committee member and none appears twice — the
-  // voter check of every certificate kind. A committee-sized bitmap, kept on
-  // the stack for committees of up to 256 validators.
+  // voter check of every certificate kind.
   bool DistinctMembers(const std::vector<std::pair<ValidatorId, Signature>>& votes) const {
-    constexpr size_t kInlineWords = 4;
-    std::array<uint64_t, kInlineWords> inline_words{};
-    std::vector<uint64_t> heap_words;
-    uint64_t* seen = inline_words.data();
-    if (size() > 64 * kInlineWords) {
-      heap_words.assign((size() + 63) / 64, 0);
-      seen = heap_words.data();
-    }
+    MemberSet seen(size());
     for (const auto& vote : votes) {
-      const ValidatorId voter = vote.first;
-      if (!Contains(voter)) {
+      if (!Contains(vote.first) || !seen.Insert(vote.first)) {
         return false;
       }
-      const uint64_t bit = uint64_t{1} << (voter % 64);
-      if ((seen[voter / 64] & bit) != 0) {
-        return false;
-      }
-      seen[voter / 64] |= bit;
     }
     return true;
   }

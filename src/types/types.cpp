@@ -31,18 +31,25 @@ VerifiedCertCache::Claim CacheClaim(const Committee& committee, const Certificat
           committee.fingerprint(), cert.votes};
 }
 
-// Certificate::Verify and VerifyAll: structure check and cache probe per
-// certificate, then one batched flush over the uncached certificates' votes
-// (each vote item borrows its certificate's one preimage), then each
-// certificate's own verdict and, if valid, its cache entry.
-bool VerifyCertificates(std::span<const Certificate> certs, const Committee& committee,
-                        const Signer& verifier, VerifiedCertCache& cache) {
+const Certificate& Deref(const Certificate& cert) { return cert; }
+const Certificate& Deref(const Certificate* cert) { return *cert; }
+
+// Certificate::Verify and VerifyAll, over certificates or pointers to them:
+// structure check and cache probe per certificate, then one batched flush
+// over the uncached certificates' votes (each vote item borrows its
+// certificate's one preimage), then each certificate's own verdict and, if
+// valid, its cache entry. A null `cache` memoizes nothing: every certificate
+// is checked.
+template <typename Certs>
+bool VerifyCertificates(const Certs& certs, const Committee& committee, const Signer& verifier,
+                        VerifiedCertCache* cache) {
   bool all_valid = true;
   std::vector<const Certificate*> pending;
-  for (const Certificate& cert : certs) {
+  for (const auto& entry : certs) {
+    const Certificate& cert = Deref(entry);
     if (!CertStructureOk(committee, cert)) {
       all_valid = false;
-    } else if (!cache.Lookup(CacheClaim(committee, cert))) {
+    } else if (cache == nullptr || !cache->Lookup(CacheClaim(committee, cert))) {
       pending.push_back(&cert);
     }
   }
@@ -71,10 +78,10 @@ bool VerifyCertificates(std::span<const Certificate> certs, const Committee& com
     for (size_t i = 0; i < cert->votes.size(); ++i) {
       cert_ok = ok[next++] && cert_ok;
     }
-    if (cert_ok) {
-      cache.Insert(CacheClaim(committee, *cert));
-    } else {
+    if (!cert_ok) {
       all_valid = false;
+    } else if (cache != nullptr) {
+      cache->Insert(CacheClaim(committee, *cert));
     }
   }
   return all_valid;
@@ -260,12 +267,17 @@ std::optional<Certificate> Certificate::Decode(Reader& r) {
 
 bool Certificate::Verify(const Committee& committee, const Signer& verifier,
                          VerifiedCertCache* cache) const {
-  return VerifyCertificates(std::span(this, 1), committee, verifier, *cache);
+  return VerifyCertificates(std::span(this, 1), committee, verifier, cache);
 }
 
 bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
                             const Signer& verifier, VerifiedCertCache* cache) {
-  return VerifyCertificates(certs, committee, verifier, *cache);
+  return VerifyCertificates(certs, committee, verifier, cache);
+}
+
+bool Certificate::VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
+                            const Signer& verifier, VerifiedCertCache* cache) {
+  return VerifyCertificates(certs, committee, verifier, cache);
 }
 
 size_t Certificate::WireSize() const {

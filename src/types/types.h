@@ -159,28 +159,37 @@ struct Certificate {
 
   // Structural + cryptographic validity: >= 2f+1 distinct known voters whose
   // signatures verify. `verifier` supplies the scheme. Signatures are checked
-  // through the signer's batch kernel, and a positive result is memoized in
-  // `cache`, so re-deliveries of the same certificate (broadcast, header
-  // parent, consensus payload) verify once. The cache finds the entry by
-  // header digest and round, then compares author, committee fingerprint and
-  // the exact (voter, signature) list — a re-delivery costs no encoding and
-  // no hashing, and a different vote set under a known digest is verified
-  // afresh. `cache` is the verifying validator's own and must not be null:
-  // every simulated validator does its own crypto work, as a real deployment
-  // would.
+  // through the signer's batch kernel. A positive result is memoized in
+  // `cache` when one is given: the cache finds the entry by header digest and
+  // round, then compares author, committee fingerprint and the exact (voter,
+  // signature) list, so a re-delivery costs no encoding and no hashing, and a
+  // different vote set under a known digest is verified afresh. A null
+  // `cache` memoizes nothing and checks every signature. The primary passes
+  // null: its Dag is its memo, since it verifies a certificate once, on first
+  // sight, and afterwards matches it by digest (see Primary::HandleHeader).
+  // Mempool::Valid, HotStuff and the light client pass their own caches.
+  // A cache is always the verifying validator's own: every simulated
+  // validator does its own crypto work, as a real deployment would.
   bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
 
   // Verifies many certificates with a single batched flush across all their
   // uncached vote signatures — the bulk entry point for header-parent sets
   // and certificate payloads. Returns true iff every certificate is valid;
-  // each valid certificate lands in the cache (so per-certificate Verify
-  // calls that follow are hits) even when some other certificate fails.
-  // `cache` as in Verify.
+  // each valid certificate lands in `cache`, if given (so per-certificate
+  // Verify calls that follow are hits), even when some other certificate
+  // fails. `cache` as in Verify.
   static bool VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
+                        const Signer& verifier, VerifiedCertCache* cache);
+  static bool VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
                         const Signer& verifier, VerifiedCertCache* cache);
 
   size_t WireSize() const;
 };
+
+// An immutable certificate, shared by every holder in the process. A Dag
+// entry usually aliases into the message or header that delivered it (the
+// shared_ptr aliasing constructor), so holding it costs no copy.
+using CertPtr = std::shared_ptr<const Certificate>;
 
 // A primary block header (paper Fig. 2): the DAG vertex. References this
 // validator's fresh worker batches and >= 2f+1 certificates from the

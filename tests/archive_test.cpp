@@ -24,9 +24,11 @@ Dag::Collected MakeRecord(uint8_t tag, bool with_header = true) {
   if (with_header) {
     record.header = header;
   }
-  record.cert.header_digest = record.digest;
-  record.cert.round = tag;
-  record.cert.author = tag;
+  Certificate cert;
+  cert.header_digest = record.digest;
+  cert.round = tag;
+  cert.author = tag;
+  record.cert = std::make_shared<const Certificate>(cert);
   return record;
 }
 

@@ -82,6 +82,30 @@ TEST(DagTest, DuplicateIsIdempotentConflictRejected) {
   EXPECT_EQ(dag.GetCert(1, 0)->header_digest, n.digest);
 }
 
+// The Dag keeps the pointer it is given: every index and the GC record hand
+// back that object, never a copy.
+TEST(DagTest, KeepsTheCertificatePointerItIsGiven) {
+  Dag dag;
+  auto cert = std::make_shared<Certificate>();
+  cert->header_digest = Sha256::Hash("shared");
+  cert->round = 2;
+  cert->author = 1;
+  const CertPtr given = cert;
+  EXPECT_TRUE(dag.AddCertificate(given));
+  EXPECT_EQ(dag.GetCertByDigest(cert->header_digest), given.get());
+  EXPECT_EQ(dag.GetCert(2, 1), given.get());
+  EXPECT_EQ(dag.GetSharedCert(cert->header_digest), given);
+  EXPECT_EQ(dag.CertsAt(2).at(1), given);
+
+  // A duplicate delivery leaves the first object in place.
+  EXPECT_TRUE(dag.AddCertificate(*given));
+  EXPECT_EQ(dag.GetCertByDigest(cert->header_digest), given.get());
+
+  std::vector<Dag::Collected> collected = dag.GarbageCollect(3);
+  ASSERT_EQ(collected.size(), 1u);
+  EXPECT_EQ(collected[0].cert, given);
+}
+
 TEST(DagTest, HasPathFollowsParentEdges) {
   Dag dag;
   DagBuilder b;
@@ -161,7 +185,7 @@ TEST(DagTest, GarbageCollectionDropsOldRounds) {
   EXPECT_EQ(collected.size(), 5u);  // Rounds 0..4.
   for (const Dag::Collected& record : collected) {
     EXPECT_NE(record.header, nullptr);  // Evicted records carry their data.
-    EXPECT_EQ(record.cert.header_digest, record.digest);
+    EXPECT_EQ(record.cert->header_digest, record.digest);
   }
   EXPECT_EQ(dag.gc_round(), 5u);
   EXPECT_EQ(dag.TotalCertificates(), 5u);
@@ -213,7 +237,7 @@ TEST(DagTest, BoundedMemoryUnderContinuousGc) {
 uint32_t Recount(const Dag& dag, const Certificate& cert) {
   uint32_t citers = 0;
   for (const auto& [author, citer] : dag.CertsAt(cert.round + 1)) {
-    std::shared_ptr<const BlockHeader> header = dag.GetHeader(citer.header_digest);
+    std::shared_ptr<const BlockHeader> header = dag.GetHeader(citer->header_digest);
     if (header == nullptr) {
       continue;
     }
@@ -233,8 +257,8 @@ size_t ExpectSupportMatchesRecount(const Dag& dag) {
   size_t supported = 0;
   for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
     for (const auto& [author, cert] : dag.CertsAt(round)) {
-      const uint32_t expected = Recount(dag, cert);
-      EXPECT_EQ(dag.Citers(cert.header_digest), expected)
+      const uint32_t expected = Recount(dag, *cert);
+      EXPECT_EQ(dag.Citers(cert->header_digest), expected)
           << "round " << round << " author " << author;
       supported += expected > 0 ? 1 : 0;
     }
@@ -323,7 +347,7 @@ TEST(DagTest, SupportIndexMatchesRecount) {
     std::vector<Digest> collected;
     for (Round round = 0; round < 6; ++round) {
       for (const auto& [author, cert] : dag.CertsAt(round)) {
-        collected.push_back(cert.header_digest);
+        collected.push_back(cert->header_digest);
       }
     }
     dag.GarbageCollect(6);

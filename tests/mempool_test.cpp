@@ -149,9 +149,9 @@ TEST(MempoolTest, ReadCausalContainment) {
   Round best = 0;
   for (Round round = dag.gc_round(); round <= dag.HighestRound(); ++round) {
     for (const auto& [author, cert] : dag.CertsAt(round)) {
-      if (round >= best && pool.ReadCausal(cert.header_digest).size() > 3) {
+      if (round >= best && pool.ReadCausal(cert->header_digest).size() > 3) {
         best = round;
-        anchor = cert.header_digest;
+        anchor = cert->header_digest;
       }
     }
   }

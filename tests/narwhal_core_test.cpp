@@ -3,6 +3,9 @@
 // gating on batch availability, re-injection after GC, and scale-out wiring.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/exec/state_machine.h"
 #include "src/net/latency.h"
 #include "src/runtime/client.h"
@@ -130,6 +133,32 @@ TEST(NarwhalCoreTest, EveryWorkerStoreSharesTheSealedBuffer) {
       EXPECT_EQ(StoredBuffer(*cluster.worker_store(v, 0), d), sealed->bytes())
           << "validator " << v;
     }
+  }
+}
+
+TEST(NarwhalCoreTest, ValidatorsHoldOneCertificateObjectEach) {
+  // A certificate is one object in the process: every DAG entry aliases the
+  // message or header that delivered it, and the author's broadcast is one
+  // message for all recipients. Fault-free, it reaches each validator before
+  // any header citing it, so every validator holds the author's object.
+  Cluster cluster(BaseConfig(3));
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(5));
+  size_t holdings = 0;
+  std::map<Digest, std::set<const Certificate*>> objects;
+  for (ValidatorId v = 0; v < 4; ++v) {
+    const Dag& dag = cluster.primary(v)->dag();
+    for (Round r = dag.gc_round(); r <= dag.HighestRound(); ++r) {
+      for (const auto& [author, cert] : dag.CertsAt(r)) {
+        ++holdings;
+        objects[cert->header_digest].insert(cert.get());
+      }
+    }
+  }
+  ASSERT_GT(objects.size(), 20u);
+  EXPECT_GT(holdings, 3 * objects.size());
+  for (const auto& [digest, held] : objects) {
+    EXPECT_EQ(held.size(), 1u);
   }
 }
 

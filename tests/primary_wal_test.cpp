@@ -122,8 +122,8 @@ TEST(PrimaryWalTest, HeaderWithAMissingParentRecordIsResyncedFromPeers) {
     const Dag& dag = cluster.primary(kVictim)->dag();
     const Round target = dag.HighestRound() - 2;
     for (const auto& [author, cert] : dag.CertsAt(target)) {
-      if (std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert.header_digest)) {
-        left_out = cert.header_digest;
+      if (std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest)) {
+        left_out = cert->header_digest;
         erased_parent = header->parents.front().header_digest;
         break;
       }
