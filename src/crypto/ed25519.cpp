@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
+#include <type_traits>
 
 #include "src/crypto/hash.h"
 
@@ -522,38 +522,27 @@ bool GeDecompress(Ge& out, const uint8_t in[32]) {
   return GeDecompressWith(Curve(), out, in);
 }
 
-// Decompression memoized for public keys: a protocol verifier sees the same
-// small committee key set on virtually every signature, and the square root
-// in decompression (~252 squarings) is a large fraction of a verify. Only
-// successful strict decodings are cached (keyed by the exact 32-byte
-// encoding), so rejection behaviour is identical to GeDecompress. The map is
-// bounded and simply reset when full — any real working set is a committee,
-// orders of magnitude below the cap.
-bool GeDecompressKey(Ge& out, const uint8_t in[32]) {
-  struct KeyHash {
-    size_t operator()(const std::array<uint8_t, 32>& k) const {
-      uint64_t v;  // Encodings of valid points are uniform enough to slice.
-      std::memcpy(&v, k.data(), sizeof(v));
-      return static_cast<size_t>(v);
-    }
-  };
-  static std::unordered_map<std::array<uint8_t, 32>, Ge, KeyHash> cache;
-  constexpr size_t kMaxEntries = 4096;
-
-  std::array<uint8_t, 32> key;
-  std::memcpy(key.data(), in, 32);
-  auto it = cache.find(key);
-  if (it != cache.end()) {
-    out = it->second;
+// Decompresses a public key, through the caller's memo when it keeps one.
+// Only successful strict decodings are stored (keyed by the exact 32-byte
+// encoding), so rejection behaviour is identical to GeDecompress.
+bool GeDecompressKey(Ed25519KeyCache* keys, Ge& out, const Ed25519PublicKey& pk) {
+  if (keys == nullptr) {
+    return GeDecompress(out, pk.data());
+  }
+  static_assert(std::is_trivially_copyable_v<Ge> && sizeof(Ge) == sizeof(Ed25519KeyCache::Limbs));
+  if (const Ed25519KeyCache::Limbs* limbs = keys->points.find(pk)) {
+    std::memcpy(static_cast<void*>(&out), limbs->data(), sizeof(out));
     return true;
   }
-  if (!GeDecompress(out, in)) {
+  if (!GeDecompress(out, pk.data())) {
     return false;
   }
-  if (cache.size() >= kMaxEntries) {
-    cache.clear();
+  if (keys->points.size() >= Ed25519KeyCache::kMaxEntries) {
+    keys->points.clear();
   }
-  cache.emplace(key, out);
+  Ed25519KeyCache::Limbs limbs;
+  std::memcpy(limbs.data(), &out, sizeof(out));
+  keys->points.emplace(pk, limbs);
   return true;
 }
 
@@ -1073,7 +1062,7 @@ Ed25519Signature Ed25519Sign(const Ed25519Seed& seed, const uint8_t* msg, size_t
 }
 
 bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
-                   const Ed25519Signature& sig) {
+                   const Ed25519Signature& sig, Ed25519KeyCache* keys) {
   // Reject S >= L (signature malleability).
   Sc s;
   for (int i = 0; i < 4; ++i) {
@@ -1086,7 +1075,7 @@ bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
   }
 
   Ge a_point;
-  if (!GeDecompressKey(a_point, pk.data())) {
+  if (!GeDecompressKey(keys, a_point, pk)) {
     return false;
   }
   Ge r_point;
@@ -1113,7 +1102,8 @@ bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
   return GeIsIdentity(GeMulCofactor(GeAdd(lhs, GeNeg(rhs))));
 }
 
-std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n) {
+std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n,
+                                     Ed25519KeyCache* keys) {
   std::vector<bool> out(n, false);
   if (n == 0) {
     return out;
@@ -1138,7 +1128,7 @@ std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n) {
       continue;  // Malleable S >= L: rejected, same as Ed25519Verify.
     }
     BatchPre& p = pre[i];
-    if (!GeDecompressKey(p.a, item.pk.data()) || !GeDecompress(p.r, item.sig.data())) {
+    if (!GeDecompressKey(keys, p.a, item.pk) || !GeDecompress(p.r, item.sig.data())) {
       continue;
     }
     p.s = s;

@@ -34,12 +34,24 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/crypto/digest_table.h"
 
 namespace nt {
 
 using Ed25519Seed = std::array<uint8_t, 32>;
 using Ed25519PublicKey = std::array<uint8_t, 32>;
 using Ed25519Signature = std::array<uint8_t, 64>;
+
+// Public keys decoded to curve points, kept by one verifier (each
+// Ed25519Signer owns one). A protocol verifier sees the same small committee
+// key set on virtually every signature, and the square root in point
+// decompression is a large share of a verify. Verdicts are the same with or
+// without a cache. Bounded: cleared when full, far above any committee.
+struct Ed25519KeyCache {
+  using Limbs = std::array<uint64_t, 20>;  // The point's (X, Y, Z, T) field limbs.
+  static constexpr size_t kMaxEntries = 4096;
+  DigestMap<Limbs> points;
+};
 
 // Derives the public key for a 32-byte seed (the RFC 8032 private key).
 Ed25519PublicKey Ed25519Public(const Ed25519Seed& seed);
@@ -53,9 +65,10 @@ inline Ed25519Signature Ed25519Sign(const Ed25519Seed& seed, const Bytes& msg) {
 // Verifies a signature. Strict about encodings — rejects non-canonical S
 // (S >= L) and non-decodable points — and cofactored about the group
 // equation, so the verdict matches Ed25519BatchVerify for every input,
-// including signatures with small-order components.
+// including signatures with small-order components. `keys` (may be null)
+// memoizes the decoded public key.
 bool Ed25519Verify(const Ed25519PublicKey& pk, const uint8_t* msg, size_t len,
-                   const Ed25519Signature& sig);
+                   const Ed25519Signature& sig, Ed25519KeyCache* keys = nullptr);
 inline bool Ed25519Verify(const Ed25519PublicKey& pk, const Bytes& msg,
                           const Ed25519Signature& sig) {
   return Ed25519Verify(pk, msg.data(), msg.size(), sig);
@@ -82,10 +95,13 @@ struct Ed25519BatchItem {
 // torsion components cannot, and bisection leaves fall back to the single
 // equation). A batch whose combined equation fails is bisected, so the
 // result identifies precisely which items are bad while still paying the
-// batched cost for the valid majority.
-std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n);
-inline std::vector<bool> Ed25519BatchVerify(const std::vector<Ed25519BatchItem>& items) {
-  return Ed25519BatchVerify(items.data(), items.size());
+// batched cost for the valid majority. `keys` (may be null) memoizes the
+// decoded public keys.
+std::vector<bool> Ed25519BatchVerify(const Ed25519BatchItem* items, size_t n,
+                                     Ed25519KeyCache* keys = nullptr);
+inline std::vector<bool> Ed25519BatchVerify(const std::vector<Ed25519BatchItem>& items,
+                                            Ed25519KeyCache* keys = nullptr) {
+  return Ed25519BatchVerify(items.data(), items.size(), keys);
 }
 
 // --- Introspection hooks used by tests -------------------------------------

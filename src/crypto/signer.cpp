@@ -31,16 +31,18 @@ class Ed25519Signer : public Signer {
 
   bool Verify(const PublicKey& pk, const uint8_t* msg, size_t len,
               const Signature& sig) const override {
-    return Ed25519Verify(pk, msg, len, sig);
+    return Ed25519Verify(pk, msg, len, sig, &keys_);
   }
 
   std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const override {
-    return Ed25519BatchVerify(items);
+    return Ed25519BatchVerify(items, &keys_);
   }
 
  private:
   Ed25519Seed seed_;
   PublicKey pk_;
+  // Decoded committee keys; a memo, so verifying stays a const operation.
+  mutable Ed25519KeyCache keys_;
 };
 
 // Registry mapping FastSigner public keys to their secrets, so any FastSigner

@@ -52,42 +52,22 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-const char* RuleShortDescription(const std::string& rule) {
-  if (rule == kRuleNondet) {
-    return "Wall-clock, ambient-entropy or threading source outside the simulator";
-  }
-  if (rule == kRuleUnorderedIter) {
-    return "Unordered-container iteration order escapes into messages or state";
-  }
-  if (rule == kRuleQuorumArith) {
-    return "Literal quorum-threshold arithmetic outside the Committee helpers";
-  }
-  if (rule == kRuleCodecMismatch) {
-    return "Encode/Decode field op sequences drift";
-  }
-  if (rule == kRulePointerKey) {
-    return "Container ordered or keyed by raw pointer value";
-  }
-  if (rule == kRuleWalBeforeSend) {
-    return "Signed message sent without a prior Store::Sync durability barrier";
-  }
-  if (rule == kRuleDeferredCapture) {
-    return "Scheduler lambda captures by reference or reschedules with stale state";
-  }
-  if (rule == kRuleRegistryExhaustive) {
-    return "MessageTypeId missing a codec, handler or fuzz-corpus leg";
-  }
-  return "ntlint finding";
-}
-
 }  // namespace
 
-const std::vector<std::string>& AllRuleNames() {
-  static const std::vector<std::string> names = {
-      kRuleNondet,        kRuleUnorderedIter, kRuleQuorumArith,
-      kRuleCodecMismatch, kRulePointerKey,    kRuleWalBeforeSend,
-      kRuleDeferredCapture, kRuleRegistryExhaustive};
-  return names;
+const std::vector<RuleInfo>& Rules() {
+  static const std::vector<RuleInfo> rules = {
+      {kRuleNondet, "R1",
+       "Wall-clock, entropy, threading or raw-file-IO source outside src/sim/ and bench/; a "
+       "std::unordered_* or a std::map/set keyed by raw pointer anywhere"},
+      {kRuleQuorumArith, "R3", "Literal quorum-threshold arithmetic outside the Committee helpers"},
+      {kRuleCodecMismatch, "R4", "Encode/Decode field op sequences drift"},
+      {kRuleWalBeforeSend, "R6",
+       "Signed message sent without a prior Store::Sync durability barrier"},
+      {kRuleDeferredCapture, "R8",
+       "Scheduler lambda captures by reference or reschedules with stale state"},
+      {kRuleRegistryExhaustive, "R9", "MessageTypeId missing a codec, handler or fuzz-corpus leg"},
+  };
+  return rules;
 }
 
 std::vector<AllowAnnotation> ParseAllows(const std::vector<Comment>& comments) {
@@ -112,8 +92,8 @@ std::vector<AllowAnnotation> ParseAllows(const std::vector<Comment>& comments) {
     std::string rule;
     while (std::getline(rules, rule, ',')) {
       rule = Trim(rule);
-      for (const std::string& known : AllRuleNames()) {
-        if (rule == known) {
+      for (const RuleInfo& known : Rules()) {
+        if (rule == known.id) {
           a.rules.push_back(rule);
           break;
         }
@@ -171,23 +151,9 @@ void ApplyAllows(std::vector<Finding>* findings, std::vector<AllowAnnotation>* a
 }
 
 FileReport LintSource(const std::string& path, const std::string& content) {
-  return LintSourceWithCompanion(path, content, nullptr);
-}
-
-FileReport LintSourceWithCompanion(const std::string& path, const std::string& content,
-                                   const std::string* companion_content) {
   // Per-file linting is pass 1 of the model pipeline, so a file linted alone
   // and the same file linted as part of the repo agree by construction.
-  FileFacts facts = ExtractFacts(path, content, companion_content);
-  FileReport report;
-  report.path = path;
-  ApplyAllows(&facts.findings, &facts.allows, &report);
-  report.findings = std::move(facts.findings);
-  return report;
-}
-
-FileReport LintFile(const std::string& path) {
-  FileFacts facts = ExtractFactsFromDisk(path);
+  FileFacts facts = ExtractFacts(path, content);
   FileReport report;
   report.path = path;
   ApplyAllows(&facts.findings, &facts.allows, &report);
@@ -285,11 +251,11 @@ std::string FormatSarif(const Summary& summary) {
   out << "          \"name\": \"ntlint\",\n";
   out << "          \"informationUri\": \"https://example.invalid/ntlint\",\n";
   out << "          \"rules\": [\n";
-  const std::vector<std::string>& rules = AllRuleNames();
+  const std::vector<RuleInfo>& rules = Rules();
   for (size_t i = 0; i < rules.size(); ++i) {
-    out << "            {\"id\": \"" << JsonEscape(rules[i]) << "\", \"shortDescription\": "
-        << "{\"text\": \"" << JsonEscape(RuleShortDescription(rules[i])) << "\"}}"
-        << (i + 1 < rules.size() ? "," : "") << "\n";
+    out << "            {\"id\": \"" << rules[i].id << "\", \"name\": \"" << rules[i].number
+        << "\", \"shortDescription\": {\"text\": \"" << JsonEscape(rules[i].description)
+        << "\"}}" << (i + 1 < rules.size() ? "," : "") << "\n";
   }
   out << "          ]\n        }\n      },\n";
   out << "      \"results\": [";

@@ -8,36 +8,53 @@
 //
 // Per-file token-pattern rules (v1):
 //
-//   R1 nondet          banned wall-clock / ambient-entropy / threading
-//                      identifiers outside src/sim/ and bench/.
-//   R2 unordered-iter  iteration over std::unordered_{map,set} or the
-//                      repo's FlatTable (DigestMap, DigestSet) whose loop
-//                      body lets the (seed-dependent, implementation-defined)
-//                      bucket order escape into messages, hashes, encodings,
-//                      or accumulated state.
+//   R1 nondet          banned wall-clock / ambient-entropy / threading /
+//                      raw-file-IO identifiers outside src/sim/ and bench/
+//                      (guards the WAL's one fsync barrier,
+//                      src/store/store.cpp:209, which carries an allow);
+//                      and, in every file, simulator included, the
+//                      container ban: no std::unordered_* and no
+//                      std::map/set/multimap/multiset keyed by a raw
+//                      pointer. Hashed order is implementation-defined and
+//                      address order varies with ASLR, so neither may reach
+//                      a message, digest or commit order. FlatTable
+//                      (src/crypto/digest_table.h) is the one hash table and
+//                      has no begin()/end(); ordered books key by id or
+//                      digest, like the DAG's per-round
+//                      std::map<ValidatorId, CertPtr> (src/narwhal/dag.h:132).
 //   R3 quorum-arith    literal threshold arithmetic (2f, 2f+1, f+1, n/3)
 //                      outside the blessed Committee helpers — the "2f vs
-//                      2f+1" slip class that breaks quorum intersection.
+//                      2f+1" slip class that breaks quorum intersection
+//                      (guards the seeded mutation at src/types/types.cpp:22).
 //   R4 codec-mismatch  an Encode/Decode pair whose field op sequences drift
-//                      (silent serialize/deserialize skew).
-//   R5 pointer-key     containers ordered or keyed by raw pointer value
-//                      (ASLR makes the order differ run to run).
+//                      (silent serialize/deserialize skew; guards e.g.
+//                      Certificate::Encode/Decode, src/types/types.cpp:240).
 //
 // Whole-repo semantic-model rules (v2, src/lint/model.h):
 //
 //   R6 wal-before-send     a signed message leaves the node without a
 //                          Store::Sync() durability barrier earlier on the
 //                          path (checked through call-graph inlining) — the
-//                          double-vote-through-amnesia class.
+//                          double-vote-through-amnesia class (guards the
+//                          HotStuff timeout broadcast,
+//                          src/hotstuff/hotstuff.cpp:184).
 //   R8 deferred-capture    a lambda handed to the Scheduler captures locals
 //                          by reference, or a retry's reschedule call fails
 //                          to carry mutated state by value (the
-//                          RetryBroadcast stale-attempt storm class).
+//                          RetryBroadcast stale-attempt storm class; guards
+//                          the DST workload lambdas,
+//                          src/check/checker.cpp:316).
 //   R9 registry-exhaustive a MessageTypeId with no registered message
 //                          struct, a registered struct with no handler
 //                          dispatch, a one-sided payload codec, or a
 //                          two-sided payload codec missing from the
-//                          fuzz_decode_test corpus.
+//                          fuzz_decode_test corpus (guards the
+//                          wire-accounting-only struct at
+//                          src/hotstuff/messages.h:77).
+//
+// R2 (unordered-container iteration) and R5 (containers keyed by pointer) are
+// retired: the container ban and FlatTable's missing begin()/end() make
+// their patterns impossible to write. R7 is retired too.
 //
 // Findings are suppressable only with an inline annotation on the same line
 // or the line above:
@@ -61,17 +78,21 @@ namespace lint {
 
 // Rule identifiers (also the names accepted inside allow annotations).
 inline constexpr const char* kRuleNondet = "nondet";
-inline constexpr const char* kRuleUnorderedIter = "unordered-iter";
 inline constexpr const char* kRuleQuorumArith = "quorum-arith";
 inline constexpr const char* kRuleCodecMismatch = "codec-mismatch";
-inline constexpr const char* kRulePointerKey = "pointer-key";
 inline constexpr const char* kRuleWalBeforeSend = "wal-before-send";
 inline constexpr const char* kRuleDeferredCapture = "deferred-capture";
 inline constexpr const char* kRuleRegistryExhaustive = "registry-exhaustive";
 
-// Every rule id, in R1..R9 order with R7 retired (drives allow parsing, SARIF
-// metadata and the per-rule stale-allow accounting).
-const std::vector<std::string>& AllRuleNames();
+struct RuleInfo {
+  const char* id;
+  const char* number;  // "R1".."R9".
+  const char* description;
+};
+
+// Every rule, in R1..R9 order with R2, R5 and R7 retired. Drives allow
+// parsing, `ntlint --rules` and the SARIF rule metadata.
+const std::vector<RuleInfo>& Rules();
 
 struct Finding {
   std::string rule;
@@ -131,18 +152,9 @@ void ApplyAllows(std::vector<Finding>* findings, std::vector<AllowAnnotation>* a
 // Lints one translation unit given as an in-memory string. `path` determines
 // which rules apply (rule scoping is by directory, see rules.cpp); it does
 // not have to exist on disk — tests lint synthetic fixtures this way.
-// Runs the per-file rules (R1–R5, R8) only; the cross-file rules need the
-// whole-repo model (model.h: LintRepoUnits / LintPaths).
+// Runs the per-file rules (R1, R3, R4, R8) only; the cross-file rules need
+// the whole-repo model (model.h: LintRepoUnits / LintPaths).
 FileReport LintSource(const std::string& path, const std::string& content);
-
-// As LintSource, with the sibling header's content supplied so rule R2 can
-// see member declarations of the .cpp being linted (may be null).
-FileReport LintSourceWithCompanion(const std::string& path, const std::string& content,
-                                   const std::string* companion_content);
-
-// Reads and lints a file from disk. A missing/unreadable file yields a
-// single finding so CI cannot silently skip anything.
-FileReport LintFile(const std::string& path);
 
 // Recursively collects the .h/.cpp/.cc files under `root` (or `root` itself
 // if it is a regular file), sorted lexicographically so runs are
@@ -156,8 +168,8 @@ Summary LintPaths(const std::vector<std::string>& paths);
 // Renders findings + the suppression report to a string (the CLI output).
 std::string FormatSummary(const Summary& summary, bool verbose);
 
-// Renders the summary as a SARIF 2.1.0 log: one run declaring rules R1–R9,
-// with suppressed findings carrying an inSource suppression.
+// Renders the summary as a SARIF 2.1.0 log: one run declaring every rule in
+// Rules(), with suppressed findings carrying an inSource suppression.
 std::string FormatSarif(const Summary& summary);
 
 }  // namespace lint

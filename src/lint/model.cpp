@@ -651,17 +651,12 @@ std::vector<Finding> RunDeferredCapture(const std::string& rel_path, const Lexed
 
 // ----------------------------------------------------------- pass 1 assembly
 
-FileFacts ExtractFacts(const std::string& path, const std::string& content,
-                       const std::string* companion_content) {
+FileFacts ExtractFacts(const std::string& path, const std::string& content) {
   FileFacts facts;
   facts.path = path;
   facts.rel = RepoRelPath(path);
   LexedFile lex = Lex(content);
-  LexedFile companion;
-  if (companion_content != nullptr) {
-    companion = Lex(*companion_content);
-  }
-  facts.findings = RunRules(facts.rel, lex, companion_content != nullptr ? &companion : nullptr);
+  facts.findings = RunRules(facts.rel, lex);
   std::vector<Finding> deferred = RunDeferredCapture(facts.rel, lex);
   facts.findings.insert(facts.findings.end(), deferred.begin(), deferred.end());
   std::stable_sort(facts.findings.begin(), facts.findings.end(),
@@ -714,21 +709,7 @@ FileFacts ExtractFactsFromDisk(const std::string& path) {
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  std::string companion_content;
-  bool have_companion = false;
-  std::filesystem::path p(path);
-  if (p.extension() == ".cpp" || p.extension() == ".cc") {
-    std::filesystem::path header = p;
-    header.replace_extension(".h");
-    std::ifstream hin(header, std::ios::binary);
-    if (hin) {
-      std::stringstream hbuf;
-      hbuf << hin.rdbuf();
-      companion_content = hbuf.str();
-      have_companion = true;
-    }
-  }
-  return ExtractFacts(path, buf.str(), have_companion ? &companion_content : nullptr);
+  return ExtractFacts(path, buf.str());
 }
 
 // ------------------------------------------------------------ pass 2: rules
@@ -1046,19 +1027,7 @@ Summary LintRepoUnits(const std::vector<SourceUnit>& units, const std::string* f
             [](const SourceUnit* a, const SourceUnit* b) { return a->path < b->path; });
   std::vector<FileFacts> facts;
   for (const SourceUnit* u : ordered) {
-    const std::string* companion = nullptr;
-    std::filesystem::path p(u->path);
-    if (p.extension() == ".cpp" || p.extension() == ".cc") {
-      std::filesystem::path header = p;
-      header.replace_extension(".h");
-      for (const SourceUnit& other : units) {
-        if (other.path == header.string()) {
-          companion = &other.content;
-          break;
-        }
-      }
-    }
-    facts.push_back(ExtractFacts(u->path, u->content, companion));
+    facts.push_back(ExtractFacts(u->path, u->content));
   }
   return AssembleSummary(std::move(facts), fuzz_corpus);
 }

@@ -81,7 +81,7 @@ struct FactPayloadRef {
 struct FileFacts {
   std::string path;  // As given to the driver (what findings report).
   std::string rel;   // Repo-relative (rule scoping).
-  std::vector<Finding> findings;  // Per-file rules (R1–R5) + R8, unsuppressed.
+  std::vector<Finding> findings;  // Per-file rules (R1, R3, R4, R8), unsuppressed.
   std::vector<AllowAnnotation> allows;
   std::vector<FactFunction> functions;
   std::vector<FactEnumerator> enumerators;  // MessageTypeId only.
@@ -92,24 +92,22 @@ struct FileFacts {
 };
 
 // An in-memory translation unit (tests lint synthetic multi-file repos this
-// way; a unit whose path ends in .cpp picks up a same-stem .h unit as its R2
-// companion, mirroring the on-disk driver).
+// way).
 struct SourceUnit {
   std::string path;
   std::string content;
 };
 
-// Pass 1 for one unit. `companion_content` may be null.
-FileFacts ExtractFacts(const std::string& path, const std::string& content,
-                       const std::string* companion_content);
+// Pass 1 for one unit.
+FileFacts ExtractFacts(const std::string& path, const std::string& content);
 
 // Rule R8 (deferred-capture). Lives with the model because it reuses the
 // structural scanner (function spans), but it only needs one file's tokens,
-// so it runs in pass 1 alongside R1–R5.
+// so it runs in pass 1 alongside R1, R3 and R4.
 std::vector<Finding> RunDeferredCapture(const std::string& rel_path, const LexedFile& lex);
 
-// Pass 1 for one on-disk file (reads the sibling .h companion itself). An
-// unreadable file yields a FileFacts whose findings carry the io-error.
+// Pass 1 for one on-disk file. An unreadable file yields a FileFacts whose
+// findings carry the io-error.
 FileFacts ExtractFactsFromDisk(const std::string& path);
 
 // Pass 2: runs R6/R9 over the merged facts. `fuzz_corpus` is the content

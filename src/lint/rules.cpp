@@ -94,10 +94,46 @@ void Report(std::vector<Finding>* out, const char* rule, int line, std::string m
 
 // ------------------------------------------------------------------ R1 nondet
 
-void RunNondet(const std::string& path, const Toks& t, std::vector<Finding>* out) {
-  if (ExemptFromNondet(path)) {
-    return;
+// True when the template argument list opening at `open` has a raw pointer
+// as its first argument (`std::map<Node*, T>`).
+bool FirstTemplateArgIsPointer(const Toks& t, size_t open) {
+  if (open >= t.size() || t[open].text != "<") {
+    return false;
   }
+  int angle = 1;
+  int paren = 0;
+  size_t last = open;
+  for (size_t k = open + 1; k < t.size(); ++k) {
+    const std::string& tx = t[k].text;
+    if (t[k].kind == TokKind::kPunct) {
+      if (tx == "<") {
+        ++angle;
+      } else if (tx == ">") {
+        if (--angle == 0) {
+          break;
+        }
+      } else if (tx == "(") {
+        ++paren;
+      } else if (tx == ")") {
+        --paren;
+      } else if (tx == "," && angle == 1 && paren == 0) {
+        break;
+      }
+    }
+    last = k;
+  }
+  return t[last].kind == TokKind::kPunct && t[last].text == "*";
+}
+
+void RunNondet(const std::string& path, const Toks& t, std::vector<Finding>* out) {
+  // The simulator and the benchmark harness may own real time; no file may
+  // own a container whose iteration order is not a function of its keys.
+  const bool owns_real_time = ExemptFromNondet(path);
+  // Bare spellings cover `using namespace std`.
+  static const std::set<std::string> kHashedBare = {"unordered_map", "unordered_set",
+                                                    "unordered_multimap", "unordered_multiset"};
+  static const std::set<std::string> kOrdered = {"std::map", "std::set", "std::multimap",
+                                                 "std::multiset"};
   static const std::set<std::string> kBannedIncludes = {"chrono", "thread", "ctime", "unistd"};
   static const std::set<std::string> kBannedExact = {
       // Wall clocks (bare forms cover `using namespace std::chrono`).
@@ -127,9 +163,18 @@ void RunNondet(const std::string& path, const Toks& t, std::vector<Finding>* out
     // #include <chrono> etc.
     if (t[i].kind == TokKind::kPunct && t[i].text == "#" && i + 3 < t.size() &&
         IsIdent(t[i + 1], "include") && t[i + 2].text == "<" &&
-        t[i + 3].kind == TokKind::kIdent && kBannedIncludes.count(t[i + 3].text) > 0) {
-      Report(out, kRuleNondet, t[i].line,
-             "banned include <" + t[i + 3].text + ">: wall-clock/threading/file-IO source outside src/sim/ and bench/");
+        t[i + 3].kind == TokKind::kIdent) {
+      const std::string& header = t[i + 3].text;
+      if (StartsWith(header, "unordered_")) {
+        Report(out, kRuleNondet, t[i].line,
+               "banned include <" + header +
+                   ">: hashed std containers are banned everywhere; use FlatTable "
+                   "(src/crypto/digest_table.h)");
+      } else if (!owns_real_time && kBannedIncludes.count(header) > 0) {
+        Report(out, kRuleNondet, t[i].line,
+               "banned include <" + header + ">: wall-clock/threading/file-IO source outside src/sim/ and bench/");
+      }
+      i += 3;
       continue;
     }
     // Skip identifiers that are mid-chain (`a::b`); a leading `::` (global
@@ -140,6 +185,26 @@ void RunNondet(const std::string& path, const Toks& t, std::vector<Finding>* out
     }
     size_t end = 0;
     std::string chain = ChainAt(t, i, &end);
+    if (StartsWith(chain, "std::unordered_") || kHashedBare.count(chain) > 0) {
+      Report(out, kRuleNondet, t[i].line,
+             "banned container '" + chain +
+                 "': bucket order is implementation-defined; use FlatTable (DigestMap/DigestSet, "
+                 "iterated only through ForEachSorted) or an ordered container");
+      i = end;
+      continue;
+    }
+    if (kOrdered.count(chain) > 0 && FirstTemplateArgIsPointer(t, end + 1)) {
+      Report(out, kRuleNondet, t[i].line,
+             chain +
+                 " keyed by a raw pointer: addresses vary run to run (ASLR/allocator), so its "
+                 "order does too; key by id or digest");
+      i = end;
+      continue;
+    }
+    if (owns_real_time) {
+      i = end;
+      continue;
+    }
     if (StartsWith(chain, "std::chrono") || StartsWith(chain, "std::this_thread")) {
       Report(out, kRuleNondet, t[i].line,
              "banned identifier '" + chain + "': wall-clock/thread source; protocol code must use the simulated clock (src/common/time.h)");
@@ -176,223 +241,6 @@ void RunNondet(const std::string& path, const Toks& t, std::vector<Finding>* out
       Report(out, kRuleNondet, t[i].line,
              "banned call '" + chain + "(...)': wall-clock read; use Scheduler::now()");
       i = end;
-    }
-  }
-}
-
-// --------------------------------------------------------- R2 unordered-iter
-
-// Heuristic for "the loop body lets iteration order escape": it sends,
-// schedules, hashes, encodes, streams, or appends to an order-preserving
-// sink. Pure per-element reads/erases are order-insensitive and stay silent.
-bool BodyEscapesOrder(const Toks& t, size_t first, size_t last) {
-  static const std::set<std::string> kExact = {
-      "Hash",     "Update",       "Finalize", "Encode",  "Serialize", "push_back",
-      "emplace_back", "emplace",  "insert",   "append",  "PutU8",     "PutU16",
-      "PutU32",   "PutU64",       "PutI64",   "PutBool", "PutVar",    "PutString",
-      "PutRaw"};
-  static const char* kPrefixes[] = {"Send", "Broadcast", "Schedule", "Publish", "Write"};
-  for (size_t i = first; i <= last && i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct && t[i].text == "<" && i + 1 < t.size() &&
-        t[i + 1].kind == TokKind::kPunct && t[i + 1].text == "<") {
-      return true;  // Stream output.
-    }
-    if (t[i].kind != TokKind::kIdent) {
-      continue;
-    }
-    if (kExact.count(t[i].text) > 0) {
-      return true;
-    }
-    for (const char* p : kPrefixes) {
-      if (StartsWith(t[i].text, p)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// Collects names of variables (and members) declared with an unordered
-// container type (the std ones and src/crypto/digest_table.h's FlatTable),
-// plus `using` aliases of such types, into `unordered_vars`.
-// Per-lane books — ordered sequences whose *elements* are unordered
-// containers (`std::vector<std::unordered_map<...>> lanes_`) — go into
-// `elem_unordered_vars`: the sequence itself iterates in index order, but a
-// subscripted element (`lanes_[lane]`) is just as order-unstable as a bare
-// unordered member.
-void CollectUnorderedDecls(const Toks& t, std::set<std::string>* unordered_vars,
-                           std::set<std::string>* elem_unordered_vars) {
-  static const std::set<std::string> kUnorderedTypes = {
-      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
-      "FlatTable",     "DigestMap"};
-  // Hashed tables spelled without template arguments.
-  static const std::set<std::string> kUnorderedPlainTypes = {"DigestSet"};
-  static const std::set<std::string> kSequenceTypes = {"vector", "deque", "array"};
-  std::set<std::string>& vars = *unordered_vars;
-  // Pass 0: sequences of unordered containers.
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || kSequenceTypes.count(t[i].text) == 0 ||
-        t[i + 1].text != "<") {
-      continue;
-    }
-    size_t close = MatchForward(t, i + 1, "<", ">");
-    if (close >= t.size()) {
-      continue;
-    }
-    bool holds_unordered = false;
-    for (size_t k = i + 2; k < close; ++k) {
-      if (t[k].kind == TokKind::kIdent && kUnorderedTypes.count(t[k].text) > 0) {
-        holds_unordered = true;
-        break;
-      }
-    }
-    if (!holds_unordered) {
-      continue;
-    }
-    size_t j = close + 1;
-    while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || IsIdent(t[j], "const"))) {
-      ++j;
-    }
-    if (j < t.size() && t[j].kind == TokKind::kIdent &&
-        (j + 1 >= t.size() || t[j + 1].text != "(")) {
-      elem_unordered_vars->insert(t[j].text);
-    }
-  }
-  std::set<std::string> alias_types;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) {
-      continue;
-    }
-    if (alias_types.count(t[i].text) > 0 && i + 2 < t.size() &&
-        t[i + 1].kind == TokKind::kIdent &&
-        (t[i + 2].text == ";" || t[i + 2].text == "=" || t[i + 2].text == "{")) {
-      vars.insert(t[i + 1].text);
-      continue;
-    }
-    size_t close = i;
-    if (kUnorderedTypes.count(t[i].text) > 0 && i + 1 < t.size() && t[i + 1].text == "<") {
-      close = MatchForward(t, i + 1, "<", ">");
-      if (close >= t.size()) {
-        continue;
-      }
-    } else if (kUnorderedPlainTypes.count(t[i].text) == 0) {
-      continue;
-    }
-    // `using Alias = std::unordered_map<...>;`
-    size_t back = i;
-    while (back >= 2 && (t[back - 1].text == "::" || IsIdent(t[back - 1], "std"))) {
-      --back;
-    }
-    if (back >= 3 && t[back - 1].text == "=" && IsIdent(t[back - 3], "using")) {
-      alias_types.insert(t[back - 2].text);
-      continue;
-    }
-    size_t j = close + 1;
-    while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || IsIdent(t[j], "const"))) {
-      ++j;
-    }
-    if (j < t.size() && t[j].kind == TokKind::kIdent &&
-        (j + 1 >= t.size() || t[j + 1].text != "(")) {
-      vars.insert(t[j].text);
-    }
-  }
-}
-
-void RunUnorderedIter(const std::string& path, const Toks& t, const Toks* companion,
-                      std::vector<Finding>* out) {
-  (void)path;  // Applies everywhere: even sim-internal order must not escape.
-  // Members are declared in the header and iterated in the .cpp, so the
-  // driver passes the companion header's tokens for declaration collection.
-  std::set<std::string> unordered_vars;
-  std::set<std::string> elem_unordered_vars;
-  CollectUnorderedDecls(t, &unordered_vars, &elem_unordered_vars);
-  if (companion != nullptr) {
-    CollectUnorderedDecls(*companion, &unordered_vars, &elem_unordered_vars);
-  }
-  if (unordered_vars.empty() && elem_unordered_vars.empty()) {
-    return;
-  }
-
-  // Pass 2: loops whose sequence is an unordered container.
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!IsIdent(t[i], "for") || t[i + 1].text != "(") {
-      continue;
-    }
-    size_t close = MatchForward(t, i + 1, "(", ")");
-    if (close >= t.size()) {
-      continue;
-    }
-    std::string var;
-    // Range-for: the sequence is the trailing identifier after the top-level
-    // ':' (handles `m`, `obj.m`, `this->m`).
-    int depth = 0;
-    size_t colon = 0;
-    for (size_t k = i + 2; k < close; ++k) {
-      if (t[k].kind == TokKind::kPunct) {
-        if (t[k].text == "(" || t[k].text == "[" || t[k].text == "{") {
-          ++depth;
-        } else if (t[k].text == ")" || t[k].text == "]" || t[k].text == "}") {
-          --depth;
-        } else if (t[k].text == ":" && depth == 0) {
-          colon = k;
-          break;
-        }
-      }
-    }
-    if (colon != 0 && t[close - 1].kind == TokKind::kIdent &&
-        unordered_vars.count(t[close - 1].text) > 0) {
-      var = t[close - 1].text;
-    }
-    // Range-for over a subscripted per-lane book: `: lanes_[lane])`.
-    if (var.empty() && colon != 0 && t[close - 1].text == "]") {
-      for (size_t k = colon + 1; k + 1 < close; ++k) {
-        if (t[k].kind == TokKind::kIdent && elem_unordered_vars.count(t[k].text) > 0 &&
-            t[k + 1].text == "[" && MatchForward(t, k + 1, "[", "]") == close - 1) {
-          var = t[k].text;
-          break;
-        }
-      }
-    }
-    // Iterator loop: `it = m.begin()` inside the for-header, with or without
-    // a per-lane subscript (`deferred_[lane].begin()`).
-    if (var.empty()) {
-      for (size_t k = i + 2; k + 2 < close; ++k) {
-        if (t[k].kind != TokKind::kIdent) {
-          continue;
-        }
-        if (unordered_vars.count(t[k].text) > 0 && t[k + 1].text == "." &&
-            (IsIdent(t[k + 2], "begin") || IsIdent(t[k + 2], "cbegin"))) {
-          var = t[k].text;
-          break;
-        }
-        if (elem_unordered_vars.count(t[k].text) > 0 && t[k + 1].text == "[") {
-          size_t sub = MatchForward(t, k + 1, "[", "]");
-          if (sub + 2 < close && t[sub + 1].text == "." &&
-              (IsIdent(t[sub + 2], "begin") || IsIdent(t[sub + 2], "cbegin"))) {
-            var = t[k].text;
-            break;
-          }
-        }
-      }
-    }
-    if (var.empty()) {
-      continue;
-    }
-    size_t body_first = close + 1;
-    size_t body_last;
-    if (body_first < t.size() && t[body_first].text == "{") {
-      body_last = MatchForward(t, body_first, "{", "}");
-    } else {
-      body_last = body_first;
-      while (body_last < t.size() && t[body_last].text != ";") {
-        ++body_last;
-      }
-    }
-    if (BodyEscapesOrder(t, body_first, body_last)) {
-      Report(out, kRuleUnorderedIter, t[i].line,
-             "iteration over unordered container '" + var +
-                 "' with an order-escaping body (sends/hashes/serializes/appends); iterate a "
-                 "sorted snapshot or use an ordered container");
     }
   }
 }
@@ -640,66 +488,13 @@ void RunCodecMismatch(const std::string& path, const Toks& t, std::vector<Findin
   }
 }
 
-// ------------------------------------------------------------ R5 pointer-key
-
-void RunPointerKey(const std::string& path, const Toks& t, std::vector<Finding>* out) {
-  (void)path;
-  static const std::set<std::string> kContainers = {"map",           "set",
-                                                    "multimap",      "multiset",
-                                                    "unordered_map", "unordered_set"};
-  for (size_t i = 2; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || kContainers.count(t[i].text) == 0) {
-      continue;
-    }
-    if (!(t[i - 1].text == "::" && IsIdent(t[i - 2], "std"))) {
-      continue;
-    }
-    if (t[i + 1].text != "<") {
-      continue;
-    }
-    // Walk the first template argument (up to a top-level ',' or the
-    // closing '>').
-    int angle = 1;
-    int paren = 0;
-    size_t last = 0;
-    for (size_t k = i + 2; k < t.size(); ++k) {
-      const std::string& tx = t[k].text;
-      if (t[k].kind == TokKind::kPunct) {
-        if (tx == "<") {
-          ++angle;
-        } else if (tx == ">") {
-          if (--angle == 0) {
-            break;
-          }
-        } else if (tx == "(") {
-          ++paren;
-        } else if (tx == ")") {
-          --paren;
-        } else if (tx == "," && angle == 1 && paren == 0) {
-          break;
-        }
-      }
-      last = k;
-    }
-    if (last != 0 && t[last].kind == TokKind::kPunct && t[last].text == "*") {
-      Report(out, kRulePointerKey, t[i].line,
-             "std::" + t[i].text +
-                 " keyed by a raw pointer: addresses vary run to run (ASLR/allocator), so any "
-                 "order or hash derived from them is nondeterministic — key by id or digest");
-    }
-  }
-}
-
 }  // namespace
 
-std::vector<Finding> RunRules(const std::string& rel_path, const LexedFile& lex,
-                              const LexedFile* companion) {
+std::vector<Finding> RunRules(const std::string& rel_path, const LexedFile& lex) {
   std::vector<Finding> findings;
   RunNondet(rel_path, lex.tokens, &findings);
-  RunUnorderedIter(rel_path, lex.tokens, companion ? &companion->tokens : nullptr, &findings);
   RunQuorumArith(rel_path, lex.tokens, &findings);
   RunCodecMismatch(rel_path, lex.tokens, &findings);
-  RunPointerKey(rel_path, lex.tokens, &findings);
   std::stable_sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     if (a.line != b.line) {
       return a.line < b.line;

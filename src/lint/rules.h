@@ -1,5 +1,7 @@
-// Rule implementations for ntlint (R1–R5). Split from the driver so the
-// fixture tests can run rules on synthetic token streams directly.
+// Per-file rule implementations for ntlint: R1 nondet, R3 quorum-arith and
+// R4 codec-mismatch (lint.h describes each and a src/ site it guards). Split
+// from the driver so the fixture tests can run rules on synthetic token
+// streams directly.
 #ifndef SRC_LINT_RULES_H_
 #define SRC_LINT_RULES_H_
 
@@ -15,11 +17,7 @@ namespace lint {
 // Runs every rule applicable to `rel_path` (a repo-relative path like
 // "src/narwhal/primary.cpp") over the lexed file. Findings come back
 // unsuppressed and sorted by (line, rule); the driver applies annotations.
-// `companion` (may be null) is the lexed sibling header of a .cpp file —
-// rule R2 collects unordered-container member declarations from it, since
-// members are declared in the .h and iterated in the .cpp.
-std::vector<Finding> RunRules(const std::string& rel_path, const LexedFile& lex,
-                              const LexedFile* companion = nullptr);
+std::vector<Finding> RunRules(const std::string& rel_path, const LexedFile& lex);
 
 }  // namespace lint
 }  // namespace nt

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,17 @@
 
 namespace nt {
 namespace {
+
+// FlatTable has no begin()/end(): slot order depends on insertion history,
+// and ForEachSorted is the only way to visit a table. Adding order-exposing
+// iteration (members or ADL begin/end) fails this file at compile time.
+template <typename T>
+concept ExposesSlotOrder =
+    requires(T& t) { t.begin(); } || requires(T& t) { t.end(); } || std::ranges::range<T> ||
+    std::ranges::range<const T>;
+static_assert(!ExposesSlotOrder<DigestMap<uint64_t>>);
+static_assert(!ExposesSlotOrder<DigestSet>);
+static_assert(!ExposesSlotOrder<FlatTable<std::string, uint64_t, StringHash>>);
 
 // Key i: a SHA-256 digest, or with `colliding`, one whose first 8 bytes are
 // shared by every key (so only the full compare tells them apart).

@@ -239,6 +239,29 @@ TEST(Ed25519BatchTest, EmptyBatch) {
   EXPECT_TRUE(Ed25519BatchVerify(empty).empty());
 }
 
+TEST(Ed25519BatchTest, KeyCacheKeepsEveryVerdict) {
+  // A verifier's decoded-key memo changes no verdict, on a hit or a miss,
+  // and a key that fails to decode is never stored.
+  BatchFixture f(8);
+  f.items[2].sig[0] ^= 1;
+  for (uint8_t v = 2; v < 40 && Ed25519PointOnCurve(f.items[5].pk); ++v) {
+    f.items[5].pk = Ed25519PublicKey{v};
+  }
+  ASSERT_FALSE(Ed25519PointOnCurve(f.items[5].pk));
+  const std::vector<bool> expected = Ed25519BatchVerify(f.items);
+  Ed25519KeyCache keys;
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(Ed25519BatchVerify(f.items, &keys), expected);
+    for (size_t i = 0; i < f.items.size(); ++i) {
+      const Ed25519BatchItem& item = f.items[i];
+      EXPECT_EQ(Ed25519Verify(item.pk, item.msg, item.len, item.sig, &keys), expected[i]) << i;
+    }
+  }
+  EXPECT_FALSE(expected[2]);
+  EXPECT_FALSE(expected[5]);
+  EXPECT_EQ(keys.points.size(), 7u);  // Every key but the undecodable one.
+}
+
 TEST(Ed25519BatchTest, BatchOfOne) {
   BatchFixture f(1);
   auto ok = Ed25519BatchVerify(f.items);

@@ -24,24 +24,11 @@
 namespace {
 
 void PrintRules() {
+  std::printf("ntlint rules:\n");
+  for (const nt::lint::RuleInfo& rule : nt::lint::Rules()) {
+    std::printf("  %-3s %-20s %s\n", rule.number, rule.id, rule.description);
+  }
   std::printf(
-      "ntlint rules (per-file):\n"
-      "  nondet               R1: wall-clock/entropy/thread identifiers (std::chrono, rand,\n"
-      "                       random_device, getenv, std::thread, mutex declarations, ...)\n"
-      "                       outside src/sim/ and bench/\n"
-      "  unordered-iter       R2: iteration over std::unordered_{map,set} whose body sends,\n"
-      "                       hashes, serializes, streams, or appends (order escapes)\n"
-      "  quorum-arith         R3: literal threshold arithmetic (2*f, f+1, n/3) outside the\n"
-      "                       Committee helpers in src/types/committee.h\n"
-      "  codec-mismatch       R4: Encode/Decode pair whose codec op sequences drift\n"
-      "  pointer-key          R5: std::map/set (or unordered) keyed by raw pointer value\n"
-      "  deferred-capture     R8: Scheduler lambda captures by reference, or a retry\n"
-      "                       reschedules itself with a stale literal constant\n"
-      "\n"
-      "ntlint rules (whole-repo semantic model):\n"
-      "  wal-before-send      R6: signed message sent with no Store::Sync() earlier on the\n"
-      "                       path (checked through two levels of call inlining)\n"
-      "  registry-exhaustive  R9: MessageTypeId without codec/handler/fuzz-corpus legs\n"
       "\n"
       "suppress with:  // ntlint:allow(<rule>[,<rule>]): <reason>\n"
       "(same line as the finding, or the line directly above)\n");
