@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "src/exec/state_machine.h"
+#include "src/narwhal/primary.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -341,6 +342,75 @@ TEST_F(TypesFixture, HeaderEncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->TotalTxs(), 100u);
   EXPECT_EQ(decoded->TotalPayloadBytes(), 51200u);
   EXPECT_EQ(decoded->parents.size(), 3u);
+}
+
+// The certificate and header bytes that messages, header digests and the
+// primary's 'C' record are built from, pinned like the batch encodings
+// above: a change to how a certificate is held must not move them.
+TEST_F(TypesFixture, CertificateAndHeaderEncodingsArePinned) {
+  const Certificate a = Certify(Sha256::Hash("pinned-parent-a"), 4, 0);
+  const Certificate b = Certify(Sha256::Hash("pinned-parent-b"), 4, 2);
+  const std::string cert_hex =
+      "3e10928291071db6664818d65d2130b9b3bfe02ab63248c0cc688658206fd2c8"
+      "0400000000000000000000000300000000000000ca3e73d8850bd2bb0378da7f"
+      "59a2b9b09ee32e73f118fcde82a0867fcdd1d7f85a37af4b178cd83c770b83b8"
+      "1a4952915f9f32ec8a37370d8c70d922352fcdd701000000e60b6266057ed88b"
+      "c49877a1b11a43396f920f02fd9e760e69964ff0063c898fd01a291372d6ab9b"
+      "777653d5f3da0a6bf84a1e7294778aaecfce058bd58b66e00200000098d8a4f0"
+      "f2b8fa9d38607b8162076f13472b2fd80c96b6f4b41509486d838165fca863b0"
+      "a9843355165c7eb5f12a48a2ca55443ec04a6de75703649d3feba7b1";
+  Writer cert_bytes;
+  a.Encode(cert_bytes);
+  EXPECT_EQ(ToHex(cert_bytes.bytes()), cert_hex);
+  EXPECT_EQ(a.WireSize(), 252u);
+
+  BlockHeader header;
+  header.author = 1;
+  header.round = 5;
+  BatchRef ref;
+  ref.digest = Sha256::Hash("pinned-batch");
+  ref.worker = 1;
+  ref.num_txs = 100;
+  ref.payload_bytes = 51200;
+  header.batches = {ref};
+  header.parents = {a, b};
+  header.author_sig = signers[1]->Sign(header.ComputeDigest());
+  Writer header_bytes;
+  header.Encode(header_bytes);
+  EXPECT_EQ(ToHex(header_bytes.bytes()),
+            "01000000050000000000000001000000fa6e3403117d9ca853ada1594f479a24"
+            "13f58fa0324ba355b3f80f64d78d91dc01000000640000000000000000c80000"
+            "00000000020000003e10928291071db6664818d65d2130b9b3bfe02ab63248c0"
+            "cc688658206fd2c80400000000000000000000000300000000000000ca3e73d8"
+            "850bd2bb0378da7f59a2b9b09ee32e73f118fcde82a0867fcdd1d7f85a37af4b"
+            "178cd83c770b83b81a4952915f9f32ec8a37370d8c70d922352fcdd701000000"
+            "e60b6266057ed88bc49877a1b11a43396f920f02fd9e760e69964ff0063c898f"
+            "d01a291372d6ab9b777653d5f3da0a6bf84a1e7294778aaecfce058bd58b66e0"
+            "0200000098d8a4f0f2b8fa9d38607b8162076f13472b2fd80c96b6f4b4150948"
+            "6d838165fca863b0a9843355165c7eb5f12a48a2ca55443ec04a6de75703649d"
+            "3feba7b1b854d1ae3fd589d003a3b161f9d63f63b31b3e54e8901cb14c90d025"
+            "5fcdeee304000000000000000200000003000000000000003c65f042b951b4df"
+            "578b28e0f16b527daf4afcc5909e4a0bd1b13e0d9f0d246d7ee20fc89a3b2d76"
+            "b5eafb6ded3abdc13b2809f984aa8342fc8fd029d38b701b0100000011616770"
+            "82f3396371225ae3ced813e5ffa2bfabfd3379fd991c6d35cce36cbd34e53af2"
+            "7ad9950d695dc097b21d2cd6fbe443a264cfd12489128047b45217d502000000"
+            "f5589977cfff5144552df170964ce67cb3c2c9d808fdb28ef38cb2d61826768d"
+            "7237407c0a8b18180bbff08449bec484a88d0da39f53e6fa6dcceea5b9298cf9"
+            "fe4fb4e55cba9b8119cbbd340a9936cce03fc9090649348a2e5220dcc1d5f401"
+            "cd419f7cb8eaca1488da1f4cfe68d8694814a343f572f96d1fe1dda1ebfe4cf4");
+  const Digest digest = header.ComputeDigest();
+  EXPECT_EQ(ToHex(digest.data(), digest.size()),
+            "66d8f0671f2b9c4eb64c6d7e43dbc63b3e59b15a90d9fbf7b2cce4e1dcfda2ed");
+  EXPECT_EQ(header.WireSize(), 640u);
+
+  // The value the primary's store holds for `a`: the tag 'C', then the
+  // certificate's encoding.
+  MemStore store;
+  PutRecord(store, CertRecord{a});
+  ASSERT_EQ(store.size(), 1u);
+  store.ForEach([&](const Digest&, const SharedBytes& value) {
+    EXPECT_EQ(ToHex(*value), "43" + cert_hex);
+  });
 }
 
 TEST_F(TypesFixture, VoteWireSizeMatchesEncoding) {
