@@ -160,15 +160,13 @@ struct ParentSetFixture {
     }
     committee = Committee(std::move(infos));
     for (ValidatorId author = 0; author < committee.quorum_threshold(); ++author) {
-      Certificate cert;
-      cert.header_digest = Sha256::Hash("bench-parent-" + std::to_string(author));
-      cert.round = 7;
-      cert.author = author;
-      Bytes preimage = Certificate::VotePreimage(cert.header_digest, cert.round, author);
+      const Digest digest = Sha256::Hash("bench-parent-" + std::to_string(author));
+      Bytes preimage = Certificate::VotePreimage(digest, 7, author);
+      std::vector<VoteList::Entry> votes;
       for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
-        cert.votes.emplace_back(v, signers[v]->Sign(preimage));
+        votes.emplace_back(v, signers[v]->Sign(preimage));
       }
-      parents.push_back(std::move(cert));
+      parents.emplace_back(digest, 7, author, votes);
     }
   }
 };
@@ -301,15 +299,14 @@ double MeasureCertCacheHitRate(size_t num_certs, int deliveries) {
 
   std::vector<Certificate> certs;
   for (size_t i = 0; i < num_certs; ++i) {
-    Certificate cert;
-    cert.header_digest = Sha256::Hash("bench-cert-" + std::to_string(i));
-    cert.round = 1;
-    cert.author = static_cast<ValidatorId>(i % kN);
-    Bytes preimage = Certificate::VotePreimage(cert.header_digest, cert.round, cert.author);
+    const Digest digest = Sha256::Hash("bench-cert-" + std::to_string(i));
+    const auto author = static_cast<ValidatorId>(i % kN);
+    Bytes preimage = Certificate::VotePreimage(digest, 1, author);
+    std::vector<VoteList::Entry> votes;
     for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
-      cert.votes.emplace_back(v, signers[v]->Sign(preimage));
+      votes.emplace_back(v, signers[v]->Sign(preimage));
     }
-    certs.push_back(std::move(cert));
+    certs.emplace_back(digest, 1, author, votes);
   }
 
   VerifiedCertCache cache;

@@ -78,14 +78,11 @@ void BM_HeaderEncode(benchmark::State& state) {
     header.batches.push_back(ref);
   }
   for (int i = 0; i < 7; ++i) {
-    Certificate cert;
-    cert.header_digest = KeyOf(100 + i);
-    cert.round = 41;
-    cert.author = i;
+    std::vector<VoteList::Entry> votes;
     for (int v = 0; v < 7; ++v) {
-      cert.votes.emplace_back(v, Signature{});
+      votes.emplace_back(v, Signature{});
     }
-    header.parents.push_back(cert);
+    header.parents.emplace_back(KeyOf(100 + i), 41, i, votes);
   }
   for (auto _ : state) {
     Writer w;

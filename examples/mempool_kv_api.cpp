@@ -42,8 +42,10 @@ int main() {
               cert->votes.size(), cluster.committee().quorum_threshold());
   const bool genuine_valid = pool.Valid(cluster.committee(), *verifier, *cert);
   std::printf("  genuine certificate:  valid=%d\n", genuine_valid);
+  std::vector<VoteList::Entry> votes = cert->votes.Entries();
+  votes[0].second[0] ^= 0xff;
   Certificate forged = *cert;
-  forged.votes[0].second[0] ^= 0xff;
+  forged.votes = VoteList(votes);
   const bool forged_valid = pool.Valid(cluster.committee(), *verifier, forged);
   std::printf("  forged signature:     valid=%d\n", forged_valid);
   if (!genuine_valid || forged_valid) {

@@ -18,7 +18,10 @@ bool VerifyVoteSet(VerifiedCertCache::Kind kind, const Digest& subject, View vie
   if (votes.size() < committee.quorum_threshold() || !committee.DistinctMembers(votes)) {
     return false;
   }
-  const VerifiedCertCache::Claim claim{kind, subject, view, 0, committee.fingerprint(), votes};
+  Writer vote_bytes(4 + votes.size() * VoteList::kEntrySize);
+  VoteList::Encode(vote_bytes, votes);
+  const VerifiedCertCache::Claim claim{kind, subject, view, 0, committee.fingerprint(),
+                                       vote_bytes.bytes()};
   if (cache.Lookup(claim)) {
     return true;
   }

@@ -7,7 +7,8 @@
 // Ownership. The Dag holds each certificate as a CertPtr and never copies
 // it: the primary hands in a pointer that aliases the header or message the
 // certificate arrived in, so one certificate object serves every validator
-// that learned it from the same delivery.
+// that learned it from the same delivery. Every certificate object, in turn,
+// shares its author's sealed buffer (see Certificate).
 //
 // Indexes. Certificates live in `by_round_`, ordered by (round, author): that
 // order is observable (proposal parents, commit order, GC eviction), so it
@@ -37,7 +38,8 @@ class Dag {
   // author) already exists — impossible with an honest quorum, checked
   // defensively. Idempotent for duplicates.
   bool AddCertificate(CertPtr cert);
-  // Adds a copy of `cert` (recovery, tests, replay tools).
+  // Adds a copy of `cert`, which shares its buffer (recovery, tests, replay
+  // tools).
   bool AddCertificate(const Certificate& cert) {
     return AddCertificate(std::make_shared<const Certificate>(cert));
   }

@@ -97,6 +97,14 @@ std::optional<CertRecord> CertRecord::Decode(Reader& r) {
   return CertRecord{std::move(*cert)};
 }
 
+std::optional<CertRecord> CertRecord::Adopt(SharedBytes value) {
+  std::optional<Certificate> cert = Certificate::Decode(std::move(value));
+  if (!cert.has_value()) {
+    return std::nullopt;
+  }
+  return CertRecord{std::move(*cert)};
+}
+
 Digest VoteRecord::KeyOf(Round round, ValidatorId author) {
   Writer w;
   w.PutU8(kTag);
@@ -152,7 +160,10 @@ void Primary::Recover() {
 
   Round gc_round = 0;
   // A header record names its parents by digest; they are resolved against
-  // the 'C' records once the whole store has been read.
+  // the 'C' records once the whole store has been read. Each certificate
+  // adopts its stored value as its buffer, so the DAG entries and the
+  // rebuilt headers' parents below share the store's bytes, as before the
+  // crash.
   std::vector<HeaderRecord> headers;
   std::vector<Certificate> certs;
   std::vector<VoteRecord> votes;
@@ -619,23 +630,25 @@ void Primary::HandleVote(const Vote& vote) {
 }
 
 void Primary::FormCertificate(Proposal& proposal) {
-  Certificate cert;
-  cert.header_digest = proposal.digest;
-  cert.round = proposal.header->round;
-  cert.author = id_;
+  const uint32_t threshold = CertVoteThreshold(committee_);
+  std::vector<VoteList::Entry> votes;
+  votes.reserve(threshold);
   for (const auto& [voter, sig] : proposal.votes) {
-    if (cert.votes.size() >= CertVoteThreshold(committee_)) {
+    if (votes.size() >= threshold) {
       break;
     }
-    cert.votes.emplace_back(voter, sig);
+    votes.emplace_back(voter, sig);
   }
+  Certificate cert(proposal.digest, proposal.header->round, id_, votes);
   ++certs_formed_;
   Digest digest = proposal.digest;  // Copy: erasing invalidates `proposal`.
   NT_TRACE(tracer_, OnCertFormed(id_, digest, cert.round, network_->scheduler()->now()));
   proposals_.erase(digest);
 
-  // The broadcast message is the certificate's one copy: the local DAG entry
-  // aliases it, as every recipient's does.
+  // The certificate is sealed here, once: every validator's DAG entry and
+  // 'C' record, and every header that cites it, share this buffer. The
+  // broadcast message is the certificate object the local DAG entry
+  // aliases, as every recipient's does.
   auto msg = std::make_shared<MsgCertificate>(std::move(cert));
   AcceptCertificate(CertPtr(msg, &msg->cert), /*request_header_if_missing=*/false,
                     /*verified=*/false);
@@ -671,7 +684,8 @@ bool Primary::AcceptCertificate(CertPtr ptr, bool request_header_if_missing, boo
     return false;  // Equivocation (cannot happen with honest quorum).
   }
   // Persist before the hooks run: anything consensus derives from this
-  // certificate (commits, GC) must be re-derivable after a crash.
+  // certificate (commits, GC) must be re-derivable after a crash. The record
+  // is the certificate's sealed buffer itself, so storing it copies nothing.
   if (store_ != nullptr) {
     PutRecord(*store_, CertRecord{cert});
   }
@@ -707,10 +721,10 @@ void Primary::RetryHeaderSync(const Digest& digest) {
   HeaderSync& sync = it->second;
   // Ask the certificate's signers in turn: at least f+1 of them are honest
   // and store the header (paper §4.1), so O(1) probes suffice on average.
-  const auto& voters = sync.cert->votes;
-  ValidatorId target = voters[sync.attempts % voters.size()].first;
+  const VoteList& voters = sync.cert->votes;
+  ValidatorId target = voters[sync.attempts % voters.size()].voter;
   if (target == id_) {
-    target = voters[(sync.attempts + 1) % voters.size()].first;
+    target = voters[(sync.attempts + 1) % voters.size()].voter;
   }
   ++sync.attempts;
   ++header_sync_requests_;

@@ -78,9 +78,11 @@ struct HeaderRecord {
   static std::optional<HeaderRecord> Decode(Reader& r);
 };
 
-// 'C': a certificate the DAG accepted, keyed by its header digest.
+// 'C': a certificate the DAG accepted, keyed by its header digest. A sealed
+// record: its value is the certificate's own buffer, so every validator's
+// store holds the author's one copy, and recovery adopts the stored buffer.
 struct CertRecord {
-  static constexpr uint8_t kTag = 'C';
+  static constexpr uint8_t kTag = Certificate::kRecordTag;
   static constexpr Prune kPrune = Prune::kGcHorizon;
   Certificate cert;
 
@@ -88,6 +90,8 @@ struct CertRecord {
   Digest Key() const { return KeyOf(cert.header_digest); }
   void Encode(Writer& w) const;
   static std::optional<CertRecord> Decode(Reader& r);
+  SharedBytes Sealed() const { return cert.RecordValue(); }
+  static std::optional<CertRecord> Adopt(SharedBytes value);
 };
 
 // 'V': a vote-ledger entry, the header this validator voted for at
@@ -192,7 +196,8 @@ class Primary : public NetNode {
 
   // Validates and stores a certificate learned out-of-band (e.g. from a
   // HotStuff proposal), pulling its header if missing. Returns false only
-  // for invalid certificates. A new certificate is stored as a copy.
+  // for invalid certificates. A new certificate is stored as a copy, which
+  // shares the presented certificate's buffer.
   bool IngestCertificate(const Certificate& cert);
 
   // --- NetNode ------------------------------------------------------------------

@@ -12,14 +12,28 @@
 //                                              trailing bytes
 //
 // Encode and Decode live in one file, so ntlint's codec-mismatch rule pairs
-// them. PutRecord and ForEachRecord are the only places a tag byte is
-// written or dispatched on, and each store names the record types it holds
-// once, as a RecordList, whose tags must be distinct.
+// them.
+//
+// A sealed record type also keeps its whole stored value as one immutable
+// buffer, written once by SealRecordValue and shared by every store that
+// holds it (the primary's 'C' record is its certificate's own buffer):
+//
+//   SharedBytes Sealed() const;                  the value PutRecord stores,
+//                                                the same bytes Encode gives
+//   static std::optional<R> Adopt(SharedBytes);  Decode over a whole stored
+//                                                value, keeping the buffer
+//
+// SealRecordValue, and through it PutRecord, is the only writer of a tag
+// byte; ForEachRecord is the only place one is dispatched on. Each store
+// names the record types it holds once, as a RecordList, whose tags must be
+// distinct.
 #ifndef SRC_STORE_RECORD_H_
 #define SRC_STORE_RECORD_H_
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -48,17 +62,35 @@ inline Digest TaggedKey(uint8_t tag, const Digest& digest) {
   return Sha256::Hash(buf, sizeof(buf));
 }
 
-// Writes the tag and the fields into a reused per-thread buffer, then puts
-// an exact-size copy into the store. A store keeps its records for many
-// rounds, so none of them keeps a Writer's growth slack, and the reused
-// buffer grows once per thread instead of once per record.
-template <typename R>
-void PutRecord(Store& store, const R& record) {
+// The value of a record tagged `tag`: the tag, then what
+// `encode_fields(Writer&)` writes, in an exact-size immutable buffer. The
+// bytes are first written into a reused per-thread buffer: a store keeps its
+// records for many rounds, so none of them keeps a Writer's growth slack, and
+// the reused buffer grows once per thread instead of once per record.
+// `encode_fields` must not seal another value.
+template <typename EncodeFields>
+SharedBytes SealRecordValue(uint8_t tag, const EncodeFields& encode_fields) {
   thread_local Writer encoding;
   encoding.Clear();
-  encoding.PutU8(R::kTag);
-  record.Encode(encoding);
-  store.Put(record.Key(), Bytes(encoding.bytes().begin(), encoding.bytes().end()));
+  encoding.PutU8(tag);
+  encode_fields(encoding);
+  return std::make_shared<const Bytes>(Bytes(encoding.bytes().begin(), encoding.bytes().end()));
+}
+
+template <typename R>
+concept SealedRecord = requires(const R& record, SharedBytes value) {
+  { record.Sealed() } -> std::same_as<SharedBytes>;
+  { R::Adopt(std::move(value)) } -> std::same_as<std::optional<R>>;
+};
+
+// Stores `record`: a sealed record's own buffer, any other sealed afresh.
+template <typename R>
+void PutRecord(Store& store, const R& record) {
+  if constexpr (SealedRecord<R>) {
+    store.Put(record.Key(), record.Sealed());
+  } else {
+    store.Put(record.Key(), SealRecordValue(R::kTag, [&](Writer& w) { record.Encode(w); }));
+  }
 }
 
 // Decodes a stored value as R: nullopt if the tag differs or R::Decode fails.
@@ -80,9 +112,9 @@ std::optional<R> GetRecord(const Store& store) {
 
 // Visits every intact record of the listed types, in store key order, with
 // `visit(R&&)` (a handler may take the decoded record by const& or move from
-// it); other owners' tags are skipped. Every listed type needs a handler
-// (pass an Overloaded set). Returns the number of values carrying a listed
-// tag, intact or not.
+// it; a sealed record adopts the stored buffer); other owners' tags are
+// skipped. Every listed type needs a handler (pass an Overloaded set).
+// Returns the number of values carrying a listed tag, intact or not.
 template <typename... R, typename Visitor>
 size_t ForEachRecord(const Store& store, Visitor&& visit) {
   static_assert((std::is_invocable_v<Visitor&, R&&> && ...),
@@ -94,7 +126,13 @@ size_t ForEachRecord(const Store& store, Visitor&& visit) {
       if (value.empty() || value[0] != One::kTag) {
         return false;
       }
-      if (std::optional<One> record = DecodeRecord<One>(value)) {
+      std::optional<One> record;
+      if constexpr (SealedRecord<One>) {
+        record = One::Adopt(stored);
+      } else {
+        record = DecodeRecord<One>(value);
+      }
+      if (record.has_value()) {
         visit(std::move(*record));
       }
       return true;

@@ -65,7 +65,8 @@ void VerifiedCertCache::Insert(const Claim& claim) {
     return;
   }
   const Key key{claim.kind, claim.round, claim.subject};
-  lru_.push_front(Entry{key, lru_.end(), claim.author, claim.committee, claim.votes});
+  lru_.push_front(Entry{key, lru_.end(), claim.author, claim.committee,
+                        Bytes(claim.votes.begin(), claim.votes.end())});
   auto [head, inserted] = index_.emplace(key, lru_.begin());
   if (!inserted) {
     lru_.front().next_binding = *head;

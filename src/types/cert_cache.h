@@ -27,9 +27,9 @@
 // lookup costs one hashed-table probe (keyed on the subject digest's first
 // bytes, src/crypto/digest_table.h) and no SHA-256. The entry then binds
 // exactly how that subject was certified: the committee fingerprint, the
-// header author and the full (voter, signature) list, compared byte for byte
-// against the presented certificate. A forged or different vote set under a
-// cached subject therefore misses and goes back through signature
+// header author and the encoded (voter, signature) list, compared byte for
+// byte against the presented certificate. A forged or different vote set
+// under a cached subject therefore misses and goes back through signature
 // verification, and two valid vote sets for the same subject are two
 // entries. Only *positive* results are cached (a certificate that failed to
 // verify is simply re-checked).
@@ -41,12 +41,15 @@
 #ifndef SRC_TYPES_CERT_CACHE_H_
 #define SRC_TYPES_CERT_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/crypto/digest_table.h"
 #include "src/types/committee.h"
 
@@ -65,8 +68,6 @@ class VerifiedCertCache {
   // Separates the key spaces of the certificate kinds sharing a cache.
   enum class Kind : uint8_t { kNarwhal, kQuorumCert, kTimeoutCert };
 
-  using Votes = std::vector<std::pair<ValidatorId, Signature>>;
-
   // A certificate as presented for verification: (kind, subject, round) is
   // the key, (author, committee, votes) the binding. Borrows its fields.
   struct Claim {
@@ -75,7 +76,10 @@ class VerifiedCertCache {
     uint64_t round;           // Narwhal round or HotStuff view; the GC dimension.
     ValidatorId author;       // Narwhal header author; 0 for QCs and TCs.
     const Digest& committee;  // Committee::fingerprint().
-    const Votes& votes;
+    // The (voter, signature) list in VoteList's encoding: a Narwhal
+    // certificate's VoteList::bytes(), a QC's or TC's votes encoded by
+    // VoteList::Encode.
+    std::span<const uint8_t> votes;
   };
 
   static constexpr size_t kDefaultCapacity = 8192;
@@ -119,10 +123,11 @@ class VerifiedCertCache {
     LruList::iterator next_binding;
     ValidatorId author;
     Digest committee;
-    Votes votes;
+    Bytes votes;
 
     bool Binds(const Claim& claim) const {
-      return author == claim.author && committee == claim.committee && votes == claim.votes;
+      return author == claim.author && committee == claim.committee &&
+             std::ranges::equal(votes, claim.votes);
     }
   };
 

@@ -107,11 +107,14 @@ class Committee {
   bool Contains(ValidatorId id) const { return id < size(); }
 
   // True iff every voter is a committee member and none appears twice — the
-  // voter check of every certificate kind.
-  bool DistinctMembers(const std::vector<std::pair<ValidatorId, Signature>>& votes) const {
+  // voter check of every certificate kind. `votes` is a range of (voter,
+  // signature) pairs: a HotStuff certificate's vector or a Narwhal
+  // certificate's VoteList.
+  template <typename Votes = std::vector<std::pair<ValidatorId, Signature>>>
+  bool DistinctMembers(const Votes& votes) const {
     MemberSet seen(size());
-    for (const auto& vote : votes) {
-      if (!Contains(vote.first) || !seen.Insert(vote.first)) {
+    for (const auto& [voter, sig] : votes) {
+      if (!Contains(voter) || !seen.Insert(voter)) {
         return false;
       }
     }

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "src/common/seeded_bugs.h"
+#include "src/store/record.h"
 #include "src/types/cert_cache.h"
 
 namespace nt {
@@ -28,7 +29,7 @@ bool CertStructureOk(const Committee& committee, const Certificate& cert) {
 // to its round, author, committee and exact vote set.
 VerifiedCertCache::Claim CacheClaim(const Committee& committee, const Certificate& cert) {
   return {VerifiedCertCache::Kind::kNarwhal, cert.header_digest, cert.round, cert.author,
-          committee.fingerprint(), cert.votes};
+          committee.fingerprint(), cert.votes.bytes()};
 }
 
 const Certificate& Deref(const Certificate& cert) { return cert; }
@@ -67,8 +68,9 @@ bool VerifyCertificates(const Certs& certs, const Committee& committee, const Si
   for (const Certificate* cert : pending) {
     const Bytes& preimage = preimages.emplace_back(
         Certificate::VotePreimage(cert->header_digest, cert->round, cert->author));
-    for (const auto& [voter, sig] : cert->votes) {
-      items.push_back({committee.key_of(voter), preimage.data(), preimage.size(), sig});
+    for (const VoteList::View vote : cert->votes) {
+      items.push_back(
+          {committee.key_of(vote.voter), preimage.data(), preimage.size(), vote.signature()});
     }
   }
   const std::vector<bool> ok = verifier.VerifyBatch(items);
@@ -226,7 +228,94 @@ BatchRef BatchRef::Decode(Reader& r) {
   return b;
 }
 
+// ----------------------------------------------------------------- VoteList
+
+namespace {
+
+// The encoding of the empty list: a zero count.
+constexpr uint8_t kNoVotes[4] = {0, 0, 0, 0};
+
+uint32_t LoadU32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+Signature VoteList::View::signature() const {
+  Signature out;
+  std::copy(sig.begin(), sig.end(), out.begin());
+  return out;
+}
+
+VoteList::View VoteList::Iterator::operator*() const {
+  return {LoadU32(at_), std::span<const uint8_t, 64>(at_ + 4, 64)};
+}
+
+VoteList::VoteList(std::span<const Entry> votes) {
+  Writer w(4 + votes.size() * kEntrySize);
+  Encode(w, votes);
+  buffer_ = std::make_shared<const Bytes>(w.Take());
+}
+
+void VoteList::Encode(Writer& w, std::span<const Entry> votes) {
+  w.PutU32(static_cast<uint32_t>(votes.size()));
+  for (const auto& [voter, sig] : votes) {
+    w.PutU32(voter);
+    w.PutRaw(sig);
+  }
+}
+
+size_t VoteList::size() const { return LoadU32(bytes().data()); }
+
+std::span<const uint8_t> VoteList::bytes() const {
+  if (buffer_ == nullptr) {
+    return kNoVotes;
+  }
+  return std::span<const uint8_t>(*buffer_).subspan(offset_);
+}
+
+std::vector<VoteList::Entry> VoteList::Entries() const {
+  std::vector<Entry> out;
+  out.reserve(size());
+  for (const View vote : *this) {
+    out.emplace_back(vote.voter, vote.signature());
+  }
+  return out;
+}
+
+bool VoteList::operator==(const VoteList& other) const {
+  return std::ranges::equal(bytes(), other.bytes());
+}
+
 // -------------------------------------------------------------- Certificate
+//
+// Sealed layout, little-endian — the 'C' record value:
+//   u8 tag 'C' | 32 header_digest | u64 round | u32 author
+//   u32 n_votes | n_votes x (u32 voter | 64 signature)
+// Encode writes everything after the tag.
+
+namespace {
+
+constexpr size_t kCertFieldsSize = kDigestSize + 8 + 4;
+// Where the vote list starts in a sealed buffer.
+constexpr uint32_t kSealedVotesOffset = 1 + kCertFieldsSize;
+
+}  // namespace
+
+Certificate::Certificate(const Digest& digest, Round cert_round, ValidatorId cert_author,
+                         std::span<const VoteList::Entry> entries)
+    : header_digest(digest),
+      round(cert_round),
+      author(cert_author),
+      votes(SealRecordValue(kRecordTag,
+                            [&](Writer& w) {
+                              w.PutRaw(digest);
+                              w.PutU64(cert_round);
+                              w.PutU32(cert_author);
+                              VoteList::Encode(w, entries);
+                            }),
+            kSealedVotesOffset) {}
 
 Bytes Certificate::VotePreimage(const Digest& header_digest, Round round, ValidatorId author) {
   Writer w;
@@ -242,27 +331,60 @@ void Certificate::Encode(Writer& w) const {
   w.PutU64(round);
   w.PutU32(author);
   w.PutU32(static_cast<uint32_t>(votes.size()));
-  for (const auto& [voter, sig] : votes) {
-    w.PutU32(voter);
-    w.PutRaw(sig);
-  }
+  const std::span<const uint8_t> entries = votes.bytes().subspan(4);
+  w.PutRaw(entries.data(), entries.size());
 }
 
-std::optional<Certificate> Certificate::Decode(Reader& r) {
+std::optional<Certificate> Certificate::Decode(SharedBytes record_value) {
+  if (record_value == nullptr || record_value->empty() || (*record_value)[0] != kRecordTag) {
+    return std::nullopt;
+  }
+  Reader r(record_value->data() + 1, record_value->size() - 1);
   Certificate c;
   c.header_digest = r.GetArray<32>();
   c.round = r.GetU64();
   c.author = r.GetU32();
-  uint32_t n = r.GetU32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    ValidatorId voter = r.GetU32();
-    Signature sig = r.GetArray<64>();
-    c.votes.emplace_back(voter, sig);
-  }
-  if (!r.ok()) {
+  const uint32_t n = r.GetU32();
+  if (!r.ok() || n > r.remaining() / VoteList::kEntrySize) {
     return std::nullopt;
   }
+  r.GetRawView(n * VoteList::kEntrySize);  // The votes, which `votes` views in place.
+  if (!r.AtEnd()) {
+    return std::nullopt;
+  }
+  c.votes = VoteList(std::move(record_value), kSealedVotesOffset);
   return c;
+}
+
+std::optional<Certificate> Certificate::Decode(Reader& r) {
+  // Find the encoding's extent on a copy of the cursor, bounding the vote
+  // count by the input before anything is allocated, then seal a copy of
+  // exactly those bytes.
+  Reader probe = r;
+  probe.GetRawView(kCertFieldsSize);
+  const uint32_t n = probe.GetU32();
+  if (!probe.ok() || n > probe.remaining() / VoteList::kEntrySize) {
+    return std::nullopt;
+  }
+  const std::span<const uint8_t> encoding =
+      r.GetRawView(kCertFieldsSize + 4 + n * VoteList::kEntrySize);
+  return Decode(SealRecordValue(
+      kRecordTag, [&](Writer& w) { w.PutRaw(encoding.data(), encoding.size()); }));
+}
+
+bool Certificate::Sealed() const {
+  if (votes.buffer_ == nullptr || votes.offset_ != kSealedVotesOffset) {
+    return false;
+  }
+  Reader r(votes.buffer_->data() + 1, kCertFieldsSize);
+  return r.GetArray<32>() == header_digest && r.GetU64() == round && r.GetU32() == author;
+}
+
+SharedBytes Certificate::RecordValue() const {
+  if (Sealed()) {
+    return votes.buffer_;
+  }
+  return SealRecordValue(kRecordTag, [this](Writer& w) { Encode(w); });
 }
 
 bool Certificate::Verify(const Committee& committee, const Signer& verifier,
@@ -281,7 +403,7 @@ bool Certificate::VerifyAll(std::span<const Certificate* const> certs, const Com
 }
 
 size_t Certificate::WireSize() const {
-  return kDigestSize + 8 + 4 + 4 + votes.size() * (4 + kSigSize);
+  return kCertFieldsSize + 4 + votes.size() * VoteList::kEntrySize;
 }
 
 // -------------------------------------------------------------- BlockHeader

@@ -4,7 +4,9 @@
 #ifndef SRC_TYPES_TYPES_H_
 #define SRC_TYPES_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -139,14 +141,110 @@ struct BatchRef {
   bool operator==(const BatchRef& other) const = default;
 };
 
+// A certificate's votes: (voter, signature over the vote pre-image) pairs,
+// sorted by voter id, held as their encoding in one immutable shared buffer —
+// a u32 count, then per vote a u32 voter and the 64 signature bytes. Copying
+// a list copies one pointer. A sealed certificate's list is a view into the
+// certificate's own buffer (see Certificate).
+class VoteList {
+ public:
+  // A vote as it is supplied: what the list is built from.
+  using Entry = std::pair<ValidatorId, Signature>;
+
+  // A vote as the list holds it: the voter, and a view of the signature in
+  // the list's buffer, valid while any copy of the list is alive. Read-only:
+  // a different list is built from Entries().
+  struct View {
+    const ValidatorId voter;
+    const std::span<const uint8_t, 64> sig;
+
+    Signature signature() const;
+  };
+
+  class Iterator {
+   public:
+    using value_type = View;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    View operator*() const;
+    Iterator& operator++() {
+      at_ += kEntrySize;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const = default;
+
+   private:
+    friend class VoteList;
+    explicit Iterator(const uint8_t* at) : at_(at) {}
+    const uint8_t* at_ = nullptr;
+  };
+
+  // Encoded bytes per vote.
+  static constexpr size_t kEntrySize = 4 + 64;
+
+  VoteList() = default;
+  VoteList(std::initializer_list<Entry> votes)
+      : VoteList(std::span<const Entry>(votes.begin(), votes.size())) {}
+  explicit VoteList(std::span<const Entry> votes);
+
+  // Appends the encoding of `votes`: what bytes() holds for VoteList(votes).
+  static void Encode(Writer& w, std::span<const Entry> votes);
+
+  size_t size() const;
+  View operator[](size_t i) const { return *Iterator(entries() + i * kEntrySize); }
+  Iterator begin() const { return Iterator(entries()); }
+  Iterator end() const { return Iterator(entries() + size() * kEntrySize); }
+
+  // The encoding (count, then votes), viewed in the buffer.
+  std::span<const uint8_t> bytes() const;
+  // The votes, decoded: a starting point for building a different list.
+  std::vector<Entry> Entries() const;
+
+  // Same votes in the same order: the encodings are equal.
+  bool operator==(const VoteList& other) const;
+
+ private:
+  friend struct Certificate;
+
+  // The list whose encoding starts `offset` bytes into `buffer` and runs to
+  // its end.
+  VoteList(SharedBytes buffer, uint32_t offset) : buffer_(std::move(buffer)), offset_(offset) {}
+
+  const uint8_t* entries() const { return bytes().data() + 4; }
+
+  SharedBytes buffer_;  // Null for the empty list.
+  uint32_t offset_ = 0;
+};
+
 // A certificate of availability: 2f+1 signed acknowledgments that a header
 // (and the batches it references) is stored by a quorum (paper §3.1, §4.1).
+//
+// A sealed certificate is its 'C' record value: one immutable buffer holding
+// the tag 'C' and then the encoding (header digest, round, author, votes),
+// written once when the certificate is sealed. `votes` views that buffer, so
+// copying a certificate copies one pointer beside the header fields, and
+// every holder in the process — the DAGs and stores of all validators, the
+// parents of later headers, messages and recovery — shares the author's one
+// buffer. A certificate is sealed by the constructor that takes its votes, by
+// Decode, and by adopting a stored value. One built field by field (tests,
+// tools) is not sealed, and neither is one whose fields were assigned after
+// sealing: RecordValue() seals a copy of those on demand.
 struct Certificate {
+  // The first byte of a sealed certificate's buffer: the tag of the
+  // primary's 'C' record (CertRecord), written by SealRecordValue.
+  static constexpr uint8_t kRecordTag = 'C';
+
   Digest header_digest{};
   Round round = 0;
   ValidatorId author = 0;
-  // (voter, signature over the vote pre-image), sorted by voter id.
-  std::vector<std::pair<ValidatorId, Signature>> votes;
+  VoteList votes;
+
+  Certificate() = default;
+  // Seals the certificate of (digest, round, author) over `entries`, sorted
+  // by voter id.
+  Certificate(const Digest& digest, Round cert_round, ValidatorId cert_author,
+              std::span<const VoteList::Entry> entries);
 
   // The certificate certifies the header; its identity is the header digest.
   const Digest& digest() const { return header_digest; }
@@ -155,14 +253,25 @@ struct Certificate {
   static Bytes VotePreimage(const Digest& header_digest, Round round, ValidatorId author);
 
   void Encode(Writer& w) const;
+  // Reads one encoding from `r` (which may hold more) into a sealed buffer
+  // of its own. Bounded: a vote count the remaining input cannot hold is
+  // rejected before anything is allocated.
   static std::optional<Certificate> Decode(Reader& r);
+  // Adopts `record_value`, a 'C' record value as RecordValue() returns it,
+  // as the certificate's buffer. Strict: nullopt unless it is exactly one
+  // well-formed value.
+  static std::optional<Certificate> Decode(SharedBytes record_value);
+
+  // The 'C' record value: the certificate's own buffer if it is sealed,
+  // else a freshly sealed one with the same bytes.
+  SharedBytes RecordValue() const;
 
   // Structural + cryptographic validity: >= 2f+1 distinct known voters whose
   // signatures verify. `verifier` supplies the scheme. Signatures are checked
   // through the signer's batch kernel. A positive result is memoized in
   // `cache` when one is given: the cache finds the entry by header digest and
-  // round, then compares author, committee fingerprint and the exact (voter,
-  // signature) list, so a re-delivery costs no encoding and no hashing, and a
+  // round, then compares author, committee fingerprint and the exact vote
+  // bytes, so a re-delivery costs no encoding and no hashing, and a
   // different vote set under a known digest is verified afresh. A null
   // `cache` memoizes nothing and checks every signature. The primary passes
   // null: its Dag is its memo, since it verifies a certificate once, on first
@@ -184,11 +293,17 @@ struct Certificate {
                         const Signer& verifier, VerifiedCertCache* cache);
 
   size_t WireSize() const;
+
+ private:
+  // True iff `votes` views a sealed buffer whose header fields are this
+  // certificate's.
+  bool Sealed() const;
 };
 
 // An immutable certificate, shared by every holder in the process. A Dag
 // entry usually aliases into the message or header that delivered it (the
-// shared_ptr aliasing constructor), so holding it costs no copy.
+// shared_ptr aliasing constructor); a copy would cost only the header fields
+// and a pointer to the shared buffer.
 using CertPtr = std::shared_ptr<const Certificate>;
 
 // A primary block header (paper Fig. 2): the DAG vertex. References this

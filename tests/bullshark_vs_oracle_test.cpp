@@ -149,14 +149,13 @@ class HarnessBase {
         header->parents.push_back(certs[p]);
       }
       Digest digest = header->ComputeDigest();
-      Certificate& cert = certs[i];
-      cert.header_digest = digest;
-      cert.round = b.round;
-      cert.author = b.author;
       Bytes preimage = Certificate::VotePreimage(digest, b.round, b.author);
+      std::vector<VoteList::Entry> votes;
       for (uint32_t v = 0; v < committee_.quorum_threshold(); ++v) {
-        cert.votes.emplace_back(v, signers_[v]->Sign(preimage));
+        votes.emplace_back(v, signers_[v]->Sign(preimage));
       }
+      Certificate& cert = certs[i];
+      cert = Certificate(digest, b.round, b.author, votes);
       Dag& dag = primary_->mutable_dag();
       ASSERT_TRUE(dag.AddCertificate(cert));
       dag.AddHeader(header, digest);

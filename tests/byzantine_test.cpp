@@ -117,16 +117,14 @@ class EquivocatingPrimary : public NetNode {
       if (votes.size() < committee_.quorum_threshold()) {
         continue;
       }
-      Certificate cert;
-      cert.header_digest = digest;
-      cert.round = round;
-      cert.author = kByz;
+      std::vector<VoteList::Entry> quorum;
       for (const auto& [voter, sig] : votes) {
-        if (cert.votes.size() >= committee_.quorum_threshold()) {
+        if (quorum.size() >= committee_.quorum_threshold()) {
           break;
         }
-        cert.votes.emplace_back(voter, sig);
+        quorum.emplace_back(voter, sig);
       }
+      Certificate cert(digest, round, kByz, quorum);
       certified_.insert(digest);
       ++certs_formed_;
       certs_[round][kByz] = cert;  // Track our own certificate too.
@@ -308,15 +306,13 @@ TEST(ByzantineTest, ForgedCertificateRejected) {
   fixture.Run(Seconds(5));
   // Inject a certificate with forged signatures directly at an honest
   // validator: it must not enter the DAG.
-  Certificate forged;
-  forged.header_digest = Sha256::Hash("forged");
-  forged.round = fixture.honest[0]->round();
-  forged.author = kByz;
+  std::vector<VoteList::Entry> votes;
   for (uint32_t v = 0; v < 3; ++v) {
     Signature sig{};
     sig[0] = static_cast<uint8_t>(v + 1);
-    forged.votes.emplace_back(v, sig);
+    votes.emplace_back(v, sig);
   }
+  const Certificate forged(Sha256::Hash("forged"), fixture.honest[0]->round(), kByz, votes);
   fixture.network->Send(fixture.topology.primary_of[kByz], fixture.topology.primary_of[0],
                         std::make_shared<MsgCertificate>(forged));
   fixture.scheduler.RunUntil(fixture.scheduler.now() + Seconds(2));

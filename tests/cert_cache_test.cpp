@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace {
 using Kind = VerifiedCertCache::Kind;
 
 const Digest kCommittee{};
-const VerifiedCertCache::Votes kNoVotes;
+const std::span<const uint8_t> kNoVotes;
 
 // Stable storage for the subject digests the claims below borrow.
 const Digest& Subject(int i) {
@@ -107,7 +108,8 @@ TEST(VerifiedCertCacheTest, GcEvictsBelowHorizonAndRejectsLateInserts) {
 // entries. (The same counts and order as a full LRU scan per GC advance.)
 TEST(VerifiedCertCacheTest, GcBucketsKeepCountsAndLruOrder) {
   VerifiedCertCache cache(6);
-  const VerifiedCertCache::Votes other_votes{{1, Signature{}}};
+  const VoteList other_list{{1, Signature{}}};
+  const std::span<const uint8_t> other_votes = other_list.bytes();
   cache.Insert(Key(1, 2));
   cache.Insert(Key(2, 5));
   cache.Insert({Kind::kNarwhal, Subject(1), 2, 0, kCommittee, other_votes});  // 2nd binding.
@@ -171,21 +173,18 @@ struct TestCommittee {
   }
 
   Certificate Certify(const Digest& digest, Round round, ValidatorId author) const {
-    Certificate cert;
-    cert.header_digest = digest;
-    cert.round = round;
-    cert.author = author;
-    Bytes preimage = Certificate::VotePreimage(digest, round, author);
+    std::vector<ValidatorId> quorum;
     for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
-      cert.votes.emplace_back(v, signers[v]->Sign(preimage));
+      quorum.push_back(v);
     }
-    return cert;
+    return Certificate(digest, round, author,
+                       SignAll(Certificate::VotePreimage(digest, round, author), quorum));
   }
 
   // A vote set over `preimage` from `voters`.
-  VerifiedCertCache::Votes SignAll(const Bytes& preimage,
-                                   const std::vector<ValidatorId>& voters) const {
-    VerifiedCertCache::Votes votes;
+  std::vector<VoteList::Entry> SignAll(const Bytes& preimage,
+                                       const std::vector<ValidatorId>& voters) const {
+    std::vector<VoteList::Entry> votes;
     for (ValidatorId v : voters) {
       votes.emplace_back(v, signers[v]->Sign(preimage));
     }
@@ -240,7 +239,9 @@ TEST_F(CertCacheIntegrationTest, TwoRoutesVerifyExactlyOnce) {
 
 TEST_F(CertCacheIntegrationTest, ForgedCertificateIsNeverCached) {
   Certificate cert = Certify(Sha256::Hash("forged"), 4, 1);
-  cert.votes[1].second[0] ^= 1;
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes[1].second[0] ^= 1;
+  cert.votes = VoteList(votes);
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
   auto s = cache.stats();
@@ -254,10 +255,11 @@ TEST_F(CertCacheIntegrationTest, VoteSetVariantIsADistinctEntry) {
   // vote sets must not share a cache entry.
   Digest d = Sha256::Hash("same-header");
   Certificate a = Certify(d, 6, 1);
-  Certificate b = a;
-  Bytes preimage = Certificate::VotePreimage(d, 6, 1);
-  b.votes.erase(b.votes.begin());
-  b.votes.emplace_back(3, signers[3]->Sign(preimage));
+  Certificate b = Certify(d, 6, 1);
+  std::vector<VoteList::Entry> votes = a.votes.Entries();
+  votes.erase(votes.begin());
+  votes.emplace_back(3, signers[3]->Sign(Certificate::VotePreimage(d, 6, 1)));
+  b.votes = VoteList(votes);
   EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
   EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
   auto s = cache.stats();
@@ -272,13 +274,17 @@ TEST_F(CertCacheIntegrationTest, ForgedVoteSetUnderCachedDigestMisses) {
   // digest must miss, fail signature verification, and stay out.
   Certificate cert = Certify(Sha256::Hash("cached-header"), 4, 1);
   EXPECT_TRUE(cert.Verify(committee, *signers[0], &cache));
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes[1].second[0] ^= 1;
   Certificate forged = cert;
-  forged.votes[1].second[0] ^= 1;
+  forged.votes = VoteList(votes);
   EXPECT_FALSE(forged.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(Certificate::VerifyAll({cert, forged}, committee, *signers[0], &cache));
   // A valid signature moved to another voter is forged too.
+  votes = cert.votes.Entries();
+  votes[2].first = 3;
   Certificate swapped = cert;
-  swapped.votes[2].first = 3;
+  swapped.votes = VoteList(votes);
   EXPECT_FALSE(swapped.Verify(committee, *signers[0], &cache));
 
   auto s = cache.stats();
@@ -357,9 +363,13 @@ TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
 TEST_F(CertCacheIntegrationTest, DuplicateAndUnknownVotersRejectedOnBothPaths) {
   // Narwhal: a duplicate voter (valid signatures) and an unknown voter.
   Certificate dup = Certify(Sha256::Hash("dup"), 3, 0);
-  dup.votes[2] = dup.votes[1];
+  std::vector<VoteList::Entry> votes = dup.votes.Entries();
+  votes[2] = votes[1];
+  dup.votes = VoteList(votes);
   Certificate unknown = Certify(Sha256::Hash("unknown"), 3, 0);
-  unknown.votes[2].first = kN;
+  votes = unknown.votes.Entries();
+  votes[2].first = kN;
+  unknown.votes = VoteList(votes);
   EXPECT_FALSE(dup.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(unknown.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(Certificate::VerifyAll({dup}, committee, *signers[0], &cache));

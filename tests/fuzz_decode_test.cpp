@@ -85,14 +85,13 @@ Bytes ValidHeaderEncoding() {
   ref.num_txs = 10;
   ref.payload_bytes = 5120;
   header.batches.push_back(ref);
-  Certificate parent;
-  parent.header_digest = Sha256::Hash("parent");
-  parent.round = 6;
-  parent.author = 0;
-  Bytes preimage = Certificate::VotePreimage(parent.header_digest, 6, 0);
+  const Digest parent_digest = Sha256::Hash("parent");
+  Bytes preimage = Certificate::VotePreimage(parent_digest, 6, 0);
+  std::vector<VoteList::Entry> votes;
   for (uint32_t v = 0; v < 3; ++v) {
-    parent.votes.emplace_back(v, signer->Sign(preimage));
+    votes.emplace_back(v, signer->Sign(preimage));
   }
+  const Certificate parent(parent_digest, 6, 0, votes);
   header.parents.assign(3, parent);
   header.parents[1].author = 1;
   header.parents[2].author = 2;
@@ -149,6 +148,68 @@ TEST(FuzzDecodeTest, HostileLengthPrefixesBounded) {
   Reader r(bytes);
   auto batch = Batch::Decode(r);
   EXPECT_FALSE(batch.has_value());
+}
+
+// A decoded certificate's votes are views into its own sealed buffer, not
+// into the input: whatever vote count, truncation or corruption the decoder
+// accepts, every view lies inside that buffer, and a count the input cannot
+// hold is rejected.
+TEST(FuzzDecodeTest, CertificateVoteViewsNeverLeaveTheirBuffer) {
+  auto check = [](std::optional<Certificate> cert) {
+    if (!cert.has_value()) {
+      return false;
+    }
+    const SharedBytes buffer = cert->RecordValue();
+    const uint8_t* lo = buffer->data();
+    const uint8_t* hi = buffer->data() + buffer->size();
+    auto inside = [lo, hi](const uint8_t* p, size_t n) { return p >= lo && p + n <= hi; };
+    EXPECT_TRUE(inside(cert->votes.bytes().data(), cert->votes.bytes().size()));
+    EXPECT_EQ(cert->votes.bytes().size(), 4 + cert->votes.size() * VoteList::kEntrySize);
+    for (const VoteList::View vote : cert->votes) {
+      EXPECT_TRUE(inside(vote.sig.data(), vote.sig.size()));
+    }
+    return true;
+  };
+  // Decodes `input` both ways: from a reader, and adopted as a 'C' value.
+  auto decode = [&](const Bytes& input) {
+    Reader r(input);
+    const bool read = check(Certificate::Decode(r));
+    Bytes value{CertRecord::kTag};
+    value.insert(value.end(), input.begin(), input.end());
+    const bool adopted = check(Certificate::Decode(std::make_shared<const Bytes>(value)));
+    EXPECT_TRUE(!adopted || read) << "a value adopted whole that a reader rejects";
+    return read;
+  };
+
+  Rng rng(0xce);
+  for (int i = 0; i < 2000; ++i) {
+    decode(RandomBytes(rng, 512));
+  }
+  Writer w;
+  const Bytes header_encoding = ValidHeaderEncoding();
+  Reader header_bytes(header_encoding);
+  const std::optional<BlockHeader> header = BlockHeader::Decode(header_bytes);
+  ASSERT_TRUE(header.has_value());
+  header->parents[0].Encode(w);
+  const Bytes valid = w.Take();
+  constexpr size_t kCountAt = 32 + 8 + 4;
+  Bytes padded = valid;  // Room for trailing bytes, too.
+  padded.resize(valid.size() + 80);
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    Bytes mutated(padded.begin(),
+                  padded.begin() + static_cast<ptrdiff_t>(rng.NextBelow(padded.size() + 1)));
+    if (mutated.size() > kCountAt) {
+      mutated[kCountAt] = static_cast<uint8_t>(rng.NextBelow(6));
+    }
+    accepted += decode(mutated);
+  }
+  EXPECT_GT(accepted, 100);
+
+  // A count of 2^32 - 1 votes over one vote's bytes: rejected.
+  Bytes hostile(valid.begin(), valid.begin() + kCountAt + 4 + VoteList::kEntrySize);
+  hostile[kCountAt] = hostile[kCountAt + 1] = hostile[kCountAt + 2] = hostile[kCountAt + 3] = 0xff;
+  EXPECT_FALSE(decode(hostile));
 }
 
 // The view decoder borrows from its input: whatever garbage, truncation or

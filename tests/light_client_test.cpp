@@ -74,7 +74,9 @@ TEST_F(LightClientFixture, EveryTamperedLinkRejected) {
 
   {  // Forged certificate signature.
     InclusionProof bad = *proof;
-    bad.certificate.votes[0].second[0] ^= 1;
+    std::vector<VoteList::Entry> votes = bad.certificate.votes.Entries();
+    votes[0].second[0] ^= 1;
+    bad.certificate.votes = VoteList(votes);
     EXPECT_FALSE(client.VerifyInclusion(bad).has_value());
   }
   {  // Certificate/header round mismatch.

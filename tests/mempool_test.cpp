@@ -54,8 +54,10 @@ TEST(MempoolTest, WriteBecomesCertified) {
   EXPECT_TRUE(pool.Valid(cluster.committee(), *verifier, *cert));
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, lookups + 1);
   // ...and fails for a tampered one.
+  std::vector<VoteList::Entry> votes = cert->votes.Entries();
+  votes[0].second[0] ^= 1;
   Certificate forged = *cert;
-  forged.votes[0].second[0] ^= 1;
+  forged.votes = VoteList(votes);
   EXPECT_FALSE(pool.Valid(cluster.committee(), *verifier, forged));
 }
 

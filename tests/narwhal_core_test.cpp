@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "src/exec/state_machine.h"
@@ -160,6 +161,63 @@ TEST(NarwhalCoreTest, ValidatorsHoldOneCertificateObjectEach) {
   for (const auto& [digest, held] : objects) {
     EXPECT_EQ(held.size(), 1u);
   }
+}
+
+TEST(NarwhalCoreTest, StoresAndHeadersShareTheCertificateBuffer) {
+  // A certificate's bytes exist once in the process: the author seals them,
+  // and every validator's DAG entry, 'C' record and header parent holds
+  // that one buffer.
+  Cluster cluster(BaseConfig(4));
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(5));
+
+  // Header digest -> the buffer of the first DAG certificate seen for it.
+  std::map<Digest, const Bytes*> buffers;
+  auto expect_shared = [&](const Certificate& cert, const char* holder, ValidatorId v) {
+    const Bytes* buffer = cert.RecordValue().get();
+    auto [it, inserted] = buffers.emplace(cert.header_digest, buffer);
+    EXPECT_EQ(it->second, buffer) << holder << " of validator " << v << ", round " << cert.round
+                                  << ", author " << cert.author;
+  };
+  for (ValidatorId v = 0; v < 4; ++v) {
+    const Dag& dag = cluster.primary(v)->dag();
+    for (Round r = dag.gc_round(); r <= dag.HighestRound(); ++r) {
+      for (const auto& [author, cert] : dag.CertsAt(r)) {
+        expect_shared(*cert, "DAG certificate", v);
+      }
+    }
+  }
+  ASSERT_GT(buffers.size(), 20u);
+
+  size_t parents = 0;
+  std::set<const Bytes*> stored_buffers;
+  std::set<Digest> stored_certs;
+  for (ValidatorId v = 0; v < 4; ++v) {
+    const Dag& dag = cluster.primary(v)->dag();
+    for (Round r = dag.gc_round(); r <= dag.HighestRound(); ++r) {
+      for (const auto& [author, cert] : dag.CertsAt(r)) {
+        if (std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest)) {
+          for (const Certificate& parent : header->parents) {
+            expect_shared(parent, "header parent", v);
+            ++parents;
+          }
+        }
+      }
+    }
+    cluster.primary_store(v)->ForEach([&](const Digest&, const SharedBytes& value) {
+      if (value->empty() || (*value)[0] != CertRecord::kTag) {
+        return;
+      }
+      std::optional<Certificate> cert = Certificate::Decode(value);
+      ASSERT_TRUE(cert.has_value());
+      expect_shared(*cert, "'C' record", v);
+      stored_buffers.insert(value.get());
+      stored_certs.insert(cert->header_digest);
+    });
+  }
+  EXPECT_GT(parents, 3 * buffers.size());
+  ASSERT_GT(stored_certs.size(), 20u);
+  EXPECT_EQ(stored_buffers.size(), stored_certs.size());
 }
 
 // Executes one header per digest, in order, over batches served by `worker`,

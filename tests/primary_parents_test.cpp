@@ -56,15 +56,12 @@ class ParentHarness {
 
   // A certificate over `header_digest` as (round, author), voted by 2f+1.
   Certificate Certify(const Digest& header_digest, Round round, ValidatorId author) const {
-    Certificate cert;
-    cert.header_digest = header_digest;
-    cert.round = round;
-    cert.author = author;
     const Bytes preimage = Certificate::VotePreimage(header_digest, round, author);
+    std::vector<VoteList::Entry> votes;
     for (ValidatorId v = 1; v <= committee_.quorum_threshold(); ++v) {
-      cert.votes.emplace_back(v, signers_[v]->Sign(preimage));
+      votes.emplace_back(v, signers_[v]->Sign(preimage));
     }
-    return cert;
+    return Certificate(header_digest, round, author, votes);
   }
 
   // A certified round-0 block of every validator.
@@ -166,8 +163,10 @@ TEST(PrimaryParentsTest, HeldParentWithTamperedVotesIsMatchedByDigest) {
   }
   const Certificate* held = h.dag().GetCertByDigest(r0[1].header_digest);
   std::vector<Certificate> parents = Pick(r0, {0, 1, 2});
-  parents[1].votes[0].second[0] ^= 1;
-  parents[1].votes.pop_back();  // Below the quorum, too.
+  std::vector<VoteList::Entry> votes = parents[1].votes.Entries();
+  votes[0].second[0] ^= 1;
+  votes.pop_back();  // Below the quorum, too.
+  parents[1].votes = VoteList(votes);
   auto msg = h.Deliver(h.MakeHeader(3, 1, parents));
   EXPECT_TRUE(h.VotedFor(*msg));
   // The DAG keeps the certificate it verified, not the presented one.
@@ -182,7 +181,9 @@ TEST(PrimaryParentsTest, UnknownParentWithOneBadVoteRejectsHeader) {
   ASSERT_TRUE(h.primary().mutable_dag().AddCertificate(r0[0]));
   ASSERT_TRUE(h.primary().mutable_dag().AddCertificate(r0[1]));
   std::vector<Certificate> parents = Pick(r0, {0, 1, 2});
-  parents[2].votes[1].second[5] ^= 1;
+  std::vector<VoteList::Entry> votes = parents[2].votes.Entries();
+  votes[1].second[5] ^= 1;
+  parents[2].votes = VoteList(votes);
   auto msg = h.Deliver(h.MakeHeader(3, 1, parents));
   EXPECT_FALSE(h.VotedFor(*msg));
   EXPECT_EQ(h.dag().GetCertByDigest(r0[2].header_digest), nullptr);
@@ -251,8 +252,10 @@ TEST(PrimaryParentsTest, BroadcastCertificateIsHeldInsideTheMessage) {
   EXPECT_EQ(h.dag().GetSharedCert(r0[2].header_digest).get(), &msg->cert);
 
   // A forged broadcast never enters the DAG.
+  std::vector<VoteList::Entry> votes = r0[3].votes.Entries();
+  votes[0].second[0] ^= 1;
   Certificate forged = r0[3];
-  forged.votes[0].second[0] ^= 1;
+  forged.votes = VoteList(votes);
   h.primary().OnMessage(0, std::make_shared<const MsgCertificate>(forged));
   EXPECT_EQ(h.dag().GetCertByDigest(forged.header_digest), nullptr);
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -105,6 +106,55 @@ TEST(PrimaryWalTest, RecoveredHeadersMatchTheOriginalsByteForByte) {
   EXPECT_EQ(rebuilt.dag().TotalHeaders(), expected);
 }
 
+TEST(PrimaryWalTest, RecoveredCertificatesAdoptTheStoredBuffers) {
+  Cluster cluster(TuskConfig(4, 5));
+  auto clients = StartLoad(&cluster, Seconds(8));
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(8));
+
+  std::unique_ptr<Signer> signer = MakeSigner(SignerKind::kFast, DeriveSeed(99, kVictim));
+  Primary rebuilt(kVictim, cluster.committee(), cluster.config().narwhal, &cluster.network(),
+                  &cluster.topology(), signer.get());
+  rebuilt.set_store(cluster.primary_store(kVictim));
+  rebuilt.Recover();
+  const Dag& dag = rebuilt.dag();
+
+  // Header digest -> the 'C' value the store holds for it.
+  std::map<Digest, const Bytes*> stored;
+  cluster.primary_store(kVictim)->ForEach([&](const Digest&, const SharedBytes& value) {
+    if (!value->empty() && (*value)[0] == CertRecord::kTag) {
+      std::optional<Certificate> cert = Certificate::Decode(value);
+      ASSERT_TRUE(cert.has_value());
+      stored.emplace(cert->header_digest, value.get());
+    }
+  });
+  size_t adopted = 0;
+  for (const auto& [digest, buffer] : stored) {
+    if (const Certificate* cert = dag.GetCertByDigest(digest)) {
+      EXPECT_EQ(cert->RecordValue().get(), buffer) << "round " << cert->round;
+      ++adopted;
+    }
+  }
+  EXPECT_GT(adopted, 20u);
+
+  size_t parents = 0;
+  for (Round r = dag.gc_round(); r <= dag.HighestRound(); ++r) {
+    for (const auto& [author, cert] : dag.CertsAt(r)) {
+      std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest);
+      if (header == nullptr) {
+        continue;
+      }
+      for (const Certificate& parent : header->parents) {
+        auto it = stored.find(parent.header_digest);
+        ASSERT_NE(it, stored.end()) << "a recovered parent has no 'C' record";
+        EXPECT_EQ(parent.RecordValue().get(), it->second);
+        ++parents;
+      }
+    }
+  }
+  EXPECT_GT(parents, 3 * adopted / 2);
+}
+
 TEST(PrimaryWalTest, HeaderWithAMissingParentRecordIsResyncedFromPeers) {
   constexpr TimePoint kCrashAt = Seconds(6);
   constexpr TimePoint kRecoverAt = Seconds(6) + Millis(300);
@@ -197,8 +247,8 @@ void ExpectLinearHeaderRecords(Cluster& cluster, ValidatorId v) {
     }
   });
   ForEachRecord<CertRecord>(*cluster.primary_store(v), [&](const CertRecord& rec) {
-    for (const auto& [voter, sig] : rec.cert.votes) {
-      vote_sigs.insert(sig);
+    for (const VoteList::View vote : rec.cert.votes) {
+      vote_sigs.insert(vote.signature());
     }
   });
   ASSERT_GT(header_records.size(), static_cast<size_t>(n));

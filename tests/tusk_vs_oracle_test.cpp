@@ -59,13 +59,12 @@ class OracleHarness {
     }
     Node node;
     node.digest = header->ComputeDigest();
-    node.cert.header_digest = node.digest;
-    node.cert.round = round;
-    node.cert.author = author;
     Bytes preimage = Certificate::VotePreimage(node.digest, round, author);
+    std::vector<VoteList::Entry> votes;
     for (uint32_t v = 0; v < committee_.quorum_threshold(); ++v) {
-      node.cert.votes.emplace_back(v, signers_[v]->Sign(preimage));
+      votes.emplace_back(v, signers_[v]->Sign(preimage));
     }
+    node.cert = Certificate(node.digest, round, author, votes);
     Dag& dag = primary_->mutable_dag();
     EXPECT_TRUE(dag.AddCertificate(node.cert));
     dag.AddHeader(header, node.digest);

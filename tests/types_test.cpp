@@ -71,15 +71,12 @@ struct TypesFixture : ::testing::Test {
   // Builds a certificate for (digest, round, author) signed by the first
   // 2f+1 validators.
   Certificate Certify(const Digest& digest, Round round, ValidatorId author) const {
-    Certificate cert;
-    cert.header_digest = digest;
-    cert.round = round;
-    cert.author = author;
     Bytes preimage = Certificate::VotePreimage(digest, round, author);
+    std::vector<VoteList::Entry> votes;
     for (uint32_t v = 0; v < committee.quorum_threshold(); ++v) {
-      cert.votes.emplace_back(v, signers[v]->Sign(preimage));
+      votes.emplace_back(v, signers[v]->Sign(preimage));
     }
-    return cert;
+    return Certificate(digest, round, author, votes);
   }
 
   std::vector<std::unique_ptr<Signer>> signers;
@@ -237,28 +234,36 @@ TEST_F(TypesFixture, CertificateVerifies) {
 TEST_F(TypesFixture, CertificateRejectsInsufficientVotes) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
-  cert.votes.pop_back();  // 2 < 2f+1 = 3.
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes.pop_back();  // 2 < 2f+1 = 3.
+  cert.votes = VoteList(votes);
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsDuplicateVoter) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
-  cert.votes[2] = cert.votes[0];  // Same voter twice.
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes[2] = votes[0];  // Same voter twice.
+  cert.votes = VoteList(votes);
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsForgedSignature) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
-  cert.votes[1].second[0] ^= 1;
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes[1].second[0] ^= 1;
+  cert.votes = VoteList(votes);
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
 TEST_F(TypesFixture, CertificateRejectsUnknownVoter) {
   Digest d = Sha256::Hash("header");
   Certificate cert = Certify(d, 5, 1);
-  cert.votes[1].first = 77;  // Not in the committee.
+  std::vector<VoteList::Entry> votes = cert.votes.Entries();
+  votes[1].first = 77;  // Not in the committee.
+  cert.votes = VoteList(votes);
   EXPECT_FALSE(cert.Verify(committee, *signers[0], &cache));
 }
 
@@ -303,10 +308,10 @@ TEST_F(TypesFixture, HeaderDigestIgnoresParentVoteSets) {
   // certificate must be the same block.
   Digest parent_digest = Sha256::Hash("parent");
   Certificate parent_a = Certify(parent_digest, 1, 0);
-  Certificate parent_b = parent_a;
-  parent_b.votes.erase(parent_b.votes.begin());
-  parent_b.votes.emplace_back(3,
-                              signers[3]->Sign(Certificate::VotePreimage(parent_digest, 1, 0)));
+  std::vector<VoteList::Entry> votes = parent_a.votes.Entries();
+  votes.erase(votes.begin());
+  votes.emplace_back(3, signers[3]->Sign(Certificate::VotePreimage(parent_digest, 1, 0)));
+  const Certificate parent_b(parent_digest, 1, 0, votes);
 
   BlockHeader h1;
   h1.author = 2;
