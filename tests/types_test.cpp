@@ -418,6 +418,27 @@ TEST_F(TypesFixture, CertificateAndHeaderEncodingsArePinned) {
   });
 }
 
+// A sealed certificate's copies share its one buffer, which is its 'C'
+// value. A field assigned after sealing no longer matches that buffer, so
+// the value is sealed afresh from the fields.
+TEST_F(TypesFixture, RecordValueFollowsTheFields) {
+  const Certificate sealed = Certify(Sha256::Hash("sealed"), 5, 1);
+  Certificate copy = sealed;
+  EXPECT_EQ(copy.RecordValue(), sealed.RecordValue());
+  Writer encoding;
+  sealed.Encode(encoding);
+  EXPECT_EQ(ToHex(*sealed.RecordValue()), "43" + ToHex(encoding.bytes()));
+
+  copy.round = 6;
+  const SharedBytes relabelled = copy.RecordValue();
+  EXPECT_NE(relabelled, sealed.RecordValue());
+  std::optional<Certificate> decoded = Certificate::Decode(relabelled);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->round, 6u);
+  EXPECT_EQ(decoded->votes, sealed.votes);
+  EXPECT_EQ(decoded->RecordValue(), relabelled);  // Adopted, not copied.
+}
+
 TEST_F(TypesFixture, VoteWireSizeMatchesEncoding) {
   Vote vote;
   vote.sig = signers[0]->Sign(Bytes{1});
