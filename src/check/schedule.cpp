@@ -135,11 +135,7 @@ FaultSchedule GenerateSchedule(uint64_t seed, std::optional<SystemKind> system_o
 std::string FaultSchedule::Encode() const {
   std::ostringstream out;
   out << "seed=" << seed << "\n";
-  out << "system="
-      << (system == SystemKind::kTusk
-              ? "tusk"
-              : system == SystemKind::kBullshark ? "bullshark" : "narwhal-hs")
-      << "\n";
+  out << "system=" << SystemFlagName(system) << "\n";
   out << "validators=" << validators << "\n";
   out << "duration_us=" << duration << "\n";
   out << "tx_interval_us=" << tx_interval << "\n";
@@ -200,15 +196,11 @@ std::optional<FaultSchedule> FaultSchedule::Decode(const std::string& text) {
     if (key == "seed") {
       v >> s.seed;
     } else if (key == "system") {
-      if (value == "tusk") {
-        s.system = SystemKind::kTusk;
-      } else if (value == "narwhal-hs") {
-        s.system = SystemKind::kNarwhalHs;
-      } else if (value == "bullshark") {
-        s.system = SystemKind::kBullshark;
-      } else {
+      const std::optional<SystemKind> kind = ParseSystem(value);
+      if (!kind.has_value() || !IsCheckedSystem(*kind)) {
         return std::nullopt;
       }
+      s.system = *kind;
     } else if (key == "validators") {
       v >> s.validators;
     } else if (key == "duration_us") {

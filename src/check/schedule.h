@@ -20,9 +20,15 @@
 
 namespace nt {
 
+// True for the systems the checker runs: Tusk, Narwhal-HS and Bullshark.
+inline bool IsCheckedSystem(SystemKind kind) {
+  return kind == SystemKind::kTusk || kind == SystemKind::kNarwhalHs ||
+         kind == SystemKind::kBullshark;
+}
+
 struct FaultSchedule {
   uint64_t seed = 1;
-  SystemKind system = SystemKind::kTusk;  // kTusk, kNarwhalHs, or kBullshark.
+  SystemKind system = SystemKind::kTusk;  // One IsCheckedSystem accepts.
   uint32_t validators = 4;
   TimeDelta duration = Seconds(12);
 

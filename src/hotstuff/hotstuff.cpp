@@ -35,29 +35,6 @@ void HotStuff::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
-void HsHighQcRecord::Encode(Writer& w) const {
-  w.PutRaw(qc.block_digest);
-  w.PutU64(qc.view);
-  w.PutU32(static_cast<uint32_t>(qc.votes.size()));
-  for (const auto& [voter, sig] : qc.votes) {
-    w.PutU32(voter);
-    w.PutRaw(sig);
-  }
-}
-
-std::optional<HsHighQcRecord> HsHighQcRecord::Decode(Reader& r) {
-  HsHighQcRecord rec;
-  rec.qc.block_digest = r.GetArray<32>();
-  rec.qc.view = r.GetU64();
-  uint32_t count = r.GetU32();
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    ValidatorId voter = r.GetU32();
-    Signature sig = r.GetArray<64>();
-    rec.qc.votes.emplace_back(voter, sig);
-  }
-  return r.AtEnd() ? std::optional(std::move(rec)) : std::nullopt;
-}
-
 void HotStuff::PersistVote() {
   if (store_ == nullptr) {
     return;
@@ -377,27 +354,20 @@ void HotStuff::HandleVote(const MsgHsVote& msg) {
     return;
   }
   auto key = std::make_pair(msg.view, msg.block_digest);
-  VoteSet& set = vote_sets_[key];
-  if (set.votes.count(msg.voter) != 0) {
+  std::map<ValidatorId, Signature>& set = vote_sets_[key];
+  if (set.count(msg.voter) != 0) {
     return;
   }
   if (!signer_->Verify(committee_.key_of(msg.voter),
                        QuorumCert::VotePreimage(msg.block_digest, msg.view), msg.sig)) {
     return;
   }
-  set.votes[msg.voter] = msg.sig;
-  if (set.votes.size() < committee_.quorum_threshold()) {
+  set[msg.voter] = msg.sig;
+  if (set.size() < committee_.quorum_threshold()) {
     return;
   }
-  QuorumCert qc;
-  qc.block_digest = msg.block_digest;
-  qc.view = msg.view;
-  for (const auto& [voter, sig] : set.votes) {
-    if (qc.votes.size() >= committee_.quorum_threshold()) {
-      break;
-    }
-    qc.votes.emplace_back(voter, sig);
-  }
+  const QuorumCert qc{msg.block_digest, msg.view,
+                      VoteList(VoteList::Quorum(set, committee_.quorum_threshold()))};
   vote_sets_.erase(key);
   AdoptQc(qc);
 }
@@ -538,14 +508,7 @@ void HotStuff::HandleTimeout(const MsgHsTimeout& msg) {
     }
     return;
   }
-  TimeoutCert tc;
-  tc.view = msg.view;
-  for (const auto& [voter, sig] : set) {
-    if (tc.votes.size() >= committee_.quorum_threshold()) {
-      break;
-    }
-    tc.votes.emplace_back(voter, sig);
-  }
+  const TimeoutCert tc{msg.view, VoteList(VoteList::Quorum(set, committee_.quorum_threshold()))};
   if (!last_tc_.has_value() || tc.view > last_tc_->view) {
     last_tc_ = tc;
   }

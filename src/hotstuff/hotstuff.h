@@ -129,8 +129,20 @@ struct HsHighQcRecord {
   QuorumCert qc;
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/highqc")); }
-  void Encode(Writer& w) const;
-  static std::optional<HsHighQcRecord> Decode(Reader& r);
+  void Encode(Writer& w) const {
+    w.PutRaw(qc.block_digest);
+    w.PutU64(qc.view);
+    qc.votes.Encode(w);
+  }
+  static std::optional<HsHighQcRecord> Decode(Reader& r) {
+    HsHighQcRecord rec{{r.GetArray<32>(), r.GetU64(), {}}};
+    std::optional<VoteList> votes = VoteList::Decode(r);
+    if (!votes.has_value() || !r.AtEnd()) {
+      return std::nullopt;
+    }
+    rec.qc.votes = std::move(*votes);
+    return rec;
+  }
 };
 
 // 'K': the commit frontier — the newest committed block, its view and the
@@ -199,14 +211,11 @@ class HotStuff : public NetNode {
   uint64_t timeouts_fired() const { return timeouts_fired_; }
   ValidatorId LeaderOf(View view) const { return static_cast<ValidatorId>(view % committee_.size()); }
   // This node's verified-QC/TC cache — per-instance so every simulated
-  // validator re-verifies certificates independently (see Primary::cert_cache).
+  // validator re-verifies certificates independently (see
+  // src/types/cert_cache.h).
   VerifiedCertCache& cert_cache() { return cert_cache_; }
 
  private:
-  struct VoteSet {
-    std::map<ValidatorId, Signature> votes;
-  };
-
   // View lifecycle.
   void EnterView(View view);
   void MaybePropose();
@@ -280,7 +289,7 @@ class HotStuff : public NetNode {
   View committed_view_ = 0;
 
   // Votes collected by this node as leader: (view, digest) -> votes.
-  std::map<std::pair<View, Digest>, VoteSet> vote_sets_;
+  std::map<std::pair<View, Digest>, std::map<ValidatorId, Signature>> vote_sets_;
   // Timeout messages per view.
   std::map<View, std::map<ValidatorId, Signature>> timeout_sets_;
 

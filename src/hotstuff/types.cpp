@@ -1,45 +1,12 @@
 #include "src/hotstuff/types.h"
 
-#include <algorithm>
-
 #include "src/types/cert_cache.h"
 
 namespace nt {
 namespace {
 
-// Shared verification core for the two HotStuff certificate kinds: quorum +
-// distinct-voter structure, then a cache probe keyed by (kind, subject,
-// view) and bound to the exact vote set, then one batched flush of the vote
-// signatures, every item borrowing the common preimage (built only on a
-// miss). `view` is the GC dimension.
-bool VerifyVoteSet(VerifiedCertCache::Kind kind, const Digest& subject, View view,
-                   const std::vector<std::pair<ValidatorId, Signature>>& votes,
-                   const Committee& committee, const Signer& verifier, VerifiedCertCache& cache) {
-  if (votes.size() < committee.quorum_threshold() || !committee.DistinctMembers(votes)) {
-    return false;
-  }
-  Writer vote_bytes(4 + votes.size() * VoteList::kEntrySize);
-  VoteList::Encode(vote_bytes, votes);
-  const VerifiedCertCache::Claim claim{kind, subject, view, 0, committee.fingerprint(),
-                                       vote_bytes.bytes()};
-  if (cache.Lookup(claim)) {
-    return true;
-  }
-  const Bytes preimage = kind == VerifiedCertCache::Kind::kQuorumCert
-                             ? QuorumCert::VotePreimage(subject, view)
-                             : TimeoutCert::VotePreimage(view);
-  std::vector<BatchItem> items;
-  items.reserve(votes.size());
-  for (const auto& [voter, sig] : votes) {
-    items.push_back({committee.key_of(voter), preimage.data(), preimage.size(), sig});
-  }
-  const std::vector<bool> ok = verifier.VerifyBatch(items);
-  if (std::find(ok.begin(), ok.end(), false) != ok.end()) {
-    return false;
-  }
-  cache.Insert(claim);
-  return true;
-}
+// A TC certifies a view, not a block: its cache subject is zero.
+const Digest kNoSubject{};
 
 }  // namespace
 
@@ -98,8 +65,11 @@ bool QuorumCert::Verify(const Committee& committee, const Signer& verifier,
   if (IsGenesis()) {
     return true;
   }
-  return VerifyVoteSet(VerifiedCertCache::Kind::kQuorumCert, block_digest, view, votes, committee,
-                       verifier, *cache);
+  const SignedVotes set{VerifiedCertCache::Kind::kQuorumCert, block_digest, view, 0, votes,
+                        [](const Digest& digest, uint64_t v, ValidatorId) {
+                          return VotePreimage(digest, v);
+                        }};
+  return VerifySignedVotes(std::span(&set, 1), committee, verifier, cache);
 }
 
 // --------------------------------------------------------------- TimeoutCert
@@ -113,8 +83,9 @@ Bytes TimeoutCert::VotePreimage(View view) {
 
 bool TimeoutCert::Verify(const Committee& committee, const Signer& verifier,
                          VerifiedCertCache* cache) const {
-  return VerifyVoteSet(VerifiedCertCache::Kind::kTimeoutCert, Digest{}, view, votes, committee,
-                       verifier, *cache);
+  const SignedVotes set{VerifiedCertCache::Kind::kTimeoutCert, kNoSubject, view, 0, votes,
+                        [](const Digest&, uint64_t v, ValidatorId) { return VotePreimage(v); }};
+  return VerifySignedVotes(std::span(&set, 1), committee, verifier, cache);
 }
 
 // ------------------------------------------------------------------- HsBlock

@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/types/types.h"
@@ -41,19 +40,19 @@ struct HsPayload {
 
 // 2f+1 votes over (block digest, view).
 //
-// Verify memoizes positive results, keyed by (block digest, view) and bound
-// to the exact vote set (see src/types/cert_cache.h), in `cache`: the
-// verifying node's own, never null (every node re-verifies independently,
-// like a real deployment).
+// Verify (VerifySignedVotes) memoizes positive results, keyed by (block
+// digest, view) and bound to the exact vote set (see src/types/cert_cache.h),
+// in `cache`: the verifying node's own (every node re-verifies
+// independently, like a real deployment).
 struct QuorumCert {
   Digest block_digest{};
   View view = 0;
-  std::vector<std::pair<ValidatorId, Signature>> votes;
+  VoteList votes;
 
   static Bytes VotePreimage(const Digest& block_digest, View view);
   bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
   // The genesis QC: zero digest, view 0, no votes. Exempt from Verify.
-  bool IsGenesis() const { return view == 0 && votes.empty(); }
+  bool IsGenesis() const { return view == 0 && votes.size() == 0; }
   size_t WireSize() const { return 32 + 8 + votes.size() * (4 + 64); }
 };
 
@@ -61,7 +60,7 @@ struct QuorumCert {
 // `cache` as in QuorumCert::Verify; the key is the view alone.
 struct TimeoutCert {
   View view = 0;
-  std::vector<std::pair<ValidatorId, Signature>> votes;
+  VoteList votes;
 
   static Bytes VotePreimage(View view);
   bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;

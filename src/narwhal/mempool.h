@@ -19,6 +19,7 @@
 
 #include "src/narwhal/primary.h"
 #include "src/narwhal/worker.h"
+#include "src/types/cert_cache.h"
 
 namespace nt {
 
@@ -37,19 +38,12 @@ class Mempool {
   // The certificate covering the batch (via the including header), if any.
   std::optional<Certificate> CertificateFor(const Digest& batch_digest) const;
 
-  // valid(d, c(d)): structural and cryptographic certificate check, run by
-  // the wrapped validator: through the batched verification kernel and its
-  // primary's own verified-certificate cache, so repeated validity queries
-  // for the same certificate cost one cache probe after the first.
+  // valid(d, c(d)): structural and cryptographic certificate check through
+  // the batched verification kernel and this mempool's own
+  // verified-certificate cache, so repeated validity queries for the same
+  // certificate cost one cache probe after the first.
   bool Valid(const Committee& committee, const Signer& verifier, const Certificate& cert) const {
-    return cert.Verify(committee, verifier, &primary_->cert_cache());
-  }
-
-  // Bulk form: validates many certificates with one batched signature flush
-  // (readers syncing a causal history validate whole parent sets at once).
-  bool ValidAll(const Committee& committee, const Signer& verifier,
-                const std::vector<Certificate>& certs) const {
-    return Certificate::VerifyAll(certs, committee, verifier, &primary_->cert_cache());
+    return cert.Verify(committee, verifier, &cert_cache_);
   }
 
   // read(d): the batch content, if stored locally.
@@ -62,9 +56,14 @@ class Mempool {
   // Empty if the header is unknown or its history is incomplete locally.
   std::vector<Digest> ReadCausal(const Digest& header_digest) const;
 
+  const VerifiedCertCache& cert_cache() const { return cert_cache_; }
+
  private:
   Primary* primary_;
   Worker* worker_;
+  // The cache of Valid: the wrapped validator's certificate DAG is its own
+  // memo and uses none (see src/types/cert_cache.h).
+  mutable VerifiedCertCache cert_cache_;
 };
 
 }  // namespace nt

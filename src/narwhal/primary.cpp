@@ -6,7 +6,6 @@
 #include "src/common/logging.h"
 #include "src/common/seeded_bugs.h"
 #include "src/narwhal/archive.h"
-#include "src/types/cert_cache.h"
 
 namespace nt {
 
@@ -483,6 +482,58 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
 
 // ------------------------------------------------------------------- voting
 
+bool Primary::AcceptParents(const std::shared_ptr<const BlockHeader>& header) {
+  if (header->round == 0) {
+    return true;
+  }
+  // >= 2f+1 distinct certificates of round-1.
+  MemberSet parent_authors(committee_.size());
+  for (const Certificate& parent : header->parents) {
+    if (parent.round + 1 != header->round || !committee_.Contains(parent.author)) {
+      return false;  // Malformed: parents must be committee blocks one round back.
+    }
+    parent_authors.Insert(parent.author);
+  }
+  if (parent_authors.size() < committee_.quorum_threshold()) {
+    return false;
+  }
+  // A parent whose digest the DAG holds is matched, not re-checked: the
+  // header digest binds author, round, batches and parents, so the same
+  // digest with the same round and author is the same certified block,
+  // whose votes were verified when it was added. Its vote list here is
+  // not read. The same digest under another round or author cannot carry
+  // honest votes, and rejects the header. A parent below the GC horizon is
+  // stale but not invalid: it is skipped, as AcceptCertificate does.
+  std::vector<const Certificate*> unknown;
+  for (const Certificate& parent : header->parents) {
+    if (parent.round < dag_.gc_round()) {
+      continue;
+    }
+    const Certificate* held = dag_.GetCertByDigest(parent.header_digest);
+    if (held == nullptr) {
+      unknown.push_back(&parent);
+    } else if (held->round != parent.round || held->author != parent.author) {
+      LOG_WARN() << "header with a mislabelled parent from validator " << header->author;
+      return false;
+    }
+  }
+  // Unknown parents are verified with one batched flush (their votes share
+  // a single multi-scalar multiplication) and then stored as they are,
+  // aliasing the header, in header order, without a second check.
+  if (!unknown.empty() &&
+      !Certificate::VerifyAll(unknown, committee_, *signer_, /*cache=*/nullptr)) {
+    LOG_WARN() << "header with invalid parent certificate from validator " << header->author;
+    return false;
+  }
+  for (const Certificate* parent : unknown) {
+    if (!AcceptCertificate(CertPtr(header, parent), /*request_header_if_missing=*/true,
+                           /*verified=*/true)) {
+      return false;  // Conflicting parent certificate: reject the header.
+    }
+  }
+  return true;
+}
+
 void Primary::HandleHeader(const MsgHeader& msg) {
   const BlockHeader& header = *msg.header;
   if (header.round < dag_.gc_round()) {
@@ -497,48 +548,8 @@ void Primary::HandleHeader(const MsgHeader& msg) {
     return;
   }
 
-  // Validate and ingest parents: >= 2f+1 distinct certificates of round-1.
-  if (header.round > 0) {
-    MemberSet parent_authors(committee_.size());
-    for (const Certificate& parent : header.parents) {
-      if (parent.round + 1 != header.round || !committee_.Contains(parent.author)) {
-        return;  // Malformed: parents must be committee blocks one round back.
-      }
-      parent_authors.Insert(parent.author);
-    }
-    if (parent_authors.size() < committee_.quorum_threshold()) {
-      return;
-    }
-    // A parent whose digest the DAG holds is matched, not re-checked: the
-    // header digest binds author, round, batches and parents, so the same
-    // digest with the same round and author is the same certified block,
-    // whose votes were verified when it was added. Its vote list here is
-    // not read. The same digest under another round or author cannot carry
-    // honest votes, and rejects the header.
-    std::vector<const Certificate*> unknown;
-    for (const Certificate& parent : header.parents) {
-      const Certificate* held = dag_.GetCertByDigest(parent.header_digest);
-      if (held == nullptr) {
-        unknown.push_back(&parent);
-      } else if (held->round != parent.round || held->author != parent.author) {
-        LOG_WARN() << "header with a mislabelled parent from validator " << header.author;
-        return;
-      }
-    }
-    // Unknown parents are verified with one batched flush (their votes share
-    // a single multi-scalar multiplication) and then stored as they are,
-    // aliasing this header, without a second check.
-    if (!unknown.empty() &&
-        !Certificate::VerifyAll(unknown, committee_, *signer_, /*cache=*/nullptr)) {
-      LOG_WARN() << "header with invalid parent certificate from validator " << header.author;
-      return;
-    }
-    for (const Certificate* parent : unknown) {
-      if (!AcceptCertificate(CertPtr(msg.header, parent), /*request_header_if_missing=*/true,
-                             /*verified=*/true)) {
-        return;  // Conflicting parent certificate: reject the header.
-      }
-    }
+  if (!AcceptParents(msg.header)) {
+    return;
   }
 
   // One vote per (author, round). A duplicate of the header we already voted
@@ -630,16 +641,8 @@ void Primary::HandleVote(const Vote& vote) {
 }
 
 void Primary::FormCertificate(Proposal& proposal) {
-  const uint32_t threshold = CertVoteThreshold(committee_);
-  std::vector<VoteList::Entry> votes;
-  votes.reserve(threshold);
-  for (const auto& [voter, sig] : proposal.votes) {
-    if (votes.size() >= threshold) {
-      break;
-    }
-    votes.emplace_back(voter, sig);
-  }
-  Certificate cert(proposal.digest, proposal.header->round, id_, votes);
+  Certificate cert(proposal.digest, proposal.header->round, id_,
+                   VoteList::Quorum(proposal.votes, CertVoteThreshold(committee_)));
   ++certs_formed_;
   Digest digest = proposal.digest;  // Copy: erasing invalidates `proposal`.
   NT_TRACE(tracer_, OnCertFormed(id_, digest, cert.round, network_->scheduler()->now()));
@@ -650,8 +653,10 @@ void Primary::FormCertificate(Proposal& proposal) {
   // broadcast message is the certificate object the local DAG entry
   // aliases, as every recipient's does.
   auto msg = std::make_shared<MsgCertificate>(std::move(cert));
+  // Its votes were each verified on arrival (HandleVote) or signed here, so
+  // the certificate is not checked again.
   AcceptCertificate(CertPtr(msg, &msg->cert), /*request_header_if_missing=*/false,
-                    /*verified=*/false);
+                    /*verified=*/true);
   for (ValidatorId v = 0; v < committee_.size(); ++v) {
     if (v != id_) {
       network_->Send(net_id_, topology_->primary_of[v], msg);
@@ -752,9 +757,6 @@ void Primary::StoreHeader(std::shared_ptr<const BlockHeader> header, const Diges
 // ----------------------------------------------------------------- GC & commit
 
 void Primary::SetGcRound(Round gc_round) {
-  // Certificates below the horizon can no longer be presented for
-  // verification; release their verified-cache entries.
-  cert_cache_.OnGcRound(gc_round);
   // Re-inject own batches whose headers fell below the horizon uncommitted
   // (paper §3.3: transaction-level fairness), and offload evicted rounds to
   // the cold archive if one is attached (§3.3: CDN offload).
@@ -910,18 +912,16 @@ void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
       LOG_WARN() << "cert response header/cert mismatch";
       return;
     }
+    // Ingest the parent certificates too, through the voting path's intake:
+    // a synced header skips HandleHeader, and without its parents in the DAG
+    // a causal-history walk can reach a header whose certificate nobody ever
+    // fetches (the header itself being present suppresses the sync) —
+    // wedging commit delivery. Requesting missing parent headers here also
+    // makes deep gaps heal recursively. A header whose parents are rejected
+    // is not stored.
     if (AcceptCertificate(CertPtr(response, &response->cert),
-                          /*request_header_if_missing=*/false, /*verified=*/false)) {
-      // Ingest the parent certificates too: unlike the voting path, a synced
-      // header skips HandleHeader, and without its parents in the DAG a
-      // causal-history walk can reach a header whose certificate nobody ever
-      // fetches (the header itself being present suppresses the sync) —
-      // wedging commit delivery. Requesting missing parent headers here also
-      // makes deep gaps heal recursively.
-      for (const Certificate& parent : response->header->parents) {
-        AcceptCertificate(CertPtr(response->header, &parent), /*request_header_if_missing=*/true,
-                          /*verified=*/false);
-      }
+                          /*request_header_if_missing=*/false, /*verified=*/false) &&
+        AcceptParents(response->header)) {
       StoreHeader(response->header, digest);
     }
     return;

@@ -34,7 +34,6 @@
 #include "src/net/network.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
-#include "src/types/cert_cache.h"
 #include "src/types/committee.h"
 #include "src/types/messages.h"
 
@@ -217,13 +216,6 @@ class Primary : public NetNode {
   uint64_t votes_cast() const { return votes_cast_; }
   uint64_t reinjected_batches() const { return reinjected_batches_; }
   size_t pending_payload() const { return pending_batches_.size(); }
-  // This validator's verified-certificate cache, for certificates checked
-  // outside the DAG (Mempool::Valid). DAG intake does not use it: the Dag is
-  // the set of certificates this validator verified. Per-instance so every
-  // simulated validator does its own verification work (no cross-validator
-  // sharing through a process-wide singleton); Cluster aggregates the
-  // per-validator stats into Metrics.
-  VerifiedCertCache& cert_cache() { return cert_cache_; }
 
  private:
   struct Proposal {
@@ -252,6 +244,9 @@ class Primary : public NetNode {
 
   // Header validation & voting.
   void HandleHeader(const MsgHeader& msg);
+  // Parent intake of a header to vote on or from a sync reply (DESIGN §3.4).
+  // False if the parents are malformed, mislabelled, invalid or conflicting.
+  bool AcceptParents(const std::shared_ptr<const BlockHeader>& header);
   void FinishVote(const PendingHeader& pending);
 
   // Votes -> certificates.
@@ -285,7 +280,6 @@ class Primary : public NetNode {
   Tracer* tracer_ = nullptr;
 
   Dag dag_;
-  VerifiedCertCache cert_cache_;
   Round round_ = 0;
   bool proposed_current_round_ = false;
   Scheduler::TimerId propose_timer_ = Scheduler::kInvalidTimer;

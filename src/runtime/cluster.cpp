@@ -1,6 +1,8 @@
 #include "src/runtime/cluster.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/tusk/dag_rider.h"
@@ -10,24 +12,30 @@ namespace nt {
 namespace {
 // Period of the tracer's gauge samples (StartGaugeSampling).
 constexpr TimeDelta kTraceGaugeInterval = Millis(100);
+
+// Every system's display name and the lowercase name flags and repro files
+// spell, in SystemKind order.
+constexpr std::pair<const char*, const char*> kSystemNames[] = {
+    {"baseline-HS", "baseline-hs"}, {"batched-HS", "batched-hs"}, {"Narwhal-HS", "narwhal-hs"},
+    {"Tusk", "tusk"},               {"DAG-Rider", "dag-rider"},   {"Bullshark", "bullshark"},
+};
+static_assert(std::size(kSystemNames) == static_cast<size_t>(SystemKind::kBullshark) + 1);
+
 }  // namespace
 
-const char* SystemName(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kBaselineHs:
-      return "baseline-HS";
-    case SystemKind::kBatchedHs:
-      return "batched-HS";
-    case SystemKind::kNarwhalHs:
-      return "Narwhal-HS";
-    case SystemKind::kTusk:
-      return "Tusk";
-    case SystemKind::kDagRider:
-      return "DAG-Rider";
-    case SystemKind::kBullshark:
-      return "Bullshark";
+const char* SystemName(SystemKind kind) { return kSystemNames[static_cast<size_t>(kind)].first; }
+
+const char* SystemFlagName(SystemKind kind) {
+  return kSystemNames[static_cast<size_t>(kind)].second;
+}
+
+std::optional<SystemKind> ParseSystem(std::string_view flag) {
+  for (size_t i = 0; i < std::size(kSystemNames); ++i) {
+    if (flag == kSystemNames[i].second) {
+      return static_cast<SystemKind>(i);
+    }
   }
-  return "?";
+  return std::nullopt;
 }
 
 Cluster::Cluster(const ClusterConfig& config)
@@ -288,7 +296,6 @@ void Cluster::BuildNarwhal() {
     primaries_[v] = std::make_unique<Primary>(v, committee_, config_.narwhal, network_.get(),
                                               &topology_, signers_[v].get());
     primaries_[v]->set_store(primary_stores_[v].get());
-    metrics_.RegisterCertCache(&primaries_[v]->cert_cache());
     uint32_t primary_id = network_->AddNode(primaries_[v].get(), region, primary_machine);
     primaries_[v]->set_net_id(primary_id);
     topology_.primary_of[v] = primary_id;
@@ -464,9 +471,8 @@ void Cluster::RestartValidator(ValidatorId v, TimePoint crash_at, TimePoint reco
 void Cluster::RebuildValidator(ValidatorId v) {
   const uint32_t w = config_.workers_per_validator;
 
-  // Fold the dying objects' cert-cache activity into the run totals before
-  // their pointers go away.
-  metrics_.UnregisterCertCache(&primaries_[v]->cert_cache());
+  // Fold the dying HotStuff node's cert-cache activity into the run totals
+  // before its pointer goes away.
   if (!hs_nodes_.empty()) {
     metrics_.UnregisterCertCache(&hs_nodes_[v]->cert_cache());
   }
@@ -495,7 +501,6 @@ void Cluster::RebuildValidator(ValidatorId v) {
   primaries_[v]->set_net_id(topology_.primary_of[v]);
   primaries_[v]->set_store(primary_stores_[v].get());
   primaries_[v]->Recover();
-  metrics_.RegisterCertCache(&primaries_[v]->cert_cache());
   network_->ReplaceNode(topology_.primary_of[v], primaries_[v].get());
 
   for (WorkerId wi = 0; wi < w; ++wi) {

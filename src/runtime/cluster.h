@@ -7,7 +7,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/bullshark/bullshark.h"
@@ -33,7 +35,13 @@ enum class SystemKind {
   kBullshark,   // Narwhal + Bullshark partially-synchronous 2-round rule.
 };
 
+// The display name, as result rows print it ("Narwhal-HS").
 const char* SystemName(SystemKind kind);
+// The lowercase name that --system flags and repro files spell
+// ("narwhal-hs").
+const char* SystemFlagName(SystemKind kind);
+// The system whose flag name is `flag`, if any.
+std::optional<SystemKind> ParseSystem(std::string_view flag);
 
 struct ClusterConfig {
   SystemKind system = SystemKind::kTusk;

@@ -3,20 +3,21 @@
 // delivery used to re-verify 2f+1 signatures. Caching the verdict makes
 // every route after the first free.
 //
-// Who uses it. HotStuff caches its QCs and TCs; the light client and
-// Mempool::Valid cache the certificates they are shown. The Narwhal
-// primary's DAG intake does not: the Dag is the set of certificates that
-// validator verified, each once on first sight, and a certificate that
-// arrives again (its broadcast, a header parent, a HotStuff payload) is
-// matched there by digest. Certificate::Verify and VerifyAll take a null
-// cache to mean "memoize nothing", which is what the primary passes.
+// Who uses it. Every certificate kind is checked by one kernel,
+// VerifySignedVotes (src/types/types.h), which probes the cache it is given.
+// HotStuff caches its QCs and TCs; the light client and the Mempool facade
+// (Mempool::Valid) cache the certificates they are shown. The Narwhal
+// primary owns no cache: the Dag is the set of certificates that validator
+// verified, each once on first sight, and a certificate that arrives again
+// (its broadcast, a header parent, a HotStuff payload) is matched there by
+// digest. The kernel takes a null cache to mean "memoize nothing", which is
+// what the primary passes.
 //
-// Every verifier owns its instance: each protocol node (Primary, HotStuff,
-// LightClient), and each tool or test that verifies certificates outside a
-// node. There is no process-wide cache. The simulator runs every validator
-// in one process, and a shared cache would let validator i skip
-// verification because validator j already did it — work no real deployment
-// could share. For the same reason nothing derived from verification (a
+// Every verifier owns its instance: HotStuff, LightClient and Mempool, and
+// each tool or test that verifies certificates outside a node. There is no
+// process-wide cache. The simulator runs every validator in one process, and
+// a shared cache would let validator i skip verification because validator j
+// already did it — work no real deployment could share. For the same reason nothing derived from verification (a
 // digest, a verdict) is memoized on the certificate objects themselves,
 // which the simulated validators share. An instance takes no lock: the
 // simulator is single-threaded, and its parallel sweeps fork processes.
@@ -76,15 +77,18 @@ class VerifiedCertCache {
     uint64_t round;           // Narwhal round or HotStuff view; the GC dimension.
     ValidatorId author;       // Narwhal header author; 0 for QCs and TCs.
     const Digest& committee;  // Committee::fingerprint().
-    // The (voter, signature) list in VoteList's encoding: a Narwhal
-    // certificate's VoteList::bytes(), a QC's or TC's votes encoded by
-    // VoteList::Encode.
+    // The (voter, signature) list in VoteList's encoding: the certificate's
+    // VoteList::bytes().
     std::span<const uint8_t> votes;
   };
 
   static constexpr size_t kDefaultCapacity = 8192;
 
   explicit VerifiedCertCache(size_t capacity = kDefaultCapacity);
+  // The index holds iterators into the entry list, which a copy or move
+  // would leave pointing at the source.
+  VerifiedCertCache(const VerifiedCertCache&) = delete;
+  VerifiedCertCache& operator=(const VerifiedCertCache&) = delete;
 
   // True iff a certificate with this key *and* binding was inserted earlier
   // and has not been evicted. Counts a hit or a miss and refreshes the

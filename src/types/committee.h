@@ -13,6 +13,8 @@
 
 namespace nt {
 
+class VoteList;
+
 using ValidatorId = uint32_t;
 using WorkerId = uint32_t;
 // Execution lane within a validator (src/shard/): the key space is
@@ -107,19 +109,9 @@ class Committee {
   bool Contains(ValidatorId id) const { return id < size(); }
 
   // True iff every voter is a committee member and none appears twice — the
-  // voter check of every certificate kind. `votes` is a range of (voter,
-  // signature) pairs: a HotStuff certificate's vector or a Narwhal
-  // certificate's VoteList.
-  template <typename Votes = std::vector<std::pair<ValidatorId, Signature>>>
-  bool DistinctMembers(const Votes& votes) const {
-    MemberSet seen(size());
-    for (const auto& [voter, sig] : votes) {
-      if (!Contains(voter) || !seen.Insert(voter)) {
-        return false;
-      }
-    }
-    return true;
-  }
+  // voter check of every certificate kind. Defined beside VoteList
+  // (src/types/types.cpp).
+  bool DistinctMembers(const VoteList& votes) const;
 
   // Stable digest of the membership (all public keys, in id order). Bound
   // into every verified-certificate cache entry, so a cached verification can

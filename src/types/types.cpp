@@ -6,7 +6,6 @@
 
 #include "src/common/seeded_bugs.h"
 #include "src/store/record.h"
-#include "src/types/cert_cache.h"
 
 namespace nt {
 namespace {
@@ -16,42 +15,51 @@ constexpr size_t kSigSize = 64;
 constexpr size_t kDigestSize = 32;
 
 // Quorum size, distinct known voters — everything except signatures.
-bool CertStructureOk(const Committee& committee, const Certificate& cert) {
-  // Honest threshold is 2f+1; the seeded accept_2f_certs mutation accepts 2f
-  // (breaks quorum intersection — see src/common/seeded_bugs.h).
+bool CertStructureOk(const Committee& committee, const SignedVotes& set) {
+  // Honest threshold is 2f+1 for every kind; the seeded accept_2f_certs
+  // mutation accepts Narwhal certificates of 2f (breaks quorum intersection —
+  // see src/common/seeded_bugs.h).
+  const bool weakened =
+      seeded_bugs::accept_2f_certs && set.kind == VerifiedCertCache::Kind::kNarwhal;
   // ntlint:allow(quorum-arith): deliberate seeded mutation — 2f (not 2f+1) breaks quorum intersection to mutation-test the DST harness
-  uint32_t threshold = seeded_bugs::accept_2f_certs ? std::max(1u, 2 * committee.f())
-                                                    : committee.quorum_threshold();
-  return cert.votes.size() >= threshold && committee.DistinctMembers(cert.votes);
+  uint32_t threshold = weakened ? std::max(1u, 2 * committee.f()) : committee.quorum_threshold();
+  return set.votes.size() >= threshold && committee.DistinctMembers(set.votes);
 }
 
-// The certificate as a cache claim: keyed by the header it certifies, bound
-// to its round, author, committee and exact vote set.
-VerifiedCertCache::Claim CacheClaim(const Committee& committee, const Certificate& cert) {
-  return {VerifiedCertCache::Kind::kNarwhal, cert.header_digest, cert.round, cert.author,
-          committee.fingerprint(), cert.votes.bytes()};
+// The set as a cache claim: keyed by what it certifies, bound to its author,
+// committee and exact vote bytes.
+VerifiedCertCache::Claim CacheClaim(const Committee& committee, const SignedVotes& set) {
+  return {set.kind, set.subject, set.round, set.author, committee.fingerprint(),
+          set.votes.bytes()};
 }
 
 const Certificate& Deref(const Certificate& cert) { return cert; }
 const Certificate& Deref(const Certificate* cert) { return *cert; }
 
-// Certificate::Verify and VerifyAll, over certificates or pointers to them:
-// structure check and cache probe per certificate, then one batched flush
-// over the uncached certificates' votes (each vote item borrows its
-// certificate's one preimage), then each certificate's own verdict and, if
-// valid, its cache entry. A null `cache` memoizes nothing: every certificate
-// is checked.
+// Certificates, or pointers to them, as the verification kernel sees them.
 template <typename Certs>
-bool VerifyCertificates(const Certs& certs, const Committee& committee, const Signer& verifier,
-                        VerifiedCertCache* cache) {
-  bool all_valid = true;
-  std::vector<const Certificate*> pending;
+std::vector<SignedVotes> Signed(const Certs& certs) {
+  std::vector<SignedVotes> sets;
+  sets.reserve(certs.size());
   for (const auto& entry : certs) {
     const Certificate& cert = Deref(entry);
-    if (!CertStructureOk(committee, cert)) {
+    sets.push_back({VerifiedCertCache::Kind::kNarwhal, cert.header_digest, cert.round,
+                    cert.author, cert.votes, &Certificate::VotePreimage});
+  }
+  return sets;
+}
+
+}  // namespace
+
+bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& committee,
+                       const Signer& verifier, VerifiedCertCache* cache) {
+  bool all_valid = true;
+  std::vector<const SignedVotes*> pending;
+  for (const SignedVotes& set : sets) {
+    if (!CertStructureOk(committee, set)) {
       all_valid = false;
-    } else if (cache == nullptr || !cache->Lookup(CacheClaim(committee, cert))) {
-      pending.push_back(&cert);
+    } else if (cache == nullptr || !cache->Lookup(CacheClaim(committee, set))) {
+      pending.push_back(&set);
     }
   }
   if (pending.empty()) {
@@ -60,36 +68,34 @@ bool VerifyCertificates(const Certs& certs, const Committee& committee, const Si
   std::vector<Bytes> preimages;
   preimages.reserve(pending.size());  // Items point into these buffers.
   size_t num_votes = 0;
-  for (const Certificate* cert : pending) {
-    num_votes += cert->votes.size();
+  for (const SignedVotes* set : pending) {
+    num_votes += set->votes.size();
   }
   std::vector<BatchItem> items;
   items.reserve(num_votes);
-  for (const Certificate* cert : pending) {
-    const Bytes& preimage = preimages.emplace_back(
-        Certificate::VotePreimage(cert->header_digest, cert->round, cert->author));
-    for (const VoteList::View vote : cert->votes) {
+  for (const SignedVotes* set : pending) {
+    const Bytes& preimage =
+        preimages.emplace_back(set->preimage(set->subject, set->round, set->author));
+    for (const VoteList::View vote : set->votes) {
       items.push_back(
           {committee.key_of(vote.voter), preimage.data(), preimage.size(), vote.signature()});
     }
   }
   const std::vector<bool> ok = verifier.VerifyBatch(items);
   size_t next = 0;
-  for (const Certificate* cert : pending) {
-    bool cert_ok = true;
-    for (size_t i = 0; i < cert->votes.size(); ++i) {
-      cert_ok = ok[next++] && cert_ok;
+  for (const SignedVotes* set : pending) {
+    bool set_ok = true;
+    for (size_t i = 0; i < set->votes.size(); ++i) {
+      set_ok = ok[next++] && set_ok;
     }
-    if (!cert_ok) {
+    if (!set_ok) {
       all_valid = false;
     } else if (cache != nullptr) {
-      cache->Insert(CacheClaim(committee, *cert));
+      cache->Insert(CacheClaim(committee, *set));
     }
   }
   return all_valid;
 }
-
-}  // namespace
 
 // -------------------------------------------------------------------- Batch
 //
@@ -254,16 +260,35 @@ VoteList::View VoteList::Iterator::operator*() const {
 
 VoteList::VoteList(std::span<const Entry> votes) {
   Writer w(4 + votes.size() * kEntrySize);
-  Encode(w, votes);
-  buffer_ = std::make_shared<const Bytes>(w.Take());
-}
-
-void VoteList::Encode(Writer& w, std::span<const Entry> votes) {
   w.PutU32(static_cast<uint32_t>(votes.size()));
   for (const auto& [voter, sig] : votes) {
     w.PutU32(voter);
     w.PutRaw(sig);
   }
+  buffer_ = std::make_shared<const Bytes>(w.Take());
+}
+
+std::vector<VoteList::Entry> VoteList::Quorum(const std::map<ValidatorId, Signature>& collected,
+                                              size_t count) {
+  const auto end =
+      std::next(collected.begin(), static_cast<ptrdiff_t>(std::min(count, collected.size())));
+  return std::vector<Entry>(collected.begin(), end);
+}
+
+void VoteList::Encode(Writer& w) const {
+  w.PutU32(static_cast<uint32_t>(size()));
+  const std::span<const uint8_t> votes = bytes().subspan(4);
+  w.PutRaw(votes.data(), votes.size());
+}
+
+std::optional<VoteList> VoteList::Decode(Reader& r) {
+  Reader probe = r;
+  const uint32_t n = probe.GetU32();
+  if (!probe.ok() || n > probe.remaining() / kEntrySize) {
+    return std::nullopt;
+  }
+  const std::span<const uint8_t> encoding = r.GetRawView(4 + n * kEntrySize);
+  return VoteList(std::make_shared<const Bytes>(encoding.begin(), encoding.end()), 0);
 }
 
 size_t VoteList::size() const { return LoadU32(bytes().data()); }
@@ -286,6 +311,16 @@ std::vector<VoteList::Entry> VoteList::Entries() const {
 
 bool VoteList::operator==(const VoteList& other) const {
   return std::ranges::equal(bytes(), other.bytes());
+}
+
+bool Committee::DistinctMembers(const VoteList& votes) const {
+  MemberSet seen(size());
+  for (const VoteList::View vote : votes) {
+    if (!Contains(vote.voter) || !seen.Insert(vote.voter)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // -------------------------------------------------------------- Certificate
@@ -313,7 +348,7 @@ Certificate::Certificate(const Digest& digest, Round cert_round, ValidatorId cer
                               w.PutRaw(digest);
                               w.PutU64(cert_round);
                               w.PutU32(cert_author);
-                              VoteList::Encode(w, entries);
+                              VoteList(entries).Encode(w);
                             }),
             kSealedVotesOffset) {}
 
@@ -389,17 +424,17 @@ SharedBytes Certificate::RecordValue() const {
 
 bool Certificate::Verify(const Committee& committee, const Signer& verifier,
                          VerifiedCertCache* cache) const {
-  return VerifyCertificates(std::span(this, 1), committee, verifier, cache);
+  return VerifySignedVotes(Signed(std::span(this, 1)), committee, verifier, cache);
 }
 
 bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
                             const Signer& verifier, VerifiedCertCache* cache) {
-  return VerifyCertificates(certs, committee, verifier, cache);
+  return VerifySignedVotes(Signed(certs), committee, verifier, cache);
 }
 
 bool Certificate::VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
                             const Signer& verifier, VerifiedCertCache* cache) {
-  return VerifyCertificates(certs, committee, verifier, cache);
+  return VerifySignedVotes(Signed(certs), committee, verifier, cache);
 }
 
 size_t Certificate::WireSize() const {

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,11 +20,10 @@
 #include "src/crypto/hash.h"
 #include "src/crypto/signer.h"
 #include "src/net/message.h"
+#include "src/types/cert_cache.h"
 #include "src/types/committee.h"
 
 namespace nt {
-
-class VerifiedCertCache;
 
 // A sampled transaction used for end-to-end latency measurement: the paper
 // measures latency "by tracking sample transactions throughout the system".
@@ -141,11 +141,12 @@ struct BatchRef {
   bool operator==(const BatchRef& other) const = default;
 };
 
-// A certificate's votes: (voter, signature over the vote pre-image) pairs,
-// sorted by voter id, held as their encoding in one immutable shared buffer —
-// a u32 count, then per vote a u32 voter and the 64 signature bytes. Copying
-// a list copies one pointer. A sealed certificate's list is a view into the
-// certificate's own buffer (see Certificate).
+// The votes of a certificate of any kind — a Narwhal certificate of
+// availability, a HotStuff QC or TC: (voter, signature over the vote
+// pre-image) pairs, sorted by voter id, held as their encoding in one
+// immutable shared buffer — a u32 count, then per vote a u32 voter and the 64
+// signature bytes. Copying a list copies one pointer. A sealed certificate's
+// list is a view into the certificate's own buffer (see Certificate).
 class VoteList {
  public:
   // A vote as it is supplied: what the list is built from.
@@ -188,8 +189,17 @@ class VoteList {
       : VoteList(std::span<const Entry>(votes.begin(), votes.size())) {}
   explicit VoteList(std::span<const Entry> votes);
 
-  // Appends the encoding of `votes`: what bytes() holds for VoteList(votes).
-  static void Encode(Writer& w, std::span<const Entry> votes);
+  // The first `count` of `collected`, a voter-sorted map of verified votes:
+  // the quorum a node forms a certificate of any kind from.
+  static std::vector<Entry> Quorum(const std::map<ValidatorId, Signature>& collected,
+                                   size_t count);
+
+  // Appends bytes(): the count, then the votes.
+  void Encode(Writer& w) const;
+  // Reads one encoding from `r` (which may hold more) into a buffer of its
+  // own. Bounded: a vote count the remaining input cannot hold is rejected
+  // before anything is allocated.
+  static std::optional<VoteList> Decode(Reader& r);
 
   size_t size() const;
   View operator[](size_t i) const { return *Iterator(entries() + i * kEntrySize); }
@@ -216,6 +226,28 @@ class VoteList {
   SharedBytes buffer_;  // Null for the empty list.
   uint32_t offset_ = 0;
 };
+
+// A certificate of any kind as VerifySignedVotes sees it: (kind, subject,
+// round, author) is what it certifies (see VerifiedCertCache::Claim), and
+// `preimage` builds from them what every vote signs, only for a set whose
+// signatures are checked. Borrows its fields.
+struct SignedVotes {
+  VerifiedCertCache::Kind kind;
+  const Digest& subject;
+  uint64_t round;
+  ValidatorId author;
+  const VoteList& votes;
+  Bytes (*preimage)(const Digest& subject, uint64_t round, ValidatorId author);
+};
+
+// The verification kernel of every certificate kind. Per set: >= 2f+1
+// distinct committee voters (2f for Narwhal certificates under the seeded
+// accept_2f_certs mutation), then a probe of `cache` on the list's own
+// bytes; then one batched flush over every unverified set's signatures. True
+// iff every set is valid. Each valid set lands in `cache`, if given, even
+// when another fails; a null `cache` memoizes nothing.
+bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& committee,
+                       const Signer& verifier, VerifiedCertCache* cache);
 
 // A certificate of availability: 2f+1 signed acknowledgments that a header
 // (and the batches it references) is stored by a quorum (paper §3.1, §4.1).
@@ -266,17 +298,18 @@ struct Certificate {
   // else a freshly sealed one with the same bytes.
   SharedBytes RecordValue() const;
 
-  // Structural + cryptographic validity: >= 2f+1 distinct known voters whose
-  // signatures verify. `verifier` supplies the scheme. Signatures are checked
-  // through the signer's batch kernel. A positive result is memoized in
-  // `cache` when one is given: the cache finds the entry by header digest and
-  // round, then compares author, committee fingerprint and the exact vote
-  // bytes, so a re-delivery costs no encoding and no hashing, and a
-  // different vote set under a known digest is verified afresh. A null
-  // `cache` memoizes nothing and checks every signature. The primary passes
-  // null: its Dag is its memo, since it verifies a certificate once, on first
-  // sight, and afterwards matches it by digest (see Primary::HandleHeader).
-  // Mempool::Valid, HotStuff and the light client pass their own caches.
+  // Structural + cryptographic validity (VerifySignedVotes): >= 2f+1
+  // distinct known voters whose signatures verify. `verifier` supplies the
+  // scheme. Signatures are checked through the signer's batch kernel. A
+  // positive result is memoized in `cache` when one is given: the cache
+  // finds the entry by header digest and round, then compares author,
+  // committee fingerprint and the exact vote bytes, so a re-delivery costs
+  // no encoding and no hashing, and a different vote set under a known
+  // digest is verified afresh. A null `cache` memoizes nothing and checks
+  // every signature. The primary passes null: its Dag is its memo, since it
+  // verifies a certificate once, on first sight, and afterwards matches it
+  // by digest (see Primary::AcceptParents). Mempool::Valid and the light
+  // client pass their own caches.
   // A cache is always the verifying validator's own: every simulated
   // validator does its own crypto work, as a real deployment would.
   bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;

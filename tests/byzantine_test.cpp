@@ -284,9 +284,11 @@ TEST(ByzantineHotStuffTest, ForgedHighQcInTimeoutRejected) {
   QuorumCert forged;
   forged.block_digest = Sha256::Hash("phantom block");
   forged.view = view_before + 1000;
+  std::vector<VoteList::Entry> votes;
   for (uint32_t v = 0; v < 3; ++v) {
-    forged.votes.emplace_back(v, Signature{});
+    votes.emplace_back(v, Signature{});
   }
+  forged.votes = VoteList(votes);
   View timeout_view = view_before;
   auto msg = std::make_shared<MsgHsTimeout>(
       timeout_view, 3, byz_signer->Sign(TimeoutCert::VotePreimage(timeout_view)), forged);

@@ -321,10 +321,12 @@ TEST_F(CertCacheIntegrationTest, CommitteeFingerprintMismatchMisses) {
 TEST_F(CertCacheIntegrationTest, QuorumCertVoteSetVariantsBehaveLikeNarwhal) {
   const Digest block = Sha256::Hash("hs-block");
   const Bytes preimage = QuorumCert::VotePreimage(block, 9);
-  QuorumCert a{block, 9, SignAll(preimage, {0, 1, 2})};
-  QuorumCert b{block, 9, SignAll(preimage, {1, 2, 3})};
+  QuorumCert a{block, 9, VoteList(SignAll(preimage, {0, 1, 2}))};
+  QuorumCert b{block, 9, VoteList(SignAll(preimage, {1, 2, 3}))};
   QuorumCert forged = a;
-  forged.votes[0].second[5] ^= 1;
+  std::vector<VoteList::Entry> votes = a.votes.Entries();
+  votes[0].second[5] ^= 1;
+  forged.votes = VoteList(votes);
 
   EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
   EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));  // Distinct entry.
@@ -335,17 +337,20 @@ TEST_F(CertCacheIntegrationTest, QuorumCertVoteSetVariantsBehaveLikeNarwhal) {
   EXPECT_EQ(cache.stats().insertions, 2u);
   EXPECT_EQ(cache.stats().hits, 2u);
   // Another view of the same block is another key.
-  QuorumCert later{block, 10, SignAll(QuorumCert::VotePreimage(block, 10), {0, 1, 2})};
+  QuorumCert later{block, 10,
+                   VoteList(SignAll(QuorumCert::VotePreimage(block, 10), {0, 1, 2}))};
   EXPECT_TRUE(later.Verify(committee, *signers[0], &cache));
   EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
   const Bytes preimage = TimeoutCert::VotePreimage(7);
-  TimeoutCert a{7, SignAll(preimage, {0, 1, 2})};
-  TimeoutCert b{7, SignAll(preimage, {0, 2, 3})};
+  TimeoutCert a{7, VoteList(SignAll(preimage, {0, 1, 2}))};
+  TimeoutCert b{7, VoteList(SignAll(preimage, {0, 2, 3}))};
   TimeoutCert forged = b;
-  forged.votes[2].second[63] ^= 1;
+  std::vector<VoteList::Entry> votes = b.votes.Entries();
+  votes[2].second[63] ^= 1;
+  forged.votes = VoteList(votes);
 
   EXPECT_TRUE(a.Verify(committee, *signers[0], &cache));
   EXPECT_TRUE(b.Verify(committee, *signers[0], &cache));
@@ -355,7 +360,8 @@ TEST_F(CertCacheIntegrationTest, TimeoutCertVoteSetVariantsBehaveLikeNarwhal) {
   EXPECT_EQ(cache.stats().insertions, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
   // A QC and a TC never share an entry, even for the same view.
-  QuorumCert qc{Digest{}, 7, SignAll(QuorumCert::VotePreimage(Digest{}, 7), {0, 1, 2})};
+  QuorumCert qc{Digest{}, 7,
+                VoteList(SignAll(QuorumCert::VotePreimage(Digest{}, 7), {0, 1, 2}))};
   EXPECT_TRUE(qc.Verify(committee, *signers[0], &cache));
   EXPECT_EQ(cache.stats().misses, 4u);
 }
@@ -377,12 +383,18 @@ TEST_F(CertCacheIntegrationTest, DuplicateAndUnknownVotersRejectedOnBothPaths) {
 
   // HotStuff: the same two defects in a QC and a TC.
   const Digest block = Sha256::Hash("hs-dup");
-  QuorumCert qc_dup{block, 4, SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 1})};
-  QuorumCert qc_unknown{block, 4, SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 2})};
-  qc_unknown.votes[2].first = 1000;
-  TimeoutCert tc_dup{4, SignAll(TimeoutCert::VotePreimage(4), {2, 2, 3})};
-  TimeoutCert tc_unknown{4, SignAll(TimeoutCert::VotePreimage(4), {0, 1, 2})};
-  tc_unknown.votes[0].first = kN;
+  QuorumCert qc_dup{block, 4,
+                    VoteList(SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 1}))};
+  QuorumCert qc_unknown{block, 4,
+                        VoteList(SignAll(QuorumCert::VotePreimage(block, 4), {0, 1, 2}))};
+  votes = qc_unknown.votes.Entries();
+  votes[2].first = 1000;
+  qc_unknown.votes = VoteList(votes);
+  TimeoutCert tc_dup{4, VoteList(SignAll(TimeoutCert::VotePreimage(4), {2, 2, 3}))};
+  TimeoutCert tc_unknown{4, VoteList(SignAll(TimeoutCert::VotePreimage(4), {0, 1, 2}))};
+  votes = tc_unknown.votes.Entries();
+  votes[0].first = kN;
+  tc_unknown.votes = VoteList(votes);
   EXPECT_FALSE(qc_dup.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(qc_unknown.Verify(committee, *signers[0], &cache));
   EXPECT_FALSE(tc_dup.Verify(committee, *signers[0], &cache));

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "src/check/checker.h"
 #include "src/check/schedule.h"
@@ -44,6 +46,34 @@ TEST(ScheduleTest, EncodeDecodeRoundTrip) {
     ASSERT_TRUE(decoded.has_value()) << "seed " << seed;
     EXPECT_EQ(decoded->Encode(), s.Encode()) << "seed " << seed;
   }
+}
+
+// Every system's flag name parses back to it, and names the repro line
+// `system=`. The repro format takes exactly the systems the checker runs.
+TEST(ScheduleTest, SystemNamesRoundTripForAllSixKinds) {
+  const std::pair<SystemKind, const char*> kinds[] = {
+      {SystemKind::kBaselineHs, "baseline-hs"}, {SystemKind::kBatchedHs, "batched-hs"},
+      {SystemKind::kNarwhalHs, "narwhal-hs"},   {SystemKind::kTusk, "tusk"},
+      {SystemKind::kDagRider, "dag-rider"},     {SystemKind::kBullshark, "bullshark"},
+  };
+  for (const auto& [kind, flag] : kinds) {
+    EXPECT_STREQ(SystemFlagName(kind), flag);
+    EXPECT_EQ(ParseSystem(flag), kind) << flag;
+    FaultSchedule s = GenerateSchedule(7);
+    s.system = kind;
+    const std::string encoded = s.Encode();
+    EXPECT_NE(encoded.find(std::string("\nsystem=") + flag + "\n"), std::string::npos) << flag;
+    std::optional<FaultSchedule> decoded = FaultSchedule::Decode(encoded);
+    EXPECT_EQ(decoded.has_value(), IsCheckedSystem(kind)) << flag;
+    if (decoded.has_value()) {
+      EXPECT_EQ(decoded->system, kind) << flag;
+    }
+  }
+  EXPECT_TRUE(IsCheckedSystem(SystemKind::kTusk));
+  EXPECT_TRUE(IsCheckedSystem(SystemKind::kNarwhalHs));
+  EXPECT_TRUE(IsCheckedSystem(SystemKind::kBullshark));
+  EXPECT_FALSE(ParseSystem("Tusk").has_value());  // The display name is not a flag.
+  EXPECT_FALSE(ParseSystem("").has_value());
 }
 
 TEST(ScheduleTest, DecodeRejectsMalformedInput) {

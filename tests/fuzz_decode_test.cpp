@@ -41,6 +41,7 @@ TEST(FuzzDecodeTest, RandomGarbageNeverCrashes) {
     DecodeGarbage<Batch>(garbage);
     DecodeGarbage<BatchRef>(garbage);
     DecodeGarbage<Certificate>(garbage);
+    DecodeGarbage<VoteList>(garbage);
     DecodeGarbage<BlockHeader>(garbage);
     DecodeGarbage<Vote>(garbage);
     {
@@ -210,6 +211,45 @@ TEST(FuzzDecodeTest, CertificateVoteViewsNeverLeaveTheirBuffer) {
   Bytes hostile(valid.begin(), valid.begin() + kCountAt + 4 + VoteList::kEntrySize);
   hostile[kCountAt] = hostile[kCountAt + 1] = hostile[kCountAt + 2] = hostile[kCountAt + 3] = 0xff;
   EXPECT_FALSE(decode(hostile));
+}
+
+// A vote list read from a record (a QC in the 'Q' high-QC record) owns a
+// buffer of its own, and a count the input cannot hold is rejected before
+// anything is allocated.
+TEST(FuzzDecodeTest, VoteListDecodeIsBoundedByItsInput) {
+  auto signer = MakeSigner(SignerKind::kFast, DeriveSeed(1, 0));
+  const VoteList votes{{0, signer->Sign(Sha256::Hash("a"))},
+                       {2, signer->Sign(Sha256::Hash("b"))},
+                       {3, signer->Sign(Sha256::Hash("c"))}};
+  Writer w;
+  votes.Encode(w);
+  w.PutU8(7);  // A trailing byte the list does not own.
+  const Bytes valid = w.Take();
+  for (size_t len = 0; len + 1 < valid.size(); ++len) {
+    const Bytes truncated(valid.begin(), valid.begin() + static_cast<ptrdiff_t>(len));
+    Reader r(truncated);
+    EXPECT_FALSE(VoteList::Decode(r).has_value()) << "truncated to " << len;
+  }
+  Reader r(valid);
+  const std::optional<VoteList> decoded = VoteList::Decode(r);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, votes);
+  EXPECT_EQ(r.remaining(), 1u);
+  const uint8_t* own = decoded->bytes().data();
+  EXPECT_TRUE(own < valid.data() || own >= valid.data() + valid.size());
+
+  // A count of 2^32 - 1 over one vote's bytes: rejected, alone and inside a
+  // 'Q' record.
+  Bytes hostile(valid.begin(), valid.begin() + 4 + VoteList::kEntrySize);
+  hostile[0] = hostile[1] = hostile[2] = hostile[3] = 0xff;
+  Reader hostile_list(hostile);
+  EXPECT_FALSE(VoteList::Decode(hostile_list).has_value());
+  Writer record;
+  record.PutRaw(Sha256::Hash("block"));
+  record.PutU64(5);
+  record.PutRaw(hostile);
+  Reader hostile_record(record.bytes());
+  EXPECT_FALSE(HsHighQcRecord::Decode(hostile_record).has_value());
 }
 
 // The view decoder borrows from its input: whatever garbage, truncation or

@@ -33,9 +33,11 @@ TEST_F(QcFixture, QuorumCertVerifies) {
   qc.block_digest = Sha256::Hash("block");
   qc.view = 7;
   Bytes preimage = QuorumCert::VotePreimage(qc.block_digest, qc.view);
+  std::vector<VoteList::Entry> votes;
   for (uint32_t v = 0; v < 3; ++v) {
-    qc.votes.emplace_back(v, signers[v]->Sign(preimage));
+    votes.emplace_back(v, signers[v]->Sign(preimage));
   }
+  qc.votes = VoteList(votes);
   EXPECT_TRUE(qc.Verify(committee, *signers[0], &cache));
 
   QuorumCert wrong_view = qc;
@@ -43,11 +45,15 @@ TEST_F(QcFixture, QuorumCertVerifies) {
   EXPECT_FALSE(wrong_view.Verify(committee, *signers[0], &cache));
 
   QuorumCert short_qc = qc;
-  short_qc.votes.pop_back();
+  std::vector<VoteList::Entry> short_votes = qc.votes.Entries();
+  short_votes.pop_back();
+  short_qc.votes = VoteList(short_votes);
   EXPECT_FALSE(short_qc.Verify(committee, *signers[0], &cache));
 
   QuorumCert dup = qc;
-  dup.votes[2] = dup.votes[0];
+  std::vector<VoteList::Entry> dup_votes = qc.votes.Entries();
+  dup_votes[2] = dup_votes[0];
+  dup.votes = VoteList(dup_votes);
   EXPECT_FALSE(dup.Verify(committee, *signers[0], &cache));
 }
 
@@ -61,9 +67,11 @@ TEST_F(QcFixture, TimeoutCertVerifies) {
   TimeoutCert tc;
   tc.view = 3;
   Bytes preimage = TimeoutCert::VotePreimage(3);
+  std::vector<VoteList::Entry> votes;
   for (uint32_t v = 1; v < 4; ++v) {
-    tc.votes.emplace_back(v, signers[v]->Sign(preimage));
+    votes.emplace_back(v, signers[v]->Sign(preimage));
   }
+  tc.votes = VoteList(votes);
   EXPECT_TRUE(tc.Verify(committee, *signers[0], &cache));
   tc.view = 4;
   EXPECT_FALSE(tc.Verify(committee, *signers[0], &cache));

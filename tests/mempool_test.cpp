@@ -46,10 +46,10 @@ TEST(MempoolTest, WriteBecomesCertified) {
 
   auto cert = pool.CertificateFor(d);
   ASSERT_TRUE(cert.has_value());
-  // valid(d, c(d)) holds for the real certificate, checked by validator 0
-  // through its own primary's cache...
+  // valid(d, c(d)) holds for the real certificate, checked by validator 0's
+  // mempool through its own cache...
   auto verifier = MakeSigner(SignerKind::kFast, DeriveSeed(1, 0));
-  const VerifiedCertCache& cache = cluster.primary(0)->cert_cache();
+  const VerifiedCertCache& cache = pool.cert_cache();
   const uint64_t lookups = cache.stats().hits + cache.stats().misses;
   EXPECT_TRUE(pool.Valid(cluster.committee(), *verifier, *cert));
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, lookups + 1);

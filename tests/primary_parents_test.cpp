@@ -3,8 +3,10 @@
 // A header's parents are matched against the primary's Dag by digest: a held
 // parent costs one probe and its vote list is not read, a held digest under
 // another round or author rejects the header, and only unknown parents are
-// verified, once, with one batched flush. Every certificate the Dag adds was
-// verified by this validator. The Dag keeps the certificate where it arrived:
+// verified, once, with one batched flush — whether the header came to be
+// voted on or as a sync reply. Every certificate the Dag adds was verified by
+// this validator, once: a certificate the primary forms from votes it checked
+// is not checked again. The Dag keeps the certificate where it arrived:
 // inside the header that carried it as a parent, or inside the broadcast
 // message.
 #include <gtest/gtest.h>
@@ -155,6 +157,39 @@ TEST(PrimaryParentsTest, HeldDigestUnderAnotherAuthorRejectsHeader) {
   EXPECT_EQ(h.dag().GetCertByDigest(r0[0].header_digest)->author, 0u);
 }
 
+// A header delivered as a sync reply goes through the same parent intake: a
+// parent citing a held digest under another round or author keeps the header
+// out of the store.
+TEST(PrimaryParentsTest, SyncedHeaderWithMislabelledParentIsNotStored) {
+  ParentHarness h;
+  const std::vector<Certificate> r0 = h.Genesis();
+  const std::vector<Certificate> r1 = h.NextRound(1, r0);
+  for (const Certificate& cert : r0) {
+    ASSERT_TRUE(h.primary().mutable_dag().AddCertificate(cert));
+  }
+  for (const Certificate& cert : r1) {
+    ASSERT_TRUE(h.primary().mutable_dag().AddCertificate(cert));
+  }
+  // Answers a sync request with `header` and its certificate; true iff the
+  // primary stored the header.
+  auto sync = [&h](std::shared_ptr<const BlockHeader> header) {
+    const Digest digest = header->ComputeDigest();
+    h.primary().OnMessage(
+        0, std::make_shared<const MsgCertResponse>(h.Certify(digest, header->round, header->author),
+                                                   header));
+    return h.dag().HasHeader(digest);
+  };
+  // Validator 1's round-0 digest cited as its round-1 block.
+  EXPECT_FALSE(sync(h.MakeHeader(2, 2, {r1[0], h.Certify(r0[1].header_digest, 1, 1), r1[2]})));
+  EXPECT_EQ(h.dag().GetCertByDigest(r0[1].header_digest)->round, 0u);
+  // Validator 0's round-1 block cited as validator 3's.
+  EXPECT_FALSE(sync(h.MakeHeader(1, 2, {h.Certify(r1[0].header_digest, 1, 3), r1[1], r1[2]})));
+  EXPECT_EQ(h.dag().GetCertByDigest(r1[0].header_digest)->author, 0u);
+
+  // The honest parent set is stored.
+  EXPECT_TRUE(sync(h.MakeHeader(3, 2, Pick(r1, {0, 1, 2}))));
+}
+
 TEST(PrimaryParentsTest, HeldParentWithTamperedVotesIsMatchedByDigest) {
   ParentHarness h;
   const std::vector<Certificate> r0 = h.Genesis();
@@ -231,6 +266,31 @@ TEST(PrimaryParentsTest, EachUnknownParentIsVerifiedOnce) {
   EXPECT_EQ(unknown_cost, held_cost + verify_once);
   // The parents are now held: a second header citing them verifies nothing.
   EXPECT_EQ(BlocksToDeliver(unknown, second), BlocksToDeliver(held, second));
+}
+
+// A primary verifies each vote on arrival, so the certificate it forms from
+// them costs no further signature check.
+TEST(PrimaryParentsTest, FormingACertificateChecksNoSignatureAgain) {
+  ParentHarness h;
+  h.primary().OnStart();  // Proposes its genesis header and votes for it.
+  const Digest digest = h.MakeHeader(0, 0, {})->ComputeDigest();
+  // SHA-256 compressions spent receiving `voter`'s vote.
+  auto receive_vote = [&h, &digest](ValidatorId voter) {
+    Vote vote;
+    vote.header_digest = digest;
+    vote.voter = voter;
+    vote.sig = h.signer(voter).Sign(Certificate::VotePreimage(digest, 0, 0));
+    const uint64_t before = Sha256::blocks_processed();
+    h.primary().OnMessage(0, std::make_shared<const MsgVote>(vote));
+    return Sha256::blocks_processed() - before;
+  };
+  const uint64_t one_vote = receive_vote(1);
+  ASSERT_GT(one_vote, 0u);
+  ASSERT_EQ(h.primary().certs_formed(), 0u);
+  // The quorum's last vote forms the certificate and costs one vote's check.
+  EXPECT_EQ(receive_vote(2), one_vote);
+  EXPECT_EQ(h.primary().certs_formed(), 1u);
+  EXPECT_NE(h.dag().GetCertByDigest(digest), nullptr);
 }
 
 TEST(PrimaryParentsTest, HeaderParentIsHeldInsideTheHeader) {

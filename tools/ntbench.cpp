@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,28 +50,6 @@ namespace {
 [[noreturn]] void Usage(const char* msg) {
   std::fprintf(stderr, "ntbench: %s\n(see the header of tools/ntbench.cpp for flags)\n", msg);
   std::exit(2);
-}
-
-SystemKind ParseSystem(const std::string& name) {
-  if (name == "baseline-hs") {
-    return SystemKind::kBaselineHs;
-  }
-  if (name == "batched-hs") {
-    return SystemKind::kBatchedHs;
-  }
-  if (name == "narwhal-hs") {
-    return SystemKind::kNarwhalHs;
-  }
-  if (name == "tusk") {
-    return SystemKind::kTusk;
-  }
-  if (name == "dag-rider") {
-    return SystemKind::kDagRider;
-  }
-  if (name == "bullshark") {
-    return SystemKind::kBullshark;
-  }
-  Usage("unknown --system");
 }
 
 // Parallel counterpart of RunAveraged. Run 0 executes in-process so its full
@@ -146,7 +125,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--system") {
-      params.system = ParseSystem(next());
+      const std::optional<SystemKind> system = ParseSystem(next());
+      if (!system.has_value()) {
+        Usage("unknown --system");
+      }
+      params.system = *system;
     } else if (flag == "--nodes") {
       params.nodes = static_cast<uint32_t>(std::stoul(next()));
     } else if (flag == "--workers") {

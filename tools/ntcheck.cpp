@@ -39,11 +39,8 @@ using nt::FaultSchedule;
 using nt::SystemKind;
 
 void PrintVerdict(const FaultSchedule& schedule, const CheckResult& result) {
-  const char* system_name = schedule.system == SystemKind::kTusk ? "tusk"
-                            : schedule.system == SystemKind::kBullshark ? "bullshark"
-                                                                        : "narwhal-hs";
   std::printf("seed %-8llu %-10s n=%-3u faults=%-2zu commits=%-5llu %s\n",
-              static_cast<unsigned long long>(schedule.seed), system_name,
+              static_cast<unsigned long long>(schedule.seed), nt::SystemFlagName(schedule.system),
               schedule.validators, schedule.FaultCount(),
               static_cast<unsigned long long>(result.commits), result.Summary().c_str());
   for (const nt::Violation& v : result.violations) {
@@ -103,14 +100,11 @@ int main(int argc, char** argv) {
       start = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--system") {
       std::string v = next();
-      if (v == "tusk") {
-        system = SystemKind::kTusk;
-      } else if (v == "narwhal-hs") {
-        system = SystemKind::kNarwhalHs;
-      } else if (v == "bullshark") {
-        system = SystemKind::kBullshark;
-      } else if (v == "both") {
+      if (v == "both") {
         both_systems = true;
+      } else if (std::optional<SystemKind> kind = nt::ParseSystem(v);
+                 kind.has_value() && nt::IsCheckedSystem(*kind)) {
+        system = kind;
       } else {
         std::fprintf(stderr, "unknown system '%s'\n", v.c_str());
         return 2;
