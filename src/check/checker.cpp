@@ -15,11 +15,6 @@ namespace nt {
 
 namespace {
 
-// Liveness slack: every correct validator must have committed within this
-// long of the end of the run (the run extends ≥ 10 s past GST, and a healthy
-// WAN committee commits a wave roughly every second).
-constexpr TimeDelta kLivenessSlack = Seconds(6);
-
 // Keep failure reports small; one violation is enough to fail and shrink.
 constexpr size_t kMaxViolations = 16;
 
@@ -423,13 +418,9 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
     }
   }
 
-  // (6) liveness: every correct validator commits within the slack window at
-  // the end of the run (which extends well past GST by construction). Under
-  // degraded-mode schedules (crashes/equivocators down to exactly 2f+1 alive
-  // plus loss) each lost message costs a full retry delay and the coin can
-  // pick dead leaders for consecutive waves, so the slack scales up.
+  // (6) liveness: every correct validator commits within the slack window.
   TimePoint gst = schedule.Gst();
-  const TimeDelta slack = schedule.Stressed() ? Seconds(15) : kLivenessSlack;
+  const TimeDelta slack = schedule.Stressed() ? kStressedLivenessSlack : kLivenessSlack;
   if (schedule.duration >= gst + slack + Seconds(2)) {
     for (ValidatorId v = 0; v < n; ++v) {
       if (!schedule.IsCorrect(v)) {

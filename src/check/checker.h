@@ -31,8 +31,16 @@
 #include <vector>
 
 #include "src/check/schedule.h"
+#include "src/common/time.h"
 
 namespace nt {
+
+// Liveness slack: every correct validator commits within this long of the
+// run's end (>= 10 s past GST). Degraded-mode schedules (exactly 2f+1 alive,
+// plus loss) get the stressed slack: each lost message costs a full retry
+// delay (src/sim/timers.h), and the coin can pick dead leaders in a row.
+inline constexpr TimeDelta kLivenessSlack = Seconds(6);
+inline constexpr TimeDelta kStressedLivenessSlack = Seconds(15);
 
 struct Violation {
   // Invariant identifier: "prefix-consistency", "cert-uniqueness",

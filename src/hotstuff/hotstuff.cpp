@@ -13,19 +13,17 @@ const Digest kGenesisDigest{};  // All zeros.
 
 }  // namespace
 
-HotStuff::HotStuff(ValidatorId id, const Committee& committee, const HotStuffConfig& config,
-                   Network* network, Signer* signer, PayloadProvider* provider)
+HotStuff::HotStuff(ValidatorId id, const Committee& committee, Network* network, Signer* signer,
+                   PayloadProvider* provider)
     : id_(id),
       committee_(committee),
-      config_(config),
       network_(network),
       signer_(signer),
-      provider_(provider) {
+      provider_(provider),
+      timers_(network->scheduler()) {
   committed_.insert(kGenesisDigest);
   high_qc_ = QuorumCert{};  // Genesis QC: zero digest, view 0.
 }
-
-HotStuff::~HotStuff() { *alive_ = false; }
 
 void HotStuff::OnStart() {
   provider_->OnStart();
@@ -135,17 +133,11 @@ void HotStuff::EnterView(View view) {
 
 void HotStuff::StartTimer() {
   if (view_timer_ != Scheduler::kInvalidTimer) {
-    network_->scheduler()->Cancel(view_timer_);
+    timers_.Cancel(view_timer_);
   }
-  uint32_t doublings = std::min(consecutive_timeouts_, config_.max_backoff_doublings);
-  TimeDelta timeout = config_.base_timeout << doublings;
   View armed_view = view_;
-  view_timer_ = network_->scheduler()->ScheduleAfter(
-      timeout, [this, alive = alive_, armed_view] {
-        if (*alive) {
-          OnTimeout(armed_view);
-        }
-      });
+  view_timer_ = timers_.ScheduleAfter(kViewTimeout.Delay(consecutive_timeouts_),
+                                      [this, armed_view] { OnTimeout(armed_view); });
 }
 
 void HotStuff::OnTimeout(View view) {
@@ -187,32 +179,15 @@ void HotStuff::MaybePropose() {
 
   blocks_[digest] = block;
   Broadcast(std::make_shared<MsgHsProposal>(block, digest));
-  network_->scheduler()->ScheduleAfter(config_.proposal_retry_delay,
-                                       [this, alive = alive_, digest, v = block->view] {
-                                         if (*alive) {
-                                           RetryProposal(digest, v, 0);
-                                         }
-                                       });
+  timers_.ScheduleRetry(kProposalRetry, 0, [this, block, digest](uint32_t) {
+    if (view_ != block->view) {
+      return false;  // The view resolved (QC or TC); the proposal is moot.
+    }
+    Broadcast(std::make_shared<MsgHsProposal>(block, digest));
+    return true;
+  });
   UpdateChain(*block);
   TryVote(digest);
-}
-
-void HotStuff::RetryProposal(const Digest& digest, View view, uint32_t attempt) {
-  if (view_ != view) {
-    return;  // The view resolved (QC or TC); the proposal is moot.
-  }
-  auto it = blocks_.find(digest);
-  if (it == blocks_.end()) {
-    return;
-  }
-  Broadcast(std::make_shared<MsgHsProposal>(it->second, digest));
-  uint32_t next = attempt + 1;
-  TimeDelta delay = config_.proposal_retry_delay << std::min(next, 3u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest, view, next] {
-    if (*alive) {
-      RetryProposal(digest, view, next);
-    }
-  });
 }
 
 // ---------------------------------------------------------------- proposals
@@ -526,14 +501,17 @@ void HotStuff::RequestBlock(const Digest& digest, uint32_t hint) {
     return;
   }
   network_->Send(net_id_, hint, std::make_shared<MsgHsBlockRequest>(digest));
-  network_->scheduler()->ScheduleAfter(config_.sync_retry_delay, [this, alive = alive_, digest] {
-    if (!*alive || blocks_.count(digest) != 0) {
-      return;
+  // Blocks are never dropped, so the digest stays in fetching_blocks_ until
+  // the block arrives.
+  timers_.ScheduleRetry(kBlockFetch, 0, [this, digest](uint32_t) {
+    if (blocks_.count(digest) != 0) {
+      return false;
     }
-    fetching_blocks_.erase(digest);
     // Rotate: ask a different validator next time.
-    RequestBlock(digest, peers_[(id_ + 1 + fetch_rotation_++ % committee_.size()) %
-                                committee_.size()]);
+    network_->Send(net_id_,
+                   peers_[(id_ + 1 + fetch_rotation_++ % committee_.size()) % committee_.size()],
+                   std::make_shared<MsgHsBlockRequest>(digest));
+    return true;
   });
 }
 

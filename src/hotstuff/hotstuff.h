@@ -26,28 +26,13 @@
 #include "src/hotstuff/messages.h"
 #include "src/hotstuff/payload.h"
 #include "src/net/network.h"
+#include "src/sim/timers.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/cert_cache.h"
 #include "src/types/committee.h"
 
 namespace nt {
-
-struct HotStuffConfig {
-  // Initial per-view timeout; doubles per repeated timeout within the same
-  // view (capped) and resets when the view advances — LibraBFT-style
-  // progress-based backoff.
-  TimeDelta base_timeout = Seconds(1);
-  uint32_t max_backoff_doublings = 3;
-  // Retry delay for ancestor catch-up requests.
-  TimeDelta sync_retry_delay = Millis(300);
-  // In-view proposal retransmission (paper §6: stored messages are re-sent
-  // until no longer needed for progress). A proposal and its votes are sent
-  // once per view; without retransmission a single lost message wastes the
-  // entire view, and at exactly 2f+1 alive validators under loss the
-  // three consecutive clean views a commit needs almost never line up.
-  TimeDelta proposal_retry_delay = Millis(300);
-};
 
 // ---- the HotStuff core's consensus-store WAL records ---------------------
 //
@@ -174,9 +159,8 @@ using HotStuffRecords = RecordList<HsVoteRecord, HsLockRecord, HsViewRecord, HsP
 
 class HotStuff : public NetNode {
  public:
-  HotStuff(ValidatorId id, const Committee& committee, const HotStuffConfig& config,
-           Network* network, Signer* signer, PayloadProvider* provider);
-  ~HotStuff() override;
+  HotStuff(ValidatorId id, const Committee& committee, Network* network, Signer* signer,
+           PayloadProvider* provider);
 
   void set_net_id(uint32_t id) { net_id_ = id; }
 
@@ -224,7 +208,6 @@ class HotStuff : public NetNode {
 
   // Proposal path.
   void HandleProposal(uint32_t from, const MsgHsProposal& msg);
-  void RetryProposal(const Digest& digest, View view, uint32_t attempt);
   void TryVote(const Digest& digest);
   void CastVote(const HsBlock& block, const Digest& digest);
 
@@ -258,7 +241,6 @@ class HotStuff : public NetNode {
 
   ValidatorId id_;
   const Committee& committee_;
-  HotStuffConfig config_;
   Network* network_;
   Signer* signer_;
   PayloadProvider* provider_;
@@ -304,8 +286,7 @@ class HotStuff : public NetNode {
 
   Store* store_ = nullptr;
 
-  // Liveness flag captured by scheduled lambdas; see Primary::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Timers timers_;  // Every timer of this node.
 };
 
 }  // namespace nt

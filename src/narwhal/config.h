@@ -18,15 +18,6 @@ struct NarwhalConfig {
   // Propose a header without payload if none arrived within this delay of
   // entering a round (keeps the DAG advancing under low load).
   TimeDelta max_header_delay = Millis(100);
-  // Resend an unacknowledged batch to laggards after this delay.
-  TimeDelta batch_retry_delay = Millis(500);
-  // Resend an uncertified header (to validators that have not voted) and the
-  // latest certificate while the round has not advanced — the paper's §6
-  // "attempt again to send stored messages" until "no more needed to make
-  // progress". Exponential backoff on top.
-  TimeDelta header_retry_delay = Millis(1000);
-  // Retry a pull-synchronizer request against the next candidate after this.
-  TimeDelta sync_retry_delay = Millis(300);
   // Rounds of history kept before garbage collection (relative to the last
   // committed leader round).
   Round gc_depth = 50;

@@ -28,9 +28,8 @@ Primary::Primary(ValidatorId id, const Committee& committee, const NarwhalConfig
       config_(config),
       network_(network),
       topology_(topology),
-      signer_(signer) {}
-
-Primary::~Primary() { *alive_ = false; }
+      signer_(signer),
+      timers_(network->scheduler()) {}
 
 void Primary::OnStart() {
   if (recovered_) {
@@ -43,7 +42,9 @@ void Primary::OnStart() {
     }
     recovered_missing_headers_.clear();
     if (proposed_current_round_) {
-      RetryBroadcast(recovered_proposal_, round_, 0);
+      if (RetryBroadcast(recovered_proposal_, round_)) {
+        ScheduleRebroadcast(recovered_proposal_, round_, 1);
+      }
     } else {
       SchedulePropose();
     }
@@ -288,7 +289,7 @@ void Primary::TryAdvanceRound() {
   }
   proposed_current_round_ = false;
   if (propose_timer_ != Scheduler::kInvalidTimer) {
-    network_->scheduler()->Cancel(propose_timer_);
+    timers_.Cancel(propose_timer_);
     propose_timer_ = Scheduler::kInvalidTimer;
   }
   SchedulePropose();
@@ -305,14 +306,10 @@ void Primary::SchedulePropose() {
   // No payload yet: wait up to max_header_delay for worker batches, then
   // propose an empty header to keep the DAG advancing.
   if (propose_timer_ == Scheduler::kInvalidTimer) {
-    propose_timer_ = network_->scheduler()->ScheduleAfter(
-        config_.max_header_delay, [this, alive = alive_] {
-          if (!*alive) {
-            return;
-          }
-          propose_timer_ = Scheduler::kInvalidTimer;
-          ProposeNow();
-        });
+    propose_timer_ = timers_.ScheduleAfter(config_.max_header_delay, [this] {
+      propose_timer_ = Scheduler::kInvalidTimer;
+      ProposeNow();
+    });
   }
 }
 
@@ -321,7 +318,7 @@ void Primary::ProposeNow() {
     return;
   }
   if (propose_timer_ != Scheduler::kInvalidTimer) {
-    network_->scheduler()->Cancel(propose_timer_);
+    timers_.Cancel(propose_timer_);
     propose_timer_ = Scheduler::kInvalidTimer;
   }
 
@@ -391,12 +388,7 @@ void Primary::ProposeNow() {
   for (size_t i = 0; i < a_recipients; ++i) {
     network_->Send(net_id_, topology_->primary_of[others[i]], msg);
   }
-  network_->scheduler()->ScheduleAfter(config_.header_retry_delay,
-                                       [this, alive = alive_, digest, r = header->round] {
-                                         if (*alive) {
-                                           RetryBroadcast(digest, r, 0);
-                                         }
-                                       });
+  ScheduleRebroadcast(digest, header->round, 0);
 
   if (equivocate) {
     auto twin = std::make_shared<BlockHeader>();
@@ -416,12 +408,7 @@ void Primary::ProposeNow() {
     for (size_t i = a_recipients; i < others.size(); ++i) {
       network_->Send(net_id_, topology_->primary_of[others[i]], twin_msg);
     }
-    network_->scheduler()->ScheduleAfter(config_.header_retry_delay,
-                                         [this, alive = alive_, twin_digest, r = twin->round] {
-                                           if (*alive) {
-                                             RetryBroadcast(twin_digest, r, 0);
-                                           }
-                                         });
+    ScheduleRebroadcast(twin_digest, twin->round, 0);
   }
 
   // n = 1 degenerate committees certify immediately.
@@ -430,18 +417,21 @@ void Primary::ProposeNow() {
   }
 }
 
-void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
+void Primary::ScheduleRebroadcast(const Digest& digest, Round round, uint32_t attempt) {
+  // The attempt counter lives in the retry, so it survives FormCertificate
+  // erasing the proposal: the certificate re-share keeps backing off.
+  timers_.ScheduleRetry(kHeaderRetry, attempt, [this, digest, round](uint32_t) {
+    return RetryBroadcast(digest, round);
+  });
+}
+
+bool Primary::RetryBroadcast(const Digest& digest, Round round) {
   // The paper's §6 re-transmission: stored messages are re-sent until "no
   // more needed to make progress" — here, until the round advances past the
   // proposal's round, at which point the DAG no longer needs it.
   if (round_ > round) {
-    return;
+    return false;
   }
-  // `attempt` is the backoff counter: it survives FormCertificate erasing
-  // the proposal, so the certificate re-share branch backs off
-  // exponentially instead of re-flooding all peers every header_retry_delay
-  // for the whole stall.
-  uint32_t retries = attempt + 1;
   auto it = proposals_.find(digest);
   if (it != proposals_.end()) {
     // Still uncertified: resend the header to validators that have not voted.
@@ -466,18 +456,9 @@ void Primary::RetryBroadcast(Digest digest, Round round, uint32_t attempt) {
     }
     NT_TRACE(tracer_, IncrRetryRound("cert_reshare", digest, committee_.size() - 1));
   } else {
-    return;  // GC'd: no longer needed.
+    return false;  // GC'd: no longer needed.
   }
-  // Cap the backoff at 8× the base delay: retransmission is what carries
-  // liveness through loss when only 2f+1 validators survive, so the retry
-  // interval must stay well under any post-GST liveness bound (a 32 s gap
-  // reads as a dead cluster to everything downstream).
-  TimeDelta delay = config_.header_retry_delay << std::min(retries, 3u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest, round, retries] {
-    if (*alive) {
-      RetryBroadcast(digest, round, retries);
-    }
-  });
+  return true;
 }
 
 // ------------------------------------------------------------------- voting
@@ -714,32 +695,28 @@ void Primary::RequestHeader(const Digest& digest) {
   if (cert == nullptr) {
     return;
   }
-  header_sync_[digest] = HeaderSync{0, std::move(cert)};
-  RetryHeaderSync(digest);
+  header_sync_[digest] = std::move(cert);
+  RetryHeaderSync(digest, 0);
+  timers_.ScheduleRetry(kHeaderSync, 1, [this, digest](uint32_t attempt) {
+    return RetryHeaderSync(digest, attempt);
+  });
 }
 
-void Primary::RetryHeaderSync(const Digest& digest) {
+bool Primary::RetryHeaderSync(const Digest& digest, uint32_t attempt) {
   auto it = header_sync_.find(digest);
   if (it == header_sync_.end()) {
-    return;
+    return false;
   }
-  HeaderSync& sync = it->second;
   // Ask the certificate's signers in turn: at least f+1 of them are honest
   // and store the header (paper §4.1), so O(1) probes suffice on average.
-  const VoteList& voters = sync.cert->votes;
-  ValidatorId target = voters[sync.attempts % voters.size()].voter;
+  const VoteList& voters = it->second->votes;
+  ValidatorId target = voters[attempt % voters.size()].voter;
   if (target == id_) {
-    target = voters[(sync.attempts + 1) % voters.size()].voter;
+    target = voters[(attempt + 1) % voters.size()].voter;
   }
-  ++sync.attempts;
   ++header_sync_requests_;
   network_->Send(net_id_, topology_->primary_of[target], std::make_shared<MsgCertRequest>(digest));
-  TimeDelta delay = config_.sync_retry_delay << std::min(sync.attempts, 6u);
-  network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest] {
-    if (*alive) {
-      RetryHeaderSync(digest);
-    }
-  });
+  return true;
 }
 
 void Primary::StoreHeader(std::shared_ptr<const BlockHeader> header, const Digest& digest) {
@@ -827,7 +804,7 @@ void Primary::SetGcRound(Round gc_round) {
     }
   }
   for (auto it = header_sync_.begin(); it != header_sync_.end();) {
-    if (it->second.cert->round < gc_round) {
+    if (it->second->round < gc_round) {
       it = header_sync_.erase(it);
     } else {
       ++it;

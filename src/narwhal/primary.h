@@ -32,6 +32,7 @@
 #include "src/narwhal/dag.h"
 #include "src/narwhal/worker.h"
 #include "src/net/network.h"
+#include "src/sim/timers.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/committee.h"
@@ -142,7 +143,6 @@ class Primary : public NetNode {
  public:
   Primary(ValidatorId id, const Committee& committee, const NarwhalConfig& config,
           Network* network, const Topology* topology, Signer* signer);
-  ~Primary() override;
 
   void set_net_id(uint32_t id) { net_id_ = id; }
 
@@ -228,19 +228,15 @@ class Primary : public NetNode {
     Digest digest{};
     std::set<Digest> missing_batches;
   };
-  struct HeaderSync {
-    uint32_t attempts = 0;
-    CertPtr cert;
-  };
 
   // Round/proposal machinery.
   void TryAdvanceRound();
   void SchedulePropose();
   void ProposeNow();
-  // `attempt` counts previous invocations for this proposal; it is carried
-  // through the rescheduled lambda so the certified (cert re-share) path —
-  // whose Proposal entry has been erased — still backs off exponentially.
-  void RetryBroadcast(Digest digest, Round round, uint32_t attempt);
+  // Re-sends own proposal `digest` (header, then certificate) while its round
+  // is current; ScheduleRebroadcast repeats it on the kHeaderRetry backoff.
+  bool RetryBroadcast(const Digest& digest, Round round);
+  void ScheduleRebroadcast(const Digest& digest, Round round, uint32_t attempt);
 
   // Header validation & voting.
   void HandleHeader(const MsgHeader& msg);
@@ -261,7 +257,8 @@ class Primary : public NetNode {
 
   // Pull synchronizer for missing headers.
   void RequestHeader(const Digest& digest);
-  void RetryHeaderSync(const Digest& digest);
+  // Asks the `attempt`-th signer in turn; false once the header is held.
+  bool RetryHeaderSync(const Digest& digest, uint32_t attempt);
 
   void StoreHeader(std::shared_ptr<const BlockHeader> header, const Digest& digest);
 
@@ -302,8 +299,8 @@ class Primary : public NetNode {
   std::map<Digest, PendingHeader> waiting_batches_;
   std::map<Digest, std::set<Digest>> batch_waiters_;  // batch -> headers.
 
-  // Headers being pulled from certificate signers.
-  std::map<Digest, HeaderSync> header_sync_;
+  // Headers being pulled from certificate signers: digest -> certificate.
+  std::map<Digest, CertPtr> header_sync_;
 
   // Own headers' batch refs, for re-injection: header digest -> refs.
   std::map<Digest, std::vector<BatchRef>> own_headers_;
@@ -331,10 +328,7 @@ class Primary : public NetNode {
   uint64_t recovered_store_records_ = 0;
   uint64_t header_sync_requests_ = 0;
 
-  // Liveness flag captured by every scheduled lambda: a rebuilt validator
-  // destroys its predecessor while that predecessor's timers may still be
-  // queued, and a fired timer must not touch the dead object.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Timers timers_;  // Every timer of this primary.
 };
 
 }  // namespace nt

@@ -17,9 +17,8 @@ Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& commi
       topology_(topology),
       store_(store),
       directory_(directory),
-      pending_(validator, worker_id) {}
-
-Worker::~Worker() { *alive_ = false; }
+      pending_(validator, worker_id),
+      timers_(network->scheduler()) {}
 
 void Worker::OnStart() {}
 
@@ -49,12 +48,7 @@ void Worker::Admit(const std::optional<TxSample>& sample) {
     pending_.AddSample(*sample);
   }
   if (batch_timer_ == Scheduler::kInvalidTimer) {
-    batch_timer_ = network_->scheduler()->ScheduleAfter(
-        config_.max_batch_delay, [this, alive = alive_] {
-          if (*alive) {
-            MaybeSealBatch(true);
-          }
-        });
+    batch_timer_ = timers_.ScheduleAfter(config_.max_batch_delay, [this] { MaybeSealBatch(true); });
   }
   MaybeSealBatch(false);
 }
@@ -103,7 +97,7 @@ void Worker::MaybeSealBatch(bool force) {
 
 Digest Worker::SealBatch() {
   if (batch_timer_ != Scheduler::kInvalidTimer) {
-    network_->scheduler()->Cancel(batch_timer_);
+    timers_.Cancel(batch_timer_);
     batch_timer_ = Scheduler::kInvalidTimer;
   }
   std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
@@ -162,18 +156,16 @@ void Worker::DisseminateBatch(const std::shared_ptr<const Batch>& batch, const D
     }
     network_->Send(net_id_, topology_->worker_of[v][worker_id_], msg);
   }
-  flight.retry_timer = network_->scheduler()->ScheduleAfter(
-      config_.batch_retry_delay, [this, alive = alive_, digest] {
-        if (*alive) {
-          RetryBatch(digest);
-        }
-      });
+  // The quorum-completing ack cancels the retry before erasing the entry.
+  flight.retry_timer = timers_.ScheduleRetry(
+      kBatchResend, 0, [this, digest](uint32_t) { return RetryBatch(digest); },
+      &flight.retry_timer);
 }
 
-void Worker::RetryBatch(const Digest& digest) {
+bool Worker::RetryBatch(const Digest& digest) {
   auto it = in_flight_.find(digest);
   if (it == in_flight_.end()) {
-    return;
+    return false;
   }
   InFlight& flight = it->second;
   auto msg = std::make_shared<MsgBatch>(flight.batch, digest);
@@ -186,16 +178,7 @@ void Worker::RetryBatch(const Digest& digest) {
     ++resent;
   }
   NT_TRACE(tracer_, IncrRetryRound("batch_retry", digest, resent));
-  // Exponential backoff: under asynchrony or crashes, re-transmission adapts
-  // instead of flooding (TCP-like behaviour, paper §4.1).
-  flight.attempts = std::min(flight.attempts + 1, 6u);
-  TimeDelta delay = config_.batch_retry_delay << flight.attempts;
-  flight.retry_timer =
-      network_->scheduler()->ScheduleAfter(delay, [this, alive = alive_, digest] {
-        if (*alive) {
-          RetryBatch(digest);
-        }
-      });
+  return true;
 }
 
 bool Worker::IsOwnPrimary(uint32_t from) const {
@@ -229,7 +212,7 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
     InFlight& flight = it->second;
     flight.ackers.insert(role->second.validator);
     if (flight.ackers.size() >= committee_.quorum_threshold()) {
-      network_->scheduler()->Cancel(flight.retry_timer);
+      timers_.Cancel(flight.retry_timer);
       BatchRef ref;
       ref.digest = ack->digest;
       ref.worker = worker_id_;
@@ -287,34 +270,25 @@ void Worker::HandleFetch(const MsgFetchBatch& fetch) {
   // through other validators on timeout.
   network_->Send(net_id_, topology_->worker_of[fetch.batch_author][worker_id_],
                  std::make_shared<MsgBatchRequest>(fetch.digest));
-  network_->scheduler()->ScheduleAfter(config_.sync_retry_delay,
-                                       [this, alive = alive_, d = fetch.digest,
-                                        a = fetch.batch_author] {
-                                         if (*alive) {
-                                           RetryFetch(d, a, 1);
-                                         }
-                                       });
+  ValidatorId author = fetch.batch_author;
+  timers_.ScheduleRetry(kBatchFetch, 0, [this, digest = fetch.digest, author](uint32_t attempt) {
+    return RetryFetch(digest, author, attempt + 1);
+  });
 }
 
-void Worker::RetryFetch(const Digest& digest, ValidatorId author, uint32_t attempt) {
+bool Worker::RetryFetch(const Digest& digest, ValidatorId author, uint32_t probe) {
   if (fetching_.count(digest) == 0) {
-    return;  // Arrived meanwhile.
+    return false;  // Arrived meanwhile.
   }
   // At least f+1 honest workers store a quorum-acked batch; the expected
   // number of probes to hit one is O(1) (paper §4.1).
-  ValidatorId target = (author + attempt) % committee_.size();
+  ValidatorId target = (author + probe) % committee_.size();
   if (target == validator_) {
     target = (target + 1) % committee_.size();
   }
   network_->Send(net_id_, topology_->worker_of[target][worker_id_],
                  std::make_shared<MsgBatchRequest>(digest));
-  TimeDelta delay = config_.sync_retry_delay << std::min(attempt, 6u);
-  network_->scheduler()->ScheduleAfter(
-      delay, [this, alive = alive_, digest, author, attempt] {
-        if (*alive) {
-          RetryFetch(digest, author, attempt + 1);
-        }
-      });
+  return true;
 }
 
 }  // namespace nt

@@ -17,6 +17,7 @@
 #include "src/crypto/digest_table.h"
 #include "src/narwhal/config.h"
 #include "src/net/network.h"
+#include "src/sim/timers.h"
 #include "src/store/store.h"
 #include "src/types/committee.h"
 #include "src/types/messages.h"
@@ -77,7 +78,6 @@ class Worker : public NetNode {
   Worker(ValidatorId validator, WorkerId worker_id, const Committee& committee,
          const NarwhalConfig& config, Network* network, const Topology* topology,
          Store* store, BatchDirectory* directory);
-  ~Worker() override;
 
   // Registers this worker's own net id once known.
   void set_net_id(uint32_t id) { net_id_ = id; }
@@ -123,10 +123,11 @@ class Worker : public NetNode {
   // Seals the pending batch, stores and disseminates it; returns its digest.
   Digest SealBatch();
   void DisseminateBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest);
-  void RetryBatch(const Digest& digest);
+  // Retry steps: false once a quorum acked the batch / the batch arrived.
+  bool RetryBatch(const Digest& digest);
   void StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest);
   void HandleFetch(const MsgFetchBatch& fetch);
-  void RetryFetch(const Digest& digest, ValidatorId author, uint32_t attempt);
+  bool RetryFetch(const Digest& digest, ValidatorId author, uint32_t probe);
 
   bool IsOwnPrimary(uint32_t from) const;
 
@@ -151,7 +152,6 @@ class Worker : public NetNode {
     std::shared_ptr<const Batch> batch;
     std::set<ValidatorId> ackers;
     Scheduler::TimerId retry_timer = Scheduler::kInvalidTimer;
-    uint32_t attempts = 0;  // Re-transmissions back off exponentially.
   };
   std::map<Digest, InFlight> in_flight_;
 
@@ -170,8 +170,7 @@ class Worker : public NetNode {
   uint64_t batches_acked_ = 0;
   uint64_t duplicate_txs_dropped_ = 0;
 
-  // Liveness flag captured by scheduled lambdas; see Primary::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Timers timers_;  // Every timer of this worker.
 };
 
 }  // namespace nt

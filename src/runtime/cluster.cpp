@@ -362,7 +362,7 @@ void Cluster::BuildHotStuff() {
         break;
     }
 
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, config_.hotstuff, network_.get(),
+    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(),
                                               signers_[v].get(), providers_[v].get());
     if (config_.system == SystemKind::kNarwhalHs) {
       hs_nodes_[v]->set_store(consensus_stores_[v].get());
@@ -477,9 +477,8 @@ void Cluster::RebuildValidator(ValidatorId v) {
     metrics_.UnregisterCertCache(&hs_nodes_[v]->cert_cache());
   }
 
-  // Tear down top-down: the consensus layer references the primary. The
-  // destructors flip each object's alive flag, so timers the dead objects
-  // left in the scheduler fire as no-ops.
+  // Tear down top-down: the consensus layer references the primary. Timers
+  // the dead objects left in the scheduler fire as no-ops (src/sim/timers.h).
   if (!committers_.empty()) {
     committers_[v].reset();
   }
@@ -518,7 +517,7 @@ void Cluster::RebuildValidator(ValidatorId v) {
   } else {  // kNarwhalHs (the only other SupportsRestart() system).
     providers_[v] =
         std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, config_.hotstuff, network_.get(),
+    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(),
                                               signers_[v].get(), providers_[v].get());
     hs_nodes_[v]->set_net_id(consensus_net_ids_[v]);
     hs_nodes_[v]->set_store(consensus_stores_[v].get());

@@ -64,13 +64,12 @@ struct ClusterConfig {
   TimeDelta uniform_hi = Millis(75);
 
   NarwhalConfig narwhal;
-  HotStuffConfig hotstuff;
   BullsharkConfig bullshark;
   NetworkConfig net;
 
-  // When non-empty, each worker persists batches to a WAL at
-  // <persist_dir>/worker_<validator>_<worker>.wal (the role RocksDB plays in
-  // the paper's artifact, §6). Empty = in-memory stores.
+  // When non-empty, every store MakeStore opens (primary_<v>.wal,
+  // worker_<v>_<w>.wal, consensus_<v>.wal) is a WAL under this directory,
+  // the role RocksDB plays in the paper's artifact (§6). Empty = in-memory.
   std::string persist_dir;
 
   // Sharded execution lanes per validator (§8.4): when > 0, every validator

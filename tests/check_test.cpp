@@ -5,13 +5,16 @@
 // failure to a small repro (≤ 4 validators, ≤ 2 faults).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/check/checker.h"
 #include "src/check/schedule.h"
 #include "src/check/shrinker.h"
+#include "src/sim/timers.h"
 
 namespace nt {
 namespace {
@@ -187,6 +190,29 @@ std::optional<FaultSchedule> FirstFailing(void (*mutate)(FaultSchedule&)) {
     }
   }
   return std::nullopt;
+}
+
+// Every node timer's longest gap, against the stressed liveness slack. Three
+// loops back off past it: a single stall of one of them can outlast the
+// window on its own (the liveness-debt candidates in ROADMAP). Capping them
+// turns this pin into "every gap <= slack".
+TEST(RetryTableTest, ExactlyThreeRetriesOutlastTheStressedSlack) {
+  std::map<std::string_view, TimeDelta> longest_gap;
+  int above_slack = 0;
+  for (const auto& [name, backoff] : kRetryTable) {
+    longest_gap[name] = backoff.MaxDelay();
+    above_slack += backoff.MaxDelay() > kStressedLivenessSlack ? 1 : 0;
+  }
+  EXPECT_EQ(longest_gap, (std::map<std::string_view, TimeDelta>{
+                             {"header sync", Millis(19200)},
+                             {"batch fetch", Millis(19200)},
+                             {"batch re-send", Seconds(32)},
+                             {"header re-broadcast", Seconds(8)},
+                             {"view timeout", Seconds(8)},
+                             {"proposal", Millis(2400)},
+                             {"block fetch", Millis(300)},
+                         }));
+  EXPECT_EQ(above_slack, 3);
 }
 
 TEST(MutationGateTest, AcceptTwoFCertsIsCaughtAndShrinks) {

@@ -611,6 +611,31 @@ void Worker::Arm() {
   EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 1);
 }
 
+TEST(DeferredCaptureRule, ReferenceCaptureThroughTheTimerSeamFires) {
+  // Timers::ScheduleAfter and Timers::ScheduleRetry keep the Schedule prefix,
+  // so a lambda handed to the seam is held to the same rule.
+  FileReport r = LintSource("src/narwhal/worker.cpp", R"(
+void Worker::Arm(const Digest& digest) {
+  timers_.ScheduleAfter(delay_, [&] { Tick(); });
+  timers_.ScheduleRetry(kBatchFetch, 0, [&digest](uint32_t attempt) {
+    return Probe(digest, attempt);
+  });
+}
+)");
+  EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 2);
+}
+
+TEST(DeferredCaptureRule, ValueCapturedRetryThroughTheTimerSeamIsSilent) {
+  FileReport r = LintSource("src/narwhal/worker.cpp", R"(
+void Worker::Arm(const Digest& digest) {
+  timers_.ScheduleRetry(kBatchFetch, 0, [this, digest](uint32_t attempt) {
+    return Probe(digest, attempt);
+  });
+}
+)");
+  EXPECT_EQ(CountRule(r, kRuleDeferredCapture), 0);
+}
+
 TEST(DeferredCaptureRule, StaleLiteralSelfRescheduleFires) {
   // The PR 2 RetryBroadcast storm: the retry re-arms itself with attempt 0
   // instead of the captured counter, so the backoff never grows.

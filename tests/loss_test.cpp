@@ -83,10 +83,10 @@ TEST(LossTest, LossCostsRetransmissions) {
 
 TEST(LossTest, BatchRetransmissionsBackOffGeometrically) {
   // Worker batch re-transmission must be geometric in the time a batch stays
-  // unacked, not linear: with batch_retry_delay = 500 ms and the attempt cap
-  // at 6 doublings, the k-th retry round fires at ~0.5 * (2^k - 1) s, so even
-  // a batch stuck for the whole 40 s run sees at most 7 rounds. A linear
-  // (fixed-delay) retry would fire ~80 times.
+  // unacked, not linear: with kBatchResend (500 ms, capped at 6 doublings)
+  // the k-th retry round fires at ~0.5 * (2^k - 1) s, so even a batch stuck
+  // for the whole 40 s run sees at most 7 rounds. A linear (fixed-delay)
+  // retry would fire ~80 times.
   LossRun run = RunTuskWithLoss(0.25, 13, Seconds(40));
   const Tracer* tracer = run.cluster->tracer();
   ASSERT_NE(tracer, nullptr);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "src/sim/timers.h"
 
 namespace nt {
 namespace {
@@ -184,6 +187,101 @@ TEST(SchedulerTest, CompactionPreservesOrderUnderMassCancel) {
   // Survivors i = 0, 100, ..., 400 were scheduled at Millis(500 - i):
   // later i fires earlier.
   EXPECT_EQ(order, (std::vector<int>{400, 300, 200, 100, 0}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+// ---- the timer seam (src/sim/timers.h) -------------------------------------
+
+TEST(TimersTest, BackoffDoublesUpToItsCap) {
+  constexpr Backoff kB{Millis(300), 3};
+  std::vector<TimeDelta> delays;
+  for (uint32_t attempt = 0; attempt < 6; ++attempt) {
+    delays.push_back(kB.Delay(attempt));
+  }
+  EXPECT_EQ(delays, (std::vector<TimeDelta>{Millis(300), Millis(600), Millis(1200), Millis(2400),
+                                            Millis(2400), Millis(2400)}));
+  EXPECT_EQ(kB.MaxDelay(), Millis(2400));
+  // No doublings: a fixed period.
+  EXPECT_EQ((Backoff{Millis(300), 0}).Delay(5), Millis(300));
+}
+
+TEST(TimersTest, RetryRunsUntilItsStepReturnsFalse) {
+  Scheduler sched;
+  Timers timers(&sched);
+  std::vector<TimePoint> fired_at;
+  std::vector<uint32_t> attempts;
+  timers.ScheduleRetry(Backoff{Millis(100), 2}, 0, [&](uint32_t attempt) {
+    fired_at.push_back(sched.now());
+    attempts.push_back(attempt);
+    return attempts.size() < 4;
+  });
+  sched.RunUntilIdle();
+  // Gaps 100, 200, 400, 400 ms; the fourth step declines, so nothing re-arms.
+  EXPECT_EQ(fired_at,
+            (std::vector<TimePoint>{Millis(100), Millis(300), Millis(700), Millis(1100)}));
+  EXPECT_EQ(attempts, (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.events_fired(), 4u);
+}
+
+TEST(TimersTest, RetryStartsAtTheGivenAttempt) {
+  Scheduler sched;
+  Timers timers(&sched);
+  std::vector<TimePoint> fired_at;
+  timers.ScheduleRetry(Backoff{Millis(100), 6}, 2, [&](uint32_t) {
+    fired_at.push_back(sched.now());
+    return fired_at.size() < 2;
+  });
+  sched.RunUntilIdle();
+  EXPECT_EQ(fired_at, (std::vector<TimePoint>{Millis(400), Millis(1200)}));
+}
+
+TEST(TimersTest, DestroyedTimersStillFireButDoNothing) {
+  Scheduler sched;
+  int plain = 0;
+  int steps = 0;
+  auto timers = std::make_unique<Timers>(&sched);
+  timers->ScheduleAfter(Millis(10), [&] { ++plain; });
+  timers->ScheduleRetry(Backoff{Millis(20), 0}, 0, [&](uint32_t) {
+    ++steps;
+    return true;
+  });
+  sched.RunUntil(Millis(25));  // The plain timer and one step ran.
+  EXPECT_EQ(plain, 1);
+  EXPECT_EQ(steps, 1);
+  timers->ScheduleAfter(Millis(5), [&] { ++plain; });
+  timers.reset();  // A rebuilt validator drops its predecessor like this.
+  const uint64_t fired_before = sched.events_fired();
+  sched.RunUntilIdle();
+  // Both queued timers (the plain one and the re-armed retry) fired, so the
+  // event stream is unchanged, but neither ran its callback or re-armed.
+  EXPECT_EQ(sched.events_fired(), fired_before + 2);
+  EXPECT_EQ(plain, 1);
+  EXPECT_EQ(steps, 1);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(TimersTest, CancellingARetrysPendingTimerStopsIt) {
+  Scheduler sched;
+  Timers timers(&sched);
+  int steps = 0;
+  Scheduler::TimerId pending = Scheduler::kInvalidTimer;
+  pending = timers.ScheduleRetry(
+      Backoff{Millis(100), 6}, 0,
+      [&](uint32_t) {
+        ++steps;
+        return true;
+      },
+      &pending);
+  const Scheduler::TimerId first = pending;
+  sched.RunUntil(Millis(350));  // Steps at 100 and 300 ms; the next is due at 700.
+  EXPECT_EQ(steps, 2);
+  EXPECT_NE(pending, first);  // Every re-arm reports its new id.
+  timers.Cancel(pending);
+  const uint64_t fired_before = sched.events_fired();
+  sched.RunUntilIdle();
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(sched.events_fired(), fired_before);
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 
