@@ -261,5 +261,122 @@ TEST(EventHashGolden, ClientResubmitSchedules) {
   }
 }
 
+struct AssemblyRun {
+  uint64_t hash = 0;
+  uint64_t fired = 0;
+  uint64_t commits = 0;
+  uint64_t topology = 0;
+};
+
+// FNV-1a over the cluster's layout: primary_of, worker_of, every role_of
+// entry and the machine of every network node.
+uint64_t TopologyDigest(Cluster& cluster) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto fold = [&h](uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  const Topology& topology = cluster.topology();
+  for (uint32_t id : topology.primary_of) {
+    fold(id);
+  }
+  for (const std::vector<uint32_t>& workers : topology.worker_of) {
+    for (uint32_t id : workers) {
+      fold(id);
+    }
+  }
+  for (const auto& [id, role] : topology.role_of) {
+    fold(id);
+    fold(static_cast<uint64_t>(role.kind));
+    fold(role.validator);
+    fold(role.worker);
+  }
+  for (uint32_t id = 0; id < cluster.network().node_count(); ++id) {
+    fold(cluster.network().machine_of(id));
+  }
+  return h;
+}
+
+// n=4 with two workers per validator on dedicated machines, tracing and
+// gauge sampling on and, on Narwhal-based systems, two execution lanes fed
+// by transfer clients. Validator 3 restarts from 2 s to 4 s (a permanent
+// crash on the HotStuff-mempool baselines, which cannot restart).
+AssemblyRun RunAssembly(SystemKind system) {
+  ClusterConfig config;
+  config.system = system;
+  config.num_validators = 4;
+  config.workers_per_validator = 2;
+  config.collocate = false;
+  config.seed = 7;
+  config.trace = true;
+  const bool narwhal_based = system != SystemKind::kBaselineHs && system != SystemKind::kBatchedHs;
+  TransferWorkloadConfig workload_config;
+  workload_config.num_shards = 2;
+  TransferWorkload workload(workload_config);
+  if (narwhal_based) {
+    config.exec_lanes = workload_config.num_shards;
+  }
+  Cluster cluster(config);
+  cluster.metrics().set_observer(0);
+  cluster.RestartValidator(3, Seconds(2), Seconds(4));
+
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  for (ValidatorId v = 0; v < config.num_validators; ++v) {
+    LoadGenerator::Options options;
+    options.rate_tps = 500;
+    options.sample_rate = 5;
+    options.stop_at = Seconds(6);
+    options.transfer = narwhal_based ? &workload : nullptr;
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+  }
+  if (narwhal_based) {
+    std::vector<Bytes> mints = workload.InitialMints();
+    Cluster* c = &cluster;
+    cluster.scheduler().ScheduleAt(Millis(1), [c, mints] { c->worker(0, 0)->SubmitBlock(mints); });
+  }
+  cluster.Start();
+  for (auto& client : clients) {
+    client->Start();
+  }
+  cluster.StartGaugeSampling(Seconds(8));
+  cluster.StartExecutorPump(Seconds(8));
+  cluster.scheduler().RunUntil(Seconds(8));
+
+  AssemblyRun run;
+  run.hash = cluster.scheduler().event_hash();
+  run.fired = cluster.scheduler().events_fired();
+  run.commits = cluster.metrics().committed_txs();
+  run.topology = TopologyDigest(cluster);
+  return run;
+}
+
+TEST(EventHashGolden, EverySystemAssemblesAndRebuildsAlike) {
+  struct Golden {
+    SystemKind system;
+    uint64_t hash;
+    uint64_t fired;
+    uint64_t commits;
+    uint64_t topology;
+  };
+  // Pins each system's assembly (node kinds, net ids, machines, hooks) and
+  // its rebuild after a restart, tracing and execution lanes included.
+  const Golden kGolden[] = {
+      {SystemKind::kBaselineHs, 0x2bc87a8ba7325c6eull, 4563, 5992, 0x7d6b4aae02651841ull},
+      {SystemKind::kBatchedHs, 0x120c6406b3fc0c60ull, 3564, 8150, 0x7d6b4aae02651841ull},
+      {SystemKind::kNarwhalHs, 0x098e44bbaf6a2671ull, 6270, 10363, 0xadf5701654b908edull},
+      {SystemKind::kTusk, 0xfb62b4bb9600142aull, 5945, 9578, 0xb45bbc42b1ec1ff5ull},
+      {SystemKind::kDagRider, 0xfb62b4bb9600142aull, 5945, 9578, 0xb45bbc42b1ec1ff5ull},
+      {SystemKind::kBullshark, 0xfb62b4bb9600142aull, 5945, 10413, 0xb45bbc42b1ec1ff5ull},
+  };
+  for (const Golden& g : kGolden) {
+    AssemblyRun run = RunAssembly(g.system);
+    const char* name = SystemName(g.system);
+    EXPECT_EQ(run.hash, g.hash) << name << " hash 0x" << std::hex << run.hash;
+    EXPECT_EQ(run.fired, g.fired) << name << " fired " << run.fired;
+    EXPECT_EQ(run.commits, g.commits) << name << " commits " << run.commits;
+    EXPECT_EQ(run.topology, g.topology) << name << " topology 0x" << std::hex << run.topology;
+  }
+}
+
 }  // namespace
 }  // namespace nt
