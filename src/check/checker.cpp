@@ -426,14 +426,22 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
       if (!schedule.IsCorrect(v)) {
         continue;
       }
-      std::string at_round = " (mempool round " + std::to_string(cluster.primary(v)->round());
+      std::string at_round = " (mempool round " + std::to_string(cluster.primary(v)->round()) +
+                             ", headers syncing " +
+                             std::to_string(cluster.primary(v)->headers_syncing());
       if (const DagCommitter* committer = cluster.committer(v)) {
         at_round += ", committed wave " + std::to_string(committer->last_committed_wave()) +
                     ", skipped leaders " + std::to_string(committer->skipped_leaders());
       }
-      if (cluster.hotstuff(v) != nullptr) {
-        at_round += ", hs view " + std::to_string(cluster.hotstuff(v)->current_view()) +
-                    ", hs commits " + std::to_string(cluster.hotstuff(v)->committed_blocks());
+      if (const HotStuff* hs = cluster.hotstuff(v)) {
+        at_round += ", hs view " + std::to_string(hs->current_view()) + ", hs commits " +
+                    std::to_string(hs->committed_blocks()) + ", high qc view " +
+                    std::to_string(hs->high_qc_view()) + ", locked view " +
+                    std::to_string(hs->locked_view()) + ", last voted view " +
+                    std::to_string(hs->last_voted_view()) + ", deferred proposals " +
+                    std::to_string(hs->deferred_proposals()) + " (payload pending " +
+                    std::to_string(hs->payload_pending_proposals()) + "), blocks fetching " +
+                    std::to_string(hs->blocks_fetching());
         if (auto* np = dynamic_cast<NarwhalProvider*>(cluster.provider(v))) {
           at_round += ", anchors pending " + std::to_string(np->pending_anchor_count());
         }

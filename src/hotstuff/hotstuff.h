@@ -193,6 +193,16 @@ class HotStuff : public NetNode {
   View current_view() const { return view_; }
   uint64_t committed_blocks() const { return committed_count_; }
   uint64_t timeouts_fired() const { return timeouts_fired_; }
+  // Safety state and waits, for stall reports: the highest QC's view, the
+  // locked block's view, the last view voted in, proposals deferred on
+  // payload or missing ancestors, those of them waiting on payload, and
+  // ancestor blocks being fetched.
+  View high_qc_view() const { return high_qc_.view; }
+  View locked_view() const { return locked_view_; }
+  View last_voted_view() const { return last_voted_view_; }
+  size_t deferred_proposals() const { return deferred_.size(); }
+  size_t payload_pending_proposals() const { return payload_pending_.size(); }
+  size_t blocks_fetching() const { return fetching_blocks_.size(); }
   ValidatorId LeaderOf(View view) const { return static_cast<ValidatorId>(view % committee_.size()); }
   // This node's verified-QC/TC cache — per-instance so every simulated
   // validator re-verifies certificates independently (see

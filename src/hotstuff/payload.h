@@ -64,6 +64,10 @@ class PayloadProvider {
     (void)msg;
   }
   virtual void OnStart() {}
+  // Client transaction intake (a collocated load generator) for the
+  // HotStuff-mempool modes. Narwhal-HS transactions enter through workers.
+  virtual void Submit(uint64_t /*num_txs*/, uint64_t /*payload_bytes*/,
+                      std::vector<TxSample> /*samples*/) {}
 
   void BindNetwork(Network* network, uint32_t own_net_id, std::vector<uint32_t> peer_net_ids) {
     network_ = network;
@@ -111,8 +115,7 @@ class BaselineProvider : public PayloadProvider {
   BaselineProvider(ValidatorId id, SharedTxPool* pool, uint64_t max_block_bytes,
                    TimeDelta gossip_interval, TimeDelta gossip_delay);
 
-  // Client transaction intake (collocated load generator).
-  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples);
+  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples) override;
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,
@@ -142,7 +145,7 @@ class BatchedProvider : public PayloadProvider {
                   TimeDelta max_batch_delay, uint64_t max_digests_per_block,
                   BatchDirectory* directory);
 
-  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples);
+  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples) override;
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,

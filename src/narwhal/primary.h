@@ -210,6 +210,8 @@ class Primary : public NetNode {
   // rejoin cost reported in EXPERIMENTS.md).
   uint64_t recovered_store_records() const { return recovered_store_records_; }
   uint64_t header_sync_requests() const { return header_sync_requests_; }
+  // Headers being pulled from certificate signers right now.
+  size_t headers_syncing() const { return header_sync_.size(); }
   // Test-only: lets protocol tests stage DAG states directly.
   Dag& mutable_dag() { return dag_; }
   uint64_t certs_formed() const { return certs_formed_; }

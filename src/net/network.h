@@ -70,11 +70,13 @@ class Network {
     return next_machine_++;
   }
 
-  // Registers a node. Returns its global node id.
+  // Registers a node. Returns its global node id. `node` may be null until
+  // ReplaceNode binds one, before Start (a cluster lays out every id first).
   uint32_t AddNode(NetNode* node, uint32_t region, uint32_t machine);
 
-  // Swaps the object behind an existing node id (validator restart: the old
-  // protocol object is destroyed and a recovered one takes its place).
+  // Swaps the object behind an existing node id (binding a laid-out id, or a
+  // validator restart: the old protocol object is destroyed and a recovered
+  // one takes its place).
   // In-flight deliveries resolve the node pointer at fire time, so they
   // reach the replacement; region/machine/queues/FIFO clamps are unchanged
   // — the machine, not the process, owns the NIC.

@@ -13,25 +13,33 @@ namespace {
 // Period of the tracer's gauge samples (StartGaugeSampling).
 constexpr TimeDelta kTraceGaugeInterval = Millis(100);
 
-// Every system's display name and the lowercase name flags and repro files
-// spell, in SystemKind order.
-constexpr std::pair<const char*, const char*> kSystemNames[] = {
-    {"baseline-HS", "baseline-hs"}, {"batched-HS", "batched-hs"}, {"Narwhal-HS", "narwhal-hs"},
-    {"Tusk", "tusk"},               {"DAG-Rider", "dag-rider"},   {"Bullshark", "bullshark"},
+// Every system's display name, the lowercase name flags and repro files
+// spell, and which nodes each validator runs: a Narwhal mempool (primary
+// and workers) and/or a HotStuff consensus node. In SystemKind order.
+struct SystemInfo {
+  const char* name;
+  const char* flag;
+  bool mempool;
+  bool hotstuff;
 };
-static_assert(std::size(kSystemNames) == static_cast<size_t>(SystemKind::kBullshark) + 1);
+constexpr SystemInfo kSystems[] = {
+    {"baseline-HS", "baseline-hs", false, true}, {"batched-HS", "batched-hs", false, true},
+    {"Narwhal-HS", "narwhal-hs", true, true},    {"Tusk", "tusk", true, false},
+    {"DAG-Rider", "dag-rider", true, false},     {"Bullshark", "bullshark", true, false},
+};
+static_assert(std::size(kSystems) == static_cast<size_t>(SystemKind::kBullshark) + 1);
+
+const SystemInfo& InfoOf(SystemKind kind) { return kSystems[static_cast<size_t>(kind)]; }
 
 }  // namespace
 
-const char* SystemName(SystemKind kind) { return kSystemNames[static_cast<size_t>(kind)].first; }
+const char* SystemName(SystemKind kind) { return InfoOf(kind).name; }
 
-const char* SystemFlagName(SystemKind kind) {
-  return kSystemNames[static_cast<size_t>(kind)].second;
-}
+const char* SystemFlagName(SystemKind kind) { return InfoOf(kind).flag; }
 
 std::optional<SystemKind> ParseSystem(std::string_view flag) {
-  for (size_t i = 0; i < std::size(kSystemNames); ++i) {
-    if (flag == kSystemNames[i].second) {
+  for (size_t i = 0; i < std::size(kSystems); ++i) {
+    if (flag == kSystems[i].flag) {
       return static_cast<SystemKind>(i);
     }
   }
@@ -53,92 +61,217 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   network_ = std::make_unique<Network>(&scheduler_, latency_.get(), &faults_, config_.net,
                                        config_.seed);
+  if (config_.trace) {
+    tracer_ = std::make_unique<Tracer>();
+    metrics_.set_tracer(tracer_.get());
+  }
 
   // Key material and committee (validators spread over the 5 WAN regions).
+  const uint32_t n = config_.num_validators;
+  validators_.resize(n);
   std::vector<ValidatorInfo> infos;
-  for (uint32_t v = 0; v < config_.num_validators; ++v) {
-    signers_.push_back(MakeSigner(config_.signer_kind, DeriveSeed(config_.seed, v)));
+  for (ValidatorId v = 0; v < n; ++v) {
+    validators_[v].signer = MakeSigner(config_.signer_kind, DeriveSeed(config_.seed, v));
     ValidatorInfo info;
-    info.key = signers_.back()->public_key();
+    info.key = validators_[v].signer->public_key();
     info.region = v % kWanRegionCount;
     infos.push_back(info);
   }
   committee_ = Committee(std::move(infos));
 
-  const bool narwhal_based =
-      config_.system != SystemKind::kBaselineHs && config_.system != SystemKind::kBatchedHs;
-  if (narwhal_based) {
-    BuildNarwhal();
-  }
-  if (!narwhal_based || config_.system == SystemKind::kNarwhalHs) {
-    BuildHotStuff();
-  } else {
-    consensus_stores_.resize(config_.num_validators);
-    committers_.resize(config_.num_validators);
-    for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-      consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-      committers_[v] = MakeCommitter(v);
+  // Lay out the topology before any node exists: every validator's mempool
+  // nodes, then every consensus node (sharing the primary's machine when
+  // there is one), so net ids, machines and the network's start order follow
+  // the validator order. BuildValidator binds the nodes to these ids.
+  const SystemInfo& info = InfoOf(config_.system);
+  const uint32_t w = config_.workers_per_validator;
+  if (info.mempool) {
+    topology_.primary_of.resize(n);
+    topology_.worker_of.assign(n, std::vector<uint32_t>(w));
+    for (ValidatorId v = 0; v < n; ++v) {
+      Validator& validator = validators_[v];
+      const uint32_t region = committee_.validator(v).region;
+      const uint32_t primary_machine = network_->NewMachine();
+      validator.primary_store = MakeStore("primary_" + std::to_string(v) + ".wal");
+      const uint32_t primary_id = network_->AddNode(nullptr, region, primary_machine);
+      topology_.primary_of[v] = primary_id;
+      topology_.role_of[primary_id] = {Topology::NodeRole::Kind::kPrimary, v, 0};
+      validator.workers.resize(w);
+      validator.worker_stores.resize(w);
+      for (WorkerId wi = 0; wi < w; ++wi) {
+        const uint32_t machine = config_.collocate ? primary_machine : network_->NewMachine();
+        validator.worker_stores[wi] =
+            MakeStore("worker_" + std::to_string(v) + "_" + std::to_string(wi) + ".wal");
+        const uint32_t worker_id = network_->AddNode(nullptr, region, machine);
+        topology_.worker_of[v][wi] = worker_id;
+        topology_.role_of[worker_id] = {Topology::NodeRole::Kind::kWorker, v, wi};
+      }
+      validator.consensus_store = MakeStore("consensus_" + std::to_string(v) + ".wal");
     }
   }
-  if (narwhal_based) {
-    for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-      WireCommitLogFor(v);
+  if (info.hotstuff) {
+    for (ValidatorId v = 0; v < n; ++v) {
+      const uint32_t machine = info.mempool ? network_->machine_of(topology_.primary_of[v])
+                                            : network_->NewMachine();
+      const uint32_t net_id = network_->AddNode(nullptr, committee_.validator(v).region, machine);
+      validators_[v].consensus_net_id = net_id;
+      topology_.role_of[net_id] = {Topology::NodeRole::Kind::kConsensus, v, 0};
     }
   }
-  if (config_.exec_lanes > 0 && narwhal_based) {
-    executors_.resize(config_.num_validators);
-    for (ValidatorId v = 0; v < config_.num_validators; ++v) {
-      WireExecutorFor(v);
-    }
-  } else if (config_.exec_lanes > 0) {
+  if (config_.exec_lanes > 0 && !info.mempool) {
     LOG_ERROR() << "exec_lanes ignored for " << SystemName(config_.system)
                 << " (no executable payload path)";
   }
-  if (config_.trace) {
-    AttachTracer();
+
+  for (ValidatorId v = 0; v < n; ++v) {
+    BuildValidator(v);
+    AttachTracer(v);
+  }
+  if (tracer_ != nullptr) {
+    RegisterTraceGauges();
   }
 }
 
-void Cluster::WireExecutorFor(ValidatorId v) {
-  if (executors_[v] == nullptr) {
-    // Resolve the worker at fetch time: a restarted validator's Worker is a
-    // new object, and a raw pointer captured here would dangle.
-    executors_[v] = std::make_unique<ShardedExecutor>(
+void Cluster::BuildValidator(ValidatorId v) {
+  Validator& validator = validators_[v];
+  if (InfoOf(config_.system).mempool) {
+    validator.primary = std::make_unique<Primary>(v, committee_, config_.narwhal, network_.get(),
+                                                  &topology_, validator.signer.get());
+    validator.primary->set_store(validator.primary_store.get());
+    validator.primary->set_net_id(topology_.primary_of[v]);
+    network_->ReplaceNode(topology_.primary_of[v], validator.primary.get());
+    for (WorkerId wi = 0; wi < validator.workers.size(); ++wi) {
+      auto& worker = validator.workers[wi];
+      worker = std::make_unique<Worker>(v, wi, committee_, config_.narwhal, network_.get(),
+                                        &topology_, validator.worker_stores[wi].get(),
+                                        &directory_);
+      worker->set_net_id(topology_.worker_of[v][wi]);
+      network_->ReplaceNode(topology_.worker_of[v][wi], worker.get());
+    }
+  }
+
+  MakeConsensus(v);
+  if (HotStuff* hs = validator.hotstuff.get()) {
+    hs->set_store(validator.consensus_store.get());
+    metrics_.RegisterCertCache(&hs->cert_cache());
+    hs->set_net_id(validator.consensus_net_id);
+    network_->ReplaceNode(validator.consensus_net_id, hs);
+    std::vector<uint32_t> consensus_ids;
+    std::vector<uint32_t> peer_ids;
+    for (ValidatorId u = 0; u < config_.num_validators; ++u) {
+      consensus_ids.push_back(validators_[u].consensus_net_id);
+      if (u != v) {
+        peer_ids.push_back(validators_[u].consensus_net_id);
+      }
+    }
+    hs->set_peers(std::move(consensus_ids));
+    validator.provider->BindNetwork(network_.get(), validator.consensus_net_id,
+                                    std::move(peer_ids));
+    validator.provider->set_commit_sink(
+        [this, v](ValidatorId owner, uint64_t num, uint64_t bytes,
+                  const std::vector<TxSample>& samples) {
+          metrics_.OnCommit(v, owner, num, bytes, samples);
+        });
+  }
+
+  CommitLog* log = commit_log(v);
+  if (log == nullptr) {
+    return;  // The HotStuff-mempool baselines deliver through the commit sink.
+  }
+  log->set_store(validator.consensus_store.get());
+  // Convert per-header commits into per-batch metrics via the directory.
+  log->add_on_commit([this, v](const CommitLog::Committed& committed) {
+    for (const BatchRef& ref : committed.header->batches) {
+      const BatchDirectory::Info* info = directory_.Find(ref.digest);
+      ValidatorId owner = info != nullptr ? info->author : committed.header->author;
+      static const std::vector<TxSample> kNoSamples;
+      metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
+                        info != nullptr ? info->samples : kNoSamples);
+    }
+  });
+  if (config_.exec_lanes == 0) {
+    return;
+  }
+  if (validator.executor == nullptr) {
+    // Resolve the worker at fetch time: a rebuild replaces the Worker, and a
+    // raw pointer captured here would dangle.
+    validator.executor = std::make_unique<ShardedExecutor>(
         config_.exec_lanes,
-        [this, v](const BatchRef& ref) { return workers_[v][0]->GetBatch(ref.digest); });
-    ShardedExecutor* executor = executors_[v].get();
+        [this, v](const BatchRef& ref) { return validators_[v].workers[0]->GetBatch(ref.digest); });
+    ShardedExecutor* executor = validator.executor.get();
     executor->set_on_executed([this, v, executor](const Digest&, const std::vector<Digest>&) {
       metrics_.OnExecuted(v, executor->applied_txs(), executor->rejected_txs(),
                           executor->cross_shard_txs());
     });
   }
-  commit_log(v)->add_on_commit([this, v](const CommitLog::Committed& c) {
-    executors_[v]->OnCommittedHeader(c.header);
-    executors_[v]->RetryPending();
+  log->add_on_commit([executor = validator.executor.get()](const CommitLog::Committed& c) {
+    executor->OnCommittedHeader(c.header);
+    executor->RetryPending();
   });
 }
 
-void Cluster::AttachTracer() {
-  tracer_ = std::make_unique<Tracer>();
-  metrics_.set_tracer(tracer_.get());
-  for (auto& primary : primaries_) {
-    primary->set_tracer(tracer_.get());
+void Cluster::MakeConsensus(ValidatorId v) {
+  Validator& validator = validators_[v];
+  Primary* primary = validator.primary.get();
+  const Round gc_depth = config_.narwhal.gc_depth;
+  switch (config_.system) {
+    case SystemKind::kTusk:
+      validator.committer = std::make_unique<Tusk>(primary, committee_, &coin_, gc_depth);
+      break;
+    case SystemKind::kBullshark:
+      validator.committer =
+          std::make_unique<Bullshark>(primary, committee_, gc_depth, config_.bullshark);
+      break;
+    case SystemKind::kDagRider:
+      validator.committer = std::make_unique<DagRider>(primary, committee_, &coin_);
+      break;
+    case SystemKind::kBaselineHs:
+      if (shared_pool_ == nullptr) {
+        shared_pool_ = std::make_unique<SharedTxPool>();
+      }
+      validator.provider = std::make_unique<BaselineProvider>(
+          v, shared_pool_.get(), config_.max_block_bytes, config_.gossip_interval,
+          config_.gossip_delay);
+      break;
+    case SystemKind::kBatchedHs:
+      validator.provider = std::make_unique<BatchedProvider>(
+          v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
+          config_.max_digests_per_block, &directory_);
+      break;
+    case SystemKind::kNarwhalHs:
+      validator.provider = std::make_unique<NarwhalProvider>(primary, gc_depth);
+      break;
   }
-  for (auto& validator_workers : workers_) {
-    for (auto& worker : validator_workers) {
-      worker->set_tracer(tracer_.get());
-    }
+  if (validator.committer != nullptr) {
+    validator.committer->set_store(validator.consensus_store.get());
+  } else {
+    validator.hotstuff = std::make_unique<HotStuff>(v, committee_, network_.get(),
+                                                    validator.signer.get(),
+                                                    validator.provider.get());
   }
-  for (auto& committer : committers_) {
-    committer->set_tracer(tracer_.get());
+}
+
+void Cluster::AttachTracer(ValidatorId v) {
+  Tracer* tracer = tracer_.get();
+  if (tracer == nullptr) {
+    return;
   }
-  for (auto& hs : hs_nodes_) {
-    hs->set_tracer(tracer_.get());
+  Validator& validator = validators_[v];
+  if (validator.primary != nullptr) {
+    validator.primary->set_tracer(tracer);
   }
-  for (ValidatorId v = 0; v < executors_.size(); ++v) {
-    executors_[v]->set_tracer(tracer_.get(), v, &scheduler_);
+  for (auto& worker : validator.workers) {
+    worker->set_tracer(tracer);
   }
-  RegisterTraceGauges();
+  if (validator.committer != nullptr) {
+    validator.committer->set_tracer(tracer);
+  }
+  if (validator.hotstuff != nullptr) {
+    validator.hotstuff->set_tracer(tracer);
+  }
+  if (validator.executor != nullptr) {
+    validator.executor->set_tracer(tracer, v, &scheduler_);
+  }
 }
 
 void Cluster::RegisterTraceGauges() {
@@ -171,13 +304,13 @@ void Cluster::RegisterTraceGauges() {
                        prev_at = now;
                        return util;
                      });
-    if (!primaries_.empty()) {
+    if (InfoOf(config_.system).mempool) {
       // Resolve the primary at sample time: a restart replaces the object.
       t->RegisterGauge(tag + "/dag_round", v + 1, [this, v](TimePoint) {
-        return static_cast<double>(primaries_[v]->round());
+        return static_cast<double>(validators_[v].primary->round());
       });
       t->RegisterGauge(tag + "/dag_certs", v + 1, [this, v](TimePoint) {
-        return static_cast<double>(primaries_[v]->dag().TotalCertificates());
+        return static_cast<double>(validators_[v].primary->dag().TotalCertificates());
       });
     }
   }
@@ -198,15 +331,15 @@ void Cluster::StartGaugeSampling(TimePoint until) {
 }
 
 void Cluster::StartExecutorPump(TimePoint until) {
-  if (executors_.empty()) {
-    return;
+  if (validators_.empty() || validators_.front().executor == nullptr) {
+    return;  // Execution lanes are off.
   }
   scheduler_.ScheduleAfter(Millis(500), [this, until] {
     if (scheduler_.now() >= until) {
       return;  // Bounded: no perpetual rescheduling past the horizon.
     }
-    for (auto& executor : executors_) {
-      executor->RetryPending();
+    for (Validator& validator : validators_) {
+      validator.executor->RetryPending();
     }
     StartExecutorPump(until);
   });
@@ -214,12 +347,12 @@ void Cluster::StartExecutorPump(TimePoint until) {
 
 std::vector<uint32_t> Cluster::NodeIdsOf(ValidatorId v) const {
   std::vector<uint32_t> ids;
-  if (!topology_.primary_of.empty()) {
+  if (InfoOf(config_.system).mempool) {
     ids.push_back(topology_.primary_of[v]);
     ids.insert(ids.end(), topology_.worker_of[v].begin(), topology_.worker_of[v].end());
   }
-  if (!consensus_net_ids_.empty()) {
-    ids.push_back(consensus_net_ids_[v]);
+  if (InfoOf(config_.system).hotstuff) {
+    ids.push_back(validators_[v].consensus_net_id);
   }
   return ids;
 }
@@ -231,33 +364,14 @@ bool Cluster::IsValidatorCrashed(ValidatorId v) const {
 
 Cluster::~Cluster() = default;
 
+bool Cluster::SupportsRestart() const { return InfoOf(config_.system).mempool; }
+
 CommitLog* Cluster::commit_log(ValidatorId v) {
   if (DagCommitter* c = committer(v)) {
     return c->commit_log();
   }
   auto* np = dynamic_cast<NarwhalProvider*>(provider(v));
   return np != nullptr ? np->commit_log() : nullptr;
-}
-
-std::unique_ptr<DagCommitter> Cluster::MakeCommitter(ValidatorId v) {
-  Primary* primary = primaries_[v].get();
-  const Round gc_depth = config_.narwhal.gc_depth;
-  std::unique_ptr<DagCommitter> committer;
-  switch (config_.system) {
-    case SystemKind::kTusk:
-      committer = std::make_unique<Tusk>(primary, committee_, &coin_, gc_depth);
-      break;
-    case SystemKind::kBullshark:
-      committer = std::make_unique<Bullshark>(primary, committee_, gc_depth, config_.bullshark);
-      break;
-    case SystemKind::kDagRider:
-      committer = std::make_unique<DagRider>(primary, committee_, &coin_);
-      break;
-    default:
-      throw std::logic_error("no DAG committer for " + std::string(SystemName(config_.system)));
-  }
-  committer->set_store(consensus_stores_[v].get());
-  return committer;
 }
 
 std::unique_ptr<Store> Cluster::MakeStore(const std::string& name) {
@@ -278,175 +392,31 @@ std::unique_ptr<Store> Cluster::MakeStore(const std::string& name) {
   return store;
 }
 
-void Cluster::BuildNarwhal() {
-  const uint32_t n = config_.num_validators;
-  const uint32_t w = config_.workers_per_validator;
-  topology_.primary_of.resize(n);
-  topology_.worker_of.assign(n, std::vector<uint32_t>(w));
-  primaries_.resize(n);
-  workers_.resize(n);
-  primary_stores_.resize(n);
-  worker_stores_.resize(n);
-
-  for (ValidatorId v = 0; v < n; ++v) {
-    uint32_t region = committee_.validator(v).region;
-    uint32_t primary_machine = network_->NewMachine();
-
-    primary_stores_[v] = MakeStore("primary_" + std::to_string(v) + ".wal");
-    primaries_[v] = std::make_unique<Primary>(v, committee_, config_.narwhal, network_.get(),
-                                              &topology_, signers_[v].get());
-    primaries_[v]->set_store(primary_stores_[v].get());
-    uint32_t primary_id = network_->AddNode(primaries_[v].get(), region, primary_machine);
-    primaries_[v]->set_net_id(primary_id);
-    topology_.primary_of[v] = primary_id;
-    topology_.role_of[primary_id] = {Topology::NodeRole::Kind::kPrimary, v, 0};
-
-    workers_[v].resize(w);
-    worker_stores_[v].resize(w);
-    for (WorkerId wi = 0; wi < w; ++wi) {
-      uint32_t machine = config_.collocate ? primary_machine : network_->NewMachine();
-      worker_stores_[v][wi] =
-          MakeStore("worker_" + std::to_string(v) + "_" + std::to_string(wi) + ".wal");
-      workers_[v][wi] =
-          std::make_unique<Worker>(v, wi, committee_, config_.narwhal, network_.get(), &topology_,
-                                   worker_stores_[v][wi].get(), &directory_);
-      uint32_t worker_id = network_->AddNode(workers_[v][wi].get(), region, machine);
-      workers_[v][wi]->set_net_id(worker_id);
-      topology_.worker_of[v][wi] = worker_id;
-      topology_.role_of[worker_id] = {Topology::NodeRole::Kind::kWorker, v, wi};
-    }
-  }
-}
-
-void Cluster::BuildHotStuff() {
-  const uint32_t n = config_.num_validators;
-  if (config_.system == SystemKind::kBaselineHs) {
-    shared_pool_ = std::make_unique<SharedTxPool>();
-  }
-  consensus_net_ids_.resize(n);
-  providers_.resize(n);
-  hs_nodes_.resize(n);
-  if (config_.system == SystemKind::kNarwhalHs) {
-    consensus_stores_.resize(n);
-  }
-
-  // First pass: create nodes and net ids (consensus node shares the
-  // primary's machine for Narwhal-HS; otherwise it is the validator's only
-  // machine).
-  for (ValidatorId v = 0; v < n; ++v) {
-    uint32_t region = committee_.validator(v).region;
-    uint32_t machine;
-    if (config_.system == SystemKind::kNarwhalHs) {
-      machine = network_->machine_of(topology_.primary_of[v]);
-    } else {
-      machine = network_->NewMachine();
-    }
-
-    switch (config_.system) {
-      case SystemKind::kBaselineHs:
-        providers_[v] = std::make_unique<BaselineProvider>(
-            v, shared_pool_.get(), config_.max_block_bytes, config_.gossip_interval,
-            config_.gossip_delay);
-        break;
-      case SystemKind::kBatchedHs:
-        providers_[v] = std::make_unique<BatchedProvider>(
-            v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
-            config_.max_digests_per_block, &directory_);
-        break;
-      case SystemKind::kNarwhalHs:
-        consensus_stores_[v] = MakeStore("consensus_" + std::to_string(v) + ".wal");
-        providers_[v] =
-            std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
-        break;
-      default:
-        break;
-    }
-
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(),
-                                              signers_[v].get(), providers_[v].get());
-    if (config_.system == SystemKind::kNarwhalHs) {
-      hs_nodes_[v]->set_store(consensus_stores_[v].get());
-    }
-    metrics_.RegisterCertCache(&hs_nodes_[v]->cert_cache());
-    uint32_t net_id = network_->AddNode(hs_nodes_[v].get(), region, machine);
-    hs_nodes_[v]->set_net_id(net_id);
-    consensus_net_ids_[v] = net_id;
-    topology_.role_of[net_id] = {Topology::NodeRole::Kind::kConsensus, v, 0};
-  }
-
-  // Second pass: wire peers, providers, and metrics sinks.
-  for (ValidatorId v = 0; v < n; ++v) {
-    WireHotStuffValidator(v);
-  }
-}
-
-void Cluster::WireHotStuffValidator(ValidatorId v) {
-  hs_nodes_[v]->set_peers(consensus_net_ids_);
-  std::vector<uint32_t> peer_ids;
-  for (ValidatorId u = 0; u < config_.num_validators; ++u) {
-    if (u != v) {
-      peer_ids.push_back(consensus_net_ids_[u]);
-    }
-  }
-  providers_[v]->BindNetwork(network_.get(), consensus_net_ids_[v], std::move(peer_ids));
-  providers_[v]->set_commit_sink(
-      [this, v](ValidatorId owner, uint64_t num, uint64_t bytes,
-                const std::vector<TxSample>& samples) {
-        metrics_.OnCommit(v, owner, num, bytes, samples);
-      });
-}
-
-void Cluster::WireCommitLogFor(ValidatorId v) {
-  CommitLog* log = commit_log(v);
-  log->set_store(consensus_stores_[v].get());
-  // Convert per-header commits into per-batch metrics via the directory.
-  log->add_on_commit([this, v](const CommitLog::Committed& committed) {
-    for (const BatchRef& ref : committed.header->batches) {
-      const BatchDirectory::Info* info = directory_.Find(ref.digest);
-      ValidatorId owner = info != nullptr ? info->author : committed.header->author;
-      static const std::vector<TxSample> kNoSamples;
-      metrics_.OnCommit(v, owner, ref.num_txs, ref.payload_bytes,
-                        info != nullptr ? info->samples : kNoSamples);
-    }
-  });
-}
-
 void Cluster::Start() { network_->Start(); }
 
 void Cluster::SubmitTx(ValidatorId v, WorkerId w, uint64_t size_bytes,
                        std::optional<TxSample> sample) {
-  switch (config_.system) {
-    case SystemKind::kBaselineHs: {
-      auto* provider = static_cast<BaselineProvider*>(providers_[v].get());
-      std::vector<TxSample> samples;
-      if (sample.has_value()) {
-        samples.push_back(*sample);
-      }
-      provider->Submit(1, size_bytes, std::move(samples));
-      break;
+  Validator& validator = validators_[v];
+  if (validator.workers.empty()) {
+    // A HotStuff-mempool baseline: its payload provider takes the transaction.
+    std::vector<TxSample> samples;
+    if (sample.has_value()) {
+      samples.push_back(*sample);
     }
-    case SystemKind::kBatchedHs: {
-      auto* provider = static_cast<BatchedProvider*>(providers_[v].get());
-      std::vector<TxSample> samples;
-      if (sample.has_value()) {
-        samples.push_back(*sample);
-      }
-      provider->Submit(1, size_bytes, std::move(samples));
-      break;
-    }
-    default:  // Narwhal-based: the transaction enters through a worker.
-      workers_[v][w % config_.workers_per_validator]->SubmitTransaction(size_bytes, sample);
-      break;
+    validator.provider->Submit(1, size_bytes, std::move(samples));
+    return;
   }
+  validator.workers[w % validator.workers.size()]->SubmitTransaction(size_bytes, sample);
 }
 
 void Cluster::SubmitTxPayload(ValidatorId v, WorkerId w, Bytes payload,
                               std::optional<TxSample> sample) {
-  if (workers_.empty()) {
+  Validator& validator = validators_[v];
+  if (validator.workers.empty()) {
     LOG_ERROR() << "SubmitTxPayload requires a Narwhal-based system; dropping tx";
     return;
   }
-  workers_[v][w % config_.workers_per_validator]->SubmitTransaction(std::move(payload), sample);
+  validator.workers[w % validator.workers.size()]->SubmitTransaction(std::move(payload), sample);
 }
 
 void Cluster::CrashValidator(ValidatorId v, TimePoint when) {
@@ -469,94 +439,47 @@ void Cluster::RestartValidator(ValidatorId v, TimePoint crash_at, TimePoint reco
 }
 
 void Cluster::RebuildValidator(ValidatorId v) {
-  const uint32_t w = config_.workers_per_validator;
+  Validator& validator = validators_[v];
 
   // Fold the dying HotStuff node's cert-cache activity into the run totals
   // before its pointer goes away.
-  if (!hs_nodes_.empty()) {
-    metrics_.UnregisterCertCache(&hs_nodes_[v]->cert_cache());
+  if (validator.hotstuff != nullptr) {
+    metrics_.UnregisterCertCache(&validator.hotstuff->cert_cache());
   }
 
   // Tear down top-down: the consensus layer references the primary. Timers
   // the dead objects left in the scheduler fire as no-ops (src/sim/timers.h).
-  if (!committers_.empty()) {
-    committers_[v].reset();
+  validator.committer.reset();
+  validator.hotstuff.reset();
+  validator.provider.reset();
+  for (auto& worker : validator.workers) {
+    worker.reset();
   }
-  if (!hs_nodes_.empty()) {
-    hs_nodes_[v].reset();
-  }
-  if (!providers_.empty()) {
-    providers_[v].reset();
-  }
-  for (WorkerId wi = 0; wi < w; ++wi) {
-    workers_[v][wi].reset();
-  }
-  primaries_[v].reset();
+  validator.primary.reset();
 
-  // Reconstruct bottom-up from the durable stores. Net ids and machines are
-  // reused — the replacement is in-place as far as the network is concerned.
-  primaries_[v] = std::make_unique<Primary>(v, committee_, config_.narwhal, network_.get(),
-                                            &topology_, signers_[v].get());
-  primaries_[v]->set_net_id(topology_.primary_of[v]);
-  primaries_[v]->set_store(primary_stores_[v].get());
-  primaries_[v]->Recover();
-  network_->ReplaceNode(topology_.primary_of[v], primaries_[v].get());
-
-  for (WorkerId wi = 0; wi < w; ++wi) {
-    workers_[v][wi] =
-        std::make_unique<Worker>(v, wi, committee_, config_.narwhal, network_.get(), &topology_,
-                                 worker_stores_[v][wi].get(), &directory_);
-    workers_[v][wi]->set_net_id(topology_.worker_of[v][wi]);
-    workers_[v][wi]->Recover();
-    network_->ReplaceNode(topology_.worker_of[v][wi], workers_[v][wi].get());
+  // Build bottom-up exactly as the constructor did, on the same net ids and
+  // machines (the replacement is in-place as far as the network is
+  // concerned), then recover from the durable stores. The commit log's
+  // hooks are the new ones; the executor survived (it is the validator's
+  // application state and commits are not re-delivered across a recovery).
+  BuildValidator(v);
+  validator.primary->Recover();
+  for (auto& worker : validator.workers) {
+    worker->Recover();
   }
-
-  if (!committers_.empty()) {
-    committers_[v] = MakeCommitter(v);
-    committers_[v]->Recover();
-  } else {  // kNarwhalHs (the only other SupportsRestart() system).
-    providers_[v] =
-        std::make_unique<NarwhalProvider>(primaries_[v].get(), config_.narwhal.gc_depth);
-    hs_nodes_[v] = std::make_unique<HotStuff>(v, committee_, network_.get(),
-                                              signers_[v].get(), providers_[v].get());
-    hs_nodes_[v]->set_net_id(consensus_net_ids_[v]);
-    hs_nodes_[v]->set_store(consensus_stores_[v].get());
-    metrics_.RegisterCertCache(&hs_nodes_[v]->cert_cache());
-    WireHotStuffValidator(v);
-    hs_nodes_[v]->Recover();
-    network_->ReplaceNode(consensus_net_ids_[v], hs_nodes_[v].get());
+  if (validator.committer != nullptr) {
+    validator.committer->Recover();
+  } else {
+    validator.hotstuff->Recover();
   }
-
-  // The commit log, its metrics hook and the executor hook died with the
-  // old consensus object. The executor object survived the rebuild (it is
-  // the validator's application state; commits are not re-delivered across
-  // a recovery), so only its hook is re-registered.
-  WireCommitLogFor(v);
   commit_log(v)->Recover();
-  if (!executors_.empty()) {
-    WireExecutorFor(v);
-  }
-
-  // Tracing re-attaches only after recovery, so replayed records do not get
-  // re-stamped as fresh protocol events.
-  if (tracer_ != nullptr) {
-    primaries_[v]->set_tracer(tracer_.get());
-    for (WorkerId wi = 0; wi < w; ++wi) {
-      workers_[v][wi]->set_tracer(tracer_.get());
-    }
-    if (!committers_.empty()) {
-      committers_[v]->set_tracer(tracer_.get());
-    }
-    if (!hs_nodes_.empty()) {
-      hs_nodes_[v]->set_tracer(tracer_.get());
-    }
-  }
+  AttachTracer(v);
 
   RecoveryStats stats;
   stats.validator = v;
   stats.recovered_at = scheduler_.now();
-  stats.records_replayed = primaries_[v]->recovered_store_records();
-  stats.resume_round = primaries_[v]->round();
+  stats.records_replayed = validator.primary->recovered_store_records();
+  stats.resume_round = validator.primary->round();
   recovery_stats_.push_back(stats);
 
   // Observers re-register their per-node hooks before anything runs.
@@ -567,15 +490,14 @@ void Cluster::RebuildValidator(ValidatorId v) {
   // Rejoin: the primary resumes at its recovered round (requesting any
   // missing headers), workers restart empty-pipelined, and consensus
   // re-evaluates its commit rule over the recovered state.
-  primaries_[v]->OnStart();
-  for (WorkerId wi = 0; wi < w; ++wi) {
-    workers_[v][wi]->OnStart();
+  validator.primary->OnStart();
+  for (auto& worker : validator.workers) {
+    worker->OnStart();
   }
-  if (!committers_.empty()) {
-    committers_[v]->Resume();
-  }
-  if (!hs_nodes_.empty()) {
-    hs_nodes_[v]->OnStart();
+  if (validator.committer != nullptr) {
+    validator.committer->Resume();
+  } else {
+    validator.hotstuff->OnStart();
   }
 }
 

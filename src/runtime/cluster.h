@@ -1,7 +1,10 @@
-// Cluster assembly: builds a full in-process deployment of one of the four
-// evaluated systems (paper §6-7) on the simulated WAN — validators with
-// primaries, workers, consensus nodes, payload providers, key material,
-// topology, fault controller, and metrics — from a single config struct.
+// Cluster assembly: builds a full in-process deployment of one of the six
+// evaluated systems (paper §6-7) on the simulated WAN from a single config
+// struct. Each validator is one record (key, stores, primary, workers,
+// committer or payload provider plus HotStuff node, executor). The
+// constructor lays out the whole topology first (machines, net ids, roles,
+// stores), then builds every validator through the same function that a
+// crash-restart rebuilds it with.
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
@@ -130,16 +133,17 @@ class Cluster {
   void IsolateValidator(ValidatorId v, TimePoint start, TimePoint end);
 
   // Crash–restart: takes validator `v` down during [crash_at, recover_at),
-  // then tears down its Primary/Worker/consensus objects and reconstructs
-  // them from the validator's durable stores (which the cluster owns and
-  // keeps alive across the rebuild — they are the simulated disk). The
-  // recovered validator pulls the DAG suffix it missed through the existing
-  // header synchronizer. Only supported for SupportsRestart() systems;
-  // otherwise logs an error and degrades to a permanent crash.
+  // then tears down its Primary/Worker/consensus objects, builds them again
+  // exactly as the constructor did, and recovers them from the validator's
+  // durable stores (which the cluster owns and keeps alive across the
+  // rebuild — they are the simulated disk). The recovered validator pulls
+  // the DAG suffix it missed through the existing header synchronizer. Only
+  // supported for SupportsRestart() systems; otherwise logs an error and
+  // degrades to a permanent crash.
   void RestartValidator(ValidatorId v, TimePoint crash_at, TimePoint recover_at);
   // Every Narwhal-based system restarts: its state lives in the primary,
   // worker and consensus stores.
-  bool SupportsRestart() const { return !primaries_.empty(); }
+  bool SupportsRestart() const;
 
   // Fired after a validator's objects were rebuilt and recovered but before
   // their OnStart runs — the window where observers (DST checker, tests)
@@ -187,66 +191,80 @@ class Cluster {
   // like StartGaugeSampling so runs terminate.
   void StartExecutorPump(TimePoint until);
 
-  Primary* primary(ValidatorId v) { return primaries_.empty() ? nullptr : primaries_[v].get(); }
+  Primary* primary(ValidatorId v) { return validators_[v].primary.get(); }
+  // nullptr when validator `v` runs no worker `w` (the HotStuff-mempool
+  // baselines run none).
   Worker* worker(ValidatorId v, WorkerId w) {
-    return workers_.empty() ? nullptr : workers_[v][w].get();
+    const auto& workers = validators_[v].workers;
+    return w < workers.size() ? workers[w].get() : nullptr;
   }
   // Validator `v`'s DAG committer (Tusk, Bullshark or DAG-Rider); nullptr
   // for the HotStuff-ordered systems. tusk()/bullshark() are typed views of
   // the same object, nullptr when the committer is of another kind.
-  DagCommitter* committer(ValidatorId v) {
-    return committers_.empty() ? nullptr : committers_[v].get();
-  }
+  DagCommitter* committer(ValidatorId v) { return validators_[v].committer.get(); }
   Tusk* tusk(ValidatorId v) { return dynamic_cast<Tusk*>(committer(v)); }
   // Validator `v`'s commit log: the committed header stream of every
   // Narwhal-based system, whether a DAG committer or HotStuff (Narwhal-HS)
   // orders its anchors. nullptr for the HotStuff-mempool baselines.
   CommitLog* commit_log(ValidatorId v);
   Bullshark* bullshark(ValidatorId v) { return dynamic_cast<Bullshark*>(committer(v)); }
-  HotStuff* hotstuff(ValidatorId v) { return hs_nodes_.empty() ? nullptr : hs_nodes_[v].get(); }
-  PayloadProvider* provider(ValidatorId v) {
-    return providers_.empty() ? nullptr : providers_[v].get();
-  }
+  HotStuff* hotstuff(ValidatorId v) { return validators_[v].hotstuff.get(); }
+  PayloadProvider* provider(ValidatorId v) { return validators_[v].provider.get(); }
   // Validator `v`'s execution lanes; nullptr unless config.exec_lanes > 0 on
   // a Narwhal-based system. The executor object survives RestartValidator
   // rebuilds (commits are not re-delivered across a recovery, so its state
   // stays consistent); only the commit hook is re-registered.
-  ShardedExecutor* sharded_executor(ValidatorId v) {
-    return executors_.empty() ? nullptr : executors_[v].get();
-  }
+  ShardedExecutor* sharded_executor(ValidatorId v) { return validators_[v].executor.get(); }
   Mempool MempoolOf(ValidatorId v) { return Mempool(primary(v), worker(v, 0)); }
 
   const Topology& topology() const { return topology_; }
 
   // The durable stores backing validator `v` (cluster-owned; never null for
   // Narwhal-based systems). Tests inspect them to assert persistence.
-  Store* primary_store(ValidatorId v) {
-    return primary_stores_.empty() ? nullptr : primary_stores_[v].get();
-  }
-  Store* consensus_store(ValidatorId v) {
-    return consensus_stores_.empty() ? nullptr : consensus_stores_[v].get();
-  }
+  Store* primary_store(ValidatorId v) { return validators_[v].primary_store.get(); }
+  Store* consensus_store(ValidatorId v) { return validators_[v].consensus_store.get(); }
   Store* worker_store(ValidatorId v, WorkerId w) {
-    return worker_stores_.empty() ? nullptr : worker_stores_[v][w].get();
+    const auto& stores = validators_[v].worker_stores;
+    return w < stores.size() ? stores[w].get() : nullptr;
   }
 
  private:
-  void BuildNarwhal();
-  void BuildHotStuff();
-  // Builds validator `v`'s committer for config.system over its current
-  // primary and consensus store (the one place a committer kind is chosen).
-  std::unique_ptr<DagCommitter> MakeCommitter(ValidatorId v);
-  // Attaches validator `v`'s commit log to its consensus store and converts
-  // its committed headers into per-batch metrics (at build and again from
-  // RebuildValidator, where the old log died with the old consensus object).
-  void WireCommitLogFor(ValidatorId v);
-  // Creates validator `v`'s ShardedExecutor on first call and (re-)registers
-  // its commit-stream hook on the current consensus object — called at build
-  // and again from RebuildValidator, where the old hook died with the old
-  // consensus node.
-  void WireExecutorFor(ValidatorId v);
-  void WireHotStuffValidator(ValidatorId v);
-  void AttachTracer();
+  // One validator (paper §4): its key, its durable stores, its protocol
+  // objects and its execution lanes. The stores are the simulated disk and
+  // the executor is the application state, so both outlive a rebuild; the
+  // protocol objects are replaced. Stores are declared first because the
+  // nodes hold raw Store pointers, and the executor last so it dies before
+  // the workers its batch source reads.
+  struct Validator {
+    std::unique_ptr<Signer> signer;
+    std::unique_ptr<Store> primary_store;
+    std::vector<std::unique_ptr<Store>> worker_stores;
+    std::unique_ptr<Store> consensus_store;
+    std::unique_ptr<Primary> primary;
+    std::vector<std::unique_ptr<Worker>> workers;
+    // Exactly one of: a DAG committer, or a payload provider ordered by a
+    // HotStuff node (declared before it: the node holds the provider).
+    std::unique_ptr<DagCommitter> committer;
+    std::unique_ptr<PayloadProvider> provider;
+    std::unique_ptr<HotStuff> hotstuff;
+    std::unique_ptr<ShardedExecutor> executor;
+    uint32_t consensus_net_id = 0;  // The HotStuff node's; unused otherwise.
+  };
+
+  // Creates validator `v`'s nodes for config.system over its stores, binds
+  // them to the net ids the constructor laid out and wires the cluster's
+  // hooks: the commit log's store and metrics hook, the executor (created
+  // on first call; it survives rebuilds) and the HotStuff cache's
+  // registration with metrics_. The constructor and RebuildValidator both
+  // build through here; neither recovers nor starts anything in it.
+  void BuildValidator(ValidatorId v);
+  // Creates validator `v`'s committer, or its payload provider and HotStuff
+  // node (the one place a consensus kind is chosen).
+  void MakeConsensus(ValidatorId v);
+  // Points validator `v`'s nodes and executor at the tracer (no-op without
+  // one). Runs after BuildValidator and, on a rebuild, after recovery, so
+  // replayed records are not re-stamped as fresh protocol events.
+  void AttachTracer(ValidatorId v);
   void RegisterTraceGauges();
   // Network ids of validator `v`'s nodes: its primary, its workers, then its
   // consensus node — whichever of them this system runs.
@@ -256,8 +274,10 @@ class Cluster {
   // empty — either way the cluster owns it for the lifetime of the run, so
   // it survives validator rebuilds.
   std::unique_ptr<Store> MakeStore(const std::string& name);
-  // Tears down and reconstructs validator `v` from its stores (the recovery
-  // half of RestartValidator; runs at the scheduled recovery time).
+  // Tears down validator `v`'s protocol objects and builds them again with
+  // BuildValidator, then recovers them from its stores, re-attaches the
+  // tracer, fires on_validator_rebuilt and starts them (the recovery half of
+  // RestartValidator; runs at the scheduled recovery time).
   void RebuildValidator(ValidatorId v);
 
   ClusterConfig config_;
@@ -265,7 +285,7 @@ class Cluster {
   std::unique_ptr<LatencyModel> latency_;
   FaultController faults_;
   std::unique_ptr<Network> network_;
-  // Declared before metrics_ and the node containers: they hold raw Tracer
+  // Declared before metrics_ and validators_: they hold raw Tracer
   // pointers, so the tracer must be destroyed last.
   std::unique_ptr<Tracer> tracer_;
   Metrics metrics_;
@@ -274,26 +294,9 @@ class Cluster {
   Topology topology_;
   CommonCoin coin_;
   uint64_t next_tx_id_ = 0;
-
-  std::vector<std::unique_ptr<Signer>> signers_;
-  // Durable stores, declared before the node containers: nodes hold raw
-  // Store pointers, so the stores must be destroyed after them. They also
-  // outlive individual node objects across RestartValidator rebuilds.
-  std::vector<std::unique_ptr<Store>> primary_stores_;
-  std::vector<std::vector<std::unique_ptr<Store>>> worker_stores_;
-  std::vector<std::unique_ptr<Store>> consensus_stores_;
-  std::vector<std::unique_ptr<Primary>> primaries_;
-  std::vector<std::vector<std::unique_ptr<Worker>>> workers_;
-  std::vector<std::unique_ptr<DagCommitter>> committers_;
-  std::vector<std::unique_ptr<PayloadProvider>> providers_;
-  std::vector<std::unique_ptr<HotStuff>> hs_nodes_;
-  // Execution lanes (empty unless config.exec_lanes > 0 on a Narwhal-based
-  // system). Kept below the worker containers so batch fetches resolve
-  // through live workers during destruction order, and kept alive across
-  // validator rebuilds — the executor is the validator's application state.
-  std::vector<std::unique_ptr<ShardedExecutor>> executors_;
+  // Baseline-HS's gossiped pool, shared by every validator's provider.
   std::unique_ptr<SharedTxPool> shared_pool_;
-  std::vector<uint32_t> consensus_net_ids_;
+  std::vector<Validator> validators_;
 
   std::function<void(ValidatorId)> on_validator_rebuilt_;
   std::vector<RecoveryStats> recovery_stats_;

@@ -13,6 +13,7 @@
 
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/shard/workload.h"
 
 namespace nt {
 namespace {
@@ -367,6 +368,116 @@ TEST(RecoveryTest, UnsupportedSystemDegradesToPermanentCrash) {
   // commit logs, which Batched-HS has none of, so assert on HotStuff
   // progress).
   EXPECT_GT(run.cluster->hotstuff(0)->committed_blocks(), 10u);
+}
+
+// Sum of every live HotStuff node's cert-cache lookups.
+uint64_t LiveCacheLookups(Cluster& cluster) {
+  uint64_t lookups = 0;
+  for (ValidatorId v = 0; v < cluster.config().num_validators; ++v) {
+    const VerifiedCertCache::Stats& stats = cluster.hotstuff(v)->cert_cache().stats();
+    lookups += stats.hits + stats.misses;
+  }
+  return lookups;
+}
+
+// A restarted validator is wired like a fresh one: with tracing and two
+// execution lanes on, its surviving executor keeps executing in step with
+// validator 0, Metrics keeps counting its commits, and on Narwhal-HS the
+// new HotStuff node's cache is the one Metrics reads.
+void ExpectRebuiltValidatorWired(SystemKind system) {
+  SCOPED_TRACE(SystemName(system));
+  ClusterConfig config;
+  config.system = system;
+  config.num_validators = 4;
+  config.seed = 5;
+  config.trace = true;
+  TransferWorkloadConfig workload_config;
+  workload_config.num_shards = 2;
+  TransferWorkload workload(workload_config);
+  config.exec_lanes = workload_config.num_shards;
+  Cluster cluster(config);
+  cluster.metrics().set_observer(kVictim);
+  ShardedExecutor* victim_executor = cluster.sharded_executor(kVictim);
+
+  // Lane digests after each executed height, per validator, sampled after
+  // the cluster's own executor hook ran (hooks fire in registration order).
+  std::vector<std::map<uint64_t, std::vector<Digest>>> lanes(2);
+  auto wire = [&](ValidatorId v) {
+    if (v != 0 && v != kVictim) {
+      return;
+    }
+    ShardedExecutor* executor = cluster.sharded_executor(v);
+    auto& at_height = lanes[v == 0 ? 0 : 1];
+    cluster.commit_log(v)->add_on_commit([executor, &at_height](const CommitLog::Committed&) {
+      at_height[executor->executed_headers()] = executor->LaneDigests();
+    });
+  };
+  wire(0);
+  wire(kVictim);
+  uint64_t executed_at_rebuild = 0;
+  uint64_t committed_at_rebuild = 0;
+  uint64_t retired_lookups = 0;
+  cluster.set_on_validator_rebuilt([&](ValidatorId v) {
+    executed_at_rebuild = cluster.sharded_executor(v)->executed_headers();
+    committed_at_rebuild = cluster.metrics().committed_txs();
+    if (system == SystemKind::kNarwhalHs) {
+      // The dead node's cache was folded into the retired totals.
+      retired_lookups = cluster.metrics().cert_cache_hits() +
+                        cluster.metrics().cert_cache_misses() - LiveCacheLookups(cluster);
+    }
+    wire(v);
+  });
+  cluster.RestartValidator(kVictim, kCrashAt, kRecoverAt);
+
+  std::vector<std::unique_ptr<LoadGenerator>> clients;
+  for (ValidatorId v = 0; v < 4; ++v) {
+    LoadGenerator::Options options;
+    options.rate_tps = 400;
+    options.stop_at = kRunEnd;
+    options.transfer = &workload;
+    clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, 0, options));
+  }
+  std::vector<Bytes> mints = workload.InitialMints();
+  cluster.scheduler().ScheduleAt(Millis(1),
+                                 [&cluster, mints] { cluster.worker(0, 0)->SubmitBlock(mints); });
+  cluster.Start();
+  for (auto& client : clients) {
+    client->Start();
+  }
+  cluster.StartGaugeSampling(kRunEnd);
+  cluster.StartExecutorPump(kRunEnd);
+  cluster.scheduler().RunUntil(kRunEnd);
+
+  ASSERT_EQ(cluster.recovery_stats().size(), 1u);
+  // The executor survived the rebuild and kept executing.
+  EXPECT_EQ(cluster.sharded_executor(kVictim), victim_executor);
+  EXPECT_GT(victim_executor->executed_headers(), executed_at_rebuild);
+  // ... in step with validator 0 at every height both sampled.
+  size_t compared_after_rebuild = 0;
+  for (const auto& [height, digests] : lanes[1]) {
+    auto it = lanes[0].find(height);
+    if (it == lanes[0].end()) {
+      continue;
+    }
+    EXPECT_EQ(digests, it->second) << "lanes diverge at executed height " << height;
+    compared_after_rebuild += height > executed_at_rebuild ? 1 : 0;
+  }
+  EXPECT_GT(compared_after_rebuild, 0u);
+  // Metrics still counts the rebuilt observer's commits.
+  EXPECT_GT(cluster.metrics().committed_txs(), committed_at_rebuild);
+  if (system == SystemKind::kNarwhalHs) {
+    const VerifiedCertCache::Stats& fresh = cluster.hotstuff(kVictim)->cert_cache().stats();
+    EXPECT_GT(fresh.hits + fresh.misses, 0u);
+    EXPECT_EQ(cluster.metrics().cert_cache_hits() + cluster.metrics().cert_cache_misses(),
+              retired_lookups + LiveCacheLookups(cluster));
+  }
+}
+
+TEST(RecoveryTest, RebuiltValidatorIsWiredLikeAFreshOne) {
+  for (SystemKind system : {SystemKind::kTusk, SystemKind::kBullshark, SystemKind::kDagRider,
+                            SystemKind::kNarwhalHs}) {
+    ExpectRebuiltValidatorWired(system);
+  }
 }
 
 }  // namespace
