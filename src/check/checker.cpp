@@ -181,7 +181,8 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
     if (executors[v] == nullptr) {
       executors[v] =
           std::make_unique<ShardedExecutor>(num_lanes, [&cluster, v](const BatchRef& ref) {
-            return cluster.worker(v, 0)->GetBatch(ref.digest);
+            Worker* holder = cluster.worker(v, ref.worker);
+            return holder != nullptr ? holder->GetBatch(ref.digest) : nullptr;
           });
     }
     ShardedExecutor* executor = executors[v].get();
@@ -392,7 +393,7 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
   {
     auto resolve = [&cluster, n](const BatchRef& ref) -> std::shared_ptr<const Batch> {
       for (ValidatorId v = 0; v < n; ++v) {
-        if (Worker* w = cluster.worker(v, 0)) {
+        if (Worker* w = cluster.worker(v, ref.worker)) {
           if (auto batch = w->GetBatch(ref.digest)) {
             return batch;
           }

@@ -193,11 +193,15 @@ void Cluster::BuildValidator(ValidatorId v) {
     return;
   }
   if (validator.executor == nullptr) {
-    // Resolve the worker at fetch time: a rebuild replaces the Worker, and a
-    // raw pointer captured here would dangle.
+    // Resolve the worker that holds the batch (`ref.worker`) at fetch time: a
+    // rebuild replaces the Worker, and a raw pointer captured here would
+    // dangle.
     validator.executor = std::make_unique<ShardedExecutor>(
         config_.exec_lanes,
-        [this, v](const BatchRef& ref) { return validators_[v].workers[0]->GetBatch(ref.digest); });
+        [this, v](const BatchRef& ref) -> std::shared_ptr<const Batch> {
+          Worker* holder = worker(v, ref.worker);
+          return holder != nullptr ? holder->GetBatch(ref.digest) : nullptr;
+        });
     ShardedExecutor* executor = validator.executor.get();
     executor->set_on_executed([this, v, executor](const Digest&, const std::vector<Digest>&) {
       metrics_.OnExecuted(v, executor->applied_txs(), executor->rejected_txs(),

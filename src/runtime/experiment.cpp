@@ -80,11 +80,6 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
   cluster.scheduler().RunUntil(params.duration);
 
   ExperimentResult result;
-  result.system = SystemName(params.system);
-  result.nodes = params.nodes;
-  result.workers = params.workers;
-  result.faults = params.faults;
-  result.input_tps = params.rate_tps;
   result.tps = cluster.metrics().ThroughputTps();
   const SampleStats& lat = cluster.metrics().latency_seconds();
   result.avg_latency_s = lat.Mean();
@@ -102,6 +97,13 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
   for (const auto& client : clients) {
     result.resubmitted_txs += client->resubmitted_txs();
   }
+  result.max_commit_gap_s = ToSeconds(cluster.metrics().MaxCommitGap());
+  if (const Primary* primary = cluster.primary(0)) {
+    const Dag& dag = primary->dag();
+    result.dag_certs = dag.TotalCertificates();
+    result.dag_round_span = dag.HighestRound() - dag.gc_round();
+  }
+  result.message_types = cluster.network().type_stats();
   if (Tracer* tracer = cluster.tracer()) {
     result.traced = true;
     result.breakdown = tracer->ComputeBreakdown(params.warmup, params.duration);
@@ -110,27 +112,6 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
     }
   }
   return result;
-}
-
-void PrintResultHeader() {
-  std::printf("%-12s %6s %7s %7s %10s %10s %9s %9s %9s %11s %10s %10s %11s %9s %10s\n", "system",
-              "nodes", "workers", "faults", "input_tps", "tps", "avg_lat_s", "p50_lat_s",
-              "p99_lat_s", "committed", "cert_hits", "cert_miss", "exec_appl", "exec_rej",
-              "exec_cross");
-}
-
-void PrintResultRow(const ExperimentResult& r) {
-  std::printf(
-      "%-12s %6u %7u %7u %10.0f %10.0f %9.2f %9.2f %9.2f %11llu %10llu %10llu %11llu %9llu "
-      "%10llu\n",
-      r.system.c_str(), r.nodes, r.workers, r.faults, r.input_tps, r.tps, r.avg_latency_s,
-      r.p50_latency_s, r.p99_latency_s, static_cast<unsigned long long>(r.committed_txs),
-      static_cast<unsigned long long>(r.cert_cache_hits),
-      static_cast<unsigned long long>(r.cert_cache_misses),
-      static_cast<unsigned long long>(r.exec_applied),
-      static_cast<unsigned long long>(r.exec_rejected),
-      static_cast<unsigned long long>(r.exec_cross));
-  std::fflush(stdout);
 }
 
 void PrintLatencyBreakdown(const ExperimentResult& r) {

@@ -1,10 +1,11 @@
 // One-shot experiment runner: deploys a cluster, drives load, injects
 // faults, and reports the paper's metrics (throughput in tx/s, end-to-end
-// latency statistics). The benchmark binaries for every table and figure are
-// thin sweeps over RunExperiment.
+// latency statistics). ntbench and every row of ntpaper's paper table are
+// runs of RunExperiment.
 #ifndef SRC_RUNTIME_EXPERIMENT_H_
 #define SRC_RUNTIME_EXPERIMENT_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -62,18 +63,26 @@ struct ExperimentParams {
 };
 
 struct ExperimentResult {
-  std::string system;
-  uint32_t nodes = 0;
-  uint32_t workers = 0;
-  uint32_t faults = 0;
-  double input_tps = 0;
   double tps = 0;
+  // Latency over the sampled transactions that entered after warm-up and
+  // committed before the end; all four read 0 when sampled_txs is 0, which
+  // is no measurement.
   double avg_latency_s = 0;
   double latency_stddev_s = 0;
   double p50_latency_s = 0;
   double p99_latency_s = 0;
   uint64_t committed_txs = 0;
   uint64_t sampled_txs = 0;
+
+  // Longest time without a commit at the observer, from t=0 to the end of
+  // the run (Table 1's commit regularity under asynchrony).
+  double max_commit_gap_s = 0;
+  // The observer's DAG at the end of the run (Narwhal-based systems only):
+  // certificates held and rounds from its GC horizon to its highest round.
+  uint64_t dag_certs = 0;
+  uint64_t dag_round_span = 0;
+  // Traffic per message type over the whole run (Network::type_stats()).
+  std::map<std::string, Network::TypeStats> message_types;
 
   // Verified-certificate cache activity during the run, aggregated over
   // every node's per-validator cache (see Metrics::cert_cache_hits).
@@ -99,10 +108,6 @@ struct ExperimentResult {
 };
 
 ExperimentResult RunExperiment(const ExperimentParams& params);
-
-// Prints a fixed-width results-table row (header printed with `header`).
-void PrintResultHeader();
-void PrintResultRow(const ExperimentResult& result);
 
 // Prints the per-stage latency breakdown table (no-op unless result.traced).
 void PrintLatencyBreakdown(const ExperimentResult& result);

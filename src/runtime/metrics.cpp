@@ -45,6 +45,10 @@ void Metrics::OnCommit(ValidatorId at, ValidatorId latency_owner, uint64_t num_t
     // the identical window filter itself.
     NT_TRACE(tracer_, OnSamplesCommitted(samples, now));
   }
+  if (at == observer_) {
+    max_commit_gap_ = std::max(max_commit_gap_, now - last_commit_);
+    last_commit_ = now;
+  }
   if (now < window_start_ || now >= window_end_) {
     return;
   }

@@ -5,6 +5,7 @@
 #ifndef SRC_RUNTIME_METRICS_H_
 #define SRC_RUNTIME_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +45,12 @@ class Metrics {
   //                  latency (where the client submitted).
   void OnCommit(ValidatorId at, ValidatorId latency_owner, uint64_t num_txs,
                 uint64_t payload_bytes, const std::vector<TxSample>& samples);
+
+  // Longest time between consecutive commits at the observer, counting from
+  // t=0 and up to now, so a silent tail counts too.
+  TimeDelta MaxCommitGap() const {
+    return std::max(max_commit_gap_, scheduler_->now() - last_commit_);
+  }
 
   uint64_t committed_txs() const { return committed_txs_; }
   uint64_t committed_bytes() const { return committed_bytes_; }
@@ -114,6 +121,8 @@ class Metrics {
   TimePoint window_start_ = 0;
   TimePoint window_end_ = kNever;
 
+  TimePoint last_commit_ = 0;
+  TimeDelta max_commit_gap_ = 0;
   uint64_t committed_txs_ = 0;
   uint64_t committed_bytes_ = 0;
   uint64_t abandoned_txs_ = 0;

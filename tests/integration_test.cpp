@@ -33,12 +33,14 @@ TEST(IntegrationTest, NarwhalHsCommitsTransactions) {
   ExperimentResult result = RunExperiment(BaseParams(SystemKind::kNarwhalHs));
   EXPECT_GT(result.committed_txs, 1000u);
   EXPECT_GT(result.tps, 500.0);
+  EXPECT_GT(result.sampled_txs, 0u);
   EXPECT_LT(result.avg_latency_s, 10.0);
 }
 
 TEST(IntegrationTest, BatchedHsCommitsTransactions) {
   ExperimentResult result = RunExperiment(BaseParams(SystemKind::kBatchedHs));
   EXPECT_GT(result.committed_txs, 1000u);
+  EXPECT_GT(result.sampled_txs, 0u);
   EXPECT_LT(result.avg_latency_s, 10.0);
 }
 
@@ -47,6 +49,7 @@ TEST(IntegrationTest, BaselineHsCommitsTransactions) {
   params.rate_tps = 1000;
   ExperimentResult result = RunExperiment(params);
   EXPECT_GT(result.committed_txs, 500u);
+  EXPECT_GT(result.sampled_txs, 0u);
   EXPECT_LT(result.avg_latency_s, 10.0);
 }
 
@@ -68,6 +71,22 @@ TEST(IntegrationTest, NarwhalHsSurvivesOneCrash) {
   params.faults = 1;
   ExperimentResult result = RunExperiment(params);
   EXPECT_GT(result.committed_txs, 500u);
+}
+
+// Each worker seals its own batches, so a header references batches held by
+// several workers; execution must fetch each through the worker that holds
+// it, or every batch of the second worker stalls its lane for good.
+TEST(IntegrationTest, ShardedExecutionReadsEveryWorkersBatches) {
+  ExperimentParams params = BaseParams(SystemKind::kTusk);
+  params.rate_tps = 10000;
+  params.duration = Seconds(10);
+  params.shards = 2;
+  params.collocate = false;
+  const uint64_t one_worker = RunExperiment(params).exec_applied;
+  params.workers = 2;
+  const uint64_t two_workers = RunExperiment(params).exec_applied;
+  EXPECT_GT(one_worker, 10000u);
+  EXPECT_GT(two_workers, one_worker / 2);
 }
 
 TEST(IntegrationTest, DeterministicForSameSeed) {

@@ -32,16 +32,12 @@
 //                     PATH (open in chrome://tracing or ui.perfetto.dev) and
 //                     print the per-stage latency breakdown
 //   --csv             machine-readable one-line output
-#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "bench/bench_util.h"
-#include "tools/job_runner.h"
+#include "tools/sweep.h"
 
 using namespace nt;
 
@@ -52,53 +48,14 @@ namespace {
   std::exit(2);
 }
 
-// Parallel counterpart of RunAveraged. Run 0 executes in-process so its full
-// ExperimentResult can supply the metadata fields (and any --trace output);
-// the remaining runs fork via RunJobsForked and ship their three samples back
-// over the pipe as a text line. Seeds follow RunAveraged's cumulative walk
-// (run i uses seed + i*(i+1)/2) and samples feed the stats in run order, so
-// the reported means and stddevs are bit-identical to a sequential sweep.
-AveragedResult RunAveragedForked(const ExperimentParams& base, int runs, int jobs) {
-  ExperimentResult first = RunExperiment(base);
-  std::vector<std::array<double, 3>> samples(static_cast<size_t>(runs));
-  samples[0] = {first.tps, first.avg_latency_s, first.p99_latency_s};
-  RunJobsForked(
-      static_cast<uint64_t>(runs) - 1, jobs,
-      [&](uint64_t j) {
-        const uint64_t i = j + 1;
-        ExperimentParams p = base;
-        p.seed = base.seed + i * (i + 1) / 2;
-        p.trace = false;  // Tracing belongs to run 0 in the parent.
-        ExperimentResult r = RunExperiment(p);
-        // %.17g round-trips doubles exactly, so the parent's stats see the
-        // same bits a sequential run would.
-        std::printf("SAMPLE %.17g %.17g %.17g\n", r.tps, r.avg_latency_s, r.p99_latency_s);
-        return 0;
-      },
-      [&](uint64_t j, const JobOutput& out) {
-        const char* line = std::strstr(out.text.c_str(), "SAMPLE ");
-        std::array<double, 3>& s = samples[static_cast<size_t>(j) + 1];
-        if (out.exit_code != 0 || line == nullptr ||
-            std::sscanf(line, "SAMPLE %lg %lg %lg", &s[0], &s[1], &s[2]) != 3) {
-          std::fprintf(stderr, "ntbench: worker for run %llu failed (exit %d)\n",
-                       static_cast<unsigned long long>(j + 1), out.exit_code);
-          std::exit(2);
-        }
-      });
-  AveragedResult out;
-  out.first = first;
-  SampleStats tps, latency, p99;
-  for (const std::array<double, 3>& s : samples) {
-    tps.Add(s[0]);
-    latency.Add(s[1]);
-    p99.Add(s[2]);
+// A latency cell of `r`, or "n/a" when some run had no latency sample.
+std::string LatencyCell(const SweepResult& r, double seconds, const char* format) {
+  if (!r.latency_measured) {
+    return "n/a";
   }
-  out.tps_mean = tps.Mean();
-  out.tps_stddev = tps.StdDev();
-  out.latency_mean = latency.Mean();
-  out.latency_stddev = latency.StdDev();
-  out.p99_mean = p99.Mean();
-  return out;
+  char cell[32];
+  std::snprintf(cell, sizeof(cell), format, seconds);
+  return cell;
 }
 
 }  // namespace
@@ -202,29 +159,48 @@ int main(int argc, char** argv) {
     Usage("--cross-ratio and --hot-ratio must be within [0, 1]");
   }
 
-  AveragedResult result = (jobs > 1 && runs > 1) ? RunAveragedForked(params, runs, jobs)
-                                                 : RunAveraged(params, runs);
+  // The traced breakdown comes from run 0 in this process.
+  const SweepResult result = RunSweep({{params, runs}}, params.trace ? 1 : jobs)[0];
+  const std::string latency = LatencyCell(result, result.latency.Mean(), csv ? "%.3f" : "%.2f");
+  const std::string latency_sd =
+      LatencyCell(result, result.latency.StdDev(), csv ? "%.3f" : "%.2f");
+  const std::string p99 = LatencyCell(result, result.p99.Mean(), csv ? "%.3f" : "%.2f");
+  const ExperimentResult& first = result.first;
   if (csv) {
     std::printf("system,nodes,workers,faults,input_tps,tps,tps_stddev,avg_latency_s,"
                 "latency_stddev_s,p99_latency_s,abandoned,exec_applied,exec_rejected,"
                 "exec_cross\n");
-    std::printf("%s,%u,%u,%u,%.0f,%.0f,%.0f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu\n",
-                result.first.system.c_str(), result.first.nodes, result.first.workers,
-                result.first.faults, result.first.input_tps, result.tps_mean, result.tps_stddev,
-                result.latency_mean, result.latency_stddev, result.p99_mean,
-                static_cast<unsigned long long>(result.first.abandoned_txs),
-                static_cast<unsigned long long>(result.first.exec_applied),
-                static_cast<unsigned long long>(result.first.exec_rejected),
-                static_cast<unsigned long long>(result.first.exec_cross));
+    std::printf("%s,%u,%u,%u,%.0f,%.0f,%.0f,%s,%s,%s,%llu,%llu,%llu,%llu\n",
+                SystemName(params.system), params.nodes, params.workers, params.faults,
+                params.rate_tps, result.tps.Mean(), result.tps.StdDev(), latency.c_str(),
+                latency_sd.c_str(), p99.c_str(),
+                static_cast<unsigned long long>(first.abandoned_txs),
+                static_cast<unsigned long long>(first.exec_applied),
+                static_cast<unsigned long long>(first.exec_rejected),
+                static_cast<unsigned long long>(first.exec_cross));
   } else {
-    PrintSweepHeader();
-    PrintSweepRow(result);
+    std::printf(
+        "%-12s %6s %8s %7s %10s | %10s %8s | %9s %8s %9s | %10s %10s %9s | %10s %8s %10s\n",
+        "system", "nodes", "workers", "faults", "input_tps", "tps", "tps_sd", "avg_lat_s",
+        "lat_sd", "p99_lat_s", "cert_hits", "cert_miss", "abandoned", "exec_appl", "exec_rej",
+        "exec_cross");
+    std::printf(
+        "%-12s %6u %8u %7u %10.0f | %10.0f %8.0f | %9s %8s %9s | %10llu %10llu %9llu | "
+        "%10llu %8llu %10llu\n",
+        SystemName(params.system), params.nodes, params.workers, params.faults, params.rate_tps,
+        result.tps.Mean(), result.tps.StdDev(), latency.c_str(), latency_sd.c_str(), p99.c_str(),
+        static_cast<unsigned long long>(first.cert_cache_hits),
+        static_cast<unsigned long long>(first.cert_cache_misses),
+        static_cast<unsigned long long>(first.abandoned_txs),
+        static_cast<unsigned long long>(first.exec_applied),
+        static_cast<unsigned long long>(first.exec_rejected),
+        static_cast<unsigned long long>(first.exec_cross));
   }
-  if (result.first.traced) {
-    PrintLatencyBreakdown(result.first);
+  if (first.traced) {
+    PrintLatencyBreakdown(first);
     if (!params.trace_path.empty()) {
       std::fprintf(stderr, "%s trace to %s (open in chrome://tracing or ui.perfetto.dev)\n",
-                   result.first.trace_written ? "wrote" : "FAILED to write",
+                   first.trace_written ? "wrote" : "FAILED to write",
                    params.trace_path.c_str());
     }
   }
