@@ -68,7 +68,7 @@ Bullshark::Bullshark(Primary* primary, const Committee& committee, Round gc_dept
 
 bool Bullshark::Supported(uint64_t /*wave*/, const Certificate& anchor) const {
   const uint32_t votes = DirectSupport(anchor);
-  if (seeded_bugs::skip_bullshark_support) {
+  if (seeded_bugs::On(SeededBug::kSkipBullsharkSupport)) {
     // Seeded mutation: commit on f support votes instead of the paper's f+1.
     // One vote short of the validity threshold voids quorum intersection —
     // the f supporters may all be invisible to the 2f+1 parents of a later

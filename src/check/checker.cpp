@@ -69,19 +69,21 @@ std::string CheckResult::Summary() const {
 }
 
 CheckResult RunSchedule(const FaultSchedule& schedule) {
-  // Mutation-testing flags travel inside the schedule so repro files are
-  // self-contained; restore on every exit path.
-  seeded_bugs::Scoped bug1(&seeded_bugs::accept_2f_certs, schedule.bug_accept_2f_certs);
-  seeded_bugs::Scoped bug2(&seeded_bugs::skip_tusk_support, schedule.bug_skip_tusk_support);
-  seeded_bugs::Scoped bug3(&seeded_bugs::skip_bullshark_support,
-                           schedule.bug_skip_bullshark_support);
-  seeded_bugs::Scoped bug4(&seeded_bugs::skip_cross_shard_lock,
-                           schedule.bug_skip_cross_shard_lock);
+  // Seeded bugs travel inside the schedule so repro files are self-contained;
+  // restore on every exit path.
+  seeded_bugs::Scoped bugs(schedule.bugs);
 
+  // (5) execution agreement and (8) shard state: every validator runs the
+  // cluster's ShardedExecutor with `num_lanes` lanes (1 = the historical
+  // single-lane behavior) whose per-lane digest vectors must agree at equal
+  // sequence numbers, conserve balance, and match the pure ReplayShards
+  // oracle.
+  const uint32_t num_lanes = std::max<uint32_t>(1, schedule.shards);
   ClusterConfig config;
   config.system = schedule.system;
   config.num_validators = schedule.validators;
   config.seed = schedule.seed;
+  config.exec_lanes = num_lanes;
   Cluster cluster(config);
   const uint32_t n = schedule.validators;
   Scheduler& scheduler = cluster.scheduler();
@@ -109,12 +111,6 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
   std::vector<std::shared_ptr<const BlockHeader>> global_headers;
   std::vector<std::vector<Digest>> commit_seq(n);
   std::vector<TimePoint> last_commit(n, -1);
-  // (5) execution agreement and (8) shard state: every validator runs a
-  // ShardedExecutor with `num_lanes` lanes (1 = the historical single-lane
-  // behavior) whose per-lane digest vectors must agree at equal sequence
-  // numbers, conserve balance, and match the pure ReplayShards oracle.
-  const uint32_t num_lanes = std::max<uint32_t>(1, schedule.shards);
-  std::vector<std::unique_ptr<ShardedExecutor>> executors(n);
   std::vector<std::pair<Digest, std::vector<Digest>>> exec_global;  // (header, lane digests).
   std::vector<size_t> exec_len(n, 0);
   // (7) restart consistency: validators with a scheduled recovery, the
@@ -175,42 +171,6 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
       }
     });
 
-    // Resolve the worker at fetch time: a restarted validator's Worker is a
-    // new object, and a raw pointer captured here would dangle after the
-    // rebuild.
-    if (executors[v] == nullptr) {
-      executors[v] =
-          std::make_unique<ShardedExecutor>(num_lanes, [&cluster, v](const BatchRef& ref) {
-            Worker* holder = cluster.worker(v, ref.worker);
-            return holder != nullptr ? holder->GetBatch(ref.digest) : nullptr;
-          });
-    }
-    ShardedExecutor* executor = executors[v].get();
-    executor->set_on_executed([&, v, executor](const Digest& header_digest,
-                                               const std::vector<Digest>& lanes) {
-      size_t i = exec_len[v]++;
-      if (i < exec_global.size()) {
-        if (exec_global[i].first != header_digest || exec_global[i].second != lanes) {
-          violation("exec-agreement",
-                    "validator " + std::to_string(v) + " diverges at executed header #" +
-                        std::to_string(i) + " (header " + DigestPrefix(header_digest) +
-                        ", lane 0 state " + DigestPrefix(lanes[0]) + ")");
-        }
-      } else {
-        exec_global.emplace_back(header_digest, lanes);
-      }
-      // (8) conservation-of-balance across lanes, at every commit boundary:
-      // honest execution can move supply between lanes but never create it.
-      if (executor->total_balance() != executor->minted_total()) {
-        violation("shard-conservation",
-                  "validator " + std::to_string(v) + " holds " +
-                      std::to_string(executor->total_balance()) + " tokens across " +
-                      std::to_string(num_lanes) + " lane(s) with only " +
-                      std::to_string(executor->minted_total()) + " minted, at executed header #" +
-                      std::to_string(i));
-      }
-    });
-
     // Per-commit evaluation, the same for every system.
     auto on_committed = [&, v](const Digest& digest,
                                const std::shared_ptr<const BlockHeader>& header) {
@@ -253,8 +213,6 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
                         " with missing parent " + DigestPrefix(parent.header_digest));
         }
       }
-      executors[v]->OnCommittedHeader(header);
-      executors[v]->RetryPending();
     };
     cluster.commit_log(v)->add_on_commit(
         [on_committed](const CommitLog::Committed& c) { on_committed(c.digest, c.header); });
@@ -263,6 +221,36 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
     wire_validator(v);
   }
   cluster.set_on_validator_rebuilt(wire_validator);
+
+  // The executors survive rebuilds, so their hooks are added once, after
+  // the cluster's own metrics hook.
+  for (ValidatorId v = 0; v < n; ++v) {
+    ShardedExecutor* executor = cluster.sharded_executor(v);
+    executor->add_on_executed([&, v, executor](const Digest& header_digest,
+                                               const std::vector<Digest>& lanes) {
+      size_t i = exec_len[v]++;
+      if (i < exec_global.size()) {
+        if (exec_global[i].first != header_digest || exec_global[i].second != lanes) {
+          violation("exec-agreement",
+                    "validator " + std::to_string(v) + " diverges at executed header #" +
+                        std::to_string(i) + " (header " + DigestPrefix(header_digest) +
+                        ", lane 0 state " + DigestPrefix(lanes[0]) + ")");
+        }
+      } else {
+        exec_global.emplace_back(header_digest, lanes);
+      }
+      // (8) conservation-of-balance across lanes, at every commit boundary:
+      // honest execution can move supply between lanes but never create it.
+      if (executor->total_balance() != executor->minted_total()) {
+        violation("shard-conservation",
+                  "validator " + std::to_string(v) + " holds " +
+                      std::to_string(executor->total_balance()) + " tokens across " +
+                      std::to_string(num_lanes) + " lane(s) with only " +
+                      std::to_string(executor->minted_total()) + " minted, at executed header #" +
+                      std::to_string(i));
+      }
+    });
+  }
 
   // --- fault script ---------------------------------------------------------
   for (const FaultSchedule::Crash& c : schedule.crashes) {
@@ -329,10 +317,10 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
   // Committed headers can execute before their batch data syncs; retry the
   // executors periodically so deferred headers drain within the run.
   for (TimePoint t = Millis(500); t < schedule.duration; t += Millis(500)) {
-    // ntlint:allow(deferred-capture): executors outlives the callbacks — RunUntil below drains the scheduler inside this stack frame
-    scheduler.ScheduleAt(t, [&executors, n] {
+    // ntlint:allow(deferred-capture): cluster outlives the callbacks — RunUntil below drains the scheduler inside this stack frame
+    scheduler.ScheduleAt(t, [&cluster, n] {
       for (ValidatorId v = 0; v < n; ++v) {
-        executors[v]->RetryPending();
+        cluster.sharded_executor(v)->RetryPending();
       }
     });
   }

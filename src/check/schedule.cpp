@@ -8,6 +8,15 @@
 
 namespace nt {
 
+std::optional<SeededBug> ParseSeededBug(std::string_view name) {
+  for (const SeededBugRow& row : kSeededBugRows) {
+    if (name == row.name) {
+      return row.bug;
+    }
+  }
+  return std::nullopt;
+}
+
 TimePoint FaultSchedule::Gst() const {
   // A message sent just before an asynchrony window closes is still in
   // flight for up to factor × the worst one-way WAN propagation (~150 ms
@@ -161,17 +170,10 @@ std::string FaultSchedule::Encode() const {
   for (const Equivocate& e : equivocators) {
     out << "equivocate=" << e.validator << "@" << e.at << "\n";
   }
-  if (bug_accept_2f_certs) {
-    out << "bug=accept_2f_certs\n";
-  }
-  if (bug_skip_tusk_support) {
-    out << "bug=skip_tusk_support\n";
-  }
-  if (bug_skip_bullshark_support) {
-    out << "bug=skip_bullshark_support\n";
-  }
-  if (bug_skip_cross_shard_lock) {
-    out << "bug=skip_cross_shard_lock\n";
+  for (const SeededBugRow& row : kSeededBugRows) {
+    if (bugs.contains(row.bug)) {
+      out << "bug=" << row.name << "\n";
+    }
   }
   return out.str();
 }
@@ -253,17 +255,11 @@ std::optional<FaultSchedule> FaultSchedule::Decode(const std::string& text) {
       }
       s.equivocators.push_back(e);
     } else if (key == "bug") {
-      if (value == "accept_2f_certs") {
-        s.bug_accept_2f_certs = true;
-      } else if (value == "skip_tusk_support") {
-        s.bug_skip_tusk_support = true;
-      } else if (value == "skip_bullshark_support") {
-        s.bug_skip_bullshark_support = true;
-      } else if (value == "skip_cross_shard_lock") {
-        s.bug_skip_cross_shard_lock = true;
-      } else {
+      const std::optional<SeededBug> bug = ParseSeededBug(value);
+      if (!bug.has_value()) {
         return std::nullopt;
       }
+      s.bugs.insert(*bug);
     } else {
       return std::nullopt;  // Unknown key: refuse to half-replay a repro.
     }

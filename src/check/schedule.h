@@ -3,17 +3,21 @@
 // A FaultSchedule is a complete, self-contained description of one fuzzed
 // experiment: committee size, run length, workload rate, the full fault
 // script (crashes, partition windows, asynchrony windows, message loss,
-// Byzantine equivocators), and any seeded-bug flags (mutation testing). The
+// Byzantine equivocators), and any seeded bugs (mutation testing). The
 // ScheduleGenerator draws one deterministically from a seed; Encode/Decode
 // round-trip a schedule through the text repro format `ntcheck --replay`
 // consumes, so a shrunk failure replays bit-for-bit from a checked-in file.
 #ifndef SRC_CHECK_SCHEDULE_H_
 #define SRC_CHECK_SCHEDULE_H_
 
+#include <array>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/seeded_bugs.h"
 #include "src/common/time.h"
 #include "src/runtime/cluster.h"
 #include "src/types/types.h"
@@ -25,6 +29,38 @@ inline bool IsCheckedSystem(SystemKind kind) {
   return kind == SystemKind::kTusk || kind == SystemKind::kNarwhalHs ||
          kind == SystemKind::kBullshark;
 }
+
+// One row per seeded mutation (src/common/seeded_bugs.h), in SeededBug order
+// (which is also the order repro files list them). Everything that names a
+// mutation or pins a fuzz run for it reads this table: the repro codec,
+// `ntcheck --bug` and the mutation gate (tests/check_test.cpp).
+struct SeededBugRow {
+  SeededBug bug;
+  // The one spelling of `ntcheck --bug NAME` and the repro line `bug=NAME`.
+  const char* name;
+  // The system every seed is pinned to, when the seed draw (frozen at the
+  // Tusk / Narwhal-HS choice) never reaches the bug's code.
+  std::optional<SystemKind> system;
+  // Execution lanes every seed runs with (the seed draw never adds lanes).
+  uint32_t lanes;
+  // The invariants a violation must name for the gate to count the catch.
+  std::array<std::string_view, 2> caught_by;
+};
+
+inline constexpr SeededBugRow kSeededBugRows[] = {
+    {SeededBug::kAccept2fCerts, "accept_2f_certs", std::nullopt, 1, {"cert-uniqueness"}},
+    {SeededBug::kSkipTuskSupport, "skip_tusk_support", std::nullopt, 1, {"oracle-agreement"}},
+    {SeededBug::kSkipBullsharkSupport, "skip_bullshark_support", SystemKind::kBullshark, 1,
+     {"oracle-agreement", "prefix-consistency"}},
+    {SeededBug::kSkipCrossShardLock, "skip_cross_shard_lock", std::nullopt, 4,
+     {"shard-conservation", "shard-oracle"}},
+};
+
+static_assert(std::size(kSeededBugRows) == static_cast<size_t>(SeededBug::kSkipCrossShardLock) + 1,
+              "one kSeededBugRows row per SeededBug");
+
+// The mutation spelled `name`, if any.
+std::optional<SeededBug> ParseSeededBug(std::string_view name);
 
 struct FaultSchedule {
   uint64_t seed = 1;
@@ -78,10 +114,7 @@ struct FaultSchedule {
 
   // Seeded protocol weakenings active during the run (mutation testing; see
   // src/common/seeded_bugs.h). Serialized so repro files are self-contained.
-  bool bug_accept_2f_certs = false;
-  bool bug_skip_tusk_support = false;
-  bool bug_skip_bullshark_support = false;
-  bool bug_skip_cross_shard_lock = false;
+  SeededBugSet bugs;
 
   // Global stabilization time: the end of the last partition/asynchrony
   // window (0 when none), extended by the in-flight tail of delayed

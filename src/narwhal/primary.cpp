@@ -4,22 +4,9 @@
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
-#include "src/common/seeded_bugs.h"
 #include "src/narwhal/archive.h"
 
 namespace nt {
-
-namespace {
-// Votes needed before a proposal certifies. The honest value is 2f+1; the
-// seeded accept_2f_certs mutation drops it to 2f, breaking quorum
-// intersection (mutation-tests the DST harness, see src/common/seeded_bugs.h).
-uint32_t CertVoteThreshold(const Committee& committee) {
-  // ntlint:allow(quorum-arith): deliberate seeded mutation — 2f (not 2f+1) breaks quorum intersection to mutation-test the DST harness
-  return seeded_bugs::accept_2f_certs ? std::max(1u, 2 * committee.f())
-                                      : committee.quorum_threshold();
-}
-
-}  // namespace
 
 Primary::Primary(ValidatorId id, const Committee& committee, const NarwhalConfig& config,
                  Network* network, const Topology* topology, Signer* signer)
@@ -369,7 +356,7 @@ void Primary::ProposeNow() {
   // digest differs) and no payload — and split the committee into disjoint
   // halves: the first half receives only A, the second half only B. Both
   // proposals are tracked and self-voted: with an honest 2f+1 quorum the
-  // halves cannot both certify, but under the seeded accept_2f_certs
+  // halves cannot both certify, but under the seeded kAccept2fCerts
   // weakening the disjoint vote sets intersect in no honest validator and
   // two conflicting certificates for (round, author) form.
   FaultController* faults = network_->faults();
@@ -412,7 +399,7 @@ void Primary::ProposeNow() {
   }
 
   // n = 1 degenerate committees certify immediately.
-  if (proposal.votes.size() >= CertVoteThreshold(committee_)) {
+  if (proposal.votes.size() >= NarwhalCertQuorum(committee_)) {
     FormCertificate(proposal);
   }
 }
@@ -616,14 +603,14 @@ void Primary::HandleVote(const Vote& vote) {
     return;
   }
   proposal.votes[vote.voter] = vote.sig;
-  if (proposal.votes.size() >= CertVoteThreshold(committee_)) {
+  if (proposal.votes.size() >= NarwhalCertQuorum(committee_)) {
     FormCertificate(proposal);
   }
 }
 
 void Primary::FormCertificate(Proposal& proposal) {
   Certificate cert(proposal.digest, proposal.header->round, id_,
-                   VoteList::Quorum(proposal.votes, CertVoteThreshold(committee_)));
+                   VoteList::Quorum(proposal.votes, NarwhalCertQuorum(committee_)));
   ++certs_formed_;
   Digest digest = proposal.digest;  // Copy: erasing invalidates `proposal`.
   NT_TRACE(tracer_, OnCertFormed(id_, digest, cert.round, network_->scheduler()->now()));

@@ -13,6 +13,17 @@ namespace {
 // Period of the tracer's gauge samples (StartGaugeSampling).
 constexpr TimeDelta kTraceGaugeInterval = Millis(100);
 
+// Baseline-HS proposals carry raw transactions, up to 500 KB per block; a
+// transaction is proposable 200 ms after submission (gossip spread), and each
+// validator flushes its gossip traffic every 50 ms.
+constexpr uint64_t kBaselineMaxBlockBytes = 500 * 1000;
+constexpr TimeDelta kBaselineGossipInterval = Millis(50);
+constexpr TimeDelta kBaselineGossipDelay = Millis(200);
+// Batched-HS proposals carry at most 128 batch digests (4 KB): the bound that
+// throttles Batched-HS catch-up after stalls, while a single Narwhal
+// certificate commits its entire causal history (§7.3).
+constexpr uint64_t kBatchedMaxDigestsPerBlock = 128;
+
 // Every system's display name, the lowercase name flags and repro files
 // spell, and which nodes each validator runs: a Narwhal mempool (primary
 // and workers) and/or a HotStuff consensus node. In SystemKind order.
@@ -203,7 +214,7 @@ void Cluster::BuildValidator(ValidatorId v) {
           return holder != nullptr ? holder->GetBatch(ref.digest) : nullptr;
         });
     ShardedExecutor* executor = validator.executor.get();
-    executor->set_on_executed([this, v, executor](const Digest&, const std::vector<Digest>&) {
+    executor->add_on_executed([this, v, executor](const Digest&, const std::vector<Digest>&) {
       metrics_.OnExecuted(v, executor->applied_txs(), executor->rejected_txs(),
                           executor->cross_shard_txs());
     });
@@ -233,14 +244,14 @@ void Cluster::MakeConsensus(ValidatorId v) {
       if (shared_pool_ == nullptr) {
         shared_pool_ = std::make_unique<SharedTxPool>();
       }
-      validator.provider = std::make_unique<BaselineProvider>(
-          v, shared_pool_.get(), config_.max_block_bytes, config_.gossip_interval,
-          config_.gossip_delay);
+      validator.provider =
+          std::make_unique<BaselineProvider>(v, shared_pool_.get(), kBaselineMaxBlockBytes,
+                                             kBaselineGossipInterval, kBaselineGossipDelay);
       break;
     case SystemKind::kBatchedHs:
       validator.provider = std::make_unique<BatchedProvider>(
           v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
-          config_.max_digests_per_block, &directory_);
+          kBatchedMaxDigestsPerBlock, &directory_);
       break;
     case SystemKind::kNarwhalHs:
       validator.provider = std::make_unique<NarwhalProvider>(primary, gc_depth);

@@ -86,16 +86,6 @@ struct ClusterConfig {
   // Tracer, wires emit points through every node, and samples per-node
   // gauges every 100 ms once StartGaugeSampling is called.
   bool trace = false;
-
-  // Baseline/batched parameters. Baseline proposals carry raw transactions
-  // up to 500KB. Batched proposals follow the paper's 1KB consensus block:
-  // ~32 batch digests per proposal — the bound that throttles Batched-HS
-  // catch-up after stalls, while a single Narwhal certificate commits its
-  // entire causal history (§7.3).
-  uint64_t max_block_bytes = 500 * 1000;
-  TimeDelta gossip_interval = Millis(50);
-  TimeDelta gossip_delay = Millis(200);
-  uint64_t max_digests_per_block = 128;
 };
 
 // What a validator's consensus store holds: the commit log's records, the

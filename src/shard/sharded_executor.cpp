@@ -75,13 +75,16 @@ void ShardedExecutor::Drain() {
     ExecuteHeader(batches);
     ++executed_headers_;
     const bool traced = tracer_ != nullptr && scheduler_ != nullptr;
-    if (traced || on_executed_) {
+    if (traced || !on_executed_.empty()) {
       const Digest digest = header->ComputeDigest();
       if (traced) {
         tracer_->OnExecuted(validator_, digest, scheduler_->now());
       }
-      if (on_executed_) {
-        on_executed_(digest, LaneDigests());
+      if (!on_executed_.empty()) {
+        const std::vector<Digest> lanes = LaneDigests();
+        for (const auto& hook : on_executed_) {
+          hook(digest, lanes);
+        }
       }
     }
     queue_.pop_front();
@@ -131,7 +134,7 @@ void ShardedExecutor::ExecuteHeader(const std::vector<std::shared_ptr<const Batc
   for (const auto& [wire, tx, src, dst] : cross) {
     ++cross_shard_txs_;
     bool locked;
-    if (seeded_bugs::skip_cross_shard_lock) {
+    if (seeded_bugs::On(SeededBug::kSkipCrossShardLock)) {
       // Seeded bug: the lock epoch (funds check + source debit) is skipped
       // outright and the credit applies unconditionally — supply inflates.
       locked = true;

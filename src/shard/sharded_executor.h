@@ -52,11 +52,12 @@ class ShardedExecutor {
 
   // Fired after each header finishes executing (all lanes advanced, cross-
   // shard boundary processed) with the header digest and every lane's
-  // state digest — the DST harness compares these vectors across validators.
-  void set_on_executed(
+  // state digest, in the order the hooks were added — the DST harness
+  // compares these vectors across validators.
+  void add_on_executed(
       std::function<void(const Digest& header_digest, const std::vector<Digest>& lane_digests)>
           hook) {
-    on_executed_ = std::move(hook);
+    on_executed_.push_back(std::move(hook));
   }
 
   uint32_t num_lanes() const { return static_cast<uint32_t>(lanes_.size()); }
@@ -87,7 +88,7 @@ class ShardedExecutor {
   std::deque<std::shared_ptr<const BlockHeader>> queue_;
   uint64_t executed_headers_ = 0;
   uint64_t cross_shard_txs_ = 0;
-  std::function<void(const Digest&, const std::vector<Digest>&)> on_executed_;
+  std::vector<std::function<void(const Digest&, const std::vector<Digest>&)>> on_executed_;
   Tracer* tracer_ = nullptr;
   ValidatorId validator_ = 0;
   Scheduler* scheduler_ = nullptr;

@@ -18,7 +18,7 @@ bool Tusk::Supported(uint64_t /*wave*/, const Certificate& leader) const {
   // commit every elected leader present in the local view — validators with
   // different views then commit different leader chains (detected by the DST
   // harness's prefix-consistency and oracle invariants).
-  if (seeded_bugs::skip_tusk_support) {
+  if (seeded_bugs::On(SeededBug::kSkipTuskSupport)) {
     return true;
   }
   return DirectSupport(leader) >= committee().validity_threshold();

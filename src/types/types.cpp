@@ -8,6 +8,15 @@
 #include "src/store/record.h"
 
 namespace nt {
+
+uint32_t NarwhalCertQuorum(const Committee& committee) {
+  if (seeded_bugs::On(SeededBug::kAccept2fCerts)) {
+    // ntlint:allow(quorum-arith): deliberate seeded mutation — 2f (not 2f+1) breaks quorum intersection to mutation-test the DST harness
+    return std::max(1u, 2 * committee.f());
+  }
+  return committee.quorum_threshold();
+}
+
 namespace {
 
 // Fixed wire-size contributions (bytes). Signatures are 64, digests 32.
@@ -16,13 +25,9 @@ constexpr size_t kDigestSize = 32;
 
 // Quorum size, distinct known voters — everything except signatures.
 bool CertStructureOk(const Committee& committee, const SignedVotes& set) {
-  // Honest threshold is 2f+1 for every kind; the seeded accept_2f_certs
-  // mutation accepts Narwhal certificates of 2f (breaks quorum intersection —
-  // see src/common/seeded_bugs.h).
-  const bool weakened =
-      seeded_bugs::accept_2f_certs && set.kind == VerifiedCertCache::Kind::kNarwhal;
-  // ntlint:allow(quorum-arith): deliberate seeded mutation — 2f (not 2f+1) breaks quorum intersection to mutation-test the DST harness
-  uint32_t threshold = weakened ? std::max(1u, 2 * committee.f()) : committee.quorum_threshold();
+  const uint32_t threshold = set.kind == VerifiedCertCache::Kind::kNarwhal
+                                 ? NarwhalCertQuorum(committee)
+                                 : committee.quorum_threshold();
   return set.votes.size() >= threshold && committee.DistinctMembers(set.votes);
 }
 

@@ -227,6 +227,11 @@ class VoteList {
   uint32_t offset_ = 0;
 };
 
+// Votes a Narwhal certificate of availability needs, to form (Primary) and
+// to pass the structure check: 2f+1, or 2f under the seeded kAccept2fCerts
+// mutation, which breaks quorum intersection (src/common/seeded_bugs.h).
+uint32_t NarwhalCertQuorum(const Committee& committee);
+
 // A certificate of any kind as VerifySignedVotes sees it: (kind, subject,
 // round, author) is what it certifies (see VerifiedCertCache::Claim), and
 // `preimage` builds from them what every vote signs, only for a set whose
@@ -241,11 +246,11 @@ struct SignedVotes {
 };
 
 // The verification kernel of every certificate kind. Per set: >= 2f+1
-// distinct committee voters (2f for Narwhal certificates under the seeded
-// accept_2f_certs mutation), then a probe of `cache` on the list's own
-// bytes; then one batched flush over every unverified set's signatures. True
-// iff every set is valid. Each valid set lands in `cache`, if given, even
-// when another fails; a null `cache` memoizes nothing.
+// distinct committee voters (NarwhalCertQuorum for Narwhal certificates),
+// then a probe of `cache` on the list's own bytes; then one batched flush
+// over every unverified set's signatures. True iff every set is valid. Each
+// valid set lands in `cache`, if given, even when another fails; a null
+// `cache` memoizes nothing.
 bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& committee,
                        const Signer& verifier, VerifiedCertCache* cache);
 

@@ -346,12 +346,12 @@ TEST(ByzantineTest, EquivocationHookHarmlessUnderHonestQuorum) {
 }
 
 // Weakening the certificate quorum to 2f signatures (the seeded
-// accept_2f_certs mutation) removes the intersection argument: the same
+// kAccept2fCerts mutation) removes the intersection argument: the same
 // schedule must now produce two distinct certificates for one
 // (round, author) — and the cert-uniqueness invariant must say so.
 TEST(ByzantineTest, EquivocationCertifiesDoublyUnderWeakenedQuorum) {
   FaultSchedule s = EquivocatorSchedule();
-  s.bug_accept_2f_certs = true;
+  s.bugs.insert(SeededBug::kAccept2fCerts);
   CheckResult result = RunSchedule(s);
   bool cert_uniqueness = false;
   for (const Violation& v : result.violations) {

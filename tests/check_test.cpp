@@ -7,6 +7,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,6 +18,10 @@
 #include "src/sim/timers.h"
 
 namespace nt {
+
+// Names a MutationGateTest parameter in gtest's output.
+void PrintTo(const SeededBugRow& row, std::ostream* os) { *os << row.name; }
+
 namespace {
 
 TEST(ScheduleTest, GeneratorIsDeterministic) {
@@ -36,14 +41,18 @@ TEST(ScheduleTest, EncodeDecodeRoundTrip) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     FaultSchedule s = GenerateSchedule(seed);
     if (seed % 2 == 0) {
-      s.bug_accept_2f_certs = true;
+      s.bugs.insert(SeededBug::kAccept2fCerts);
     }
     if (seed % 3 == 0) {
-      s.bug_skip_tusk_support = true;
+      s.bugs.insert(SeededBug::kSkipTuskSupport);
     }
     if (seed % 5 == 0) {
       s.system = SystemKind::kBullshark;
-      s.bug_skip_bullshark_support = true;
+      s.bugs.insert(SeededBug::kSkipBullsharkSupport);
+    }
+    if (seed % 7 == 0) {
+      s.shards = 4;
+      s.bugs.insert(SeededBug::kSkipCrossShardLock);
     }
     std::optional<FaultSchedule> decoded = FaultSchedule::Decode(s.Encode());
     ASSERT_TRUE(decoded.has_value()) << "seed " << seed;
@@ -77,6 +86,28 @@ TEST(ScheduleTest, SystemNamesRoundTripForAllSixKinds) {
   EXPECT_TRUE(IsCheckedSystem(SystemKind::kBullshark));
   EXPECT_FALSE(ParseSystem("Tusk").has_value());  // The display name is not a flag.
   EXPECT_FALSE(ParseSystem("").has_value());
+}
+
+// Every mutation's one name round-trips through the repro codec and the
+// `ntcheck --bug` parser; the retired `_votes` spelling is refused by both.
+TEST(ScheduleTest, SeededBugNamesRoundTripThroughReproAndFlag) {
+  for (const SeededBugRow& row : kSeededBugRows) {
+    EXPECT_EQ(&kSeededBugRows[static_cast<size_t>(row.bug)], &row) << "rows follow the enum";
+    EXPECT_EQ(ParseSeededBug(row.name), row.bug) << row.name;
+    FaultSchedule s = GenerateSchedule(7);
+    s.bugs.insert(row.bug);
+    const std::string encoded = s.Encode();
+    EXPECT_NE(encoded.find(std::string("\nbug=") + row.name + "\n"), std::string::npos)
+        << row.name;
+    std::optional<FaultSchedule> decoded = FaultSchedule::Decode(encoded);
+    ASSERT_TRUE(decoded.has_value()) << row.name;
+    EXPECT_TRUE(decoded->bugs.contains(row.bug)) << row.name;
+    EXPECT_EQ(decoded->Encode(), encoded) << row.name;
+  }
+  EXPECT_FALSE(ParseSeededBug("skip_bullshark_support_votes").has_value());
+  EXPECT_FALSE(FaultSchedule::Decode("seed=1\nvalidators=4\nduration_us=1000000\n"
+                                     "bug=skip_bullshark_support_votes\n")
+                   .has_value());
 }
 
 TEST(ScheduleTest, DecodeRejectsMalformedInput) {
@@ -125,14 +156,14 @@ TEST(ScheduleTest, ShardsAndCrossShardBugRoundTrip) {
   EXPECT_EQ(s.Encode().find("shards="), std::string::npos);
 
   s.shards = 4;
-  s.bug_skip_cross_shard_lock = true;
+  s.bugs.insert(SeededBug::kSkipCrossShardLock);
   std::string text = s.Encode();
   EXPECT_NE(text.find("shards=4"), std::string::npos);
   EXPECT_NE(text.find("bug=skip_cross_shard_lock"), std::string::npos);
   std::optional<FaultSchedule> decoded = FaultSchedule::Decode(text);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shards, 4u);
-  EXPECT_TRUE(decoded->bug_skip_cross_shard_lock);
+  EXPECT_TRUE(decoded->bugs.contains(SeededBug::kSkipCrossShardLock));
   EXPECT_EQ(decoded->Encode(), text);
 
   // A schedule with no execution lanes at all is malformed, not "lanes off".
@@ -177,21 +208,6 @@ TEST(ScheduleTest, GeneratedFaultsRespectTheByzantineBudget) {
   }
 }
 
-// Finds the first seed in [1, 64] whose schedule (with `mutate` applied)
-// fails the checker, alternating the system by seed parity so both stacks
-// get half the budget (as `ntcheck --system both` does).
-std::optional<FaultSchedule> FirstFailing(void (*mutate)(FaultSchedule&)) {
-  for (uint64_t seed = 1; seed <= 64; ++seed) {
-    SystemKind system = (seed % 2 == 0) ? SystemKind::kTusk : SystemKind::kNarwhalHs;
-    FaultSchedule s = GenerateSchedule(seed, system);
-    mutate(s);
-    if (!RunSchedule(s).ok()) {
-      return s;
-    }
-  }
-  return std::nullopt;
-}
-
 // Every node timer's longest gap, against the stressed liveness slack. Three
 // loops back off past it: a single stall of one of them can outlast the
 // window on its own (the liveness-debt candidates in ROADMAP). Capping them
@@ -215,106 +231,50 @@ TEST(RetryTableTest, ExactlyThreeRetriesOutlastTheStressedSlack) {
   EXPECT_EQ(above_slack, 3);
 }
 
-TEST(MutationGateTest, AcceptTwoFCertsIsCaughtAndShrinks) {
-  std::optional<FaultSchedule> failing =
-      FirstFailing([](FaultSchedule& s) { s.bug_accept_2f_certs = true; });
-  ASSERT_TRUE(failing.has_value())
-      << "weakened cert quorum (2f signatures) survived 64 fuzz seeds";
+// One gate per kSeededBugRows row: the first seed in [1, 64] whose schedule
+// fails the checker with the bug on, pinned as the row asks (its system, or
+// else Tusk on even seeds and Narwhal-HS on odd ones so both stacks get half
+// the budget; and its lane count), must shrink to a small repro that a
+// violation of one of the row's invariants still names — the catch is the
+// bug's own invariant, not merely a downstream symptom.
+class MutationGateTest : public ::testing::TestWithParam<SeededBugRow> {};
 
-  ShrinkResult shrunk = Shrink(*failing);
-  EXPECT_FALSE(shrunk.verdict.ok());
-  EXPECT_LE(shrunk.schedule.validators, 4u);
-  EXPECT_LE(shrunk.schedule.FaultCount(), 2u);
-  // The weakening breaks quorum intersection; the checker must pin it on
-  // certificate uniqueness (§4.3), not merely downstream symptoms.
-  bool cert_uniqueness = false;
-  for (const Violation& v : shrunk.verdict.violations) {
-    cert_uniqueness |= v.invariant == "cert-uniqueness";
-  }
-  EXPECT_TRUE(cert_uniqueness) << shrunk.verdict.Summary();
-}
-
-TEST(MutationGateTest, SkipTuskSupportIsCaughtAndShrinks) {
-  std::optional<FaultSchedule> failing =
-      FirstFailing([](FaultSchedule& s) { s.bug_skip_tusk_support = true; });
-  ASSERT_TRUE(failing.has_value())
-      << "skipped f+1 support check survived 64 fuzz seeds";
-
-  ShrinkResult shrunk = Shrink(*failing);
-  EXPECT_FALSE(shrunk.verdict.ok());
-  EXPECT_LE(shrunk.schedule.validators, 4u);
-  EXPECT_LE(shrunk.schedule.FaultCount(), 2u);
-  // Committing an unsupported leader diverges from the §5 reference replay.
-  bool oracle = false;
-  for (const Violation& v : shrunk.verdict.violations) {
-    oracle |= v.invariant == "oracle-agreement";
-  }
-  EXPECT_TRUE(oracle) << shrunk.verdict.Summary();
-}
-
-TEST(MutationGateTest, SkipBullsharkSupportVotesIsCaughtAndShrinks) {
-  // The seed draw never picks Bullshark, so this gate pins the system on
-  // every seed (as `ntcheck --bug skip_bullshark_support_votes` does)
-  // instead of alternating by parity.
+TEST_P(MutationGateTest, IsCaughtAndShrinks) {
+  const SeededBugRow& row = GetParam();
   std::optional<FaultSchedule> failing;
-  for (uint64_t seed = 1; seed <= 64; ++seed) {
-    FaultSchedule s = GenerateSchedule(seed, SystemKind::kBullshark);
-    s.bug_skip_bullshark_support = true;
+  for (uint64_t seed = 1; seed <= 64 && !failing.has_value(); ++seed) {
+    FaultSchedule s = GenerateSchedule(
+        seed, row.system.value_or(seed % 2 == 0 ? SystemKind::kTusk : SystemKind::kNarwhalHs));
+    s.shards = row.lanes;
+    s.bugs.insert(row.bug);
     if (!RunSchedule(s).ok()) {
       failing = s;
-      break;
     }
   }
-  ASSERT_TRUE(failing.has_value())
-      << "weakened bullshark support quorum (f votes) survived 64 fuzz seeds";
+  ASSERT_TRUE(failing.has_value()) << row.name << " survived 64 fuzz seeds";
 
   ShrinkResult shrunk = Shrink(*failing);
   EXPECT_FALSE(shrunk.verdict.ok());
   EXPECT_LE(shrunk.schedule.validators, 4u);
   EXPECT_LE(shrunk.schedule.FaultCount(), 2u);
-  // Committing on f support votes breaks quorum intersection: the live rule
-  // orders anchors the honest f+1 reference replay skips, so the checker
-  // must pin the divergence on oracle agreement (or the resulting fork).
-  bool ordering = false;
-  for (const Violation& v : shrunk.verdict.violations) {
-    ordering |= v.invariant == "oracle-agreement" || v.invariant == "prefix-consistency";
+  if (row.lanes > 1) {
+    // The shrinker may drop lanes to 2 (the smallest count that can cross)
+    // but never to 1, where a lane bug has no cross-shard path to fire on.
+    EXPECT_GE(shrunk.schedule.shards, 2u);
   }
-  EXPECT_TRUE(ordering) << shrunk.verdict.Summary();
-}
-
-TEST(MutationGateTest, SkipCrossShardLockIsCaughtAndShrinks) {
-  // The seed draw never enables execution lanes, so this gate pins shards=4
-  // on every seed (as `ntcheck --bug skip_cross_shard_lock` does), still
-  // alternating the system by parity.
-  std::optional<FaultSchedule> failing;
-  for (uint64_t seed = 1; seed <= 64; ++seed) {
-    SystemKind system = (seed % 2 == 0) ? SystemKind::kTusk : SystemKind::kNarwhalHs;
-    FaultSchedule s = GenerateSchedule(seed, system);
-    s.shards = 4;
-    s.bug_skip_cross_shard_lock = true;
-    if (!RunSchedule(s).ok()) {
-      failing = s;
-      break;
+  bool caught = false;
+  for (const Violation& v : shrunk.verdict.violations) {
+    for (std::string_view invariant : row.caught_by) {
+      caught |= v.invariant == invariant;
     }
   }
-  ASSERT_TRUE(failing.has_value()) << "skipped cross-shard lock survived 64 fuzz seeds";
-
-  ShrinkResult shrunk = Shrink(*failing);
-  EXPECT_FALSE(shrunk.verdict.ok());
-  EXPECT_LE(shrunk.schedule.validators, 4u);
-  EXPECT_LE(shrunk.schedule.FaultCount(), 2u);
-  // The shrinker may drop lanes to 2 (the smallest count that can cross) but
-  // never to 1, where the bug has no cross-shard path left to fire on.
-  EXPECT_GE(shrunk.schedule.shards, 2u);
-  // Every validator computes the same wrong answer, so agreement can't see
-  // it: the catch must come from the conservation check or the honest
-  // ReplayShards oracle.
-  bool shard_invariant = false;
-  for (const Violation& v : shrunk.verdict.violations) {
-    shard_invariant |= v.invariant == "shard-conservation" || v.invariant == "shard-oracle";
-  }
-  EXPECT_TRUE(shard_invariant) << shrunk.verdict.Summary();
+  EXPECT_TRUE(caught) << row.name << ": " << shrunk.verdict.Summary();
 }
+
+INSTANTIATE_TEST_SUITE_P(Rows, MutationGateTest, ::testing::ValuesIn(kSeededBugRows),
+                         [](const ::testing::TestParamInfo<SeededBugRow>& row) {
+                           return std::string(row.param.name);
+                         });
 
 }  // namespace
 }  // namespace nt

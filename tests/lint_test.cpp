@@ -957,8 +957,7 @@ TEST(RealTree, SeededQuorumBugsAreExplicitlyAnnotated) {
   Summary s = LintPaths({std::string(NT_SOURCE_DIR) + "/src"});
   int seeded_sites = 0;
   for (const FileReport& f : s.files) {
-    const bool seeded_file = f.path.find("src/types/types.cpp") != std::string::npos ||
-                             f.path.find("src/narwhal/primary.cpp") != std::string::npos;
+    const bool seeded_file = f.path.find("src/types/types.cpp") != std::string::npos;
     for (const Finding& fnd : f.findings) {
       if (seeded_file && fnd.rule == kRuleQuorumArith) {
         EXPECT_TRUE(fnd.suppressed) << f.path << ":" << fnd.line;
@@ -967,7 +966,7 @@ TEST(RealTree, SeededQuorumBugsAreExplicitlyAnnotated) {
       }
     }
   }
-  EXPECT_EQ(seeded_sites, 2);  // CertStructureOk and CertVoteThreshold.
+  EXPECT_EQ(seeded_sites, 1);  // NarwhalCertQuorum, the mutation's one read site.
 }
 
 // The DST harness (src/check/) computes fault budgets from committee sizes;
@@ -976,7 +975,7 @@ TEST(RealTree, SeededQuorumBugsAreExplicitlyAnnotated) {
 // same stack frame drains the scheduler) and carry explicit annotations.
 TEST(RealTree, CheckHarnessSuppressionsAreExactlyTheWorkloadLambdas) {
   Summary s = LintPaths({std::string(NT_SOURCE_DIR) + "/src/check",
-                         std::string(NT_SOURCE_DIR) + "/src/common/seeded_bugs.cpp"});
+                         std::string(NT_SOURCE_DIR) + "/src/common/seeded_bugs.h"});
   EXPECT_EQ(s.unsuppressed(), 0) << FormatSummary(s, /*verbose=*/true);
   int deferred = 0;
   for (const FileReport& f : s.files) {

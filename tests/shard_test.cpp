@@ -268,7 +268,9 @@ TEST(ShardedExecutorTest, SkipCrossShardLockInflatesTheSupply) {
   TestNet net;
   ShardedExecutor executor(kLanes, net.Source());
   {
-    seeded_bugs::Scoped bug(&seeded_bugs::skip_cross_shard_lock, true);
+    SeededBugSet lost_lock;
+    lost_lock.insert(SeededBug::kSkipCrossShardLock);
+    seeded_bugs::Scoped bug(lost_lock);
     // `a` was never funded: an honest lock rejects this transfer. With the
     // lock skipped the credit lands anyway — tokens out of thin air.
     executor.OnCommittedHeader(
@@ -286,7 +288,7 @@ TEST(ReplayShardsTest, AgreesWithTheLiveExecutor) {
   TestNet net;
   ShardedExecutor live(kLanes, net.Source());
   std::vector<std::vector<Digest>> live_lanes;
-  live.set_on_executed([&live_lanes](const Digest&, const std::vector<Digest>& lanes) {
+  live.add_on_executed([&live_lanes](const Digest&, const std::vector<Digest>& lanes) {
     live_lanes.push_back(lanes);
   });
 
@@ -327,11 +329,13 @@ TEST(ReplayShardsTest, DivergesFromABuggyLiveExecutor) {
 
   ShardedExecutor live(kLanes, net.Source());
   std::vector<std::vector<Digest>> live_lanes;
-  live.set_on_executed([&live_lanes](const Digest&, const std::vector<Digest>& lanes) {
+  live.add_on_executed([&live_lanes](const Digest&, const std::vector<Digest>& lanes) {
     live_lanes.push_back(lanes);
   });
   {
-    seeded_bugs::Scoped bug(&seeded_bugs::skip_cross_shard_lock, true);
+    SeededBugSet lost_lock;
+    lost_lock.insert(SeededBug::kSkipCrossShardLock);
+    seeded_bugs::Scoped bug(lost_lock);
     live.OnCommittedHeader(headers[0]);
   }
 

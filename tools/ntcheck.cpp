@@ -4,7 +4,8 @@
 //   ntcheck --seeds 64 --start 1000    ... starting from seed 1000
 //   ntcheck --system tusk              pin the system (default: seed picks)
 //   ntcheck --shards 4                 pin execution lanes per validator
-//   ntcheck --bug accept_2f_certs      mutation mode: enable a seeded bug
+//   ntcheck --bug NAME                 mutation mode: enable a seeded bug
+//                                      (repeatable; names in kSeededBugRows)
 //   ntcheck --replay FILE              replay one repro file
 //   ntcheck --corpus FILE              replay every repro block in FILE
 //   ntcheck --no-shrink                report failures without minimizing
@@ -75,10 +76,7 @@ int main(int argc, char** argv) {
   std::optional<SystemKind> system;
   bool both_systems = false;
   bool shrink = true;
-  bool bug_accept_2f = false;
-  bool bug_skip_support = false;
-  bool bug_skip_bullshark = false;
-  bool bug_skip_cross_lock = false;
+  nt::SeededBugSet bugs;
   std::optional<uint32_t> shards;
   std::string replay_path;
   std::string corpus_path;
@@ -118,18 +116,12 @@ int main(int argc, char** argv) {
       shards = static_cast<uint32_t>(v);
     } else if (arg == "--bug") {
       std::string v = next();
-      if (v == "accept_2f_certs") {
-        bug_accept_2f = true;
-      } else if (v == "skip_tusk_support") {
-        bug_skip_support = true;
-      } else if (v == "skip_bullshark_support_votes") {
-        bug_skip_bullshark = true;
-      } else if (v == "skip_cross_shard_lock") {
-        bug_skip_cross_lock = true;
-      } else {
+      std::optional<nt::SeededBug> bug = nt::ParseSeededBug(v);
+      if (!bug.has_value()) {
         std::fprintf(stderr, "unknown bug '%s'\n", v.c_str());
         return 2;
       }
+      bugs.insert(*bug);
     } else if (arg == "--replay") {
       replay_path = next();
     } else if (arg == "--corpus") {
@@ -145,13 +137,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--help" || arg == "-h") {
+      std::string bug_names;
+      for (const nt::SeededBugRow& row : nt::kSeededBugRows) {
+        bug_names += (bug_names.empty() ? "" : "|") + std::string(row.name);
+      }
       std::printf(
           "usage: ntcheck [--seeds N] [--start S] [--system tusk|narwhal-hs|bullshark|both]\n"
           "               [--shards S]\n"
-          "               [--bug accept_2f_certs|skip_tusk_support|skip_bullshark_support_votes"
-          "|skip_cross_shard_lock]\n"
+          "               [--bug %s]\n"
           "               [--replay FILE] [--corpus FILE] [--no-shrink] [--out FILE]\n"
-          "               [--jobs N]\n");
+          "               [--jobs N]\n",
+          bug_names.c_str());
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
@@ -225,16 +221,19 @@ int main(int argc, char** argv) {
     return failures > 0 ? 1 : 0;
   }
 
-  // The seed draw never picks Bullshark (frozen at the historical two-way
-  // choice for corpus stability), so its mutation can only surface on pinned
-  // schedules: default the pin when the bug asks for it.
-  if (bug_skip_bullshark && !system.has_value() && !both_systems) {
-    system = SystemKind::kBullshark;
-  }
-  // Likewise the seed draw never enables execution lanes; the cross-shard
-  // mutation needs them, so default the pin to the CI shard band's width.
-  if (bug_skip_cross_lock && !shards.has_value()) {
-    shards = 4;
+  // The seed draw never picks Bullshark nor adds execution lanes (frozen for
+  // corpus stability), so a mutation that needs either surfaces only on
+  // pinned schedules: default each pin its row asks for.
+  for (const nt::SeededBugRow& row : nt::kSeededBugRows) {
+    if (!bugs.contains(row.bug)) {
+      continue;
+    }
+    if (row.system.has_value() && !system.has_value() && !both_systems) {
+      system = row.system;
+    }
+    if (row.lanes > 1 && !shards.has_value()) {
+      shards = row.lanes;
+    }
   }
 
   auto run_seed = [&](uint64_t i) {
@@ -247,16 +246,12 @@ int main(int argc, char** argv) {
     if (shards.has_value()) {
       schedule.shards = *shards;
     }
-    schedule.bug_accept_2f_certs = bug_accept_2f;
-    schedule.bug_skip_tusk_support = bug_skip_support;
-    schedule.bug_skip_bullshark_support = bug_skip_bullshark;
-    schedule.bug_skip_cross_shard_lock = bug_skip_cross_lock;
+    schedule.bugs = bugs;
     // Determinism self-check piggybacks on the first schedule of each batch.
     run_one(schedule, /*self_check=*/i == 0);
   };
 
-  if (jobs > 1 && (bug_accept_2f || bug_skip_support || bug_skip_bullshark ||
-                   bug_skip_cross_lock)) {
+  if (jobs > 1 && !bugs.empty()) {
     std::fprintf(stderr, "note: --bug stops at the first violation; ignoring --jobs\n");
     jobs = 1;
   }
@@ -286,8 +281,7 @@ int main(int argc, char** argv) {
   } else {
     for (uint64_t i = 0; i < seeds; ++i) {
       run_seed(i);
-      if (failures > 0 &&
-          (bug_accept_2f || bug_skip_support || bug_skip_bullshark || bug_skip_cross_lock)) {
+      if (failures > 0 && !bugs.empty()) {
         break;  // Mutation mode: first caught violation proves the point.
       }
     }
