@@ -59,6 +59,13 @@ inline constexpr SeededBugRow kSeededBugRows[] = {
 static_assert(std::size(kSeededBugRows) == static_cast<size_t>(SeededBug::kSkipCrossShardLock) + 1,
               "one kSeededBugRows row per SeededBug");
 
+// The system `ntcheck --system both` and the mutation gate run `seed` on when
+// no row pins one: Tusk on even seeds and Narwhal-HS on odd ones, so both
+// stacks get half of any seed band and a gate seed replays as itself.
+inline SystemKind AlternateSystem(uint64_t seed) {
+  return seed % 2 == 0 ? SystemKind::kTusk : SystemKind::kNarwhalHs;
+}
+
 // The mutation spelled `name`, if any.
 std::optional<SeededBug> ParseSeededBug(std::string_view name);
 

@@ -50,12 +50,6 @@ class Rng {
     return dist(engine_);
   }
 
-  // Normal with the given mean and standard deviation.
-  double NextNormal(double mean, double stddev) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
-  }
-
   bool NextBool(double p_true) { return NextDouble() < p_true; }
 
   std::mt19937_64& engine() { return engine_; }

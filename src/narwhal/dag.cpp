@@ -16,9 +16,13 @@ bool Dag::AddCertificate(CertPtr cert) {
   if (it != round_map.end()) {
     if (it->second->header_digest != cert->header_digest) {
       // Two certificates for the same (round, author) require honest voters
-      // to have double-signed — impossible under f < n/3.
-      LOG_ERROR() << "conflicting certificates for round " << cert->round << " author "
-                  << cert->author;
+      // to have double-signed — impossible under f < n/3. Only the first is
+      // logged: a broken quorum rule repeats it on every delivery.
+      if (!conflict_logged_) {
+        conflict_logged_ = true;
+        LOG_ERROR() << "conflicting certificates for round " << cert->round << " author "
+                    << cert->author << " (later conflicts in this DAG are not logged)";
+      }
       return false;
     }
     return true;  // Duplicate.

@@ -36,7 +36,8 @@ class Dag {
   // Adds a certificate, keeping the pointer it is given. Returns false (and
   // keeps the first) if a conflicting certificate for the same (round,
   // author) already exists — impossible with an honest quorum, checked
-  // defensively. Idempotent for duplicates.
+  // defensively; only the first conflict a Dag sees is logged. Idempotent
+  // for duplicates.
   bool AddCertificate(CertPtr cert);
   // Adds a copy of `cert`, which shares its buffer (recovery, tests, replay
   // tools).
@@ -137,6 +138,7 @@ class Dag {
   DigestMap<std::shared_ptr<const BlockHeader>> headers_;
   // header digest -> Citers().
   DigestMap<uint32_t> citers_;
+  bool conflict_logged_ = false;
 };
 
 }  // namespace nt

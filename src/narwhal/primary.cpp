@@ -4,7 +4,6 @@
 
 #include "src/common/codec.h"
 #include "src/common/logging.h"
-#include "src/narwhal/archive.h"
 
 namespace nt {
 
@@ -722,15 +721,11 @@ void Primary::StoreHeader(std::shared_ptr<const BlockHeader> header, const Diges
 
 void Primary::SetGcRound(Round gc_round) {
   // Re-inject own batches whose headers fell below the horizon uncommitted
-  // (paper §3.3: transaction-level fairness), and offload evicted rounds to
-  // the cold archive if one is attached (§3.3: CDN offload).
+  // (paper §3.3: transaction-level fairness).
   std::vector<Dag::Collected> collected = dag_.GarbageCollect(gc_round);
   std::set<Digest> collected_set;
   for (const Dag::Collected& record : collected) {
     collected_set.insert(record.digest);
-    if (archive_ != nullptr) {
-      archive_->Put(record);
-    }
   }
   // Advance the durable GC horizon and drop store records below it, keeping
   // the WAL bounded by the live DAG window. The meta record goes first:

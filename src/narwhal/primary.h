@@ -189,10 +189,6 @@ class Primary : public NetNode {
   // certificate's signers (no-op if already stored or already being pulled).
   void SyncHeader(const Digest& header_digest) { RequestHeader(header_digest); }
 
-  // Attaches a cold archive that receives rounds evicted by garbage
-  // collection (paper §3.3 offload). Optional; owned by the caller.
-  void set_archive(class Archive* archive) { archive_ = archive; }
-
   // Validates and stores a certificate learned out-of-band (e.g. from a
   // HotStuff proposal), pulling its header if missing. Returns false only
   // for invalid certificates. A new certificate is stored as a copy, which
@@ -217,7 +213,6 @@ class Primary : public NetNode {
   uint64_t certs_formed() const { return certs_formed_; }
   uint64_t votes_cast() const { return votes_cast_; }
   uint64_t reinjected_batches() const { return reinjected_batches_; }
-  size_t pending_payload() const { return pending_batches_.size(); }
 
  private:
   struct Proposal {
@@ -310,7 +305,6 @@ class Primary : public NetNode {
 
   std::vector<std::function<void(const Certificate&)>> on_certificate_hooks_;
   std::vector<std::function<void(const Digest&)>> on_header_stored_hooks_;
-  class Archive* archive_ = nullptr;
 
   uint64_t headers_proposed_ = 0;
   uint64_t certs_formed_ = 0;

@@ -95,11 +95,6 @@ class FaultController {
   void SetLossRate(double p) { loss_rate_ = p; }
   double loss_rate() const { return loss_rate_; }
 
-  bool AnyFaultsConfigured() const {
-    return !crash_times_.empty() || !isolations_.empty() || !async_windows_.empty() ||
-           !equivocators_.empty() || loss_rate_ > 0;
-  }
-
  private:
   struct Window {
     TimePoint start;

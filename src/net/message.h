@@ -54,9 +54,6 @@ class Message {
   // Stable type id for per-type statistics; cheaper than a name on the send
   // hot path.
   virtual MessageTypeId TypeId() const = 0;
-
-  // Short stable name for logs, resolved from the id registry.
-  const char* TypeName() const { return MessageTypeName(TypeId()); }
 };
 
 // Messages are immutable once sent; a broadcast shares one allocation.

@@ -55,7 +55,6 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
       options.sample_rate = config.narwhal.tx_sample_rate;
       options.stop_at = params.duration;
       options.resubmit_timeout = params.resubmit_timeout;
-      options.max_resubmits = params.max_resubmits;
       options.transfer = workload.get();
       clients.push_back(std::make_unique<LoadGenerator>(&cluster, v, w, options));
     }

@@ -36,9 +36,9 @@ struct ExperimentParams {
   };
   std::vector<AsyncWindow> async_windows;
 
-  // Client re-submission (0 = disabled; see LoadGenerator::Options).
+  // Client re-submission (0 = disabled; see LoadGenerator::Options, whose
+  // default caps the re-submissions).
   TimeDelta resubmit_timeout = 0;
-  uint32_t max_resubmits = 8;
 
   // Sharded execution lanes (§8.4): shards > 0 deploys a ShardedExecutor
   // with that many lanes per validator, switches every client to the

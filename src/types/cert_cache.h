@@ -5,15 +5,14 @@
 //
 // Who uses it. Every certificate kind is checked by one kernel,
 // VerifySignedVotes (src/types/types.h), which probes the cache it is given.
-// HotStuff caches its QCs and TCs; the light client and the Mempool facade
-// (Mempool::Valid) cache the certificates they are shown. The Narwhal
-// primary owns no cache: the Dag is the set of certificates that validator
-// verified, each once on first sight, and a certificate that arrives again
-// (its broadcast, a header parent, a HotStuff payload) is matched there by
-// digest. The kernel takes a null cache to mean "memoize nothing", which is
-// what the primary passes.
+// HotStuff caches its QCs and TCs; the Mempool facade (Mempool::Valid)
+// caches the certificates it is shown. The Narwhal primary owns no cache:
+// the Dag is the set of certificates that validator verified, each once on
+// first sight, and a certificate that arrives again (its broadcast, a header
+// parent, a HotStuff payload) is matched there by digest. The kernel takes a
+// null cache to mean "memoize nothing", which is what the primary passes.
 //
-// Every verifier owns its instance: HotStuff, LightClient and Mempool, and
+// Every verifier owns its instance: HotStuff and Mempool, and
 // each tool or test that verifies certificates outside a node. There is no
 // process-wide cache. The simulator runs every validator in one process, and
 // a shared cache would let validator i skip verification because validator j

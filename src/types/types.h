@@ -313,8 +313,8 @@ struct Certificate {
   // digest is verified afresh. A null `cache` memoizes nothing and checks
   // every signature. The primary passes null: its Dag is its memo, since it
   // verifies a certificate once, on first sight, and afterwards matches it
-  // by digest (see Primary::AcceptParents). Mempool::Valid and the light
-  // client pass their own caches.
+  // by digest (see Primary::AcceptParents). Mempool::Valid passes its own
+  // cache.
   // A cache is always the verifying validator's own: every simulated
   // validator does its own crypto work, as a real deployment would.
   bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;

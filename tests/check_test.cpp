@@ -37,6 +37,20 @@ TEST(ScheduleTest, SystemOverridePinsTheSystem) {
   EXPECT_EQ(GenerateSchedule(5, SystemKind::kBullshark).system, SystemKind::kBullshark);
 }
 
+// `ntcheck --system both` and the mutation gate split seeds by parity, not by
+// offset from a band's start, so each names the same system for a seed.
+TEST(ScheduleTest, AlternateSystemSplitsSeedsByParity) {
+  EXPECT_EQ(AlternateSystem(1), SystemKind::kNarwhalHs);
+  EXPECT_EQ(AlternateSystem(2), SystemKind::kTusk);
+  EXPECT_EQ(AlternateSystem(1001), SystemKind::kNarwhalHs);
+  int tusk = 0;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    EXPECT_TRUE(IsCheckedSystem(AlternateSystem(seed)));
+    tusk += AlternateSystem(seed) == SystemKind::kTusk ? 1 : 0;
+  }
+  EXPECT_EQ(tusk, 32);
+}
+
 TEST(ScheduleTest, EncodeDecodeRoundTrip) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     FaultSchedule s = GenerateSchedule(seed);
@@ -243,8 +257,7 @@ TEST_P(MutationGateTest, IsCaughtAndShrinks) {
   const SeededBugRow& row = GetParam();
   std::optional<FaultSchedule> failing;
   for (uint64_t seed = 1; seed <= 64 && !failing.has_value(); ++seed) {
-    FaultSchedule s = GenerateSchedule(
-        seed, row.system.value_or(seed % 2 == 0 ? SystemKind::kTusk : SystemKind::kNarwhalHs));
+    FaultSchedule s = GenerateSchedule(seed, row.system.value_or(AlternateSystem(seed)));
     s.shards = row.lanes;
     s.bugs.insert(row.bug);
     if (!RunSchedule(s).ok()) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "src/common/rng.h"
 
@@ -80,6 +82,28 @@ TEST(DagTest, DuplicateIsIdempotentConflictRejected) {
   conflict.author = 0;
   EXPECT_FALSE(dag.AddCertificate(conflict));  // Equivocation.
   EXPECT_EQ(dag.GetCert(1, 0)->header_digest, n.digest);
+}
+
+// A conflict is rejected every time but logged once per Dag, so a broken
+// quorum rule does not bury a run's verdict under one line per delivery.
+TEST(DagTest, LogsOnlyTheFirstConflict) {
+  Dag dag;
+  DagBuilder b;
+  b.Add(dag, 1, 0, {});
+  b.Add(dag, 2, 3, {});
+  ::testing::internal::CaptureStderr();
+  for (int i = 0; i < 3; ++i) {
+    for (auto [round, author] : {std::pair<Round, ValidatorId>{1, 0}, {2, 3}}) {
+      Certificate conflict;
+      conflict.header_digest = Sha256::Hash("other " + std::to_string(i));
+      conflict.round = round;
+      conflict.author = author;
+      EXPECT_FALSE(dag.AddCertificate(conflict));
+    }
+  }
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(logged.begin(), logged.end(), '\n'), 1) << logged;
+  EXPECT_NE(logged.find("conflicting certificates for round 1 author 0"), std::string::npos);
 }
 
 // The Dag keeps the pointer it is given: every index and the GC record hand

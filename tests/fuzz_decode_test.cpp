@@ -6,7 +6,6 @@
 
 #include "src/common/rng.h"
 #include "src/exec/state_machine.h"
-#include "src/narwhal/light_client.h"
 #include "src/runtime/cluster.h"
 #include "src/types/types.h"
 
@@ -44,10 +43,6 @@ TEST(FuzzDecodeTest, RandomGarbageNeverCrashes) {
     DecodeGarbage<VoteList>(garbage);
     DecodeGarbage<BlockHeader>(garbage);
     DecodeGarbage<Vote>(garbage);
-    {
-      Reader r(garbage);
-      (void)InclusionProof::Decode(r);
-    }
     (void)ExecTx::Decode(garbage);
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -478,6 +479,42 @@ TEST(RecoveryTest, RebuiltValidatorIsWiredLikeAFreshOne) {
                             SystemKind::kNarwhalHs}) {
     ExpectRebuiltValidatorWired(system);
   }
+}
+
+// Durability end-to-end: a cluster run with persistent worker stores leaves
+// every disseminated batch recoverable from the on-disk WAL afterwards.
+TEST(PersistenceClusterTest, WorkerBatchesSurviveOnDisk) {
+  std::string dir = ::testing::TempDir() + "nt_persist_test";
+  std::filesystem::create_directories(dir);
+  Digest batch_digest{};
+  {
+    ClusterConfig config;
+    config.system = SystemKind::kTusk;
+    config.num_validators = 4;
+    config.seed = 44;
+    config.persist_dir = dir;
+    Cluster cluster(config);
+    cluster.Start();
+    batch_digest = cluster.worker(1, 0)->SubmitBlock({{0xaa, 0xbb}});
+    cluster.scheduler().RunUntil(Seconds(3));
+    // Every validator's worker persisted the batch before acknowledging.
+    for (ValidatorId v = 0; v < 4; ++v) {
+      EXPECT_TRUE(cluster.worker(v, 0)->store().Contains(batch_digest)) << "validator " << v;
+    }
+  }
+  // "Restart": reopen validator 2's WAL and recover the batch content.
+  auto store = WalStore::Open(dir + "/worker_2_0.wal");
+  ASSERT_NE(store, nullptr);
+  EXPECT_GT(store->recovered_records(), 0u);
+  auto bytes = store->Get(batch_digest);
+  ASSERT_TRUE(bytes.has_value());
+  Reader r(*bytes);
+  auto batch = Batch::Decode(r);
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->ComputeDigest(), batch_digest);
+  ASSERT_EQ(batch->txs().size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(batch->txs()[0], Bytes{0xaa, 0xbb}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

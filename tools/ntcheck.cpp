@@ -3,6 +3,8 @@
 //   ntcheck --seeds 64                 fuzz 64 seeded fault schedules
 //   ntcheck --seeds 64 --start 1000    ... starting from seed 1000
 //   ntcheck --system tusk              pin the system (default: seed picks)
+//   ntcheck --system both              Tusk on even seeds, Narwhal-HS on odd
+//                                      ones (the mutation gate's split)
 //   ntcheck --shards 4                 pin execution lanes per validator
 //   ntcheck --bug NAME                 mutation mode: enable a seeded bug
 //                                      (repeatable; names in kSeededBugRows)
@@ -223,12 +225,13 @@ int main(int argc, char** argv) {
 
   // The seed draw never picks Bullshark nor adds execution lanes (frozen for
   // corpus stability), so a mutation that needs either surfaces only on
-  // pinned schedules: default each pin its row asks for.
+  // pinned schedules: default each pin its row asks for. A row's system pin
+  // also wins over --system both, as in the mutation gate.
   for (const nt::SeededBugRow& row : nt::kSeededBugRows) {
     if (!bugs.contains(row.bug)) {
       continue;
     }
-    if (row.system.has_value() && !system.has_value() && !both_systems) {
+    if (row.system.has_value() && !system.has_value()) {
       system = row.system;
     }
     if (row.lanes > 1 && !shards.has_value()) {
@@ -239,8 +242,8 @@ int main(int argc, char** argv) {
   auto run_seed = [&](uint64_t i) {
     uint64_t seed = start + i;
     std::optional<SystemKind> pin = system;
-    if (both_systems) {
-      pin = (i % 2 == 0) ? SystemKind::kTusk : SystemKind::kNarwhalHs;
+    if (both_systems && !pin.has_value()) {
+      pin = nt::AlternateSystem(seed);
     }
     FaultSchedule schedule = nt::GenerateSchedule(seed, pin);
     if (shards.has_value()) {
