@@ -25,7 +25,7 @@
 // waves. The schedule is a pure fold over the settled wave-outcome sequence
 // (updated only when the committed-wave cursor advances, with the pre-event
 // state used for all author lookups inside one commit event), so a replay
-// over the same outcome sequence — e.g. the ReplayBullshark oracle — derives
+// over the same outcome sequence — e.g. the ReplayCommits reference — derives
 // the identical schedule. Caveat: under extreme fault mixes, validators can
 // settle outcomes at different event granularities and transiently disagree
 // on far-future anchor authors; the flag therefore defaults to off and the
@@ -56,7 +56,7 @@ struct AnchorOutcome {
 
 // Deterministic anchor-author schedule: round-robin base, optionally
 // reputation-adjusted. Pure state machine over settled wave outcomes —
-// shared verbatim between the live committer and the ReplayBullshark oracle
+// shared verbatim between the live committer and the ReplayCommits reference
 // so both always derive the same author for the same wave.
 class AnchorSchedule {
  public:

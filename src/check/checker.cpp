@@ -330,24 +330,14 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
 
   // --- end-of-run invariants ------------------------------------------------
 
-  // (4) oracle agreement (Tusk and Bullshark): pure replay of the commit
-  // rule over the union DAG; every correct validator's live sequence must be
-  // a prefix of the reference sequence.
-  if (schedule.system == SystemKind::kTusk || schedule.system == SystemKind::kBullshark) {
-    std::vector<Digest> reference;
-    bool reference_complete = true;
-    if (schedule.system == SystemKind::kTusk) {
-      CommonCoin coin(schedule.seed);
-      TuskReplay replay =
-          ReplayTusk(union_dag, cluster.committee(), coin, config.narwhal.gc_depth);
-      reference = std::move(replay.ordered);
-      reference_complete = replay.complete;
-    } else {
-      BullsharkReplay replay = ReplayBullshark(union_dag, cluster.committee(),
-                                               config.narwhal.gc_depth, config.bullshark);
-      reference = std::move(replay.ordered);
-      reference_complete = replay.complete;
-    }
+  // (4) oracle agreement (every DAG commit rule): pure replay of the rule
+  // over the union DAG; every correct validator's live sequence must be a
+  // prefix of the reference sequence.
+  if (cluster.committer(0) != nullptr) {
+    CommitReplay replay = ReplayCommits(union_dag, schedule.system, cluster.committee(),
+                                        CommonCoin(schedule.seed), config.narwhal.gc_depth,
+                                        config.bullshark);
+    const std::vector<Digest>& reference = replay.ordered;
     for (ValidatorId v = 0; v < n; ++v) {
       if (!schedule.IsCorrect(v)) {
         continue;
@@ -362,7 +352,7 @@ CheckResult RunSchedule(const FaultSchedule& schedule) {
           break;
         }
       }
-      if (reference_complete && commit_seq[v].size() > reference.size()) {
+      if (replay.complete && commit_seq[v].size() > reference.size()) {
         violation("oracle-agreement",
                   "validator " + std::to_string(v) + " committed " +
                       std::to_string(commit_seq[v].size()) +

@@ -1,24 +1,67 @@
 #include "src/check/oracle.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <map>
 #include <utility>
 
 #include "src/exec/state_machine.h"
 #include "src/shard/router.h"
+#include "src/tusk/dag_rider.h"
 #include "src/tusk/tusk.h"
 
 namespace nt {
 
 namespace {
 
-// The paper's §5 commit rule: leader's round-2w support count, evaluated on
-// the reference DAG. Identical to Tusk::CommitRuleSatisfied but independent
-// of the live implementation (and of the seeded_bugs weakenings — the whole
-// point of the oracle is that it stays honest when the live path is broken).
-bool SupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& leader,
-                      const Committee& committee) {
+// What one DAG commit rule fixes; ReplayCommits is the rest. The wave
+// arithmetic is the live committers' own static functions.
+struct Rule {
+  Round (*leader_round)(uint64_t wave);
+  Round (*support_round)(uint64_t wave);
+  Round (*decision_round)(uint64_t wave);
+  // Coin-elected leaders, revealed once the decision round holds a quorum
+  // (Tusk, DAG-Rider). Otherwise the AnchorSchedule names the leader with no
+  // gate, and each commit event settles its waves into the schedule
+  // (Bullshark).
+  bool coin_elected = true;
+  // 2f+1 support-round blocks with a path to the leader (DAG-Rider), instead
+  // of f+1 that reference it as a direct parent.
+  bool path_support = false;
+  // DAG-Rider retains all history (weak links), so its horizon never moves.
+  bool collects_garbage = true;
+};
+
+Rule RuleOf(SystemKind system) {
+  switch (system) {
+    case SystemKind::kTusk:
+      return {&Tusk::WaveFirstRound, &Tusk::WaveSecondRound, &Tusk::WaveThirdRound};
+    case SystemKind::kBullshark:
+      return {&Bullshark::WaveAnchorRound, &Bullshark::WaveSupportRound,
+              &Bullshark::WaveSupportRound, /*coin_elected=*/false};
+    case SystemKind::kDagRider:
+      return {&DagRider::WaveFirstRound, &DagRider::WaveLastRound, &DagRider::WaveLastRound,
+              /*coin_elected=*/true, /*path_support=*/true, /*collects_garbage=*/false};
+    case SystemKind::kBaselineHs:
+    case SystemKind::kBatchedHs:
+    case SystemKind::kNarwhalHs:
+      break;
+  }
+  std::abort();  // HotStuff orders these systems; there is no DAG rule to replay.
+}
+
+// The leader's support on the reference DAG, counted by walking headers —
+// independent of the live committers' citer index and of the seeded-mutation
+// weakenings (the whole point of the oracle is that it stays honest when the
+// live path is broken).
+bool Supported(const Dag& dag, const Rule& rule, uint64_t wave, const Certificate& leader,
+               const Committee& committee) {
   uint32_t votes = 0;
-  for (const auto& [author, cert] : dag.CertsAt(Tusk::WaveSecondRound(wave))) {
+  for (const auto& [author, cert] : dag.CertsAt(rule.support_round(wave))) {
+    if (rule.path_support) {
+      votes += dag.HasPath(cert->header_digest, leader.header_digest) ? 1 : 0;
+      continue;
+    }
     auto header = dag.GetHeader(cert->header_digest);
     if (header == nullptr) {
       continue;
@@ -30,43 +73,49 @@ bool SupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& leader,
       }
     }
   }
-  return votes >= committee.validity_threshold();
+  return votes >= (rule.path_support ? committee.quorum_threshold()
+                                     : committee.validity_threshold());
 }
 
 }  // namespace
 
-TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& coin,
-                      Round gc_depth) {
-  TuskReplay out;
+CommitReplay ReplayCommits(Dag dag, SystemKind system, const Committee& committee,
+                           const ThresholdCoin& coin, Round gc_depth,
+                           const BullsharkConfig& bullshark) {
+  const Rule rule = RuleOf(system);
+  AnchorSchedule schedule(committee.size(), bullshark);
+  auto leader_of = [&](uint64_t wave) {
+    return rule.coin_elected ? coin.LeaderOf(wave, committee.size()) : schedule.AuthorOf(wave);
+  };
+  auto leader_cert = [&](uint64_t wave) {
+    return dag.GetCert(rule.leader_round(wave), leader_of(wave));
+  };
+
+  CommitReplay out;
   DigestSet committed;
   std::map<Round, std::vector<Digest>> committed_by_round;
   uint64_t last_committed_wave = 0;
-
-  Round top = dag.HighestRound();
-  if (top < 3) {
-    return out;
-  }
-  uint64_t max_wave = (top - 1) / 2;
-  for (uint64_t wave = last_committed_wave + 1; wave <= max_wave; ++wave) {
-    if (dag.CertCountAt(Tusk::WaveThirdRound(wave)) < committee.quorum_threshold()) {
+  const Round top = dag.HighestRound();
+  for (uint64_t wave = 1; rule.decision_round(wave) <= top; ++wave) {
+    if (rule.coin_elected &&
+        dag.CertCountAt(rule.decision_round(wave)) < committee.quorum_threshold()) {
       break;  // The coin for this wave never revealed anywhere.
     }
-    ValidatorId leader_id = coin.LeaderOf(wave, committee.size());
-    const Certificate* leader = dag.GetCert(Tusk::WaveFirstRound(wave), leader_id);
+    const Certificate* leader = leader_cert(wave);
     if (leader == nullptr || committed.contains(leader->header_digest)) {
       continue;
     }
-    if (!SupportSatisfied(dag, wave, *leader, committee)) {
-      continue;
+    if (!Supported(dag, rule, wave, *leader, committee)) {
+      continue;  // A later leader may order this one by path.
     }
 
     // Chain back through skipped waves by DAG reachability, exactly as the
-    // live committer does.
+    // live committer does — with the same pre-event schedule state for every
+    // leader lookup belonging to this commit event.
     std::vector<const Certificate*> chain{leader};
     const Certificate* candidate = leader;
     for (uint64_t i = wave - 1; i > last_committed_wave && i > 0; --i) {
-      const Certificate* li = dag.GetCert(Tusk::WaveFirstRound(i),
-                                          coin.LeaderOf(i, committee.size()));
+      const Certificate* li = leader_cert(i);
       if (li == nullptr || committed.contains(li->header_digest)) {
         continue;
       }
@@ -89,115 +138,17 @@ TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& 
         out.ordered.push_back(digest);
       }
     }
-    last_committed_wave = wave;
 
-    // Mirror the live GC horizon so linearization never reaches below what
-    // live validators keep (CollectCausalHistory stops at dag.gc_round()).
-    Round leader_round = Tusk::WaveFirstRound(wave);
-    if (leader_round > gc_depth) {
-      Round gc_round = leader_round - gc_depth;
-      dag.GarbageCollect(gc_round);
-      for (auto it = committed_by_round.begin();
-           it != committed_by_round.end() && it->first < gc_round;) {
-        for (const Digest& d : it->second) {
-          committed.erase(d);
-        }
-        it = committed_by_round.erase(it);
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Bullshark's commit rule: anchor's round-2w support count on the reference
-// DAG. Identical to Bullshark::CommitRuleSatisfied, minus the seeded-bug
-// weakening (the oracle stays honest when the live path is broken).
-bool AnchorSupportSatisfied(const Dag& dag, uint64_t wave, const Certificate& anchor,
-                            const Committee& committee) {
-  uint32_t votes = 0;
-  for (const auto& [author, cert] : dag.CertsAt(Bullshark::WaveSupportRound(wave))) {
-    auto header = dag.GetHeader(cert->header_digest);
-    if (header == nullptr) {
-      continue;
-    }
-    for (const Certificate& parent : header->parents) {
-      if (parent.header_digest == anchor.header_digest) {
-        ++votes;
-        break;
-      }
-    }
-  }
-  return votes >= committee.validity_threshold();
-}
-
-}  // namespace
-
-BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_depth,
-                                BullsharkConfig config) {
-  BullsharkReplay out;
-  DigestSet committed;
-  std::map<Round, std::vector<Digest>> committed_by_round;
-  AnchorSchedule schedule(committee.size(), config);
-  uint64_t last_committed_wave = 0;
-
-  Round top = dag.HighestRound();
-  if (top < 2) {
-    return out;
-  }
-  uint64_t max_wave = top / 2;
-  for (uint64_t wave = last_committed_wave + 1; wave <= max_wave; ++wave) {
-    const Certificate* anchor =
-        dag.GetCert(Bullshark::WaveAnchorRound(wave), schedule.AuthorOf(wave));
-    if (anchor == nullptr || committed.contains(anchor->header_digest)) {
-      continue;
-    }
-    if (!AnchorSupportSatisfied(dag, wave, *anchor, committee)) {
-      continue;  // No third-round gate: a later anchor orders this by path.
-    }
-
-    // Chain back through skipped waves by DAG reachability, exactly as the
-    // live committer does — with the same pre-event schedule state for every
-    // author lookup belonging to this commit event.
-    std::vector<const Certificate*> chain{anchor};
-    const Certificate* candidate = anchor;
-    for (uint64_t i = wave - 1; i > last_committed_wave && i > 0; --i) {
-      const Certificate* ai =
-          dag.GetCert(Bullshark::WaveAnchorRound(i), schedule.AuthorOf(i));
-      if (ai == nullptr || committed.contains(ai->header_digest)) {
-        continue;
-      }
-      if (dag.HasPath(candidate->header_digest, ai->header_digest)) {
-        chain.push_back(ai);
-        candidate = ai;
-      }
-    }
-    std::reverse(chain.begin(), chain.end());
-
-    for (const Certificate* lead : chain) {
-      Dag::History history = dag.CollectCausalHistory(lead->header_digest, committed);
-      if (!history.missing.empty()) {
-        out.complete = false;
-        return out;  // Under-observed union DAG; nothing sound to say beyond here.
-      }
-      for (const Digest& digest : history.ordered) {
-        committed.insert(digest);
-        committed_by_round[dag.GetHeader(digest)->round].push_back(digest);
-        out.ordered.push_back(digest);
-      }
-    }
-
-    // Settle wave outcomes into the reputation fold — authors resolved with
-    // the pre-event state first, mirroring Bullshark::SettleOutcomes.
-    {
+    // Settle wave outcomes into the schedule's fold — authors resolved with
+    // the pre-event state first, mirroring Bullshark::SettleWaves.
+    if (!rule.coin_elected) {
       std::vector<ValidatorId> authors;
       for (uint64_t i = last_committed_wave + 1; i <= wave; ++i) {
         authors.push_back(schedule.AuthorOf(i));
       }
       for (uint64_t i = last_committed_wave + 1; i <= wave; ++i) {
         ValidatorId author = authors[static_cast<size_t>(i - last_committed_wave - 1)];
-        const Certificate* cert = dag.GetCert(Bullshark::WaveAnchorRound(i), author);
+        const Certificate* cert = dag.GetCert(rule.leader_round(i), author);
         bool ordered = cert != nullptr && committed.contains(cert->header_digest);
         schedule.RecordOutcome(i, author, ordered);
       }
@@ -206,9 +157,9 @@ BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_de
 
     // Mirror the live GC horizon so linearization never reaches below what
     // live validators keep (CollectCausalHistory stops at dag.gc_round()).
-    Round anchor_round = Bullshark::WaveAnchorRound(wave);
-    if (anchor_round > gc_depth) {
-      Round gc_round = anchor_round - gc_depth;
+    Round leader_round = rule.leader_round(wave);
+    if (rule.collects_garbage && leader_round > gc_depth) {
+      Round gc_round = leader_round - gc_depth;
       dag.GarbageCollect(gc_round);
       for (auto it = committed_by_round.begin();
            it != committed_by_round.end() && it->first < gc_round;) {
@@ -246,7 +197,7 @@ ShardReplay ReplayShards(
     }
     // Single-shard fast path in encounter order, cross-shard transfers
     // deferred to the commit boundary — the honest semantics, re-stated
-    // independently of ShardedExecutor (and of seeded_bugs).
+    // independently of ShardedExecutor (and of the seeded mutations).
     std::vector<std::pair<Batch::TxView, ExecTx::View>> cross;
     for (const auto& batch : batches) {
       for (const Batch::TxView wire : batch->txs()) {

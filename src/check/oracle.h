@@ -1,11 +1,12 @@
-// Pure reference re-runs of the DAG commit rules (Tusk, paper §5; Bullshark,
-// arXiv:2201.05677) over a complete DAG — the oracles the DST harness
-// compares every live validator's commit sequence against (invariant: live
-// output is a prefix of the reference output). Unlike the live committers
-// they have no network, no deferral, no sync: they assume their input DAG
-// already holds the union of everything any validator observed, and
-// interpret waves strictly in order, mirroring the live garbage-collection
-// horizon as they go.
+// Pure reference re-runs of the DAG commit rules (Tusk, paper §5; DAG-Rider,
+// §8.2; Bullshark, arXiv:2201.05677) and of sharded execution — the oracles
+// the DST harness and the differential suites compare every live
+// validator's output against (invariant: live output is a prefix of the
+// reference output). Unlike the live committers they have no network, no
+// deferral, no sync: they assume their input already holds the union of
+// everything any validator observed, and interpret waves strictly in order,
+// mirroring the live garbage-collection horizon as they go. They never
+// consult seeded_bugs, so a weakened live path diverges from them.
 #ifndef SRC_CHECK_ORACLE_H_
 #define SRC_CHECK_ORACLE_H_
 
@@ -16,45 +17,36 @@
 #include "src/bullshark/bullshark.h"
 #include "src/crypto/coin.h"
 #include "src/narwhal/dag.h"
+#include "src/runtime/cluster.h"
 #include "src/types/committee.h"
 #include "src/types/types.h"
 
 namespace nt {
 
-struct TuskReplay {
+struct CommitReplay {
   // Committed header digests in delivery order.
   std::vector<Digest> ordered;
-  // True if every committed anchor's causal history was fully present in the
+  // True if every committed leader's causal history was fully present in the
   // input DAG (always the case for a correctly accumulated union DAG; false
-  // indicates the harness itself under-observed, not a protocol bug).
+  // indicates the harness itself under-observed, not a protocol bug). The
+  // replay stops at the first such leader and orders nothing from it on.
   bool complete = true;
 };
 
-// Replays the Tusk commit rule over `dag` (taken by value: replay garbage-
-// collects as it commits, mirroring the live protocol's horizon). The coin
-// and gc_depth must match the live run's.
-TuskReplay ReplayTusk(Dag dag, const Committee& committee, const ThresholdCoin& coin,
-                      Round gc_depth);
-
-struct BullsharkReplay {
-  // Committed header digests in delivery order.
-  std::vector<Digest> ordered;
-  // See TuskReplay::complete.
-  bool complete = true;
-};
-
-// Replays the Bullshark commit rule over `dag` (taken by value — the replay
-// garbage-collects as it commits). No coin: anchors follow the deterministic
-// AnchorSchedule, which `config` parameterizes exactly as for the live
-// committer (reputation must match the live run's flag). The oracle stays
-// honest regardless of seeded_bugs weakenings of the live path.
-BullsharkReplay ReplayBullshark(Dag dag, const Committee& committee, Round gc_depth,
-                                BullsharkConfig config = {});
+// Replays the commit rule of `system` — kTusk, kBullshark or kDagRider, the
+// systems with a DAG committer — over `dag` (taken by value: the replay
+// garbage-collects as it commits, mirroring the live protocol's horizon).
+// The coin elects Tusk's and DAG-Rider's leaders; `bullshark` parameterizes
+// Bullshark's anchor schedule. Both, and gc_depth, must match the live
+// run's (DAG-Rider keeps all history and ignores gc_depth).
+CommitReplay ReplayCommits(Dag dag, SystemKind system, const Committee& committee,
+                           const ThresholdCoin& coin, Round gc_depth,
+                           const BullsharkConfig& bullshark = {});
 
 struct ShardReplay {
   // Per executed header, every lane's state digest after the header's
   // commit boundary — the reference the live ShardedExecutor sequences are
-  // compared against (prefix relation, like the commit oracles above).
+  // compared against (prefix relation, like the commit replay above).
   std::vector<std::vector<Digest>> lanes_after;
   // Conservation accounting at the end of the replay.
   uint64_t minted = 0;

@@ -30,7 +30,7 @@ enum class SeededBug : uint8_t {
   // one vote short of quorum intersection, so an anchor can commit at one
   // validator while remaining forever invisible (neither direct-committed nor
   // path-ordered) at others: committed sequences fork (violates commit-prefix
-  // consistency / agreement with ReplayBullshark).
+  // consistency / agreement with the ReplayCommits reference replay).
   kSkipBullsharkSupport,
   // The sharded executor skips phase 1 of the cross-shard two-phase apply
   // (the funds check + debit at the source lane) and goes straight to the

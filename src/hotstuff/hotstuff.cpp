@@ -236,17 +236,7 @@ void HotStuff::HandleProposal(uint32_t from, const MsgHsProposal& msg) {
   TryVote(msg.digest);
 
   // A new block may complete deferred ancestor chains.
-  std::vector<Digest> retry;
-  for (const auto& [digest, deferred_block] : deferred_) {
-    retry.push_back(digest);
-  }
-  for (const Digest& digest : retry) {
-    auto it = deferred_.find(digest);
-    if (it != deferred_.end()) {
-      deferred_.erase(it);
-      TryVote(digest);
-    }
-  }
+  RetryDeferred();
 }
 
 bool HotStuff::HaveAncestors(const HsBlock& block) const {
@@ -274,6 +264,19 @@ bool HotStuff::Extends(const Digest& descendant, const Digest& ancestor) const {
     cursor = b->parent;
   }
   return ancestor == kGenesisDigest;
+}
+
+void HotStuff::RetryDeferred() {
+  // Walk a snapshot: TryVote defers a proposal again while its chain is
+  // still incomplete.
+  std::vector<Digest> retry;
+  for (const auto& [digest, block] : deferred_) {
+    retry.push_back(digest);
+  }
+  for (const Digest& digest : retry) {
+    deferred_.erase(digest);
+    TryVote(digest);
+  }
 }
 
 void HotStuff::TryVote(const Digest& digest) {
@@ -550,14 +553,7 @@ void HotStuff::OnMessage(uint32_t from, const MessagePtr& msg) {
           committed_.count(response->block->parent) == 0) {
         RequestBlock(response->block->parent, from);
       }
-      std::vector<Digest> retry;
-      for (const auto& [digest, block] : deferred_) {
-        retry.push_back(digest);
-      }
-      for (const Digest& digest : retry) {
-        deferred_.erase(digest);
-        TryVote(digest);
-      }
+      RetryDeferred();
     }
     return;
   }

@@ -219,6 +219,9 @@ class HotStuff : public NetNode {
   // Proposal path.
   void HandleProposal(uint32_t from, const MsgHsProposal& msg);
   void TryVote(const Digest& digest);
+  // Retries every deferred proposal (after a block arrives that may
+  // complete its ancestor chain).
+  void RetryDeferred();
   void CastVote(const HsBlock& block, const Digest& digest);
 
   // Vote/QC path.

@@ -191,10 +191,6 @@ std::vector<std::string> CollectSourceFiles(const std::string& root) {
   return files;
 }
 
-Summary LintPaths(const std::vector<std::string>& paths) {
-  return LintPathsWithCorpus(paths, "");
-}
-
 std::string FormatSummary(const Summary& summary, bool verbose) {
   std::ostringstream out;
   for (const FileReport& file : summary.files) {

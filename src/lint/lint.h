@@ -162,7 +162,9 @@ FileReport LintSource(const std::string& path, const std::string& content);
 std::vector<std::string> CollectSourceFiles(const std::string& root);
 
 // Lints every path (files or directories) and aggregates, including the
-// whole-repo semantic-model rules R6 and R9 (implemented in model.cpp).
+// whole-repo semantic-model rules R6 and R9 (implemented in model.cpp). R9's
+// fuzz-corpus leg reads the tests/fuzz_decode_test.cpp LocateFuzzCorpus
+// finds beside the roots, and is skipped when there is none.
 Summary LintPaths(const std::vector<std::string>& paths);
 
 // Renders findings + the suppression report to a string (the CLI output).

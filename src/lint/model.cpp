@@ -1050,8 +1050,7 @@ std::string LocateFuzzCorpus(const std::vector<std::string>& paths) {
   return "";
 }
 
-Summary LintPathsWithCorpus(const std::vector<std::string>& paths,
-                            const std::string& corpus_path) {
+Summary LintPaths(const std::vector<std::string>& paths) {
   std::vector<std::string> files;
   for (const std::string& p : paths) {
     std::vector<std::string> collected = CollectSourceFiles(p);
@@ -1060,7 +1059,7 @@ Summary LintPathsWithCorpus(const std::vector<std::string>& paths,
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  std::string corpus = corpus_path.empty() ? LocateFuzzCorpus(paths) : corpus_path;
+  std::string corpus = LocateFuzzCorpus(paths);
   std::string corpus_content;
   bool have_corpus = false;
   if (!corpus.empty()) {

@@ -128,11 +128,6 @@ Summary LintRepoUnits(const std::vector<SourceUnit>& units, const std::string* f
 // Returns "" when not found.
 std::string LocateFuzzCorpus(const std::vector<std::string>& paths);
 
-// Whole pipeline over paths with an explicit corpus file ("" = auto-locate,
-// and if that fails the corpus leg of R9 is skipped).
-Summary LintPathsWithCorpus(const std::vector<std::string>& paths,
-                            const std::string& corpus_path);
-
 }  // namespace lint
 }  // namespace nt
 

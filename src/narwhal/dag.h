@@ -86,8 +86,9 @@ class Dag {
 
   Round gc_round() const { return gc_round_; }
 
-  // A record evicted by garbage collection: everything a cold store (the
-  // paper's §3.3 CDN offload) needs to keep serving the block.
+  // A record evicted by garbage collection: the primary re-injects the
+  // batches of its own uncommitted headers among them (§3.3) and erases
+  // their store records.
   struct Collected {
     Digest digest{};
     CertPtr cert;
@@ -95,7 +96,7 @@ class Dag {
   };
 
   // Drops all certificates and headers with round < `new_gc_round`,
-  // returning the evicted records (re-injection + archival).
+  // returning the evicted records.
   std::vector<Collected> GarbageCollect(Round new_gc_round);
 
   // --- traversal ---------------------------------------------------------------

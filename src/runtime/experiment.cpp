@@ -9,21 +9,16 @@ namespace nt {
 
 ExperimentResult RunExperiment(const ExperimentParams& params) {
   ClusterConfig config = params.cluster;
-  config.system = params.system;
-  config.num_validators = params.nodes;
-  config.workers_per_validator = params.workers;
-  config.collocate = params.collocate;
-  config.seed = params.seed;
-  config.exec_lanes = params.shards;
-  const bool trace = params.trace || !params.trace_path.empty();
-  config.trace = config.trace || trace;
+  config.trace = config.trace || !params.trace_path.empty();
+  const uint32_t nodes = config.num_validators;
+  const uint32_t workers = config.workers_per_validator;
 
   // The accounts/transfer workload behind every client in sharded-execution
   // mode; must outlive the generators.
   std::unique_ptr<TransferWorkload> workload;
-  if (params.shards > 0) {
+  if (config.exec_lanes > 0) {
     TransferWorkloadConfig wl;
-    wl.num_shards = params.shards;
+    wl.num_shards = config.exec_lanes;
     wl.cross_ratio = params.cross_ratio;
     wl.zipf_theta = params.zipf_theta;
     wl.hot_ratio = params.hot_ratio;
@@ -34,8 +29,8 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
 
   // Crash the highest-numbered validators (validator 0 stays alive as the
   // metrics observer, matching the paper's measurement at a correct node).
-  for (uint32_t i = 0; i < params.faults && i + 1 < params.nodes; ++i) {
-    cluster.CrashValidator(params.nodes - 1 - i, 0);
+  for (uint32_t i = 0; i < params.faults && i + 1 < nodes; ++i) {
+    cluster.CrashValidator(nodes - 1 - i, 0);
   }
   for (const ExperimentParams::AsyncWindow& w : params.async_windows) {
     cluster.faults().AddAsynchronyWindow(w.start, w.end, w.factor);
@@ -46,9 +41,9 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
 
   // One client per (validator, worker), splitting the aggregate rate.
   std::vector<std::unique_ptr<LoadGenerator>> clients;
-  double per_client = params.rate_tps / (params.nodes * params.workers);
-  for (uint32_t v = 0; v < params.nodes; ++v) {
-    for (uint32_t w = 0; w < params.workers; ++w) {
+  double per_client = params.rate_tps / (nodes * workers);
+  for (uint32_t v = 0; v < nodes; ++v) {
+    for (uint32_t w = 0; w < workers; ++w) {
       LoadGenerator::Options options;
       options.rate_tps = per_client;
       options.tx_size = params.tx_size;

@@ -15,16 +15,15 @@
 namespace nt {
 
 struct ExperimentParams {
-  SystemKind system = SystemKind::kTusk;
-  uint32_t nodes = 4;
-  uint32_t workers = 1;
-  bool collocate = true;
+  // The deployment: system, committee size, workers and their placement,
+  // seed, execution lanes and tracing all come from here as given.
+  ClusterConfig cluster;
+
   double rate_tps = 10000;  // Aggregate input rate across all clients.
   uint64_t tx_size = 512;
   uint32_t faults = 0;            // Crash this many validators at t=0.
   TimeDelta duration = Seconds(20);
   TimeDelta warmup = Seconds(5);
-  uint64_t seed = 1;
 
   // Asynchrony windows: message latency is multiplied by `factor` during
   // [start, end). Several windows give alternating unstable-network
@@ -40,26 +39,19 @@ struct ExperimentParams {
   // default caps the re-submissions).
   TimeDelta resubmit_timeout = 0;
 
-  // Sharded execution lanes (§8.4): shards > 0 deploys a ShardedExecutor
-  // with that many lanes per validator, switches every client to the
-  // accounts/transfer workload (cluster.exec_lanes is overwritten), and
-  // reports applied/rejected/cross-shard execution counters. Narwhal-based
-  // systems only. The remaining knobs shape the workload (see
-  // TransferWorkloadConfig).
-  uint32_t shards = 0;
+  // Sharded execution (§8.4): with cluster.exec_lanes > 0 every client
+  // switches to the accounts/transfer workload these knobs shape (see
+  // TransferWorkloadConfig), and the result reports applied/rejected/
+  // cross-shard execution counters. Narwhal-based systems only.
   double cross_ratio = 0.0;
   double zipf_theta = 0.0;
   double hot_ratio = 0.0;
 
-  // Lifecycle tracing: `trace` enables the Tracer (per-stage latency
+  // Lifecycle tracing: cluster.trace enables the Tracer (per-stage latency
   // breakdown in the result); a non-empty `trace_path` additionally writes
   // a Chrome trace-event JSON (chrome://tracing / Perfetto) and implies
-  // `trace`.
-  bool trace = false;
+  // cluster.trace.
   std::string trace_path;
-
-  // Forwarded knobs.
-  ClusterConfig cluster;  // system/nodes/workers/seed fields are overwritten.
 };
 
 struct ExperimentResult {
@@ -93,14 +85,15 @@ struct ExperimentResult {
   uint64_t resubmitted_txs = 0;
   uint64_t abandoned_txs = 0;
 
-  // Execution counters at the observer validator (params.shards > 0 only):
+  // Execution counters at the observer validator (cluster.exec_lanes > 0
+  // only):
   // transactions applied vs rejected by the state machine, and how many of
   // the applied were cross-shard transfers.
   uint64_t exec_applied = 0;
   uint64_t exec_rejected = 0;
   uint64_t exec_cross = 0;
 
-  // Per-stage latency breakdown; populated only when params.trace was set.
+  // Per-stage latency breakdown; populated only when the run was traced.
   bool traced = false;
   LatencyBreakdown breakdown;
   // True if params.trace_path was written successfully.

@@ -74,13 +74,13 @@ TEST(DeterminismTest, ExperimentMetricsAndTraceJsonIdentical) {
   std::string dir = ::testing::TempDir();
   auto run = [&dir](const std::string& tag) {
     ExperimentParams params;
-    params.system = SystemKind::kTusk;
-    params.nodes = 4;
+    params.cluster.system = SystemKind::kTusk;
+    params.cluster.num_validators = 4;
+    params.cluster.seed = 9;
+    params.cluster.trace = true;
     params.rate_tps = 2000;
     params.duration = Seconds(6);
     params.warmup = Seconds(1);
-    params.seed = 9;
-    params.trace = true;
     params.trace_path = dir + "/determinism_" + tag + ".json";
     ExperimentResult result = RunExperiment(params);
     EXPECT_TRUE(result.trace_written);

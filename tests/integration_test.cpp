@@ -10,13 +10,13 @@ namespace {
 
 ExperimentParams BaseParams(SystemKind system) {
   ExperimentParams params;
-  params.system = system;
-  params.nodes = 4;
-  params.workers = 1;
+  params.cluster.system = system;
+  params.cluster.num_validators = 4;
+  params.cluster.workers_per_validator = 1;
+  params.cluster.seed = 7;
   params.rate_tps = 2000;
   params.duration = Seconds(12);
   params.warmup = Seconds(4);
-  params.seed = 7;
   return params;
 }
 
@@ -60,7 +60,7 @@ TEST(IntegrationTest, DagRiderCommitsTransactions) {
 
 TEST(IntegrationTest, TuskSurvivesOneCrash) {
   ExperimentParams params = BaseParams(SystemKind::kTusk);
-  params.nodes = 4;
+  params.cluster.num_validators = 4;
   params.faults = 1;
   ExperimentResult result = RunExperiment(params);
   EXPECT_GT(result.committed_txs, 500u);
@@ -80,10 +80,10 @@ TEST(IntegrationTest, ShardedExecutionReadsEveryWorkersBatches) {
   ExperimentParams params = BaseParams(SystemKind::kTusk);
   params.rate_tps = 10000;
   params.duration = Seconds(10);
-  params.shards = 2;
-  params.collocate = false;
+  params.cluster.exec_lanes = 2;
+  params.cluster.collocate = false;
   const uint64_t one_worker = RunExperiment(params).exec_applied;
-  params.workers = 2;
+  params.cluster.workers_per_validator = 2;
   const uint64_t two_workers = RunExperiment(params).exec_applied;
   EXPECT_GT(one_worker, 10000u);
   EXPECT_GT(two_workers, one_worker / 2);

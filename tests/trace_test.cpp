@@ -217,14 +217,14 @@ struct Span {
 TEST(TraceTest, TracedTuskRunExportsValidChromeTrace) {
   const std::string path = "trace_test_out.json";
   ExperimentParams params;
-  params.system = SystemKind::kTusk;
-  params.nodes = 4;
-  params.workers = 1;
+  params.cluster.system = SystemKind::kTusk;
+  params.cluster.num_validators = 4;
+  params.cluster.workers_per_validator = 1;
+  params.cluster.seed = 21;
+  params.cluster.trace = true;
   params.rate_tps = 2000;
   params.duration = Seconds(12);
   params.warmup = Seconds(3);
-  params.seed = 21;
-  params.trace = true;
   params.trace_path = path;
 
   ExperimentResult result = RunExperiment(params);

@@ -62,7 +62,6 @@ std::string LatencyCell(const SweepResult& r, double seconds, const char* format
 
 int main(int argc, char** argv) {
   ExperimentParams params;
-  params.system = SystemKind::kTusk;
   params.duration = Seconds(20);
   params.warmup = Seconds(5);
   int runs = 1;
@@ -86,13 +85,13 @@ int main(int argc, char** argv) {
       if (!system.has_value()) {
         Usage("unknown --system");
       }
-      params.system = *system;
+      params.cluster.system = *system;
     } else if (flag == "--nodes") {
-      params.nodes = static_cast<uint32_t>(std::stoul(next()));
+      params.cluster.num_validators = static_cast<uint32_t>(std::stoul(next()));
     } else if (flag == "--workers") {
-      params.workers = static_cast<uint32_t>(std::stoul(next()));
+      params.cluster.workers_per_validator = static_cast<uint32_t>(std::stoul(next()));
     } else if (flag == "--dedicated") {
-      params.collocate = false;
+      params.cluster.collocate = false;
     } else if (flag == "--rate") {
       params.rate_tps = std::stod(next());
     } else if (flag == "--tx-size") {
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--warmup") {
       params.warmup = Seconds(std::stoll(next()));
     } else if (flag == "--seed") {
-      params.seed = std::stoull(next());
+      params.cluster.seed = std::stoull(next());
     } else if (flag == "--runs") {
       runs = std::stoi(next());
     } else if (flag == "--jobs") {
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--batch-kb") {
       params.cluster.narwhal.batch_size_bytes = std::stoull(next()) * 1000;
     } else if (flag == "--shards") {
-      params.shards = static_cast<uint32_t>(std::stoul(next()));
+      params.cluster.exec_lanes = static_cast<uint32_t>(std::stoul(next()));
     } else if (flag == "--cross-ratio") {
       params.cross_ratio = std::stod(next());
     } else if (flag == "--zipf") {
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--async-factor") {
       async_factor = std::stod(next());
     } else if (flag == "--trace") {
-      params.trace = true;
+      params.cluster.trace = true;
       params.trace_path = next();
     } else if (flag == "--csv") {
       csv = true;
@@ -144,14 +143,15 @@ int main(int argc, char** argv) {
   if (async_from != kNever) {
     params.async_windows.push_back({async_from, async_to, async_factor});
   }
-  if (params.nodes < 1 || params.faults >= params.nodes) {
+  const ClusterConfig& cluster = params.cluster;
+  if (cluster.num_validators < 1 || params.faults >= cluster.num_validators) {
     Usage("need nodes >= 1 and faults < nodes");
   }
   if (params.warmup >= params.duration) {
     Usage("warmup must be below duration");
   }
-  if (params.shards > 0 &&
-      (params.system == SystemKind::kBaselineHs || params.system == SystemKind::kBatchedHs)) {
+  if (cluster.exec_lanes > 0 &&
+      (cluster.system == SystemKind::kBaselineHs || cluster.system == SystemKind::kBatchedHs)) {
     Usage("--shards needs a Narwhal-based system (its clients submit executable payloads)");
   }
   if (params.cross_ratio < 0 || params.cross_ratio > 1 || params.hot_ratio < 0 ||
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   }
 
   // The traced breakdown comes from run 0 in this process.
-  const SweepResult result = RunSweep({{params, runs}}, params.trace ? 1 : jobs)[0];
+  const SweepResult result = RunSweep({{params, runs}}, cluster.trace ? 1 : jobs)[0];
   const std::string latency = LatencyCell(result, result.latency.Mean(), csv ? "%.3f" : "%.2f");
   const std::string latency_sd =
       LatencyCell(result, result.latency.StdDev(), csv ? "%.3f" : "%.2f");
@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
                 "latency_stddev_s,p99_latency_s,abandoned,exec_applied,exec_rejected,"
                 "exec_cross\n");
     std::printf("%s,%u,%u,%u,%.0f,%.0f,%.0f,%s,%s,%s,%llu,%llu,%llu,%llu\n",
-                SystemName(params.system), params.nodes, params.workers, params.faults,
-                params.rate_tps, result.tps.Mean(), result.tps.StdDev(), latency.c_str(),
+                SystemName(cluster.system), cluster.num_validators,
+                cluster.workers_per_validator, params.faults, params.rate_tps, result.tps.Mean(), result.tps.StdDev(), latency.c_str(),
                 latency_sd.c_str(), p99.c_str(),
                 static_cast<unsigned long long>(first.abandoned_txs),
                 static_cast<unsigned long long>(first.exec_applied),
@@ -187,7 +187,8 @@ int main(int argc, char** argv) {
     std::printf(
         "%-12s %6u %8u %7u %10.0f | %10.0f %8.0f | %9s %8s %9s | %10llu %10llu %9llu | "
         "%10llu %8llu %10llu\n",
-        SystemName(params.system), params.nodes, params.workers, params.faults, params.rate_tps,
+        SystemName(cluster.system), cluster.num_validators, cluster.workers_per_validator,
+        params.faults, params.rate_tps,
         result.tps.Mean(), result.tps.StdDev(), latency.c_str(), latency_sd.c_str(), p99.c_str(),
         static_cast<unsigned long long>(first.cert_cache_hits),
         static_cast<unsigned long long>(first.cert_cache_misses),

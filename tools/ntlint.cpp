@@ -7,19 +7,16 @@
 //   --rules              list the rule set and exit
 //   --format=sarif       emit a SARIF 2.1.0 log instead of the text summary
 //   --strict-allows      stale ntlint:allow annotations fail the run (CI mode)
-//   --fuzz-corpus FILE   override the fuzz_decode_test.cpp location for R9
 //
 // Exit status: 0 when every finding is suppressed by an explicit
 // `// ntlint:allow(<rule>): <reason>` annotation (and, under
 // --strict-allows, no annotation is stale), 1 otherwise. CI treats a nonzero
 // exit as a red build.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/lint/lint.h"
-#include "src/lint/model.h"
 
 namespace {
 
@@ -35,8 +32,7 @@ void PrintRules() {
 }
 
 constexpr const char* kUsage =
-    "usage: ntlint [--verbose] [--rules] [--format=sarif] [--strict-allows]\n"
-    "              [--fuzz-corpus FILE] <path>...\n";
+    "usage: ntlint [--verbose] [--rules] [--format=sarif] [--strict-allows] <path>...\n";
 
 }  // namespace
 
@@ -44,17 +40,9 @@ int main(int argc, char** argv) {
   bool verbose = false;
   bool strict_allows = false;
   bool sarif = false;
-  std::string corpus_path;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ntlint: %s needs a value\n%s", flag, kUsage);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--rules") {
@@ -66,10 +54,6 @@ int main(int argc, char** argv) {
       sarif = true;
     } else if (arg == "--format=text") {
       sarif = false;
-    } else if (arg == "--fuzz-corpus") {
-      corpus_path = value("--fuzz-corpus");
-    } else if (arg.rfind("--fuzz-corpus=", 0) == 0) {
-      corpus_path = arg.substr(14);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("%s", kUsage);
       return 0;
@@ -85,7 +69,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const nt::lint::Summary summary = nt::lint::LintPathsWithCorpus(paths, corpus_path);
+  const nt::lint::Summary summary = nt::lint::LintPaths(paths);
   if (sarif) {
     std::fputs(nt::lint::FormatSarif(summary).c_str(), stdout);
   } else {

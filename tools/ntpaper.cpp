@@ -57,12 +57,12 @@ std::string Format(const char* format, ...) {
 ExperimentParams Wan(SystemKind system, uint32_t nodes, double rate, int64_t duration_s,
                      int64_t warmup_s, uint64_t seed) {
   ExperimentParams params;
-  params.system = system;
-  params.nodes = nodes;
+  params.cluster.system = system;
+  params.cluster.num_validators = nodes;
+  params.cluster.seed = seed;
   params.rate_tps = rate;
   params.duration = Seconds(duration_s);
   params.warmup = Seconds(warmup_s);
-  params.seed = seed;
   return params;
 }
 
@@ -98,8 +98,8 @@ std::vector<PaperRow> PaperTable() {
               {kTusk, 4, 4, 500000},       {kTusk, 4, 10, 1200000}};
   for (const auto& point : fig1) {
     ExperimentParams params = Wan(point.system, point.nodes, point.rate, 20, 6, 21);
-    params.workers = point.workers;
-    params.collocate = point.workers == 1;
+    params.cluster.workers_per_validator = point.workers;
+    params.cluster.collocate = point.workers == 1;
     add("fig1", "", params, 2);
   }
 
@@ -130,8 +130,8 @@ std::vector<PaperRow> PaperTable() {
     for (uint32_t workers : {1u, 4u, 7u, 10u}) {
       for (double per_worker : {60000.0, 110000.0, 160000.0, 190000.0}) {
         ExperimentParams params = Wan(system, 4, per_worker * workers, 20, 6, 42);
-        params.workers = workers;
-        params.collocate = false;
+        params.cluster.workers_per_validator = workers;
+        params.cluster.collocate = false;
         add("fig7", "", params, 1);
       }
     }
@@ -205,8 +205,8 @@ std::vector<PaperRow> PaperTable() {
   }
   for (bool collocate : {true, false}) {
     ExperimentParams params = Wan(kTusk, 4, 400000, 15, 5, 19);
-    params.workers = 4;
-    params.collocate = collocate;
+    params.cluster.workers_per_validator = 4;
+    params.cluster.collocate = collocate;
     add("ablations", collocate ? "B collocated" : "B dedicated", params, 1);
   }
   for (uint64_t batch_kb : {64u, 128u, 500u, 1000u}) {
@@ -241,10 +241,10 @@ std::string JsonRow(const PaperRow& row, const SweepResult& r) {
     json += Format(R"(, "label": "%s")", row.label.c_str());
   }
   json += Format(R"(, "system": "%s", "nodes": %u, "workers": %u, "dedicated": %s, "faults": %u)",
-                 SystemName(p.system), p.nodes, p.workers, p.collocate ? "false" : "true",
-                 p.faults);
+                 SystemName(p.cluster.system), p.cluster.num_validators,
+                 p.cluster.workers_per_validator, p.cluster.collocate ? "false" : "true", p.faults);
   json += Format(R"(, "input_tps": %.0f, "runs": %d, "seed": %llu)", p.rate_tps, row.sweep.runs,
-                 static_cast<unsigned long long>(p.seed));
+                 static_cast<unsigned long long>(p.cluster.seed));
   json += Format(R"(, "tps": %.1f, "tps_sd": %.1f)", r.tps.Mean(), r.tps.StdDev());
   json += Format(R"(, "latency_s": %s, "latency_sd": %s, "p99_s": %s)",
                  Latency(r, r.latency.Mean(), "null").c_str(),
@@ -304,8 +304,8 @@ void RenderRows(const std::string& figure, const std::vector<PaperRow>& rows,
     const SweepResult& r = results[i];
     std::printf("| %s | %s | %u | %u%s | %u | %.0f | %.0f | %.0f | %s | %s | %s | %llu | %.1f | "
                 "%llu | %llu |\n",
-                rows[i].label.c_str(), SystemName(p.system), p.nodes, p.workers,
-                p.collocate ? "" : " dedicated", p.faults, p.rate_tps, r.tps.Mean(),
+                rows[i].label.c_str(), SystemName(p.cluster.system), p.cluster.num_validators,
+                p.cluster.workers_per_validator, p.cluster.collocate ? "" : " dedicated", p.faults, p.rate_tps, r.tps.Mean(),
                 r.tps.StdDev(), Latency(r, r.latency.Mean(), "n/a").c_str(),
                 Latency(r, r.latency.StdDev(), "n/a").c_str(),
                 Latency(r, r.p99.Mean(), "n/a").c_str(),
@@ -326,8 +326,8 @@ void RenderDerived(const std::string& figure, const std::vector<PaperRow>& rows,
       if (rows[i].figure != figure || !r.latency_measured) {
         continue;
       }
-      auto& [at35, at45] = best[{SystemName(rows[i].sweep.params.system),
-                                 rows[i].sweep.params.workers}];
+      const ClusterConfig& cluster = rows[i].sweep.params.cluster;
+      auto& [at35, at45] = best[{SystemName(cluster.system), cluster.workers_per_validator}];
       at35 = std::max(at35, r.latency.Mean() <= 3.5 ? r.tps.Mean() : 0.0);
       at45 = std::max(at45, r.latency.Mean() <= 4.5 ? r.tps.Mean() : 0.0);
     }
@@ -351,7 +351,7 @@ void RenderDerived(const std::string& figure, const std::vector<PaperRow>& rows,
       }
       const double rtt =
           kRttSeconds * (p.async_windows.size() == 1 ? p.async_windows[0].factor : 1.0);
-      std::printf("| %s | %s | %s | %.2f |\n", rows[i].label.c_str(), SystemName(p.system),
+      std::printf("| %s | %s | %s | %.2f |\n", rows[i].label.c_str(), SystemName(p.cluster.system),
                   r.latency_measured ? Format("%.1f", r.latency.Mean() / rtt).c_str() : "n/a",
                   r.tps.Mean() / p.rate_tps);
     }
@@ -367,7 +367,7 @@ void RenderDerived(const std::string& figure, const std::vector<PaperRow>& rows,
         bytes += stats.bytes;
       }
       std::printf("\n%s:\n\n| type | messages | msg %% | bytes | byte %% |\n|---|---|---|---|---|\n",
-                  SystemName(rows[i].sweep.params.system));
+                  SystemName(rows[i].sweep.params.cluster.system));
       for (const auto& [type, stats] : types) {
         std::printf("| %s | %llu | %.1f | %llu | %.2f |\n", type.c_str(),
                     static_cast<unsigned long long>(stats.messages),

@@ -91,10 +91,10 @@ inline std::vector<SweepResult> RunSweep(const std::vector<SweepRow>& rows, int 
   }
   auto params_of = [&](uint64_t j) {
     ExperimentParams params = rows[runs[j].first].params;
-    params.seed += runs[j].second * (runs[j].second + 1) / 2;
+    params.cluster.seed += runs[j].second * (runs[j].second + 1) / 2;
     if (runs[j].second > 0) {
       // Tracing belongs to run 0, whose breakdown the row reports.
-      params.trace = false;
+      params.cluster.trace = false;
       params.trace_path.clear();
     }
     return params;
