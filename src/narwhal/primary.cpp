@@ -43,34 +43,38 @@ void Primary::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
+// The fields' layout is BlockHeader's (EncodeRecordFields); Encode and
+// Decode carry the value after its tag, as it is.
 void HeaderRecord::Encode(Writer& w) const {
-  w.PutU32(header.author);
-  w.PutU64(header.round);
-  w.PutU32(static_cast<uint32_t>(header.batches.size()));
-  for (const BatchRef& ref : header.batches) {
-    ref.Encode(w);
-  }
-  w.PutU32(static_cast<uint32_t>(parents.size()));
-  for (const Digest& parent : parents) {
-    w.PutRaw(parent);
-  }
-  w.PutRaw(header.author_sig);
+  const SharedBytes sealed = Sealed();
+  w.PutRaw(sealed->data() + 1, sealed->size() - 1);
 }
 
 std::optional<HeaderRecord> HeaderRecord::Decode(Reader& r) {
-  HeaderRecord h;
-  h.header.author = r.GetU32();
-  h.header.round = static_cast<Round>(r.GetU64());
-  uint32_t n_batches = r.GetU32();
-  for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-    h.header.batches.push_back(BatchRef::Decode(r));
+  const std::span<const uint8_t> fields = r.GetRawView(r.remaining());
+  return Adopt(SealRecordValue(kTag, [&](Writer& w) { w.PutRaw(fields.data(), fields.size()); }));
+}
+
+SharedBytes HeaderRecord::Sealed() const {
+  if (value != nullptr) {
+    return value;
   }
-  uint32_t n_parents = r.GetU32();
-  for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-    h.parents.push_back(r.GetArray<32>());
+  return SealRecordValue(kTag, [this](Writer& w) { header.EncodeRecordFields(w, parents); });
+}
+
+std::optional<HeaderRecord> HeaderRecord::Adopt(SharedBytes value) {
+  if (value == nullptr || value->empty() || (*value)[0] != kTag) {
+    return std::nullopt;
   }
-  h.header.author_sig = r.GetArray<64>();
-  return r.AtEnd() ? std::optional(std::move(h)) : std::nullopt;
+  Reader r(value->data() + 1, value->size() - 1);
+  HeaderRecord rec;
+  std::optional<BlockHeader> header = BlockHeader::DecodeRecordFields(r, rec.parents);
+  if (!header.has_value() || !r.AtEnd()) {
+    return std::nullopt;
+  }
+  rec.header = std::move(*header);
+  rec.value = std::move(value);
+  return rec;
 }
 
 void CertRecord::Encode(Writer& w) const { cert.Encode(w); }
@@ -110,13 +114,9 @@ void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
   if (store_ == nullptr || store_->Contains(HeaderRecord::KeyOf(digest))) {
     return;
   }
-  HeaderRecord record{
-      digest, {header.author, header.round, header.batches, {}, header.author_sig}, {}};
-  record.parents.reserve(header.parents.size());
-  for (const Certificate& parent : header.parents) {
-    record.parents.push_back(parent.header_digest);
-  }
-  PutRecord(*store_, record);
+  // The record is the header's sealed buffer itself, so storing it copies
+  // nothing.
+  PutRecord(*store_, HeaderRecord::Of(header, digest));
 }
 
 void Primary::PersistVote(Round round, ValidatorId author, const Digest& digest) {
@@ -146,10 +146,10 @@ void Primary::Recover() {
 
   Round gc_round = 0;
   // A header record names its parents by digest; they are resolved against
-  // the 'C' records once the whole store has been read. Each certificate
-  // adopts its stored value as its buffer, so the DAG entries and the
-  // rebuilt headers' parents below share the store's bytes, as before the
-  // crash.
+  // the 'C' records once the whole store has been read. Each certificate and
+  // each rebuilt header adopts its stored value as its buffer, so the DAG
+  // entries, the headers' parents and a later re-persist share the store's
+  // bytes, as before the crash.
   std::vector<HeaderRecord> headers;
   std::vector<Certificate> certs;
   std::vector<VoteRecord> votes;
@@ -193,11 +193,12 @@ void Primary::Recover() {
       // OnStart pulls it from peers like any other missing header.
       continue;
     }
-    auto ptr = std::make_shared<const BlockHeader>(std::move(header));
-    Digest digest = ptr->ComputeDigest();
+    Digest digest = header.ComputeDigest();
     if (dag_.HasHeader(digest)) {
       continue;
     }
+    header.Adopt(std::move(rec.value), digest);
+    auto ptr = std::make_shared<const BlockHeader>(std::move(header));
     if (ptr->author == id_) {
       // Re-inject bookkeeping for own headers (fairness across the crash).
       own_headers_[digest] = ptr->batches;
@@ -326,6 +327,9 @@ void Primary::ProposeNow() {
 
   Digest digest = header->ComputeDigest();
   header->author_sig = signer_->Sign(digest);
+  // The 'H' record value is sealed here, once: every validator's store
+  // shares this buffer.
+  header->Seal(digest);
   proposed_current_round_ = true;
   ++headers_proposed_;
   NT_TRACE(tracer_, OnHeaderProposed(id_, digest, header->round, header->batches,
@@ -383,6 +387,7 @@ void Primary::ProposeNow() {
     twin->parents.assign(header->parents.rbegin(), header->parents.rend());
     Digest twin_digest = twin->ComputeDigest();
     twin->author_sig = signer_->Sign(twin_digest);
+    twin->Seal(twin_digest);
 
     Proposal& twin_proposal = proposals_[twin_digest];
     twin_proposal.header = twin;

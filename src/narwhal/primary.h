@@ -65,17 +65,33 @@ struct PrimaryMeta {
 // (the header digest covers the order): every parent certificate is already
 // durable as its own 'C' record, so Recover() rebuilds the full header from
 // those. This keeps the record O(n) bytes where the full encoding is O(n^2).
+// A sealed record: its value is the header's own buffer
+// (BlockHeader::RecordValue), sealed once by the author, so every validator's
+// store holds the author's one copy, and Recover() adopts the stored value as
+// the rebuilt header's buffer.
 struct HeaderRecord {
-  static constexpr uint8_t kTag = 'H';
+  static constexpr uint8_t kTag = BlockHeader::kRecordTag;
   static constexpr Prune kPrune = Prune::kGcHorizon;
   Digest digest{};              // The header's digest: the key, not encoded.
   BlockHeader header;           // `parents` stays empty ...
   std::vector<Digest> parents;  // ... they are named here.
+  // The value, when the record has one: the adopted stored value of a record
+  // read back, or the header's buffer of a record Of() a header, which
+  // carries no fields. Null for a record built field by field, whose fields
+  // Sealed() seals afresh.
+  SharedBytes value = nullptr;
 
+  // The record a primary stores for `header`: the key and the header's own
+  // buffer, with no field copied.
+  static HeaderRecord Of(const BlockHeader& header, const Digest& digest) {
+    return {digest, {}, {}, header.RecordValue(digest)};
+  }
   static Digest KeyOf(const Digest& header_digest) { return TaggedKey(kTag, header_digest); }
   Digest Key() const { return KeyOf(digest); }
   void Encode(Writer& w) const;
   static std::optional<HeaderRecord> Decode(Reader& r);
+  SharedBytes Sealed() const;
+  static std::optional<HeaderRecord> Adopt(SharedBytes value);
 };
 
 // 'C': a certificate the DAG accepted, keyed by its header digest. A sealed

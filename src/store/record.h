@@ -16,7 +16,8 @@
 //
 // A sealed record type also keeps its whole stored value as one immutable
 // buffer, written once by SealRecordValue and shared by every store that
-// holds it (the primary's 'C' record is its certificate's own buffer):
+// holds it (the primary's 'H' and 'C' records are the buffers their author
+// sealed into the header and the certificate):
 //
 //   SharedBytes Sealed() const;                  the value PutRecord stores,
 //                                                the same bytes Encode gives

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <ranges>
 #include <span>
 
 #include "src/common/seeded_bugs.h"
@@ -502,6 +503,82 @@ std::optional<BlockHeader> BlockHeader::Decode(Reader& r) {
     return std::nullopt;
   }
   return h;
+}
+
+// Sealed layout, little-endian — the 'H' record value:
+//   u8 tag 'H' | u32 author | u64 round
+//   u32 n_batches | n_batches x batch ref
+//   u32 n_parents | n_parents x 32 parent digest | 64 author_sig
+// EncodeRecordFields writes everything after the tag.
+
+namespace {
+
+// `parent_digests` is a sized range of Digest.
+template <typename ParentDigests>
+void PutRecordFields(Writer& w, const BlockHeader& h, const ParentDigests& parent_digests) {
+  w.PutU32(h.author);
+  w.PutU64(h.round);
+  w.PutU32(static_cast<uint32_t>(h.batches.size()));
+  for (const BatchRef& ref : h.batches) {
+    ref.Encode(w);
+  }
+  w.PutU32(static_cast<uint32_t>(std::ranges::size(parent_digests)));
+  for (const Digest& parent : parent_digests) {
+    w.PutRaw(parent);
+  }
+  w.PutRaw(h.author_sig);
+}
+
+// The 'H' record value of `h`, its parents named by their digests.
+SharedBytes SealHeaderRecord(const BlockHeader& h) {
+  return SealRecordValue(BlockHeader::kRecordTag, [&](Writer& w) {
+    PutRecordFields(w, h, std::views::transform(h.parents, &Certificate::header_digest));
+  });
+}
+
+}  // namespace
+
+void BlockHeader::EncodeRecordFields(Writer& w, std::span<const Digest> parent_digests) const {
+  PutRecordFields(w, *this, parent_digests);
+}
+
+std::optional<BlockHeader> BlockHeader::DecodeRecordFields(Reader& r,
+                                                           std::vector<Digest>& parent_digests) {
+  BlockHeader h;
+  h.author = r.GetU32();
+  h.round = r.GetU64();
+  uint32_t n_batches = r.GetU32();
+  for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
+    h.batches.push_back(BatchRef::Decode(r));
+  }
+  uint32_t n_parents = r.GetU32();
+  for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
+    parent_digests.push_back(r.GetArray<32>());
+  }
+  h.author_sig = r.GetArray<64>();
+  if (!r.ok()) {
+    return std::nullopt;
+  }
+  return h;
+}
+
+void BlockHeader::Seal(const Digest& digest) {
+  seal_.value = SealHeaderRecord(*this);
+  seal_.digest = digest;
+}
+
+void BlockHeader::Adopt(SharedBytes record_value, const Digest& digest) {
+  seal_.value = std::move(record_value);
+  seal_.digest = digest;
+}
+
+SharedBytes BlockHeader::RecordValue(const Digest& digest) const {
+  // The signature is the value's last field.
+  if (seal_.value != nullptr && seal_.digest == digest && seal_.value->size() > kSigSize &&
+      std::equal(author_sig.begin(), author_sig.end(), seal_.value->end() - kSigSize)) {
+    return seal_.value;
+  }
+  return SealHeaderRecord(*this);
 }
 
 size_t BlockHeader::WireSize() const {

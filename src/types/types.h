@@ -347,7 +347,22 @@ using CertPtr = std::shared_ptr<const Certificate>;
 // A primary block header (paper Fig. 2): the DAG vertex. References this
 // validator's fresh worker batches and >= 2f+1 certificates from the
 // previous round (none at round 0).
+//
+// A sealed header carries its 'H' record value: one immutable buffer holding
+// the tag 'H' and then the record fields (author, round, batch refs, the
+// parents' digests in header order, the signature), written once when the
+// author signs the header. Every validator that stores the header, as its
+// primary's HeaderRecord, shares that buffer; recovery adopts the stored
+// value as the rebuilt header's. The buffer is bound to the digest and
+// signature it was sealed for, and a copy of a header starts unsealed, so a
+// header whose fields change is never stored with stale bytes. A header built
+// field by field (tests, tools) is not sealed: RecordValue() seals a value on
+// demand.
 struct BlockHeader {
+  // The first byte of a sealed header's buffer: the tag of the primary's 'H'
+  // record (HeaderRecord), written by SealRecordValue.
+  static constexpr uint8_t kRecordTag = 'H';
+
   ValidatorId author = 0;
   Round round = 0;
   std::vector<BatchRef> batches;
@@ -361,6 +376,26 @@ struct BlockHeader {
 
   void Encode(Writer& w) const;
   static std::optional<BlockHeader> Decode(Reader& r);
+
+  // The 'H' record fields, everything after the tag, naming the parents by
+  // `parent_digests` (in header order) in place of `parents`: a header read
+  // back from its record holds no parent certificates.
+  void EncodeRecordFields(Writer& w, std::span<const Digest> parent_digests) const;
+  // Reads the fields EncodeRecordFields writes into a header without parents,
+  // and the digests that name them into `parent_digests`. Nullopt on a short
+  // read; trailing bytes are the caller's to reject.
+  static std::optional<BlockHeader> DecodeRecordFields(Reader& r,
+                                                       std::vector<Digest>& parent_digests);
+
+  // Seals the 'H' record value for `digest` (this header's ComputeDigest())
+  // and the current signature: the author calls it once it has signed.
+  void Seal(const Digest& digest);
+  // Adopts `record_value`, the stored 'H' value this header was rebuilt from,
+  // as its buffer for `digest`.
+  void Adopt(SharedBytes record_value, const Digest& digest);
+  // The 'H' record value for `digest`: the header's own buffer if it was
+  // sealed for `digest` and the current signature, else a freshly sealed one.
+  SharedBytes RecordValue(const Digest& digest) const;
 
   size_t WireSize() const;
 
@@ -378,6 +413,21 @@ struct BlockHeader {
     }
     return total;
   }
+
+ private:
+  // The sealed buffer and the digest it was sealed for. A copy starts
+  // unsealed: the copy's fields may be changed before it is stored.
+  struct RecordSeal {
+    SharedBytes value;
+    Digest digest{};
+
+    RecordSeal() = default;
+    RecordSeal(const RecordSeal&) {}
+    RecordSeal(RecordSeal&&) = default;
+    RecordSeal& operator=(const RecordSeal&) { return *this = RecordSeal(); }
+    RecordSeal& operator=(RecordSeal&&) = default;
+  };
+  RecordSeal seal_;
 };
 
 // A vote on a header: the acknowledgment of storage that counts toward a

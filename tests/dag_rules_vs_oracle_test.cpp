@@ -5,13 +5,19 @@
 // certificate-by-certificate into a live committer and once, wholesale, into
 // the replay. The two interpretations of each rule must produce identical
 // committed sequences; any divergence means either the live deferral/GC
-// machinery or the replay mis-implements the rule. A reputation-enabled band
-// exercises Bullshark's Shoal anchor schedule the same way; a cross-protocol
-// test drives every rule over the *same* DAG; on a fault-free DAG
-// Bullshark's per-header commit lag (feed round at delivery minus header
-// round) must beat Tusk's — the latency claim the 2-round rule exists for;
-// and a union DAG missing one header must stop the replay with `complete`
-// cleared.
+// machinery or the replay mis-implements the rule. Each commit must also be
+// one the replay makes on the DAG delivered so far. Three plan shapes reach
+// the gates a full, in-order DAG never does: a last round short of its
+// quorum (the coin rules' decision gate), feeds in which later rounds
+// overtake earlier ones, and leaders with only f+1 to 2f support-round
+// blocks (Tusk's and Bullshark's threshold, DAG-Rider's 2f+1 path
+// threshold); on a full DAG no coin rule counts a leader skipped. A
+// reputation-enabled band exercises Bullshark's Shoal anchor schedule the
+// same way; a cross-protocol test drives every rule over the *same* DAG; on
+// a fault-free DAG Bullshark's per-header commit lag (feed round at delivery
+// minus header round) must beat Tusk's — the latency claim the 2-round rule
+// exists for; and a union DAG missing one header must stop the replay with
+// `complete` cleared.
 #include "src/check/oracle.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +25,10 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 
 #include "src/bullshark/bullshark.h"
@@ -47,8 +55,13 @@ struct DagPlan {
   };
   uint32_t n = 4;
   Round gc_depth = 1000;
-  std::vector<Block> blocks;
+  std::vector<Block> blocks;  // In round order.
+  // The order certificates are delivered in, as indices into `blocks`;
+  // empty means round order.
+  std::vector<size_t> feed;
 };
+
+uint32_t FaultsOf(const DagPlan& plan) { return (plan.n - 1) / 3; }
 
 // Grows a random plan: every round keeps a quorum-or-more of authors (drawn
 // at random) and every header references a random quorum-or-more subset of
@@ -108,6 +121,139 @@ DagPlan FullPlan(uint32_t n, Round rounds) {
       block.round = r;
       block.author = v;
       block.parents = prev;
+      next.push_back(plan.blocks.size());
+      plan.blocks.push_back(std::move(block));
+    }
+    prev = std::move(next);
+  }
+  return plan;
+}
+
+// `plan` with its last round cut to between 1 and 2f certificates. Where
+// that round decides a coin rule's wave, the coin is never revealed: the
+// wave stays undecided however well its leader is supported.
+DagPlan ShortLastRound(DagPlan plan, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const Round last = plan.blocks.back().round;
+  const size_t count = static_cast<size_t>(std::count_if(
+      plan.blocks.begin(), plan.blocks.end(),
+      [last](const DagPlan::Block& b) { return b.round == last; }));
+  const size_t keep = std::min<size_t>(count, 1 + rng() % (2 * FaultsOf(plan)));
+  plan.blocks.resize(plan.blocks.size() - count + keep);
+  return plan;
+}
+
+// A delivery order for `plan` in which later rounds overtake earlier ones:
+// at each round, with probability 1/2, up to f+1 of its certificates (never
+// all) are held back to a random point among the next two rounds'
+// deliveries, so a round can sit below its quorum while the next one fills.
+std::vector<size_t> OvertakingFeed(const DagPlan& plan, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  // Round -> index of its first block; end_of(r) is one past its last.
+  std::map<Round, size_t> first;
+  for (size_t i = plan.blocks.size(); i-- > 0;) {
+    first[plan.blocks[i].round] = i;
+  }
+  auto end_of = [&](Round r) {
+    auto next = first.upper_bound(r);
+    return next == first.end() ? plan.blocks.size() : next->second;
+  };
+  // Each block's delivery slot: its own index, or a later one plus a half.
+  std::vector<double> slot(plan.blocks.size());
+  for (size_t i = 0; i < slot.size(); ++i) {
+    slot[i] = static_cast<double>(i);
+  }
+  for (const auto& [round, begin] : first) {
+    const size_t end = end_of(round);
+    if (end == plan.blocks.size() || rng() % 2 != 0) {
+      continue;
+    }
+    const size_t later_end = end_of(round + 1);
+    const size_t held =
+        std::min<size_t>(end - begin - 1, 1 + rng() % (FaultsOf(plan) + 1));
+    for (size_t k = 0; k < held; ++k) {
+      const size_t i = begin + rng() % (end - begin);
+      slot[i] = static_cast<double>(end + rng() % (later_end - end)) + 0.5;
+    }
+  }
+  std::vector<size_t> feed(plan.blocks.size());
+  for (size_t i = 0; i < feed.size(); ++i) {
+    feed[i] = i;
+  }
+  std::stable_sort(feed.begin(), feed.end(),
+                   [&](size_t a, size_t b) { return slot[a] < slot[b]; });
+  return feed;
+}
+
+// A fault-free full DAG in which the leader of about half of `rule`'s waves
+// has only k in [f+1, 2f] support-round blocks that count for it: blocks
+// that cite it (Tusk, Bullshark), or that have a path to it (DAG-Rider,
+// where the leader's own author alone carries that path through the rounds
+// in between). Every other block avoids it, which leaves each block n-1 >=
+// 2f+1 parents. So Tusk and Bullshark commit these leaders directly at
+// their f+1 threshold, and DAG-Rider, short of its 2f+1, orders them only by
+// path from a later leader. `seed` also seeds the coin the plan reads its
+// leaders from, as the harness does.
+DagPlan WeakLeaderPlan(SystemKind rule, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  DagPlan plan;
+  plan.n = (rng() % 2 == 0) ? 4 : 7;
+  plan.gc_depth = (rng() % 2 == 0) ? 1000 : 20;
+  const uint32_t f = FaultsOf(plan);
+  const Round rounds = 12 + static_cast<Round>(rng() % 12);
+
+  const CommonCoin coin(seed);
+  const AnchorSchedule schedule(plan.n, BullsharkConfig{});
+  Round (*leader_round)(uint64_t) = &Tusk::WaveFirstRound;
+  Round (*support_round)(uint64_t) = &Tusk::WaveSecondRound;
+  if (rule == SystemKind::kBullshark) {
+    leader_round = &Bullshark::WaveAnchorRound;
+    support_round = &Bullshark::WaveSupportRound;
+  } else if (rule == SystemKind::kDagRider) {
+    leader_round = &DagRider::WaveFirstRound;
+    support_round = &DagRider::WaveLastRound;
+  }
+  // Per round: the author whose previous-round block carries the weak
+  // leader's path, and the authors whose blocks may cite it.
+  struct Taint {
+    ValidatorId author = 0;
+    std::set<ValidatorId> citers;
+  };
+  std::map<Round, Taint> taint;
+  for (uint64_t wave = 1; support_round(wave) <= rounds; ++wave) {
+    if (rng() % 2 != 0) {
+      continue;
+    }
+    const ValidatorId leader = rule == SystemKind::kBullshark
+                                   ? schedule.AuthorOf(wave)
+                                   : coin.LeaderOf(wave, plan.n);
+    for (Round r = leader_round(wave) + 1; r < support_round(wave); ++r) {
+      taint[r] = Taint{leader, {leader}};
+    }
+    std::vector<ValidatorId> authors(plan.n);
+    for (uint32_t v = 0; v < plan.n; ++v) {
+      authors[v] = v;
+    }
+    std::shuffle(authors.begin(), authors.end(), rng);
+    const uint32_t k = f + 1 + static_cast<uint32_t>(rng() % f);
+    taint[support_round(wave)] = Taint{leader, {authors.begin(), authors.begin() + k}};
+  }
+
+  std::vector<size_t> prev;
+  for (Round r = 1; r <= rounds; ++r) {
+    std::vector<size_t> next;
+    auto it = taint.find(r);
+    for (uint32_t v = 0; v < plan.n; ++v) {
+      DagPlan::Block block;
+      block.round = r;
+      block.author = v;
+      for (size_t p : prev) {
+        const bool avoid = it != taint.end() && it->second.citers.count(v) == 0 &&
+                           plan.blocks[p].author == it->second.author;
+        if (!avoid) {
+          block.parents.push_back(p);
+        }
+      }
       next.push_back(plan.blocks.size());
       plan.blocks.push_back(std::move(block));
     }
@@ -206,11 +352,22 @@ class Harness {
     });
   }
 
-  // Feeds the whole plan. `on_round` (optional) fires after each completed
-  // round with the feed round just finished.
+  // Feeds the whole plan, in its feed order. `on_round` (optional) fires
+  // whenever the delivered round changes, with the round just left, and
+  // after the last delivery. After every delivery that commits, the live
+  // sequence must be a prefix of the replay of what has been delivered: a
+  // live rule commits nothing its reference would not on the same DAG.
   void Feed(const DagPlan& plan, const std::function<void(Round)>& on_round = nullptr) {
-    Round current = plan.blocks.empty() ? 0 : plan.blocks.front().round;
-    for (const Block& block : Materialize(plan, keys_)) {
+    const std::vector<Block> blocks = Materialize(plan, keys_);
+    std::vector<size_t> feed = plan.feed;
+    if (feed.empty()) {
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        feed.push_back(i);
+      }
+    }
+    Round current = feed.empty() ? 0 : blocks[feed.front()].cert.round;
+    for (size_t i : feed) {
+      const Block& block = blocks[i];
       if (block.cert.round != current) {
         if (on_round != nullptr) {
           on_round(current);
@@ -223,7 +380,11 @@ class Harness {
       union_dag_.AddCertificate(block.cert);
       union_dag_.AddHeader(block.header, block.cert.header_digest);
       feed_round_ = block.cert.round;
+      const size_t committed = live_.size();
       committer_->OnCertificate(block.cert);
+      if (live_.size() != committed) {
+        ExpectPrefixOfReplay(block.cert);
+      }
     }
     if (on_round != nullptr && current != 0) {
       on_round(current);
@@ -247,8 +408,20 @@ class Harness {
 
   const std::vector<Digest>& live() const { return live_; }
   const std::vector<Round>& lags() const { return lags_; }
+  uint64_t skipped_leaders() const { return committer_->skipped_leaders(); }
 
  private:
+  void ExpectPrefixOfReplay(const Certificate& delivered) const {
+    CommitReplay replay = Replay();
+    const bool prefix =
+        live_.size() <= replay.ordered.size() &&
+        std::equal(live_.begin(), live_.end(), replay.ordered.begin());
+    EXPECT_TRUE(prefix) << RuleName(rule_) << " committed " << live_.size()
+                        << " headers on delivery of (round " << delivered.round << ", author "
+                        << delivered.author << "), where the replay of the delivered DAG orders "
+                        << replay.ordered.size();
+  }
+
   SystemKind rule_;
   Keys keys_;
   Scheduler scheduler_;
@@ -270,16 +443,45 @@ class Harness {
 
 class EveryDagRule : public ::testing::TestWithParam<SystemKind> {};
 
-TEST_P(EveryDagRule, TwoHundredRandomDags) {
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    DagPlan plan = RandomPlan(seed);
-    Harness h(GetParam(), plan, /*coin_seed=*/seed);
+// Feeds the plans `make_plan(1..count)` to `rule`, each with its seed as the
+// coin seed, and checks each against its replay.
+void ExpectPlansMatchReplay(SystemKind rule, uint64_t count,
+                            const std::function<DagPlan(uint64_t)>& make_plan) {
+  for (uint64_t seed = 1; seed <= count; ++seed) {
+    DagPlan plan = make_plan(seed);
+    Harness h(rule, plan, /*coin_seed=*/seed);
     h.Feed(plan);
     h.ExpectMatchesReplay(seed);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
+}
+
+TEST_P(EveryDagRule, TwoHundredRandomDags) { ExpectPlansMatchReplay(GetParam(), 200, RandomPlan); }
+
+// A last round short of its quorum: the coin rules must not decide the
+// wave it would reveal (their WaveReady gate).
+TEST_P(EveryDagRule, ShortLastRounds) {
+  ExpectPlansMatchReplay(GetParam(), 50,
+                         [](uint64_t seed) { return ShortLastRound(RandomPlan(seed), seed); });
+}
+
+// Later rounds overtake earlier ones, so decision rounds fill while earlier
+// rounds are still below their quorum.
+TEST_P(EveryDagRule, OvertakingFeeds) {
+  ExpectPlansMatchReplay(GetParam(), 50, [](uint64_t seed) {
+    DagPlan plan = RandomPlan(seed);
+    plan.feed = OvertakingFeed(plan, seed);
+    return plan;
+  });
+}
+
+// Leaders at the support thresholds: f+1 to 2f support-round blocks count
+// for them, enough for Tusk and Bullshark, short of DAG-Rider's 2f+1.
+TEST_P(EveryDagRule, LeadersWithFPlusOneTo2fSupport) {
+  const SystemKind rule = GetParam();
+  ExpectPlansMatchReplay(rule, 30, [rule](uint64_t seed) { return WeakLeaderPlan(rule, seed); });
 }
 
 // Every rule's wave-1 leader sits in round 1, so its history is itself and
@@ -355,6 +557,24 @@ TEST(DagRulesVsOracle, CrossProtocolPrefixConsistencyOnSharedDag) {
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
+    }
+  }
+}
+
+// A coin rule looks at a wave only once its coin is revealed, when the
+// decision round holds a quorum; on a fault-free full DAG every leader is
+// supported by then, so none is ever counted skipped. (Bullshark has no coin
+// to wait for: it counts an anchor short of votes while they are still
+// arriving.)
+TEST(DagRulesVsOracle, CoinRulesSkipNoLeaderOfAFullDag) {
+  for (uint32_t n : {4u, 7u}) {
+    DagPlan plan = FullPlan(n, /*rounds=*/24);
+    for (SystemKind rule : {SystemKind::kTusk, SystemKind::kDagRider}) {
+      Harness h(rule, plan, /*coin_seed=*/7);
+      h.Feed(plan);
+      h.ExpectMatchesReplay(n);
+      EXPECT_FALSE(h.live().empty());
+      EXPECT_EQ(h.skipped_leaders(), 0u) << RuleName(rule) << " n=" << n;
     }
   }
 }

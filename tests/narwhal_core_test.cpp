@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "src/exec/state_machine.h"
 #include "src/net/latency.h"
@@ -218,6 +219,53 @@ TEST(NarwhalCoreTest, StoresAndHeadersShareTheCertificateBuffer) {
   EXPECT_GT(parents, 3 * buffers.size());
   ASSERT_GT(stored_certs.size(), 20u);
   EXPECT_EQ(stored_buffers.size(), stored_certs.size());
+}
+
+TEST(NarwhalCoreTest, StoresShareTheHeaderRecordBuffer) {
+  // A header's 'H' record exists once in the process: the author seals it
+  // when it signs the header, and every validator's store holds that buffer.
+  for (uint32_t n : {4u, 7u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Cluster cluster(BaseConfig(6, n));
+    cluster.Start();
+    cluster.scheduler().RunUntil(Seconds(5));
+
+    // Record key (one per header digest) -> the distinct buffers stored under it.
+    std::map<Digest, std::set<const Bytes*>> buffers;
+    size_t records = 0;
+    for (ValidatorId v = 0; v < n; ++v) {
+      cluster.primary_store(v)->ForEach([&](const Digest& key, const SharedBytes& value) {
+        if (!value->empty() && (*value)[0] == HeaderRecord::kTag) {
+          buffers[key].insert(value.get());
+          ++records;
+        }
+      });
+    }
+    ASSERT_GT(buffers.size(), 5u * n);
+    EXPECT_GT(records, 2 * buffers.size()) << "headers are not stored by several validators";
+    for (const auto& [key, held] : buffers) {
+      EXPECT_EQ(held.size(), 1u) << "distinct 'H' buffers for one header";
+    }
+
+    // The buffer is the header's own: each DAG header hands it out as its
+    // record value.
+    size_t checked = 0;
+    for (ValidatorId v = 0; v < n; ++v) {
+      const Dag& dag = cluster.primary(v)->dag();
+      for (Round r = dag.gc_round(); r <= dag.HighestRound(); ++r) {
+        for (const auto& [author, cert] : dag.CertsAt(r)) {
+          std::shared_ptr<const BlockHeader> header = dag.GetHeader(cert->header_digest);
+          auto it = buffers.find(HeaderRecord::KeyOf(cert->header_digest));
+          if (header == nullptr || it == buffers.end()) {
+            continue;
+          }
+          EXPECT_EQ(header->RecordValue(cert->header_digest).get(), *it->second.begin());
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, records / 2);
+  }
 }
 
 // Executes one header per digest, in order, over batches served by `worker`,
