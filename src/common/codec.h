@@ -149,6 +149,19 @@ class Reader {
   bool ok_ = true;
 };
 
+// A type with both codec legs: it encodes itself into a Writer, and a static
+// Decode reads it back from a Reader.
+template <typename T>
+concept TwoSidedCodec = requires(const T& value, Writer& w, Reader& r) {
+  value.Encode(w);
+  T::Decode(r);
+};
+
+// A list of two-sided codecs (the decode fuzzer's corpus). Listing a type
+// that has only one of Encode and Decode is a compile error.
+template <TwoSidedCodec... T>
+struct CodecList {};
+
 }  // namespace nt
 
 #endif  // SRC_COMMON_CODEC_H_

@@ -8,7 +8,7 @@
 
 namespace nt {
 
-std::vector<bool> Signer::VerifyBatch(const std::vector<BatchItem>& items) const {
+std::vector<bool> Verifier::VerifyBatch(const std::vector<BatchItem>& items) const {
   std::vector<bool> out(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     out[i] = Verify(items[i].pk, items[i].msg, items[i].len, items[i].sig);

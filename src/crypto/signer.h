@@ -36,15 +36,12 @@ using Signature = std::array<uint8_t, 64>;
 // (every vote of a certificate signs the same preimage).
 using BatchItem = Ed25519BatchItem;
 
-// A private signing key bound to one identity.
-class Signer {
+// Checks signatures under any public key of one scheme, and cannot create
+// one. Protocol objects reach the key they sign with only through a
+// SigningLedger (src/store/ledger.h); everything else they hold is this.
+class Verifier {
  public:
-  virtual ~Signer() = default;
-
-  virtual const PublicKey& public_key() const = 0;
-  virtual Signature Sign(const uint8_t* msg, size_t len) const = 0;
-  Signature Sign(const Bytes& msg) const { return Sign(msg.data(), msg.size()); }
-  Signature Sign(const Digest& d) const { return Sign(d.data(), d.size()); }
+  virtual ~Verifier() = default;
 
   // Verifies under an arbitrary public key of the same scheme.
   virtual bool Verify(const PublicKey& pk, const uint8_t* msg, size_t len,
@@ -65,6 +62,15 @@ class Signer {
   // adversarial components clear identically), leaving only the 2^-128
   // Fiat-Shamir collision as a theoretical divergence.
   virtual std::vector<bool> VerifyBatch(const std::vector<BatchItem>& items) const;
+};
+
+// A private signing key bound to one identity.
+class Signer : public Verifier {
+ public:
+  virtual const PublicKey& public_key() const = 0;
+  virtual Signature Sign(const uint8_t* msg, size_t len) const = 0;
+  Signature Sign(const Bytes& msg) const { return Sign(msg.data(), msg.size()); }
+  Signature Sign(const Digest& d) const { return Sign(d.data(), d.size()); }
 };
 
 enum class SignerKind { kEd25519, kFast };

@@ -18,7 +18,7 @@ HotStuff::HotStuff(ValidatorId id, const Committee& committee, Network* network,
     : id_(id),
       committee_(committee),
       network_(network),
-      signer_(signer),
+      ledger_(signer),
       provider_(provider),
       timers_(network->scheduler()) {
   committed_.insert(kGenesisDigest);
@@ -33,69 +33,51 @@ void HotStuff::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
-void HotStuff::PersistVote() {
-  if (store_ == nullptr) {
-    return;
-  }
-  PutRecord(*store_, HsVoteRecord{last_voted_view_, last_voted_digest_});
-  // Durability barrier: the vote record must hit disk before the signature
-  // leaves this node, or a crash-restart could sign a conflicting vote.
-  store_->Sync();
-}
-
 void HotStuff::PersistLock() {
-  if (store_ == nullptr) {
+  Store* store = ledger_.store();
+  if (store == nullptr) {
     return;
   }
-  PutRecord(*store_, HsLockRecord{locked_view_, locked_block_});
+  PutRecord(*store, HsLockRecord{locked_view_, locked_block_});
   // The lock is part of the safety rule; losing it across a restart could
   // let the node vote for a branch conflicting with a commit in flight.
-  store_->Sync();
-}
-
-void HotStuff::PersistProposedMarker() {
-  if (store_ == nullptr) {
-    return;
-  }
-  PutRecord(*store_, HsProposedRecord{view_});
-  // Leader-equivocation guard: restart must not re-propose a different
-  // block in a view this node already proposed in.
-  store_->Sync();
+  store->Sync();
 }
 
 void HotStuff::Recover() {
-  if (store_ == nullptr) {
+  Store* store = ledger_.store();
+  if (store == nullptr) {
     return;
   }
   std::optional<View> proposed_marker;
   HotStuffRecords::ForEach(
-      *store_, Overloaded{
-                   [&](const HsVoteRecord& rec) {
-                     last_voted_view_ = rec.view;
-                     last_voted_digest_ = rec.digest;
-                   },
-                   [&](const HsLockRecord& rec) {
-                     locked_view_ = rec.view;
-                     locked_block_ = rec.digest;
-                   },
-                   [&](const HsViewRecord& rec) { view_ = std::max(view_, rec.view); },
-                   [&](const HsProposedRecord& rec) { proposed_marker = rec.view; },
-                   [&](const HsHighQcRecord& rec) {
-                     if (rec.qc.view > high_qc_.view) {
-                       high_qc_ = rec.qc;
-                     }
-                   },
-                   [&](const HsCommitRecord& rec) {
-                     // Block bodies are gone, but the tip terminates ancestor
-                     // walks, so catch-up stops at the recovered frontier and
-                     // post-recovery commits extend the pre-crash prefix.
-                     // Delivery bookkeeping (payload re-injection) is the
-                     // commit log's own recovered state.
-                     committed_.insert(rec.tip);
-                     committed_view_ = rec.view;
-                     committed_count_ = rec.count;
-                   },
-               });
+      *store, Overloaded{
+                  [&](const HsVoteRecord& rec) {
+                    last_voted_view_ = rec.view;
+                    last_voted_digest_ = rec.digest;
+                  },
+                  [&](const HsLockRecord& rec) {
+                    locked_view_ = rec.view;
+                    locked_block_ = rec.digest;
+                  },
+                  [&](const HsViewRecord& rec) { view_ = std::max(view_, rec.view); },
+                  [&](const HsProposedRecord& rec) { proposed_marker = rec.view; },
+                  [&](const HsHighQcRecord& rec) {
+                    if (rec.qc.view > high_qc_.view) {
+                      high_qc_ = rec.qc;
+                    }
+                  },
+                  [&](const HsCommitRecord& rec) {
+                    // Block bodies are gone, but the tip terminates ancestor
+                    // walks, so catch-up stops at the recovered frontier and
+                    // post-recovery commits extend the pre-crash prefix.
+                    // Delivery bookkeeping (payload re-injection) is the
+                    // commit log's own recovered state.
+                    committed_.insert(rec.tip);
+                    committed_view_ = rec.view;
+                    committed_count_ = rec.count;
+                  },
+              });
   // A crash between persisting the vote/QC and the view record must not
   // resurrect the node in an older view than it acted in.
   view_ = std::max(view_, std::max(last_voted_view_, high_qc_.view + 1));
@@ -147,9 +129,8 @@ void HotStuff::OnTimeout(View view) {
   ++timeouts_fired_;
   ++consecutive_timeouts_;
   NT_TRACE(tracer_, IncrCounter("hotstuff/timeouts"));
-  Signature sig = signer_->Sign(TimeoutCert::VotePreimage(view));
+  Signature sig = ledger_.SignTimeout(TimeoutCert::VotePreimage(view));
   auto msg = std::make_shared<MsgHsTimeout>(view, id_, sig, high_qc_);
-  // ntlint:allow(wal-before-send): timeout signature is a pure function of the view — a restarted node re-signs the identical preimage, so there is no equivocation to persist against
   Broadcast(msg);
   HandleTimeout(*msg);
   StartTimer();  // Same view, doubled timeout.
@@ -173,9 +154,10 @@ void HotStuff::MaybePropose() {
   }
   block->payload = provider_->GetPayload(view_);
   Digest digest = block->ComputeDigest();
-  block->author_sig = signer_->Sign(digest);
+  // Leader-equivocation guard: the marker is durable before the signature
+  // exists, so a restart never proposes a different block in this view.
+  block->author_sig = ledger_.SignProposal(HsProposedRecord{view_}, digest);
   proposed_in_view_ = true;
-  PersistProposedMarker();
 
   blocks_[digest] = block;
   Broadcast(std::make_shared<MsgHsProposal>(block, digest));
@@ -209,7 +191,8 @@ void HotStuff::HandleProposal(uint32_t from, const MsgHsProposal& msg) {
     return;
   }
   if (msg.digest != block.ComputeDigest() ||
-      !signer_->Verify(committee_.key_of(block.author), msg.digest, block.author_sig)) {
+      !ledger_.verifier().Verify(committee_.key_of(block.author), msg.digest,
+                                 block.author_sig)) {
     LOG_WARN() << "invalid proposal signature from " << block.author;
     return;
   }
@@ -223,10 +206,10 @@ void HotStuff::HandleProposal(uint32_t from, const MsgHsProposal& msg) {
   if (block.view != justified + 1) {
     return;  // View not justified by QC/TC.
   }
-  if (!block.justify.Verify(committee_, *signer_, &cert_cache_)) {
+  if (!block.justify.Verify(committee_, ledger_.verifier(), &cert_cache_)) {
     return;
   }
-  if (block.tc.has_value() && !block.tc->Verify(committee_, *signer_, &cert_cache_)) {
+  if (block.tc.has_value() && !block.tc->Verify(committee_, ledger_.verifier(), &cert_cache_)) {
     return;
   }
 
@@ -313,9 +296,10 @@ void HotStuff::TryVote(const Digest& digest) {
 void HotStuff::CastVote(const HsBlock& block, const Digest& digest) {
   last_voted_view_ = block.view;
   last_voted_digest_ = digest;
-  // Write-ahead: the vote ledger is durable before the signature leaves.
-  PersistVote();
-  Signature sig = signer_->Sign(QuorumCert::VotePreimage(digest, block.view));
+  // Write-ahead: the vote record is durable before the signature exists, or
+  // a crash-restart could sign a conflicting vote.
+  Signature sig = ledger_.SignVote(HsVoteRecord{last_voted_view_, last_voted_digest_},
+                                   QuorumCert::VotePreimage(digest, block.view));
   auto vote = std::make_shared<MsgHsVote>(digest, block.view, id_, sig);
   ValidatorId next_leader = LeaderOf(block.view + 1);
   if (next_leader == id_) {
@@ -336,8 +320,8 @@ void HotStuff::HandleVote(const MsgHsVote& msg) {
   if (set.count(msg.voter) != 0) {
     return;
   }
-  if (!signer_->Verify(committee_.key_of(msg.voter),
-                       QuorumCert::VotePreimage(msg.block_digest, msg.view), msg.sig)) {
+  if (!ledger_.verifier().Verify(committee_.key_of(msg.voter),
+                                 QuorumCert::VotePreimage(msg.block_digest, msg.view), msg.sig)) {
     return;
   }
   set[msg.voter] = msg.sig;
@@ -445,13 +429,13 @@ void HotStuff::HandleTimeout(const MsgHsTimeout& msg) {
   if (msg.view + 1 < view_) {
     return;  // Stale: a TC for this view would not advance us.
   }
-  if (!signer_->Verify(committee_.key_of(msg.voter), TimeoutCert::VotePreimage(msg.view),
-                       msg.sig)) {
+  if (!ledger_.verifier().Verify(committee_.key_of(msg.voter), TimeoutCert::VotePreimage(msg.view),
+                                 msg.sig)) {
     return;
   }
   // The attached high QC helps laggards catch up — but only if it is real; a
   // Byzantine voter must not be able to fast-forward views with a forgery.
-  if (msg.high_qc.Verify(committee_, *signer_, &cert_cache_)) {
+  if (msg.high_qc.Verify(committee_, ledger_.verifier(), &cert_cache_)) {
     AdoptQc(msg.high_qc);
   }
   auto& set = timeout_sets_[msg.view];
@@ -463,8 +447,7 @@ void HotStuff::HandleTimeout(const MsgHsTimeout& msg) {
   // our signature so the exchange converges pairwise in one round trip.
   // Replying only to fresh signatures makes the echo terminate.
   if (fresh && msg.view == view_ && msg.voter != id_ && set.count(id_) != 0) {
-    Signature sig = signer_->Sign(TimeoutCert::VotePreimage(msg.view));
-    // ntlint:allow(wal-before-send): timeout signature is a pure function of the view — a restarted node re-signs the identical preimage, so there is no equivocation to persist against
+    Signature sig = ledger_.SignTimeout(TimeoutCert::VotePreimage(msg.view));
     network_->Send(net_id_, peers_[msg.voter],
                    std::make_shared<MsgHsTimeout>(msg.view, id_, sig, high_qc_));
   }
@@ -521,44 +504,38 @@ void HotStuff::RequestBlock(const Digest& digest, uint32_t hint) {
 // -------------------------------------------------------------------- dispatch
 
 void HotStuff::OnMessage(uint32_t from, const MessagePtr& msg) {
-  if (auto proposal = std::dynamic_pointer_cast<const MsgHsProposal>(msg)) {
-    HandleProposal(from, *proposal);
-    return;
+  const bool handled = Dispatch(
+      Handles{}, *msg,
+      [&](const MsgHsProposal& proposal) { HandleProposal(from, proposal); },
+      [&](const MsgHsVote& vote) { HandleVote(vote); },
+      [&](const MsgHsTimeout& timeout) { HandleTimeout(timeout); },
+      [&](const MsgHsBlockRequest& request) {
+        auto it = blocks_.find(request.digest);
+        if (it != blocks_.end()) {
+          network_->Send(net_id_, from,
+                         std::make_shared<MsgHsBlockResponse>(it->second, it->first));
+        }
+      },
+      [&](const MsgHsBlockResponse& response) {
+        if (response.block->ComputeDigest() != response.digest) {
+          return;
+        }
+        fetching_blocks_.erase(response.digest);
+        if (blocks_.emplace(response.digest, response.block).second) {
+          UpdateChain(*response.block);
+          // Recursively heal the chain if needed, then retry deferred votes.
+          if (response.block->parent != kGenesisDigest &&
+              blocks_.count(response.block->parent) == 0 &&
+              committed_.count(response.block->parent) == 0) {
+            RequestBlock(response.block->parent, from);
+          }
+          RetryDeferred();
+        }
+      });
+  if (!handled) {
+    // Mempool-mode traffic (gossip, batches) belongs to the provider.
+    provider_->OnMessage(from, msg);
   }
-  if (auto vote = std::dynamic_pointer_cast<const MsgHsVote>(msg)) {
-    HandleVote(*vote);
-    return;
-  }
-  if (auto timeout = std::dynamic_pointer_cast<const MsgHsTimeout>(msg)) {
-    HandleTimeout(*timeout);
-    return;
-  }
-  if (auto request = std::dynamic_pointer_cast<const MsgHsBlockRequest>(msg)) {
-    auto it = blocks_.find(request->digest);
-    if (it != blocks_.end()) {
-      network_->Send(net_id_, from, std::make_shared<MsgHsBlockResponse>(it->second, it->first));
-    }
-    return;
-  }
-  if (auto response = std::dynamic_pointer_cast<const MsgHsBlockResponse>(msg)) {
-    if (response->block->ComputeDigest() != response->digest) {
-      return;
-    }
-    fetching_blocks_.erase(response->digest);
-    if (blocks_.emplace(response->digest, response->block).second) {
-      UpdateChain(*response->block);
-      // Recursively heal the chain if needed, then retry deferred votes.
-      if (response->block->parent != kGenesisDigest &&
-          blocks_.count(response->block->parent) == 0 &&
-          committed_.count(response->block->parent) == 0) {
-        RequestBlock(response->block->parent, from);
-      }
-      RetryDeferred();
-    }
-    return;
-  }
-  // Mempool-mode traffic (gossip, batches) belongs to the provider.
-  provider_->OnMessage(from, msg);
 }
 
 }  // namespace nt

@@ -27,6 +27,7 @@
 #include "src/hotstuff/payload.h"
 #include "src/net/network.h"
 #include "src/sim/timers.h"
+#include "src/store/ledger.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/cert_cache.h"
@@ -159,6 +160,10 @@ using HotStuffRecords = RecordList<HsVoteRecord, HsLockRecord, HsViewRecord, HsP
 
 class HotStuff : public NetNode {
  public:
+  // The messages OnMessage dispatches; the rest go to the payload provider.
+  using Handles = MessageList<MsgHsProposal, MsgHsVote, MsgHsTimeout, MsgHsBlockRequest,
+                              MsgHsBlockResponse>;
+
   HotStuff(ValidatorId id, const Committee& committee, Network* network, Signer* signer,
            PayloadProvider* provider);
 
@@ -169,7 +174,7 @@ class HotStuff : public NetNode {
   // commit frontier) is write-ahead persisted; blocks themselves are not —
   // a recovered node re-fetches chain bodies through the existing ancestor
   // catch-up path.
-  void set_store(Store* store) { store_ = store; }
+  void set_store(Store* store) { ledger_.set_store(store); }
 
   // Restores the vote-safety ledger from the store. Call after construction
   // and before OnStart. The restored last-voted/lock/proposed-view state is
@@ -241,21 +246,20 @@ class HotStuff : public NetNode {
   const HsBlock* GetBlock(const Digest& digest) const;
   void Broadcast(const MessagePtr& msg);
 
-  // WAL writes (no-ops without a store). The signing-boundary ones sync.
+  // WAL writes (no-ops without a store). The signing-boundary ones go
+  // through the ledger.
   template <typename R>
   void Persist(const R& record) {
-    if (store_ != nullptr) {
-      PutRecord(*store_, record);
+    if (Store* store = ledger_.store(); store != nullptr) {
+      PutRecord(*store, record);
     }
   }
-  void PersistVote();
   void PersistLock();
-  void PersistProposedMarker();
 
   ValidatorId id_;
   const Committee& committee_;
   Network* network_;
-  Signer* signer_;
+  SigningLedger ledger_;  // The signing key and the durable store.
   PayloadProvider* provider_;
   uint32_t net_id_ = 0;
   Tracer* tracer_ = nullptr;
@@ -296,8 +300,6 @@ class HotStuff : public NetNode {
   CommitHook on_commit_;
   uint64_t committed_count_ = 0;
   uint64_t timeouts_fired_ = 0;
-
-  Store* store_ = nullptr;
 
   Timers timers_;  // Every timer of this node.
 };

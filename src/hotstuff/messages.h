@@ -11,17 +11,16 @@
 
 namespace nt {
 
-struct MsgHsProposal : Message {
+struct MsgHsProposal : MessageOf<MessageTypeId::kHsProposal> {
   std::shared_ptr<const HsBlock> block;
   Digest digest{};
 
   MsgHsProposal(std::shared_ptr<const HsBlock> b, const Digest& d)
       : block(std::move(b)), digest(d) {}
   size_t WireSize() const override { return block->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHsProposal; }
 };
 
-struct MsgHsVote : Message {
+struct MsgHsVote : MessageOf<MessageTypeId::kHsVote> {
   Digest block_digest{};
   View view = 0;
   ValidatorId voter = 0;
@@ -30,10 +29,9 @@ struct MsgHsVote : Message {
   MsgHsVote(const Digest& d, View v, ValidatorId voter_id, const Signature& s)
       : block_digest(d), view(v), voter(voter_id), sig(s) {}
   size_t WireSize() const override { return 32 + 8 + 4 + 64; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHsVote; }
 };
 
-struct MsgHsTimeout : Message {
+struct MsgHsTimeout : MessageOf<MessageTypeId::kHsTimeout> {
   View view = 0;
   ValidatorId voter = 0;
   Signature sig{};
@@ -42,39 +40,35 @@ struct MsgHsTimeout : Message {
   MsgHsTimeout(View v, ValidatorId voter_id, const Signature& s, QuorumCert qc)
       : view(v), voter(voter_id), sig(s), high_qc(std::move(qc)) {}
   size_t WireSize() const override { return 8 + 4 + 64 + high_qc.WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHsTimeout; }
 };
 
 // Catch-up: fetch a missing ancestor block by digest.
-struct MsgHsBlockRequest : Message {
+struct MsgHsBlockRequest : MessageOf<MessageTypeId::kHsBlockRequest> {
   Digest digest{};
 
   explicit MsgHsBlockRequest(const Digest& d) : digest(d) {}
   size_t WireSize() const override { return 32; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHsBlockRequest; }
 };
 
-struct MsgHsBlockResponse : Message {
+struct MsgHsBlockResponse : MessageOf<MessageTypeId::kHsBlockResponse> {
   std::shared_ptr<const HsBlock> block;
   Digest digest{};
 
   MsgHsBlockResponse(std::shared_ptr<const HsBlock> b, const Digest& d)
       : block(std::move(b)), digest(d) {}
   size_t WireSize() const override { return block->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHsBlockResponse; }
 };
 
 // Baseline-HS gossip mempool: periodic aggregate of freshly received
 // transactions, re-shared with every peer (the double transmission the
-// paper's §2.2 identifies). Content is accounting-only.
-struct MsgGossipTxs : Message {
+// paper's §2.2 identifies). Content is accounting-only: no node dispatches it
+// (AccountingOnly, src/runtime/message_table.h).
+struct MsgGossipTxs : MessageOf<MessageTypeId::kGossipTxs> {
   uint64_t num_txs = 0;
   uint64_t payload_bytes = 0;
 
   MsgGossipTxs(uint64_t n, uint64_t bytes) : num_txs(n), payload_bytes(bytes) {}
   size_t WireSize() const override { return 16 + payload_bytes; }
-  // ntlint:allow(registry-exhaustive): wire-accounting only — sized for bandwidth simulation, never dispatched by a handler
-  MessageTypeId TypeId() const override { return MessageTypeId::kGossipTxs; }
 };
 
 }  // namespace nt

@@ -177,32 +177,33 @@ bool BatchedProvider::CheckPayload(const HsPayload& payload, uint32_t proposer_n
 }
 
 void BatchedProvider::OnMessage(uint32_t from, const MessagePtr& msg) {
-  if (auto batch = std::dynamic_pointer_cast<const MsgBatch>(msg)) {
-    if (stored_.emplace(batch->digest, batch->batch).second) {
-      if (committed_.count(batch->digest) == 0 && proposable_set_.insert(batch->digest).second) {
-        proposable_.push_back(batch->digest);
-      }
-      // Release any availability waits.
-      for (auto it = waiting_.begin(); it != waiting_.end();) {
-        it->missing.erase(batch->digest);
-        if (it->missing.empty()) {
-          auto ready = std::move(it->ready);
-          it = waiting_.erase(it);
-          ready();
-        } else {
-          ++it;
+  Dispatch(
+      Handles{}, *msg,
+      [&](const MsgBatch& batch) {
+        if (!stored_.emplace(batch.digest, batch.batch).second) {
+          return;
         }
-      }
-    }
-    return;
-  }
-  if (auto request = std::dynamic_pointer_cast<const MsgBatchRequest>(msg)) {
-    auto it = stored_.find(request->digest);
-    if (it != stored_.end()) {
-      network_->Send(net_id_, from, std::make_shared<MsgBatch>(it->second, it->first));
-    }
-    return;
-  }
+        if (committed_.count(batch.digest) == 0 && proposable_set_.insert(batch.digest).second) {
+          proposable_.push_back(batch.digest);
+        }
+        // Release any availability waits.
+        for (auto it = waiting_.begin(); it != waiting_.end();) {
+          it->missing.erase(batch.digest);
+          if (it->missing.empty()) {
+            auto ready = std::move(it->ready);
+            it = waiting_.erase(it);
+            ready();
+          } else {
+            ++it;
+          }
+        }
+      },
+      [&](const MsgBatchRequest& request) {
+        auto it = stored_.find(request.digest);
+        if (it != stored_.end()) {
+          network_->Send(net_id_, from, std::make_shared<MsgBatch>(it->second, it->first));
+        }
+      });
 }
 
 void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {

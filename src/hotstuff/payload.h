@@ -141,6 +141,9 @@ class BaselineProvider : public PayloadProvider {
 
 class BatchedProvider : public PayloadProvider {
  public:
+  // The messages OnMessage dispatches.
+  using Handles = MessageList<MsgBatch, MsgBatchRequest>;
+
   BatchedProvider(ValidatorId id, const Committee& committee, uint64_t batch_size_bytes,
                   TimeDelta max_batch_delay, uint64_t max_digests_per_block,
                   BatchDirectory* directory);

@@ -60,7 +60,7 @@ Bytes QuorumCert::VotePreimage(const Digest& block_digest, View view) {
   return w.Take();
 }
 
-bool QuorumCert::Verify(const Committee& committee, const Signer& verifier,
+bool QuorumCert::Verify(const Committee& committee, const Verifier& verifier,
                         VerifiedCertCache* cache) const {
   if (IsGenesis()) {
     return true;
@@ -81,7 +81,7 @@ Bytes TimeoutCert::VotePreimage(View view) {
   return w.Take();
 }
 
-bool TimeoutCert::Verify(const Committee& committee, const Signer& verifier,
+bool TimeoutCert::Verify(const Committee& committee, const Verifier& verifier,
                          VerifiedCertCache* cache) const {
   const SignedVotes set{VerifiedCertCache::Kind::kTimeoutCert, kNoSubject, view, 0, votes,
                         [](const Digest&, uint64_t v, ValidatorId) { return VotePreimage(v); }};

@@ -50,7 +50,7 @@ struct QuorumCert {
   VoteList votes;
 
   static Bytes VotePreimage(const Digest& block_digest, View view);
-  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
+  bool Verify(const Committee& committee, const Verifier& verifier, VerifiedCertCache* cache) const;
   // The genesis QC: zero digest, view 0, no votes. Exempt from Verify.
   bool IsGenesis() const { return view == 0 && votes.size() == 0; }
   size_t WireSize() const { return 32 + 8 + votes.size() * (4 + 64); }
@@ -63,7 +63,7 @@ struct TimeoutCert {
   VoteList votes;
 
   static Bytes VotePreimage(View view);
-  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
+  bool Verify(const Committee& committee, const Verifier& verifier, VerifiedCertCache* cache) const;
   size_t WireSize() const { return 8 + votes.size() * (4 + 64); }
 };
 

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "src/lint/lexer.h"
-#include "src/lint/model.h"
 #include "src/lint/rules.h"
 
 namespace nt {
@@ -61,15 +60,24 @@ const std::vector<RuleInfo>& Rules() {
        "std::unordered_* or a std::map/set keyed by raw pointer anywhere"},
       {kRuleQuorumArith, "R3", "Literal quorum-threshold arithmetic outside the Committee helpers"},
       {kRuleCodecMismatch, "R4", "Encode/Decode field op sequences drift"},
-      {kRuleWalBeforeSend, "R6",
-       "Signed message sent without a prior Store::Sync durability barrier"},
       {kRuleDeferredCapture, "R8",
        "Scheduler lambda captures by reference or reschedules with stale state"},
-      {kRuleRegistryExhaustive, "R9", "MessageTypeId missing a codec, handler or fuzz-corpus leg"},
   };
   return rules;
 }
 
+namespace {
+
+// One `ntlint:allow(...)` annotation, parsed from a comment.
+struct AllowAnnotation {
+  int line = 0;
+  std::vector<std::string> rules;
+  std::string reason;
+  bool used = false;
+};
+
+// Extracts `ntlint:allow(rule[,rule...]): reason` annotations from comments.
+// Unknown rule names are dropped (a typo'd rule leaves the finding live).
 std::vector<AllowAnnotation> ParseAllows(const std::vector<Comment>& comments) {
   std::vector<AllowAnnotation> allows;
   for (const Comment& c : comments) {
@@ -110,6 +118,8 @@ std::vector<AllowAnnotation> ParseAllows(const std::vector<Comment>& comments) {
   return allows;
 }
 
+// Repo-relative path ("src/..." or "bench/...") so rule scoping works no
+// matter where the tool is invoked from.
 std::string RepoRelPath(std::string path) {
   std::replace(path.begin(), path.end(), '\\', '/');
   for (const char* anchor : {"/src/", "/bench/"}) {
@@ -121,6 +131,8 @@ std::string RepoRelPath(std::string path) {
   return path;
 }
 
+// Applies allow annotations to `findings` (marks suppressed / used) and
+// records the stale ones on the report.
 void ApplyAllows(std::vector<Finding>* findings, std::vector<AllowAnnotation>* allows,
                  FileReport* report) {
   for (Finding& f : *findings) {
@@ -150,17 +162,8 @@ void ApplyAllows(std::vector<Finding>* findings, std::vector<AllowAnnotation>* a
   }
 }
 
-FileReport LintSource(const std::string& path, const std::string& content) {
-  // Per-file linting is pass 1 of the model pipeline, so a file linted alone
-  // and the same file linted as part of the repo agree by construction.
-  FileFacts facts = ExtractFacts(path, content);
-  FileReport report;
-  report.path = path;
-  ApplyAllows(&facts.findings, &facts.allows, &report);
-  report.findings = std::move(facts.findings);
-  return report;
-}
-
+// Recursively collects the source files under `root` (or `root` itself if it
+// is a regular file), sorted lexicographically so runs are reproducible.
 std::vector<std::string> CollectSourceFiles(const std::string& root) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
@@ -189,6 +192,70 @@ std::vector<std::string> CollectSourceFiles(const std::string& root) {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+}  // namespace
+
+FileReport LintSource(const std::string& path, const std::string& content) {
+  LexedFile lex = Lex(content);
+  FileReport report;
+  report.path = path;
+  report.findings = RunRules(RepoRelPath(path), lex);
+  for (Finding& f : report.findings) {
+    f.path = path;
+  }
+  std::vector<AllowAnnotation> allows = ParseAllows(lex.comments);
+  ApplyAllows(&report.findings, &allows, &report);
+  return report;
+}
+
+void AddReport(Summary* summary, FileReport report) {
+  for (const Finding& f : report.findings) {
+    ++summary->total;
+    if (f.suppressed) {
+      ++summary->suppressed;
+    }
+  }
+  for (const auto& [line, rules] : report.unused_allows) {
+    std::stringstream list(rules);
+    std::string rule;
+    while (std::getline(list, rule, ',')) {
+      ++summary->stale_by_rule[rule];
+    }
+  }
+  if (!report.findings.empty() || !report.unused_allows.empty()) {
+    summary->files.push_back(std::move(report));
+  }
+}
+
+Summary LintPaths(const std::vector<std::string>& paths) {
+  std::vector<std::string> files;
+  for (const std::string& p : paths) {
+    std::vector<std::string> collected = CollectSourceFiles(p);
+    files.insert(files.end(), collected.begin(), collected.end());
+  }
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
+
+  Summary summary;
+  for (const std::string& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      Finding f;
+      f.rule = "io-error";
+      f.path = path;
+      f.message = "cannot read file";
+      FileReport report;
+      report.path = path;
+      report.findings.push_back(std::move(f));
+      AddReport(&summary, std::move(report));
+      continue;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    AddReport(&summary, LintSource(path, buf.str()));
+  }
+  return summary;
 }
 
 std::string FormatSummary(const Summary& summary, bool verbose) {

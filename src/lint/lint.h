@@ -1,17 +1,18 @@
 // ntlint — determinism & protocol-safety static analysis for this repo.
 //
 // The whole reproduction rests on one property: a seeded run is a pure
-// function of its seed. PR 3's simulation harness *checks* that property
+// function of its seed. The simulation harness *checks* that property
 // (double-run event-hash compare), but a fuzz pass can only tell you the
 // schedules it tried were deterministic. ntlint enforces the property's
 // preconditions at the source level, where violations are introduced.
 //
-// Per-file token-pattern rules (v1):
+// Every rule reads one file's tokens, so the tool is one pass: LintPaths
+// lints each file alone with LintSource and adds up the reports.
 //
 //   R1 nondet          banned wall-clock / ambient-entropy / threading /
 //                      raw-file-IO identifiers outside src/sim/ and bench/
-//                      (guards the WAL's one fsync barrier,
-//                      src/store/store.cpp:209, which carries an allow);
+//                      (guards the WAL's one fsync barrier in
+//                      src/store/store.cpp, which carries an allow);
 //                      and, in every file, simulator included, the
 //                      container ban: no std::unordered_* and no
 //                      std::map/set/multimap/multiset keyed by a raw
@@ -21,40 +22,50 @@
 //                      (src/crypto/digest_table.h) is the one hash table and
 //                      has no begin()/end(); ordered books key by id or
 //                      digest, like the DAG's per-round
-//                      std::map<ValidatorId, CertPtr> (src/narwhal/dag.h:132).
+//                      std::map<ValidatorId, CertPtr> (src/narwhal/dag.h).
 //   R3 quorum-arith    literal threshold arithmetic (2f, 2f+1, f+1, n/3)
 //                      outside the blessed Committee helpers — the "2f vs
 //                      2f+1" slip class that breaks quorum intersection
-//                      (guards the seeded mutation at src/types/types.cpp:22).
+//                      (guards the seeded mutation NarwhalCertQuorum reads,
+//                      src/types/types.cpp).
 //   R4 codec-mismatch  an Encode/Decode pair whose field op sequences drift
 //                      (silent serialize/deserialize skew; guards e.g.
-//                      Certificate::Encode/Decode, src/types/types.cpp:240).
+//                      Certificate::Encode/Decode, src/types/types.cpp).
+//   R8 deferred-capture
+//                      a lambda handed to the Scheduler captures locals by
+//                      reference, or a retry's reschedule call fails to
+//                      carry mutated state by value (the RetryBroadcast
+//                      stale-attempt storm class; guards the DST workload
+//                      lambdas, src/check/checker.cpp). This one cannot
+//                      be structural: C++ has no way to forbid a
+//                      by-reference capture in a callable a scheduler keeps.
 //
-// Whole-repo semantic-model rules (v2, src/lint/model.h):
+// Retired rules, and what replaced them:
 //
-//   R6 wal-before-send     a signed message leaves the node without a
-//                          Store::Sync() durability barrier earlier on the
-//                          path (checked through call-graph inlining) — the
-//                          double-vote-through-amnesia class (guards the
-//                          HotStuff timeout broadcast,
-//                          src/hotstuff/hotstuff.cpp:184).
-//   R8 deferred-capture    a lambda handed to the Scheduler captures locals
-//                          by reference, or a retry's reschedule call fails
-//                          to carry mutated state by value (the
-//                          RetryBroadcast stale-attempt storm class; guards
-//                          the DST workload lambdas,
-//                          src/check/checker.cpp:316).
-//   R9 registry-exhaustive a MessageTypeId with no registered message
-//                          struct, a registered struct with no handler
-//                          dispatch, a one-sided payload codec, or a
-//                          two-sided payload codec missing from the
-//                          fuzz_decode_test corpus (guards the
-//                          wire-accounting-only struct at
-//                          src/hotstuff/messages.h:77).
+//   R2 (unordered-container iteration) and R5 (containers keyed by pointer):
+//   the container ban and FlatTable's missing begin()/end() make their
+//   patterns impossible to write. R7 is retired too.
 //
-// R2 (unordered-container iteration) and R5 (containers keyed by pointer) are
-// retired: the container ban and FlatTable's missing begin()/end() make
-// their patterns impossible to write. R7 is retired too.
+//   R6 wal-before-send (a signature sent before its Store::Sync() barrier):
+//   SigningLedger (src/store/ledger.h) holds the signing key and the store,
+//   and each of its signing methods puts and syncs the statement's record
+//   before it returns the signature. Primary and HotStuff hold only the
+//   ledger; what else they reach is a Verifier, which cannot sign.
+//
+//   R9 registry-exhaustive (the message ids, structs, handlers and codecs
+//   drifting apart): each message struct derives from MessageOf<id>, each
+//   node dispatches through Dispatch over its Handles list, and
+//   CheckMessageTable (src/net/message.h, applied in
+//   src/runtime/message_table.h) fails the build for an id with no struct or
+//   a struct no node handles. tests/fuzz_decode_test.cpp fuzzes one
+//   CodecList, whose TwoSidedCodec constraint (src/common/codec.h) rejects a
+//   one-sided codec. A garbage frame cannot crash a decoder because
+//   Reader's getters are total (src/common/codec.h): a read past the end
+//   yields zeros or an empty view and clears ok(); no getter touches memory
+//   outside the input.
+//
+//   tests/compile_fail/ holds one compile-fail fixture per retired bug
+//   shape (ctest label "lint").
 //
 // Findings are suppressable only with an inline annotation on the same line
 // or the line above:
@@ -71,8 +82,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/lint/lexer.h"
-
 namespace nt {
 namespace lint {
 
@@ -80,17 +89,15 @@ namespace lint {
 inline constexpr const char* kRuleNondet = "nondet";
 inline constexpr const char* kRuleQuorumArith = "quorum-arith";
 inline constexpr const char* kRuleCodecMismatch = "codec-mismatch";
-inline constexpr const char* kRuleWalBeforeSend = "wal-before-send";
 inline constexpr const char* kRuleDeferredCapture = "deferred-capture";
-inline constexpr const char* kRuleRegistryExhaustive = "registry-exhaustive";
 
 struct RuleInfo {
   const char* id;
-  const char* number;  // "R1".."R9".
+  const char* number;  // "R1".."R8".
   const char* description;
 };
 
-// Every rule, in R1..R9 order with R2, R5 and R7 retired. Drives allow
+// Every rule, in R1..R8 order with R2 and R5-R7 retired. Drives allow
 // parsing, `ntlint --rules` and the SARIF rule metadata.
 const std::vector<RuleInfo>& Rules();
 
@@ -101,14 +108,6 @@ struct Finding {
   std::string message;
   bool suppressed = false;
   std::string allow_reason;  // Set when suppressed.
-};
-
-// One `ntlint:allow(...)` annotation, parsed from a comment.
-struct AllowAnnotation {
-  int line = 0;
-  std::vector<std::string> rules;
-  std::string reason;
-  bool used = false;
 };
 
 struct FileReport {
@@ -135,36 +134,19 @@ struct Summary {
   int unsuppressed() const { return total - suppressed; }
 };
 
-// Extracts `ntlint:allow(rule[,rule...]): reason` annotations from comments.
-// Unknown rule names are dropped (a typo'd rule leaves the finding live).
-std::vector<AllowAnnotation> ParseAllows(const std::vector<Comment>& comments);
-
-// Repo-relative path ("src/..." or "bench/...") so rule scoping works no
-// matter where the tool is invoked from.
-std::string RepoRelPath(std::string path);
-
-// Applies allow annotations to `findings` (marks suppressed / used) and
-// records the stale ones on the report. Shared by the per-file and the
-// whole-repo drivers so suppression semantics cannot drift.
-void ApplyAllows(std::vector<Finding>* findings, std::vector<AllowAnnotation>* allows,
-                 FileReport* report);
-
-// Lints one translation unit given as an in-memory string. `path` determines
-// which rules apply (rule scoping is by directory, see rules.cpp); it does
-// not have to exist on disk — tests lint synthetic fixtures this way.
-// Runs the per-file rules (R1, R3, R4, R8) only; the cross-file rules need
-// the whole-repo model (model.h: LintRepoUnits / LintPaths).
+// Lints one file given as an in-memory string and applies its allow
+// annotations. `path` determines which rules apply (rule scoping is by
+// directory, see rules.cpp); it does not have to exist on disk — tests lint
+// synthetic fixtures this way.
 FileReport LintSource(const std::string& path, const std::string& content);
 
-// Recursively collects the .h/.cpp/.cc files under `root` (or `root` itself
-// if it is a regular file), sorted lexicographically so runs are
-// reproducible. Hidden directories and build trees ("build*") are skipped.
-std::vector<std::string> CollectSourceFiles(const std::string& root);
+// Adds one file's report to the summary (kept only if it has a finding or a
+// stale annotation).
+void AddReport(Summary* summary, FileReport report);
 
-// Lints every path (files or directories) and aggregates, including the
-// whole-repo semantic-model rules R6 and R9 (implemented in model.cpp). R9's
-// fuzz-corpus leg reads the tests/fuzz_decode_test.cpp LocateFuzzCorpus
-// finds beside the roots, and is skipped when there is none.
+// Lints every .h/.hpp/.cpp/.cc file under the paths (files or directories;
+// hidden directories and build trees "build*" are skipped) with LintSource,
+// in sorted order, and adds up the reports.
 Summary LintPaths(const std::vector<std::string>& paths);
 
 // Renders findings + the suppression report to a string (the CLI output).

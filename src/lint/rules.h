@@ -1,7 +1,7 @@
-// Per-file rule implementations for ntlint: R1 nondet, R3 quorum-arith and
-// R4 codec-mismatch (lint.h describes each and a src/ site it guards). Split
-// from the driver so the fixture tests can run rules on synthetic token
-// streams directly.
+// Rule implementations for ntlint: R1 nondet, R3 quorum-arith, R4
+// codec-mismatch and R8 deferred-capture (lint.h describes each and a src/
+// site it guards). Split from the driver, which handles files and allow
+// annotations.
 #ifndef SRC_LINT_RULES_H_
 #define SRC_LINT_RULES_H_
 

@@ -42,7 +42,7 @@ class Mempool {
   // the batched verification kernel and this mempool's own
   // verified-certificate cache, so repeated validity queries for the same
   // certificate cost one cache probe after the first.
-  bool Valid(const Committee& committee, const Signer& verifier, const Certificate& cert) const {
+  bool Valid(const Committee& committee, const Verifier& verifier, const Certificate& cert) const {
     return cert.Verify(committee, verifier, &cert_cache_);
   }
 

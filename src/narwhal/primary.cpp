@@ -14,7 +14,7 @@ Primary::Primary(ValidatorId id, const Committee& committee, const NarwhalConfig
       config_(config),
       network_(network),
       topology_(topology),
-      signer_(signer),
+      ledger_(signer),
       timers_(network->scheduler()) {}
 
 void Primary::OnStart() {
@@ -110,36 +110,9 @@ Digest ProposalRecord::KeyOf(Round round) {
   return Sha256::Hash(w.bytes());
 }
 
-void Primary::PersistHeader(const BlockHeader& header, const Digest& digest) {
-  if (store_ == nullptr || store_->Contains(HeaderRecord::KeyOf(digest))) {
-    return;
-  }
-  // The record is the header's sealed buffer itself, so storing it copies
-  // nothing.
-  PutRecord(*store_, HeaderRecord::Of(header, digest));
-}
-
-void Primary::PersistVote(Round round, ValidatorId author, const Digest& digest) {
-  if (store_ == nullptr || store_->Contains(VoteRecord::KeyOf(round, author))) {
-    return;  // Re-sent vote: the ledger entry is already durable.
-  }
-  PutRecord(*store_, VoteRecord{round, author, digest});
-  // Durability barrier at the signing boundary: once the vote is on the
-  // wire, the ledger entry it came from must survive a crash, or a
-  // recovered validator could sign a conflicting header for this round.
-  store_->Sync();
-}
-
-void Primary::PersistProposalMarker(Round round, const Digest& digest) {
-  if (store_ == nullptr) {
-    return;
-  }
-  PutRecord(*store_, ProposalRecord{round, digest});
-  store_->Sync();  // Same signing-boundary barrier as PersistVote.
-}
-
 void Primary::Recover() {
-  if (store_ == nullptr) {
+  Store* store = ledger_.store();
+  if (store == nullptr) {
     return;
   }
   recovered_ = true;
@@ -155,13 +128,13 @@ void Primary::Recover() {
   std::vector<VoteRecord> votes;
   std::map<Round, Digest> markers;
   recovered_store_records_ += PrimaryStoreRecords::ForEach(
-      *store_, Overloaded{
-                   [&](const PrimaryMeta& m) { gc_round = m.gc_round; },
-                   [&](HeaderRecord&& h) { headers.push_back(std::move(h)); },
-                   [&](CertRecord&& c) { certs.push_back(std::move(c.cert)); },
-                   [&](const VoteRecord& v) { votes.push_back(v); },
-                   [&](const ProposalRecord& p) { markers[p.round] = p.digest; },
-               });
+      *store, Overloaded{
+                  [&](const PrimaryMeta& m) { gc_round = m.gc_round; },
+                  [&](HeaderRecord&& h) { headers.push_back(std::move(h)); },
+                  [&](CertRecord&& c) { certs.push_back(std::move(c.cert)); },
+                  [&](const VoteRecord& v) { votes.push_back(v); },
+                  [&](const ProposalRecord& p) { markers[p.round] = p.digest; },
+              });
 
   // Set the GC horizon first so records from rounds that were already
   // collected pre-crash (written before the last meta update) are filtered
@@ -245,7 +218,7 @@ void Primary::Recover() {
         proposal.digest = marker->second;
         // Deterministic signatures: the recomputed self-vote equals the
         // pre-crash one bit for bit.
-        proposal.votes[id_] = signer_->Sign(
+        proposal.votes[id_] = ledger_.RederiveSelfVote(
             Certificate::VotePreimage(marker->second, header->round, header->author));
       }
     }
@@ -325,11 +298,20 @@ void Primary::ProposeNow() {
     pending_batches_.pop_front();
   }
 
+  // Write-ahead double-propose guard: the signed header's 'H' record and the
+  // round's marker hit the store before any peer can see a signature. The
+  // 'H' record value is sealed here, once: every validator's store shares
+  // this buffer.
   Digest digest = header->ComputeDigest();
-  header->author_sig = signer_->Sign(digest);
-  // The 'H' record value is sealed here, once: every validator's store
-  // shares this buffer.
-  header->Seal(digest);
+  const Signature self_vote = ledger_.SignHeader(
+      digest,
+      [&](const Signature& sig) {
+        header->author_sig = sig;
+        header->Seal(digest);
+        return HeaderRecord::Of(*header, digest);
+      },
+      ProposalRecord{header->round, digest},
+      Certificate::VotePreimage(digest, header->round, header->author));
   proposed_current_round_ = true;
   ++headers_proposed_;
   NT_TRACE(tracer_, OnHeaderProposed(id_, digest, header->round, header->batches,
@@ -342,16 +324,12 @@ void Primary::ProposeNow() {
   own_headers_[digest] = std::move(refs);
 
   StoreHeader(header, digest);
-  // Write-ahead double-propose guard: the marker (and the header above) hit
-  // the store before any peer can see the signature.
-  PersistProposalMarker(header->round, digest);
 
   // Self-vote, then reliable-broadcast the header to all other primaries.
   Proposal& proposal = proposals_[digest];
   proposal.header = header;
   proposal.digest = digest;
-  proposal.votes[id_] =
-      signer_->Sign(Certificate::VotePreimage(digest, header->round, header->author));
+  proposal.votes[id_] = self_vote;
 
   // Byzantine equivocation (DST fault injection): when marked as an
   // equivocator, also build a conflicting header B for the same round —
@@ -386,14 +364,14 @@ void Primary::ProposeNow() {
     twin->round = round_;
     twin->parents.assign(header->parents.rbegin(), header->parents.rend());
     Digest twin_digest = twin->ComputeDigest();
-    twin->author_sig = signer_->Sign(twin_digest);
+    twin->author_sig = ledger_.SignEquivocatorTwin(twin_digest);
     twin->Seal(twin_digest);
 
     Proposal& twin_proposal = proposals_[twin_digest];
     twin_proposal.header = twin;
     twin_proposal.digest = twin_digest;
-    twin_proposal.votes[id_] =
-        signer_->Sign(Certificate::VotePreimage(twin_digest, twin->round, twin->author));
+    twin_proposal.votes[id_] = ledger_.SignEquivocatorTwin(
+        Certificate::VotePreimage(twin_digest, twin->round, twin->author));
 
     auto twin_msg = std::make_shared<MsgHeader>(twin, twin_digest);
     for (size_t i = a_recipients; i < others.size(); ++i) {
@@ -493,7 +471,7 @@ bool Primary::AcceptParents(const std::shared_ptr<const BlockHeader>& header) {
   // a single multi-scalar multiplication) and then stored as they are,
   // aliasing the header, in header order, without a second check.
   if (!unknown.empty() &&
-      !Certificate::VerifyAll(unknown, committee_, *signer_, /*cache=*/nullptr)) {
+      !Certificate::VerifyAll(unknown, committee_, ledger_.verifier(), /*cache=*/nullptr)) {
     LOG_WARN() << "header with invalid parent certificate from validator " << header->author;
     return false;
   }
@@ -515,7 +493,8 @@ void Primary::HandleHeader(const MsgHeader& msg) {
     return;
   }
   if (msg.digest != header.ComputeDigest() ||
-      !signer_->Verify(committee_.key_of(header.author), msg.digest, header.author_sig)) {
+      !ledger_.verifier().Verify(committee_.key_of(header.author), msg.digest,
+                                 header.author_sig)) {
     LOG_WARN() << "header with bad digest/signature from validator " << header.author;
     return;
   }
@@ -574,16 +553,18 @@ void Primary::HandleHeader(const MsgHeader& msg) {
 void Primary::FinishVote(const PendingHeader& pending) {
   const BlockHeader& header = *pending.header;
   StoreHeader(pending.header, pending.digest);
-  // Write-ahead double-vote guard: the (round, author) -> digest ledger
-  // entry is durable (and synced) before the signed vote leaves the node.
-  PersistVote(header.round, header.author, pending.digest);
 
   Vote vote;
   vote.header_digest = pending.digest;
   vote.round = header.round;
   vote.author = header.author;
   vote.voter = id_;
-  vote.sig = signer_->Sign(Certificate::VotePreimage(pending.digest, header.round, header.author));
+  // Write-ahead double-vote guard: the (round, author) -> digest ledger
+  // entry is durable (and synced) before the signed vote leaves the node,
+  // or a recovered validator could vote for a conflicting header.
+  vote.sig = ledger_.SignVote(VoteRecord{header.round, header.author, pending.digest},
+                              Certificate::VotePreimage(pending.digest, header.round,
+                                                        header.author));
   ++votes_cast_;
   network_->Send(net_id_, topology_->primary_of[header.author], std::make_shared<MsgVote>(vote));
 }
@@ -602,7 +583,7 @@ void Primary::HandleVote(const Vote& vote) {
   if (proposal.votes.count(vote.voter) != 0) {
     return;
   }
-  if (!vote.Verify(committee_, *signer_)) {
+  if (!vote.Verify(committee_, ledger_.verifier())) {
     LOG_WARN() << "invalid vote from " << vote.voter;
     return;
   }
@@ -653,7 +634,7 @@ bool Primary::AcceptCertificate(CertPtr ptr, bool request_header_if_missing, boo
   }
   // The DAG is this validator's memo of verified certificates, so the check
   // runs once per certificate and caches nothing.
-  if (!verified && !cert.Verify(committee_, *signer_, /*cache=*/nullptr)) {
+  if (!verified && !cert.Verify(committee_, ledger_.verifier(), /*cache=*/nullptr)) {
     LOG_WARN() << "invalid certificate for round " << cert.round;
     return false;
   }
@@ -663,8 +644,8 @@ bool Primary::AcceptCertificate(CertPtr ptr, bool request_header_if_missing, boo
   // Persist before the hooks run: anything consensus derives from this
   // certificate (commits, GC) must be re-derivable after a crash. The record
   // is the certificate's sealed buffer itself, so storing it copies nothing.
-  if (store_ != nullptr) {
-    PutRecord(*store_, CertRecord{cert});
+  if (Store* store = ledger_.store(); store != nullptr) {
+    PutRecord(*store, CertRecord{cert});
   }
   if (request_header_if_missing && !dag_.HasHeader(cert.header_digest)) {
     RequestHeader(cert.header_digest);
@@ -714,7 +695,12 @@ void Primary::StoreHeader(std::shared_ptr<const BlockHeader> header, const Diges
   if (dag_.HasHeader(digest)) {
     return;
   }
-  PersistHeader(*header, digest);
+  Store* store = ledger_.store();
+  if (store != nullptr && !store->Contains(HeaderRecord::KeyOf(digest))) {
+    // The record is the header's sealed buffer itself, so storing it copies
+    // nothing.
+    PutRecord(*store, HeaderRecord::Of(*header, digest));
+  }
   dag_.AddHeader(std::move(header), digest);
   header_sync_.erase(digest);
   for (const auto& hook : on_header_stored_hooks_) {
@@ -736,29 +722,29 @@ void Primary::SetGcRound(Round gc_round) {
   // the WAL bounded by the live DAG window. The meta record goes first:
   // recovery filters stale records against it even if the erases below
   // never land.
-  if (store_ != nullptr && gc_round > store_gc_round_) {
-    PutRecord(*store_, PrimaryMeta{gc_round});
+  if (Store* store = ledger_.store(); store != nullptr && gc_round > store_gc_round_) {
+    PutRecord(*store, PrimaryMeta{gc_round});
     for (const Digest& digest : retained_cert_records_) {
-      store_->Erase(CertRecord::KeyOf(digest));
+      store->Erase(CertRecord::KeyOf(digest));
     }
     retained_cert_records_.clear();
     for (const Dag::Collected& record : collected) {
-      store_->Erase(HeaderRecord::KeyOf(record.digest));
+      store->Erase(HeaderRecord::KeyOf(record.digest));
       // Header records name their parents by digest, so a header at the new
       // horizon still needs the certificates one round below it.
       if (record.cert->round + 1 == gc_round) {
         retained_cert_records_.push_back(record.digest);
       } else {
-        store_->Erase(CertRecord::KeyOf(record.digest));
+        store->Erase(CertRecord::KeyOf(record.digest));
       }
     }
     for (auto it = voted_.begin(); it != voted_.end() && it->first < gc_round; ++it) {
       for (const auto& [author, digest] : it->second) {
-        store_->Erase(VoteRecord::KeyOf(it->first, author));
+        store->Erase(VoteRecord::KeyOf(it->first, author));
       }
     }
     for (Round r = store_gc_round_; r < gc_round; ++r) {
-      store_->Erase(ProposalRecord::KeyOf(r));
+      store->Erase(ProposalRecord::KeyOf(r));
     }
     store_gc_round_ = gc_round;
   }
@@ -812,84 +798,75 @@ void Primary::NotifyCommitted(const BlockHeader& header) {
 // ------------------------------------------------------------------ dispatch
 
 void Primary::OnMessage(uint32_t from, const MessagePtr& msg) {
-  if (auto header = std::dynamic_pointer_cast<const MsgHeader>(msg)) {
-    HandleHeader(*header);
-    return;
-  }
-  if (auto vote = std::dynamic_pointer_cast<const MsgVote>(msg)) {
-    HandleVote(vote->vote);
-    return;
-  }
-  if (auto cert = std::dynamic_pointer_cast<const MsgCertificate>(msg)) {
-    AcceptCertificate(CertPtr(cert, &cert->cert), /*request_header_if_missing=*/true,
-                      /*verified=*/false);
-    return;
-  }
-  if (auto ready = std::dynamic_pointer_cast<const MsgBatchReady>(msg)) {
-    // Own worker: batch reached an availability quorum.
-    stored_batches_.insert(ready->ref.digest);
-    if (included_batches_.count(ready->ref.digest) == 0) {
-      pending_batches_.push_back(ready->ref);
-    }
-    if (!proposed_current_round_) {
-      SchedulePropose();
-    }
-    return;
-  }
-  if (auto stored = std::dynamic_pointer_cast<const MsgBatchStored>(msg)) {
-    stored_batches_.insert(stored->digest);
-    // Release headers that were waiting on this batch.
-    auto waiters = batch_waiters_.find(stored->digest);
-    if (waiters == batch_waiters_.end()) {
-      return;
-    }
-    std::set<Digest> headers = std::move(waiters->second);
-    batch_waiters_.erase(waiters);
-    for (const Digest& header_digest : headers) {
-      auto it = waiting_batches_.find(header_digest);
-      if (it == waiting_batches_.end()) {
-        continue;
-      }
-      it->second.missing_batches.erase(stored->digest);
-      if (it->second.missing_batches.empty()) {
-        PendingHeader pending = std::move(it->second);
-        waiting_batches_.erase(it);
-        FinishVote(pending);
-      }
-    }
-    return;
-  }
-  if (auto request = std::dynamic_pointer_cast<const MsgCertRequest>(msg)) {
-    const Certificate* cert = dag_.GetCertByDigest(request->digest);
-    auto header = dag_.GetHeader(request->digest);
-    if (cert != nullptr && header != nullptr) {
-      network_->Send(net_id_, from, std::make_shared<MsgCertResponse>(*cert, header));
-    }
-    return;
-  }
-  if (auto response = std::dynamic_pointer_cast<const MsgCertResponse>(msg)) {
-    if (response->header == nullptr) {
-      return;
-    }
-    Digest digest = response->header->ComputeDigest();
-    if (digest != response->cert.header_digest) {
-      LOG_WARN() << "cert response header/cert mismatch";
-      return;
-    }
-    // Ingest the parent certificates too, through the voting path's intake:
-    // a synced header skips HandleHeader, and without its parents in the DAG
-    // a causal-history walk can reach a header whose certificate nobody ever
-    // fetches (the header itself being present suppresses the sync) —
-    // wedging commit delivery. Requesting missing parent headers here also
-    // makes deep gaps heal recursively. A header whose parents are rejected
-    // is not stored.
-    if (AcceptCertificate(CertPtr(response, &response->cert),
-                          /*request_header_if_missing=*/false, /*verified=*/false) &&
-        AcceptParents(response->header)) {
-      StoreHeader(response->header, digest);
-    }
-    return;
-  }
+  Dispatch(
+      Handles{}, *msg,
+      [&](const MsgHeader& header) { HandleHeader(header); },
+      [&](const MsgVote& vote) { HandleVote(vote.vote); },
+      [&](const MsgCertificate& cert) {
+        AcceptCertificate(CertPtr(msg, &cert.cert), /*request_header_if_missing=*/true,
+                          /*verified=*/false);
+      },
+      [&](const MsgBatchReady& ready) {
+        // Own worker: batch reached an availability quorum.
+        stored_batches_.insert(ready.ref.digest);
+        if (included_batches_.count(ready.ref.digest) == 0) {
+          pending_batches_.push_back(ready.ref);
+        }
+        if (!proposed_current_round_) {
+          SchedulePropose();
+        }
+      },
+      [&](const MsgBatchStored& stored) {
+        stored_batches_.insert(stored.digest);
+        // Release headers that were waiting on this batch.
+        auto waiters = batch_waiters_.find(stored.digest);
+        if (waiters == batch_waiters_.end()) {
+          return;
+        }
+        std::set<Digest> headers = std::move(waiters->second);
+        batch_waiters_.erase(waiters);
+        for (const Digest& header_digest : headers) {
+          auto it = waiting_batches_.find(header_digest);
+          if (it == waiting_batches_.end()) {
+            continue;
+          }
+          it->second.missing_batches.erase(stored.digest);
+          if (it->second.missing_batches.empty()) {
+            PendingHeader pending = std::move(it->second);
+            waiting_batches_.erase(it);
+            FinishVote(pending);
+          }
+        }
+      },
+      [&](const MsgCertRequest& request) {
+        const Certificate* cert = dag_.GetCertByDigest(request.digest);
+        auto header = dag_.GetHeader(request.digest);
+        if (cert != nullptr && header != nullptr) {
+          network_->Send(net_id_, from, std::make_shared<MsgCertResponse>(*cert, header));
+        }
+      },
+      [&](const MsgCertResponse& response) {
+        if (response.header == nullptr) {
+          return;
+        }
+        Digest digest = response.header->ComputeDigest();
+        if (digest != response.cert.header_digest) {
+          LOG_WARN() << "cert response header/cert mismatch";
+          return;
+        }
+        // Ingest the parent certificates too, through the voting path's intake:
+        // a synced header skips HandleHeader, and without its parents in the DAG
+        // a causal-history walk can reach a header whose certificate nobody ever
+        // fetches (the header itself being present suppresses the sync) —
+        // wedging commit delivery. Requesting missing parent headers here also
+        // makes deep gaps heal recursively. A header whose parents are rejected
+        // is not stored.
+        if (AcceptCertificate(CertPtr(msg, &response.cert),
+                              /*request_header_if_missing=*/false, /*verified=*/false) &&
+            AcceptParents(response.header)) {
+          StoreHeader(response.header, digest);
+        }
+      });
 }
 
 }  // namespace nt

@@ -33,6 +33,7 @@
 #include "src/narwhal/worker.h"
 #include "src/net/network.h"
 #include "src/sim/timers.h"
+#include "src/store/ledger.h"
 #include "src/store/record.h"
 #include "src/store/store.h"
 #include "src/types/committee.h"
@@ -157,6 +158,10 @@ using PrimaryStoreRecords =
 
 class Primary : public NetNode {
  public:
+  // The messages OnMessage dispatches.
+  using Handles = MessageList<MsgHeader, MsgVote, MsgCertificate, MsgBatchReady, MsgBatchStored,
+                              MsgCertRequest, MsgCertResponse>;
+
   Primary(ValidatorId id, const Committee& committee, const NarwhalConfig& config,
           Network* network, const Topology* topology, Signer* signer);
 
@@ -165,7 +170,7 @@ class Primary : public NetNode {
   // Attaches the durable store (non-owning; may be null = no persistence).
   // Headers, certificates, the vote ledger, and the own-proposal marker are
   // write-ahead persisted to it, making Recover() possible after a crash.
-  void set_store(Store* store) { store_ = store; }
+  void set_store(Store* store) { ledger_.set_store(store); }
 
   // Rebuilds round, DAG frontier, vote ledger, and the last own proposal
   // from the attached store. Call once, after construction and before any
@@ -275,17 +280,15 @@ class Primary : public NetNode {
 
   void StoreHeader(std::shared_ptr<const BlockHeader> header, const Digest& digest);
 
-  // Persistence helpers (no-ops when store_ is null).
-  void PersistHeader(const BlockHeader& header, const Digest& digest);
-  void PersistVote(Round round, ValidatorId author, const Digest& digest);
-  void PersistProposalMarker(Round round, const Digest& digest);
-
   ValidatorId id_;
   const Committee& committee_;
   NarwhalConfig config_;
   Network* network_;
   const Topology* topology_;
-  Signer* signer_;
+  // The signing key and the durable store (null = ephemeral). The store is
+  // owned by the runtime, which keeps it alive across simulated restarts of
+  // this object.
+  SigningLedger ledger_;
   uint32_t net_id_ = 0;
   Tracer* tracer_ = nullptr;
 
@@ -327,9 +330,6 @@ class Primary : public NetNode {
   uint64_t votes_cast_ = 0;
   uint64_t reinjected_batches_ = 0;
 
-  // Durable store (null = ephemeral). Owned by the runtime, which keeps it
-  // alive across simulated restarts of this object.
-  Store* store_ = nullptr;
   Round store_gc_round_ = 0;  // Horizon below which store records are erased.
   // 'C' records of round store_gc_round_ - 1: the parents of headers at the
   // horizon, which Recover() rebuilds from them. Erased at the next advance.

@@ -186,75 +186,68 @@ bool Worker::IsOwnPrimary(uint32_t from) const {
 }
 
 void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
-  if (auto batch_msg = std::dynamic_pointer_cast<const MsgBatch>(msg)) {
-    // A peer worker streams a batch: store it, acknowledge, report to our
-    // primary so it can validate headers referencing it.
-    bool known = store_->Contains(batch_msg->digest);
-    if (!known) {
-      StoreBatch(batch_msg->batch, batch_msg->digest);
-      fetching_.erase(batch_msg->digest);
-      network_->Send(net_id_, topology_->primary_of[validator_],
-                     std::make_shared<MsgBatchStored>(batch_msg->digest));
-    }
-    network_->Send(net_id_, from, std::make_shared<MsgBatchAck>(batch_msg->digest, worker_id_));
-    return;
-  }
-
-  if (auto ack = std::dynamic_pointer_cast<const MsgBatchAck>(msg)) {
-    auto it = in_flight_.find(ack->digest);
-    if (it == in_flight_.end()) {
-      return;  // Already reached quorum (late ack).
-    }
-    auto role = topology_->role_of.find(from);
-    if (role == topology_->role_of.end()) {
-      return;
-    }
-    InFlight& flight = it->second;
-    flight.ackers.insert(role->second.validator);
-    if (flight.ackers.size() >= committee_.quorum_threshold()) {
-      timers_.Cancel(flight.retry_timer);
-      BatchRef ref;
-      ref.digest = ack->digest;
-      ref.worker = worker_id_;
-      ref.num_txs = flight.batch->num_txs();
-      ref.payload_bytes = flight.batch->payload_bytes();
-      in_flight_.erase(it);
-      ++batches_acked_;
-      NT_TRACE(tracer_, OnBatchQuorum(validator_, ack->digest, network_->scheduler()->now()));
-      network_->Send(net_id_, topology_->primary_of[validator_],
-                     std::make_shared<MsgBatchReady>(ref));
-    }
-    return;
-  }
-
-  if (auto fetch = std::dynamic_pointer_cast<const MsgFetchBatch>(msg)) {
-    if (IsOwnPrimary(from)) {
-      HandleFetch(*fetch);
-    }
-    return;
-  }
-
-  if (auto request = std::dynamic_pointer_cast<const MsgBatchRequest>(msg)) {
-    if (const std::shared_ptr<const Batch>* batch = batches_.find(request->digest)) {
-      network_->Send(net_id_, from, std::make_shared<MsgBatchResponse>(*batch, request->digest));
-    }
-    return;
-  }
-
-  if (auto response = std::dynamic_pointer_cast<const MsgBatchResponse>(msg)) {
-    if (fetching_.count(response->digest) == 0) {
-      return;  // Unsolicited or duplicate response.
-    }
-    if (response->batch->ComputeDigest() != response->digest) {
-      LOG_WARN() << "batch response digest mismatch";
-      return;
-    }
-    fetching_.erase(response->digest);
-    StoreBatch(response->batch, response->digest);
-    network_->Send(net_id_, topology_->primary_of[validator_],
-                   std::make_shared<MsgBatchStored>(response->digest));
-    return;
-  }
+  Dispatch(
+      Handles{}, *msg,
+      [&](const MsgBatch& batch_msg) {
+        // A peer worker streams a batch: store it, acknowledge, report to our
+        // primary so it can validate headers referencing it.
+        bool known = store_->Contains(batch_msg.digest);
+        if (!known) {
+          StoreBatch(batch_msg.batch, batch_msg.digest);
+          fetching_.erase(batch_msg.digest);
+          network_->Send(net_id_, topology_->primary_of[validator_],
+                         std::make_shared<MsgBatchStored>(batch_msg.digest));
+        }
+        network_->Send(net_id_, from, std::make_shared<MsgBatchAck>(batch_msg.digest, worker_id_));
+      },
+      [&](const MsgBatchAck& ack) {
+        auto it = in_flight_.find(ack.digest);
+        if (it == in_flight_.end()) {
+          return;  // Already reached quorum (late ack).
+        }
+        auto role = topology_->role_of.find(from);
+        if (role == topology_->role_of.end()) {
+          return;
+        }
+        InFlight& flight = it->second;
+        flight.ackers.insert(role->second.validator);
+        if (flight.ackers.size() >= committee_.quorum_threshold()) {
+          timers_.Cancel(flight.retry_timer);
+          BatchRef ref;
+          ref.digest = ack.digest;
+          ref.worker = worker_id_;
+          ref.num_txs = flight.batch->num_txs();
+          ref.payload_bytes = flight.batch->payload_bytes();
+          in_flight_.erase(it);
+          ++batches_acked_;
+          NT_TRACE(tracer_, OnBatchQuorum(validator_, ack.digest, network_->scheduler()->now()));
+          network_->Send(net_id_, topology_->primary_of[validator_],
+                         std::make_shared<MsgBatchReady>(ref));
+        }
+      },
+      [&](const MsgFetchBatch& fetch) {
+        if (IsOwnPrimary(from)) {
+          HandleFetch(fetch);
+        }
+      },
+      [&](const MsgBatchRequest& request) {
+        if (const std::shared_ptr<const Batch>* batch = batches_.find(request.digest)) {
+          network_->Send(net_id_, from, std::make_shared<MsgBatchResponse>(*batch, request.digest));
+        }
+      },
+      [&](const MsgBatchResponse& response) {
+        if (fetching_.count(response.digest) == 0) {
+          return;  // Unsolicited or duplicate response.
+        }
+        if (response.batch->ComputeDigest() != response.digest) {
+          LOG_WARN() << "batch response digest mismatch";
+          return;
+        }
+        fetching_.erase(response.digest);
+        StoreBatch(response.batch, response.digest);
+        network_->Send(net_id_, topology_->primary_of[validator_],
+                       std::make_shared<MsgBatchStored>(response.digest));
+      });
 }
 
 void Worker::HandleFetch(const MsgFetchBatch& fetch) {

@@ -73,6 +73,10 @@ class BatchDirectory {
 
 class Worker : public NetNode {
  public:
+  // The messages OnMessage dispatches.
+  using Handles =
+      MessageList<MsgBatch, MsgBatchAck, MsgFetchBatch, MsgBatchRequest, MsgBatchResponse>;
+
   // `store` is non-owning: the runtime owns it and keeps it alive across
   // simulated restarts of this worker (it is the durable disk).
   Worker(ValidatorId validator, WorkerId worker_id, const Committee& committee,

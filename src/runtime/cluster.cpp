@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/runtime/message_table.h"
 #include "src/tusk/dag_rider.h"
 
 namespace nt {

@@ -40,6 +40,7 @@
 #include <utility>
 
 #include "src/common/codec.h"
+#include "src/common/overloaded.h"
 #include "src/crypto/hash.h"
 #include "src/store/store.h"
 
@@ -172,14 +173,6 @@ struct RecordList {
     (fn.template operator()<R>(), ...);
   }
 };
-
-// An overload set of lambdas: ForEachRecord's visitor.
-template <typename... F>
-struct Overloaded : F... {
-  using F::operator()...;
-};
-template <typename... F>
-Overloaded(F...) -> Overloaded<F...>;
 
 }  // namespace nt
 

@@ -13,38 +13,35 @@
 namespace nt {
 
 // Worker -> worker: bulk batch dissemination.
-struct MsgBatch : Message {
+struct MsgBatch : MessageOf<MessageTypeId::kBatch> {
   std::shared_ptr<const Batch> batch;
   Digest digest{};  // Precomputed Batch::ComputeDigest().
 
   MsgBatch(std::shared_ptr<const Batch> b, const Digest& d) : batch(std::move(b)), digest(d) {}
   size_t WireSize() const override { return batch->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatch; }
 };
 
 // Worker -> worker: storage acknowledgment for a batch.
-struct MsgBatchAck : Message {
+struct MsgBatchAck : MessageOf<MessageTypeId::kBatchAck> {
   Digest digest{};
   WorkerId worker = 0;
 
   MsgBatchAck(const Digest& d, WorkerId w) : digest(d), worker(w) {}
   size_t WireSize() const override { return 32 + 4; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatchAck; }
 };
 
 // Worker -> its own primary: a batch reached a quorum of workers and may be
 // included in the next header.
-struct MsgBatchReady : Message {
+struct MsgBatchReady : MessageOf<MessageTypeId::kBatchReady> {
   BatchRef ref{};
 
   explicit MsgBatchReady(const BatchRef& r) : ref(r) {}
   size_t WireSize() const override { return 32 + 4 + 8 + 8; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatchReady; }
 };
 
 // Primary -> its own worker: another validator's header references a batch
 // this worker should hold; fetch it if missing.
-struct MsgFetchBatch : Message {
+struct MsgFetchBatch : MessageOf<MessageTypeId::kFetchBatch> {
   Digest digest{};
   ValidatorId batch_author = 0;
   WorkerId worker = 0;
@@ -52,85 +49,76 @@ struct MsgFetchBatch : Message {
   MsgFetchBatch(const Digest& d, ValidatorId a, WorkerId w)
       : digest(d), batch_author(a), worker(w) {}
   size_t WireSize() const override { return 32 + 4 + 4; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kFetchBatch; }
 };
 
 // Worker -> its own primary: confirmation that a batch is stored locally.
-struct MsgBatchStored : Message {
+struct MsgBatchStored : MessageOf<MessageTypeId::kBatchStored> {
   Digest digest{};
 
   explicit MsgBatchStored(const Digest& d) : digest(d) {}
   size_t WireSize() const override { return 32; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatchStored; }
 };
 
 // Primary -> primary: a proposed header (reliable-broadcast "send" phase).
-struct MsgHeader : Message {
+struct MsgHeader : MessageOf<MessageTypeId::kHeader> {
   std::shared_ptr<const BlockHeader> header;
   Digest digest{};  // Precomputed ComputeDigest().
 
   MsgHeader(std::shared_ptr<const BlockHeader> h, const Digest& d)
       : header(std::move(h)), digest(d) {}
   size_t WireSize() const override { return header->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kHeader; }
 };
 
 // Primary -> primary: a vote (signed acknowledgment) on a header.
-struct MsgVote : Message {
+struct MsgVote : MessageOf<MessageTypeId::kVote> {
   Vote vote{};
 
   explicit MsgVote(const Vote& v) : vote(v) {}
   size_t WireSize() const override { return vote.WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kVote; }
 };
 
 // Primary -> primary: a freshly assembled certificate of availability.
-struct MsgCertificate : Message {
+struct MsgCertificate : MessageOf<MessageTypeId::kCertificate> {
   Certificate cert{};
 
   explicit MsgCertificate(Certificate c) : cert(std::move(c)) {}
   size_t WireSize() const override { return cert.WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kCertificate; }
 };
 
 // Primary -> primary: pull request for a missing certified block (the DoS-
 // resistant pull strategy of §4.1). The responder returns the certificate
 // and its header.
-struct MsgCertRequest : Message {
+struct MsgCertRequest : MessageOf<MessageTypeId::kCertRequest> {
   Digest digest{};
 
   explicit MsgCertRequest(const Digest& d) : digest(d) {}
   size_t WireSize() const override { return 32; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kCertRequest; }
 };
 
-struct MsgCertResponse : Message {
+struct MsgCertResponse : MessageOf<MessageTypeId::kCertResponse> {
   Certificate cert{};
   std::shared_ptr<const BlockHeader> header;
 
   MsgCertResponse(Certificate c, std::shared_ptr<const BlockHeader> h)
       : cert(std::move(c)), header(std::move(h)) {}
   size_t WireSize() const override { return cert.WireSize() + header->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kCertResponse; }
 };
 
 // Worker -> worker: pull request for a missing batch.
-struct MsgBatchRequest : Message {
+struct MsgBatchRequest : MessageOf<MessageTypeId::kBatchRequest> {
   Digest digest{};
 
   explicit MsgBatchRequest(const Digest& d) : digest(d) {}
   size_t WireSize() const override { return 32; }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatchRequest; }
 };
 
-struct MsgBatchResponse : Message {
+struct MsgBatchResponse : MessageOf<MessageTypeId::kBatchResponse> {
   std::shared_ptr<const Batch> batch;
   Digest digest{};
 
   MsgBatchResponse(std::shared_ptr<const Batch> b, const Digest& d)
       : batch(std::move(b)), digest(d) {}
   size_t WireSize() const override { return batch->WireSize(); }
-  MessageTypeId TypeId() const override { return MessageTypeId::kBatchResponse; }
 };
 
 }  // namespace nt

@@ -58,7 +58,7 @@ std::vector<SignedVotes> Signed(const Certs& certs) {
 }  // namespace
 
 bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& committee,
-                       const Signer& verifier, VerifiedCertCache* cache) {
+                       const Verifier& verifier, VerifiedCertCache* cache) {
   bool all_valid = true;
   std::vector<const SignedVotes*> pending;
   for (const SignedVotes& set : sets) {
@@ -428,18 +428,18 @@ SharedBytes Certificate::RecordValue() const {
   return SealRecordValue(kRecordTag, [this](Writer& w) { Encode(w); });
 }
 
-bool Certificate::Verify(const Committee& committee, const Signer& verifier,
+bool Certificate::Verify(const Committee& committee, const Verifier& verifier,
                          VerifiedCertCache* cache) const {
   return VerifySignedVotes(Signed(std::span(this, 1)), committee, verifier, cache);
 }
 
 bool Certificate::VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                            const Signer& verifier, VerifiedCertCache* cache) {
+                            const Verifier& verifier, VerifiedCertCache* cache) {
   return VerifySignedVotes(Signed(certs), committee, verifier, cache);
 }
 
 bool Certificate::VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
-                            const Signer& verifier, VerifiedCertCache* cache) {
+                            const Verifier& verifier, VerifiedCertCache* cache) {
   return VerifySignedVotes(Signed(certs), committee, verifier, cache);
 }
 
@@ -613,7 +613,7 @@ std::optional<Vote> Vote::Decode(Reader& r) {
   return v;
 }
 
-bool Vote::Verify(const Committee& committee, const Signer& verifier) const {
+bool Vote::Verify(const Committee& committee, const Verifier& verifier) const {
   if (!committee.Contains(voter) || !committee.Contains(author)) {
     return false;
   }

@@ -252,7 +252,7 @@ struct SignedVotes {
 // valid set lands in `cache`, if given, even when another fails; a null
 // `cache` memoizes nothing.
 bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& committee,
-                       const Signer& verifier, VerifiedCertCache* cache);
+                       const Verifier& verifier, VerifiedCertCache* cache);
 
 // A certificate of availability: 2f+1 signed acknowledgments that a header
 // (and the batches it references) is stored by a quorum (paper §3.1, §4.1).
@@ -317,7 +317,7 @@ struct Certificate {
   // cache.
   // A cache is always the verifying validator's own: every simulated
   // validator does its own crypto work, as a real deployment would.
-  bool Verify(const Committee& committee, const Signer& verifier, VerifiedCertCache* cache) const;
+  bool Verify(const Committee& committee, const Verifier& verifier, VerifiedCertCache* cache) const;
 
   // Verifies many certificates with a single batched flush across all their
   // uncached vote signatures — the bulk entry point for header-parent sets
@@ -326,9 +326,9 @@ struct Certificate {
   // Verify calls that follow are hits), even when some other certificate
   // fails. `cache` as in Verify.
   static bool VerifyAll(const std::vector<Certificate>& certs, const Committee& committee,
-                        const Signer& verifier, VerifiedCertCache* cache);
+                        const Verifier& verifier, VerifiedCertCache* cache);
   static bool VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
-                        const Signer& verifier, VerifiedCertCache* cache);
+                        const Verifier& verifier, VerifiedCertCache* cache);
 
   size_t WireSize() const;
 
@@ -442,7 +442,7 @@ struct Vote {
   void Encode(Writer& w) const;
   static std::optional<Vote> Decode(Reader& r);
 
-  bool Verify(const Committee& committee, const Signer& verifier) const;
+  bool Verify(const Committee& committee, const Verifier& verifier) const;
 
   size_t WireSize() const;
 };

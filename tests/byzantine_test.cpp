@@ -33,16 +33,16 @@ class EquivocatingPrimary : public NetNode {
 
   void OnMessage(uint32_t from, const MessagePtr& msg) override {
     (void)from;
-    if (auto cert = std::dynamic_pointer_cast<const MsgCertificate>(msg)) {
-      certs_[cert->cert.round][cert->cert.author] = cert->cert;
-      MaybeAct();
-      return;
-    }
-    if (auto vote = std::dynamic_pointer_cast<const MsgVote>(msg)) {
-      votes_[vote->vote.header_digest][vote->vote.voter] = vote->vote.sig;
-      MaybeFormCerts();
-      return;
-    }
+    Dispatch(
+        MessageList<MsgCertificate, MsgVote>{}, *msg,
+        [&](const MsgCertificate& cert) {
+          certs_[cert.cert.round][cert.cert.author] = cert.cert;
+          MaybeAct();
+        },
+        [&](const MsgVote& vote) {
+          votes_[vote.vote.header_digest][vote.vote.voter] = vote.vote.sig;
+          MaybeFormCerts();
+        });
   }
 
   uint64_t certs_formed() const { return certs_formed_; }

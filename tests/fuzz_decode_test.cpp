@@ -33,16 +33,25 @@ void DecodeGarbage(const Bytes& bytes) {
   }
 }
 
+template <typename... T>
+void DecodeGarbage(CodecList<T...> /*codecs*/, const Bytes& bytes) {
+  (DecodeGarbage<T>(bytes), ...);
+}
+
+// The payload codecs a frame carries.
+using WireCodecs = CodecList<Batch, BatchRef, Certificate, VoteList, BlockHeader, Vote>;
+
+// The WAL records of every store.
+using WalRecords =
+    CodecList<PrimaryMeta, HeaderRecord, CertRecord, VoteRecord, ProposalRecord, CommitRecord,
+              CommitterMeta, HsVoteRecord, HsLockRecord, HsViewRecord, HsProposedRecord,
+              HsHighQcRecord, HsCommitRecord>;
+
 TEST(FuzzDecodeTest, RandomGarbageNeverCrashes) {
   Rng rng(0xf22);
   for (int i = 0; i < 2000; ++i) {
     Bytes garbage = RandomBytes(rng, 512);
-    DecodeGarbage<Batch>(garbage);
-    DecodeGarbage<BatchRef>(garbage);
-    DecodeGarbage<Certificate>(garbage);
-    DecodeGarbage<VoteList>(garbage);
-    DecodeGarbage<BlockHeader>(garbage);
-    DecodeGarbage<Vote>(garbage);
+    DecodeGarbage(WireCodecs{}, garbage);
     (void)ExecTx::Decode(garbage);
   }
 }
@@ -53,20 +62,7 @@ TEST(FuzzDecodeTest, RandomGarbageNeverCrashes) {
 TEST(FuzzDecodeTest, WalRecordGarbageNeverCrashes) {
   Rng rng(0x3a1);
   for (int i = 0; i < 2000; ++i) {
-    Bytes garbage = RandomBytes(rng, i < 1000 ? 64 : 512);
-    DecodeGarbage<PrimaryMeta>(garbage);
-    DecodeGarbage<HeaderRecord>(garbage);
-    DecodeGarbage<CertRecord>(garbage);
-    DecodeGarbage<VoteRecord>(garbage);
-    DecodeGarbage<ProposalRecord>(garbage);
-    DecodeGarbage<CommitRecord>(garbage);
-    DecodeGarbage<CommitterMeta>(garbage);
-    DecodeGarbage<HsVoteRecord>(garbage);
-    DecodeGarbage<HsLockRecord>(garbage);
-    DecodeGarbage<HsViewRecord>(garbage);
-    DecodeGarbage<HsProposedRecord>(garbage);
-    DecodeGarbage<HsHighQcRecord>(garbage);
-    DecodeGarbage<HsCommitRecord>(garbage);
+    DecodeGarbage(WalRecords{}, RandomBytes(rng, i < 1000 ? 64 : 512));
   }
 }
 

@@ -1,22 +1,15 @@
-// ntlint fixture corpus: every rule (R1, R3, R4, R6, R8, R9) is proven to
-// fire on positive snippets and stay silent on negatives, the
-// allow-annotation machinery is exercised end to end, and the real tree is
-// linted so the suite fails the moment a violation (or a stale suppression)
-// lands in src/.
-//
-// R1, R3, R4 and R8 are per-file (LintSource); R6/R9 need the whole-repo
-// semantic model, so their fixtures are multi-unit repos fed through
-// LintRepoUnits.
-// The positive shapes reproduce bug classes this repo has actually shipped:
-// a signed vote sent before its WAL barrier (R6) and a retry that
-// reschedules itself with a stale attempt count (R8).
+// ntlint fixture corpus: every rule (R1, R3, R4, R8) is proven to fire on
+// positive snippets and stay silent on negatives, the allow-annotation
+// machinery is exercised end to end, and the real tree is linted so the
+// suite fails the moment a violation (or a stale suppression) lands in src/.
+// The positive R8 shapes reproduce a bug class this repo has actually
+// shipped: a retry that reschedules itself with a stale attempt count.
 #include "src/lint/lint.h"
 
 #include <algorithm>
 #include <string>
 
 #include "gtest/gtest.h"
-#include "src/lint/model.h"
 
 namespace nt {
 namespace lint {
@@ -446,150 +439,6 @@ std::unordered_set<Callback*> live_;
   EXPECT_EQ(CountRule(r, kRuleNondet), 1);
 }
 
-// Counts findings for one rule across a whole-repo Summary.
-int CountRuleIn(const Summary& s, const char* rule, bool include_suppressed = true) {
-  int n = 0;
-  for (const FileReport& f : s.files) {
-    for (const Finding& fnd : f.findings) {
-      if (fnd.rule == rule && (include_suppressed || !fnd.suppressed)) {
-        ++n;
-      }
-    }
-  }
-  return n;
-}
-
-const Finding* FirstRuleIn(const Summary& s, const char* rule) {
-  for (const FileReport& f : s.files) {
-    for (const Finding& fnd : f.findings) {
-      if (fnd.rule == rule) {
-        return &fnd;
-      }
-    }
-  }
-  return nullptr;
-}
-
-// -------------------------------------------------------- R6 wal-before-send
-
-TEST(WalBeforeSendRule, CrossFilePersistHelperWithoutSyncFires) {
-  // The PR 6 bug shape: the vote ledger append lives in another file and
-  // forgets the Sync barrier, so the signature leaves before the WAL is
-  // durable. A per-file rule cannot see this; the model inlines the helper.
-  Summary s = LintRepoUnits(
-      {{"src/hotstuff/node.cpp", R"(
-void Node::CastVote(const Digest& d) {
-  PersistVote();
-  Signature sig = signer_->Sign(d);
-  network_->Send(net_id_, peer_, MakeVote(d, sig));
-}
-)"},
-       {"src/hotstuff/persist.cpp", R"(
-void Node::PersistVote() {
-  store_->Put(VoteKey(), EncodeLedger(last_voted_));
-}
-)"}},
-      nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 1);
-  const Finding* f = FirstRuleIn(s, kRuleWalBeforeSend);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->path.find("node.cpp"), std::string::npos);
-  EXPECT_EQ(f->line, 5);  // The Send, not the helper.
-}
-
-TEST(WalBeforeSendRule, SignThenBroadcastWithNoBarrierFires) {
-  Summary s = LintRepoUnits({{"src/narwhal/node.cpp", R"(
-void Node::OnTimeout(uint64_t view) {
-  Signature sig = signer_->Sign(Preimage(view));
-  Broadcast(MakeTimeout(view, sig));
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 1);
-}
-
-TEST(WalBeforeSendRule, PersistHelperWithSyncIsSilent) {
-  Summary s = LintRepoUnits(
-      {{"src/hotstuff/node.cpp", R"(
-void Node::CastVote(const Digest& d) {
-  PersistVote();
-  Signature sig = signer_->Sign(d);
-  network_->Send(net_id_, peer_, MakeVote(d, sig));
-}
-)"},
-       {"src/hotstuff/persist.cpp", R"(
-void Node::PersistVote() {
-  store_->Put(VoteKey(), EncodeLedger(last_voted_));
-  store_->Sync();
-}
-)"}},
-      nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 0);
-}
-
-TEST(WalBeforeSendRule, DispatchBranchSendDoesNotInheritHandlerSignature) {
-  // OnMessage-style dispatchers: the reply Send and the signing handler live
-  // in mutually exclusive branches. Inlined effects must not smear them into
-  // one false sign-then-send sequence.
-  Summary s = LintRepoUnits({{"src/hotstuff/node.cpp", R"(
-void Node::OnMessage(uint32_t from, const MessagePtr& m) {
-  if (auto t = std::dynamic_pointer_cast<const MsgTimeout>(m)) {
-    HandleTimeout(*t);
-    return;
-  }
-  network_->Send(net_id_, from, MakeReply());
-}
-void Node::HandleTimeout(const MsgTimeout& t) {
-  Signature sig = signer_->Sign(p_);
-  Absorb(sig);
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 0);
-}
-
-TEST(WalBeforeSendRule, DeepCallerOfCleanFunctionDoesNotReFlag) {
-  // A two-deep caller chain must not re-report a callee whose own path is
-  // correct: the depth cutoff would otherwise drop the callee's persist
-  // helper and flag its send line from every wrapper.
-  Summary s = LintRepoUnits({{"src/hotstuff/node.cpp", R"(
-void Node::EnterRound() { SchedulePropose(); }
-void Node::SchedulePropose() { Propose(); }
-void Node::Propose() {
-  store_->Sync();
-  Signature sig = signer_->Sign(d_);
-  Broadcast(MakeProposal(sig));
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 0);
-}
-
-TEST(WalBeforeSendRule, OutsideProtocolDirsIsSilent) {
-  Summary s = LintRepoUnits({{"src/exec/node.cpp", R"(
-void Node::Emit(const Digest& d) {
-  Signature sig = signer_->Sign(d);
-  Broadcast(Make(sig));
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 0);
-}
-
-TEST(WalBeforeSendRule, AllowAnnotationSuppresses) {
-  Summary s = LintRepoUnits({{"src/narwhal/node.cpp", R"(
-void Node::OnTimeout(uint64_t view) {
-  Signature sig = signer_->Sign(Preimage(view));
-  // ntlint:allow(wal-before-send): deterministic re-sign of the same preimage
-  Broadcast(MakeTimeout(view, sig));
-}
-)"}},
-                            nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend), 1);
-  EXPECT_EQ(CountRuleIn(s, kRuleWalBeforeSend, /*include_suppressed=*/false), 0);
-  EXPECT_EQ(s.unsuppressed(), 0);
-}
-
 // -------------------------------------------------------- R8 deferred-capture
 
 TEST(DeferredCaptureRule, NamedReferenceCaptureFires) {
@@ -705,141 +554,17 @@ void Run(Scheduler& scheduler, Acc& acc) {
   EXPECT_EQ(CountRule(r, kRuleDeferredCapture, /*include_suppressed=*/false), 0);
 }
 
-// ----------------------------------------------------- R9 registry-exhaustive
-
-// A fully wired three-unit fixture repo; the positive tests below each break
-// one leg of it.
-std::vector<SourceUnit> WiredRegistry() {
-  return {
-      {"src/hotstuff/messages.h", R"(
-enum class MessageTypeId : uint8_t {
-  kPing = 1,
-  kPong = 2,
-  kCount,
-};
-struct MsgPing : Message {
-  BatchInfo info;
-  MessageTypeId TypeId() const override { return MessageTypeId::kPing; }
-};
-struct MsgPong : Message {
-  MessageTypeId TypeId() const override { return MessageTypeId::kPong; }
-};
-)"},
-      {"src/hotstuff/node.cpp", R"(
-void Node::OnMessage(const MessagePtr& m) {
-  if (auto p = std::dynamic_pointer_cast<const MsgPing>(m)) {
-    HandlePing(*p);
-    return;
-  }
-  if (auto p = std::dynamic_pointer_cast<const MsgPong>(m)) {
-    HandlePong(*p);
-    return;
-  }
-}
-)"},
-      {"src/types/info.cpp", R"(
-void BatchInfo::Encode(Writer& w) const {
-  w.PutU64(seq);
-}
-BatchInfo BatchInfo::Decode(Reader& r) {
-  BatchInfo b;
-  b.seq = r.GetU64();
-  return b;
-}
-)"}};
-}
-
-TEST(RegistryExhaustiveRule, FullyWiredRegistryIsSilent) {
-  Summary s = LintRepoUnits(WiredRegistry(), nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 0);
-}
-
-TEST(RegistryExhaustiveRule, EnumeratorWithoutRegistrationFires) {
-  std::vector<SourceUnit> units = WiredRegistry();
-  units[0].content = R"(
-enum class MessageTypeId : uint8_t {
-  kPing = 1,
-  kPong = 2,
-  kOrphan = 3,
-  kCount,
-};
-struct MsgPing : Message {
-  BatchInfo info;
-  MessageTypeId TypeId() const override { return MessageTypeId::kPing; }
-};
-struct MsgPong : Message {
-  MessageTypeId TypeId() const override { return MessageTypeId::kPong; }
-};
-)";
-  Summary s = LintRepoUnits(units, nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRegistryExhaustive);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->message.find("kOrphan"), std::string::npos);
-}
-
-TEST(RegistryExhaustiveRule, RegisteredStructNeverDispatchedFires) {
-  std::vector<SourceUnit> units = WiredRegistry();
-  units[1].content = R"(
-void Node::OnMessage(const MessagePtr& m) {
-  if (auto p = std::dynamic_pointer_cast<const MsgPing>(m)) {
-    HandlePing(*p);
-    return;
-  }
-}
-)";
-  Summary s = LintRepoUnits(units, nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRegistryExhaustive);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->message.find("MsgPong"), std::string::npos);
-}
-
-TEST(RegistryExhaustiveRule, OneSidedPayloadCodecFires) {
-  std::vector<SourceUnit> units = WiredRegistry();
-  units[2].content = R"(
-void BatchInfo::Encode(Writer& w) const {
-  w.PutU64(seq);
-}
-)";
-  Summary s = LintRepoUnits(units, nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 1);
-  const Finding* f = FirstRuleIn(s, kRuleRegistryExhaustive);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->message.find("BatchInfo"), std::string::npos);
-}
-
-TEST(RegistryExhaustiveRule, CorpusLegFiresOnlyWithCorpus) {
-  // Without a corpus the leg is skipped (subset lints must not false-alarm);
-  // with one, a two-sided payload codec must appear in it.
-  const std::string without = "DecodeGarbage<Other>(garbage);\n";
-  const std::string with = "DecodeGarbage<Other>(garbage);\nDecodeGarbage<BatchInfo>(garbage);\n";
-  EXPECT_EQ(CountRuleIn(LintRepoUnits(WiredRegistry(), nullptr), kRuleRegistryExhaustive), 0);
-  EXPECT_EQ(CountRuleIn(LintRepoUnits(WiredRegistry(), &without), kRuleRegistryExhaustive), 1);
-  EXPECT_EQ(CountRuleIn(LintRepoUnits(WiredRegistry(), &with), kRuleRegistryExhaustive), 0);
-}
-
-TEST(RegistryExhaustiveRule, SubsetWithoutDispatchSiteStaysSilent) {
-  // Linting only the header (no handler casts anywhere in the lint set) must
-  // not claim every message is undispatched — the guard requires all three
-  // registry legs to be present before the rule speaks.
-  std::vector<SourceUnit> units = {WiredRegistry()[0]};
-  Summary s = LintRepoUnits(units, nullptr);
-  EXPECT_EQ(CountRuleIn(s, kRuleRegistryExhaustive), 0);
-}
-
 // ------------------------------------------------------------------- SARIF
 
 TEST(SarifOutput, DeclaresRulesAndMarksSuppressions) {
-  Summary s = LintRepoUnits({{"src/narwhal/node.cpp", R"(
-void Node::OnTimeout(uint64_t view) {
-  Signature sig = signer_->Sign(Preimage(view));
-  Broadcast(MakeTimeout(view, sig));
+  Summary s;
+  AddReport(&s, LintSource("src/narwhal/node.cpp", R"(
+void Node::Arm() {
+  scheduler_->ScheduleAfter(Millis(10), [&] { Tick(); });
 }
 // ntlint:allow(quorum-arith): fixture exception
 uint32_t q = 2 * f + 1;
-)"}},
-                            nullptr);
+)"));
   const std::string sarif = FormatSarif(s);
   EXPECT_NE(sarif.find("\"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\""),
             std::string::npos);
@@ -849,7 +574,7 @@ uint32_t q = 2 * f + 1;
   }
   // The live finding is an error; the suppressed one is a note with an
   // inSource suppression carrying the annotation's reason.
-  EXPECT_NE(sarif.find("\"ruleId\": \"wal-before-send\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\": \"deferred-capture\""), std::string::npos);
   EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
   EXPECT_NE(sarif.find("\"level\": \"note\""), std::string::npos);
   EXPECT_NE(sarif.find("\"kind\": \"inSource\""), std::string::npos);
@@ -858,17 +583,18 @@ uint32_t q = 2 * f + 1;
 }
 
 TEST(StaleAllows, CountedPerRuleInSummary) {
-  Summary s = LintRepoUnits({{"src/narwhal/node.cpp", R"(
-// ntlint:allow(wal-before-send): nothing here signs
+  Summary s;
+  AddReport(&s, LintSource("src/narwhal/node.cpp", R"(
+// ntlint:allow(quorum-arith,nondet): nothing here computes a threshold
 uint32_t benign = 0;
-)"}},
-                            nullptr);
+)"));
   EXPECT_EQ(s.total, 0);
-  EXPECT_EQ(s.stale_allows(), 1);
-  EXPECT_EQ(s.stale_by_rule.at(kRuleWalBeforeSend), 1);
+  EXPECT_EQ(s.stale_allows(), 2);
+  EXPECT_EQ(s.stale_by_rule.at(kRuleQuorumArith), 1);
+  EXPECT_EQ(s.stale_by_rule.at(kRuleNondet), 1);
   const std::string text = FormatSummary(s, /*verbose=*/false);
   EXPECT_NE(text.find("stale by rule"), std::string::npos);
-  EXPECT_NE(text.find("wal-before-send=1"), std::string::npos);
+  EXPECT_NE(text.find("quorum-arith=1"), std::string::npos);
 }
 
 // --------------------------------------------------------- allow annotations
@@ -987,27 +713,6 @@ TEST(RealTree, CheckHarnessSuppressionsAreExactlyTheWorkloadLambdas) {
     }
   }
   EXPECT_EQ(deferred, 3);
-}
-
-// Self-check mirroring the seeded-quorum test: R6 does see the two timeout
-// signature paths in HotStuff (sign→send with no barrier), and both carry
-// explicit annotations explaining why re-signing the same view preimage
-// after a restart cannot equivocate.
-TEST(RealTree, TimeoutSignaturePathsAreExplicitlyAnnotated) {
-  Summary s = LintPaths({std::string(NT_SOURCE_DIR) + "/src"});
-  int timeout_sites = 0;
-  for (const FileReport& f : s.files) {
-    for (const Finding& fnd : f.findings) {
-      if (fnd.rule == kRuleWalBeforeSend) {
-        EXPECT_NE(f.path.find("src/hotstuff/hotstuff.cpp"), std::string::npos)
-            << f.path << ":" << fnd.line;
-        EXPECT_TRUE(fnd.suppressed) << f.path << ":" << fnd.line;
-        EXPECT_FALSE(fnd.allow_reason.empty()) << f.path << ":" << fnd.line;
-        ++timeout_sites;
-      }
-    }
-  }
-  EXPECT_EQ(timeout_sites, 2);  // OnTimeout broadcast + pairwise timeout echo.
 }
 
 #endif  // NT_SOURCE_DIR
