@@ -86,7 +86,7 @@ void BM_HeaderEncode(benchmark::State& state) {
   }
   for (auto _ : state) {
     Writer w;
-    header.Encode(w);
+    EncodeWire(w, header);
     benchmark::DoNotOptimize(w.bytes());
   }
 }

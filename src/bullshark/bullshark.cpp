@@ -35,24 +35,19 @@ void AnchorSchedule::RecordOutcome(uint64_t wave, ValidatorId author, bool commi
   settled_through_ = wave;
 }
 
-std::vector<AnchorOutcome> AnchorSchedule::Snapshot() const {
-  std::vector<AnchorOutcome> out;
-  out.reserve(last_outcome_.size());
+AnchorScheduleState AnchorSchedule::Snapshot() const {
+  AnchorScheduleState state{settled_through_, {}};
+  state.outcomes.reserve(last_outcome_.size());
   for (const auto& [author, entry] : last_outcome_) {
-    AnchorOutcome o;
-    o.author = author;
-    o.wave = entry.first;
-    o.committed = entry.second;
-    out.push_back(o);
+    state.outcomes.push_back({author, entry.first, entry.second});
   }
-  return out;
+  return state;
 }
 
-void AnchorSchedule::Restore(uint64_t settled_through,
-                             const std::vector<AnchorOutcome>& outcomes) {
-  settled_through_ = settled_through;
+void AnchorSchedule::Restore(const AnchorScheduleState& state) {
+  settled_through_ = state.settled_through;
   last_outcome_.clear();
-  for (const AnchorOutcome& o : outcomes) {
+  for (const AnchorOutcome& o : state.outcomes) {
     last_outcome_[o.author] = {o.wave, o.committed};
   }
 }
@@ -97,30 +92,11 @@ void Bullshark::SettleWaves(uint64_t from, uint64_t through) {
   }
 }
 
-void Bullshark::EncodeMeta(Writer& w) const {
-  w.PutU64(schedule_.settled_through());
-  std::vector<AnchorOutcome> outcomes = schedule_.Snapshot();
-  w.PutU32(static_cast<uint32_t>(outcomes.size()));
-  for (const AnchorOutcome& o : outcomes) {
-    w.PutU32(o.author);
-    w.PutU64(o.wave);
-    w.PutBool(o.committed);
-  }
-}
+void Bullshark::EncodeMeta(Writer& w) const { EncodeWire(w, schedule_.Snapshot()); }
 
 void Bullshark::DecodeMeta(Reader& r) {
-  uint64_t settled_through = r.GetU64();
-  uint32_t count = r.GetU32();
-  std::vector<AnchorOutcome> outcomes;
-  for (uint32_t i = 0; r.ok() && i < count; ++i) {
-    AnchorOutcome o;
-    o.author = r.GetU32();
-    o.wave = r.GetU64();
-    o.committed = r.GetBool();
-    outcomes.push_back(o);
-  }
-  if (r.ok()) {
-    schedule_.Restore(settled_through, outcomes);
+  if (std::optional<AnchorScheduleState> state = DecodeWhole<AnchorScheduleState>(r)) {
+    schedule_.Restore(*state);
   }
 }
 

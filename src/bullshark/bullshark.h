@@ -52,6 +52,17 @@ struct AnchorOutcome {
   ValidatorId author = 0;
   uint64_t wave = 0;
   bool committed = false;
+
+  static auto Fields(auto& self) { return WireFields(self.author, self.wave, self.committed); }
+};
+
+// The schedule's state, as Bullshark's rule state in the 'U' record: the
+// settled-wave cursor and each author's latest settled outcome.
+struct AnchorScheduleState {
+  uint64_t settled_through = 0;
+  std::vector<AnchorOutcome> outcomes;
+
+  static auto Fields(auto& self) { return WireFields(self.settled_through, self.outcomes); }
 };
 
 // Deterministic anchor-author schedule: round-robin base, optionally
@@ -74,9 +85,8 @@ class AnchorSchedule {
 
   // Persistence: the schedule state is a bounded set of per-author latest
   // outcomes plus the settled-wave cursor.
-  uint64_t settled_through() const { return settled_through_; }
-  std::vector<AnchorOutcome> Snapshot() const;
-  void Restore(uint64_t settled_through, const std::vector<AnchorOutcome>& outcomes);
+  AnchorScheduleState Snapshot() const;
+  void Restore(const AnchorScheduleState& state);
 
  private:
   bool Disfavored(ValidatorId v) const;

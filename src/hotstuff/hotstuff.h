@@ -50,14 +50,7 @@ struct HsVoteRecord {
   Digest digest{};
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/vote")); }
-  void Encode(Writer& w) const {
-    w.PutU64(view);
-    w.PutRaw(digest);
-  }
-  static std::optional<HsVoteRecord> Decode(Reader& r) {
-    HsVoteRecord rec{r.GetU64(), r.GetArray<32>()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.view, self.digest); }
 };
 
 // 'L': the locked block. Part of the safety rule; losing it across a restart
@@ -69,14 +62,7 @@ struct HsLockRecord {
   Digest digest{};
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/lock")); }
-  void Encode(Writer& w) const {
-    w.PutU64(view);
-    w.PutRaw(digest);
-  }
-  static std::optional<HsLockRecord> Decode(Reader& r) {
-    HsLockRecord rec{r.GetU64(), r.GetArray<32>()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.view, self.digest); }
 };
 
 // 'E': the current view.
@@ -86,11 +72,7 @@ struct HsViewRecord {
   View view = 0;
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/view")); }
-  void Encode(Writer& w) const { w.PutU64(view); }
-  static std::optional<HsViewRecord> Decode(Reader& r) {
-    HsViewRecord rec{r.GetU64()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.view); }
 };
 
 // 'F': the last view this node proposed in. Synced before the proposal
@@ -101,11 +83,7 @@ struct HsProposedRecord {
   View view = 0;
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/proposed")); }
-  void Encode(Writer& w) const { w.PutU64(view); }
-  static std::optional<HsProposedRecord> Decode(Reader& r) {
-    HsProposedRecord rec{r.GetU64()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.view); }
 };
 
 // 'Q': the highest QC seen.
@@ -115,19 +93,10 @@ struct HsHighQcRecord {
   QuorumCert qc;
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/highqc")); }
-  void Encode(Writer& w) const {
-    w.PutRaw(qc.block_digest);
-    w.PutU64(qc.view);
-    qc.votes.Encode(w);
-  }
-  static std::optional<HsHighQcRecord> Decode(Reader& r) {
-    HsHighQcRecord rec{{r.GetArray<32>(), r.GetU64(), {}}};
-    std::optional<VoteList> votes = VoteList::Decode(r);
-    if (!votes.has_value() || !r.AtEnd()) {
-      return std::nullopt;
-    }
-    rec.qc.votes = std::move(*votes);
-    return rec;
+  // The QC's fields with the votes' count, which QuorumCert::WireSize leaves
+  // out.
+  static auto Fields(auto& self) {
+    return WireFields(self.qc.block_digest, self.qc.view, self.qc.votes);
   }
 };
 
@@ -144,15 +113,7 @@ struct HsCommitRecord {
   uint64_t count = 0;
 
   Digest Key() const { return Sha256::Hash(std::string_view("hs/commit")); }
-  void Encode(Writer& w) const {
-    w.PutRaw(tip);
-    w.PutU64(view);
-    w.PutU64(count);
-  }
-  static std::optional<HsCommitRecord> Decode(Reader& r) {
-    HsCommitRecord rec{r.GetArray<32>(), r.GetU64(), r.GetU64()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.tip, self.view, self.count); }
 };
 
 using HotStuffRecords = RecordList<HsVoteRecord, HsLockRecord, HsViewRecord, HsProposedRecord,

@@ -27,7 +27,7 @@ void HsPayload::Encode(Writer& w) const {
   }
   w.PutU32(static_cast<uint32_t>(certs.size()));
   for (const Certificate& c : certs) {
-    c.Encode(w);
+    EncodeWire(w, c);
   }
 }
 
@@ -43,7 +43,7 @@ size_t HsPayload::WireSize() const {
       break;
     case Kind::kCertificates:
       for (const Certificate& c : certs) {
-        size += c.WireSize();
+        size += WireSizeOf(c);
       }
       break;
   }

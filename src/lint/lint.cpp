@@ -59,7 +59,6 @@ const std::vector<RuleInfo>& Rules() {
        "Wall-clock, entropy, threading or raw-file-IO source outside src/sim/ and bench/; a "
        "std::unordered_* or a std::map/set keyed by raw pointer anywhere"},
       {kRuleQuorumArith, "R3", "Literal quorum-threshold arithmetic outside the Committee helpers"},
-      {kRuleCodecMismatch, "R4", "Encode/Decode field op sequences drift"},
       {kRuleDeferredCapture, "R8",
        "Scheduler lambda captures by reference or reschedules with stale state"},
   };

@@ -28,9 +28,6 @@
 //                      2f+1" slip class that breaks quorum intersection
 //                      (guards the seeded mutation NarwhalCertQuorum reads,
 //                      src/types/types.cpp).
-//   R4 codec-mismatch  an Encode/Decode pair whose field op sequences drift
-//                      (silent serialize/deserialize skew; guards e.g.
-//                      Certificate::Encode/Decode, src/types/types.cpp).
 //   R8 deferred-capture
 //                      a lambda handed to the Scheduler captures locals by
 //                      reference, or a retry's reschedule call fails to
@@ -52,9 +49,14 @@
 //   before it returns the signature. Primary and HotStuff hold only the
 //   ledger; what else they reach is a Verifier, which cannot sign.
 //
+//   R4 (codec drift between an Encode and its Decode): each wire type and
+//   WAL record lists its fields once, and EncodeWire, DecodeWire and
+//   WireSizeOf walk that list (src/common/codec.h). RecordList and CodecList
+//   reject a hand-written codec pair with no field list.
+//
 //   R9 registry-exhaustive (the message ids, structs, handlers and codecs
-//   drifting apart): each message struct derives from MessageOf<id>, each
-//   node dispatches through Dispatch over its Handles list, and
+//   drifting apart): each message struct M derives from MessageOf<M, id>,
+//   each node dispatches through Dispatch over its Handles list, and
 //   CheckMessageTable (src/net/message.h, applied in
 //   src/runtime/message_table.h) fails the build for an id with no struct or
 //   a struct no node handles. tests/fuzz_decode_test.cpp fuzzes one
@@ -88,7 +90,6 @@ namespace lint {
 // Rule identifiers (also the names accepted inside allow annotations).
 inline constexpr const char* kRuleNondet = "nondet";
 inline constexpr const char* kRuleQuorumArith = "quorum-arith";
-inline constexpr const char* kRuleCodecMismatch = "codec-mismatch";
 inline constexpr const char* kRuleDeferredCapture = "deferred-capture";
 
 struct RuleInfo {
@@ -97,7 +98,7 @@ struct RuleInfo {
   const char* description;
 };
 
-// Every rule, in R1..R8 order with R2 and R5-R7 retired. Drives allow
+// Every rule, in R1..R8 order with R2 and R4-R7 retired. Drives allow
 // parsing, `ntlint --rules` and the SARIF rule metadata.
 const std::vector<RuleInfo>& Rules();
 

@@ -1,8 +1,6 @@
 #include "src/lint/rules.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
 #include <set>
 
 namespace nt {
@@ -294,196 +292,6 @@ void RunQuorumArith(const std::string& path, const Toks& t, std::vector<Finding>
              "literal threshold arithmetic on 'f': use Committee::quorum_threshold() / "
              "validity_threshold() (or the *For(n) statics) so thresholds live in one audited "
              "place");
-    }
-  }
-}
-
-// --------------------------------------------------------- R4 codec-mismatch
-
-struct CodecOp {
-  std::string kind;  // u8,u16,u32,u64,i64,bool,var,str,raw,sub
-  int size = -1;     // For raw: byte count when known (GetArray<N>).
-  int line = 0;
-};
-
-struct CodecSide {
-  std::vector<CodecOp> ops;
-  int line = 0;
-  bool present = false;
-};
-
-const std::map<std::string, std::string>& PutKinds() {
-  static const std::map<std::string, std::string> m = {
-      {"PutU8", "u8"},   {"PutU16", "u16"},   {"PutU32", "u32"}, {"PutU64", "u64"},
-      {"PutI64", "i64"}, {"PutBool", "bool"}, {"PutVar", "var"}, {"PutString", "str"},
-      {"PutRaw", "raw"}};
-  return m;
-}
-
-const std::map<std::string, std::string>& GetKinds() {
-  static const std::map<std::string, std::string> m = {
-      {"GetU8", "u8"},   {"GetU16", "u16"},   {"GetU32", "u32"}, {"GetU64", "u64"},
-      {"GetI64", "i64"}, {"GetBool", "bool"}, {"GetVar", "var"}, {"GetString", "str"},
-      {"GetVarView", "var"}, {"GetStringView", "str"}, {"GetRaw", "raw"}, {"GetRawView", "raw"},
-      {"GetArray", "raw"}};
-  return m;
-}
-
-// True when token i is reached through a member access: `x.F` or `x->F`.
-bool IsMemberAccess(const Toks& t, size_t i) {
-  if (i == 0) {
-    return false;
-  }
-  if (t[i - 1].text == ".") {
-    return true;
-  }
-  return i >= 2 && t[i - 1].text == ">" && t[i - 2].text == "-";
-}
-
-std::vector<CodecOp> ExtractOps(const Toks& t, size_t first, size_t last, bool encode_side) {
-  std::vector<CodecOp> ops;
-  for (size_t i = first; i <= last && i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || i == 0) {
-      continue;
-    }
-    const std::string& prev = t[i - 1].text;
-    const bool called = i + 1 < t.size() &&
-                        (t[i + 1].text == "(" || (t[i].text == "GetArray" && t[i + 1].text == "<"));
-    if (!called) {
-      continue;
-    }
-    if (IsMemberAccess(t, i)) {
-      auto& kinds = encode_side ? PutKinds() : GetKinds();
-      auto it = kinds.find(t[i].text);
-      if (it != kinds.end()) {
-        CodecOp op;
-        op.kind = it->second;
-        op.line = t[i].line;
-        if (t[i].text == "GetArray" && i + 2 < t.size() &&
-            t[i + 2].kind == TokKind::kNumber) {
-          op.size = std::atoi(t[i + 2].text.c_str());
-        }
-        ops.push_back(op);
-        continue;
-      }
-      if (encode_side && t[i].text == "Encode") {
-        ops.push_back(CodecOp{"sub", -1, t[i].line});
-      }
-    } else if (prev == "::" && !encode_side && t[i].text == "Decode") {
-      ops.push_back(CodecOp{"sub", -1, t[i].line});
-    }
-  }
-  return ops;
-}
-
-std::string OpName(const CodecOp& op) {
-  if (op.kind == "raw" && op.size > 0) {
-    return "raw[" + std::to_string(op.size) + "]";
-  }
-  if (op.kind == "sub") {
-    return "nested codec";
-  }
-  return op.kind;
-}
-
-void RunCodecMismatch(const std::string& path, const Toks& t, std::vector<Finding>* out) {
-  (void)path;
-  // Scope stack of struct/class names for inline member definitions.
-  struct Scope {
-    std::string name;
-    int depth;
-  };
-  std::vector<Scope> scopes;
-  int depth = 0;
-  std::map<std::string, std::pair<CodecSide, CodecSide>> owners;  // name -> (enc, dec)
-
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct) {
-      if (t[i].text == "{") {
-        // Record-open? Look back (bounded by statement punctuation) for
-        // `struct X ... {` / `class X ... {`.
-        for (size_t k = i; k-- > 0;) {
-          const std::string& tx = t[k].text;
-          if (tx == ";" || tx == "}" || tx == "{" || tx == ")") {
-            break;
-          }
-          if ((IsIdent(t[k], "struct") || IsIdent(t[k], "class")) && k + 1 < t.size() &&
-              t[k + 1].kind == TokKind::kIdent) {
-            scopes.push_back(Scope{t[k + 1].text, depth});
-            break;
-          }
-        }
-        ++depth;
-      } else if (t[i].text == "}") {
-        --depth;
-        if (!scopes.empty() && scopes.back().depth == depth) {
-          scopes.pop_back();
-        }
-      }
-      continue;
-    }
-    const bool is_codec_fn = IsIdent(t[i], "Encode") || IsIdent(t[i], "Decode");
-    if (!is_codec_fn || i + 1 >= t.size() || t[i + 1].text != "(") {
-      continue;
-    }
-    if (IsMemberAccess(t, i)) {
-      continue;  // Member call, not a definition.
-    }
-    std::string owner;
-    if (i >= 2 && t[i - 1].text == "::" && t[i - 2].kind == TokKind::kIdent) {
-      owner = t[i - 2].text;
-    } else if (!scopes.empty()) {
-      owner = scopes.back().name;
-    }
-    if (owner.empty()) {
-      continue;
-    }
-    size_t close = MatchForward(t, i + 1, "(", ")");
-    if (close >= t.size()) {
-      continue;
-    }
-    size_t j = close + 1;
-    while (j < t.size() && (IsIdent(t[j], "const") || IsIdent(t[j], "noexcept") ||
-                            IsIdent(t[j], "override"))) {
-      ++j;
-    }
-    if (j >= t.size() || t[j].text != "{") {
-      continue;  // Declaration or call — no body.
-    }
-    size_t body_end = MatchForward(t, j, "{", "}");
-    const bool encode_side = IsIdent(t[i], "Encode");
-    CodecSide side;
-    side.present = true;
-    side.line = t[i].line;
-    side.ops = ExtractOps(t, j + 1, body_end - 1, encode_side);
-    auto& slot = owners[owner];
-    CodecSide& target = encode_side ? slot.first : slot.second;
-    if (!target.present) {
-      target = std::move(side);
-    }
-  }
-
-  for (const auto& [owner, sides] : owners) {
-    const CodecSide& enc = sides.first;
-    const CodecSide& dec = sides.second;
-    if (!enc.present || !dec.present) {
-      continue;  // One-sided codecs (digest preimages) are legitimate.
-    }
-    if (enc.ops.size() != dec.ops.size()) {
-      Report(out, kRuleCodecMismatch, dec.line,
-             owner + ": Encode emits " + std::to_string(enc.ops.size()) +
-                 " codec ops but Decode consumes " + std::to_string(dec.ops.size()) +
-                 " — a field is missing on one side");
-      continue;
-    }
-    for (size_t k = 0; k < enc.ops.size(); ++k) {
-      if (enc.ops[k].kind != dec.ops[k].kind) {
-        Report(out, kRuleCodecMismatch, dec.ops[k].line,
-               owner + ": codec op #" + std::to_string(k + 1) + " drifts — Encode writes " +
-                   OpName(enc.ops[k]) + " (line " + std::to_string(enc.ops[k].line) +
-                   ") but Decode reads " + OpName(dec.ops[k]));
-        break;
-      }
     }
   }
 }
@@ -844,7 +652,6 @@ std::vector<Finding> RunRules(const std::string& rel_path, const LexedFile& lex)
   std::vector<Finding> findings;
   RunNondet(rel_path, lex.tokens, &findings);
   RunQuorumArith(rel_path, lex.tokens, &findings);
-  RunCodecMismatch(rel_path, lex.tokens, &findings);
   RunDeferredCapture(lex.tokens, &findings);
   std::stable_sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     if (a.line != b.line) {

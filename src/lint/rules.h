@@ -1,7 +1,6 @@
-// Rule implementations for ntlint: R1 nondet, R3 quorum-arith, R4
-// codec-mismatch and R8 deferred-capture (lint.h describes each and a src/
-// site it guards). Split from the driver, which handles files and allow
-// annotations.
+// Rule implementations for ntlint: R1 nondet, R3 quorum-arith and R8
+// deferred-capture (lint.h describes each and a src/ site it guards). Split
+// from the driver, which handles files and allow annotations.
 #ifndef SRC_LINT_RULES_H_
 #define SRC_LINT_RULES_H_
 

@@ -39,14 +39,7 @@ struct CommitRecord {
 
   static Digest KeyOf(const Digest& digest) { return TaggedKey(kTag, digest); }
   Digest Key() const { return KeyOf(digest); }
-  void Encode(Writer& w) const {
-    w.PutU64(round);
-    w.PutRaw(digest);
-  }
-  static std::optional<CommitRecord> Decode(Reader& r) {
-    CommitRecord rec{r.GetU64(), r.GetArray<32>()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.round, self.digest); }
 };
 
 class CommitLog {

@@ -43,48 +43,22 @@ void Primary::OnStart() {
 
 // ---------------------------------------------------------------- persistence
 
-// The fields' layout is BlockHeader's (EncodeRecordFields); Encode and
-// Decode carry the value after its tag, as it is.
-void HeaderRecord::Encode(Writer& w) const {
-  const SharedBytes sealed = Sealed();
-  w.PutRaw(sealed->data() + 1, sealed->size() - 1);
-}
-
-std::optional<HeaderRecord> HeaderRecord::Decode(Reader& r) {
-  const std::span<const uint8_t> fields = r.GetRawView(r.remaining());
-  return Adopt(SealRecordValue(kTag, [&](Writer& w) { w.PutRaw(fields.data(), fields.size()); }));
-}
-
 SharedBytes HeaderRecord::Sealed() const {
   if (value != nullptr) {
     return value;
   }
-  return SealRecordValue(kTag, [this](Writer& w) { header.EncodeRecordFields(w, parents); });
+  return SealRecordValue(kTag, [this](Writer& w) { EncodeWire(w, *this); });
 }
 
 std::optional<HeaderRecord> HeaderRecord::Adopt(SharedBytes value) {
-  if (value == nullptr || value->empty() || (*value)[0] != kTag) {
+  if (value == nullptr) {
     return std::nullopt;
   }
-  Reader r(value->data() + 1, value->size() - 1);
-  HeaderRecord rec;
-  std::optional<BlockHeader> header = BlockHeader::DecodeRecordFields(r, rec.parents);
-  if (!header.has_value() || !r.AtEnd()) {
-    return std::nullopt;
+  std::optional<HeaderRecord> rec = DecodeRecord<HeaderRecord>(*value);
+  if (rec.has_value()) {
+    rec->value = std::move(value);
   }
-  rec.header = std::move(*header);
-  rec.value = std::move(value);
   return rec;
-}
-
-void CertRecord::Encode(Writer& w) const { cert.Encode(w); }
-
-std::optional<CertRecord> CertRecord::Decode(Reader& r) {
-  std::optional<Certificate> cert = Certificate::Decode(r);
-  if (!cert.has_value() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return CertRecord{std::move(*cert)};
 }
 
 std::optional<CertRecord> CertRecord::Adopt(SharedBytes value) {

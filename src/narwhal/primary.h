@@ -55,11 +55,7 @@ struct PrimaryMeta {
   Round gc_round = 0;
 
   Digest Key() const { return Sha256::Hash(std::string_view("primary/meta")); }
-  void Encode(Writer& w) const { w.PutU64(gc_round); }
-  static std::optional<PrimaryMeta> Decode(Reader& r) {
-    PrimaryMeta rec{r.GetU64()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.gc_round); }
 };
 
 // 'H': a header the DAG stored. Parents are named by digest, in header order
@@ -89,8 +85,8 @@ struct HeaderRecord {
   }
   static Digest KeyOf(const Digest& header_digest) { return TaggedKey(kTag, header_digest); }
   Digest Key() const { return KeyOf(digest); }
-  void Encode(Writer& w) const;
-  static std::optional<HeaderRecord> Decode(Reader& r);
+  // The header's layout, the parents named by digest.
+  static auto Fields(auto& self) { return BlockHeader::Fields(self.header, self.parents); }
   SharedBytes Sealed() const;
   static std::optional<HeaderRecord> Adopt(SharedBytes value);
 };
@@ -105,8 +101,7 @@ struct CertRecord {
 
   static Digest KeyOf(const Digest& header_digest) { return TaggedKey(kTag, header_digest); }
   Digest Key() const { return KeyOf(cert.header_digest); }
-  void Encode(Writer& w) const;
-  static std::optional<CertRecord> Decode(Reader& r);
+  static auto Fields(auto& self) { return WireFields(self.cert); }
   SharedBytes Sealed() const { return cert.RecordValue(); }
   static std::optional<CertRecord> Adopt(SharedBytes value);
 };
@@ -122,15 +117,7 @@ struct VoteRecord {
 
   static Digest KeyOf(Round round, ValidatorId author);
   Digest Key() const { return KeyOf(round, author); }
-  void Encode(Writer& w) const {
-    w.PutU64(round);
-    w.PutU32(author);
-    w.PutRaw(digest);
-  }
-  static std::optional<VoteRecord> Decode(Reader& r) {
-    VoteRecord rec{r.GetU64(), r.GetU32(), r.GetArray<32>()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.round, self.author, self.digest); }
 };
 
 // 'P': the header this validator signed for `round`. Synced before the
@@ -143,14 +130,7 @@ struct ProposalRecord {
 
   static Digest KeyOf(Round round);
   Digest Key() const { return KeyOf(round); }
-  void Encode(Writer& w) const {
-    w.PutU64(round);
-    w.PutRaw(digest);
-  }
-  static std::optional<ProposalRecord> Decode(Reader& r) {
-    ProposalRecord rec{r.GetU64(), r.GetArray<32>()};
-    return r.AtEnd() ? std::optional(rec) : std::nullopt;
-  }
+  static auto Fields(auto& self) { return WireFields(self.round, self.digest); }
 };
 
 using PrimaryStoreRecords =

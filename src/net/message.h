@@ -3,7 +3,7 @@
 // for them without materializing byte buffers on every hop.
 //
 // The message table is typed: each message struct derives from
-// MessageOf<its id>, each node names the structs it handles as a
+// MessageOf<itself, its id>, each node names the structs it handles as a
 // MessageList and dispatches through Dispatch, and CheckMessageTable proves
 // at compile time that every id has exactly one struct and every struct a
 // node that handles it (src/runtime/message_table.h holds the tree's table).
@@ -16,6 +16,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/common/codec.h"
 #include "src/common/overloaded.h"
 
 namespace nt {
@@ -70,9 +71,17 @@ class Message {
  public:
   virtual ~Message() = default;
 
-  // Serialized size in bytes, used for transmission-delay accounting. Must
-  // match what the canonical codec would produce (checked in tests for the
-  // protocol types).
+  // Bytes on the wire, used for transmission-delay accounting. A message
+  // struct's size is derived from its field list (MessageOf): each field
+  // costs its canonical encoding (WireSizeOf, src/common/codec.h), except
+  // these accounting models, which no codec produces:
+  //  - Batch: framing, 16 bytes per sample and payload_bytes, an aggregate
+  //    that is never materialised; not its sealed encoding's length;
+  //  - QuorumCert and TimeoutCert: the votes without their u32 count, which
+  //    the 'Q' record's encoding of a QC carries;
+  //  - HsBlock and HsPayload: an absent TC adds nothing, and a transactions
+  //    payload counts payload_bytes;
+  //  - MsgGossipTxs: its two counts plus the payload_bytes they announce.
   virtual size_t WireSize() const = 0;
 
   // Stable type id for per-type statistics; cheaper than a name on the send
@@ -80,12 +89,14 @@ class Message {
   virtual MessageTypeId TypeId() const = 0;
 };
 
-// The base of every protocol message struct: binds the struct to its id in
-// one place, and no subclass can report another.
-template <MessageTypeId kId>
+// The base of every protocol message struct M: binds the struct to its id in
+// one place, and no subclass can report another; and sizes it from M's field
+// list, the fields that go on the wire (a precomputed digest does not).
+template <typename M, MessageTypeId kId>
 struct MessageOf : Message {
   static constexpr MessageTypeId kTypeId = kId;
   MessageTypeId TypeId() const final { return kId; }
+  size_t WireSize() const override { return WireSizeOf(static_cast<const M&>(*this)); }
 };
 
 // Messages are immutable once sent; a broadcast shares one allocation.

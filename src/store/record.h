@@ -7,12 +7,14 @@
 //   static constexpr Prune kPrune;            what keeps the tag bounded
 //   <fields>
 //   Digest Key() const;                        the store key
-//   void Encode(Writer&) const;                the fields, after the tag
-//   static std::optional<R> Decode(Reader&);   nullopt on a short read or
-//                                              trailing bytes
+//   static auto Fields(auto& self);            the field list
+//                                              (src/common/codec.h): what
+//                                              follows the tag
 //
-// Encode and Decode live in one file, so ntlint's codec-mismatch rule pairs
-// them.
+// The stored value is the tag, then EncodeWire over the field list;
+// DecodeRecord reads it back through the same list, and yields nullopt on a
+// short read or trailing bytes. A record with no field list does not compile
+// into a RecordList.
 //
 // A sealed record type also keeps its whole stored value as one immutable
 // buffer, written once by SealRecordValue and shared by every store that
@@ -20,8 +22,9 @@
 // sealed into the header and the certificate):
 //
 //   SharedBytes Sealed() const;                  the value PutRecord stores,
-//                                                the same bytes Encode gives
-//   static std::optional<R> Adopt(SharedBytes);  Decode over a whole stored
+//                                                the same bytes the field
+//                                                list gives
+//   static std::optional<R> Adopt(SharedBytes);  DecodeRecord over a stored
 //                                                value, keeping the buffer
 //
 // SealRecordValue, and through it PutRecord, is the only writer of a tag
@@ -80,6 +83,13 @@ SharedBytes SealRecordValue(uint8_t tag, const EncodeFields& encode_fields) {
 }
 
 template <typename R>
+concept WalRecord = FieldListed<R> && requires(const R& record) {
+  { R::kTag } -> std::convertible_to<uint8_t>;
+  R::kPrune;
+  { record.Key() } -> std::same_as<Digest>;
+};
+
+template <typename R>
 concept SealedRecord = requires(const R& record, SharedBytes value) {
   { record.Sealed() } -> std::same_as<SharedBytes>;
   { R::Adopt(std::move(value)) } -> std::same_as<std::optional<R>>;
@@ -91,18 +101,19 @@ void PutRecord(Store& store, const R& record) {
   if constexpr (SealedRecord<R>) {
     store.Put(record.Key(), record.Sealed());
   } else {
-    store.Put(record.Key(), SealRecordValue(R::kTag, [&](Writer& w) { record.Encode(w); }));
+    store.Put(record.Key(), SealRecordValue(R::kTag, [&](Writer& w) { EncodeWire(w, record); }));
   }
 }
 
-// Decodes a stored value as R: nullopt if the tag differs or R::Decode fails.
+// Decodes a stored value as R: nullopt if the tag differs, or on a short
+// read or trailing bytes.
 template <typename R>
 std::optional<R> DecodeRecord(const Bytes& value) {
   if (value.empty() || value[0] != R::kTag) {
     return std::nullopt;
   }
   Reader r(value.data() + 1, value.size() - 1);
-  return R::Decode(r);
+  return DecodeWhole<R>(r);
 }
 
 // Reads a latest-only record, if one is stored intact.
@@ -145,8 +156,8 @@ size_t ForEachRecord(const Store& store, Visitor&& visit) {
 }
 
 // The record types one store holds. Declaring the list is what checks that
-// their tags are distinct.
-template <typename... R>
+// each is a record with a field list and that their tags are distinct.
+template <WalRecord... R>
 struct RecordList {
   static_assert(
       [] {

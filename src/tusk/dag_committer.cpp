@@ -24,24 +24,6 @@ void DagCommitter::OnHeaderStored(const Digest&) { TryCommit(); }
 
 // ---------------------------------------------------------------- persistence
 
-void CommitterMeta::Encode(Writer& w) const {
-  w.PutU64(wave);
-  w.PutRaw(rule_state);
-}
-
-std::optional<CommitterMeta> CommitterMeta::Decode(Reader& r) {
-  CommitterMeta meta;
-  meta.wave = r.GetU64();
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  meta.rule_state.resize(r.remaining());
-  if (!meta.rule_state.empty()) {  // An empty vector's data() may be null.
-    r.GetRaw(meta.rule_state.data(), meta.rule_state.size());
-  }
-  return meta;
-}
-
 void DagCommitter::PersistMeta() {
   if (store_ == nullptr) {
     return;

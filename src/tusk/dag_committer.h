@@ -42,8 +42,7 @@ struct CommitterMeta {
   Bytes rule_state;
 
   Digest Key() const { return Sha256::Hash(std::string_view("tusk/meta")); }
-  void Encode(Writer& w) const;
-  static std::optional<CommitterMeta> Decode(Reader& r);
+  static auto Fields(auto& self) { return WireFields(self.wave, Tail{self.rule_state}); }
 };
 
 class DagCommitter {
@@ -112,6 +111,8 @@ class DagCommitter {
   // cursor advances and the meta record is written.
   virtual void SettleWaves(uint64_t /*from*/, uint64_t /*through*/) {}
   // Rule-specific state riding in the meta record after the wave cursor.
+  // DecodeMeta reads the whole rest of the record, and leaves the rule's
+  // state as it is unless that is exactly one encoding of it.
   virtual void EncodeMeta(Writer& /*w*/) const {}
   virtual void DecodeMeta(Reader& /*r*/) {}
 

@@ -13,112 +13,114 @@
 namespace nt {
 
 // Worker -> worker: bulk batch dissemination.
-struct MsgBatch : MessageOf<MessageTypeId::kBatch> {
+struct MsgBatch : MessageOf<MsgBatch, MessageTypeId::kBatch> {
   std::shared_ptr<const Batch> batch;
   Digest digest{};  // Precomputed Batch::ComputeDigest().
 
   MsgBatch(std::shared_ptr<const Batch> b, const Digest& d) : batch(std::move(b)), digest(d) {}
-  size_t WireSize() const override { return batch->WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.batch); }
 };
 
 // Worker -> worker: storage acknowledgment for a batch.
-struct MsgBatchAck : MessageOf<MessageTypeId::kBatchAck> {
+struct MsgBatchAck : MessageOf<MsgBatchAck, MessageTypeId::kBatchAck> {
   Digest digest{};
   WorkerId worker = 0;
 
   MsgBatchAck(const Digest& d, WorkerId w) : digest(d), worker(w) {}
-  size_t WireSize() const override { return 32 + 4; }
+  static auto Fields(auto& self) { return WireFields(self.digest, self.worker); }
 };
 
 // Worker -> its own primary: a batch reached a quorum of workers and may be
 // included in the next header.
-struct MsgBatchReady : MessageOf<MessageTypeId::kBatchReady> {
+struct MsgBatchReady : MessageOf<MsgBatchReady, MessageTypeId::kBatchReady> {
   BatchRef ref{};
 
   explicit MsgBatchReady(const BatchRef& r) : ref(r) {}
-  size_t WireSize() const override { return 32 + 4 + 8 + 8; }
+  static auto Fields(auto& self) { return WireFields(self.ref); }
 };
 
 // Primary -> its own worker: another validator's header references a batch
 // this worker should hold; fetch it if missing.
-struct MsgFetchBatch : MessageOf<MessageTypeId::kFetchBatch> {
+struct MsgFetchBatch : MessageOf<MsgFetchBatch, MessageTypeId::kFetchBatch> {
   Digest digest{};
   ValidatorId batch_author = 0;
   WorkerId worker = 0;
 
   MsgFetchBatch(const Digest& d, ValidatorId a, WorkerId w)
       : digest(d), batch_author(a), worker(w) {}
-  size_t WireSize() const override { return 32 + 4 + 4; }
+  static auto Fields(auto& self) {
+    return WireFields(self.digest, self.batch_author, self.worker);
+  }
 };
 
 // Worker -> its own primary: confirmation that a batch is stored locally.
-struct MsgBatchStored : MessageOf<MessageTypeId::kBatchStored> {
+struct MsgBatchStored : MessageOf<MsgBatchStored, MessageTypeId::kBatchStored> {
   Digest digest{};
 
   explicit MsgBatchStored(const Digest& d) : digest(d) {}
-  size_t WireSize() const override { return 32; }
+  static auto Fields(auto& self) { return WireFields(self.digest); }
 };
 
 // Primary -> primary: a proposed header (reliable-broadcast "send" phase).
-struct MsgHeader : MessageOf<MessageTypeId::kHeader> {
+struct MsgHeader : MessageOf<MsgHeader, MessageTypeId::kHeader> {
   std::shared_ptr<const BlockHeader> header;
   Digest digest{};  // Precomputed ComputeDigest().
 
   MsgHeader(std::shared_ptr<const BlockHeader> h, const Digest& d)
       : header(std::move(h)), digest(d) {}
-  size_t WireSize() const override { return header->WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.header); }
 };
 
 // Primary -> primary: a vote (signed acknowledgment) on a header.
-struct MsgVote : MessageOf<MessageTypeId::kVote> {
+struct MsgVote : MessageOf<MsgVote, MessageTypeId::kVote> {
   Vote vote{};
 
   explicit MsgVote(const Vote& v) : vote(v) {}
-  size_t WireSize() const override { return vote.WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.vote); }
 };
 
 // Primary -> primary: a freshly assembled certificate of availability.
-struct MsgCertificate : MessageOf<MessageTypeId::kCertificate> {
+struct MsgCertificate : MessageOf<MsgCertificate, MessageTypeId::kCertificate> {
   Certificate cert{};
 
   explicit MsgCertificate(Certificate c) : cert(std::move(c)) {}
-  size_t WireSize() const override { return cert.WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.cert); }
 };
 
 // Primary -> primary: pull request for a missing certified block (the DoS-
 // resistant pull strategy of §4.1). The responder returns the certificate
 // and its header.
-struct MsgCertRequest : MessageOf<MessageTypeId::kCertRequest> {
+struct MsgCertRequest : MessageOf<MsgCertRequest, MessageTypeId::kCertRequest> {
   Digest digest{};
 
   explicit MsgCertRequest(const Digest& d) : digest(d) {}
-  size_t WireSize() const override { return 32; }
+  static auto Fields(auto& self) { return WireFields(self.digest); }
 };
 
-struct MsgCertResponse : MessageOf<MessageTypeId::kCertResponse> {
+struct MsgCertResponse : MessageOf<MsgCertResponse, MessageTypeId::kCertResponse> {
   Certificate cert{};
   std::shared_ptr<const BlockHeader> header;
 
   MsgCertResponse(Certificate c, std::shared_ptr<const BlockHeader> h)
       : cert(std::move(c)), header(std::move(h)) {}
-  size_t WireSize() const override { return cert.WireSize() + header->WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.cert, self.header); }
 };
 
 // Worker -> worker: pull request for a missing batch.
-struct MsgBatchRequest : MessageOf<MessageTypeId::kBatchRequest> {
+struct MsgBatchRequest : MessageOf<MsgBatchRequest, MessageTypeId::kBatchRequest> {
   Digest digest{};
 
   explicit MsgBatchRequest(const Digest& d) : digest(d) {}
-  size_t WireSize() const override { return 32; }
+  static auto Fields(auto& self) { return WireFields(self.digest); }
 };
 
-struct MsgBatchResponse : MessageOf<MessageTypeId::kBatchResponse> {
+struct MsgBatchResponse : MessageOf<MsgBatchResponse, MessageTypeId::kBatchResponse> {
   std::shared_ptr<const Batch> batch;
   Digest digest{};
 
   MsgBatchResponse(std::shared_ptr<const Batch> b, const Digest& d)
       : batch(std::move(b)), digest(d) {}
-  size_t WireSize() const override { return batch->WireSize(); }
+  static auto Fields(auto& self) { return WireFields(self.batch); }
 };
 
 }  // namespace nt

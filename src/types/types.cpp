@@ -222,24 +222,6 @@ size_t Batch::WireSize() const {
   return 32 + samples_.size() * kSampleSize + std::max<size_t>(payload_bytes_, explicit_bytes);
 }
 
-// ----------------------------------------------------------------- BatchRef
-
-void BatchRef::Encode(Writer& w) const {
-  w.PutRaw(digest);
-  w.PutU32(worker);
-  w.PutU64(num_txs);
-  w.PutU64(payload_bytes);
-}
-
-BatchRef BatchRef::Decode(Reader& r) {
-  BatchRef b;
-  b.digest = r.GetArray<32>();
-  b.worker = r.GetU32();
-  b.num_txs = r.GetU64();
-  b.payload_bytes = r.GetU64();
-  return b;
-}
-
 // ----------------------------------------------------------------- VoteList
 
 namespace {
@@ -282,9 +264,8 @@ std::vector<VoteList::Entry> VoteList::Quorum(const std::map<ValidatorId, Signat
 }
 
 void VoteList::Encode(Writer& w) const {
-  w.PutU32(static_cast<uint32_t>(size()));
-  const std::span<const uint8_t> votes = bytes().subspan(4);
-  w.PutRaw(votes.data(), votes.size());
+  const std::span<const uint8_t> encoding = bytes();
+  w.PutRaw(encoding.data(), encoding.size());
 }
 
 std::optional<VoteList> VoteList::Decode(Reader& r) {
@@ -331,10 +312,10 @@ bool Committee::DistinctMembers(const VoteList& votes) const {
 
 // -------------------------------------------------------------- Certificate
 //
-// Sealed layout, little-endian — the 'C' record value:
+// Sealed layout, little-endian — the 'C' record value: the tag 'C', then the
+// field list (Certificate::Fields):
 //   u8 tag 'C' | 32 header_digest | u64 round | u32 author
 //   u32 n_votes | n_votes x (u32 voter | 64 signature)
-// Encode writes everything after the tag.
 
 namespace {
 
@@ -346,17 +327,10 @@ constexpr uint32_t kSealedVotesOffset = 1 + kCertFieldsSize;
 
 Certificate::Certificate(const Digest& digest, Round cert_round, ValidatorId cert_author,
                          std::span<const VoteList::Entry> entries)
-    : header_digest(digest),
-      round(cert_round),
-      author(cert_author),
-      votes(SealRecordValue(kRecordTag,
-                            [&](Writer& w) {
-                              w.PutRaw(digest);
-                              w.PutU64(cert_round);
-                              w.PutU32(cert_author);
-                              VoteList(entries).Encode(w);
-                            }),
-            kSealedVotesOffset) {}
+    : header_digest(digest), round(cert_round), author(cert_author), votes(entries) {
+  votes = VoteList(SealRecordValue(kRecordTag, [this](Writer& w) { EncodeWire(w, *this); }),
+                   kSealedVotesOffset);
+}
 
 Bytes Certificate::VotePreimage(const Digest& header_digest, Round round, ValidatorId author) {
   Writer w;
@@ -367,50 +341,17 @@ Bytes Certificate::VotePreimage(const Digest& header_digest, Round round, Valida
   return w.Take();
 }
 
-void Certificate::Encode(Writer& w) const {
-  w.PutRaw(header_digest);
-  w.PutU64(round);
-  w.PutU32(author);
-  w.PutU32(static_cast<uint32_t>(votes.size()));
-  const std::span<const uint8_t> entries = votes.bytes().subspan(4);
-  w.PutRaw(entries.data(), entries.size());
-}
-
 std::optional<Certificate> Certificate::Decode(SharedBytes record_value) {
   if (record_value == nullptr || record_value->empty() || (*record_value)[0] != kRecordTag) {
     return std::nullopt;
   }
   Reader r(record_value->data() + 1, record_value->size() - 1);
-  Certificate c;
-  c.header_digest = r.GetArray<32>();
-  c.round = r.GetU64();
-  c.author = r.GetU32();
-  const uint32_t n = r.GetU32();
-  if (!r.ok() || n > r.remaining() / VoteList::kEntrySize) {
-    return std::nullopt;
+  std::optional<Certificate> c = DecodeWhole<Certificate>(r);
+  if (c.has_value()) {
+    // The votes, read into a list of their own, are viewed in place instead.
+    c->votes = VoteList(std::move(record_value), kSealedVotesOffset);
   }
-  r.GetRawView(n * VoteList::kEntrySize);  // The votes, which `votes` views in place.
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  c.votes = VoteList(std::move(record_value), kSealedVotesOffset);
   return c;
-}
-
-std::optional<Certificate> Certificate::Decode(Reader& r) {
-  // Find the encoding's extent on a copy of the cursor, bounding the vote
-  // count by the input before anything is allocated, then seal a copy of
-  // exactly those bytes.
-  Reader probe = r;
-  probe.GetRawView(kCertFieldsSize);
-  const uint32_t n = probe.GetU32();
-  if (!probe.ok() || n > probe.remaining() / VoteList::kEntrySize) {
-    return std::nullopt;
-  }
-  const std::span<const uint8_t> encoding =
-      r.GetRawView(kCertFieldsSize + 4 + n * VoteList::kEntrySize);
-  return Decode(SealRecordValue(
-      kRecordTag, [&](Writer& w) { w.PutRaw(encoding.data(), encoding.size()); }));
 }
 
 bool Certificate::Sealed() const {
@@ -425,7 +366,7 @@ SharedBytes Certificate::RecordValue() const {
   if (Sealed()) {
     return votes.buffer_;
   }
-  return SealRecordValue(kRecordTag, [this](Writer& w) { Encode(w); });
+  return SealRecordValue(kRecordTag, [this](Writer& w) { EncodeWire(w, *this); });
 }
 
 bool Certificate::Verify(const Committee& committee, const Verifier& verifier,
@@ -443,10 +384,6 @@ bool Certificate::VerifyAll(std::span<const Certificate* const> certs, const Com
   return VerifySignedVotes(Signed(certs), committee, verifier, cache);
 }
 
-size_t Certificate::WireSize() const {
-  return kCertFieldsSize + 4 + votes.size() * VoteList::kEntrySize;
-}
-
 // -------------------------------------------------------------- BlockHeader
 
 Digest BlockHeader::ComputeDigest() const {
@@ -456,7 +393,7 @@ Digest BlockHeader::ComputeDigest() const {
   w.PutU64(round);
   w.PutU32(static_cast<uint32_t>(batches.size()));
   for (const BatchRef& b : batches) {
-    b.Encode(w);
+    EncodeWire(w, b);
   }
   w.PutU32(static_cast<uint32_t>(parents.size()));
   for (const Certificate& c : parents) {
@@ -468,99 +405,23 @@ Digest BlockHeader::ComputeDigest() const {
   return Sha256::Hash(w.bytes());
 }
 
-void BlockHeader::Encode(Writer& w) const {
-  w.PutU32(author);
-  w.PutU64(round);
-  w.PutU32(static_cast<uint32_t>(batches.size()));
-  for (const BatchRef& b : batches) {
-    b.Encode(w);
-  }
-  w.PutU32(static_cast<uint32_t>(parents.size()));
-  for (const Certificate& c : parents) {
-    c.Encode(w);
-  }
-  w.PutRaw(author_sig);
-}
-
-std::optional<BlockHeader> BlockHeader::Decode(Reader& r) {
-  BlockHeader h;
-  h.author = r.GetU32();
-  h.round = r.GetU64();
-  uint32_t n_batches = r.GetU32();
-  for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-    h.batches.push_back(BatchRef::Decode(r));
-  }
-  uint32_t n_parents = r.GetU32();
-  for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-    auto c = Certificate::Decode(r);
-    if (!c.has_value()) {
-      return std::nullopt;
-    }
-    h.parents.push_back(std::move(*c));
-  }
-  h.author_sig = r.GetArray<64>();
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return h;
-}
-
-// Sealed layout, little-endian — the 'H' record value:
+// Sealed layout, little-endian — the 'H' record value: the tag 'H', then the
+// field list with the parents named by digest (BlockHeader::Fields):
 //   u8 tag 'H' | u32 author | u64 round
 //   u32 n_batches | n_batches x batch ref
 //   u32 n_parents | n_parents x 32 parent digest | 64 author_sig
-// EncodeRecordFields writes everything after the tag.
 
 namespace {
-
-// `parent_digests` is a sized range of Digest.
-template <typename ParentDigests>
-void PutRecordFields(Writer& w, const BlockHeader& h, const ParentDigests& parent_digests) {
-  w.PutU32(h.author);
-  w.PutU64(h.round);
-  w.PutU32(static_cast<uint32_t>(h.batches.size()));
-  for (const BatchRef& ref : h.batches) {
-    ref.Encode(w);
-  }
-  w.PutU32(static_cast<uint32_t>(std::ranges::size(parent_digests)));
-  for (const Digest& parent : parent_digests) {
-    w.PutRaw(parent);
-  }
-  w.PutRaw(h.author_sig);
-}
 
 // The 'H' record value of `h`, its parents named by their digests.
 SharedBytes SealHeaderRecord(const BlockHeader& h) {
   return SealRecordValue(BlockHeader::kRecordTag, [&](Writer& w) {
-    PutRecordFields(w, h, std::views::transform(h.parents, &Certificate::header_digest));
+    EncodeWire(w, BlockHeader::Fields(
+                      h, std::views::transform(h.parents, &Certificate::header_digest)));
   });
 }
 
 }  // namespace
-
-void BlockHeader::EncodeRecordFields(Writer& w, std::span<const Digest> parent_digests) const {
-  PutRecordFields(w, *this, parent_digests);
-}
-
-std::optional<BlockHeader> BlockHeader::DecodeRecordFields(Reader& r,
-                                                           std::vector<Digest>& parent_digests) {
-  BlockHeader h;
-  h.author = r.GetU32();
-  h.round = r.GetU64();
-  uint32_t n_batches = r.GetU32();
-  for (uint32_t i = 0; i < n_batches && r.ok(); ++i) {
-    h.batches.push_back(BatchRef::Decode(r));
-  }
-  uint32_t n_parents = r.GetU32();
-  for (uint32_t i = 0; i < n_parents && r.ok(); ++i) {
-    parent_digests.push_back(r.GetArray<32>());
-  }
-  h.author_sig = r.GetArray<64>();
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return h;
-}
 
 void BlockHeader::Seal(const Digest& digest) {
   seal_.value = SealHeaderRecord(*this);
@@ -581,37 +442,7 @@ SharedBytes BlockHeader::RecordValue(const Digest& digest) const {
   return SealHeaderRecord(*this);
 }
 
-size_t BlockHeader::WireSize() const {
-  size_t size = 4 + 8 + 4 + 4 + kSigSize;
-  size += batches.size() * (kDigestSize + 4 + 8 + 8);
-  for (const Certificate& c : parents) {
-    size += c.WireSize();
-  }
-  return size;
-}
-
 // --------------------------------------------------------------------- Vote
-
-void Vote::Encode(Writer& w) const {
-  w.PutRaw(header_digest);
-  w.PutU64(round);
-  w.PutU32(author);
-  w.PutU32(voter);
-  w.PutRaw(sig);
-}
-
-std::optional<Vote> Vote::Decode(Reader& r) {
-  Vote v;
-  v.header_digest = r.GetArray<32>();
-  v.round = r.GetU64();
-  v.author = r.GetU32();
-  v.voter = r.GetU32();
-  v.sig = r.GetArray<64>();
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return v;
-}
 
 bool Vote::Verify(const Committee& committee, const Verifier& verifier) const {
   if (!committee.Contains(voter) || !committee.Contains(author)) {
@@ -620,7 +451,5 @@ bool Vote::Verify(const Committee& committee, const Verifier& verifier) const {
   Bytes preimage = Certificate::VotePreimage(header_digest, round, author);
   return verifier.Verify(committee.key_of(voter), preimage, sig);
 }
-
-size_t Vote::WireSize() const { return kDigestSize + 8 + 4 + 4 + kSigSize; }
 
 }  // namespace nt

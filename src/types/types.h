@@ -51,6 +51,11 @@ class Batch {
  public:
   using TxView = std::span<const uint8_t>;
 
+  // Own codec, no field list: a sealed batch is its encoding, one shared
+  // buffer, and its WireSize counts aggregate payload_bytes that are never
+  // materialised.
+  static constexpr bool kOwnCodec = true;
+
   // A batch being filled: what a worker accumulates between seals.
   class Builder {
    public:
@@ -135,8 +140,9 @@ struct BatchRef {
   uint64_t num_txs = 0;
   uint64_t payload_bytes = 0;
 
-  void Encode(Writer& w) const;
-  static BatchRef Decode(Reader& r);
+  static auto Fields(auto& self) {
+    return WireFields(self.digest, self.worker, self.num_txs, self.payload_bytes);
+  }
 
   bool operator==(const BatchRef& other) const = default;
 };
@@ -149,6 +155,10 @@ struct BatchRef {
 // list is a view into the certificate's own buffer (see Certificate).
 class VoteList {
  public:
+  // Own codec, no field list: the list is held as its encoding, so it writes
+  // and sizes itself from that buffer.
+  static constexpr bool kOwnCodec = true;
+
   // A vote as it is supplied: what the list is built from.
   using Entry = std::pair<ValidatorId, Signature>;
 
@@ -263,10 +273,10 @@ bool VerifySignedVotes(std::span<const SignedVotes> sets, const Committee& commi
 // copying a certificate copies one pointer beside the header fields, and
 // every holder in the process — the DAGs and stores of all validators, the
 // parents of later headers, messages and recovery — shares the author's one
-// buffer. A certificate is sealed by the constructor that takes its votes, by
-// Decode, and by adopting a stored value. One built field by field (tests,
-// tools) is not sealed, and neither is one whose fields were assigned after
-// sealing: RecordValue() seals a copy of those on demand.
+// buffer. A certificate is sealed by the constructor that takes its votes and
+// by adopting a stored value (Decode). One built field by field (tests,
+// tools) or read by DecodeWire is not sealed, and neither is one whose fields
+// were assigned after sealing: RecordValue() seals a copy of those on demand.
 struct Certificate {
   // The first byte of a sealed certificate's buffer: the tag of the
   // primary's 'C' record (CertRecord), written by SealRecordValue.
@@ -289,11 +299,10 @@ struct Certificate {
   // Pre-image each voter signs: (header_digest, round, author).
   static Bytes VotePreimage(const Digest& header_digest, Round round, ValidatorId author);
 
-  void Encode(Writer& w) const;
-  // Reads one encoding from `r` (which may hold more) into a sealed buffer
-  // of its own. Bounded: a vote count the remaining input cannot hold is
-  // rejected before anything is allocated.
-  static std::optional<Certificate> Decode(Reader& r);
+  static auto Fields(auto& self) {
+    return WireFields(self.header_digest, self.round, self.author, self.votes);
+  }
+
   // Adopts `record_value`, a 'C' record value as RecordValue() returns it,
   // as the certificate's buffer. Strict: nullopt unless it is exactly one
   // well-formed value.
@@ -329,8 +338,6 @@ struct Certificate {
                         const Verifier& verifier, VerifiedCertCache* cache);
   static bool VerifyAll(std::span<const Certificate* const> certs, const Committee& committee,
                         const Verifier& verifier, VerifiedCertCache* cache);
-
-  size_t WireSize() const;
 
  private:
   // True iff `votes` views a sealed buffer whose header fields are this
@@ -374,18 +381,15 @@ struct BlockHeader {
   // certificate was assembled are the same block).
   Digest ComputeDigest() const;
 
-  void Encode(Writer& w) const;
-  static std::optional<BlockHeader> Decode(Reader& r);
-
-  // The 'H' record fields, everything after the tag, naming the parents by
-  // `parent_digests` (in header order) in place of `parents`: a header read
-  // back from its record holds no parent certificates.
-  void EncodeRecordFields(Writer& w, std::span<const Digest> parent_digests) const;
-  // Reads the fields EncodeRecordFields writes into a header without parents,
-  // and the digests that name them into `parent_digests`. Nullopt on a short
-  // read; trailing bytes are the caller's to reject.
-  static std::optional<BlockHeader> DecodeRecordFields(Reader& r,
-                                                       std::vector<Digest>& parent_digests);
+  // The one layout of a header, with `parents` in the parents' place: the
+  // certificates themselves on the wire, their digests (in header order) in
+  // the 'H' record, so a header read back from its record holds no parent
+  // certificates.
+  static auto Fields(auto& self, auto&& parents) {
+    return WireFields(self.author, self.round, self.batches,
+                      std::forward<decltype(parents)>(parents), self.author_sig);
+  }
+  static auto Fields(auto& self) { return Fields(self, self.parents); }
 
   // Seals the 'H' record value for `digest` (this header's ComputeDigest())
   // and the current signature: the author calls it once it has signed.
@@ -396,8 +400,6 @@ struct BlockHeader {
   // The 'H' record value for `digest`: the header's own buffer if it was
   // sealed for `digest` and the current signature, else a freshly sealed one.
   SharedBytes RecordValue(const Digest& digest) const;
-
-  size_t WireSize() const;
 
   uint64_t TotalTxs() const {
     uint64_t total = 0;
@@ -439,12 +441,11 @@ struct Vote {
   ValidatorId voter = 0;
   Signature sig{};
 
-  void Encode(Writer& w) const;
-  static std::optional<Vote> Decode(Reader& r);
+  static auto Fields(auto& self) {
+    return WireFields(self.header_digest, self.round, self.author, self.voter, self.sig);
+  }
 
   bool Verify(const Committee& committee, const Verifier& verifier) const;
-
-  size_t WireSize() const;
 };
 
 }  // namespace nt

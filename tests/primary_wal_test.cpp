@@ -53,7 +53,7 @@ std::vector<std::unique_ptr<LoadGenerator>> StartLoad(Cluster* cluster, TimePoin
 
 Bytes EncodeHeader(const BlockHeader& header) {
   Writer w;
-  header.Encode(w);
+  EncodeWire(w, header);
   return w.Take();
 }
 

@@ -280,10 +280,9 @@ TEST_F(TypesFixture, CertificateBindsRoundAndAuthor) {
 TEST_F(TypesFixture, CertificateEncodeDecodeRoundTrip) {
   Certificate cert = Certify(Sha256::Hash("x"), 9, 3);
   Writer w;
-  cert.Encode(w);
-  EXPECT_EQ(w.size(), cert.WireSize());  // Wire accounting matches encoding.
+  EncodeWire(w, cert);
   Reader r(w.bytes());
-  auto decoded = Certificate::Decode(r);
+  auto decoded = DecodeWire<Certificate>(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_TRUE(decoded->Verify(committee, *signers[0], &cache));
@@ -337,10 +336,9 @@ TEST_F(TypesFixture, HeaderEncodeDecodeRoundTrip) {
   h.author_sig = signers[1]->Sign(h.ComputeDigest());
 
   Writer w;
-  h.Encode(w);
-  EXPECT_EQ(w.size(), h.WireSize());
+  EncodeWire(w, h);
   Reader r(w.bytes());
-  auto decoded = BlockHeader::Decode(r);
+  auto decoded = DecodeWire<BlockHeader>(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded->ComputeDigest(), h.ComputeDigest());
@@ -365,9 +363,9 @@ TEST_F(TypesFixture, CertificateAndHeaderEncodingsArePinned) {
       "f2b8fa9d38607b8162076f13472b2fd80c96b6f4b41509486d838165fca863b0"
       "a9843355165c7eb5f12a48a2ca55443ec04a6de75703649d3feba7b1";
   Writer cert_bytes;
-  a.Encode(cert_bytes);
+  EncodeWire(cert_bytes, a);
   EXPECT_EQ(ToHex(cert_bytes.bytes()), cert_hex);
-  EXPECT_EQ(a.WireSize(), 252u);
+  EXPECT_EQ(WireSizeOf(a), 252u);
 
   BlockHeader header;
   header.author = 1;
@@ -381,7 +379,7 @@ TEST_F(TypesFixture, CertificateAndHeaderEncodingsArePinned) {
   header.parents = {a, b};
   header.author_sig = signers[1]->Sign(header.ComputeDigest());
   Writer header_bytes;
-  header.Encode(header_bytes);
+  EncodeWire(header_bytes, header);
   EXPECT_EQ(ToHex(header_bytes.bytes()),
             "01000000050000000000000001000000fa6e3403117d9ca853ada1594f479a24"
             "13f58fa0324ba355b3f80f64d78d91dc01000000640000000000000000c80000"
@@ -406,7 +404,7 @@ TEST_F(TypesFixture, CertificateAndHeaderEncodingsArePinned) {
   const Digest digest = header.ComputeDigest();
   EXPECT_EQ(ToHex(digest.data(), digest.size()),
             "66d8f0671f2b9c4eb64c6d7e43dbc63b3e59b15a90d9fbf7b2cce4e1dcfda2ed");
-  EXPECT_EQ(header.WireSize(), 640u);
+  EXPECT_EQ(WireSizeOf(header), 640u);
 
   // The value the primary's store holds for `a`: the tag 'C', then the
   // certificate's encoding.
@@ -426,7 +424,7 @@ TEST_F(TypesFixture, RecordValueFollowsTheFields) {
   Certificate copy = sealed;
   EXPECT_EQ(copy.RecordValue(), sealed.RecordValue());
   Writer encoding;
-  sealed.Encode(encoding);
+  EncodeWire(encoding, sealed);
   EXPECT_EQ(ToHex(*sealed.RecordValue()), "43" + ToHex(encoding.bytes()));
 
   copy.round = 6;
@@ -437,14 +435,6 @@ TEST_F(TypesFixture, RecordValueFollowsTheFields) {
   EXPECT_EQ(decoded->round, 6u);
   EXPECT_EQ(decoded->votes, sealed.votes);
   EXPECT_EQ(decoded->RecordValue(), relabelled);  // Adopted, not copied.
-}
-
-TEST_F(TypesFixture, VoteWireSizeMatchesEncoding) {
-  Vote vote;
-  vote.sig = signers[0]->Sign(Bytes{1});
-  Writer w;
-  vote.Encode(w);
-  EXPECT_EQ(w.size(), vote.WireSize());
 }
 
 }  // namespace

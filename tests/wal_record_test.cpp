@@ -7,11 +7,14 @@
 //    latest-only commit frontier, and its pin is the new format;
 //  - strict decoding: a record decodes back to itself, and a truncated
 //    record or one with trailing bytes decodes to nothing;
-//  - dispatch: ForEachRecord visits only the listed owners' tags.
+//  - dispatch: ForEachRecord visits only the listed owners' tags;
+//  - field lists: every field-listed type decodes back to its encoding, whose
+//    length is its WireSizeOf; Bullshark's rule state must be exactly one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -198,6 +201,109 @@ TEST(WalRecordTest, ForEachRecordVisitsOnlyTheListedTags) {
              });
   EXPECT_EQ(metas, 1u);
   EXPECT_EQ(views, 1u);
+}
+
+// ---------------------------------------------------------------- field lists
+
+// One instance of each field-listed type, distinct in type.
+auto Samples() {
+  const std::vector<VoteList::Entry> votes = {{0, TestSig(5)}, {2, TestSig(9)}};
+  const Certificate cert(Sha256::Hash("certified"), 6, 3, votes);
+  const BatchRef ref{Sha256::Hash("ref"), 1, 10, 5120};
+  BlockHeader header;
+  header.author = 2;
+  header.round = 7;
+  header.batches = {ref, ref};
+  header.author_sig = TestSig(1);
+  BlockHeader with_parents = header;
+  with_parents.parents = {cert, cert};
+  QuorumCert qc;
+  qc.block_digest = Sha256::Hash("hs-qc");
+  qc.view = 16;
+  qc.votes = {{0, TestSig(11)}, {1, TestSig(13)}, {3, TestSig(17)}};
+  return std::tuple{
+      ref,
+      Vote{Sha256::Hash("voted"), 6, 2, 3, TestSig(4)},
+      cert,
+      with_parents,
+      AnchorOutcome{2, 4, true},
+      AnchorScheduleState{4, {{1, 3, true}, {2, 4, false}}},
+      PrimaryMeta{42},
+      HeaderRecord{Sha256::Hash("header"), header, {Sha256::Hash("p-0"), Sha256::Hash("p-1")}},
+      CertRecord{cert},
+      VoteRecord{9, 1, Sha256::Hash("vote")},
+      ProposalRecord{11, Sha256::Hash("proposal")},
+      CommitRecord{12, Sha256::Hash("commit")},
+      CommitterMeta{5, {1, 2, 3}},
+      HsVoteRecord{17, Sha256::Hash("hs-vote")},
+      HsLockRecord{15, Sha256::Hash("hs-lock")},
+      HsViewRecord{18},
+      HsProposedRecord{19},
+      HsHighQcRecord{qc},
+      HsCommitRecord{Sha256::Hash("hs-commit"), 23, 41},
+  };
+}
+
+template <typename T>
+class FieldListTest : public ::testing::Test {};
+
+using FieldListedTypes =
+    ::testing::Types<BatchRef, Vote, Certificate, BlockHeader, AnchorOutcome, AnchorScheduleState,
+                     PrimaryMeta, HeaderRecord, CertRecord, VoteRecord, ProposalRecord,
+                     CommitRecord, CommitterMeta, HsVoteRecord, HsLockRecord, HsViewRecord,
+                     HsProposedRecord, HsHighQcRecord, HsCommitRecord>;
+TYPED_TEST_SUITE(FieldListTest, FieldListedTypes);
+
+// decode(encode(x)) encodes as x does, and the wire size is the encoding's
+// length: none of these types holds an accounting model.
+TYPED_TEST(FieldListTest, DecodeInvertsEncodeAndSizeIsTheEncodedLength) {
+  const TypeParam value = std::get<TypeParam>(Samples());
+  Writer encoding;
+  EncodeWire(encoding, value);
+  EXPECT_EQ(WireSizeOf(value), encoding.size());
+
+  Reader r(encoding.bytes());
+  const std::optional<TypeParam> decoded = DecodeWhole<TypeParam>(r);
+  ASSERT_TRUE(decoded.has_value());
+  Writer again;
+  EncodeWire(again, *decoded);
+  EXPECT_EQ(again.bytes(), encoding.bytes());
+}
+
+// ------------------------------------------------------- Bullshark rule state
+
+// Bullshark with its anchor schedule in view.
+class ScheduleProbe : public Bullshark {
+ public:
+  using Bullshark::Bullshark;
+  using Bullshark::LeaderOf;
+};
+
+// The 'U' record's rule state is exactly one encoding of the anchor
+// schedule: one trailing byte and the recovered schedule stays at its
+// initial state, as for any other malformed state.
+TEST(WalRecordTest, BullsharkRuleStateWithTrailingBytesIsIgnored) {
+  ClusterConfig config;
+  config.system = SystemKind::kBullshark;
+  config.bullshark.reputation = true;
+  Cluster cluster(config);
+  // Settled through wave 4; author 2's wave-4 anchor was skipped, so with
+  // reputation on, wave 7 (author 2's turn) passes to author 3.
+  const Bytes state = *FromHex("04000000000000000200000001000000030000000000000001"
+                               "02000000040000000000000000");
+  auto leader_of_wave_7 = [&](const Bytes& rule_state) {
+    MemStore store;
+    PutRecord(store, CommitterMeta{4, rule_state});
+    ScheduleProbe bullshark(cluster.primary(0), cluster.committee(), config.narwhal.gc_depth,
+                            config.bullshark);
+    bullshark.set_store(&store);
+    bullshark.Recover();
+    return bullshark.LeaderOf(7);
+  };
+  EXPECT_EQ(leader_of_wave_7(state), 3u);
+  Bytes trailing = state;
+  trailing.push_back(0);
+  EXPECT_EQ(leader_of_wave_7(trailing), 2u);
 }
 
 }  // namespace
