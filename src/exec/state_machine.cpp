@@ -10,36 +10,32 @@ namespace {
 
 constexpr std::string_view kExecTxTag = "exec-tx";
 
-// Encoded size of an ExecTx with these field lengths: the tag, the op byte,
-// three u32-prefixed fields and the u64 amount.
-size_t EncodedSize(size_t key_len, size_t key2_len, size_t value_len) {
-  return 4 + kExecTxTag.size() + 1 + 4 + key_len + 4 + key2_len + 4 + value_len + 8;
-}
-
-}  // namespace
-
-Bytes ExecTx::Encode() const {
-  Writer w(EncodedSize(key.size(), key2.size(), value.size()));
+// The one ExecTx writer: the tag, the op byte, three u32-prefixed fields (key,
+// key2, value) and the u64 amount, into one exact-size buffer.
+Bytes WriteExecTx(ExecTx::Op op, std::string_view key, std::string_view key2,
+                  std::span<const uint8_t> value, uint64_t amount) {
+  Writer w(4 + kExecTxTag.size() + 1 + 4 + key.size() + 4 + key2.size() + 4 + value.size() + 8);
   w.PutString(kExecTxTag);
   w.PutU8(static_cast<uint8_t>(op));
   w.PutString(key);
   w.PutString(key2);
-  w.PutVar(value);
+  w.PutU32(static_cast<uint32_t>(value.size()));
+  w.PutRaw(value.data(), value.size());
   w.PutU64(amount);
   return w.Take();
 }
 
+}  // namespace
+
+Bytes ExecTx::Encode() const { return WriteExecTx(op, key, key2, value, amount); }
+
 Bytes ExecTx::EncodeTransfer(std::string_view from, std::string_view to, uint64_t amount,
                              uint64_t nonce) {
-  Writer w(EncodedSize(from.size(), to.size(), sizeof(nonce)));
-  w.PutString(kExecTxTag);
-  w.PutU8(static_cast<uint8_t>(Op::kTransfer));
-  w.PutString(from);
-  w.PutString(to);
-  w.PutU32(sizeof(nonce));
-  w.PutU64(nonce);
-  w.PutU64(amount);
-  return w.Take();
+  uint8_t nonce_le[sizeof(nonce)];
+  for (size_t i = 0; i < sizeof(nonce); ++i) {
+    nonce_le[i] = static_cast<uint8_t>(nonce >> (8 * i));
+  }
+  return WriteExecTx(Op::kTransfer, from, to, nonce_le, amount);
 }
 
 std::optional<ExecTx::View> ExecTx::Decode(std::span<const uint8_t> wire) {

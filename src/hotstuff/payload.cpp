@@ -27,9 +27,10 @@ void SharedTxPool::Drain(TimePoint now, uint64_t max_bytes, HsPayload& payload) 
 
 // --------------------------------------------------------- BaselineProvider
 
-BaselineProvider::BaselineProvider(ValidatorId id, SharedTxPool* pool, uint64_t max_block_bytes,
-                                   TimeDelta gossip_interval, TimeDelta gossip_delay)
-    : id_(id),
+BaselineProvider::BaselineProvider(Scheduler* scheduler, SharedTxPool* pool,
+                                   uint64_t max_block_bytes, TimeDelta gossip_interval,
+                                   TimeDelta gossip_delay)
+    : PayloadProvider(scheduler),
       pool_(pool),
       max_block_bytes_(max_block_bytes),
       gossip_interval_(gossip_interval),
@@ -59,7 +60,7 @@ void BaselineProvider::FlushGossip() {
     gossip_pending_txs_ = 0;
     gossip_pending_bytes_ = 0;
   }
-  network_->scheduler()->ScheduleAfter(gossip_interval_, [this] { FlushGossip(); });
+  timers_.ScheduleAfter(gossip_interval_, [this] { FlushGossip(); });
 }
 
 HsPayload BaselineProvider::GetPayload(View) {
@@ -81,62 +82,25 @@ void BaselineProvider::OnCommit(const HsPayload& payload, ValidatorId block_auth
 
 // ---------------------------------------------------------- BatchedProvider
 
-BatchedProvider::BatchedProvider(ValidatorId id, const Committee& committee,
-                                 uint64_t batch_size_bytes, TimeDelta max_batch_delay,
-                                 uint64_t max_digests_per_block, BatchDirectory* directory)
-    : id_(id),
-      committee_(committee),
-      batch_size_bytes_(batch_size_bytes),
-      max_batch_delay_(max_batch_delay),
+BatchedProvider::BatchedProvider(Scheduler* scheduler, ValidatorId id, uint64_t batch_size_bytes,
+                                 TimeDelta max_batch_delay, uint64_t max_digests_per_block,
+                                 BatchDirectory* directory)
+    : PayloadProvider(scheduler),
       max_digests_per_block_(max_digests_per_block),
       directory_(directory),
-      pending_(id, /*worker=*/0) {}
-
-void BatchedProvider::Submit(uint64_t num_txs, uint64_t payload_bytes,
-                             std::vector<TxSample> samples) {
-  pending_.AddLoad(num_txs, payload_bytes);
-  for (const TxSample& s : samples) {
-    pending_.AddSample(s);
-  }
-  if (batch_timer_ == Scheduler::kInvalidTimer) {
-    batch_timer_ =
-        network_->scheduler()->ScheduleAfter(max_batch_delay_, [this] { MaybeSeal(true); });
-  }
-  MaybeSeal(false);
-}
-
-void BatchedProvider::MaybeSeal(bool force) {
-  if (force) {
-    batch_timer_ = Scheduler::kInvalidTimer;
-  }
-  if (pending_.num_txs() == 0 || (!force && pending_.payload_bytes() < batch_size_bytes_)) {
-    return;
-  }
-  if (batch_timer_ != Scheduler::kInvalidTimer) {
-    network_->scheduler()->Cancel(batch_timer_);
-    batch_timer_ = Scheduler::kInvalidTimer;
-  }
-  std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
-  Digest digest = batch->ComputeDigest();
-  BatchDirectory::Info info;
-  info.author = id_;
-  info.num_txs = batch->num_txs();
-  info.payload_bytes = batch->payload_bytes();
-  info.sealed_at = network_->scheduler()->now();
-  info.samples = batch->samples();
-  directory_->Register(digest, std::move(info));
-
-  stored_[digest] = batch;
-  if (proposable_set_.insert(digest).second) {
-    proposable_.push_back(digest);
-  }
-  // Best-effort dissemination: one shot, no acknowledgments, no retry — the
-  // state-of-the-art scheme the paper shows is fragile (§6).
-  auto msg = std::make_shared<MsgBatch>(batch, digest);
-  for (uint32_t peer : peers_) {
-    network_->Send(net_id_, peer, msg);
-  }
-}
+      maker_(id, /*worker=*/0, batch_size_bytes, max_batch_delay, &timers_, directory,
+             [this](const std::shared_ptr<const Batch>& batch, const Digest& digest) {
+               stored_[digest] = batch;
+               if (proposable_set_.insert(digest).second) {
+                 proposable_.push_back(digest);
+               }
+               // Best-effort, one shot: no acks, no retry — the scheme the
+               // paper shows is fragile (§6).
+               auto msg = std::make_shared<MsgBatch>(batch, digest);
+               for (uint32_t peer : peers_) {
+                 network_->Send(net_id_, peer, msg);
+               }
+             }) {}
 
 HsPayload BatchedProvider::GetPayload(View) {
   HsPayload payload;
@@ -223,8 +187,8 @@ void BatchedProvider::OnCommit(const HsPayload& payload, ValidatorId) {
 
 // ---------------------------------------------------------- NarwhalProvider
 
-NarwhalProvider::NarwhalProvider(Primary* primary, Round gc_depth)
-    : primary_(primary), commit_log_(primary, gc_depth) {
+NarwhalProvider::NarwhalProvider(Scheduler* scheduler, Primary* primary, Round gc_depth)
+    : PayloadProvider(scheduler), primary_(primary), commit_log_(primary, gc_depth) {
   primary_->add_on_header_stored([this](const Digest&) { DrainPending(); });
 }
 

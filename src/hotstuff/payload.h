@@ -3,19 +3,19 @@
 //  - BaselineProvider  (baseline-HS): a gossiped transaction mempool; the
 //    leader puts raw transactions in proposals — bulk data rides the
 //    consensus critical path (§2.2's double transmission).
-//  - BatchedProvider   (Batched-HS): validators broadcast transaction
-//    batches best-effort (no availability certificates, Prism-style [9]);
-//    leaders propose batch digests; validators must hold (or fetch) the
-//    batches before voting — fragile under faults (§6).
+//  - BatchedProvider   (Batched-HS): validators seal batches as a worker does
+//    and broadcast them best-effort (no availability certificates, Prism-
+//    style [9]); leaders propose batch digests; validators must hold (or
+//    fetch) the batches before voting — fragile under faults (§6).
 //  - NarwhalProvider   (Narwhal-HS): leaders propose Narwhal certificates of
 //    availability; committing one orders its entire uncommitted causal
 //    history (§3.2) through the same CommitLog the DAG committers use.
 //
-// A provider plugs into the HotStuff core: it supplies payloads for
-// proposals, checks availability before votes, and turns committed blocks
-// into delivered transactions. The two HotStuff-mempool baselines report
-// those to the CommitSink; Narwhal-HS delivers headers through its
-// CommitLog's hooks instead.
+// A provider plugs into the HotStuff core: it supplies payloads for proposals,
+// checks availability before votes, and turns committed blocks into delivered
+// transactions. The two HotStuff-mempool baselines report those to the
+// CommitSink; Narwhal-HS delivers headers through its CommitLog's hooks
+// instead. Every provider timer goes through the base class's Timers.
 #ifndef SRC_HOTSTUFF_PAYLOAD_H_
 #define SRC_HOTSTUFF_PAYLOAD_H_
 
@@ -44,6 +44,7 @@ using CommitSink =
 
 class PayloadProvider {
  public:
+  explicit PayloadProvider(Scheduler* scheduler) : timers_(scheduler) {}
   virtual ~PayloadProvider() = default;
 
   // Builds the payload for a proposal in `view`.
@@ -81,6 +82,7 @@ class PayloadProvider {
   uint32_t net_id_ = 0;
   std::vector<uint32_t> peers_;  // Consensus net ids of the other validators.
   CommitSink sink_;
+  Timers timers_;  // Every timer of this provider.
 };
 
 // ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ class SharedTxPool {
 
 class BaselineProvider : public PayloadProvider {
  public:
-  BaselineProvider(ValidatorId id, SharedTxPool* pool, uint64_t max_block_bytes,
+  BaselineProvider(Scheduler* scheduler, SharedTxPool* pool, uint64_t max_block_bytes,
                    TimeDelta gossip_interval, TimeDelta gossip_delay);
 
   void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples) override;
@@ -126,7 +128,6 @@ class BaselineProvider : public PayloadProvider {
  private:
   void FlushGossip();
 
-  ValidatorId id_;
   SharedTxPool* pool_;
   uint64_t max_block_bytes_;
   TimeDelta gossip_interval_;
@@ -144,11 +145,13 @@ class BatchedProvider : public PayloadProvider {
   // The messages OnMessage dispatches.
   using Handles = MessageList<MsgBatch, MsgBatchRequest>;
 
-  BatchedProvider(ValidatorId id, const Committee& committee, uint64_t batch_size_bytes,
+  BatchedProvider(Scheduler* scheduler, ValidatorId id, uint64_t batch_size_bytes,
                   TimeDelta max_batch_delay, uint64_t max_digests_per_block,
                   BatchDirectory* directory);
 
-  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples) override;
+  void Submit(uint64_t num_txs, uint64_t payload_bytes, std::vector<TxSample> samples) override {
+    maker_.AddLoad(num_txs, payload_bytes, samples);
+  }
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,
@@ -159,18 +162,9 @@ class BatchedProvider : public PayloadProvider {
   size_t available_batches() const { return stored_.size(); }
 
  private:
-  void MaybeSeal(bool force);
-
-  ValidatorId id_;
-  const Committee& committee_;
-  uint64_t batch_size_bytes_;
-  TimeDelta max_batch_delay_;
   uint64_t max_digests_per_block_;
   BatchDirectory* directory_;
-
-  Batch::Builder pending_;
-  uint64_t next_seq_ = 0;
-  Scheduler::TimerId batch_timer_ = Scheduler::kInvalidTimer;
+  BatchMaker maker_;
 
   std::map<Digest, std::shared_ptr<const Batch>> stored_;
   // Known, stored, not-yet-committed digests in arrival order (proposal queue).
@@ -192,7 +186,7 @@ class BatchedProvider : public PayloadProvider {
 
 class NarwhalProvider : public PayloadProvider {
  public:
-  NarwhalProvider(Primary* primary, Round gc_depth);
+  NarwhalProvider(Scheduler* scheduler, Primary* primary, Round gc_depth);
 
   HsPayload GetPayload(View view) override;
   bool CheckPayload(const HsPayload& payload, uint32_t proposer_net_id,

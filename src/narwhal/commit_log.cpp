@@ -22,7 +22,7 @@ void CommitLog::Recover() {
   committed_.ForEachSorted(DigestLess{}, [&](const Digest& digest, Present) {
     auto header = dag.GetHeader(digest);
     if (header != nullptr) {
-      primary_->NotifyCommitted(*header);
+      primary_->NotifyCommitted(digest, *header);
     }
   });
 }
@@ -89,7 +89,7 @@ bool CommitLog::Deliver(const std::vector<const Certificate*>& anchors, Dag::His
       committed_.insert(digest);
       committed_by_round_[header->round].push_back(digest);
       ++committed_count_;
-      primary_->NotifyCommitted(*header);
+      primary_->NotifyCommitted(digest, *header);
       if (!on_commit_hooks_.empty()) {
         Committed out;
         out.digest = digest;

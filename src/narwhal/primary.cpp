@@ -759,13 +759,13 @@ void Primary::SetGcRound(Round gc_round) {
   }
 }
 
-void Primary::NotifyCommitted(const BlockHeader& header) {
-  NT_TRACE(tracer_, OnHeaderCommitted(id_, header.ComputeDigest(), network_->scheduler()->now()));
-  for (const BatchRef& ref : header.batches) {
-    committed_batches_.insert(ref.digest);
-  }
+void Primary::NotifyCommitted(const Digest& digest, const BlockHeader& header) {
+  NT_TRACE(tracer_, OnHeaderCommitted(id_, digest, network_->scheduler()->now()));
   if (header.author == id_) {
-    own_headers_.erase(header.ComputeDigest());
+    for (const BatchRef& ref : header.batches) {
+      committed_batches_.insert(ref.digest);
+    }
+    own_headers_.erase(digest);
   }
 }
 

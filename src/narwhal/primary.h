@@ -183,8 +183,8 @@ class Primary : public NetNode {
   // uncommitted batches (paper §3.3).
   void SetGcRound(Round gc_round);
 
-  // Consensus committed this header; its batches need no re-injection.
-  void NotifyCommitted(const BlockHeader& header);
+  // Consensus committed `header` (`digest`): its batches need no re-injection.
+  void NotifyCommitted(const Digest& digest, const BlockHeader& header);
 
   // Consensus is missing a header for a known certificate: pull it from the
   // certificate's signers (no-op if already stored or already being pulled).
@@ -300,7 +300,7 @@ class Primary : public NetNode {
 
   // Own headers' batch refs, for re-injection: header digest -> refs.
   std::map<Digest, std::vector<BatchRef>> own_headers_;
-  std::set<Digest> committed_batches_;
+  std::set<Digest> committed_batches_;  // Own only: re-injection reads no other.
 
   std::vector<std::function<void(const Certificate&)>> on_certificate_hooks_;
   std::vector<std::function<void(const Digest&)>> on_header_stored_hooks_;

@@ -1,10 +1,78 @@
 #include "src/narwhal/worker.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
 
 namespace nt {
+
+BatchMaker::BatchMaker(ValidatorId author, WorkerId worker, uint64_t batch_size_bytes,
+                       TimeDelta max_batch_delay, Timers* timers, BatchDirectory* directory,
+                       OnSealed on_sealed)
+    : author_(author),
+      worker_(worker),
+      batch_size_bytes_(batch_size_bytes),
+      max_batch_delay_(max_batch_delay),
+      timers_(timers),
+      directory_(directory),
+      on_sealed_(std::move(on_sealed)),
+      pending_(author, worker) {}
+
+void BatchMaker::AddLoad(uint64_t num_txs, uint64_t bytes, std::span<const TxSample> samples) {
+  pending_.AddLoad(num_txs, bytes);
+  Admit(samples);
+}
+
+void BatchMaker::AddTx(Batch::TxView tx, std::span<const TxSample> samples) {
+  pending_.AddTx(tx);
+  Admit(samples);
+}
+
+void BatchMaker::Admit(std::span<const TxSample> samples) {
+  for (const TxSample& sample : samples) {
+    pending_.AddSample(sample);
+  }
+  if (batch_timer_ == Scheduler::kInvalidTimer) {
+    batch_timer_ = timers_->ScheduleAfter(max_batch_delay_, [this] { MaybeSeal(true); });
+  }
+  MaybeSeal(false);
+}
+
+Digest BatchMaker::SealBlock(const std::vector<Bytes>& txs) {
+  // Flush any unrelated pending payload first so the returned digest covers
+  // exactly this block. This drops the armed timer without cancelling it, so
+  // it later force-seals whatever is pending then. The fix, cancelling
+  // `batch_timer_` here, is one line; it moves event hashes, so it waits for
+  // ROADMAP's liveness re-pin.
+  MaybeSeal(/*force=*/true);
+  for (const Bytes& tx : txs) {
+    pending_.AddTx(tx);
+  }
+  return Seal();
+}
+
+void BatchMaker::MaybeSeal(bool force) {
+  if (force) {
+    batch_timer_ = Scheduler::kInvalidTimer;
+  }
+  if (pending_.num_txs() == 0 || (!force && pending_.payload_bytes() < batch_size_bytes_)) {
+    return;
+  }
+  Seal();
+}
+
+Digest BatchMaker::Seal() {
+  if (batch_timer_ != Scheduler::kInvalidTimer) {
+    timers_->Cancel(batch_timer_);
+    batch_timer_ = Scheduler::kInvalidTimer;
+  }
+  std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
+  Digest digest = batch->ComputeDigest();
+  ++batches_sealed_;
+  directory_->Register(digest, BatchDirectory::Info{author_, batch->num_txs(),
+                                                    batch->payload_bytes(), batch->samples()});
+  NT_TRACE(tracer_, OnBatchSealed(author_, worker_, digest, batch->samples(), timers_->now()));
+  on_sealed_(batch, digest);
+  return digest;
+}
 
 Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& committee,
                const NarwhalConfig& config, Network* network, const Topology* topology,
@@ -16,41 +84,25 @@ Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& commi
       network_(network),
       topology_(topology),
       store_(store),
-      directory_(directory),
-      pending_(validator, worker_id),
+      maker_(validator, worker_id, config.batch_size_bytes, config.max_batch_delay, &timers_,
+             directory,
+             [this](const std::shared_ptr<const Batch>& batch, const Digest& digest) {
+               StoreBatch(batch, digest);
+               DisseminateBatch(batch, digest);
+             }),
       timers_(network->scheduler()) {}
 
-void Worker::OnStart() {}
-
 void Worker::Recover() {
-  // The stored buffers are adopted as they are: recovery copies no bytes.
-  store_->ForEach([this](const Digest& digest, const SharedBytes& value) {
+  store_->ForEach([this](const Digest&, const SharedBytes& value) {
     std::optional<Batch> batch = Batch::Decode(value);
-    if (!batch.has_value()) {
-      return;
+    if (batch.has_value() && batch->author() == validator_ && batch->worker() == worker_id_) {
+      maker_.ResumeAfter(batch->seq());
     }
-    if (batch->author() == validator_ && batch->worker() == worker_id_) {
-      // Never reuse a pre-crash sequence number: a fresh batch with a
-      // recycled seq could collide digests with a batch peers already hold.
-      next_seq_ = std::max(next_seq_, batch->seq() + 1);
-    }
-    batches_[digest] = std::make_shared<const Batch>(std::move(*batch));
   });
 }
 
 void Worker::SubmitTransaction(uint64_t size_bytes, std::optional<TxSample> sample) {
-  pending_.AddLoad(1, size_bytes);
-  Admit(sample);
-}
-
-void Worker::Admit(const std::optional<TxSample>& sample) {
-  if (sample.has_value()) {
-    pending_.AddSample(*sample);
-  }
-  if (batch_timer_ == Scheduler::kInvalidTimer) {
-    batch_timer_ = timers_.ScheduleAfter(config_.max_batch_delay, [this] { MaybeSealBatch(true); });
-  }
-  MaybeSealBatch(false);
+  maker_.AddLoad(1, size_bytes, BatchMaker::SamplesOf(sample));
 }
 
 void Worker::SubmitTransaction(Bytes payload, std::optional<TxSample> sample) {
@@ -68,58 +120,10 @@ void Worker::SubmitTransaction(Bytes payload, std::optional<TxSample> sample) {
       seen_order_.pop_front();
     }
   }
-  pending_.AddTx(payload);
-  Admit(sample);
+  maker_.AddTx(payload, BatchMaker::SamplesOf(sample));
 }
 
-Digest Worker::SubmitBlock(std::vector<Bytes> txs) {
-  // Flush any unrelated pending payload first so the returned digest covers
-  // exactly this block.
-  MaybeSealBatch(/*force=*/true);
-  for (const Bytes& tx : txs) {
-    pending_.AddTx(tx);
-  }
-  return SealBatch();
-}
-
-void Worker::MaybeSealBatch(bool force) {
-  if (force) {
-    batch_timer_ = Scheduler::kInvalidTimer;
-  }
-  if (pending_.num_txs() == 0) {
-    return;
-  }
-  if (!force && pending_.payload_bytes() < config_.batch_size_bytes) {
-    return;
-  }
-  SealBatch();
-}
-
-Digest Worker::SealBatch() {
-  if (batch_timer_ != Scheduler::kInvalidTimer) {
-    timers_.Cancel(batch_timer_);
-    batch_timer_ = Scheduler::kInvalidTimer;
-  }
-  std::shared_ptr<const Batch> batch = pending_.Seal(next_seq_++);
-  Digest digest = batch->ComputeDigest();
-  ++batches_sealed_;
-
-  BatchDirectory::Info info;
-  info.author = validator_;
-  info.worker = worker_id_;
-  info.num_txs = batch->num_txs();
-  info.payload_bytes = batch->payload_bytes();
-  info.sealed_at = network_->scheduler()->now();
-  info.samples = batch->samples();
-  directory_->Register(digest, std::move(info));
-
-  NT_TRACE(tracer_, OnBatchSealed(validator_, worker_id_, digest, batch->samples(),
-                                  network_->scheduler()->now()));
-
-  StoreBatch(batch, digest);
-  DisseminateBatch(batch, digest);
-  return digest;
-}
+Digest Worker::SubmitBlock(std::vector<Bytes> txs) { return maker_.SealBlock(txs); }
 
 void Worker::StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest) {
   if (store_->Contains(digest)) {
@@ -136,12 +140,11 @@ void Worker::StoreBatch(const std::shared_ptr<const Batch>& batch, const Digest&
   // this: a certificate of availability is only as strong as the weakest
   // acked copy.
   store_->Sync();
-  batches_[digest] = batch;
 }
 
 std::shared_ptr<const Batch> Worker::GetBatch(const Digest& digest) const {
-  const std::shared_ptr<const Batch>* batch = batches_.find(digest);
-  return batch == nullptr ? nullptr : *batch;
+  std::optional<Batch> batch = Batch::Decode(store_->Get(digest));
+  return batch.has_value() ? std::make_shared<const Batch>(std::move(*batch)) : nullptr;
 }
 
 void Worker::DisseminateBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest) {
@@ -191,8 +194,7 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
       [&](const MsgBatch& batch_msg) {
         // A peer worker streams a batch: store it, acknowledge, report to our
         // primary so it can validate headers referencing it.
-        bool known = store_->Contains(batch_msg.digest);
-        if (!known) {
+        if (!store_->Contains(batch_msg.digest)) {
           StoreBatch(batch_msg.batch, batch_msg.digest);
           fetching_.erase(batch_msg.digest);
           network_->Send(net_id_, topology_->primary_of[validator_],
@@ -213,11 +215,8 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
         flight.ackers.insert(role->second.validator);
         if (flight.ackers.size() >= committee_.quorum_threshold()) {
           timers_.Cancel(flight.retry_timer);
-          BatchRef ref;
-          ref.digest = ack.digest;
-          ref.worker = worker_id_;
-          ref.num_txs = flight.batch->num_txs();
-          ref.payload_bytes = flight.batch->payload_bytes();
+          const BatchRef ref{ack.digest, worker_id_, flight.batch->num_txs(),
+                             flight.batch->payload_bytes()};
           in_flight_.erase(it);
           ++batches_acked_;
           NT_TRACE(tracer_, OnBatchQuorum(validator_, ack.digest, network_->scheduler()->now()));
@@ -231,8 +230,9 @@ void Worker::OnMessage(uint32_t from, const MessagePtr& msg) {
         }
       },
       [&](const MsgBatchRequest& request) {
-        if (const std::shared_ptr<const Batch>* batch = batches_.find(request.digest)) {
-          network_->Send(net_id_, from, std::make_shared<MsgBatchResponse>(*batch, request.digest));
+        if (std::shared_ptr<const Batch> batch = GetBatch(request.digest)) {
+          network_->Send(net_id_, from,
+                         std::make_shared<MsgBatchResponse>(std::move(batch), request.digest));
         }
       },
       [&](const MsgBatchResponse& response) {

@@ -1,11 +1,13 @@
-// A Narwhal worker (paper §4.2): receives client transactions, seals them
-// into batches, streams batches to the matching worker of every other
-// validator, collects storage acknowledgments, and hands quorum-acknowledged
-// batch digests to its primary for inclusion in the next header. Also serves
-// and issues batch pull requests for the synchronizer.
+// A Narwhal worker (paper §4.2): seals client transactions into batches
+// through its BatchMaker, streams batches to the matching worker of every
+// other validator, collects storage acknowledgments, and hands
+// quorum-acknowledged batch digests to its primary for inclusion in the next
+// header. Also serves and issues batch pull requests for the synchronizer,
+// from its store: the one index of every batch it holds.
 #ifndef SRC_NARWHAL_WORKER_H_
 #define SRC_NARWHAL_WORKER_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -53,10 +55,8 @@ class BatchDirectory {
  public:
   struct Info {
     ValidatorId author = 0;
-    WorkerId worker = 0;
     uint64_t num_txs = 0;
     uint64_t payload_bytes = 0;
-    TimePoint sealed_at = 0;
     std::vector<TxSample> samples;
   };
 
@@ -69,6 +69,61 @@ class BatchDirectory {
 
  private:
   std::map<Digest, Info> map_;
+};
+
+// The batch maker (paper §4.2): seals a batch once it reaches
+// `batch_size_bytes` or `max_batch_delay` runs out. A worker and Batched-HS
+// each seal through one, and differ only in their OnSealed.
+class BatchMaker {
+ public:
+  // Runs once per sealed batch, after the directory knows it.
+  using OnSealed = std::function<void(const std::shared_ptr<const Batch>&, const Digest&)>;
+
+  // `timers` and `directory` are non-owning and must outlive this maker.
+  BatchMaker(ValidatorId author, WorkerId worker, uint64_t batch_size_bytes,
+             TimeDelta max_batch_delay, Timers* timers, BatchDirectory* directory,
+             OnSealed on_sealed);
+
+  // Attaches the cluster's tracer (nullptr = tracing off, the default).
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+
+  // Recovery: a fresh batch reusing a pre-crash sequence number could collide
+  // digests with a batch peers already hold.
+  void ResumeAfter(uint64_t seq) { next_seq_ = std::max(next_seq_, seq + 1); }
+
+  // Adds counted-only / one explicit transaction(s) with their samples, arms
+  // the delay timer if it is idle and seals if the batch is full.
+  void AddLoad(uint64_t num_txs, uint64_t bytes, std::span<const TxSample> samples);
+  void AddTx(Batch::TxView tx, std::span<const TxSample> samples);
+  // One submission's latency sample, if any, as such a span.
+  static std::span<const TxSample> SamplesOf(const std::optional<TxSample>& sample) {
+    return sample ? std::span<const TxSample>(&*sample, 1) : std::span<const TxSample>();
+  }
+
+  // Seals whatever is pending, then `txs` as one batch of their own (even an
+  // empty one), and returns the digest of the latter.
+  Digest SealBlock(const std::vector<Bytes>& txs);
+
+  uint64_t batches_sealed() const { return batches_sealed_; }
+
+ private:
+  void Admit(std::span<const TxSample> samples);
+  void MaybeSeal(bool force);
+  Digest Seal();
+
+  ValidatorId author_;
+  WorkerId worker_;
+  uint64_t batch_size_bytes_;
+  TimeDelta max_batch_delay_;
+  Timers* timers_;
+  BatchDirectory* directory_;
+  OnSealed on_sealed_;
+  Tracer* tracer_ = nullptr;
+
+  Batch::Builder pending_;
+  uint64_t next_seq_ = 0;
+  Scheduler::TimerId batch_timer_ = Scheduler::kInvalidTimer;
+  uint64_t batches_sealed_ = 0;
 };
 
 class Worker : public NetNode {
@@ -86,14 +141,15 @@ class Worker : public NetNode {
   // Registers this worker's own net id once known.
   void set_net_id(uint32_t id) { net_id_ = id; }
 
-  // Reloads sealed batches from the durable store after a crash: the
-  // serving map is repopulated and the batch sequence counter resumes past
-  // the highest persisted own batch (fresh batches must never reuse a
-  // pre-crash digest). Call before OnStart.
+  // After a crash, resumes the batch sequence past the highest own batch in
+  // the store, which serves every batch as it is. Call before OnStart.
   void Recover();
 
   // Attaches the cluster's tracer (nullptr = tracing off, the default).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(Tracer* tracer) {
+    tracer_ = tracer;
+    maker_.set_tracer(tracer);
+  }
 
   // --- client interface -------------------------------------------------------
   // Submits a transaction of `size_bytes`. If `sample` is set, its commit
@@ -109,23 +165,17 @@ class Worker : public NetNode {
   Digest SubmitBlock(std::vector<Bytes> txs);
 
   // --- NetNode ----------------------------------------------------------------
-  void OnStart() override;
   void OnMessage(uint32_t from, const MessagePtr& msg) override;
 
   // --- introspection ----------------------------------------------------------
   const Store& store() const { return *store_; }
-  uint64_t batches_sealed() const { return batches_sealed_; }
+  uint64_t batches_sealed() const { return maker_.batches_sealed(); }
   uint64_t batches_acked() const { return batches_acked_; }
   uint64_t duplicate_txs_dropped() const { return duplicate_txs_dropped_; }
+  // The stored batch, adopting the store's buffer; null if it is not stored.
   std::shared_ptr<const Batch> GetBatch(const Digest& digest) const;
 
  private:
-  // Records `sample`, arms the batch timer and seals if the batch is full:
-  // the steps every submitted transaction shares.
-  void Admit(const std::optional<TxSample>& sample);
-  void MaybeSealBatch(bool force);
-  // Seals the pending batch, stores and disseminates it; returns its digest.
-  Digest SealBatch();
   void DisseminateBatch(const std::shared_ptr<const Batch>& batch, const Digest& digest);
   // Retry steps: false once a quorum acked the batch / the batch arrived.
   bool RetryBatch(const Digest& digest);
@@ -146,10 +196,8 @@ class Worker : public NetNode {
   uint32_t net_id_ = 0;
   Tracer* tracer_ = nullptr;
 
-  // Pending (unsealed) payload.
-  Batch::Builder pending_;
-  uint64_t next_seq_ = 0;
-  Scheduler::TimerId batch_timer_ = Scheduler::kInvalidTimer;
+  // Seals submitted transactions; stores and disseminates each batch.
+  BatchMaker maker_;
 
   // Batches awaiting a quorum of acks: digest -> (batch, ackers).
   struct InFlight {
@@ -159,9 +207,6 @@ class Worker : public NetNode {
   };
   std::map<Digest, InFlight> in_flight_;
 
-  // Batch contents kept in memory for serving pull requests.
-  DigestMap<std::shared_ptr<const Batch>> batches_;
-
   // Outstanding pull requests issued on behalf of the primary.
   std::set<Digest> fetching_;
 
@@ -170,7 +215,6 @@ class Worker : public NetNode {
   DigestSet seen_txs_;
   std::deque<Digest> seen_order_;
 
-  uint64_t batches_sealed_ = 0;
   uint64_t batches_acked_ = 0;
   uint64_t duplicate_txs_dropped_ = 0;
 

@@ -230,6 +230,7 @@ void Cluster::MakeConsensus(ValidatorId v) {
   Validator& validator = validators_[v];
   Primary* primary = validator.primary.get();
   const Round gc_depth = config_.narwhal.gc_depth;
+  Scheduler* scheduler = network_->scheduler();
   switch (config_.system) {
     case SystemKind::kTusk:
       validator.committer = std::make_unique<Tusk>(primary, committee_, &coin_, gc_depth);
@@ -246,16 +247,16 @@ void Cluster::MakeConsensus(ValidatorId v) {
         shared_pool_ = std::make_unique<SharedTxPool>();
       }
       validator.provider =
-          std::make_unique<BaselineProvider>(v, shared_pool_.get(), kBaselineMaxBlockBytes,
+          std::make_unique<BaselineProvider>(scheduler, shared_pool_.get(), kBaselineMaxBlockBytes,
                                              kBaselineGossipInterval, kBaselineGossipDelay);
       break;
     case SystemKind::kBatchedHs:
       validator.provider = std::make_unique<BatchedProvider>(
-          v, committee_, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
+          scheduler, v, config_.narwhal.batch_size_bytes, config_.narwhal.max_batch_delay,
           kBatchedMaxDigestsPerBlock, &directory_);
       break;
     case SystemKind::kNarwhalHs:
-      validator.provider = std::make_unique<NarwhalProvider>(primary, gc_depth);
+      validator.provider = std::make_unique<NarwhalProvider>(scheduler, primary, gc_depth);
       break;
   }
   if (validator.committer != nullptr) {

@@ -1,7 +1,7 @@
-// Node timers (DESIGN §3.5): the seam every timer of a Primary, Worker and
-// HotStuff goes through, and the one table of retry delays. A crash-restart
-// destroys a node while its timers are queued; they still fire, because every
-// fired event is folded into Scheduler::event_hash, but as no-ops.
+// Node timers (DESIGN §3.5): the seam every timer of a Primary, Worker,
+// HotStuff and payload provider goes through, and the one table of retry
+// delays. A crash-restart destroys a node with its timers queued; they still
+// fire (Scheduler::event_hash folds every fired event), but as no-ops.
 #ifndef SRC_SIM_TIMERS_H_
 #define SRC_SIM_TIMERS_H_
 
@@ -95,6 +95,8 @@ class Timers {
   }
 
   void Cancel(Scheduler::TimerId id) { scheduler_->Cancel(id); }
+
+  TimePoint now() const { return scheduler_->now(); }
 
  private:
   Scheduler* scheduler_;

@@ -119,8 +119,8 @@ std::optional<R> DecodeRecord(const Bytes& value) {
 // Reads a latest-only record, if one is stored intact.
 template <typename R>
 std::optional<R> GetRecord(const Store& store) {
-  std::optional<Bytes> value = store.Get(R{}.Key());
-  return value.has_value() ? DecodeRecord<R>(*value) : std::nullopt;
+  SharedBytes value = store.Get(R{}.Key());
+  return value != nullptr ? DecodeRecord<R>(*value) : std::nullopt;
 }
 
 // Visits every intact record of the listed types, in store key order, with

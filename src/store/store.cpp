@@ -48,12 +48,9 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 
 void MemStore::Put(const Digest& key, SharedBytes value) { map_[key] = std::move(value); }
 
-std::optional<Bytes> MemStore::Get(const Digest& key) const {
+SharedBytes MemStore::Get(const Digest& key) const {
   const SharedBytes* value = map_.find(key);
-  if (value == nullptr) {
-    return std::nullopt;
-  }
-  return **value;
+  return value == nullptr ? nullptr : *value;
 }
 
 bool MemStore::Contains(const Digest& key) const { return map_.contains(key); }
@@ -183,7 +180,7 @@ void WalStore::Put(const Digest& key, SharedBytes value) {
   mem_.Put(key, std::move(value));
 }
 
-std::optional<Bytes> WalStore::Get(const Digest& key) const { return mem_.Get(key); }
+SharedBytes WalStore::Get(const Digest& key) const { return mem_.Get(key); }
 
 bool WalStore::Contains(const Digest& key) const { return mem_.Contains(key); }
 

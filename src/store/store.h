@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -41,8 +40,8 @@ class Store {
     Put(key, std::make_shared<const Bytes>(std::move(value)));
   }
 
-  // Returns the stored value, or nullopt.
-  virtual std::optional<Bytes> Get(const Digest& key) const = 0;
+  // Returns the stored value itself (no copy), or null if the key is absent.
+  virtual SharedBytes Get(const Digest& key) const = 0;
 
   virtual bool Contains(const Digest& key) const = 0;
 
@@ -72,7 +71,7 @@ class MemStore : public Store {
  public:
   using Store::Put;
   void Put(const Digest& key, SharedBytes value) override;
-  std::optional<Bytes> Get(const Digest& key) const override;
+  SharedBytes Get(const Digest& key) const override;
   bool Contains(const Digest& key) const override;
   bool Erase(const Digest& key) override;
   size_t size() const override { return map_.size(); }
@@ -101,7 +100,7 @@ class WalStore : public Store {
   using Store::Put;
   // Appends the bytes to the log; the index keeps the pointer.
   void Put(const Digest& key, SharedBytes value) override;
-  std::optional<Bytes> Get(const Digest& key) const override;
+  SharedBytes Get(const Digest& key) const override;
   bool Contains(const Digest& key) const override;
   bool Erase(const Digest& key) override;
   size_t size() const override { return mem_.size(); }

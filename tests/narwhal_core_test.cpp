@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/exec/state_machine.h"
+#include "src/hotstuff/payload.h"
 #include "src/net/latency.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
@@ -71,6 +72,87 @@ TEST(NarwhalCoreTest, WorkerSealsBySizeAndTimer) {
   EXPECT_EQ(worker->batches_sealed(), before);  // Not yet.
   cluster.scheduler().RunUntil(Millis(10) + Millis(70));
   EXPECT_EQ(worker->batches_sealed(), before + 1);
+
+  // Batched-HS seals through the same BatchMaker: fed one submission stream,
+  // a worker and a BatchedProvider seal the same batches at the same instants.
+  Scheduler scheduler;
+  FixedLatencyModel latency(Millis(1));
+  FaultController faults;
+  Network network(&scheduler, &latency, &faults, NetworkConfig{}, /*seed=*/1);
+  const Committee committee(std::vector<ValidatorInfo>(1));
+  Topology topology;
+  topology.primary_of = {0};
+  topology.worker_of = {{1}};
+  MemStore store;
+  BatchDirectory worker_directory;
+  BatchDirectory provider_directory;
+  Worker lone(0, 0, committee, config.narwhal, &network, &topology, &store, &worker_directory);
+  BatchedProvider provider(&scheduler, 0, config.narwhal.batch_size_bytes,
+                           config.narwhal.max_batch_delay, /*max_digests=*/100,
+                           &provider_directory);
+  provider.BindNetwork(&network, /*own_net_id=*/2, {});
+
+  struct Submission {
+    TimePoint at;
+    int count;
+    uint64_t bytes;
+    std::optional<TxSample> sample;  // On the first transaction of the group.
+  };
+  const std::vector<Submission> stream = {
+      {0, 3, 1024, TxSample{1, 0}},            // 10 KB by the 10th: sealed by size at 0,
+      {0, 9, 1024, TxSample{2, 0}},            // the last 2 by delay at 50.
+      {Millis(60), 1, 100, TxSample{3, Millis(60)}},
+      {Millis(70), 3, 1024, std::nullopt},     // Joins the pending batch: delay at 110.
+      {Millis(130), 11, 1024, TxSample{4, Millis(130)}},  // Size at 130, delay at 180.
+  };
+  std::vector<std::pair<TimePoint, size_t>> worker_seals;
+  std::vector<std::pair<TimePoint, size_t>> provider_seals;
+  for (TimePoint t = 0; t <= Millis(250); t += Millis(1)) {
+    scheduler.RunUntil(t);
+    for (const Submission& s : stream) {
+      for (int i = 0; s.at == t && i < s.count; ++i) {
+        const std::optional<TxSample> sample = i == 0 ? s.sample : std::nullopt;
+        lone.SubmitTransaction(s.bytes, sample);
+        provider.Submit(1, s.bytes,
+                        sample.has_value() ? std::vector<TxSample>{*sample}
+                                           : std::vector<TxSample>{});
+      }
+    }
+    if (worker_seals.empty() || worker_seals.back().second != worker_directory.size()) {
+      worker_seals.emplace_back(t, worker_directory.size());
+    }
+    if (provider_seals.empty() || provider_seals.back().second != provider_directory.size()) {
+      provider_seals.emplace_back(t, provider_directory.size());
+    }
+  }
+  const std::vector<std::pair<TimePoint, size_t>> expected = {
+      {0, 1}, {Millis(50), 2}, {Millis(110), 3}, {Millis(130), 4}, {Millis(180), 5}};
+  EXPECT_EQ(worker_seals, expected);
+  EXPECT_EQ(provider_seals, expected);
+
+  // Same author, worker and sequence numbers: the batches are byte-identical,
+  // so both directories hold the same digests with the same metadata.
+  const HsPayload proposed = provider.GetPayload(1);
+  ASSERT_EQ(proposed.batch_digests.size(), expected.size());
+  for (const Digest& d : proposed.batch_digests) {
+    EXPECT_NE(lone.GetBatch(d), nullptr);
+    const BatchDirectory::Info* w = worker_directory.Find(d);
+    const BatchDirectory::Info* p = provider_directory.Find(d);
+    ASSERT_NE(w, nullptr);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(w->author, p->author);
+    EXPECT_EQ(w->num_txs, p->num_txs);
+    EXPECT_EQ(w->payload_bytes, p->payload_bytes);
+    ASSERT_EQ(w->samples.size(), p->samples.size());
+    for (size_t i = 0; i < w->samples.size(); ++i) {
+      EXPECT_EQ(w->samples[i].tx_id, p->samples[i].tx_id);
+      EXPECT_EQ(w->samples[i].submit_time, p->samples[i].submit_time);
+    }
+  }
+  const BatchDirectory::Info* first = worker_directory.Find(proposed.batch_digests[0]);
+  EXPECT_EQ(first->num_txs, 10u);
+  EXPECT_EQ(first->payload_bytes, 10u * 1024);
+  EXPECT_EQ(first->samples.size(), 2u);
 }
 
 TEST(NarwhalCoreTest, BatchesReachQuorumAndPrimary) {
@@ -333,6 +415,63 @@ TEST(NarwhalCoreTest, RecoveredBatchesExecuteLikeTheSealedOnes) {
   for (const Digest& d : digests) {
     EXPECT_EQ(recovered->GetBatch(d)->bytes(), StoredBuffer(store, d)) << "adopted, not copied";
   }
+}
+
+struct SinkNode : NetNode {
+  std::vector<MessagePtr> received;
+  void OnMessage(uint32_t, const MessagePtr& msg) override { received.push_back(msg); }
+};
+
+TEST(NarwhalCoreTest, PeerBatchIsServedFromTheStoreAlone) {
+  // A worker keeps a peer's batch in its store and nowhere else: once the
+  // MsgBatch that carried it is gone, GetBatch and a pull request both serve
+  // the stored buffer itself.
+  Scheduler scheduler;
+  FixedLatencyModel latency(Millis(1));
+  FaultController faults;
+  Network network(&scheduler, &latency, &faults, NetworkConfig{}, /*seed=*/1);
+  const Committee committee(std::vector<ValidatorInfo>(2));
+  SinkNode primary;
+  SinkNode peer;
+  MemStore store;
+  BatchDirectory directory;
+  Topology topology;
+  Worker worker(0, 0, committee, NarwhalConfig{}, &network, &topology, &store, &directory);
+  const uint32_t primary_id = network.AddNode(&primary, 0, network.NewMachine());
+  const uint32_t worker_id = network.AddNode(&worker, 0, network.NewMachine());
+  const uint32_t peer_id = network.AddNode(&peer, 0, network.NewMachine());
+  topology.primary_of = {primary_id, primary_id};
+  topology.worker_of = {{worker_id}, {peer_id}};
+  worker.set_net_id(worker_id);
+
+  Digest d;
+  {
+    Batch::Builder builder(/*author=*/1, /*worker=*/0);
+    builder.AddTx(Bytes{1, 2, 3});
+    std::shared_ptr<const Batch> batch = builder.Seal(/*seq=*/0);
+    d = batch->ComputeDigest();
+    worker.OnMessage(peer_id, std::make_shared<MsgBatch>(batch, d));
+  }
+  scheduler.RunUntilIdle();
+  ASSERT_EQ(store.size(), 1u);
+  store.ForEach([](const Digest&, const SharedBytes& value) {
+    EXPECT_EQ(value.use_count(), 1) << "the store holds the only reference";
+  });
+
+  std::shared_ptr<const Batch> served = worker.GetBatch(d);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->bytes(), StoredBuffer(store, d));
+  ASSERT_EQ(served->txs().size(), 1u);
+  EXPECT_EQ(Bytes(served->txs()[0].begin(), served->txs()[0].end()), (Bytes{1, 2, 3}));
+
+  peer.received.clear();
+  worker.OnMessage(peer_id, std::make_shared<MsgBatchRequest>(d));
+  scheduler.RunUntilIdle();
+  ASSERT_EQ(peer.received.size(), 1u);
+  const auto* response = dynamic_cast<const MsgBatchResponse*>(peer.received[0].get());
+  ASSERT_NE(response, nullptr);
+  EXPECT_EQ(response->digest, d);
+  EXPECT_EQ(response->batch->bytes(), StoredBuffer(store, d));
 }
 
 TEST(NarwhalCoreTest, ReinjectionAfterGcForUncommittedBatches) {

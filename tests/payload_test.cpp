@@ -38,15 +38,12 @@ TEST(SharedTxPoolTest, DrainRespectsAvailabilityAndBudget) {
 struct ProviderFixture : ::testing::Test {
   ProviderFixture() {
     network = std::make_unique<Network>(&scheduler, &latency, &faults, NetworkConfig{}, 1);
-    std::vector<ValidatorInfo> infos(4);
-    committee = Committee(infos);
   }
 
   Scheduler scheduler;
   FixedLatencyModel latency{Millis(10)};
   FaultController faults;
   std::unique_ptr<Network> network;
-  Committee committee;
   BatchDirectory directory;
 };
 
@@ -56,7 +53,7 @@ struct SinkNode : NetNode {
 };
 
 TEST_F(ProviderFixture, BatchedProviderSealsAndProposes) {
-  BatchedProvider provider(0, committee, /*batch_size=*/1000, Millis(100), /*max_digests=*/2,
+  BatchedProvider provider(&scheduler, 0, /*batch_size=*/1000, Millis(100), /*max_digests=*/2,
                            &directory);
   SinkNode peer;
   uint32_t self = network->AddNode(&peer, 0, network->NewMachine());
@@ -95,7 +92,7 @@ TEST_F(ProviderFixture, BatchedProviderSealsAndProposes) {
 }
 
 TEST_F(ProviderFixture, BatchedProviderFetchesMissingBeforeReady) {
-  BatchedProvider provider(0, committee, 1000, Millis(100), 32, &directory);
+  BatchedProvider provider(&scheduler, 0, 1000, Millis(100), 32, &directory);
   SinkNode proposer;
   uint32_t self = network->AddNode(&proposer, 0, network->NewMachine());
   uint32_t proposer_id = network->AddNode(&proposer, 0, network->NewMachine());

@@ -201,9 +201,9 @@ HeaderRecord PersistedRecord(const BlockHeader& h) {
   const Digest digest = h.ComputeDigest();
   MemStore store;
   PutRecord(store, HeaderRecord::Of(h, digest));
-  std::optional<Bytes> value = store.Get(HeaderRecord::KeyOf(digest));
-  EXPECT_TRUE(value.has_value());
-  std::optional<HeaderRecord> rec = DecodeRecord<HeaderRecord>(value.value_or(Bytes{}));
+  SharedBytes value = store.Get(HeaderRecord::KeyOf(digest));
+  EXPECT_NE(value, nullptr);
+  std::optional<HeaderRecord> rec = DecodeRecord<HeaderRecord>(value != nullptr ? *value : Bytes{});
   EXPECT_TRUE(rec.has_value());
   return rec.value_or(HeaderRecord{});
 }

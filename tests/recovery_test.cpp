@@ -507,7 +507,7 @@ TEST(PersistenceClusterTest, WorkerBatchesSurviveOnDisk) {
   ASSERT_NE(store, nullptr);
   EXPECT_GT(store->recovered_records(), 0u);
   auto bytes = store->Get(batch_digest);
-  ASSERT_TRUE(bytes.has_value());
+  ASSERT_NE(bytes, nullptr);
   Reader r(*bytes);
   auto batch = Batch::Decode(r);
   ASSERT_TRUE(batch.has_value());

@@ -37,7 +37,7 @@ class WalStoreTest : public ::testing::Test {
 TEST(MemStoreTest, PutGetEraseContains) {
   MemStore store;
   EXPECT_FALSE(store.Contains(Key(1)));
-  EXPECT_FALSE(store.Get(Key(1)).has_value());
+  EXPECT_EQ(store.Get(Key(1)), nullptr);
   store.Put(Key(1), {1, 2, 3});
   EXPECT_TRUE(store.Contains(Key(1)));
   EXPECT_EQ(*store.Get(Key(1)), (Bytes{1, 2, 3}));
@@ -58,7 +58,7 @@ TEST(MemStoreTest, EmptyValueIsStored) {
 }
 
 // A store keeps the buffer it is given: n stores holding one value share one
-// copy of its bytes.
+// copy of its bytes, and Get returns that buffer.
 TEST(MemStoreTest, KeepsTheSharedBufferItIsGiven) {
   const SharedBytes value = std::make_shared<const Bytes>(Bytes{4, 5, 6});
   MemStore a;
@@ -67,6 +67,7 @@ TEST(MemStoreTest, KeepsTheSharedBufferItIsGiven) {
   b.Put(Key(1), value);
   for (const MemStore* store : {&a, &b}) {
     store->ForEach([&](const Digest&, const SharedBytes& held) { EXPECT_EQ(held, value); });
+    EXPECT_EQ(store->Get(Key(1)), value);
   }
 }
 
@@ -149,6 +150,7 @@ TEST_F(WalStoreTest, IndexesTheSharedBufferAndLogsItsBytes) {
     ASSERT_NE(store, nullptr);
     store->Put(Key(3), value);
     store->ForEach([&](const Digest&, const SharedBytes& held) { EXPECT_EQ(held, value); });
+    EXPECT_EQ(store->Get(Key(3)), value);
     store->Sync();
   }
   auto reopened = WalStore::Open(path_);
