@@ -27,9 +27,11 @@ struct NarwhalConfig {
   // (paper §8.4: "Mir-BFT uses an interesting transaction de-duplication
   // technique based on hashing which we believe is directly applicable to
   // Narwhal"). A worker remembers the digests of the last `dedup_window`
-  // transactions in a hashed set (one probe per submission, one erase of the
-  // oldest digest once the window is full) and drops resubmissions.
-  // 0 disables.
+  // explicit-payload transactions in a DigestWindow (one probe per
+  // submission; once full, the newest digest overwrites the oldest in its
+  // ring) and drops resubmissions. It allocates nothing before the first
+  // explicit payload; full at the default it holds 42.5 B per digest.
+  // 0 disables; 2^32 - 1 or more is refused when the worker is built.
   uint64_t dedup_window = 100000;
 };
 

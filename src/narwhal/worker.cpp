@@ -90,6 +90,7 @@ Worker::Worker(ValidatorId validator, WorkerId worker_id, const Committee& commi
                StoreBatch(batch, digest);
                DisseminateBatch(batch, digest);
              }),
+      seen_txs_(config.dedup_window),
       timers_(network->scheduler()) {}
 
 void Worker::Recover() {
@@ -106,19 +107,11 @@ void Worker::SubmitTransaction(uint64_t size_bytes, std::optional<TxSample> samp
 }
 
 void Worker::SubmitTransaction(Bytes payload, std::optional<TxSample> sample) {
-  if (config_.dedup_window > 0) {
-    // Mir-BFT-style hash de-duplication (paper §8.4): resubmitted payloads
-    // within the window are dropped before they cost any bandwidth.
-    Digest tx_digest = Sha256::Hash(payload);
-    if (!seen_txs_.insert(tx_digest)) {
-      ++duplicate_txs_dropped_;
-      return;
-    }
-    seen_order_.push_back(tx_digest);
-    if (seen_order_.size() > config_.dedup_window) {
-      seen_txs_.erase(seen_order_.front());
-      seen_order_.pop_front();
-    }
+  // Mir-BFT-style hash de-duplication (paper §8.4): resubmitted payloads
+  // within the window are dropped before they cost any bandwidth.
+  if (config_.dedup_window > 0 && !seen_txs_.Admit(Sha256::Hash(payload))) {
+    ++duplicate_txs_dropped_;
+    return;
   }
   maker_.AddTx(payload, BatchMaker::SamplesOf(sample));
 }

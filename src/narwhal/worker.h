@@ -8,7 +8,6 @@
 #define SRC_NARWHAL_WORKER_H_
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -61,14 +60,13 @@ class BatchDirectory {
   };
 
   void Register(const Digest& digest, Info info) { map_[digest] = std::move(info); }
-  const Info* Find(const Digest& digest) const {
-    auto it = map_.find(digest);
-    return it == map_.end() ? nullptr : &it->second;
-  }
+  // The batch's metadata, or null. The pointer is valid until the next
+  // Register, which may grow the table.
+  const Info* Find(const Digest& digest) const { return map_.find(digest); }
   size_t size() const { return map_.size(); }
 
  private:
-  std::map<Digest, Info> map_;
+  DigestMap<Info> map_;
 };
 
 // The batch maker (paper §4.2): seals a batch once it reaches
@@ -133,7 +131,8 @@ class Worker : public NetNode {
       MessageList<MsgBatch, MsgBatchAck, MsgFetchBatch, MsgBatchRequest, MsgBatchResponse>;
 
   // `store` is non-owning: the runtime owns it and keeps it alive across
-  // simulated restarts of this worker (it is the durable disk).
+  // simulated restarts of this worker (it is the durable disk). Throws
+  // std::invalid_argument if `config.dedup_window` is 2^32 - 1 or more.
   Worker(ValidatorId validator, WorkerId worker_id, const Committee& committee,
          const NarwhalConfig& config, Network* network, const Topology* topology,
          Store* store, BatchDirectory* directory);
@@ -172,6 +171,7 @@ class Worker : public NetNode {
   uint64_t batches_sealed() const { return maker_.batches_sealed(); }
   uint64_t batches_acked() const { return batches_acked_; }
   uint64_t duplicate_txs_dropped() const { return duplicate_txs_dropped_; }
+  const DigestWindow& dedup_window() const { return seen_txs_; }
   // The stored batch, adopting the store's buffer; null if it is not stored.
   std::shared_ptr<const Batch> GetBatch(const Digest& digest) const;
 
@@ -192,7 +192,6 @@ class Worker : public NetNode {
   Network* network_;
   const Topology* topology_;
   Store* store_;
-  BatchDirectory* directory_;
   uint32_t net_id_ = 0;
   Tracer* tracer_ = nullptr;
 
@@ -210,10 +209,8 @@ class Worker : public NetNode {
   // Outstanding pull requests issued on behalf of the primary.
   std::set<Digest> fetching_;
 
-  // Sliding-window duplicate filter over explicit transaction payloads:
-  // the set answers membership, the queue says which digest leaves next.
-  DigestSet seen_txs_;
-  std::deque<Digest> seen_order_;
+  // Sliding-window duplicate filter over explicit transaction payloads.
+  DigestWindow seen_txs_;
 
   uint64_t batches_acked_ = 0;
   uint64_t duplicate_txs_dropped_ = 0;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/runtime/cluster.h"
 
 namespace nt {
@@ -219,6 +221,34 @@ TEST(DedupTest, CanBeDisabled) {
   worker->SubmitTransaction(Bytes{9}, std::nullopt);
   worker->SubmitTransaction(Bytes{9}, std::nullopt);
   EXPECT_EQ(worker->duplicate_txs_dropped(), 0u);
+}
+
+// Size-only load never reaches the duplicate window, so a worker fed only
+// that allocates none; the first explicit payload starts it small.
+TEST(DedupWindowTest, SizeOnlyLoadAllocatesNoWindow) {
+  Cluster cluster(TuskConfig(10));
+  cluster.Start();
+  Worker* worker = cluster.worker(0, 0);
+  for (int i = 0; i < 5000; ++i) {
+    worker->SubmitTransaction(uint64_t{512}, std::nullopt);
+  }
+  cluster.scheduler().RunUntil(Seconds(1));
+  EXPECT_GT(worker->batches_sealed(), 0u);
+  EXPECT_EQ(worker->dedup_window().memory_bytes(), 0u);
+  worker->SubmitTransaction(Bytes{1, 2, 3}, std::nullopt);
+  EXPECT_EQ(worker->dedup_window().size(), 1u);
+  EXPECT_LT(worker->dedup_window().ring_capacity(), 100u);
+}
+
+// Ring positions are 32-bit: a window of 2^32 - 1 or more stops the worker
+// from being built instead of being truncated.
+TEST(DedupWindowTest, RefusesAWindowTooLargeToAddress) {
+  ClusterConfig config = TuskConfig(11);
+  config.narwhal.dedup_window = uint64_t{0xffffffff};
+  EXPECT_THROW(Cluster cluster(config), std::invalid_argument);
+  config.narwhal.dedup_window = uint64_t{0xfffffffe};
+  Cluster cluster(config);
+  EXPECT_EQ(cluster.worker(0, 0)->dedup_window().memory_bytes(), 0u);
 }
 
 }  // namespace
